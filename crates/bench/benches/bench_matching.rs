@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snr_bench::Workload;
-use snr_core::matching::{mutual_best_pairs, mutual_best_pairs_rayon};
+use snr_core::matching::mutual_best_pairs;
 use snr_core::witness::ScoreTable;
 use snr_core::{Backend, MatchingConfig, UserMatching};
 use std::hint::black_box;
@@ -46,14 +46,12 @@ fn bench_mutual_best(c: &mut Criterion) {
     group.finish();
 }
 
-/// Selection alone, sequential vs. the shard-streaming rayon fold, on a
-/// table big enough that the old collect-into-a-`Vec` copy showed up.
-fn bench_selection_backends(c: &mut Criterion) {
+/// The oracle selection alone on a larger table.
+fn bench_selection(c: &mut Criterion) {
     let scores = synthetic_table(20_000);
     let mut group = c.benchmark_group("user_matching/selection");
     group.sample_size(15);
     group.bench_function("sequential", |b| b.iter(|| black_box(mutual_best_pairs(&scores, 3))));
-    group.bench_function("rayon", |b| b.iter(|| black_box(mutual_best_pairs_rayon(&scores, 3))));
     group.finish();
 }
 
@@ -80,6 +78,6 @@ criterion_group!(
     bench_full_algorithm,
     bench_full_algorithm_rayon,
     bench_mutual_best,
-    bench_selection_backends
+    bench_selection
 );
 criterion_main!(benches);

@@ -1,17 +1,21 @@
-//! Microbenchmark: similarity-witness counting.
+//! Microbenchmark: one witness-scoring phase.
 //!
-//! The inner kernel of every phase. Compares the sequential, rayon, and
-//! MapReduce backends on the same workload, shows the effect of the degree
-//! threshold (higher buckets touch far fewer candidate pairs), and runs the
-//! R-MAT-16 pass on all four graph representations (CSR, compact,
-//! mmap-backed segment, sharded) with their memory footprints printed for
-//! the record.
+//! The inner kernel of every phase, through each executor's entry point:
+//! in-process sequential and rayon (`fused_phase_on`), LSH-blocked
+//! (`adaptive_lsh_phase`), one MapReduce round (`mapreduce_fused_phase_on`,
+//! in memory and spilling) and one distributed driver round. The R-MAT-16
+//! phase runs on all four graph representations (CSR, compact, mmap-backed
+//! segment, sharded) with their memory footprints printed for the record;
+//! the degree-threshold group shows the oracle table's cost falling with
+//! the bucket (higher buckets touch far fewer candidate pairs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snr_bench::Workload;
-use snr_core::blocking::{lsh_fused_phase, Banding, DEFAULT_SKETCH_SEED};
-use snr_core::scoring::{fused_phase, mapreduce_fused_phase, CandidateCache};
-use snr_core::witness::{count_mapreduce, count_rayon, count_sequential};
+use snr_core::blocking::{adaptive_lsh_phase, Banding, DEFAULT_SKETCH_SEED};
+use snr_core::scoring::{
+    collect_candidates, fused_phase_on, mapreduce_fused_phase_on, CandidateCache,
+};
+use snr_core::witness::count_sequential;
 use snr_core::{Linking, MatchingConfig};
 use snr_driver::{DriverConfig, DriverStore, ShardDriver};
 use snr_graph::{GraphView, NodeId};
@@ -40,27 +44,55 @@ fn mmap_of<G: GraphView>(g: &G, name: &str) -> (MmapGraph, PathBuf) {
     (MmapGraph::open(&path).expect("open bench segment"), path)
 }
 
-fn bench_backends(c: &mut Criterion) {
-    let workload = Workload::pa(4_000, 10, 0.6, 0.10, 42);
-    let links = workload.linking();
-    let (g1, g2) = (&workload.pair.g1, &workload.pair.g2);
-
-    let mut group = c.benchmark_group("witness_counting/backends");
-    group.sample_size(15);
-    group.bench_function("sequential", |b| {
-        b.iter(|| black_box(count_sequential(g1, g2, &links, 2, 2)))
-    });
-    group.bench_function("rayon", |b| b.iter(|| black_box(count_rayon(g1, g2, &links, 2, 2))));
-    group.bench_function("mapreduce", |b| {
-        let engine = Engine::new(4);
-        b.iter(|| black_box(count_mapreduce(g1, g2, &links, 2, 2, &engine)))
-    });
-    group.finish();
+/// One exact in-process phase at `min_degree` 2 and threshold 2, candidate
+/// enumeration included.
+fn phase<G1, G2>(g1: &G1, g2: &G2, links: &Linking, parallel: bool) -> usize
+where
+    G1: GraphView + Sync,
+    G2: GraphView + Sync,
+{
+    fused_phase_on(g1, g2, links, &collect_candidates(g1, links, 2), 2, 2, parallel).0
 }
 
-/// The arena fast path: witness scoring with mutual-best selection fused
-/// into row finalization (no score table) — what one matcher phase actually
-/// runs on the sequential and rayon backends.
+/// One MapReduce round of the same phase.
+fn mapreduce_phase<G1, G2>(engine: &Engine, g1: &G1, g2: &G2, links: &Linking) -> usize
+where
+    G1: GraphView + Sync,
+    G2: GraphView + Sync,
+{
+    mapreduce_fused_phase_on(engine, g1, g2, links, collect_candidates(g1, links, 2), 2, 2)
+        .expect("round failed")
+        .0
+}
+
+/// The same phase LSH-blocked (mass floor 0: every phase blocks): sketch
+/// both copies' eligible nodes over their witness-link sets, propose pairs
+/// via 16×2 banding, verify proposals exactly.
+fn lsh_phase<G1, G2>(g1: &G1, g2: &G2, links: &Linking, c1: &[u32], c2: &[u32]) -> usize
+where
+    G1: GraphView + Sync,
+    G2: GraphView + Sync,
+{
+    let banding = Banding::new(16, 2);
+    adaptive_lsh_phase(
+        g1,
+        g2,
+        links,
+        c1,
+        || c2.to_vec(),
+        2,
+        2,
+        &banding,
+        DEFAULT_SKETCH_SEED,
+        0,
+        true,
+    )
+    .0
+}
+
+/// Witness scoring with mutual-best selection fused into row finalization
+/// (no score table) — what one matcher phase runs on the sequential and
+/// rayon backends.
 fn bench_fused(c: &mut Criterion) {
     let workload = Workload::pa(4_000, 10, 0.6, 0.10, 42);
     let links = workload.linking();
@@ -68,18 +100,13 @@ fn bench_fused(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("witness_counting/fused");
     group.sample_size(15);
-    group.bench_function("sequential", |b| {
-        b.iter(|| black_box(fused_phase(g1, g2, &links, 2, 2, 2, false)))
-    });
-    group.bench_function("rayon", |b| {
-        b.iter(|| black_box(fused_phase(g1, g2, &links, 2, 2, 2, true)))
-    });
+    group.bench_function("sequential", |b| b.iter(|| black_box(phase(g1, g2, &links, false))));
+    group.bench_function("rayon", |b| b.iter(|| black_box(phase(g1, g2, &links, true))));
     group.finish();
 }
 
-/// Table 2 shape at benchmark size: every backend on both graph
-/// representations at R-MAT scale 16. These are the records the
-/// before/after throughput table in CHANGES.md is built from.
+/// Table 2 shape at benchmark size: every executor's phase at R-MAT scale
+/// 16, on every graph representation.
 fn bench_rmat16(c: &mut Criterion) {
     let workload = Workload::rmat(16, 0.7, 0.02, 46);
     let links = workload.linking();
@@ -88,87 +115,36 @@ fn bench_rmat16(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("witness_counting/rmat16");
     group.sample_size(5);
-    group.bench_function("csr/sequential", |b| {
-        b.iter(|| black_box(count_sequential(g1, g2, &links, 2, 2)))
-    });
-    group.bench_function("csr/rayon", |b| b.iter(|| black_box(count_rayon(g1, g2, &links, 2, 2))));
-    group.bench_function("csr/mapreduce", |b| {
-        let engine = Engine::new(4);
-        b.iter(|| black_box(count_mapreduce(g1, g2, &links, 2, 2, &engine)))
-    });
-    group.bench_function("compact/sequential", |b| {
-        b.iter(|| black_box(count_sequential(&c1, &c2, &links, 2, 2)))
-    });
-    group.bench_function("compact/rayon", |b| {
-        b.iter(|| black_box(count_rayon(&c1, &c2, &links, 2, 2)))
-    });
-    group.bench_function("compact/mapreduce", |b| {
-        let engine = Engine::new(4);
-        b.iter(|| black_box(count_mapreduce(&c1, &c2, &links, 2, 2, &engine)))
-    });
-    group.bench_function("csr/fused", |b| {
-        b.iter(|| black_box(fused_phase(g1, g2, &links, 2, 2, 2, true)))
-    });
+    group.bench_function("csr/fused", |b| b.iter(|| black_box(phase(g1, g2, &links, true))));
     // Exactly csr/fused with telemetry explicitly disabled: the baseline
     // pins this label at parity with csr/fused, so any cost the disabled
     // telemetry hooks leak into the scoring hot loop fails the bench gate.
     group.bench_function("csr/telemetry_off", |b| {
         snr_telemetry::disable();
-        b.iter(|| black_box(fused_phase(g1, g2, &links, 2, 2, 2, true)))
+        b.iter(|| black_box(phase(g1, g2, &links, true)))
     });
-    group.bench_function("compact/fused", |b| {
-        b.iter(|| black_box(fused_phase(&c1, &c2, &links, 2, 2, 2, true)))
-    });
-    // The LSH-blocked phase (CandidateSource::Lsh): sketch both copies'
-    // eligible nodes over their witness-link sets, propose pairs via 16×2
-    // banding, verify proposals exactly. Same (min_degree 2, threshold 2)
-    // phase as the fused labels above.
-    let banding = Banding::new(16, 2);
+    group.bench_function("compact/fused", |b| b.iter(|| black_box(phase(&c1, &c2, &links, true))));
+    // The LSH-blocked phase (CandidateSource::Lsh) on the same (min_degree
+    // 2, threshold 2) phase as the fused labels above.
     let (csr_c1, csr_c2) = (eligible(g1, &links, true, 2), eligible(g2, &links, false, 2));
     group.bench_function("csr/lsh_fused", |b| {
-        b.iter(|| {
-            black_box(lsh_fused_phase(
-                g1,
-                g2,
-                &links,
-                &csr_c1,
-                &csr_c2,
-                2,
-                2,
-                &banding,
-                DEFAULT_SKETCH_SEED,
-                true,
-            ))
-        })
+        b.iter(|| black_box(lsh_phase(g1, g2, &links, &csr_c1, &csr_c2)))
     });
     let (cc_c1, cc_c2) = (eligible(&c1, &links, true, 2), eligible(&c2, &links, false, 2));
     group.bench_function("compact/lsh_fused", |b| {
-        b.iter(|| {
-            black_box(lsh_fused_phase(
-                &c1,
-                &c2,
-                &links,
-                &cc_c1,
-                &cc_c2,
-                2,
-                2,
-                &banding,
-                DEFAULT_SKETCH_SEED,
-                true,
-            ))
-        })
+        b.iter(|| black_box(lsh_phase(&c1, &c2, &links, &cc_c1, &cc_c2)))
     });
 
-    // The MapReduce backend's fused phase (combiner mappers + packed
-    // row shuffle + select-fused reduce) — what one matcher phase actually
-    // runs on Backend::MapReduce since the arena rebuild.
+    // The MapReduce backend's phase (whole-row mappers + packed row
+    // shuffle + select-fused reduce) — what one matcher phase runs on
+    // Backend::MapReduce.
     group.bench_function("csr/mapreduce_fused", |b| {
         let engine = Engine::new(4);
-        b.iter(|| black_box(mapreduce_fused_phase(&engine, g1, g2, &links, 2, 2, 2)))
+        b.iter(|| black_box(mapreduce_phase(&engine, g1, g2, &links)))
     });
     group.bench_function("compact/mapreduce_fused", |b| {
         let engine = Engine::new(4);
-        b.iter(|| black_box(mapreduce_fused_phase(&engine, &c1, &c2, &links, 2, 2, 2)))
+        b.iter(|| black_box(mapreduce_phase(&engine, &c1, &c2, &links)))
     });
     // The same fused round forced out-of-core: a 1 MiB budget makes every
     // map task spill its post-combine buckets to run files that the reduce
@@ -177,7 +153,7 @@ fn bench_rmat16(c: &mut Criterion) {
     group.bench_function("csr/mapreduce_spill", |b| {
         let scratch = std::env::temp_dir().join(format!("snr-bench-spill-{}", std::process::id()));
         let engine = Engine::new(4).with_spill_budget(Some(1 << 20)).with_scratch_dir(scratch);
-        b.iter(|| black_box(mapreduce_fused_phase(&engine, g1, g2, &links, 2, 2, 2)))
+        b.iter(|| black_box(mapreduce_phase(&engine, g1, g2, &links)))
     });
 
     // The storage subsystem on the same workload: witness pass over
@@ -193,12 +169,8 @@ fn bench_rmat16(c: &mut Criterion) {
     ] {
         println!("  {name:8} memory_bytes = {bytes:>12}  bytes_per_edge = {bpe:.2}");
     }
-    group.bench_function("mmap/fused", |b| {
-        b.iter(|| black_box(fused_phase(&m1, &m2, &links, 2, 2, 2, true)))
-    });
-    group.bench_function("sharded/fused", |b| {
-        b.iter(|| black_box(fused_phase(&s1, &s2, &links, 2, 2, 2, true)))
-    });
+    group.bench_function("mmap/fused", |b| b.iter(|| black_box(phase(&m1, &m2, &links, true))));
+    group.bench_function("sharded/fused", |b| b.iter(|| black_box(phase(&s1, &s2, &links, true))));
 
     // The same phase as one distributed round of the multi-process shard
     // driver (snr-driver): 2 worker subprocesses over mmap segments,
@@ -263,5 +235,5 @@ fn bench_degree_thresholds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_fused, bench_rmat16, bench_degree_thresholds);
+criterion_group!(benches, bench_fused, bench_rmat16, bench_degree_thresholds);
 criterion_main!(benches);

@@ -88,30 +88,12 @@ impl UserMatching {
     }
 
     /// Runs the algorithm on the MapReduce backend using a caller-supplied
-    /// engine, so that the caller can inspect round statistics afterwards.
-    /// Panics if the configured backend is not [`Backend::MapReduce`], or if
-    /// the engine carries a spill budget and a spill fails — see
-    /// [`UserMatching::try_run_on_engine`].
-    pub fn run_on_engine<G1, G2>(
-        &self,
-        g1: &G1,
-        g2: &G2,
-        seeds: &[(NodeId, NodeId)],
-        engine: &Engine,
-    ) -> MatchingOutcome
-    where
-        G1: GraphView + Sync,
-        G2: GraphView + Sync,
-    {
-        self.try_run_on_engine(g1, g2, seeds, engine).expect("spill round failed")
-    }
-
-    /// Fallible sibling of [`UserMatching::run_on_engine`] for engines with
-    /// a spill budget ([`Engine::with_spill_budget`]): a failed spill
-    /// surfaces as a clean [`EngineError`] with the engine's scratch space
-    /// already removed. Still panics if the configured backend is not
-    /// [`Backend::MapReduce`] (that is a programming error, not a runtime
-    /// fault).
+    /// engine, so that the caller can inspect round statistics afterwards —
+    /// and give the engine a spill budget ([`Engine::with_spill_budget`]):
+    /// a failed spill surfaces as a clean [`EngineError`] with the engine's
+    /// scratch space already removed. Panics if the configured backend is
+    /// not [`Backend::MapReduce`] (that is a programming error, not a
+    /// runtime fault).
     pub fn try_run_on_engine<G1, G2>(
         &self,
         g1: &G1,
@@ -125,14 +107,16 @@ impl UserMatching {
     {
         assert!(
             matches!(self.config.backend, Backend::MapReduce { .. }),
-            "run_on_engine requires the MapReduce backend"
+            "try_run_on_engine requires the MapReduce backend"
         );
         self.run_internal(g1, g2, seeds, Some(engine))
     }
 
-    /// Runs on the MapReduce backend with a fresh engine and also returns the
-    /// engine's round statistics (used to verify the `O(k log D)` round
-    /// claim).
+    /// Runs on the MapReduce backend with a fresh engine (spill budget from
+    /// `SNR_MR_SPILL_BUDGET`) and also returns the engine's round
+    /// statistics (used to verify the `O(k log D)` round claim). Panics if
+    /// the configured backend is not [`Backend::MapReduce`] or a spill
+    /// fails.
     pub fn run_with_round_stats<G1, G2>(
         &self,
         g1: &G1,
@@ -143,28 +127,13 @@ impl UserMatching {
         G1: GraphView + Sync,
         G2: GraphView + Sync,
     {
-        self.try_run_with_round_stats(g1, g2, seeds).expect("spill round failed")
-    }
-
-    /// Fallible sibling of [`UserMatching::run_with_round_stats`]; the
-    /// engine inherits its spill budget from `SNR_MR_SPILL_BUDGET`.
-    pub fn try_run_with_round_stats<G1, G2>(
-        &self,
-        g1: &G1,
-        g2: &G2,
-        seeds: &[(NodeId, NodeId)],
-    ) -> Result<(MatchingOutcome, EngineStats), EngineError>
-    where
-        G1: GraphView + Sync,
-        G2: GraphView + Sync,
-    {
         let workers = match self.config.backend {
             Backend::MapReduce { workers } => workers,
             _ => 1,
         };
         let engine = Engine::new(workers);
-        let outcome = self.run_internal(g1, g2, seeds, Some(&engine))?;
-        Ok((outcome, engine.stats()))
+        let outcome = self.try_run_on_engine(g1, g2, seeds, &engine).expect("spill round failed");
+        (outcome, engine.stats())
     }
 
     fn run_internal<G1, G2>(
@@ -183,16 +152,7 @@ impl UserMatching {
         let mut links = Linking::with_seeds(g1.node_count(), g2.node_count(), seeds);
         let mut phases = Vec::new();
 
-        // D is "a parameter related to the largest node degree": use the
-        // larger of the two maximum degrees, so the first bucket is never
-        // empty on either side.
-        let max_degree = g1.max_degree().max(g2.max_degree());
-        let top_bucket = if cfg.degree_bucketing {
-            // floor(log2(D)), at least min_bucket.
-            (usize::BITS - 1).saturating_sub(max_degree.max(1).leading_zeros()).max(cfg.min_bucket)
-        } else {
-            cfg.min_bucket
-        };
+        let schedule = cfg.schedule(g1.max_degree().max(g2.max_degree()));
 
         let owned_engine;
         let engine_ref: Option<&Engine> = match (cfg.backend, engine) {
@@ -225,109 +185,107 @@ impl UserMatching {
             CandidateCache::build(g2)
         });
 
-        for iteration in 1..=cfg.iterations {
-            for bucket in (cfg.min_bucket..=top_bucket).rev() {
-                let phase_start = Instant::now();
-                let _phase_span = snr_telemetry::span!("phase", iter = iteration, bucket = bucket);
-                let min_degree = 1usize << bucket;
-                let candidates = cand_cache1.eligible(
-                    min_degree,
-                    |u| links.is_linked_g1(NodeId(u)),
-                    |u| g1.degree(NodeId(u)),
-                );
+        for (iteration, bucket) in schedule {
+            let phase_start = Instant::now();
+            let _phase_span = snr_telemetry::span!("phase", iter = iteration, bucket = bucket);
+            let min_degree = 1usize << bucket;
+            let candidates = cand_cache1.eligible(
+                min_degree,
+                |u| links.is_linked_g1(NodeId(u)),
+                |u| g1.degree(NodeId(u)),
+            );
 
-                let (scored_pairs, new_pairs) = match (cfg.backend, engine_ref) {
-                    (Backend::MapReduce { .. }, Some(engine)) => {
-                        // One engine round per phase: combiner mappers score
-                        // candidate rows on task-local arenas, the packed
-                        // shuffle is range-partitioned by row, and the
-                        // reduce folds rows into per-partition SelectSinks —
-                        // no global score table, same bits as fused_phase.
-                        mapreduce_fused_phase_on(
-                            engine,
+            let (scored_pairs, new_pairs) = match (cfg.backend, engine_ref) {
+                (Backend::MapReduce { .. }, Some(engine)) => {
+                    // One engine round per phase: combiner mappers score
+                    // candidate rows on task-local arenas, the packed
+                    // shuffle is range-partitioned by row, and the
+                    // reduce folds rows into per-partition SelectSinks —
+                    // no global score table, same bits as fused_phase_on.
+                    mapreduce_fused_phase_on(
+                        engine,
+                        g1,
+                        g2,
+                        &links,
+                        candidates,
+                        min_degree,
+                        cfg.threshold,
+                    )?
+                }
+                _ => {
+                    let parallel = matches!(cfg.backend, Backend::Rayon);
+                    match cfg.candidates {
+                        // Arena fast path: witness scoring and mutual-
+                        // best selection fused into one pass over per-
+                        // candidate rows — no score table is
+                        // materialized. Selection follows the same
+                        // backend as scoring, so Backend::Rayon is
+                        // parallel through the whole phase.
+                        CandidateSource::Exact => fused_phase_on(
                             g1,
                             g2,
                             &links,
-                            candidates,
+                            &candidates,
                             min_degree,
                             cfg.threshold,
-                        )?
-                    }
-                    _ => {
-                        let parallel = matches!(cfg.backend, Backend::Rayon);
-                        match cfg.candidates {
-                            // Arena fast path: witness scoring and mutual-
-                            // best selection fused into one pass over per-
-                            // candidate rows — no score table is
-                            // materialized. Selection follows the same
-                            // backend as scoring, so Backend::Rayon is
-                            // parallel through the whole phase.
-                            CandidateSource::Exact => fused_phase_on(
+                            parallel,
+                        ),
+                        // Blocked path: MinHash/LSH proposes candidate
+                        // pairs, which are then scored exactly. The
+                        // sketch seed mixes in the phase coordinates so
+                        // each phase re-draws its hash family. Phases
+                        // whose exact scan is light fall back to it
+                        // (lossless and faster there); only mass-heavy
+                        // phases pay the sketch — see the adaptive gate
+                        // in `crate::blocking`.
+                        CandidateSource::Lsh { bands, rows } => {
+                            let candidates2 = || {
+                                cand_cache2
+                                    .as_ref()
+                                    .expect("copy-2 cache is built for LSH runs")
+                                    .eligible(
+                                        min_degree,
+                                        |v| links.is_linked_g2(NodeId(v)),
+                                        |v| g2.degree(NodeId(v)),
+                                    )
+                            };
+                            let seed = DEFAULT_SKETCH_SEED
+                                ^ (u64::from(iteration) << 32)
+                                ^ u64::from(bucket);
+                            adaptive_lsh_phase(
                                 g1,
                                 g2,
                                 &links,
                                 &candidates,
+                                candidates2,
                                 min_degree,
                                 cfg.threshold,
+                                &Banding::new(bands, rows),
+                                seed,
+                                cfg.lsh_mass_floor,
                                 parallel,
-                            ),
-                            // Blocked path: MinHash/LSH proposes candidate
-                            // pairs, which are then scored exactly. The
-                            // sketch seed mixes in the phase coordinates so
-                            // each phase re-draws its hash family. Phases
-                            // whose exact scan is light fall back to it
-                            // (lossless and faster there); only mass-heavy
-                            // phases pay the sketch — see the adaptive gate
-                            // in `crate::blocking`.
-                            CandidateSource::Lsh { bands, rows } => {
-                                let candidates2 = || {
-                                    cand_cache2
-                                        .as_ref()
-                                        .expect("copy-2 cache is built for LSH runs")
-                                        .eligible(
-                                            min_degree,
-                                            |v| links.is_linked_g2(NodeId(v)),
-                                            |v| g2.degree(NodeId(v)),
-                                        )
-                                };
-                                let seed = DEFAULT_SKETCH_SEED
-                                    ^ (u64::from(iteration) << 32)
-                                    ^ u64::from(bucket);
-                                adaptive_lsh_phase(
-                                    g1,
-                                    g2,
-                                    &links,
-                                    &candidates,
-                                    candidates2,
-                                    min_degree,
-                                    cfg.threshold,
-                                    &Banding::new(bands, rows),
-                                    seed,
-                                    cfg.lsh_mass_floor,
-                                    parallel,
-                                )
-                            }
+                            )
                         }
                     }
-                };
+                }
+            };
 
-                let new_links = links.insert_batch(&new_pairs);
-                let duration = phase_start.elapsed();
+            let new_links = links.insert_batch(&new_pairs);
+            let duration = phase_start.elapsed();
 
-                snr_telemetry::Counter::ScoredPairs.add(scored_pairs as u64);
-                snr_telemetry::Counter::LinksInserted.add(new_links as u64);
-                snr_telemetry::Gauge::LinksTotal.set(links.len() as u64);
-                snr_telemetry::Histogram::PhaseMicros.record(duration.as_micros() as u64);
+            snr_telemetry::Counter::ScoredPairs.add(scored_pairs as u64);
+            snr_telemetry::Counter::LinksInserted.add(new_links as u64);
+            snr_telemetry::Gauge::LinksTotal.set(links.len() as u64);
+            snr_telemetry::Histogram::PhaseMicros.record(duration.as_micros() as u64);
 
-                phases.push(PhaseStats {
-                    iteration,
-                    bucket: if cfg.degree_bucketing { bucket } else { 0 },
-                    scored_pairs,
-                    new_links,
-                    total_links: links.len(),
-                    duration,
-                });
-            }
+            phases.push(PhaseStats {
+                iteration,
+                bucket: if cfg.degree_bucketing { bucket } else { 0 },
+                scored_pairs,
+                new_links,
+                total_links: links.len(),
+                duration,
+            });
         }
 
         Ok(MatchingOutcome { links, phases, total_duration: start.elapsed() })

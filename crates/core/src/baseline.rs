@@ -11,11 +11,9 @@
 //! * on the Wikipedia-style workload its error rate balloons (27.9% vs
 //!   17.3% in the paper).
 
-use crate::backend::Backend;
 use crate::linking::Linking;
-use crate::matching::mutual_best_pairs;
+use crate::scoring::{collect_candidates, fused_phase_on};
 use crate::stats::{MatchingOutcome, PhaseStats};
-use crate::witness::count_witnesses;
 use serde::{Deserialize, Serialize};
 use snr_graph::{GraphView, NodeId};
 use std::time::Instant;
@@ -29,13 +27,11 @@ pub struct BaselineConfig {
     /// Number of passes; each pass recounts witnesses with the links found
     /// so far. The paper's baseline is a single pass.
     pub passes: u32,
-    /// Execution backend for witness counting.
-    pub backend: Backend,
 }
 
 impl Default for BaselineConfig {
     fn default() -> Self {
-        BaselineConfig { threshold: 1, passes: 1, backend: Backend::Sequential }
+        BaselineConfig { threshold: 1, passes: 1 }
     }
 }
 
@@ -63,7 +59,10 @@ impl BaselineMatching {
     }
 
     /// Runs the baseline on a pair of graphs (any [`GraphView`]
-    /// representations) and a seed set.
+    /// representations) and a seed set. Each pass is one exact phase of the
+    /// fused kernel over every node of degree at least 1 — the same
+    /// selection as `mutual_best_pairs(&count_sequential(g1, g2, links, 1,
+    /// 1), threshold)`.
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
@@ -74,18 +73,14 @@ impl BaselineMatching {
         let mut phases = Vec::new();
         for pass in 1..=self.config.passes.max(1) {
             let phase_start = Instant::now();
-            let scores = count_witnesses(g1, g2, &links, 1, 1, self.config.backend);
-            let pairs = mutual_best_pairs(&scores, self.config.threshold);
-            let mut new_links = 0usize;
-            for (u, v) in pairs {
-                if links.insert(u, v) {
-                    new_links += 1;
-                }
-            }
+            let candidates = collect_candidates(g1, &links, 1);
+            let (scored_pairs, pairs) =
+                fused_phase_on(g1, g2, &links, &candidates, 1, self.config.threshold, false);
+            let new_links = links.insert_batch(&pairs);
             phases.push(PhaseStats {
                 iteration: pass,
                 bucket: 0,
-                scored_pairs: scores.len(),
+                scored_pairs,
                 new_links,
                 total_links: links.len(),
                 duration: phase_start.elapsed(),
@@ -98,6 +93,8 @@ impl BaselineMatching {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matching::mutual_best_pairs;
+    use crate::witness::count_sequential;
     use crate::{MatchingConfig, UserMatching};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -127,6 +124,31 @@ mod tests {
         assert!(two.links.len() >= one.links.len());
         assert_eq!(one.phases.len(), 1);
         assert_eq!(two.phases.len(), 2);
+    }
+
+    #[test]
+    fn each_pass_equals_the_oracle_selection() {
+        // Two passes on a PA workload: every pass's links and scored-pair
+        // count must be the oracle table's, recomputed from the links the
+        // previous passes left behind.
+        let mut rng = StdRng::seed_from_u64(12);
+        let g = preferential_attachment(1_000, 6, &mut rng).unwrap();
+        let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
+        let seeds = sample_seeds(&pair, 0.08, &mut rng).unwrap();
+        let threshold = 1;
+        let mut links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
+        for passes in 1..=2u32 {
+            let table = count_sequential(&pair.g1, &pair.g2, &links, 1, 1);
+            let new_links = links.insert_batch(&mutual_best_pairs(&table, threshold));
+            let outcome = BaselineMatching::new(BaselineConfig { threshold, passes })
+                .run(&pair.g1, &pair.g2, &seeds);
+            let last = outcome.phases.last().expect("one phase per pass");
+            assert_eq!(outcome.phases.len(), passes as usize);
+            assert_eq!(last.scored_pairs, table.len(), "scored pairs of pass {passes}");
+            assert_eq!(last.new_links, new_links, "new links of pass {passes}");
+            assert!(new_links > 0, "pass {passes} must link something");
+            assert_eq!(outcome.links, links, "links after pass {passes}");
+        }
     }
 
     #[test]

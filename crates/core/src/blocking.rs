@@ -29,7 +29,7 @@
 
 use crate::linking::Linking;
 use crate::scoring::{
-    fused_phase_cached, score_pair_list, LinkCache, ScoreArena, ScoreSink, SelectSink,
+    score_pair_list, score_phase_cached, LinkCache, ScoreArena, SelectSink, PARALLEL_CUTOFF,
 };
 use rayon::prelude::*;
 use snr_graph::{GraphView, NodeId};
@@ -38,10 +38,6 @@ use snr_sketch::{propose_pairs, MinHasher, SignatureSet};
 
 /// `slot` sentinel for copy-2 nodes that are not a link endpoint.
 const UNLINKED: u32 = u32::MAX;
-
-/// Minimum proposal count before the parallel verification path spawns
-/// workers (mirrors the exact path's cutoff).
-const PARALLEL_CUTOFF: usize = 64;
 
 /// Base seed of the per-phase sketch hash families. The algorithm XORs in
 /// the iteration and bucket so consecutive phases re-draw their hash
@@ -108,14 +104,7 @@ where
     let mut scored = 0u64;
     let mut i = 0usize;
     while i < candidates.len() {
-        arena.begin_row();
-        for w1 in g1.neighbors_iter(NodeId(candidates[i])) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
+        arena.score_row(g1, NodeId(candidates[i]), cache);
         scored += arena.touched().len() as u64;
         rows += 1;
         i += stride;
@@ -167,19 +156,7 @@ where
     if links.is_empty() || candidates1.is_empty() {
         return (0, Vec::new());
     }
-    let cache = {
-        let _span = snr_telemetry::span!("link_cache", links = links.len());
-        let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = if parallel {
-            LinkCache::build_parallel(g2, links, min_deg2)
-        } else {
-            LinkCache::build(g2, links, min_deg2)
-        };
-        if let Some(t) = t {
-            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
-        }
-        cache
-    };
+    let cache = LinkCache::build_traced(g2, links, min_deg2, parallel);
     // Two-step gate: the exact bump mass is an upper bound on the scored-
     // pair count and cheap to compute, so it rejects light phases without
     // sampling; phases that pass it are gated on the sampled scored-pair
@@ -203,7 +180,11 @@ where
         rows = candidates1.len(),
     );
     if !blocked {
-        return fused_phase_cached(g1, &cache, n2, candidates1, threshold, parallel);
+        // The exact arm scores on the cache the gate already built.
+        return score_phase_cached(g1, &cache, n2, candidates1, parallel, || {
+            SelectSink::new(n2, threshold)
+        })
+        .finish();
     }
     let candidates2 = candidates2();
     if candidates2.is_empty() {
@@ -223,58 +204,17 @@ where
     )
 }
 
-/// One blocked phase: propose candidate pairs via MinHash/LSH, verify them
-/// exactly, select mutual bests.
+/// One blocked phase over the phase's [`LinkCache`] — the blocked arm of
+/// [`adaptive_lsh_phase`]: propose candidate pairs via MinHash/LSH, verify
+/// them exactly, select mutual bests.
 ///
 /// `candidates1` / `candidates2` are the phase's degree-eligible unlinked
 /// nodes of each copy (ascending ids — what [`crate::scoring::CandidateCache`]
 /// produces), so degree-bucket compatibility holds for every proposal by
 /// construction. Returns `(scored_pairs, selected_pairs)` like
-/// [`crate::scoring::fused_phase`], where `scored_pairs` counts the
+/// [`crate::scoring::fused_phase_on`], where `scored_pairs` counts the
 /// proposed pairs with a non-zero exact score — the blocked counterpart of
 /// the exact path's scored-pair statistic.
-#[allow(clippy::too_many_arguments)]
-pub fn lsh_fused_phase<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    candidates1: &[u32],
-    candidates2: &[u32],
-    min_deg2: usize,
-    threshold: u32,
-    banding: &Banding,
-    seed: u64,
-    parallel: bool,
-) -> (usize, Vec<(NodeId, NodeId)>)
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    if links.is_empty() || candidates1.is_empty() || candidates2.is_empty() {
-        return (0, Vec::new());
-    }
-    let cache = if parallel {
-        LinkCache::build_parallel(g2, links, min_deg2)
-    } else {
-        LinkCache::build(g2, links, min_deg2)
-    };
-    lsh_phase_cached(
-        g1,
-        g2,
-        links,
-        &cache,
-        candidates1,
-        candidates2,
-        threshold,
-        banding,
-        seed,
-        parallel,
-    )
-}
-
-/// [`lsh_fused_phase`] over a caller-supplied [`LinkCache`] — the blocked
-/// arm of [`adaptive_lsh_phase`], which has already built the cache to
-/// measure the phase's mass.
 #[allow(clippy::too_many_arguments)]
 fn lsh_phase_cached<G1, G2>(
     g1: &G1,
@@ -367,8 +307,8 @@ where
 }
 
 /// Exactly scores a sorted, deduplicated proposal list and selects mutual
-/// bests — the verification half of [`lsh_fused_phase`], also used by the
-/// recall experiments to re-score an externally produced pair list.
+/// bests — the verification half of a blocked phase, also usable to
+/// re-score an externally produced pair list.
 pub fn verify_proposals<G1>(
     g1: &G1,
     cache: &LinkCache,
@@ -396,12 +336,11 @@ where
                 sink
             })
             .collect();
-        let mut iter = sinks.into_iter();
-        let mut acc = iter.next().expect("proposal set is non-empty in the parallel branch");
-        for other in iter {
-            acc.merge(other);
-        }
-        acc.finish()
+        sinks
+            .into_iter()
+            .reduce(SelectSink::merge)
+            .expect("proposal set is non-empty in the parallel branch")
+            .finish()
     }
 }
 
@@ -476,16 +415,17 @@ mod tests {
         let g = snr_graph::CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
         let links = Linking::new(3, 3);
         let banding = Banding::new(2, 2);
-        let (scored, pairs) = lsh_fused_phase(
+        let (scored, pairs) = adaptive_lsh_phase(
             &g,
             &g,
             &links,
             &[0, 1, 2],
-            &[0, 1, 2],
+            || vec![0, 1, 2],
             1,
             1,
             &banding,
             DEFAULT_SKETCH_SEED,
+            0,
             false,
         );
         assert_eq!(scored, 0);

@@ -124,6 +124,30 @@ impl MatchingConfig {
         self.lsh_mass_floor = floor;
         self
     }
+
+    /// The run's phase schedule as `(iteration, bucket exponent)` pairs, in
+    /// execution order: for each of the `k` iterations, buckets `j` from
+    /// the top bucket down to [`MatchingConfig::min_bucket`]; a phase at
+    /// bucket `j` considers nodes of degree at least `2^j`.
+    ///
+    /// `max_degree` is the paper's `D`, "a parameter related to the largest
+    /// node degree" — callers pass the larger of the two copies' maximum
+    /// degrees, so the first bucket is never empty on either side. With
+    /// degree bucketing the top bucket is `⌊log₂ D⌋` (at least
+    /// `min_bucket`); without it every iteration is the single bucket
+    /// `min_bucket`.
+    pub fn schedule(&self, max_degree: usize) -> Vec<(u32, u32)> {
+        let top_bucket = if self.degree_bucketing {
+            (usize::BITS - 1).saturating_sub(max_degree.max(1).leading_zeros()).max(self.min_bucket)
+        } else {
+            self.min_bucket
+        };
+        (1..=self.iterations)
+            .flat_map(|iteration| {
+                (self.min_bucket..=top_bucket).rev().map(move |bucket| (iteration, bucket))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -168,6 +192,22 @@ mod tests {
             let c2: CandidateSource = serde_json::from_str(&json).unwrap();
             assert_eq!(c, c2);
         }
+    }
+
+    #[test]
+    fn schedule_sweeps_buckets_from_log_d_down_each_iteration() {
+        let c = MatchingConfig::default().with_iterations(2);
+        // D = 11: floor(log2 11) = 3.
+        assert_eq!(c.schedule(11), vec![(1, 3), (1, 2), (1, 1), (2, 3), (2, 2), (2, 1)]);
+        // Exact powers of two start their own bucket.
+        assert_eq!(c.schedule(8)[0], (1, 3));
+        assert_eq!(c.schedule(7)[0], (1, 2));
+        // Tiny or empty graphs still run the min_bucket phase.
+        assert_eq!(c.schedule(0), vec![(1, 1), (2, 1)]);
+        assert_eq!(c.clone().with_min_bucket(4).schedule(11), vec![(1, 4), (2, 4)]);
+        // Without bucketing every iteration is one min_bucket phase.
+        let flat = c.with_degree_bucketing(false);
+        assert_eq!(flat.schedule(1 << 20), vec![(1, 1), (2, 1)]);
     }
 
     #[test]

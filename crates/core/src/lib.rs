@@ -28,11 +28,15 @@
 //! * [`BaselineMatching`] — the "straightforward algorithm that just counts
 //!   the number of common neighbors" the paper compares against in §5;
 //! * [`Linking`] — the growing set of identification links;
-//! * witness-counting and mutual-best-selection primitives reusable by
-//!   downstream experiments, in two flavors: the sparse
-//!   [`witness::ScoreTable`] compatibility path and the hash-free
-//!   [`scoring`] arena engine (fused score + select) that the sequential
-//!   and rayon backends run on.
+//! * the phase kernel in [`scoring`]: one row kernel
+//!   ([`scoring::ScoreArena::score_row`]) with mutual-best selection fused
+//!   into row finalization, and one entry point per executor — in-process
+//!   sequential or rayon, the MapReduce engine, the distributed driver's
+//!   row ranges, and LSH blocking ([`blocking`]);
+//! * the oracles the kernel is pinned against: [`witness::count_sequential`]
+//!   and [`witness::count_brute_force`] build the sparse
+//!   [`witness::ScoreTable`], and [`matching::mutual_best_pairs`] selects
+//!   from it.
 //!
 //! ## Example
 //!

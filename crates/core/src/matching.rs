@@ -15,9 +15,7 @@
 //! precision, in the same spirit as the paper's threshold.
 
 use crate::witness::ScoreTable;
-use rayon::prelude::*;
 use snr_graph::NodeId;
-use snr_mapreduce::Engine;
 use std::collections::HashMap;
 
 /// The best partner found for one node: the partner id, the score, and
@@ -66,53 +64,33 @@ impl Best {
     }
 }
 
-/// Per-node best-partner tables for both sides of a score table.
-type BestTables = (HashMap<u32, Best>, HashMap<u32, Best>);
+/// Selects all mutual-best pairs with score at least `threshold` from a
+/// score table. Returns pairs in ascending `(g1, g2)` id order.
+///
+/// This is the oracle selection the fused kernel in [`crate::scoring`] is
+/// pinned against.
+pub fn mutual_best_pairs(scores: &ScoreTable, threshold: u32) -> Vec<(NodeId, NodeId)> {
+    // A threshold of 0 would link every scored pair; clamp it to 1 to keep
+    // the "at least one witness" invariant.
+    let threshold = threshold.max(1);
 
-fn accumulate_entry(tables: &mut BestTables, u: u32, v: u32, score: u32) {
-    tables.0.entry(u).and_modify(|b| b.consider(v, score)).or_insert(Best {
-        partner: v,
-        score,
-        unique: true,
-    });
-    tables.1.entry(v).and_modify(|b| b.consider(u, score)).or_insert(Best {
-        partner: u,
-        score,
-        unique: true,
-    });
-}
-
-fn merge_tables(mut into: BestTables, from: BestTables) -> BestTables {
-    for (node, best) in from.0 {
-        match into.0.entry(node) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged = e.get().merge(best);
-                *e.get_mut() = merged;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(best);
-            }
-        }
+    let _span = snr_telemetry::span!("select", entries = scores.len(), threshold = threshold);
+    let mut best_for_u: HashMap<u32, Best> = HashMap::new();
+    let mut best_for_v: HashMap<u32, Best> = HashMap::new();
+    for (&(u, v), &score) in scores {
+        best_for_u.entry(u).and_modify(|b| b.consider(v, score)).or_insert(Best {
+            partner: v,
+            score,
+            unique: true,
+        });
+        best_for_v.entry(v).and_modify(|b| b.consider(u, score)).or_insert(Best {
+            partner: u,
+            score,
+            unique: true,
+        });
     }
-    for (node, best) in from.1 {
-        match into.1.entry(node) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged = e.get().merge(best);
-                *e.get_mut() = merged;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(best);
-            }
-        }
-    }
-    into
-}
-
-/// Selects the mutual-best pairs out of completed best-partner tables.
-fn select_mutual(tables: &BestTables, threshold: u32) -> Vec<(NodeId, NodeId)> {
-    let (best_for_u, best_for_v) = tables;
     let mut out = Vec::new();
-    for (&u, bu) in best_for_u {
+    for (&u, bu) in &best_for_u {
         if bu.score < threshold || !bu.unique {
             continue;
         }
@@ -125,97 +103,6 @@ fn select_mutual(tables: &BestTables, threshold: u32) -> Vec<(NodeId, NodeId)> {
     }
     out.sort_unstable();
     out
-}
-
-/// Selects all mutual-best pairs with score at least `threshold` from a
-/// score table. Returns pairs in ascending `(g1, g2)` id order.
-pub fn mutual_best_pairs(scores: &ScoreTable, threshold: u32) -> Vec<(NodeId, NodeId)> {
-    // A threshold of 0 would link every scored pair; clamp it to 1 to keep
-    // the "at least one witness" invariant.
-    let threshold = threshold.max(1);
-
-    let _span = snr_telemetry::span!("select", entries = scores.len(), threshold = threshold);
-    let mut tables: BestTables = (HashMap::new(), HashMap::new());
-    for (&(u, v), &score) in scores {
-        accumulate_entry(&mut tables, u, v, score);
-    }
-    select_mutual(&tables, threshold)
-}
-
-/// The same selection with the best-partner tables built in parallel: the
-/// score table is streamed directly to rayon workers (batched shard
-/// iteration — no up-front copy of the whole table into a `Vec`), each
-/// worker accumulates partial tables, and partials are merged with
-/// [`Best::merge`] (which preserves tie-abstention across partition
-/// boundaries). Produces exactly the same pairs as [`mutual_best_pairs`] —
-/// this is what makes [`crate::Backend::Rayon`] bit-for-bit equivalent to
-/// the sequential backend through the whole phase, not just witness
-/// counting.
-pub fn mutual_best_pairs_rayon(scores: &ScoreTable, threshold: u32) -> Vec<(NodeId, NodeId)> {
-    let threshold = threshold.max(1);
-    let _span = snr_telemetry::span!("select", entries = scores.len(), threshold = threshold);
-    let tables = scores
-        .par_iter()
-        .fold(
-            || (HashMap::new(), HashMap::new()),
-            |mut tables: BestTables, (&(u, v), &score)| {
-                accumulate_entry(&mut tables, u, v, score);
-                tables
-            },
-        )
-        .reduce(|| (HashMap::new(), HashMap::new()), merge_tables);
-    select_mutual(&tables, threshold)
-}
-
-/// The same mutual-best selection expressed on the MapReduce engine.
-///
-/// The pre-arena implementation spent three engine rounds on this (best per
-/// copy-1 node, best per copy-2 node, join on the pair key — the paper's
-/// rounds 2–4). On the arena engine it is a single
-/// [`Engine::run_combined`] round: score entries are packed into
-/// `(u, (v, score))` records ([`crate::scoring::pack_entry`]),
-/// range-partitioned by `u` so every reduce partition owns whole rows, and
-/// folded straight into a [`crate::scoring::SelectSink`] per partition; the
-/// per-partition sinks merge with the tie-abstaining [`Best::merge`],
-/// exactly as the rayon backend's per-worker sinks do.
-///
-/// Produces exactly the same pairs as [`mutual_best_pairs`]. (Inside
-/// [`crate::UserMatching`]'s MapReduce backend this selection no longer runs
-/// as its own round at all — [`crate::scoring::mapreduce_fused_phase`] fuses
-/// it into the witness-scoring reduce — so this entry point exists for
-/// callers that already hold a [`ScoreTable`].)
-///
-/// # Errors
-///
-/// Fails with [`snr_mapreduce::EngineError`] only when the engine carries a
-/// spill budget and the round's spill I/O fails or a run file is corrupt;
-/// an engine without a budget never returns `Err`.
-pub fn mapreduce_mutual_best(
-    engine: &Engine,
-    scores: &ScoreTable,
-    threshold: u32,
-) -> Result<Vec<(NodeId, NodeId)>, snr_mapreduce::EngineError> {
-    use crate::scoring::{pack_entry, run_select_round};
-
-    let n1 = scores.keys().map(|&(u, _)| u as usize + 1).max().unwrap_or(0);
-    let n2 = scores.keys().map(|&(_, v)| v as usize + 1).max().unwrap_or(0);
-    let records: Vec<(u32, u64)> =
-        scores.iter().map(|(&(u, v), &s)| (u, pack_entry(v, s))).collect();
-    run_select_round(
-        engine,
-        "mutual-select",
-        records,
-        // Mappers emit one single-entry row fragment per score entry; the
-        // engine's combiner aggregates each map task's fragments into one
-        // duplicate-free row record per `u` before the shuffle — the
-        // classic combiner win, measured by `map_output_records` vs
-        // `shuffled_records` on the round.
-        |chunk: &[(u32, u64)]| chunk.iter().map(|&(u, packed)| (u, vec![packed])).collect(),
-        n1,
-        n2,
-        threshold,
-    )
-    .map(|(_, pairs)| pairs)
 }
 
 #[cfg(test)]
@@ -297,86 +184,21 @@ mod tests {
     }
 
     #[test]
-    fn rayon_selection_matches_sequential_selection() {
-        let mut entries = Vec::new();
-        for u in 0..40u32 {
-            for v in 0..40u32 {
-                let s = (u * 19 + v * 23) % 7;
-                if s > 0 {
-                    entries.push(((u, v), s));
-                }
-            }
-        }
-        let scores = table(&entries);
-        for threshold in [1, 2, 4, 6] {
-            assert_eq!(
-                mutual_best_pairs_rayon(&scores, threshold),
-                mutual_best_pairs(&scores, threshold),
-                "mismatch at threshold {threshold}"
-            );
-        }
-    }
-
-    #[test]
-    fn rayon_selection_abstains_on_ties_like_sequential() {
-        // Ties that only become visible when partial tables are merged:
-        // every node has exactly two partners with the same score, so every
-        // candidate must abstain no matter how the entries are partitioned.
-        let mut entries = Vec::new();
-        for u in 0..64u32 {
-            entries.push(((u, u), 5));
-            entries.push(((u, (u + 1) % 64), 5));
-        }
-        let scores = table(&entries);
-        assert!(mutual_best_pairs(&scores, 1).is_empty());
-        assert!(mutual_best_pairs_rayon(&scores, 1).is_empty());
-    }
-
-    #[test]
-    fn mapreduce_selection_matches_in_memory_selection() {
-        let mut entries = Vec::new();
-        for u in 0..30u32 {
-            for v in 0..30u32 {
-                let s = (u * 31 + v * 17) % 11;
-                if s > 0 {
-                    entries.push(((u, v), s));
-                }
-            }
-        }
-        let scores = table(&entries);
-        let engine = Engine::new(3).with_chunk_size(16);
-        for threshold in [1, 2, 4, 8] {
-            let expected = mutual_best_pairs(&scores, threshold);
-            let got = mapreduce_mutual_best(&engine, &scores, threshold).unwrap();
-            assert_eq!(got, expected, "mismatch at threshold {threshold}");
-        }
+    fn best_merge_abstains_on_ties_across_partitions() {
+        // Two disjoint halves whose bests tie: the merged best keeps the
+        // smaller partner but is no longer unique, in either merge order.
+        let a = Best { partner: 7, score: 5, unique: true };
+        let b = Best { partner: 3, score: 5, unique: true };
+        let tied = Best { partner: 3, score: 5, unique: false };
+        assert_eq!(a.merge(b), tied);
+        assert_eq!(b.merge(a), tied);
+        // A strictly higher score wins outright and keeps its uniqueness.
+        let c = Best { partner: 9, score: 6, unique: true };
+        assert_eq!(a.merge(c), c);
+        assert_eq!(c.merge(a), c);
     }
 
     proptest::proptest! {
-        #[test]
-        fn mapreduce_and_sequential_agree_on_random_tables(
-            entries in proptest::collection::vec(((0u32..15, 0u32..15), 1u32..6), 0..80),
-            threshold in 1u32..4,
-        ) {
-            let scores: ScoreTable = entries.into_iter().collect();
-            let engine = Engine::new(2).with_chunk_size(8);
-            let expected = mutual_best_pairs(&scores, threshold);
-            let got = mapreduce_mutual_best(&engine, &scores, threshold).unwrap();
-            proptest::prop_assert_eq!(got, expected);
-        }
-
-        #[test]
-        fn rayon_and_sequential_agree_on_random_tables(
-            entries in proptest::collection::vec(((0u32..15, 0u32..15), 1u32..6), 0..80),
-            threshold in 1u32..4,
-        ) {
-            let scores: ScoreTable = entries.into_iter().collect();
-            proptest::prop_assert_eq!(
-                mutual_best_pairs_rayon(&scores, threshold),
-                mutual_best_pairs(&scores, threshold)
-            );
-        }
-
         #[test]
         fn selected_pairs_always_meet_threshold(
             entries in proptest::collection::vec(((0u32..10, 0u32..10), 1u32..9), 0..60),

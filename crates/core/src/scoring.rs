@@ -1,10 +1,10 @@
-//! The arena-based witness-scoring engine — the fast path of every phase.
+//! The witness-scoring kernel: one phase of User-Matching, score and select
+//! fused, on every executor.
 //!
-//! [`crate::witness::count_sequential`] materializes a global
+//! The oracle [`crate::witness::count_sequential`] materializes a global
 //! `HashMap<(u32, u32), u32>` and pays one hash probe per witness
-//! contribution, i.e. per element of `Σ_{(w1,w2)∈L} d1(w1)·d2(w2)`. That
-//! probe is the dominant cost of the whole algorithm at R-MAT-16 and above.
-//! This module removes it with a data-layout change:
+//! contribution, i.e. per element of `Σ_{(w1,w2)∈L} d1(w1)·d2(w2)`. The
+//! kernel removes that probe with a data-layout change:
 //!
 //! * **Candidate-centric rows.** Instead of iterating links and scattering
 //!   `(u, v)` contributions, we iterate the candidate copy-1 nodes `u`. Each
@@ -19,11 +19,10 @@
 //! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
 //!   scratch (`scores[v]`, `stamp[v]`, `touched`). Starting a row is O(1)
 //!   (bump the epoch), and a contribution is one array increment.
-//! * **[`ScoreSink`]** receives each finished row. [`TableSink`] rebuilds
-//!   the classic sparse [`ScoreTable`] (the compatibility path used by the
-//!   equivalence tests); [`SelectSink`] fuses mutual-best selection into row
-//!   finalization — it keeps each row's argmax and a per-`v` running best,
-//!   so the full score table is never materialized on the fast path.
+//!   [`ScoreArena::score_row`] is the one row kernel every executor runs.
+//! * **[`SelectSink`]** receives each finished row and fuses mutual-best
+//!   selection into row finalization — it keeps each row's argmax and a
+//!   per-`v` running best, so the full score table is never materialized.
 //!
 //! The fused output is bit-for-bit identical to
 //! `mutual_best_pairs(&count_sequential(..), t)`: per-row bests are exact
@@ -31,26 +30,36 @@
 //! [`Best::merge`], which is associative, commutative, and preserves
 //! tie-abstention across worker boundaries.
 //!
-//! # The MapReduce rounds run on the same engine
+//! # One entry point per executor
 //!
-//! [`mapreduce_fused_phase`] expresses one whole phase as a single
-//! [`snr_mapreduce::Engine::run_combined`] round built from the same pieces:
-//! map tasks score contiguous chunks of candidate rows through a task-local
-//! [`LinkCache`] + [`ScoreArena`] (each linked neighbor list is decoded once
-//! per task, not once per contribution) and emit one already-aggregated
-//! record per candidate *row* — a dense `u32` key plus the row's packed
-//! `(v, count)` entries — instead of one `((u, v), 1)` record per *witness
-//! contribution* as the pre-arena rounds did. That collapses the shuffled
-//! record count by orders of magnitude (measured 938× at the RMAT-16
-//! witness pass) and the shuffled bytes from 12 per contribution to 8 per
-//! scored pair. The shuffle range-partitions by `u`, so each reduce
-//! partition owns whole rows in ascending order and folds them straight
-//! into a [`SelectSink`] — the MapReduce backend never materializes a
-//! global score table either.
+//! * [`fused_phase_on`] — in-process, sequential or rayon (builds the
+//!   phase's [`LinkCache`], then runs [`score_phase_cached`]);
+//! * [`score_phase_cached`] — the same over a caller-built cache (the
+//!   adaptive blocking gate's exact arm);
+//! * [`score_assigned_rows`] — one row range, the distributed driver's
+//!   worker kernel;
+//! * [`mapreduce_fused_phase_on`] — one [`snr_mapreduce::Engine`] round;
+//! * [`crate::blocking::adaptive_lsh_phase`] and
+//!   [`crate::blocking::verify_proposals`] — LSH-blocked phases.
+//!
+//! # The MapReduce round runs the same kernel
+//!
+//! [`mapreduce_fused_phase_on`] expresses one whole phase as a single
+//! engine round built from the same pieces: map tasks score contiguous
+//! chunks of candidate rows through a task-local [`LinkCache`] +
+//! [`ScoreArena`] (each linked neighbor list is decoded once per task, not
+//! once per contribution) and emit one already-aggregated record per
+//! candidate *row* — a dense `u32` key plus the row's packed `(v, count)`
+//! entries — instead of one `((u, v), 1)` record per *witness
+//! contribution*. That collapses the shuffled record count by orders of
+//! magnitude (measured 938× at the RMAT-16 witness pass) and the shuffled
+//! bytes from 12 per contribution to 8 per scored pair. The shuffle
+//! range-partitions by `u`, so each reduce partition owns whole rows in
+//! ascending order and folds them straight into a [`SelectSink`] — the
+//! MapReduce backend never materializes a global score table either.
 
 use crate::linking::Linking;
 use crate::matching::Best;
-use crate::witness::ScoreTable;
 use rayon::prelude::*;
 use snr_graph::{GraphError, GraphView, NodeId};
 use snr_mapreduce::partition::range_partition;
@@ -59,8 +68,9 @@ use snr_mapreduce::{Engine, EngineError, SpillCodec};
 /// Sentinel in [`LinkCache::slot`] for copy-1 nodes that are not linked.
 const NO_LINK: u32 = u32::MAX;
 
-/// Minimum candidate-row count before the parallel driver spawns workers.
-const PARALLEL_CUTOFF: usize = 64;
+/// Minimum candidate-row (or, for LSH verification, proposal) count before
+/// a parallel phase spawns workers.
+pub(crate) const PARALLEL_CUTOFF: usize = 64;
 
 /// Minimum link count before [`LinkCache::build_parallel`] spawns workers;
 /// below this the per-chunk splice costs more than the decode it saves.
@@ -95,21 +105,9 @@ impl LinkCache {
         // close to sequential over the on-disk layout for mmap-backed views
         // — while the scoring that follows jumps rows at random.
         g2.advise_sequential();
-        let mut slot = vec![NO_LINK; links.g1_capacity()];
-        let mut offsets = Vec::with_capacity(links.len() + 1);
-        offsets.push(0u32);
-        let mut targets = Vec::new();
-        for (w1, w2) in links.pairs() {
-            slot[w1.index()] = (offsets.len() - 1) as u32;
-            targets.extend(
-                g2.neighbors_iter(w2)
-                    .filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v))
-                    .map(|v| v.0),
-            );
-            offsets.push(targets.len() as u32);
-        }
+        let part = decode_eligible(g2, links, min_deg2, links.pairs().map(|(_, w2)| w2));
         g2.advise_random();
-        LinkCache { slot, offsets, targets }
+        LinkCache::splice(links, vec![part])
     }
 
     /// Parallel sibling of [`LinkCache::build`], producing a bit-identical
@@ -125,50 +123,46 @@ impl LinkCache {
         links: &Linking,
         min_deg2: usize,
     ) -> LinkCache {
-        let pairs = links.to_vec();
-        if pairs.len() < PARALLEL_BUILD_CUTOFF {
+        if links.len() < PARALLEL_BUILD_CUTOFF {
             return LinkCache::build(g2, links, min_deg2);
         }
+        let partners: Vec<NodeId> = links.pairs().map(|(_, w2)| w2).collect();
         g2.advise_sequential();
-        let chunk_size = pairs.len().div_ceil(rayon::current_num_threads());
-        let chunks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk_size).collect();
-        // Each part: (per-link filtered lengths, concatenated targets).
+        let chunk_size = partners.len().div_ceil(rayon::current_num_threads());
+        let chunks: Vec<&[NodeId]> = partners.chunks(chunk_size).collect();
         let parts: Vec<(Vec<u32>, Vec<u32>)> = chunks
             .par_iter()
-            .map(|chunk| {
-                let mut lens = Vec::with_capacity(chunk.len());
-                let mut targets = Vec::new();
-                for &(_, w2) in *chunk {
-                    let before = targets.len();
-                    targets.extend(
-                        g2.neighbors_iter(w2)
-                            .filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v))
-                            .map(|v| v.0),
-                    );
-                    lens.push((targets.len() - before) as u32);
-                }
-                (lens, targets)
-            })
+            .map(|chunk| decode_eligible(g2, links, min_deg2, chunk.iter().copied()))
             .collect();
-
-        // Splice in chunk order: global offsets are running sums over the
-        // per-link lengths, targets concatenate, and slot indices follow
-        // the same link order as the sequential build.
-        let mut slot = vec![NO_LINK; links.g1_capacity()];
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
-        offsets.push(0u32);
-        let total: usize = parts.iter().map(|(_, t)| t.len()).sum();
-        let mut targets = Vec::with_capacity(total);
-        let mut link_idx = 0usize;
-        for (lens, part_targets) in parts {
-            for len in lens {
-                slot[pairs[link_idx].0.index()] = link_idx as u32;
-                offsets.push(*offsets.last().expect("non-empty") + len);
-                link_idx += 1;
-            }
-            targets.extend(part_targets);
-        }
         g2.advise_random();
+        LinkCache::splice(links, parts)
+    }
+
+    /// Assembles a cache from per-chunk `(ends, targets)` decodes that
+    /// together cover every link in [`Linking::pairs`] order: global
+    /// offsets are each chunk's local ends shifted by the targets before
+    /// it, targets concatenate, and `w1`'s slot is its position in that
+    /// order.
+    fn splice(links: &Linking, parts: Vec<(Vec<u32>, Vec<u32>)>) -> LinkCache {
+        let mut slot = vec![NO_LINK; links.g1_capacity()];
+        for (k, (w1, _)) in links.pairs().enumerate() {
+            slot[w1.index()] = k as u32;
+        }
+        let total: usize = parts.iter().map(|(_, t)| t.len()).sum();
+        let mut offsets = Vec::with_capacity(links.len() + 1);
+        offsets.push(0u32);
+        let mut targets: Vec<u32> = Vec::new();
+        for (ends, part) in parts {
+            let base = targets.len() as u32;
+            offsets.extend(ends.iter().map(|&end| base + end));
+            if targets.is_empty() {
+                // The first chunk's arena is reused, not copied.
+                targets = part;
+                targets.reserve(total - targets.len());
+            } else {
+                targets.extend(part);
+            }
+        }
         LinkCache { slot, offsets, targets }
     }
 
@@ -200,6 +194,51 @@ impl LinkCache {
     pub fn cached_targets(&self) -> usize {
         self.targets.len()
     }
+
+    /// The phase's cache as the in-process executors build it — in parallel
+    /// when `parallel` — inside a `link_cache` telemetry span, adding the
+    /// build time to [`snr_telemetry::Counter::CacheBuildMicros`].
+    pub(crate) fn build_traced<G2: GraphView + Sync>(
+        g2: &G2,
+        links: &Linking,
+        min_deg2: usize,
+        parallel: bool,
+    ) -> LinkCache {
+        let _span = snr_telemetry::span!("link_cache", links = links.len());
+        let t = snr_telemetry::enabled().then(std::time::Instant::now);
+        let cache = if parallel {
+            LinkCache::build_parallel(g2, links, min_deg2)
+        } else {
+            LinkCache::build(g2, links, min_deg2)
+        };
+        if let Some(t) = t {
+            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
+        }
+        cache
+    }
+}
+
+/// The decode-and-filter loop behind every [`LinkCache`] build: for each
+/// link partner `w2`, appends its neighbors of degree at least `min_deg2`
+/// that are not yet linked to the returned targets, and records the
+/// targets length after each link as that link's local end offset.
+fn decode_eligible<G2: GraphView>(
+    g2: &G2,
+    links: &Linking,
+    min_deg2: usize,
+    partners: impl Iterator<Item = NodeId>,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut ends = Vec::new();
+    let mut targets = Vec::new();
+    for w2 in partners {
+        targets.extend(
+            g2.neighbors_iter(w2)
+                .filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v))
+                .map(|v| v.0),
+        );
+        ends.push(targets.len() as u32);
+    }
+    (ends, targets)
 }
 
 /// Dense, generation-stamped scratch for accumulating one candidate row.
@@ -266,64 +305,33 @@ impl ScoreArena {
         let i = v as usize;
         (self.stamp[i] == self.epoch).then(|| self.scores[i])
     }
-}
 
-/// Consumer of finished candidate rows.
-///
-/// The scoring drivers call [`ScoreSink::row`] once per candidate `u` whose
-/// row has at least one non-zero entry, then combine per-worker sinks with
-/// [`ScoreSink::merge`]. Implementations must be order-independent: rows
-/// arrive in ascending `u` order within a worker, but worker merge order is
-/// unspecified.
-pub trait ScoreSink: Sized + Send {
-    /// Consumes one finished row; read it via `arena.touched()` /
-    /// `arena.get(v)`.
-    fn row(&mut self, u: u32, arena: &ScoreArena);
-
-    /// Folds another worker's sink into this one.
-    fn merge(&mut self, other: Self);
-}
-
-/// [`ScoreSink`] that rebuilds the sparse [`ScoreTable`] — the
-/// compatibility path for the oracle/equivalence tests and any caller that
-/// needs the whole table.
-#[derive(Default)]
-pub struct TableSink {
-    table: ScoreTable,
-}
-
-impl TableSink {
-    /// The accumulated score table.
-    pub fn into_table(self) -> ScoreTable {
-        self.table
-    }
-}
-
-impl ScoreSink for TableSink {
-    fn row(&mut self, u: u32, arena: &ScoreArena) {
-        // Rows are disjoint, so these inserts never probe an occupied key;
-        // geometric growth amortizes better than per-row reserves.
-        for &v in arena.touched() {
-            self.table.insert((u, v), arena.get(v));
+    /// The row kernel: starts a new row and scores copy-1 node `row` of
+    /// `g1` into it — one bump per cached eligible copy-2 neighbor of every
+    /// linked neighbor of `row`. Every executor scores rows through this
+    /// loop; the finished row is read via [`ScoreArena::touched`] /
+    /// [`ScoreArena::get`].
+    #[inline]
+    pub fn score_row<G1: GraphView>(&mut self, g1: &G1, row: NodeId, cache: &LinkCache) {
+        self.begin_row();
+        for w1 in g1.neighbors_iter(row) {
+            if let Some(vs) = cache.eligible_of(w1) {
+                for &v in vs {
+                    self.bump(v);
+                }
+            }
         }
     }
-
-    fn merge(&mut self, mut other: Self) {
-        // Workers own disjoint rows, so this is a plain union; iterate the
-        // smaller table into the larger, pre-reserved one.
-        if other.table.len() > self.table.len() {
-            std::mem::swap(&mut self.table, &mut other.table);
-        }
-        self.table.reserve(other.table.len());
-        self.table.extend(other.table);
-    }
 }
 
-/// [`ScoreSink`] that fuses mutual-best selection into row finalization.
+/// Consumer of finished candidate rows that fuses mutual-best selection
+/// into row finalization.
 ///
 /// Finishing a row computes its argmax (the row is complete, so the
 /// strict-uniqueness flag is exact) and folds every entry into a dense
 /// per-`v` running best. The full score table is never materialized.
+/// Sinks are order-independent: rows arrive in ascending `u` order within a
+/// worker, but per-worker sinks may [`SelectSink::merge`] in any order.
 pub struct SelectSink {
     threshold: u32,
     /// Rows whose best entry met the threshold with a strictly unique
@@ -365,6 +373,29 @@ impl SelectSink {
         }
         out.sort_unstable();
         (self.scored_pairs, out)
+    }
+
+    /// Consumes the row `arena` holds as row `u`'s scores; an empty row is
+    /// skipped (it would not appear in a sparse score table either).
+    #[inline]
+    pub fn row(&mut self, u: u32, arena: &ScoreArena) {
+        if !arena.touched().is_empty() {
+            self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
+        }
+    }
+
+    /// Folds another worker's sink into this one. Workers score disjoint `u`
+    /// rows but share the `v` axis; the per-`v` bests merge with the
+    /// tie-abstaining, order-independent `Best::merge`.
+    pub fn merge(mut self, mut other: SelectSink) -> SelectSink {
+        self.scored_pairs += other.scored_pairs;
+        self.claims.append(&mut other.claims);
+        for (mine, theirs) in self.best_v.iter_mut().zip(other.best_v) {
+            if theirs.score > 0 {
+                *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
+            }
+        }
+        self
     }
 
     /// Consumes one complete row given as `(v, score)` entries. The caller
@@ -413,7 +444,7 @@ impl SelectSink {
     }
 
     /// Folds a worker's serialized claims into this sink — the wire-format
-    /// counterpart of [`ScoreSink::merge`]. Absorbing the [`SinkClaims`] of
+    /// counterpart of [`SelectSink::merge`]. Absorbing the [`SinkClaims`] of
     /// per-row-range sinks that together tile the candidate rows leaves this
     /// sink bit-identical to one that scored every row locally: claim order
     /// is irrelevant ([`SelectSink::finish`] sorts), `scored_pairs` is a
@@ -604,32 +635,10 @@ impl SinkClaims {
     }
 }
 
-impl ScoreSink for SelectSink {
-    fn row(&mut self, u: u32, arena: &ScoreArena) {
-        self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
-    }
-
-    fn merge(&mut self, mut other: Self) {
-        self.scored_pairs += other.scored_pairs;
-        self.claims.append(&mut other.claims);
-        // Workers score disjoint `u` rows but share the `v` axis; the
-        // per-`v` bests merge with the tie-abstaining, order-independent
-        // `Best::merge`.
-        for (mine, theirs) in self.best_v.iter_mut().zip(other.best_v) {
-            if theirs.score > 0 {
-                *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
-            }
-        }
-    }
-}
-
 /// Collects the phase's candidate copy-1 nodes: degree at least `min_deg1`
-/// and not yet linked, in ascending id order.
-pub(crate) fn collect_candidates<G1: GraphView>(
-    g1: &G1,
-    links: &Linking,
-    min_deg1: usize,
-) -> Vec<u32> {
+/// and not yet linked, in ascending id order — the uncached reference for
+/// [`CandidateCache::eligible`].
+pub fn collect_candidates<G1: GraphView>(g1: &G1, links: &Linking, min_deg1: usize) -> Vec<u32> {
     (0..g1.node_count() as u32)
         .filter(|&u| g1.degree(NodeId(u)) >= min_deg1 && !links.is_linked_g1(NodeId(u)))
         .collect()
@@ -750,29 +759,6 @@ fn chunk_candidates<'a, G1: GraphView>(
     chunks
 }
 
-/// Scores one candidate row into `arena` and hands it to the sink (empty
-/// rows are skipped — they would not appear in a sparse table either).
-#[inline]
-fn score_row<G1: GraphView, S: ScoreSink>(
-    g1: &G1,
-    cache: &LinkCache,
-    u: u32,
-    arena: &mut ScoreArena,
-    sink: &mut S,
-) {
-    arena.begin_row();
-    for w1 in g1.neighbors_iter(NodeId(u)) {
-        if let Some(vs) = cache.eligible_of(w1) {
-            for &v in vs {
-                arena.bump(v);
-            }
-        }
-    }
-    if !arena.touched().is_empty() {
-        sink.row(u, arena);
-    }
-}
-
 /// Scores a contiguous range of rows through a prebuilt per-phase
 /// [`LinkCache`] into `sink` — the worker-side kernel of the distributed
 /// shard driver.
@@ -784,10 +770,10 @@ fn score_row<G1: GraphView, S: ScoreSink>(
 /// filtering matches [`collect_candidates`] exactly: a row is scored iff its
 /// degree reaches `min_deg1` and its global id is unlinked; empty rows are
 /// skipped. Running disjoint ranges that tile `0..n1` through fresh
-/// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase`]
+/// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase_on`]
 /// bit-for-bit.
 #[allow(clippy::too_many_arguments)]
-pub fn score_assigned_rows<G1, S>(
+pub fn score_assigned_rows<G1: GraphView>(
     g1_rows: &G1,
     base: u32,
     local_rows: std::ops::Range<u32>,
@@ -795,11 +781,8 @@ pub fn score_assigned_rows<G1, S>(
     links: &Linking,
     min_deg1: usize,
     arena: &mut ScoreArena,
-    sink: &mut S,
-) where
-    G1: GraphView,
-    S: ScoreSink,
-{
+    sink: &mut SelectSink,
+) {
     // A worker reads exactly this row range; tell mmap-backed views to
     // prefetch it (no-op for in-memory views).
     g1_rows.advise_rows(local_rows.clone());
@@ -808,17 +791,8 @@ pub fn score_assigned_rows<G1, S>(
         if g1_rows.degree(NodeId(local)) < min_deg1 || links.is_linked_g1(NodeId(global)) {
             continue;
         }
-        arena.begin_row();
-        for w1 in g1_rows.neighbors_iter(NodeId(local)) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
-        if !arena.touched().is_empty() {
-            sink.row(global, arena);
-        }
+        arena.score_row(g1_rows, NodeId(local), cache);
+        sink.row(global, arena);
     }
 }
 
@@ -849,14 +823,7 @@ pub fn score_pair_list<G1: GraphView>(
         while j < pairs.len() && pairs[j].0 == u {
             j += 1;
         }
-        arena.begin_row();
-        for w1 in g1.neighbors_iter(NodeId(u)) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
+        arena.score_row(g1, NodeId(u), cache);
         entries.clear();
         for &(_, v) in &pairs[i..j] {
             if let Some(score) = arena.current(v) {
@@ -870,150 +837,17 @@ pub fn score_pair_list<G1: GraphView>(
     }
 }
 
-/// Runs one phase of arena scoring and returns the merged sink.
+/// One exact in-process phase: witness scoring and mutual-best selection in
+/// a single pass over `candidates` (ascending copy-1 ids, already
+/// degree-eligible and unlinked — what [`CandidateCache::eligible`] or
+/// [`collect_candidates`] return), without materializing a score table.
 ///
-/// `parallel = false` scores every row on the calling thread; `parallel =
-/// true` partitions the candidate rows across rayon workers (each with a
-/// private arena and sink) and merges the per-worker sinks. Both paths feed
-/// identical rows to identical sinks, so any [`ScoreSink`] observes the
-/// same multiset of rows either way.
-pub fn score_phase<G1, G2, S, F>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    parallel: bool,
-    make_sink: F,
-) -> S
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-    S: ScoreSink,
-    F: Fn() -> S + Sync,
-{
-    let candidates = collect_candidates(g1, links, min_deg1);
-    score_phase_on(g1, g2, links, &candidates, min_deg2, parallel, make_sink)
-}
-
-/// [`score_phase`] over a caller-supplied candidate list (ascending copy-1
-/// ids, already degree-eligible and unlinked) — the entry point
-/// `UserMatching` uses with its per-run [`CandidateCache`], skipping the
-/// per-phase full degree rescan.
-pub fn score_phase_on<G1, G2, S, F>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    candidates: &[u32],
-    min_deg2: usize,
-    parallel: bool,
-    make_sink: F,
-) -> S
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-    S: ScoreSink,
-    F: Fn() -> S + Sync,
-{
-    let cache = {
-        let _span = snr_telemetry::span!("link_cache", links = links.len());
-        let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = if parallel {
-            LinkCache::build_parallel(g2, links, min_deg2)
-        } else {
-            LinkCache::build(g2, links, min_deg2)
-        };
-        if let Some(t) = t {
-            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
-        }
-        cache
-    };
-    score_phase_cached(g1, &cache, g2.node_count(), candidates, parallel, make_sink)
-}
-
-/// [`score_phase_on`] over a caller-supplied [`LinkCache`] (and `n2`, the
-/// copy-2 node count the cache was built against) — lets a caller that
-/// needs the cache for its own bookkeeping (the adaptive blocking gate)
-/// build it once and still run the exact phase on it.
-pub fn score_phase_cached<G1, S, F>(
-    g1: &G1,
-    cache: &LinkCache,
-    n2: usize,
-    candidates: &[u32],
-    parallel: bool,
-    make_sink: F,
-) -> S
-where
-    G1: GraphView + Sync,
-    S: ScoreSink,
-    F: Fn() -> S + Sync,
-{
-    if !parallel || candidates.len() < PARALLEL_CUTOFF {
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = make_sink();
-        for &u in candidates {
-            score_row(g1, cache, u, &mut arena, &mut sink);
-        }
-        sink
-    } else {
-        // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
-        // sharded view — chunked here rather than by the scheduler, so
-        // scratch memory stays O(chunks · n2) (one arena + one sink each)
-        // and the number of O(n2) sink merges stays proportional to the
-        // worker count, independent of how finely the underlying pool
-        // slices work. Whole rows stay on one worker either way, and merge
-        // order is fixed left-to-right (the sinks are order-independent
-        // regardless).
-        let workers = rayon::current_num_threads().max(1);
-        let chunks = chunk_candidates(g1, candidates, workers);
-        let sinks: Vec<S> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut arena = ScoreArena::new(n2);
-                let mut sink = make_sink();
-                for &u in *chunk {
-                    score_row(g1, cache, u, &mut arena, &mut sink);
-                }
-                sink
-            })
-            .collect();
-        let mut iter = sinks.into_iter();
-        let mut acc = iter.next().expect("candidate set is non-empty in the parallel branch");
-        for other in iter {
-            acc.merge(other);
-        }
-        acc
-    }
-}
-
-/// One fused phase: witness scoring and mutual-best selection in a single
-/// pass, without materializing a [`ScoreTable`].
-///
-/// Returns `(scored_pairs, selected_pairs)` where `scored_pairs` equals the
-/// length of the table the compatibility path would have built and
-/// `selected_pairs` equals `mutual_best_pairs(&table, threshold)` (ascending
-/// `(u, v)` order). This is the phase kernel `UserMatching` runs on the
-/// sequential and rayon backends.
-pub fn fused_phase<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    threshold: u32,
-    parallel: bool,
-) -> (usize, Vec<(NodeId, NodeId)>)
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    let n2 = g2.node_count();
-    score_phase(g1, g2, links, min_deg1, min_deg2, parallel, || SelectSink::new(n2, threshold))
-        .finish()
-}
-
-/// [`fused_phase`] over a caller-supplied candidate list (see
-/// [`score_phase_on`]): same bits, no per-phase candidate rescan.
+/// Builds the phase's [`LinkCache`] (in parallel when `parallel`) and runs
+/// [`score_phase_cached`] on it. Returns `(scored_pairs, selected_pairs)`
+/// where `scored_pairs` equals the length of the oracle table
+/// `count_sequential(..)` and `selected_pairs` equals
+/// `mutual_best_pairs(&table, threshold)` (ascending `(u, v)` order). This
+/// is the phase `UserMatching` runs on the sequential and rayon backends.
 pub fn fused_phase_on<G1, G2>(
     g1: &G1,
     g2: &G2,
@@ -1028,32 +862,66 @@ where
     G2: GraphView + Sync,
 {
     let n2 = g2.node_count();
-    score_phase_on(g1, g2, links, candidates, min_deg2, parallel, || SelectSink::new(n2, threshold))
+    let cache = LinkCache::build_traced(g2, links, min_deg2, parallel);
+    score_phase_cached(g1, &cache, n2, candidates, parallel, || SelectSink::new(n2, threshold))
         .finish()
 }
 
-/// [`fused_phase_on`] over a caller-supplied [`LinkCache`] (see
-/// [`score_phase_cached`]): the exact fallback arm of the adaptive blocking
-/// gate, which has already built the cache to estimate the phase's cost.
-pub fn fused_phase_cached<G1>(
+/// Scores every candidate row through a caller-supplied [`LinkCache`] (and
+/// `n2`, the copy-2 node count the cache was built against) and returns the
+/// merged sink — lets a caller that needs the cache for its own bookkeeping
+/// (the adaptive blocking gate) build it once and still run the exact phase
+/// on it.
+///
+/// `parallel = false` scores every row on the calling thread; `parallel =
+/// true` partitions the candidate rows across rayon workers (each with a
+/// private arena and a sink from `make_sink`) and merges the per-worker
+/// sinks. Both paths feed identical rows to identical sinks, so the merged
+/// sink is the same either way.
+pub fn score_phase_cached<G1, F>(
     g1: &G1,
     cache: &LinkCache,
     n2: usize,
     candidates: &[u32],
-    threshold: u32,
     parallel: bool,
-) -> (usize, Vec<(NodeId, NodeId)>)
+    make_sink: F,
+) -> SelectSink
 where
     G1: GraphView + Sync,
+    F: Fn() -> SelectSink + Sync,
 {
-    score_phase_cached(g1, cache, n2, candidates, parallel, || SelectSink::new(n2, threshold))
-        .finish()
+    let score_rows = |rows: &[u32]| {
+        let mut arena = ScoreArena::new(n2);
+        let mut sink = make_sink();
+        for &u in rows {
+            arena.score_row(g1, NodeId(u), cache);
+            sink.row(u, &arena);
+        }
+        sink
+    };
+    if !parallel || candidates.len() < PARALLEL_CUTOFF {
+        return score_rows(candidates);
+    }
+    // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
+    // sharded view — chunked here rather than by the scheduler, so scratch
+    // memory stays O(chunks · n2) (one arena + one sink each) and the number
+    // of O(n2) sink merges stays proportional to the worker count,
+    // independent of how finely the underlying pool slices work. Whole rows
+    // stay on one worker either way, and merge order is fixed left-to-right
+    // (the sinks are order-independent regardless).
+    let workers = rayon::current_num_threads().max(1);
+    let chunks = chunk_candidates(g1, candidates, workers);
+    let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_rows(chunk)).collect();
+    sinks
+        .into_iter()
+        .reduce(SelectSink::merge)
+        .expect("candidate set is non-empty in the parallel branch")
 }
 
 /// Packs a `(v, count)` score entry into one shuffle-friendly `u64`: the
 /// copy-2 node id in the high half, the witness count in the low half.
 /// Ordering packed entries orders them by `v` first, which is what lets the
-/// combiner merge duplicates with one sort.
+/// reduce merge a fragmented row's duplicates with one sort.
 #[inline]
 pub fn pack_entry(v: u32, count: u32) -> u64 {
     ((v as u64) << 32) | count as u64
@@ -1066,9 +934,9 @@ pub fn unpack_entry(packed: u64) -> (u32, u32) {
 }
 
 /// Merges packed entries with the same `v` by summing their counts (sorting
-/// the row by `v` as a side effect). Used by the combiner and the reduce
-/// when a row arrives in pieces.
-pub(crate) fn combine_packed_row(entries: &mut Vec<u64>) {
+/// the row by `v` as a side effect). Used by the reduce when a row arrives
+/// in pieces.
+fn combine_packed_row(entries: &mut Vec<u64>) {
     if entries.len() <= 1 {
         return;
     }
@@ -1085,29 +953,11 @@ pub(crate) fn combine_packed_row(entries: &mut Vec<u64>) {
     entries.truncate(w + 1);
 }
 
-/// Combiner for the packed-row rounds: a map task that emitted row `u` in
-/// fragments gets them collapsed into one duplicate-free record before the
-/// shuffle. Production witness mappers already aggregate per task (a
-/// candidate row is scored by exactly one map task, so there is exactly one
-/// fragment and this is the identity); table-fed rounds like
-/// `mapreduce_mutual_best` emit one single-entry fragment per score entry
-/// and rely on this to aggregate — either way, duplicate-free rows are a
-/// property the combiner *enforces*, not one the reduce has to trust.
-pub(crate) fn combine_row_fragments(fragments: &mut Vec<Vec<u64>>) {
-    if fragments.len() <= 1 {
-        return;
-    }
-    let mut merged = std::mem::take(&mut fragments[0]);
-    for fragment in fragments.drain(1..) {
-        merged.extend(fragment);
-    }
-    combine_packed_row(&mut merged);
-    fragments[0] = merged;
-}
-
-/// Flattens a key group's post-combine fragments (one per map task) back
-/// into a single duplicate-free row for the reduce.
-pub(crate) fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
+/// Flattens a key group's fragments (one per map task) back into a single
+/// duplicate-free row for the reduce. Whole-row mappers emit exactly one
+/// fragment per row, so this is the identity there; it is the one place
+/// that guards the reduce against a row arriving in pieces.
+fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
     if fragments.len() == 1 {
         return fragments.pop().expect("length checked");
     }
@@ -1116,101 +966,39 @@ pub(crate) fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
     merged
 }
 
-/// Shuffle payload size of one packed-row record: a dense `u32` key plus
-/// 8 bytes per scored pair.
-pub(crate) fn packed_row_bytes(row: &[u64]) -> usize {
-    4 + 8 * row.len()
-}
-
-/// Combiner-mapper kernel of the MapReduce witness rounds: scores a
-/// contiguous chunk of candidate copy-1 rows through a *task-local*
-/// [`LinkCache`] + [`ScoreArena`] (each linked neighbor list is decoded
-/// once per task instead of once per contribution — in a real cluster this
-/// is the map-side join against the broadcast link set) and emits one
-/// already-aggregated `(u, packed (v, count) row)` record per non-empty
-/// candidate row.
-pub(crate) fn score_chunk_to_rows<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg2: usize,
-    chunk: &[u32],
-) -> Vec<(u32, Vec<u64>)>
-where
-    G1: GraphView,
-    G2: GraphView,
-{
-    let cache = LinkCache::build(g2, links, min_deg2);
-    let mut arena = ScoreArena::new(g2.node_count());
-    let mut out = Vec::new();
-    for &u in chunk {
-        arena.begin_row();
-        for w1 in g1.neighbors_iter(NodeId(u)) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
-        let touched = arena.touched();
-        if !touched.is_empty() {
-            let row: Vec<u64> = touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect();
-            out.push((u, row));
-        }
-    }
-    out
-}
-
 /// One phase of User-Matching as a single MapReduce round on the arena
-/// engine: combiner mappers, packed shuffle, fused select reduce.
+/// engine: whole-row mappers, packed shuffle, fused select reduce.
 ///
-/// * **Map** — each task scores a contiguous chunk of candidate copy-1 rows
-///   via [`score_chunk_to_rows`], emitting one pre-aggregated record per
-///   candidate row: a dense `u32` key and the row's packed `(v, count)`
-///   entries. The pre-arena round shuffled one `((u, v), 1)` record per
-///   witness *contribution*; this one shuffles one record per *row*.
+/// * **Map** — each task scores a contiguous chunk of the `candidates`
+///   rows (ascending copy-1 ids, as for [`fused_phase_on`]) through a
+///   *task-local* [`LinkCache`] + [`ScoreArena`] (each linked neighbor
+///   list is decoded once per task — in a real cluster this is the
+///   map-side join against the broadcast link set), emitting one
+///   pre-aggregated record per non-empty row: a dense `u32` key and the
+///   row's packed `(v, count)` entries ([`pack_entry`]), 4 + 8 bytes per
+///   scored pair of shuffle payload.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
-///   range in ascending order; the engine's combiner hook
-///   (`combine_row_fragments`) keeps rows whole and duplicate-free however
-///   a mapper emitted them.
+///   range in ascending order. A row is scored by exactly one map task, so
+///   there is nothing for a combiner to merge; over a spill budget the
+///   shuffle spills to checksummed run files (`PackedRowCodec`).
 /// * **Reduce** — each partition folds its rows straight into a
 ///   [`SelectSink`]; the per-partition sinks merge exactly like the rayon
-///   backend's per-worker sinks ([`Best::merge`] is associative and
-///   tie-abstention-preserving), so no global [`ScoreTable`] is ever built.
+///   backend's per-worker sinks (`Best::merge` is associative and
+///   tie-abstention-preserving), so no global score table is ever built.
 ///
 /// Returns `(scored_pairs, selected_pairs)`, bit-for-bit identical to
-/// [`fused_phase`] and therefore to
+/// [`fused_phase_on`] and therefore to
 /// `mutual_best_pairs(&count_sequential(..), threshold)`. Where the paper
 /// sketches this phase as 4 MapReduce rounds (score, best-per-`u`,
-/// best-per-`v`, join), the combiner + range partitioning collapse it into
-/// one round per phase — `O(k log D)` rounds total.
+/// best-per-`v`, join), whole-row mappers + range partitioning collapse it
+/// into one round per phase — `O(k log D)` rounds total.
 ///
 /// # Errors
 ///
 /// Fails with [`EngineError`] only when the engine carries a spill budget
 /// and the round's spill I/O fails or a run file is corrupt; an engine
 /// without a budget never returns `Err`.
-pub fn mapreduce_fused_phase<G1, G2>(
-    engine: &Engine,
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    threshold: u32,
-) -> Result<(usize, Vec<(NodeId, NodeId)>), EngineError>
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    let candidates = collect_candidates(g1, links, min_deg1);
-    mapreduce_fused_phase_on(engine, g1, g2, links, candidates, min_deg2, threshold)
-}
-
-/// [`mapreduce_fused_phase`] over a caller-supplied candidate list (see
-/// [`score_phase_on`]): the candidate rows become the round's map input
-/// directly instead of being rescanned from `g1`.
 pub fn mapreduce_fused_phase_on<G1, G2>(
     engine: &Engine,
     g1: &G1,
@@ -1224,15 +1012,38 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    run_select_round(
-        engine,
+    let (n1, n2) = (g1.node_count(), g2.node_count());
+    let parts = engine.reduce_partitions();
+    let sinks: Vec<SelectSink> = engine.run_combined_spilling(
         "witness-score",
         candidates,
-        |chunk: &[u32]| score_chunk_to_rows(g1, g2, links, min_deg2, chunk),
-        g1.node_count(),
-        g2.node_count(),
-        threshold,
-    )
+        |chunk: &[u32]| {
+            let cache = LinkCache::build(g2, links, min_deg2);
+            let mut arena = ScoreArena::new(n2);
+            let mut rows = Vec::new();
+            for &u in chunk {
+                arena.score_row(g1, NodeId(u), &cache);
+                let touched = arena.touched();
+                if !touched.is_empty() {
+                    rows.push((u, touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect()));
+                }
+            }
+            rows
+        },
+        |_, _: &mut Vec<Vec<u64>>| {},
+        move |&u: &u32| range_partition(u, n1, parts),
+        |_, row: &Vec<u64>| 4 + 8 * row.len(),
+        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
+            let mut sink = SelectSink::new(n2, threshold);
+            for (u, fragments) in groups {
+                sink.row_packed(u, &merge_row_fragments(fragments));
+            }
+            sink
+        },
+        &PackedRowCodec,
+    )?;
+    let merged = sinks.into_iter().reduce(SelectSink::merge);
+    Ok(merged.unwrap_or_else(|| SelectSink::new(n2, threshold)).finish())
 }
 
 /// Spill codec for the packed-row shuffle protocol: a group is its dense
@@ -1286,77 +1097,6 @@ impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
     }
 }
 
-/// The shared select-fused engine round behind [`mapreduce_fused_phase`]
-/// and [`crate::matching::mapreduce_mutual_best`]: `map` turns each input
-/// chunk into packed-row records, the shuffle range-partitions their dense
-/// `u32` keys over `0..n1` with the row combiner engaged, each partition
-/// folds its rows into a [`SelectSink`] over `n2` copy-2 nodes, and the
-/// per-partition sinks merge into one `finish()`ed selection. This is the
-/// single definition of the packed-row round protocol — entry layout,
-/// partitioning, sizing, spill encoding ([`PackedRowCodec`]) — so callers
-/// only differ in how they produce rows.
-///
-/// Runs through [`Engine::run_combined_spilling`]: when the engine carries a
-/// memory budget the post-combine shuffle spills to checksummed run files,
-/// and any spill I/O or corruption failure surfaces as a clean
-/// [`EngineError`] (an engine without a budget never touches disk and never
-/// fails).
-pub(crate) fn run_select_round<I, M>(
-    engine: &Engine,
-    label: &str,
-    input: Vec<I>,
-    map: M,
-    n1: usize,
-    n2: usize,
-    threshold: u32,
-) -> Result<(usize, Vec<(NodeId, NodeId)>), EngineError>
-where
-    I: Send,
-    M: Fn(&[I]) -> Vec<(u32, Vec<u64>)> + Sync,
-{
-    let parts = engine.reduce_partitions();
-    let sinks: Vec<SelectSink> = engine.run_combined_spilling(
-        label,
-        input,
-        map,
-        |_, fragments: &mut Vec<Vec<u64>>| combine_row_fragments(fragments),
-        move |&u: &u32| range_partition(u, n1, parts),
-        |_, row: &Vec<u64>| packed_row_bytes(row),
-        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
-            let mut sink = SelectSink::new(n2, threshold);
-            for (u, fragments) in groups {
-                sink.row_packed(u, &merge_row_fragments(fragments));
-            }
-            sink
-        },
-        &PackedRowCodec,
-    )?;
-    let mut iter = sinks.into_iter();
-    let mut acc = iter.next().unwrap_or_else(|| SelectSink::new(n2, threshold));
-    for sink in iter {
-        acc.merge(sink);
-    }
-    Ok(acc.finish())
-}
-
-/// Arena-based construction of the full sparse [`ScoreTable`] — the same
-/// table as [`crate::witness::count_sequential`], built without per-
-/// contribution hashing (each pair is hashed once, on insertion).
-pub fn arena_score_table<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    parallel: bool,
-) -> ScoreTable
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    score_phase(g1, g2, links, min_deg1, min_deg2, parallel, TableSink::default).into_table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1383,6 +1123,42 @@ mod tests {
         let seeds = sample_seeds(&pair, 0.12, &mut rng).unwrap();
         let links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
         (pair.g1, pair.g2, links)
+    }
+
+    /// One exact in-process phase over the uncached candidate list.
+    fn phase<G1, G2>(
+        g1: &G1,
+        g2: &G2,
+        links: &Linking,
+        min_deg1: usize,
+        min_deg2: usize,
+        threshold: u32,
+        parallel: bool,
+    ) -> (usize, Vec<(NodeId, NodeId)>)
+    where
+        G1: GraphView + Sync,
+        G2: GraphView + Sync,
+    {
+        let candidates = collect_candidates(g1, links, min_deg1);
+        fused_phase_on(g1, g2, links, &candidates, min_deg2, threshold, parallel)
+    }
+
+    /// One MapReduce phase over the uncached candidate list.
+    fn mapreduce_phase<G1, G2>(
+        engine: &Engine,
+        g1: &G1,
+        g2: &G2,
+        links: &Linking,
+        min_deg1: usize,
+        min_deg2: usize,
+        threshold: u32,
+    ) -> Result<(usize, Vec<(NodeId, NodeId)>), EngineError>
+    where
+        G1: GraphView + Sync,
+        G2: GraphView + Sync,
+    {
+        let candidates = collect_candidates(g1, links, min_deg1);
+        mapreduce_fused_phase_on(engine, g1, g2, links, candidates, min_deg2, threshold)
     }
 
     #[test]
@@ -1516,8 +1292,8 @@ mod tests {
         let sharded = FakeSharded { g: g1.clone(), parts };
         for parallel in [false, true] {
             assert_eq!(
-                fused_phase(&sharded, &g2, &links, 2, 2, 2, parallel),
-                fused_phase(&g1, &g2, &links, 2, 2, 2, parallel),
+                phase(&sharded, &g2, &links, 2, 2, 2, parallel),
+                phase(&g1, &g2, &links, 2, 2, 2, parallel),
                 "parallel={parallel}"
             );
         }
@@ -1537,22 +1313,22 @@ mod tests {
     }
 
     #[test]
-    fn arena_table_matches_reference_on_tiny_case() {
-        let (g1, g2, links) = tiny_case();
-        for d in [1usize, 2, 3] {
-            let reference = count_sequential(&g1, &g2, &links, d, d);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, false), reference);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, true), reference);
-        }
-    }
-
-    #[test]
-    fn arena_table_matches_brute_force_on_random_graphs() {
+    fn score_row_matches_the_brute_force_row() {
         let (g1, g2, links) = pa_workload(19, 300, 5);
+        let n2 = g2.node_count();
         for d in [1usize, 2, 4] {
             let oracle = count_brute_force(&g1, &g2, &links, d, d);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, false), oracle);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, true), oracle);
+            let cache = LinkCache::build(&g2, &links, d);
+            let mut arena = ScoreArena::new(n2);
+            let mut entries = 0usize;
+            for u in collect_candidates(&g1, &links, d) {
+                arena.score_row(&g1, NodeId(u), &cache);
+                for &v in arena.touched() {
+                    assert_eq!(Some(&arena.get(v)), oracle.get(&(u, v)), "({u}, {v}) at d={d}");
+                }
+                entries += arena.touched().len();
+            }
+            assert_eq!(entries, oracle.len(), "row entries at d={d}");
         }
     }
 
@@ -1564,7 +1340,7 @@ mod tests {
                 let table = count_sequential(&g1, &g2, &links, d, d);
                 let expected = mutual_best_pairs(&table, t);
                 for parallel in [false, true] {
-                    let (scored, pairs) = fused_phase(&g1, &g2, &links, d, d, t, parallel);
+                    let (scored, pairs) = phase(&g1, &g2, &links, d, d, t, parallel);
                     assert_eq!(scored, table.len(), "scored_pairs d={d} t={t}");
                     assert_eq!(pairs, expected, "pairs d={d} t={t} parallel={parallel}");
                 }
@@ -1579,9 +1355,9 @@ mod tests {
         let table = count_sequential(&g1, &g2, &links, 2, 2);
         let expected = mutual_best_pairs(&table, 2);
         for parallel in [false, true] {
-            assert_eq!(fused_phase(&c1, &c2, &links, 2, 2, 2, parallel).1, expected);
-            assert_eq!(fused_phase(&g1, &c2, &links, 2, 2, 2, parallel).1, expected);
-            assert_eq!(fused_phase(&c1, &g2, &links, 2, 2, 2, parallel).1, expected);
+            assert_eq!(phase(&c1, &c2, &links, 2, 2, 2, parallel).1, expected);
+            assert_eq!(phase(&g1, &c2, &links, 2, 2, 2, parallel).1, expected);
+            assert_eq!(phase(&c1, &g2, &links, 2, 2, 2, parallel).1, expected);
         }
     }
 
@@ -1589,8 +1365,8 @@ mod tests {
     fn fused_phase_clamps_threshold_zero_to_one() {
         let (g1, g2, links) = tiny_case();
         assert_eq!(
-            fused_phase(&g1, &g2, &links, 1, 1, 0, false),
-            fused_phase(&g1, &g2, &links, 1, 1, 1, false)
+            phase(&g1, &g2, &links, 1, 1, 0, false),
+            phase(&g1, &g2, &links, 1, 1, 1, false)
         );
     }
 
@@ -1598,17 +1374,16 @@ mod tests {
     fn empty_links_score_nothing() {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let links = Linking::new(4, 4);
-        let (scored, pairs) = fused_phase(&g, &g.clone(), &links, 1, 1, 1, false);
+        let (scored, pairs) = phase(&g, &g.clone(), &links, 1, 1, 1, false);
         assert_eq!(scored, 0);
         assert!(pairs.is_empty());
-        assert!(arena_score_table(&g, &g.clone(), &links, 1, 1, true).is_empty());
     }
 
     #[test]
     fn empty_graphs_are_handled() {
         let g = CsrGraph::from_edges(0, &[]);
         let links = Linking::new(0, 0);
-        let (scored, pairs) = fused_phase(&g, &g.clone(), &links, 1, 1, 2, true);
+        let (scored, pairs) = phase(&g, &g.clone(), &links, 1, 1, 2, true);
         assert_eq!(scored, 0);
         assert!(pairs.is_empty());
     }
@@ -1640,8 +1415,8 @@ mod tests {
             let engine = snr_mapreduce::Engine::new(workers).with_chunk_size(16);
             for d in [1usize, 2, 4] {
                 for t in [1u32, 2, 3] {
-                    let expected = fused_phase(&g1, &g2, &links, d, d, t, false);
-                    let got = mapreduce_fused_phase(&engine, &g1, &g2, &links, d, d, t).unwrap();
+                    let expected = phase(&g1, &g2, &links, d, d, t, false);
+                    let got = mapreduce_phase(&engine, &g1, &g2, &links, d, d, t).unwrap();
                     assert_eq!(got, expected, "workers={workers} d={d} t={t}");
                 }
             }
@@ -1653,10 +1428,10 @@ mod tests {
         let (g1, g2, links) = pa_workload(43, 400, 6);
         let (c1, c2) = (g1.compact(), g2.compact());
         let engine = snr_mapreduce::Engine::new(2).with_chunk_size(32);
-        let expected = fused_phase(&g1, &g2, &links, 2, 2, 2, false);
-        assert_eq!(mapreduce_fused_phase(&engine, &c1, &c2, &links, 2, 2, 2).unwrap(), expected);
-        assert_eq!(mapreduce_fused_phase(&engine, &g1, &c2, &links, 2, 2, 2).unwrap(), expected);
-        assert_eq!(mapreduce_fused_phase(&engine, &c1, &g2, &links, 2, 2, 2).unwrap(), expected);
+        let expected = phase(&g1, &g2, &links, 2, 2, 2, false);
+        assert_eq!(mapreduce_phase(&engine, &c1, &c2, &links, 2, 2, 2).unwrap(), expected);
+        assert_eq!(mapreduce_phase(&engine, &g1, &c2, &links, 2, 2, 2).unwrap(), expected);
+        assert_eq!(mapreduce_phase(&engine, &c1, &g2, &links, 2, 2, 2).unwrap(), expected);
     }
 
     #[test]
@@ -1664,14 +1439,11 @@ mod tests {
         let engine = snr_mapreduce::Engine::new(2);
         let g = CsrGraph::from_edges(0, &[]);
         let links = Linking::new(0, 0);
-        assert_eq!(
-            mapreduce_fused_phase(&engine, &g, &g.clone(), &links, 1, 1, 2).unwrap(),
-            (0, vec![])
-        );
+        assert_eq!(mapreduce_phase(&engine, &g, &g.clone(), &links, 1, 1, 2).unwrap(), (0, vec![]));
         let (g1, g2, _) = tiny_case();
         let no_links = Linking::new(5, 5);
         assert_eq!(
-            mapreduce_fused_phase(&engine, &g1, &g2, &no_links, 1, 1, 1).unwrap(),
+            mapreduce_phase(&engine, &g1, &g2, &no_links, 1, 1, 1).unwrap(),
             (0, vec![]),
             "no links, no witnesses"
         );
@@ -1721,7 +1493,7 @@ mod tests {
         let n1 = g1.node_count() as u32;
         let n2 = g2.node_count();
         for (d, t) in [(1usize, 1u32), (2, 2), (4, 3)] {
-            let expected = fused_phase(&g1, &g2, &links, d, d, t, false);
+            let expected = phase(&g1, &g2, &links, d, d, t, false);
             let cache = LinkCache::build(&g2, &links, d);
             let mut acc = SelectSink::new(n2, t);
             // Uneven tiling of the row space, each range scored by a fresh
@@ -1753,7 +1525,7 @@ mod tests {
         let (g1, g2, links) = pa_workload(59, 300, 5);
         let n1 = g1.node_count() as u32;
         let n2 = g2.node_count();
-        let expected = fused_phase(&g1, &g2, &links, 2, 2, 2, false);
+        let expected = phase(&g1, &g2, &links, 2, 2, 2, false);
         let cache = LinkCache::build(&g2, &links, 2);
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
@@ -1831,7 +1603,7 @@ mod tests {
         // The matching sink accepts them.
         let mut ok = SelectSink::new(n2, 2);
         ok.absorb_claims(&claims).unwrap();
-        assert_eq!(ok.finish(), fused_phase(&g1, &g2, &links, 2, 2, 2, false));
+        assert_eq!(ok.finish(), phase(&g1, &g2, &links, 2, 2, 2, false));
     }
 
     #[test]
@@ -1862,7 +1634,7 @@ mod tests {
         for (d, t) in [(1usize, 1u32), (2, 2), (4, 3)] {
             let candidates =
                 cache.eligible(d, |u| links.is_linked_g1(NodeId(u)), |u| g1.degree(NodeId(u)));
-            let expected = fused_phase(&g1, &g2, &links, d, d, t, false);
+            let expected = phase(&g1, &g2, &links, d, d, t, false);
             for parallel in [false, true] {
                 assert_eq!(
                     fused_phase_on(&g1, &g2, &links, &candidates, d, t, parallel),
@@ -1890,7 +1662,7 @@ mod tests {
             let mut arena = ScoreArena::new(n2);
             let mut sink = SelectSink::new(n2, t);
             score_pair_list(&g1, &cache, &all_pairs, &mut arena, &mut sink);
-            assert_eq!(sink.finish(), fused_phase(&g1, &g2, &links, d, d, t, false), "d={d} t={t}");
+            assert_eq!(sink.finish(), phase(&g1, &g2, &links, d, d, t, false), "d={d} t={t}");
         }
     }
 

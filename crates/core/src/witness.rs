@@ -13,44 +13,22 @@
 //! `O((E1+E2)·min(Δ1,Δ2))`-per-bucket bound; pairs with zero witnesses are
 //! never touched.
 //!
-//! # The two scoring paths
+//! # Oracles, not the production path
 //!
-//! There are two interchangeable implementations of that same count:
-//!
-//! * **Arena fast path** ([`crate::scoring`]) — candidate-centric rows
-//!   scored into a dense generation-stamped scratch, with the per-link
-//!   eligible-neighbor lists decoded once per phase into a
-//!   [`crate::scoring::LinkCache`]. No hashing in the inner loop, rows are
-//!   disjoint across workers (no additive merge), and mutual-best selection
-//!   can be fused into row finalization so no score table is materialized.
-//!   This is what [`crate::UserMatching`] runs on the sequential and rayon
-//!   backends, and what [`count_rayon`] uses to build its table.
-//! * **ScoreTable compatibility path** (this module) — the sparse `HashMap`
-//!   table. [`count_sequential`] stays the independently-implemented
-//!   link-centric reference the equivalence tests pin everything against
-//!   ([`count_brute_force`] is the slow oracle), while [`count_rayon`] and
-//!   [`count_mapreduce`] build the same table on the arena engine.
-//!   `count_mapreduce`'s round runs combiner mappers: each map task scores
-//!   a chunk of candidate rows through a task-local
-//!   [`crate::scoring::LinkCache`] + [`crate::scoring::ScoreArena`] and
-//!   shuffles one packed `(u, (v, count))` record per *scored pair* — not
-//!   one `((u, v), 1)` record per *witness contribution* as the pre-arena
-//!   round did.
-//!
-//! Use [`count_witnesses`] when the full table is needed; use
-//! [`crate::scoring::fused_phase`] (or
-//! [`crate::scoring::mapreduce_fused_phase`] on the engine) inside phase
-//! loops where only the selected pairs matter.
+//! The functions here build the whole sparse [`ScoreTable`] and exist to
+//! pin the production kernel: [`count_sequential`] is the independently
+//! implemented link-centric reference and [`count_brute_force`] the slow,
+//! obviously-correct oracle. Every executor of a real phase — sequential,
+//! rayon, MapReduce, the distributed driver and LSH verification — scores
+//! candidate-centric rows through the arena kernel in [`crate::scoring`]
+//! ([`crate::scoring::ScoreArena::score_row`] over a per-phase
+//! [`crate::scoring::LinkCache`]) with mutual-best selection fused in, so
+//! no score table is ever materialized there; the tests assert that its
+//! scored-pair counts and selections equal
+//! `mutual_best_pairs(&count_sequential(..), t)`.
 
-use crate::backend::Backend;
 use crate::linking::Linking;
-use crate::scoring::{
-    collect_candidates, combine_row_fragments, merge_row_fragments, packed_row_bytes,
-    score_chunk_to_rows, unpack_entry,
-};
 use snr_graph::{GraphView, NodeId};
-use snr_mapreduce::partition::range_partition;
-use snr_mapreduce::Engine;
 use std::collections::HashMap;
 
 /// A sparse table of candidate-pair scores.
@@ -58,42 +36,6 @@ use std::collections::HashMap;
 /// Keys are `(g1_node, g2_node)` raw ids; values are the number of
 /// similarity witnesses counted for that pair in the current phase.
 pub type ScoreTable = HashMap<(u32, u32), u32>;
-
-/// Counts similarity witnesses for every candidate pair whose copy-1 degree
-/// is at least `min_deg1` and copy-2 degree at least `min_deg2`, skipping
-/// candidates that are already linked.
-///
-/// Excluding already-identified nodes keeps each phase's work proportional
-/// to the *remaining* unknown nodes and lets the mutual-best rule keep
-/// making progress on them — if linked celebrities stayed in the table they
-/// would absorb the "best partner" slot of most low-degree nodes and stall
-/// recall (we verified this empirically; see the algorithm tests).
-///
-/// Dispatches to the chosen backend; all backends return identical tables.
-///
-/// Generic over [`GraphView`], so the same counting runs on [`snr_graph::CsrGraph`]
-/// and [`snr_graph::CompactCsr`] (or any mix of the two).
-pub fn count_witnesses<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    backend: Backend,
-) -> ScoreTable
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    match backend {
-        Backend::Sequential => count_sequential(g1, g2, links, min_deg1, min_deg2),
-        Backend::Rayon => count_rayon(g1, g2, links, min_deg1, min_deg2),
-        Backend::MapReduce { workers } => {
-            let engine = Engine::new(workers);
-            count_mapreduce(g1, g2, links, min_deg1, min_deg2, &engine)
-        }
-    }
-}
 
 /// True if `(u, v)` is an eligible candidate in the current phase.
 #[inline]
@@ -128,7 +70,19 @@ fn eligible_g2_neighbors<G2: GraphView>(
     buf.retain(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v));
 }
 
-/// Sequential reference implementation.
+/// Counts similarity witnesses for every candidate pair whose copy-1 degree
+/// is at least `min_deg1` and copy-2 degree at least `min_deg2`, skipping
+/// candidates that are already linked — the link-centric reference
+/// implementation.
+///
+/// Excluding already-identified nodes keeps each phase's work proportional
+/// to the *remaining* unknown nodes and lets the mutual-best rule keep
+/// making progress on them — if linked celebrities stayed in the table they
+/// would absorb the "best partner" slot of most low-degree nodes and stall
+/// recall (we verified this empirically; see the algorithm tests).
+///
+/// Generic over [`GraphView`], so the same counting runs on
+/// [`snr_graph::CsrGraph`], [`snr_graph::CompactCsr`], or any mix.
 pub fn count_sequential<G1: GraphView, G2: GraphView>(
     g1: &G1,
     g2: &G2,
@@ -153,80 +107,6 @@ pub fn count_sequential<G1: GraphView, G2: GraphView>(
         }
     }
     scores
-}
-
-/// Rayon data-parallel implementation, built on the arena scorer: candidate
-/// rows are partitioned across workers (each with a private dense scratch),
-/// so the per-worker tables are disjoint and the reduction is a plain
-/// pre-reserved union instead of the additive HashMap merge the old
-/// link-centric fold needed.
-pub fn count_rayon<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-) -> ScoreTable
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    crate::scoring::arena_score_table(g1, g2, links, min_deg1, min_deg2, true)
-}
-
-/// MapReduce implementation on the arena engine: one
-/// [`Engine::run_combined`] round whose map tasks score contiguous chunks of
-/// candidate copy-1 rows through a task-local cache + arena
-/// ([`score_chunk_to_rows`]) and shuffle one packed-row record per
-/// candidate row — a dense `u32` key plus the row's `(v, count)` entries at
-/// 8 bytes each — range-partitioned by `u`. The reduce side only unpacks
-/// its (already aggregated, duplicate-free) rows into explicit
-/// `((u, v), count)` entries for the table.
-///
-/// Compared with the pre-arena round — one `((u, v), 1)` record per witness
-/// contribution, hash-partitioned on tuple keys — the shuffle drops from
-/// one record per contribution to one per row, and from 12 bytes per
-/// contribution to 8 per scored pair; see
-/// `RoundStats::{shuffled_records, shuffled_bytes}` on the engine for the
-/// measured numbers (the `mr_shuffle_smoke` binary asserts them in CI).
-pub fn count_mapreduce<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    engine: &Engine,
-) -> ScoreTable
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    let n1 = g1.node_count();
-    let parts = engine.reduce_partitions();
-    let candidates = collect_candidates(g1, links, min_deg1);
-    let per_partition: Vec<Vec<((u32, u32), u32)>> = engine.run_combined(
-        "witness-count",
-        candidates,
-        |chunk: &[u32]| score_chunk_to_rows(g1, g2, links, min_deg2, chunk),
-        |_, fragments: &mut Vec<Vec<u64>>| combine_row_fragments(fragments),
-        move |&u: &u32| range_partition(u, n1, parts),
-        |_, row: &Vec<u64>| packed_row_bytes(row),
-        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
-            let mut out = Vec::new();
-            for (u, fragments) in groups {
-                out.extend(merge_row_fragments(fragments).into_iter().map(|packed| {
-                    let (v, count) = unpack_entry(packed);
-                    ((u, v), count)
-                }));
-            }
-            out
-        },
-    );
-    let mut table = ScoreTable::with_capacity(per_partition.iter().map(Vec::len).sum());
-    for part in per_partition {
-        table.extend(part);
-    }
-    table
 }
 
 /// Brute-force witness counting over all candidate pairs; `O(n1 · n2 · d)`.
@@ -339,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn optimized_backends_match_brute_force_on_random_graphs() {
+    fn sequential_reference_matches_brute_force_on_random_graphs() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = preferential_attachment(300, 5, &mut rng).unwrap();
         let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
@@ -349,12 +229,7 @@ mod tests {
         for (d1, d2) in [(1, 1), (2, 2), (4, 4)] {
             let oracle = count_brute_force(&pair.g1, &pair.g2, &links, d1, d2);
             let seq = count_sequential(&pair.g1, &pair.g2, &links, d1, d2);
-            let par = count_rayon(&pair.g1, &pair.g2, &links, d1, d2);
-            let engine = Engine::new(3).with_chunk_size(8);
-            let mr = count_mapreduce(&pair.g1, &pair.g2, &links, d1, d2, &engine);
             assert_eq!(seq, oracle, "sequential mismatch at threshold {d1}");
-            assert_eq!(par, oracle, "rayon mismatch at threshold {d1}");
-            assert_eq!(mr, oracle, "mapreduce mismatch at threshold {d1}");
         }
     }
 
@@ -375,8 +250,6 @@ mod tests {
             let mixed = count_sequential(&pair.g1, &c2, &links, d1, d2);
             assert_eq!(on_compact, on_csr, "compact mismatch at threshold {d1}");
             assert_eq!(mixed, on_csr, "mixed-representation mismatch at threshold {d1}");
-            let par = count_rayon(&c1, &c2, &links, d1, d2);
-            assert_eq!(par, on_csr, "compact rayon mismatch at threshold {d1}");
         }
     }
 
@@ -385,21 +258,6 @@ mod tests {
         let (g1, g2, _) = tiny_case();
         let links = Linking::new(5, 5);
         assert!(count_sequential(&g1, &g2, &links, 1, 1).is_empty());
-        assert!(count_rayon(&g1, &g2, &links, 1, 1).is_empty());
-    }
-
-    #[test]
-    fn dispatch_by_backend_gives_identical_results() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let g = preferential_attachment(200, 4, &mut rng).unwrap();
-        let pair = independent_deletion_symmetric(&g, 0.7, &mut rng).unwrap();
-        let seeds = sample_seeds(&pair, 0.2, &mut rng).unwrap();
-        let links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
-        let seq = count_witnesses(&pair.g1, &pair.g2, &links, 2, 2, Backend::Sequential);
-        let ray = count_witnesses(&pair.g1, &pair.g2, &links, 2, 2, Backend::Rayon);
-        let mr =
-            count_witnesses(&pair.g1, &pair.g2, &links, 2, 2, Backend::MapReduce { workers: 2 });
-        assert_eq!(seq, ray);
-        assert_eq!(seq, mr);
+        assert!(count_brute_force(&g1, &g2, &links, 1, 1).is_empty());
     }
 }

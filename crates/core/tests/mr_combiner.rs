@@ -1,17 +1,17 @@
-//! Property tests for the combiner-aggregated MapReduce scoring path: on
-//! random PA/ER graph pairs, across thresholds and graph representations
-//! (CSR, compact, and mmap-backed segments), the engine round built from
-//! combiner mappers + packed shuffle must reproduce the brute-force oracle
-//! bit-for-bit — `count_mapreduce` equals `count_brute_force`'s table, and
-//! the select-fused round `mapreduce_fused_phase` equals
-//! `count_brute_force` → `mutual_best_pairs` — while the engine's shuffle
-//! statistics confirm the round really did move one record per scored pair.
+//! Property tests for the row-aggregated MapReduce scoring path: on random
+//! PA/ER graph pairs, across thresholds and graph representations (CSR,
+//! compact, and mmap-backed segments), the engine round built from
+//! whole-row mappers + packed shuffle must reproduce the brute-force oracle
+//! bit-for-bit — the select-fused round `mapreduce_fused_phase_on` equals
+//! `count_brute_force` → `mutual_best_pairs`, scored-pair count included —
+//! while the engine's shuffle statistics confirm the round really did move
+//! one record per candidate row.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::matching::{mapreduce_mutual_best, mutual_best_pairs};
-use snr_core::scoring::mapreduce_fused_phase;
-use snr_core::witness::{count_brute_force, count_mapreduce};
+use snr_core::matching::mutual_best_pairs;
+use snr_core::scoring::{collect_candidates, mapreduce_fused_phase_on};
+use snr_core::witness::count_brute_force;
 use snr_core::Linking;
 use snr_generators::{gnp, preferential_attachment};
 use snr_graph::{CsrGraph, GraphView};
@@ -49,7 +49,26 @@ fn mmap_view(g: &CsrGraph, tag: &str) -> (MmapGraph, PathBuf) {
     (MmapGraph::open(&path).expect("open segment"), path)
 }
 
-/// Asserts the MapReduce rounds agree with the brute-force oracle on one
+/// One MapReduce phase over every candidate row of degree at least
+/// `min_deg`.
+fn mr_phase<G1, G2>(
+    engine: &Engine,
+    g1: &G1,
+    g2: &G2,
+    links: &Linking,
+    min_deg: usize,
+    threshold: u32,
+) -> (usize, Vec<(snr_graph::NodeId, snr_graph::NodeId)>)
+where
+    G1: GraphView + Sync,
+    G2: GraphView + Sync,
+{
+    let candidates = collect_candidates(g1, links, min_deg);
+    mapreduce_fused_phase_on(engine, g1, g2, links, candidates, min_deg, threshold)
+        .expect("round failed")
+}
+
+/// Asserts the MapReduce round agrees with the brute-force oracle on one
 /// (G1, G2) representation combination.
 fn assert_matches_oracle<G1, G2>(
     engine: &Engine,
@@ -65,17 +84,9 @@ fn assert_matches_oracle<G1, G2>(
 {
     let oracle = count_brute_force(g1, g2, links, min_deg, min_deg);
     let expected_pairs = mutual_best_pairs(&oracle, threshold);
-    let table = count_mapreduce(g1, g2, links, min_deg, min_deg, engine);
-    assert_eq!(table, oracle, "count_mapreduce table ({label})");
-    let (scored, pairs) =
-        mapreduce_fused_phase(engine, g1, g2, links, min_deg, min_deg, threshold).unwrap();
+    let (scored, pairs) = mr_phase(engine, g1, g2, links, min_deg, threshold);
     assert_eq!(scored, oracle.len(), "fused scored_pairs vs oracle table size ({label})");
     assert_eq!(pairs, expected_pairs, "fused MR selection ({label})");
-    assert_eq!(
-        mapreduce_mutual_best(engine, &oracle, threshold).unwrap(),
-        expected_pairs,
-        "mapreduce_mutual_best on the oracle table ({label})"
-    );
 }
 
 #[test]
@@ -149,9 +160,11 @@ fn mapreduce_rounds_match_oracle_across_workloads_thresholds_and_representations
 fn witness_round_shuffles_one_packed_record_per_candidate_row() {
     let (g1, g2, links) = workload(true, 300, 3, 42);
     let engine = Engine::new(3).with_chunk_size(32);
-    let table = count_mapreduce(&g1, &g2, &links, 1, 1, &engine);
+    let (scored, _) = mr_phase(&engine, &g1, &g2, &links, 1, 2);
+    let table = count_brute_force(&g1, &g2, &links, 1, 1);
+    assert_eq!(scored, table.len());
     let round = engine.stats().per_round[0].clone();
-    assert_eq!(round.label, "witness-count");
+    assert_eq!(round.label, "witness-score");
     let rows: std::collections::HashSet<u32> = table.keys().map(|&(u, _)| u).collect();
     assert_eq!(
         round.shuffled_records,
@@ -160,15 +173,16 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
     );
     assert_eq!(
         round.map_output_records, round.shuffled_records,
-        "arena mappers emit whole rows, so the engine combiner has nothing left to merge"
+        "arena mappers emit whole rows, so there is nothing to combine"
     );
     assert_eq!(
         round.shuffled_bytes,
         4 * rows.len() + 8 * table.len(),
         "u32 key per row + 8 packed bytes per scored pair"
     );
-    // The pre-arena round shuffled one 12-byte ((u, v), 1) record per
-    // witness contribution; that volume is the witness-weighted table sum.
+    // A per-contribution shuffle would move one 12-byte ((u, v), 1) record
+    // per witness contribution; that volume is the witness-weighted table
+    // sum.
     let contributions: usize = table.values().map(|&c| c as usize).sum();
     assert!(
         round.shuffled_records * 5 < contributions,
@@ -177,25 +191,6 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
         contributions
     );
     assert!(round.shuffled_bytes < contributions * 12, "bytes must shrink too");
-
-    // The table-fed selection round exercises the combiner for real: every
-    // map task emits single-entry fragments that collapse to one record per
-    // (task, row) before the shuffle.
-    // Chunks larger than the distinct-row count guarantee the first (full)
-    // map task sees repeated `u`s, so the combiner provably merges.
-    let chunk = rows.len() + 1;
-    assert!(table.len() > chunk, "workload too small to pin combiner aggregation");
-    let engine = Engine::new(3).with_chunk_size(chunk);
-    let _ = mapreduce_mutual_best(&engine, &table, 2);
-    let select_round = engine.stats().per_round[0].clone();
-    assert_eq!(select_round.label, "mutual-select");
-    assert_eq!(select_round.map_output_records, table.len());
-    assert!(
-        select_round.shuffled_records < select_round.map_output_records,
-        "combiner must aggregate row fragments: {} vs {}",
-        select_round.shuffled_records,
-        select_round.map_output_records
-    );
 }
 
 #[test]
@@ -206,14 +201,14 @@ fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
     // statistics must be exactly what the in-memory round produces.
     let (g1, g2, links) = workload(true, 260, 3, 0xD15C);
     let in_memory = Engine::sequential().with_chunk_size(16);
-    let expected = mapreduce_fused_phase(&in_memory, &g1, &g2, &links, 2, 2, 2).unwrap();
+    let expected = mr_phase(&in_memory, &g1, &g2, &links, 2, 2);
     let scratch = std::env::temp_dir().join(format!("snr-core-spill-{}", std::process::id()));
     for (workers, budget) in [(1usize, 0u64), (1, 512), (3, 0), (3, 2048)] {
         let engine = Engine::new(workers)
             .with_chunk_size(16)
             .with_spill_budget(Some(budget))
             .with_scratch_dir(&scratch);
-        let got = mapreduce_fused_phase(&engine, &g1, &g2, &links, 2, 2, 2).unwrap();
+        let got = mr_phase(&engine, &g1, &g2, &links, 2, 2);
         assert_eq!(got, expected, "workers={workers} budget={budget}");
         let round = engine.stats().per_round[0].clone();
         assert!(round.spilled_runs > 0, "budget {budget} must actually spill");
@@ -228,20 +223,13 @@ fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
 #[test]
 fn chunking_and_worker_count_never_change_results() {
     let (g1, g2, links) = workload(false, 200, 2, 7);
-    let reference = count_mapreduce(&g1, &g2, &links, 2, 2, &Engine::sequential());
-    let ref_pairs =
-        mapreduce_fused_phase(&Engine::sequential(), &g1, &g2, &links, 2, 2, 2).unwrap();
+    let reference = mr_phase(&Engine::sequential(), &g1, &g2, &links, 2, 2);
     for workers in [1usize, 2, 5] {
         for chunk in [1usize, 3, 64, 10_000] {
             let engine = Engine::new(workers).with_chunk_size(chunk);
             assert_eq!(
-                count_mapreduce(&g1, &g2, &links, 2, 2, &engine),
+                mr_phase(&engine, &g1, &g2, &links, 2, 2),
                 reference,
-                "table workers={workers} chunk={chunk}"
-            );
-            assert_eq!(
-                mapreduce_fused_phase(&engine, &g1, &g2, &links, 2, 2, 2).unwrap(),
-                ref_pairs,
                 "fused workers={workers} chunk={chunk}"
             );
         }

@@ -451,25 +451,6 @@ impl ShardDriver {
         out
     }
 
-    /// The full phase schedule as `(iteration, bucket-exponent)` pairs.
-    fn schedule(&self) -> Vec<(u32, u32)> {
-        let cfg = &self.config.matching;
-        let top_bucket = if cfg.degree_bucketing {
-            (usize::BITS - 1)
-                .saturating_sub(self.max_degree.max(1).leading_zeros())
-                .max(cfg.min_bucket)
-        } else {
-            cfg.min_bucket
-        };
-        let mut out = Vec::new();
-        for iteration in 1..=cfg.iterations {
-            for bucket in (cfg.min_bucket..=top_bucket).rev() {
-                out.push((iteration, bucket));
-            }
-        }
-        out
-    }
-
     fn run_inner(
         &self,
         seeds: &[(NodeId, NodeId)],
@@ -487,7 +468,7 @@ impl ShardDriver {
             links.insert_batch(&pairs);
             phases = cp.phase_stats();
         }
-        let schedule = self.schedule();
+        let schedule = cfg.schedule(self.max_degree);
         if phases.len() > schedule.len() {
             return Err(DriverError::Checkpoint(format!(
                 "checkpoint records {} phases but the schedule only has {}",

@@ -141,7 +141,7 @@ fn main() {
     let base = run_baseline(
         &wiki,
         0.10,
-        BaselineMatching::new(BaselineConfig { threshold: 1, passes: 1, ..Default::default() }),
+        BaselineMatching::new(BaselineConfig { threshold: 1, passes: 1 }),
         args.seed,
     );
     let mut t3 = TextTable::new(["algorithm", "new good", "new bad", "error rate", "recall"]);

@@ -1,4 +1,4 @@
-//! Smoke check for the combiner-aggregated MapReduce witness round.
+//! Smoke check for the row-aggregated MapReduce witness round.
 //!
 //! ```text
 //! cargo run --release -p snr-experiments --bin mr_shuffle_smoke [--full]
@@ -11,15 +11,15 @@
 //! number of `((u, v), 1)` records the pre-arena round used to shuffle for
 //! the same phase. The run fails (non-zero exit) unless:
 //!
-//! * the fused round's selected pairs are bit-identical to the sequential
-//!   arena path (`fused_phase`), and its shuffled record count equals the
-//!   scored-pair count (one packed record per scored pair);
+//! * the round's selected pairs and scored-pair count are bit-identical to
+//!   the sequential in-process phase (`fused_phase_on`), and its shuffle
+//!   bytes are one `u32` key per row plus 8 bytes per scored pair;
 //! * the reported shuffle records are at least 5× below the
-//!   per-contribution formula — the combiner-mapper guarantee CI pins.
+//!   per-contribution formula — the row-aggregation guarantee CI pins.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::scoring::{fused_phase, mapreduce_fused_phase};
+use snr_core::scoring::{collect_candidates, fused_phase_on, mapreduce_fused_phase_on};
 use snr_core::Linking;
 use snr_experiments::ExperimentArgs;
 use snr_graph::GraphView;
@@ -65,18 +65,19 @@ fn main() {
         contributions += eligible1 * eligible2;
     }
 
+    let candidates = collect_candidates(g1, &links, min_deg);
     let engine = Engine::new(4);
     let start = Instant::now();
     let (scored, pairs) =
-        mapreduce_fused_phase(&engine, g1, g2, &links, min_deg, min_deg, threshold)
+        mapreduce_fused_phase_on(&engine, g1, g2, &links, candidates.clone(), min_deg, threshold)
             .expect("in-memory round cannot spill");
     let mr_secs = start.elapsed().as_secs_f64();
     let stats = engine.stats();
     let round = &stats.per_round[0];
     println!("fused MapReduce witness round: {mr_secs:.3}s, {}", stats.stats_summary());
 
-    // Correctness: same bits as the sequential arena path.
-    let expected = fused_phase(g1, g2, &links, min_deg, min_deg, threshold, false);
+    // Correctness: same bits as the sequential in-process phase.
+    let expected = fused_phase_on(g1, g2, &links, &candidates, min_deg, threshold, false);
     assert_eq!((scored, pairs), expected, "fused MR phase must match the sequential arena path");
     assert!(
         round.shuffled_records <= scored,
@@ -89,7 +90,7 @@ fn main() {
         "shuffle bytes must be one u32 key per row + 8 packed bytes per scored pair"
     );
 
-    // Data movement: the combiner-mapper guarantee.
+    // Data movement: the row-aggregation guarantee.
     let record_ratio = contributions as f64 / round.shuffled_records.max(1) as f64;
     // The pre-arena round shuffled ((u32, u32), u32) records: 12 bytes each.
     let old_bytes = contributions * 12;
@@ -105,7 +106,7 @@ fn main() {
     );
     assert!(
         (round.shuffled_records as u128) * 5 <= contributions as u128,
-        "combiner mappers must shrink the witness shuffle at least 5x \
+        "whole-row mappers must shrink the witness shuffle at least 5x \
          (got {record_ratio:.2}x: {} vs {contributions})",
         round.shuffled_records
     );

@@ -21,7 +21,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::scoring::mapreduce_fused_phase;
+use snr_core::scoring::{collect_candidates, mapreduce_fused_phase_on};
 use snr_core::Linking;
 use snr_experiments::ExperimentArgs;
 use snr_mapreduce::{Engine, EngineError};
@@ -54,11 +54,14 @@ fn main() {
     );
 
     let scratch = std::env::temp_dir().join(format!("snr-spill-smoke-{}", std::process::id()));
+    let candidates = collect_candidates(g1, &links, min_deg);
+    let phase = |engine: &Engine| {
+        mapreduce_fused_phase_on(engine, g1, g2, &links, candidates.clone(), min_deg, threshold)
+    };
 
     // Reference: the unbudgeted in-memory round.
     let in_memory = Engine::new(4);
-    let expected = mapreduce_fused_phase(&in_memory, g1, g2, &links, min_deg, min_deg, threshold)
-        .expect("in-memory round cannot spill");
+    let expected = phase(&in_memory).expect("in-memory round cannot spill");
     let mem_round = in_memory.stats().per_round[0].clone();
 
     // 1. Budgeted run, traced: must spill and still match bit-for-bit.
@@ -68,8 +71,7 @@ fn main() {
     snr_telemetry::enable();
     let engine = Engine::new(4).with_spill_budget(Some(budget)).with_scratch_dir(&scratch);
     let start = Instant::now();
-    let got = mapreduce_fused_phase(&engine, g1, g2, &links, min_deg, min_deg, threshold)
-        .expect("budgeted round failed");
+    let got = phase(&engine).expect("budgeted round failed");
     let secs = start.elapsed().as_secs_f64();
     snr_telemetry::write_trace_if_configured().expect("trace write failed");
     snr_telemetry::disable();
@@ -113,7 +115,7 @@ fn main() {
         .with_fault_registry(
             snr_faults::FaultRegistry::parse("spill_io@round1").expect("valid fault spec"),
         );
-    match mapreduce_fused_phase(&faulted, g1, g2, &links, min_deg, min_deg, threshold) {
+    match phase(&faulted) {
         Err(EngineError::Spill(why)) => {
             assert!(why.contains("spill_io"), "unexpected error detail: {why}");
             println!("injected spill_io fault: clean EngineError ({why})");

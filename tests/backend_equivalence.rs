@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use social_reconcile::core::witness::count_witnesses;
+use social_reconcile::core::witness::count_sequential;
 use social_reconcile::core::{Backend, MatchingConfig, UserMatching};
 use social_reconcile::prelude::*;
 use social_reconcile::store::write_segment_file;
@@ -124,6 +124,24 @@ fn backend_runs_are_deterministic_across_repetitions() {
     }
 }
 
+/// Per-phase work counters of one run: `(iteration, bucket, scored_pairs,
+/// new_links)` for every phase.
+fn phase_counts<G1, G2>(
+    g1: &G1,
+    g2: &G2,
+    seeds: &[(NodeId, NodeId)],
+    backend: Backend,
+) -> Vec<(u32, u32, usize, usize)>
+where
+    G1: GraphView + Sync,
+    G2: GraphView + Sync,
+{
+    let config =
+        MatchingConfig::default().with_threshold(2).with_iterations(2).with_backend(backend);
+    let outcome = UserMatching::new(config).run(g1, g2, seeds);
+    outcome.phases.iter().map(|p| (p.iteration, p.bucket, p.scored_pairs, p.new_links)).collect()
+}
+
 #[test]
 fn witness_score_tables_are_identical_across_backends_and_representations() {
     let (pair, seeds) = workload(15, 1_000, 6, 0.6, 0.10);
@@ -131,25 +149,30 @@ fn witness_score_tables_are_identical_across_backends_and_representations() {
     let (c1, c2) = (pair.g1.compact(), pair.g2.compact());
     let ((m1, p1), (m2, p2)) = (mmap_view(&pair.g1, "t1"), mmap_view(&pair.g2, "t2"));
     let (s1, s2) = (ShardedGraph::partition(&pair.g1, 4), ShardedGraph::partition(&pair.g2, 4));
+    // The oracle table is representation-independent.
     for min_deg in [1, 2, 4] {
-        let reference =
-            count_witnesses(&pair.g1, &pair.g2, &links, min_deg, min_deg, Backend::Sequential);
-        for backend in [Backend::Sequential, Backend::Rayon, Backend::MapReduce { workers: 3 }] {
-            let on_csr = count_witnesses(&pair.g1, &pair.g2, &links, min_deg, min_deg, backend);
-            let on_compact = count_witnesses(&c1, &c2, &links, min_deg, min_deg, backend);
-            let on_mmap = count_witnesses(&m1, &m2, &links, min_deg, min_deg, backend);
-            let on_sharded = count_witnesses(&s1, &s2, &links, min_deg, min_deg, backend);
-            assert_eq!(on_csr, reference, "{backend:?} table differs on CsrGraph d={min_deg}");
-            assert_eq!(
-                on_compact, reference,
-                "{backend:?} table differs on CompactCsr d={min_deg}"
-            );
-            assert_eq!(on_mmap, reference, "{backend:?} table differs on MmapGraph d={min_deg}");
-            assert_eq!(
-                on_sharded, reference,
-                "{backend:?} table differs on ShardedGraph d={min_deg}"
-            );
-        }
+        let reference = count_sequential(&pair.g1, &pair.g2, &links, min_deg, min_deg);
+        assert!(!reference.is_empty(), "the workload must score pairs at d={min_deg}");
+        let on_compact = count_sequential(&c1, &c2, &links, min_deg, min_deg);
+        let on_mmap = count_sequential(&m1, &m2, &links, min_deg, min_deg);
+        let on_sharded = count_sequential(&s1, &s2, &links, min_deg, min_deg);
+        assert_eq!(on_compact, reference, "table differs on CompactCsr d={min_deg}");
+        assert_eq!(on_mmap, reference, "table differs on MmapGraph d={min_deg}");
+        assert_eq!(on_sharded, reference, "table differs on ShardedGraph d={min_deg}");
+    }
+    // Every executor scores the same pairs and links the same count in
+    // every phase, on every representation.
+    let reference = phase_counts(&pair.g1, &pair.g2, &seeds, Backend::Sequential);
+    assert!(reference.iter().any(|&(_, _, scored, new)| scored > 0 && new > 0));
+    for backend in [Backend::Sequential, Backend::Rayon, Backend::MapReduce { workers: 3 }] {
+        let on_csr = phase_counts(&pair.g1, &pair.g2, &seeds, backend);
+        let on_compact = phase_counts(&c1, &c2, &seeds, backend);
+        let on_mmap = phase_counts(&m1, &m2, &seeds, backend);
+        let on_sharded = phase_counts(&s1, &s2, &seeds, backend);
+        assert_eq!(on_csr, reference, "{backend:?} phases differ on CsrGraph");
+        assert_eq!(on_compact, reference, "{backend:?} phases differ on CompactCsr");
+        assert_eq!(on_mmap, reference, "{backend:?} phases differ on MmapGraph");
+        assert_eq!(on_sharded, reference, "{backend:?} phases differ on ShardedGraph");
     }
     drop((m1, m2));
     let _ = std::fs::remove_file(p1);
