@@ -15,11 +15,18 @@
 //!   copy-2 neighbor list of every linked pair `(w1, w2)` into one flat
 //!   arena, and maps `w1` to its slice in O(1). Scoring a row is then a pure
 //!   slice scan — no per-link block decoding (this is what closes the
-//!   `CompactCsr` gap) and no hashing.
+//!   `CompactCsr` gap) and no hashing. The filter itself ("degree at least
+//!   `min_deg2` and not yet linked") is precomputed once per build into an
+//!   eligibility bitmap of `n2 / 8` bytes, so each decoded neighbor costs
+//!   one bit test instead of a degree lookup and a link lookup at two
+//!   random addresses.
 //! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
-//!   scratch (`scores[v]`, `stamp[v]`, `touched`). Starting a row is O(1)
-//!   (bump the epoch), and a contribution is one array increment.
-//!   [`ScoreArena::score_row`] is the one row kernel every executor runs.
+//!   scratch: one packed `u64` cell per copy-2 node holding
+//!   `(stamp << 32) | score`, plus the `touched` list. Starting a row is
+//!   O(1) (bump the epoch), and a contribution is one read-modify-write of
+//!   one cell — one random cache line per witness, where separate stamp and
+//!   score arrays cost two. [`ScoreArena::score_row`] is the one row kernel
+//!   every executor runs.
 //! * **[`SelectSink`]** receives each finished row and fuses mutual-best
 //!   selection into row finalization — it keeps each row's argmax and a
 //!   per-`v` running best, so the full score table is never materialized.
@@ -29,6 +36,24 @@
 //! (each worker sees whole rows), and per-`v` bests merge with
 //! [`Best::merge`], which is associative, commutative, and preserves
 //! tie-abstention across worker boundaries.
+//!
+//! # Threshold-filtered selection
+//!
+//! Only entries with a score of at least the threshold `T` can affect the
+//! selection, so [`SelectSink::row`] counts every touched entry into
+//! `scored_pairs` but folds only the entries scoring `≥ T` into the row
+//! best and the per-`v` bests. This is exact:
+//!
+//! * a row claims only a strictly unique best with score `≥ T`, and every
+//!   tie at such a maximum is also `≥ T`, so the row best and its
+//!   uniqueness over the filtered entries equal those over the whole row;
+//! * a claim `(u, v)` survives only if `u` is `v`'s strictly unique best,
+//!   whose score is then `≥ T` too — entries below `T` can never change
+//!   the best of a `v` that a claim points at. Bests of other `v` differ,
+//!   but nothing reads them.
+//!
+//! Rows fed to the sink as `(v, score)` entries (the MapReduce reduce
+//! and LSH verification) are filtered the same way.
 //!
 //! # One entry point per executor
 //!
@@ -105,7 +130,8 @@ impl LinkCache {
         // close to sequential over the on-disk layout for mmap-backed views
         // — while the scoring that follows jumps rows at random.
         g2.advise_sequential();
-        let part = decode_eligible(g2, links, min_deg2, links.pairs().map(|(_, w2)| w2));
+        let eligible = eligibility_bitmap(g2, links, min_deg2);
+        let part = decode_eligible(g2, &eligible, links.pairs().map(|(_, w2)| w2));
         g2.advise_random();
         LinkCache::splice(links, vec![part])
     }
@@ -128,11 +154,12 @@ impl LinkCache {
         }
         let partners: Vec<NodeId> = links.pairs().map(|(_, w2)| w2).collect();
         g2.advise_sequential();
+        let eligible = eligibility_bitmap(g2, links, min_deg2);
         let chunk_size = partners.len().div_ceil(rayon::current_num_threads());
         let chunks: Vec<&[NodeId]> = partners.chunks(chunk_size).collect();
         let parts: Vec<(Vec<u32>, Vec<u32>)> = chunks
             .par_iter()
-            .map(|chunk| decode_eligible(g2, links, min_deg2, chunk.iter().copied()))
+            .map(|chunk| decode_eligible(g2, &eligible, chunk.iter().copied()))
             .collect();
         g2.advise_random();
         LinkCache::splice(links, parts)
@@ -218,14 +245,29 @@ impl LinkCache {
     }
 }
 
+/// The per-build eligibility filter as a bitmap over copy-2 ids: bit `v` is
+/// set iff `v` has degree at least `min_deg2` and is not yet linked. One
+/// sequential pass over the degrees and the link table replaces two random
+/// lookups per decoded neighbor in [`decode_eligible`].
+fn eligibility_bitmap<G2: GraphView>(g2: &G2, links: &Linking, min_deg2: usize) -> Vec<u64> {
+    let n2 = g2.node_count();
+    let mut bits = vec![0u64; n2.div_ceil(64)];
+    for v in 0..n2 {
+        let id = NodeId(v as u32);
+        if g2.degree(id) >= min_deg2 && !links.is_linked_g2(id) {
+            bits[v / 64] |= 1 << (v % 64);
+        }
+    }
+    bits
+}
+
 /// The decode-and-filter loop behind every [`LinkCache`] build: for each
-/// link partner `w2`, appends its neighbors of degree at least `min_deg2`
-/// that are not yet linked to the returned targets, and records the
+/// link partner `w2`, appends its neighbors whose bit is set in `eligible`
+/// (see [`eligibility_bitmap`]) to the returned targets, and records the
 /// targets length after each link as that link's local end offset.
 fn decode_eligible<G2: GraphView>(
     g2: &G2,
-    links: &Linking,
-    min_deg2: usize,
+    eligible: &[u64],
     partners: impl Iterator<Item = NodeId>,
 ) -> (Vec<u32>, Vec<u32>) {
     let mut ends = Vec::new();
@@ -233,8 +275,8 @@ fn decode_eligible<G2: GraphView>(
     for w2 in partners {
         targets.extend(
             g2.neighbors_iter(w2)
-                .filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v))
-                .map(|v| v.0),
+                .map(|v| v.0)
+                .filter(|&v| eligible[v as usize / 64] >> (v % 64) & 1 != 0),
         );
         ends.push(targets.len() as u32);
     }
@@ -243,12 +285,14 @@ fn decode_eligible<G2: GraphView>(
 
 /// Dense, generation-stamped scratch for accumulating one candidate row.
 ///
-/// `scores[v]` is valid only where `stamp[v] == epoch`; bumping the epoch
-/// invalidates the whole row in O(1), so the arena is reused across every
-/// row of a phase without clearing.
+/// Each copy-2 node `v` owns one packed cell `(stamp << 32) | score`; the
+/// score is valid only where the stamp equals the current epoch. Bumping
+/// the epoch invalidates the whole row in O(1), so the arena is reused
+/// across every row of a phase without clearing, and a contribution reads
+/// and writes exactly one cell.
 pub struct ScoreArena {
-    scores: Vec<u32>,
-    stamp: Vec<u32>,
+    /// `(stamp << 32) | score` per copy-2 node.
+    cells: Vec<u64>,
     epoch: u32,
     touched: Vec<u32>,
 }
@@ -256,7 +300,7 @@ pub struct ScoreArena {
 impl ScoreArena {
     /// An arena over `n2` copy-2 nodes.
     pub fn new(n2: usize) -> ScoreArena {
-        ScoreArena { scores: vec![0; n2], stamp: vec![0; n2], epoch: 0, touched: Vec::new() }
+        ScoreArena { cells: vec![0; n2], epoch: 0, touched: Vec::new() }
     }
 
     /// Starts a new row, invalidating the previous one in O(1).
@@ -265,7 +309,7 @@ impl ScoreArena {
         self.touched.clear();
         if self.epoch == u32::MAX {
             // One reset every 2^32 - 1 rows keeps the stamp test exact.
-            self.stamp.fill(0);
+            self.cells.fill(0);
             self.epoch = 1;
         } else {
             self.epoch += 1;
@@ -275,12 +319,14 @@ impl ScoreArena {
     /// Adds one witness contribution for copy-2 node `v`.
     #[inline]
     pub fn bump(&mut self, v: u32) {
-        let i = v as usize;
-        if self.stamp[i] == self.epoch {
-            self.scores[i] += 1;
+        let row = u64::from(self.epoch) << 32;
+        let cell = &mut self.cells[v as usize];
+        // Stamps never exceed the epoch (a wrap clears every cell), so the
+        // cell is current iff it is at least `row`.
+        if *cell >= row {
+            *cell += 1;
         } else {
-            self.stamp[i] = self.epoch;
-            self.scores[i] = 1;
+            *cell = row | 1;
             self.touched.push(v);
         }
     }
@@ -295,21 +341,21 @@ impl ScoreArena {
     /// The current row's score for `v`. Only meaningful for touched `v`.
     #[inline]
     pub fn get(&self, v: u32) -> u32 {
-        self.scores[v as usize]
+        self.cells[v as usize] as u32
     }
 
     /// The current row's score for `v`, or `None` if `v` was not touched
     /// this row. Only valid after at least one [`ScoreArena::begin_row`].
     #[inline]
     pub fn current(&self, v: u32) -> Option<u32> {
-        let i = v as usize;
-        (self.stamp[i] == self.epoch).then(|| self.scores[i])
+        let cell = self.cells[v as usize];
+        (cell >> 32 == u64::from(self.epoch)).then_some(cell as u32)
     }
 
     /// The row kernel: starts a new row and scores copy-1 node `row` of
     /// `g1` into it — one bump per cached eligible copy-2 neighbor of every
     /// linked neighbor of `row`. Every executor scores rows through this
-    /// loop; the finished row is read via [`ScoreArena::touched`] /
+    /// loop; the finished row is read via [`ScoreArena::touched`] and
     /// [`ScoreArena::get`].
     #[inline]
     pub fn score_row<G1: GraphView>(&mut self, g1: &G1, row: NodeId, cache: &LinkCache) {
@@ -328,22 +374,27 @@ impl ScoreArena {
 /// into row finalization.
 ///
 /// Finishing a row computes its argmax (the row is complete, so the
-/// strict-uniqueness flag is exact) and folds every entry into a dense
-/// per-`v` running best. The full score table is never materialized.
-/// Sinks are order-independent: rows arrive in ascending `u` order within a
-/// worker, but per-worker sinks may [`SelectSink::merge`] in any order.
+/// strict-uniqueness flag is exact) and folds every entry scoring at least
+/// the threshold into a dense per-`v` running best; sub-threshold entries
+/// are only counted (see the module docs for why that is exact). The full
+/// score table is never materialized. Sinks are order-independent: rows
+/// arrive in ascending `u` order within a worker, but per-worker sinks may
+/// [`SelectSink::merge`] in any order.
 pub struct SelectSink {
     threshold: u32,
     /// Rows whose best entry met the threshold with a strictly unique
     /// score: `(u, best)` in ascending `u` order per worker.
     claims: Vec<(u32, Best)>,
-    /// Running best partner for every copy-2 node; `score == 0` means no
-    /// entry seen yet.
+    /// Running best partner for every copy-2 node over the entries that
+    /// met the threshold; `score == 0` means no such entry seen yet.
     best_v: Vec<Best>,
     /// Total number of non-zero `(u, v)` pairs seen (the `scored_pairs`
     /// phase statistic, kept identical to `ScoreTable::len`).
     scored_pairs: usize,
 }
+
+/// A running best that has seen no entry yet.
+const NO_BEST: Best = Best { partner: NO_LINK, score: 0, unique: false };
 
 impl SelectSink {
     /// A sink selecting pairs with at least `threshold` witnesses over `n2`
@@ -353,7 +404,7 @@ impl SelectSink {
         SelectSink {
             threshold: threshold.max(1),
             claims: Vec::new(),
-            best_v: vec![Best { partner: NO_LINK, score: 0, unique: false }; n2],
+            best_v: vec![NO_BEST; n2],
             scored_pairs: 0,
         }
     }
@@ -375,13 +426,13 @@ impl SelectSink {
         (self.scored_pairs, out)
     }
 
-    /// Consumes the row `arena` holds as row `u`'s scores; an empty row is
-    /// skipped (it would not appear in a sparse score table either).
+    /// Consumes the row `arena` holds as row `u`'s scores: every touched
+    /// entry counts as a scored pair, and only the entries at or above the
+    /// threshold are folded. An empty row changes nothing (it would not
+    /// appear in a sparse score table either).
     #[inline]
     pub fn row(&mut self, u: u32, arena: &ScoreArena) {
-        if !arena.touched().is_empty() {
-            self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
-        }
+        self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
     }
 
     /// Folds another worker's sink into this one. Workers score disjoint `u`
@@ -399,20 +450,27 @@ impl SelectSink {
     }
 
     /// Consumes one complete row given as `(v, score)` entries. The caller
-    /// must pass every non-zero entry of row `u` exactly once (in any
-    /// order — the row best and per-`v` bests are order-independent) and
-    /// must not pass an empty row.
-    pub(crate) fn row_entries(&mut self, u: u32, mut entries: impl Iterator<Item = (u32, u32)>) {
-        let (v0, s0) = entries.next().expect("drivers only emit non-empty rows");
-        let mut best = Best { partner: v0, score: s0, unique: true };
-        self.best_v[v0 as usize].consider(u, s0);
-        self.scored_pairs += 1;
+    /// must pass every non-zero entry of row `u` exactly once, in any order
+    /// (the row best and per-`v` bests are order-independent). All entries
+    /// count as scored pairs; only those at or above the threshold are
+    /// folded into the row best and the per-`v` bests, and the row is
+    /// claimed if its best is strictly unique. An empty row changes nothing.
+    #[inline]
+    pub(crate) fn row_entries(&mut self, u: u32, entries: impl Iterator<Item = (u32, u32)>) {
+        let mut best = NO_BEST;
+        let mut seen = 0usize;
         for (v, score) in entries {
-            self.scored_pairs += 1;
-            best.consider(v, score);
-            self.best_v[v as usize].consider(u, score);
+            seen += 1;
+            if score >= self.threshold {
+                best.consider(v, score);
+                self.best_v[v as usize].consider(u, score);
+            }
         }
-        if best.unique && best.score >= self.threshold {
+        self.scored_pairs += seen;
+        // Every folded score is at least the threshold (>= 1), so a row
+        // with a folded entry leaves `best` above `NO_BEST` and its flag
+        // exact.
+        if best.unique {
             self.claims.push((u, best));
         }
     }
@@ -421,9 +479,7 @@ impl SelectSink {
     /// `(v, count)` entries (see [`pack_entry`]), as shuffled by the
     /// MapReduce witness round.
     pub(crate) fn row_packed(&mut self, u: u32, entries: &[u64]) {
-        if !entries.is_empty() {
-            self.row_entries(u, entries.iter().map(|&e| unpack_entry(e)));
-        }
+        self.row_entries(u, entries.iter().map(|&e| unpack_entry(e)));
     }
 
     /// Extracts this sink's accumulated state as a serializable
@@ -452,9 +508,10 @@ impl SelectSink {
     /// commutative, tie-abstaining [`Best::merge`].
     ///
     /// Claims are validated before any state changes: a copy-2 id at or
-    /// beyond this sink's `n2`, a zero score, or a claim below this sink's
-    /// threshold is rejected (the sink is left untouched), so a corrupt or
-    /// mismatched payload can never poison the selection.
+    /// beyond this sink's `n2`, or a claim or per-`v` best below this
+    /// sink's threshold (sinks only fold entries at or above it, so no sink
+    /// produces one) is rejected and the sink is left untouched, so a
+    /// corrupt or mismatched payload can never poison the selection.
     pub fn absorb_claims(&mut self, claims: &SinkClaims) -> Result<(), GraphError> {
         let n2 = self.best_v.len() as u32;
         for &(_, partner, score) in &claims.claims {
@@ -476,9 +533,10 @@ impl SelectSink {
                     "per-v best ({v}, {partner}) out of range (n2 = {n2})"
                 )));
             }
-            if score == 0 {
+            if score < self.threshold {
                 return Err(GraphError::InvalidParameter(format!(
-                    "per-v best for {v} has zero score"
+                    "per-v best for {v} has score {score} below threshold {}",
+                    self.threshold
                 )));
             }
         }
@@ -830,9 +888,7 @@ pub fn score_pair_list<G1: GraphView>(
                 entries.push((v, score));
             }
         }
-        if !entries.is_empty() {
-            sink.row_entries(u, entries.iter().copied());
-        }
+        sink.row_entries(u, entries.iter().copied());
         i = j;
     }
 }
@@ -1179,16 +1235,85 @@ mod tests {
 
     #[test]
     fn arena_epoch_wrap_clears_stamps() {
-        let mut arena = ScoreArena::new(2);
+        let mut arena = ScoreArena::new(3);
         arena.epoch = u32::MAX - 1;
         arena.begin_row(); // epoch == MAX
-        arena.bump(0);
-        assert_eq!(arena.get(0), 1);
-        arena.begin_row(); // wraps: stamps cleared, epoch == 1
+        for _ in 0..3 {
+            arena.bump(0);
+        }
+        arena.bump(1);
+        assert_eq!((arena.get(0), arena.get(1)), (3, 1));
+        assert_eq!(arena.cells[0], (u64::from(u32::MAX) << 32) | 3, "packed (stamp, score)");
+        arena.begin_row(); // wraps: every cell cleared, epoch == 1
         assert_eq!(arena.epoch, 1);
+        assert!(arena.cells.iter().all(|&c| c == 0), "a wrap must clear every packed cell");
+        // Without the clear, node 0's stale cell (stamp MAX) would pass the
+        // current-row test and its score 3 would leak into this row.
+        assert_eq!(arena.current(0), None);
+        assert_eq!(arena.current(1), None);
         arena.bump(0);
         assert_eq!(arena.get(0), 1);
+        assert_eq!(arena.current(1), None);
         assert_eq!(arena.touched(), &[0]);
+    }
+
+    /// A phase result: `(scored_pairs, selected_pairs)`.
+    type Selection = (usize, Vec<(NodeId, NodeId)>);
+
+    /// Feeds hand-written rows to a sink through an arena and returns the
+    /// sink's result next to the oracle selection on the same entries.
+    fn select_rows(rows: &[(u32, &[u32])], n2: usize, t: u32) -> (Selection, Selection) {
+        let mut arena = ScoreArena::new(n2);
+        let mut sink = SelectSink::new(n2, t);
+        let mut table = crate::witness::ScoreTable::new();
+        for &(u, bumps) in rows {
+            arena.begin_row();
+            for &v in bumps {
+                arena.bump(v);
+                *table.entry((u, v)).or_insert(0) += 1;
+            }
+            sink.row(u, &arena);
+        }
+        (sink.finish(), (table.len(), mutual_best_pairs(&table, t)))
+    }
+
+    #[test]
+    fn selection_handles_ties_at_and_maxima_below_the_threshold() {
+        let rows: &[(u32, &[u32])] = &[
+            // Row 0 ties at exactly T = 2: no claim.
+            (0, &[1, 2, 1, 2]),
+            // Row 1's maximum (1) is below T = 2: counted, never folded.
+            (1, &[3, 4]),
+            // Row 2: node 5 crosses T and keeps climbing; node 6 stays
+            // below. Claims (2, 5).
+            (2, &[5, 5, 6, 5, 5, 5]),
+            // Row 3 also reaches node 5, but lower: (2, 5) stays unique.
+            (3, &[5, 5]),
+            // Rows 4 and 5 both score node 7 exactly at T: each claims it,
+            // but 7's best is a tie at T, so neither pair survives.
+            (4, &[7, 7]),
+            (5, &[7, 7, 8]),
+        ];
+        let (got, expected) = select_rows(rows, 9, 2);
+        assert_eq!(got, expected);
+        assert_eq!(got, (10, vec![(NodeId(2), NodeId(5))]));
+        for t in [1, 3, u32::MAX] {
+            let (got, expected) = select_rows(rows, 9, t);
+            assert_eq!(got, expected, "t={t}");
+        }
+    }
+
+    #[test]
+    fn empty_rows_are_a_no_op() {
+        let mut sink = SelectSink::new(4, 2);
+        sink.row_entries(0, std::iter::empty());
+        sink.row_packed(1, &[]);
+        let mut arena = ScoreArena::new(4);
+        arena.begin_row();
+        sink.row(2, &arena);
+        assert!(sink.claims.is_empty());
+        assert!(sink.best_v.iter().all(|b| b.score == 0));
+        assert_eq!(sink.finish(), (0, vec![]));
     }
 
     /// `CsrGraph` wrapper pretending its rows live in shards, for testing
@@ -1336,7 +1461,7 @@ mod tests {
     fn fused_phase_matches_unfused_pipeline() {
         let (g1, g2, links) = pa_workload(23, 400, 6);
         for d in [1usize, 2, 4] {
-            for t in [1u32, 2, 3] {
+            for t in [1u32, 2, 3, u32::MAX] {
                 let table = count_sequential(&g1, &g2, &links, d, d);
                 let expected = mutual_best_pairs(&table, t);
                 for parallel in [false, true] {
@@ -1414,7 +1539,7 @@ mod tests {
         for workers in [1usize, 3] {
             let engine = snr_mapreduce::Engine::new(workers).with_chunk_size(16);
             for d in [1usize, 2, 4] {
-                for t in [1u32, 2, 3] {
+                for t in [1u32, 2, 3, u32::MAX] {
                     let expected = phase(&g1, &g2, &links, d, d, t, false);
                     let got = mapreduce_phase(&engine, &g1, &g2, &links, d, d, t).unwrap();
                     assert_eq!(got, expected, "workers={workers} d={d} t={t}");
@@ -1600,6 +1725,19 @@ mod tests {
         // A stricter sink rejects claims below its threshold.
         let mut strict = SelectSink::new(n2, u32::MAX);
         assert!(strict.absorb_claims(&claims).is_err());
+        // Sinks fold only entries at or above their threshold, so every
+        // shipped per-v best meets it ...
+        assert!(claims.bests.iter().all(|&(_, _, score, _)| score >= 2));
+        // ... and a per-v best below the threshold (or a zero score) is
+        // rejected even when every claim is valid, leaving the sink as it was.
+        for score in [0u32, 1] {
+            let mut bad = claims.clone();
+            bad.bests.push((0, 0, score, true));
+            let mut sink = SelectSink::new(n2, 2);
+            assert!(sink.absorb_claims(&bad).is_err(), "per-v best score {score}");
+            assert_eq!(sink.scored_pairs, 0, "a rejected payload must not change the sink");
+            assert!(sink.claims.is_empty());
+        }
         // The matching sink accepts them.
         let mut ok = SelectSink::new(n2, 2);
         ok.absorb_claims(&claims).unwrap();
@@ -1654,7 +1792,7 @@ mod tests {
     fn pair_list_over_all_nonzero_pairs_matches_fused_phase() {
         let (g1, g2, links) = pa_workload(79, 400, 6);
         let n2 = g2.node_count();
-        for (d, t) in [(1usize, 1u32), (2, 2), (4, 3)] {
+        for (d, t) in [(1usize, 1u32), (2, 2), (4, 3), (2, u32::MAX)] {
             let table = count_sequential(&g1, &g2, &links, d, d);
             let mut all_pairs: Vec<(u32, u32)> = table.keys().copied().collect();
             all_pairs.sort_unstable();

@@ -64,9 +64,11 @@ proptest::proptest! {
         n in 40usize..140,
         density in 0u32..4,
         min_deg in 1usize..4,
-        threshold in 0u32..4,
+        threshold_pick in 0usize..5,
         seed in 0u64..10_000,
     ) {
+        // 0 is clamped to 1; u32::MAX leaves every row below the threshold.
+        let threshold = [0, 1, 2, 3, u32::MAX][threshold_pick];
         // Alternate PA and ER topologies deterministically with the seed.
         let (g1, g2, links) = workload(seed % 2 == 0, n, density, seed);
         assert_matches_oracle(&g1, &g2, &links, min_deg, threshold, "csr");
@@ -92,7 +94,7 @@ proptest::proptest! {
 #[test]
 fn fused_matches_oracle_on_a_fixed_workload() {
     let (g1, g2, links) = workload(true, 200, 3, 77);
-    for threshold in [1, 2, 3] {
+    for threshold in [1, 2, 3, u32::MAX] {
         assert_matches_oracle(&g1, &g2, &links, 2, threshold, "fixed");
     }
 }
