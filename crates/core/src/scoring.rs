@@ -1031,8 +1031,9 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 ///   list is decoded once per task — in a real cluster this is the
 ///   map-side join against the broadcast link set), emitting one
 ///   pre-aggregated record per non-empty row: a dense `u32` key and the
-///   row's packed `(v, count)` entries ([`pack_entry`]), 4 + 8 bytes per
-///   scored pair of shuffle payload.
+///   row's packed `(v, count)` entries ([`pack_entry`]). Shuffle payload
+///   is 4 bytes per row (the key) plus 8 bytes per scored pair (one
+///   packed entry), the `bytes_of` charge below.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
 ///   range in ascending order. A row is scored by exactly one map task, so

@@ -4,10 +4,12 @@
 //!
 //! The on-disk format follows `snr-store`'s segment discipline: a magic
 //! (`SNRC`), a format version, fixed-width little-endian fields, and a
-//! trailing FNV-1a checksum over everything before it. Every structural
-//! defect — bad magic, bad version, truncation, inflated counts, checksum
-//! mismatch, trailing bytes — is a [`DriverError::Checkpoint`], never a
-//! panic and never an oversized allocation. Writes go to a temp file that
+//! trailing 8-byte [`snr_store::Checksum64`] over everything before it
+//! (the footer every on-disk frame in the workspace shares; a version-1
+//! checkpoint, which had an older footer checksum, is rejected). Every
+//! structural defect — bad magic, bad version, truncation, inflated counts,
+//! checksum mismatch, trailing bytes — is a [`DriverError::Checkpoint`],
+//! never a panic and never an oversized allocation. Writes go to a temp file that
 //! is atomically renamed over the previous checkpoint, so a torn write
 //! leaves the prior phase's checkpoint intact (resume just redoes one more
 //! phase).
@@ -15,7 +17,8 @@
 use crate::driver::DriverStore;
 use crate::error::DriverError;
 use snr_core::PhaseStats;
-use snr_store::segment::{fnv1a_checksum, VERSION as STORE_VERSION};
+use snr_store::checksum64;
+use snr_store::segment::VERSION as STORE_VERSION;
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
@@ -27,7 +30,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.snrc";
 pub const MAGIC: [u8; 4] = *b"SNRC";
 
 /// Checkpoint format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Everything needed to restart a run at its next phase boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -190,7 +193,7 @@ impl<'a> Cursor<'a> {
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint: body then FNV-1a checksum.
+    /// Serializes the checkpoint: body then its [`snr_store::Checksum64`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
@@ -220,7 +223,7 @@ impl Checkpoint {
             put_u64(&mut out, p.total_links);
             put_u64(&mut out, p.duration_us);
         }
-        let checksum = fnv1a_checksum(&out);
+        let checksum = checksum64(&out);
         put_u64(&mut out, checksum);
         out
     }
@@ -235,7 +238,7 @@ impl Checkpoint {
         }
         let (body, footer) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        let computed = fnv1a_checksum(body);
+        let computed = checksum64(body);
         if stored != computed {
             return Err(DriverError::Checkpoint(format!(
                 "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
@@ -415,6 +418,29 @@ mod tests {
         }
         assert!(Checkpoint::decode(&[0x55; 64]).is_err());
         assert!(Checkpoint::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_clean_errors() {
+        let bytes = sample().encode();
+        let mut old = bytes.clone();
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        // As written by a version-1 build, the footer no longer matches:
+        // the checksum check fires first.
+        match Checkpoint::decode(&old) {
+            Err(DriverError::Checkpoint(why)) => assert!(why.contains("checksum"), "{why}"),
+            other => panic!("version-1 checkpoint decoded as {other:?}"),
+        }
+        // Re-sealed with a valid footer, the version check fires instead.
+        let body = old.len() - 8;
+        let sum = checksum64(&old[..body]);
+        old[body..].copy_from_slice(&sum.to_le_bytes());
+        match Checkpoint::decode(&old) {
+            Err(DriverError::Checkpoint(why)) => {
+                assert!(why.contains("unsupported checkpoint version 1"), "{why}")
+            }
+            other => panic!("version-1 checkpoint decoded as {other:?}"),
+        }
     }
 
     #[test]

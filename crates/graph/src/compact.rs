@@ -110,7 +110,7 @@ pub fn validate_parts(
 /// with each contiguous, just-validated chunk of `data` (one call per node,
 /// in stream order), and on success the calls cover `data` exactly once
 /// front to back. This lets a caller that also needs a whole-file scan of
-/// the same bytes — the mmap-backed segment open folds its FNV checksum
+/// the same bytes — the mmap-backed segment open feeds its checksum
 /// over them — fuse both walks into one pass instead of reading the file
 /// twice. If validation fails, the visitor may have seen only a prefix;
 /// callers must treat any error as fatal before trusting their fold.

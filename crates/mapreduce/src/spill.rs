@@ -9,15 +9,19 @@
 //!
 //! # Run-file format
 //!
-//! The framing mirrors the `snr-store` segment files (magic, version, FNV-1a
-//! trailer) so corruption is always detected before any group is decoded:
+//! The framing mirrors the `snr-store` segment files (magic, version, and
+//! the shared [`snr_store::Checksum64`] footer) so corruption is always
+//! detected before any group is decoded:
 //!
 //! ```text
 //! [ magic "SNRM" | version u16 | round u32 | task u32 | partition u32
 //!   | group_count u64 ]                                      -- 26 bytes
 //! group_count × [ len u32 | codec payload ]                  -- body
-//! [ fnv1a-64 of everything above ]                           -- 8 bytes
+//! [ Checksum64 of everything above ]                         -- 8 bytes
 //! ```
+//!
+//! A file of any other version (version 1 had an older footer checksum)
+//! is rejected.
 //!
 //! All integers are little-endian. A reader first streams the whole file
 //! through the checksum ([`RunReader::open`]) and only then decodes groups
@@ -26,22 +30,26 @@
 
 use parking_lot::Mutex;
 use snr_faults::{FaultRegistry, FaultSite};
-use snr_store::segment::{fnv1a, fnv1a_checksum};
+use snr_store::Checksum64;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a spill run file ("SNR Mapreduce run").
 pub const RUN_MAGIC: [u8; 4] = *b"SNRM";
 /// Run-file format version.
-pub const RUN_VERSION: u16 = 1;
+pub const RUN_VERSION: u16 = 2;
 /// Header bytes: magic + version + round + task + partition + group count.
 pub const RUN_HEADER_LEN: usize = 4 + 2 + 4 + 4 + 4 + 8;
-/// Trailer bytes: the FNV-1a checksum of header + body.
+/// Trailer bytes: the [`Checksum64`] of header + body.
 pub const RUN_FOOTER_LEN: usize = 8;
+/// Buffer size of the run writer and reader. Runs are written and read
+/// front to back in one stream each, so a large buffer turns the small
+/// per-group writes and reads into few large system calls.
+const RUN_IO_BUF: usize = 1 << 20;
 
 /// Error surfaced by the spillable round shapes
 /// ([`crate::Engine::run_combined_spilling`]).
@@ -121,11 +129,11 @@ pub(crate) fn write_run<K, V, SC: SpillCodec<K, V>>(
     faults: &Mutex<FaultRegistry>,
 ) -> Result<u64, EngineError> {
     let file = File::create(path).map_err(|e| io_spill(path, "creating run file", e))?;
-    let mut w = BufWriter::new(file);
-    let mut hash = fnv1a_checksum(&[]);
+    let mut w = BufWriter::with_capacity(RUN_IO_BUF, file);
+    let mut hash = Checksum64::new();
     let mut total = 0u64;
     let mut put = |w: &mut BufWriter<File>, bytes: &[u8]| -> Result<(), EngineError> {
-        hash = fnv1a(hash, bytes);
+        hash.update(bytes);
         total += bytes.len() as u64;
         w.write_all(bytes).map_err(|e| io_spill(path, "writing run file", e))
     };
@@ -147,17 +155,20 @@ pub(crate) fn write_run<K, V, SC: SpillCodec<K, V>>(
         )));
     }
 
+    // Each group goes out as one `len | payload` piece: the length prefix
+    // is reserved, the codec appends, then the prefix is patched.
     let mut buf = Vec::new();
     for (k, vs) in groups {
         buf.clear();
+        buf.extend_from_slice(&[0; 4]);
         codec.encode_group(k, vs, &mut buf);
-        let len = u32::try_from(buf.len()).map_err(|_| {
+        let len = u32::try_from(buf.len() - 4).map_err(|_| {
             EngineError::Spill(format!("group exceeds u32 length in {}", path.display()))
         })?;
-        put(&mut w, &len.to_le_bytes())?;
+        buf[..4].copy_from_slice(&len.to_le_bytes());
         put(&mut w, &buf)?;
     }
-    let footer = hash.to_le_bytes();
+    let footer = hash.finish().to_le_bytes();
     total += footer.len() as u64;
     w.write_all(&footer).map_err(|e| io_spill(path, "writing run file", e))?;
     w.flush().map_err(|e| io_spill(path, "flushing run file", e))?;
@@ -173,6 +184,8 @@ pub(crate) struct RunReader<'a, K, V, SC> {
     path: PathBuf,
     reader: BufReader<File>,
     remaining: u64,
+    /// The current group's payload, reused across groups.
+    payload: Vec<u8>,
     codec: &'a SC,
     _marker: PhantomData<(K, V)>,
 }
@@ -190,22 +203,25 @@ impl<'a, K, V, SC: SpillCodec<K, V>> RunReader<'a, K, V, SC> {
                 RUN_HEADER_LEN + RUN_FOOTER_LEN
             )));
         }
-        // Pass 1: stream everything but the footer through the checksum.
-        let mut reader = BufReader::new(file);
-        let mut hash = fnv1a_checksum(&[]);
+        // Pass 1: stream everything but the footer through the checksum,
+        // straight out of the reader's buffer.
+        let mut reader = BufReader::with_capacity(RUN_IO_BUF, file);
+        let mut hash = Checksum64::new();
         let mut left = len - RUN_FOOTER_LEN as u64;
-        let mut chunk = [0u8; 64 * 1024];
         while left > 0 {
-            let want = chunk.len().min(left as usize);
-            reader
-                .read_exact(&mut chunk[..want])
-                .map_err(|e| io_spill(path, "reading run file", e))?;
-            hash = fnv1a(hash, &chunk[..want]);
-            left -= want as u64;
+            let chunk = reader.fill_buf().map_err(|e| io_spill(path, "reading run file", e))?;
+            if chunk.is_empty() {
+                let eof = std::io::Error::from(std::io::ErrorKind::UnexpectedEof);
+                return Err(io_spill(path, "reading run file", eof));
+            }
+            let take = chunk.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+            hash.update(&chunk[..take]);
+            reader.consume(take);
+            left -= take as u64;
         }
         let mut footer = [0u8; RUN_FOOTER_LEN];
         reader.read_exact(&mut footer).map_err(|e| io_spill(path, "reading run file", e))?;
-        if u64::from_le_bytes(footer) != hash {
+        if u64::from_le_bytes(footer) != hash.finish() {
             return Err(EngineError::Spill(format!(
                 "run file {} failed its checksum (corrupt spill data)",
                 path.display()
@@ -229,7 +245,14 @@ impl<'a, K, V, SC: SpillCodec<K, V>> RunReader<'a, K, V, SC> {
             )));
         }
         let remaining = u64::from_le_bytes(header[18..26].try_into().expect("8-byte slice"));
-        Ok(RunReader { path: path.to_path_buf(), reader, remaining, codec, _marker: PhantomData })
+        Ok(RunReader {
+            path: path.to_path_buf(),
+            reader,
+            remaining,
+            payload: Vec::new(),
+            codec,
+            _marker: PhantomData,
+        })
     }
 
     /// The next key group, or `None` after the last one.
@@ -242,11 +265,11 @@ impl<'a, K, V, SC: SpillCodec<K, V>> RunReader<'a, K, V, SC> {
         self.reader
             .read_exact(&mut len)
             .map_err(|e| io_spill(&self.path, "reading run file", e))?;
-        let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+        self.payload.resize(u32::from_le_bytes(len) as usize, 0);
         self.reader
-            .read_exact(&mut payload)
+            .read_exact(&mut self.payload)
             .map_err(|e| io_spill(&self.path, "reading run file", e))?;
-        self.codec.decode_group(&payload).map(Some).map_err(|why| {
+        self.codec.decode_group(&self.payload).map(Some).map_err(|why| {
             EngineError::Spill(format!("decoding group from {}: {why}", self.path.display()))
         })
     }
@@ -465,6 +488,30 @@ mod tests {
                 Ok(())
             });
             assert!(outcome.is_err(), "truncating at {cut} must be detected");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_runs_are_clean_errors() {
+        let dir = scratch("version");
+        let path = dir.join("run-t0-p0.snrr");
+        let faults = Mutex::new(FaultRegistry::empty());
+        write_run(&path, 1, 0, 0, &sample_groups(), &U32U64Codec, &faults).unwrap();
+        let mut old = std::fs::read(&path).unwrap();
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body = old.len() - RUN_FOOTER_LEN;
+        let mut resealed = old.clone();
+        let sum = snr_store::checksum64(&resealed[..body]);
+        resealed[body..].copy_from_slice(&sum.to_le_bytes());
+        // The reader checks the footer before the header, so a version-1
+        // file fails its checksum; re-sealed, it fails the version check.
+        for (bytes, expect) in [(&old, "checksum"), (&resealed, "unsupported version 1")] {
+            std::fs::write(&path, bytes).unwrap();
+            let Err(EngineError::Spill(why)) = RunReader::open(&path, &U32U64Codec) else {
+                panic!("a version-1 run must be rejected");
+            };
+            assert!(why.contains(expect), "expected {expect:?}, got {why:?}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

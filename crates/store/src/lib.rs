@@ -28,7 +28,9 @@
 //! [`GraphView`] and never hold the encoded gap stream in memory.
 //!
 //! The file format (layout, versioning, checksum) is documented in
-//! [`segment`].
+//! [`segment`]. The footer checksum, [`Checksum64`], is shared by every
+//! on-disk frame in the workspace (segments, driver checkpoints and
+//! MapReduce spill runs).
 //!
 //! `unsafe` appears in exactly two places in this stack: the raw
 //! `mmap`/`munmap`/`madvise` calls inside the `memmap2` shim, and the
@@ -39,10 +41,12 @@
 #![deny(unsafe_code)] // granted back per-function where the cast lives
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod mmap;
 pub mod segment;
 pub mod sharded;
 
+pub use checksum::{checksum64, Checksum64};
 pub use mmap::MmapGraph;
 pub use segment::{
     read_segment, read_segment_rows, read_segment_rows_file, write_segment, write_segment_file,

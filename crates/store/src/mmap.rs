@@ -13,9 +13,9 @@
 //!
 //! [`CompactCsr`]: snr_graph::CompactCsr
 
+use crate::checksum::Checksum64;
 use crate::segment::{
-    fnv1a, fnv1a_checksum, parse_segment_structure, verify_checksum, Layout, SegmentMeta,
-    FOOTER_LEN, HEADER_LEN,
+    parse_segment_structure, verify_checksum, Layout, SegmentMeta, FOOTER_LEN, HEADER_LEN,
 };
 use memmap2::{Advice, Mmap};
 use snr_graph::blocks::{BlockCursor, BlockNeighbors};
@@ -89,19 +89,27 @@ impl MmapGraph {
         }
         // Validation scans the file front to back exactly once: the header
         // and index arrays are hashed as they are checked, and the gap
-        // stream walk folds the same FNV checksum over each chunk it
-        // validates (`validate_parts_with`'s data visitor) — one sequential
-        // pass instead of the former checksum-then-walk double scan, which
-        // halves cold-cache open I/O. Let the kernel read ahead for that
-        // phase, then switch to random advice for the witness kernels,
-        // which fault pages in candidate order, not file order. Corruption
-        // still always surfaces as an error, never a panic: the walk is
-        // fully bounds-checked on its own, and a flip that survives it
-        // structurally is caught by the checksum compare right after.
+        // stream walk feeds the same checksum as it validates
+        // (`validate_parts_with`'s data visitor) — one sequential pass
+        // instead of a checksum-then-walk double scan, which halves
+        // cold-cache open I/O. The visitor sees one small slice per row, in
+        // stream order and covering the stream exactly once, so it only
+        // tracks how far the walk has got and hashes the walked bytes in
+        // `HASH_SPAN` pieces that are still cache-hot. Let the kernel read
+        // ahead for that phase, then switch to random advice for the
+        // witness kernels, which fault pages in candidate order, not file
+        // order. Corruption still always surfaces as an error, never a
+        // panic: the walk is fully bounds-checked on its own, and a flip
+        // that survives it structurally is caught by the checksum compare
+        // right after.
+        const HASH_SPAN: usize = 64 * 1024;
         let _ = map.advise(Advice::Sequential);
         let meta = parse_segment_structure(&map)?;
         let layout = meta.layout();
-        let mut hash = fnv1a_checksum(&map[..layout.data.start]);
+        let mut hash = Checksum64::new();
+        hash.update(&map[..layout.data.start]);
+        let data = &map[layout.data.clone()];
+        let (mut hashed, mut walked) = (0usize, 0usize);
         validate_parts_with(
             meta.node_count,
             meta.total_nodes,
@@ -110,11 +118,18 @@ impl MmapGraph {
             u32_slice(&map[layout.block_starts.clone()]),
             u32_slice(&map[layout.skip_firsts.clone()]),
             u32_slice(&map[layout.skip_bytes.clone()]),
-            &map[layout.data.clone()],
+            data,
             &format!("segment {}", path.display()),
-            |chunk| hash = fnv1a(hash, chunk),
+            |chunk| {
+                walked += chunk.len();
+                if walked - hashed >= HASH_SPAN {
+                    hash.update(&data[hashed..walked]);
+                    hashed = walked;
+                }
+            },
         )?;
-        verify_checksum(&map, hash)?;
+        hash.update(&data[hashed..]);
+        verify_checksum(&map, hash.finish())?;
         let _ = map.advise(Advice::Random);
         Ok(MmapGraph { map, meta, layout })
     }
@@ -331,6 +346,54 @@ mod tests {
         let err = MmapGraph::open(&path).unwrap_err();
         assert!(err.to_string().contains("ShardedGraph"), "{err}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn open_hashes_a_gap_stream_longer_than_one_hash_span() {
+        // Enough rows that the coalesced visitor flushes several times and
+        // ends on a partial span: open must agree with the writer's sum.
+        let edges: Vec<(u32, u32)> = (0..200_000u32)
+            .map(|i| (i % 20_000, (i.wrapping_mul(2_654_435_761)) % 20_000))
+            .collect();
+        let g = CsrGraph::from_edges(20_000, &edges);
+        let mut buf = Vec::new();
+        let meta = write_segment(&g, &mut buf).unwrap();
+        assert!(meta.data_len > 3 * 64 * 1024, "gap stream is only {} bytes", meta.data_len);
+        let path = temp_segment("long", &buf);
+        let m = MmapGraph::open(&path).unwrap();
+        assert_eq!(m.edge_count(), g.edge_count());
+        let mut bad = buf.clone();
+        let idx = HEADER_LEN + meta.payload_len() - 1;
+        bad[idx] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(MmapGraph::open(&path).is_err(), "flip in the last gap byte was accepted");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn version_1_segments_are_clean_errors() {
+        let g = sample();
+        let mut buf = Vec::new();
+        write_segment(&g, &mut buf).unwrap();
+        let mut old = buf.clone();
+        old[4..6].copy_from_slice(&1u16.to_le_bytes());
+        // Whether the footer is left alone or re-sealed, the header's
+        // version check fires before the checksum is compared.
+        let body = old.len() - FOOTER_LEN;
+        let mut resealed = old.clone();
+        let sum = crate::checksum64(&resealed[..body]);
+        resealed[body..].copy_from_slice(&sum.to_le_bytes());
+        for (name, bytes) in [("v1", &old), ("v1-sealed", &resealed)] {
+            let path = temp_segment(name, bytes);
+            for err in [
+                MmapGraph::open(&path).unwrap_err(),
+                crate::read_segment(bytes.as_slice()).unwrap_err(),
+                crate::read_segment_rows(std::io::Cursor::new(bytes), 0..4).unwrap_err(),
+            ] {
+                assert!(err.to_string().contains("unsupported segment version 1"), "{name}: {err}");
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

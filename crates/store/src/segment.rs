@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic "SNRS"
-//!      4     2  format version (currently 1)
+//!      4     2  format version (currently 2)
 //!      6     1  flags (bit 0: directed)
 //!      7     1  reserved (0)
 //!      8     8  total_nodes   — size of the global node-id space
@@ -22,12 +22,15 @@
 //!            …  skip_firsts   — block_count × u32
 //!            …  skip_bytes    — block_count × u32
 //!            …  data          — data_len gap-stream bytes
-//!   last     8  FNV-1a 64 checksum of every preceding byte
+//!   last     8  Checksum64 of every preceding byte (crate::checksum)
 //! ```
 //!
 //! The header is 72 bytes and every array holds `u32`s, so all four index
 //! arrays are 4-byte aligned relative to the file start — a memory map
 //! (page-aligned) can reinterpret them in place without copying.
+//!
+//! Files of any other version, including version 1 (same layout, an older
+//! footer checksum), are rejected by the header's version check.
 //!
 //! A segment with `first_node == 0 && node_count == total_nodes` is a whole
 //! graph; anything else is one **shard** of a graph whose neighbor lists
@@ -41,6 +44,7 @@
 //! in memory, so a `CsrGraph` can be spilled without first building its
 //! `CompactCsr`.
 
+use crate::checksum::{checksum64, Checksum64};
 use snr_graph::blocks::{varint_len, write_varint, BLOCK_SIZE};
 use snr_graph::{CompactCsr, GraphError, GraphView, NodeId};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -49,30 +53,12 @@ use std::ops::Range;
 /// Magic bytes identifying a graph segment file.
 pub const MAGIC: [u8; 4] = *b"SNRS";
 /// Current segment format version.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 /// Size of the fixed header in bytes (a multiple of 4, so the u32 arrays
 /// that follow stay aligned within the file).
 pub const HEADER_LEN: usize = 72;
 /// Size of the trailing checksum in bytes.
 pub const FOOTER_LEN: usize = 8;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64 update over `bytes`.
-#[inline]
-pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// FNV-1a 64 of a whole buffer (convenience over [`fnv1a`]).
-pub fn fnv1a_checksum(bytes: &[u8]) -> u64 {
-    fnv1a(FNV_OFFSET, bytes)
-}
 
 /// Parsed segment header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,18 +194,18 @@ impl SegmentMeta {
     }
 }
 
-/// [`Write`] adapter folding every byte that passes through it into an
-/// FNV-1a 64 state, so the writer can emit the checksum footer without
+/// [`Write`] adapter folding every byte that passes through it into a
+/// [`Checksum64`], so the writer can emit the checksum footer without
 /// buffering the file.
 struct HashWriter<W: Write> {
     inner: W,
-    hash: u64,
+    hash: Checksum64,
 }
 
 impl<W: Write> Write for HashWriter<W> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         let n = self.inner.write(buf)?;
-        self.hash = fnv1a(self.hash, &buf[..n]);
+        self.hash.update(&buf[..n]);
         Ok(n)
     }
 
@@ -325,7 +311,7 @@ pub fn write_segment_range<G: GraphView, W: Write>(
     };
 
     // Pass 2: stream everything through the hashing writer.
-    let mut hw = HashWriter { inner: w, hash: FNV_OFFSET };
+    let mut hw = HashWriter { inner: w, hash: Checksum64::new() };
     hw.write_all(&meta.to_header_bytes())?;
     write_u32s(&mut hw, &entry_offsets)?;
     write_u32s(&mut hw, &block_starts)?;
@@ -346,7 +332,7 @@ pub fn write_segment_range<G: GraphView, W: Write>(
         hw.write_all(&gap_buf)?;
     }
     debug_assert_eq!(written, data_len, "sizing and encoding passes disagree");
-    let checksum = hw.hash;
+    let checksum = hw.hash.finish();
     let mut w = hw.inner;
     w.write_all(&checksum.to_le_bytes())?;
     w.flush()?;
@@ -388,9 +374,9 @@ pub(crate) fn parse_segment_structure(bytes: &[u8]) -> Result<SegmentMeta, Graph
 }
 
 /// Compares a fully-folded body hash against the segment's stored footer.
-/// `actual` must be the FNV-1a 64 of every byte before the footer
+/// `actual` must be the [`Checksum64`] of every byte before the footer
 /// (`bytes[..len - FOOTER_LEN]`), however the caller produced it — in one
-/// [`fnv1a_checksum`] call or incrementally during another scan.
+/// [`checksum64`] call or incrementally during another scan.
 pub(crate) fn verify_checksum(bytes: &[u8], actual: u64) -> Result<(), GraphError> {
     let stored = u64::from_le_bytes(bytes[bytes.len() - FOOTER_LEN..].try_into().expect("8 bytes"));
     if stored != actual {
@@ -405,7 +391,7 @@ pub(crate) fn verify_checksum(bytes: &[u8], actual: u64) -> Result<(), GraphErro
 /// checksum) and returns its parsed header.
 pub(crate) fn parse_segment(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
     let meta = parse_segment_structure(bytes)?;
-    verify_checksum(bytes, fnv1a_checksum(&bytes[..bytes.len() - FOOTER_LEN]))?;
+    verify_checksum(bytes, checksum64(&bytes[..bytes.len() - FOOTER_LEN]))?;
     Ok(meta)
 }
 
