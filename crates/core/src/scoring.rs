@@ -89,6 +89,7 @@ use rayon::prelude::*;
 use snr_graph::{GraphError, GraphView, NodeId};
 use snr_mapreduce::partition::range_partition;
 use snr_mapreduce::{Engine, EngineError, SpillCodec};
+use snr_store::wire::{self, Reader, WireError, Writer};
 
 /// Sentinel in [`LinkCache::slot`] for copy-1 nodes that are not linked.
 const NO_LINK: u32 = u32::MAX;
@@ -588,19 +589,8 @@ const CLAIM_WIDTH: usize = 12;
 /// Byte width of one encoded per-`v` best entry.
 const BEST_WIDTH: usize = 13;
 
-fn claims_take<'a>(bytes: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8], GraphError> {
-    let end = pos
-        .checked_add(n)
-        .filter(|&end| end <= bytes.len())
-        .ok_or_else(|| GraphError::InvalidBinary("sink claims truncated".into()))?;
-    let slice = &bytes[*pos..end];
-    *pos = end;
-    Ok(slice)
-}
-
-fn claims_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, GraphError> {
-    let b = claims_take(bytes, pos, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+fn invalid_claims(e: WireError) -> GraphError {
+    GraphError::InvalidBinary(format!("sink claims: {e}"))
 }
 
 impl SinkClaims {
@@ -615,81 +605,58 @@ impl SinkClaims {
     }
 
     /// Serializes the claims into the fixed-width wire format.
+    ///
+    /// # Panics
+    ///
+    /// If either list holds more entries than a `u32` count can carry;
+    /// [`SinkClaims::encode_capped`] fails cleanly instead.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_capped(wire::MAX_LEN).expect("claim lists fit their u32 counts")
+    }
+
+    /// Serializes the claims, failing with [`GraphError::InvalidBinary`]
+    /// when either list holds more than `max_len` entries (pass
+    /// [`wire::MAX_LEN`] for the format's own limit).
+    pub fn encode_capped(&self, max_len: usize) -> Result<Vec<u8>, GraphError> {
         let mut out = Vec::with_capacity(
             16 + CLAIM_WIDTH * self.claims.len() + BEST_WIDTH * self.bests.len(),
         );
-        out.extend_from_slice(&self.scored_pairs.to_le_bytes());
-        out.extend_from_slice(&(self.claims.len() as u32).to_le_bytes());
+        let mut w = Writer::with_max_len(&mut out, max_len);
+        w.u64(self.scored_pairs);
+        w.len_prefix(self.claims.len()).map_err(invalid_claims)?;
         for &(u, partner, score) in &self.claims {
-            out.extend_from_slice(&u.to_le_bytes());
-            out.extend_from_slice(&partner.to_le_bytes());
-            out.extend_from_slice(&score.to_le_bytes());
+            w.u32(u);
+            w.u32(partner);
+            w.u32(score);
         }
-        out.extend_from_slice(&(self.bests.len() as u32).to_le_bytes());
+        w.len_prefix(self.bests.len()).map_err(invalid_claims)?;
         for &(v, partner, score, unique) in &self.bests {
-            out.extend_from_slice(&v.to_le_bytes());
-            out.extend_from_slice(&partner.to_le_bytes());
-            out.extend_from_slice(&score.to_le_bytes());
-            out.push(unique as u8);
+            w.u32(v);
+            w.u32(partner);
+            w.u32(score);
+            w.u8(unique as u8);
         }
-        out
+        Ok(out)
     }
 
     /// Parses the wire format back into claims. Any structural defect —
     /// truncation, counts that overrun the payload, a malformed uniqueness
     /// byte, trailing garbage — is an error, never a panic.
     pub fn decode(bytes: &[u8]) -> Result<SinkClaims, GraphError> {
-        let mut pos = 0usize;
-        let sp = claims_take(bytes, &mut pos, 8)?;
-        let scored_pairs = u64::from_le_bytes(sp.try_into().expect("8-byte slice"));
-
-        let claim_count = claims_u32(bytes, &mut pos)? as usize;
-        if claim_count.saturating_mul(CLAIM_WIDTH) > bytes.len() - pos {
-            return Err(GraphError::InvalidBinary(format!(
-                "sink claims: claim count {claim_count} overruns {} payload bytes",
-                bytes.len() - pos
-            )));
-        }
-        let mut claims = Vec::with_capacity(claim_count);
-        for _ in 0..claim_count {
-            let u = claims_u32(bytes, &mut pos)?;
-            let partner = claims_u32(bytes, &mut pos)?;
-            let score = claims_u32(bytes, &mut pos)?;
-            claims.push((u, partner, score));
-        }
-
-        let best_count = claims_u32(bytes, &mut pos)? as usize;
-        if best_count.saturating_mul(BEST_WIDTH) > bytes.len() - pos {
-            return Err(GraphError::InvalidBinary(format!(
-                "sink claims: best count {best_count} overruns {} payload bytes",
-                bytes.len() - pos
-            )));
-        }
-        let mut bests = Vec::with_capacity(best_count);
-        for _ in 0..best_count {
-            let v = claims_u32(bytes, &mut pos)?;
-            let partner = claims_u32(bytes, &mut pos)?;
-            let score = claims_u32(bytes, &mut pos)?;
-            let unique = match claims_take(bytes, &mut pos, 1)?[0] {
-                0 => false,
-                1 => true,
-                b => {
-                    return Err(GraphError::InvalidBinary(format!(
-                        "sink claims: uniqueness byte {b:#04x} is not 0 or 1"
-                    )))
-                }
-            };
-            bests.push((v, partner, score, unique));
-        }
-
-        if pos != bytes.len() {
-            return Err(GraphError::InvalidBinary(format!(
-                "sink claims: {} trailing bytes",
-                bytes.len() - pos
-            )));
-        }
-        Ok(SinkClaims { scored_pairs, claims, bests })
+        let read = |r: &mut Reader<'_>| {
+            let scored_pairs = r.u64()?;
+            let n = r.count(CLAIM_WIDTH)?;
+            let claims = (0..n)
+                .map(|_| Ok((r.u32()?, r.u32()?, r.u32()?)))
+                .collect::<Result<_, WireError>>()?;
+            let n = r.count(BEST_WIDTH)?;
+            let bests = (0..n)
+                .map(|_| Ok((r.u32()?, r.u32()?, r.u32()?, r.bool()?)))
+                .collect::<Result<_, WireError>>()?;
+            r.finish()?;
+            Ok(SinkClaims { scored_pairs, claims, bests })
+        };
+        read(&mut Reader::new(bytes)).map_err(invalid_claims)
     }
 }
 
@@ -1112,45 +1079,32 @@ pub(crate) struct PackedRowCodec;
 
 impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
     fn encode_group(&self, key: &u32, values: &[Vec<u64>], out: &mut Vec<u8>) {
-        out.extend_from_slice(&key.to_le_bytes());
-        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        // A count past u32::MAX implies a group over u32::MAX bytes, which
+        // the run writer rejects with a clean error, so these casts never
+        // reach a run file wrapped.
+        let mut w = Writer::new(out);
+        w.u32(*key);
+        w.u32(values.len() as u32);
         for fragment in values {
-            out.extend_from_slice(&(fragment.len() as u32).to_le_bytes());
-            for &entry in fragment {
-                out.extend_from_slice(&entry.to_le_bytes());
-            }
+            w.u32(fragment.len() as u32);
+            w.u64s(fragment);
         }
     }
 
     fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<Vec<u64>>), String> {
-        let take4 = |at: usize| -> Result<u32, String> {
-            bytes
-                .get(at..at + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-                .ok_or_else(|| format!("packed-row group truncated at byte {at}"))
+        let read = |r: &mut Reader<'_>| {
+            let key = r.u32()?;
+            let fragments = r.count(4)?;
+            let values = (0..fragments)
+                .map(|_| {
+                    let len = r.count(8)?;
+                    r.u64s(len)
+                })
+                .collect::<Result<_, WireError>>()?;
+            r.finish()?;
+            Ok((key, values))
         };
-        let key = take4(0)?;
-        let fragments = take4(4)? as usize;
-        let mut at = 8;
-        let mut values = Vec::with_capacity(fragments);
-        for _ in 0..fragments {
-            let len = take4(at)? as usize;
-            at += 4;
-            let end = at + 8 * len;
-            let body = bytes
-                .get(at..end)
-                .ok_or_else(|| format!("packed-row fragment truncated at byte {at}"))?;
-            values.push(
-                body.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect(),
-            );
-            at = end;
-        }
-        if at != bytes.len() {
-            return Err(format!("packed-row group has {} trailing bytes", bytes.len() - at));
-        }
-        Ok((key, values))
+        read(&mut Reader::new(bytes)).map_err(|e: WireError| format!("packed-row group: {e}"))
     }
 }
 
@@ -1831,5 +1785,45 @@ mod tests {
         score_pair_list(&g1, &cache, &sorted, &mut arena, &mut sink);
         let (scored, _) = sink.finish();
         assert_eq!(scored, sorted.iter().filter(|p| table.contains_key(*p)).count());
+    }
+
+    #[test]
+    fn sink_claims_over_the_count_cap_are_clean_errors() {
+        let claims = SinkClaims {
+            scored_pairs: 9,
+            claims: vec![(1, 2, 3); 3],
+            bests: vec![(7, 8, 9, true)],
+        };
+        let err = claims.encode_capped(2).unwrap_err();
+        assert!(
+            matches!(err, GraphError::InvalidBinary(ref why) if why.contains("length 3")),
+            "{err}"
+        );
+        assert_eq!(claims.encode_capped(3).unwrap(), claims.encode());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of one `SinkClaims` payload and one packed-row spill
+    /// group. Roundtrip tests pass whenever encode and decode change
+    /// together; these fail on any change to the layout itself.
+    #[test]
+    fn claims_and_packed_row_bytes_are_pinned() {
+        let claims = SinkClaims {
+            scored_pairs: 0x0102_0304_0506,
+            claims: vec![(1, 2, 3), (4, 5, 6)],
+            bests: vec![(7, 8, 9, true), (10, 11, 12, false)],
+        };
+        let bytes = claims.encode();
+        assert_eq!(hex(&bytes), "06050403020100000200000001000000020000000300000004000000050000000600000002000000070000000800000009000000010a0000000b0000000c00000000");
+        assert_eq!(SinkClaims::decode(&bytes).unwrap(), claims);
+
+        let group = vec![vec![pack_entry(3, 2), pack_entry(9, 1)], vec![], vec![pack_entry(1, 7)]];
+        let mut out = Vec::new();
+        PackedRowCodec.encode_group(&42, &group, &mut out);
+        assert_eq!(hex(&out), "2a00000003000000020000000200000003000000010000000900000000000000010000000700000001000000");
+        assert_eq!(PackedRowCodec.decode_group(&out).unwrap(), (42, group));
     }
 }

@@ -24,7 +24,7 @@ use snr_driver::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
 use snr_driver::DriverError;
 use snr_faults::{corrupt_payload, FaultRegistry, FaultSite};
 use snr_graph::{CompactCsr, NodeId};
-use snr_store::{read_segment, read_segment_rows_file, MmapGraph, ShardedGraph};
+use snr_store::{read_segment, read_segment_rows_file, wire, MmapGraph, ShardedGraph};
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::path::PathBuf;
@@ -234,7 +234,7 @@ fn run() -> Result<(), DriverError> {
                 snr_telemetry::Counter::ScoredPairs.add(sink_claims.scored_pairs());
                 snr_telemetry::Counter::TasksCompleted.add(1);
                 drop(task_span);
-                let mut claims = sink_claims.encode();
+                let mut claims = sink_claims.encode_capped(wire::MAX_LEN)?;
                 if faults.fire(FaultSite::CorruptFrame, me, Some(phase)).is_some() {
                     // One task answer goes out damaged; the coordinator's
                     // decode rejects it, kills this worker, and rescores the

@@ -2,23 +2,22 @@
 //! per-phase counters, persisted in the run's scratch directory so
 //! [`crate::ShardDriver::resume`] can restart from the last complete phase.
 //!
-//! The on-disk format follows `snr-store`'s segment discipline: a magic
-//! (`SNRC`), a format version, fixed-width little-endian fields, and a
-//! trailing 8-byte [`snr_store::Checksum64`] over everything before it
-//! (the footer every on-disk frame in the workspace shares; a version-1
-//! checkpoint, which had an older footer checksum, is rejected). Every
-//! structural defect — bad magic, bad version, truncation, inflated counts,
-//! checksum mismatch, trailing bytes — is a [`DriverError::Checkpoint`],
-//! never a panic and never an oversized allocation. Writes go to a temp file that
-//! is atomically renamed over the previous checkpoint, so a torn write
-//! leaves the prior phase's checkpoint intact (resume just redoes one more
-//! phase).
+//! The on-disk format is framed by [`snr_store::wire`], like every other
+//! file in the workspace: a magic (`SNRC`), a format version, fixed-width
+//! little-endian fields, and a trailing 8-byte [`snr_store::Checksum64`]
+//! over everything before it (a version-1 checkpoint, which had an older
+//! footer checksum, is rejected). Every structural defect — bad magic, bad
+//! version, truncation, inflated counts, checksum mismatch, trailing bytes —
+//! is a [`DriverError::Checkpoint`], never a panic and never an oversized
+//! allocation. Writes go to a temp file that is atomically renamed over
+//! the previous checkpoint, so a torn write leaves the prior phase's
+//! checkpoint intact (resume just redoes one more phase).
 
 use crate::driver::DriverStore;
 use crate::error::DriverError;
 use snr_core::PhaseStats;
-use snr_store::checksum64;
 use snr_store::segment::VERSION as STORE_VERSION;
+use snr_store::wire::{self, Format, Reader, WireError, Writer};
 use std::io::Write;
 use std::path::Path;
 use std::time::Duration;
@@ -31,6 +30,12 @@ pub const MAGIC: [u8; 4] = *b"SNRC";
 
 /// Checkpoint format version.
 pub const VERSION: u16 = 2;
+
+const FORMAT: Format = Format { magic: MAGIC, version: VERSION, name: "checkpoint" };
+
+fn corrupt(e: WireError) -> DriverError {
+    DriverError::Checkpoint(format!("checkpoint: {e}"))
+}
 
 /// Everything needed to restart a run at its next phase boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,195 +107,97 @@ impl CheckpointPhase {
     }
 }
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_pairs(out: &mut Vec<u8>, pairs: &[(u32, u32)]) {
-    put_u32(out, pairs.len() as u32);
-    for &(a, b) in pairs {
-        put_u32(out, a);
-        put_u32(out, b);
-    }
-}
-
-/// Bounds-checked decoding cursor (mirrors the protocol decoder: corruption
-/// can inflate counts, so every count is validated against the remaining
-/// bytes before any allocation).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DriverError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| DriverError::Checkpoint("checkpoint truncated".into()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+impl Checkpoint {
+    /// Serializes the checkpoint: body then its [`snr_store::Checksum64`].
+    ///
+    /// # Panics
+    ///
+    /// If a list holds more entries than a `u32` count can carry.
+    /// [`Checkpoint::write_file`] checks this and fails with
+    /// [`DriverError::Checkpoint`] instead.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_capped(wire::MAX_LEN).expect("checkpoint lists fit their u32 counts")
     }
 
-    fn u8(&mut self) -> Result<u8, DriverError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DriverError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, DriverError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DriverError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn count(&mut self, width: usize) -> Result<usize, DriverError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(width) > self.bytes.len() - self.pos {
-            return Err(DriverError::Checkpoint(format!(
-                "count {n} overruns {} remaining checkpoint bytes",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(n)
-    }
-
-    fn pairs(&mut self) -> Result<Vec<(u32, u32)>, DriverError> {
-        let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u32()?, self.u32()?));
-        }
+    /// Serializes the checkpoint, rejecting any count above `max_len`.
+    fn encode_capped(&self, max_len: usize) -> Result<Vec<u8>, DriverError> {
+        let mut out = Vec::new();
+        self.encode_fields(&mut Writer::with_max_len(&mut out, max_len)).map_err(corrupt)?;
+        wire::seal(&mut out);
         Ok(out)
     }
 
-    fn finish(self) -> Result<(), DriverError> {
-        if self.pos != self.bytes.len() {
-            return Err(DriverError::Checkpoint(format!(
-                "{} trailing bytes after checkpoint body",
-                self.bytes.len() - self.pos
-            )));
+    fn encode_fields(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
+        FORMAT.put_header(w);
+        w.u16(STORE_VERSION);
+        let (tag, shards) = match self.store {
+            DriverStore::Compact => (0, 0),
+            DriverStore::Mmap => (1, 0),
+            DriverStore::Sharded(n) => (2, n),
+        };
+        w.u8(tag);
+        w.len_prefix(shards)?;
+        w.u64(self.n1);
+        w.u64(self.n2);
+        w.u32(self.threshold);
+        w.u32(self.iterations);
+        w.u8(self.degree_bucketing as u8);
+        w.u32(self.min_bucket);
+        w.pairs(&self.seeds)?;
+        w.pairs(&self.links)?;
+        w.len_prefix(self.phases.len())?;
+        for p in &self.phases {
+            w.u32(p.iteration);
+            w.u32(p.bucket);
+            for v in [p.scored_pairs, p.new_links, p.total_links, p.duration_us] {
+                w.u64(v);
+            }
         }
         Ok(())
-    }
-}
-
-impl Checkpoint {
-    /// Serializes the checkpoint: body then its [`snr_store::Checksum64`].
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, VERSION);
-        put_u16(&mut out, STORE_VERSION);
-        let (tag, shards) = match self.store {
-            DriverStore::Compact => (0u8, 0u32),
-            DriverStore::Mmap => (1, 0),
-            DriverStore::Sharded(n) => (2, n as u32),
-        };
-        out.push(tag);
-        put_u32(&mut out, shards);
-        put_u64(&mut out, self.n1);
-        put_u64(&mut out, self.n2);
-        put_u32(&mut out, self.threshold);
-        put_u32(&mut out, self.iterations);
-        out.push(self.degree_bucketing as u8);
-        put_u32(&mut out, self.min_bucket);
-        put_pairs(&mut out, &self.seeds);
-        put_pairs(&mut out, &self.links);
-        put_u32(&mut out, self.phases.len() as u32);
-        for p in &self.phases {
-            put_u32(&mut out, p.iteration);
-            put_u32(&mut out, p.bucket);
-            put_u64(&mut out, p.scored_pairs);
-            put_u64(&mut out, p.new_links);
-            put_u64(&mut out, p.total_links);
-            put_u64(&mut out, p.duration_us);
-        }
-        let checksum = checksum64(&out);
-        put_u64(&mut out, checksum);
-        out
     }
 
     /// Parses and validates a serialized checkpoint.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DriverError> {
-        if bytes.len() < MAGIC.len() + 8 {
-            return Err(DriverError::Checkpoint(format!(
-                "checkpoint too short ({} bytes)",
-                bytes.len()
-            )));
-        }
-        let (body, footer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(footer.try_into().expect("8-byte footer"));
-        let computed = checksum64(body);
-        if stored != computed {
-            return Err(DriverError::Checkpoint(format!(
-                "checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-        let mut c = Cursor { bytes: body, pos: 0 };
-        if c.take(4)? != MAGIC {
-            return Err(DriverError::Checkpoint("bad checkpoint magic".into()));
-        }
-        let version = c.u16()?;
-        if version != VERSION {
-            return Err(DriverError::Checkpoint(format!(
-                "unsupported checkpoint version {version} (expected {VERSION})"
-            )));
-        }
-        let seg_version = c.u16()?;
+        let body = wire::open_sealed(bytes).map_err(corrupt)?;
+        // Every field as stored; the tags and cross-field invariants are
+        // checked below.
+        let read = |r: &mut Reader<'_>| {
+            FORMAT.check_header(r)?;
+            let seg_version = r.u16()?;
+            let store = (r.u8()?, r.u32()?);
+            let sizes = (r.u64()?, r.u64()?);
+            let params = (r.u32()?, r.u32()?, r.bool()?, r.u32()?);
+            let (seeds, links) = (r.pairs()?, r.pairs()?);
+            let phase_count = r.count(40)?;
+            let phases = (0..phase_count)
+                .map(|_| {
+                    Ok(CheckpointPhase {
+                        iteration: r.u32()?,
+                        bucket: r.u32()?,
+                        scored_pairs: r.u64()?,
+                        new_links: r.u64()?,
+                        total_links: r.u64()?,
+                        duration_us: r.u64()?,
+                    })
+                })
+                .collect::<Result<Vec<_>, WireError>>()?;
+            r.finish()?;
+            Ok((seg_version, store, sizes, params, seeds, links, phases))
+        };
+        let (seg_version, store, (n1, n2), params, seeds, links, phases) =
+            read(&mut Reader::new(body)).map_err(corrupt)?;
+        let (threshold, iterations, degree_bucketing, min_bucket) = params;
         if seg_version != STORE_VERSION {
             return Err(DriverError::Checkpoint(format!(
                 "checkpoint references segment format v{seg_version}, this build reads v{STORE_VERSION}"
             )));
         }
-        let store = match (c.u8()?, c.u32()?) {
+        let store = match store {
             (0, _) => DriverStore::Compact,
             (1, _) => DriverStore::Mmap,
             (2, n) => DriverStore::Sharded(n as usize),
             (t, _) => return Err(DriverError::Checkpoint(format!("unknown store tag {t}"))),
         };
-        let n1 = c.u64()?;
-        let n2 = c.u64()?;
-        let threshold = c.u32()?;
-        let iterations = c.u32()?;
-        let degree_bucketing = match c.u8()? {
-            0 => false,
-            1 => true,
-            b => return Err(DriverError::Checkpoint(format!("bad bucketing flag {b}"))),
-        };
-        let min_bucket = c.u32()?;
-        let seeds = c.pairs()?;
-        let links = c.pairs()?;
-        let phase_count = c.count(40)?;
-        let mut phases = Vec::with_capacity(phase_count);
-        for _ in 0..phase_count {
-            phases.push(CheckpointPhase {
-                iteration: c.u32()?,
-                bucket: c.u32()?,
-                scored_pairs: c.u64()?,
-                new_links: c.u64()?,
-                total_links: c.u64()?,
-                duration_us: c.u64()?,
-            });
-        }
-        c.finish()?;
         let cp = Checkpoint {
             store,
             n1,
@@ -321,7 +228,7 @@ impl Checkpoint {
         let tmp = path.with_extension("snrc.tmp");
         {
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&self.encode())?;
+            f.write_all(&self.encode_capped(wire::MAX_LEN)?)?;
             f.sync_all()?;
         }
         std::fs::rename(&tmp, path)?;
@@ -344,6 +251,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snr_store::checksum64;
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -463,5 +371,30 @@ mod tests {
         cp.write_file(&path).unwrap();
         assert_eq!(Checkpoint::read_file(&path).unwrap(), cp);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn over_long_lists_are_clean_errors() {
+        let cp = sample();
+        let err = cp.encode_capped(3).unwrap_err();
+        assert!(
+            matches!(err, DriverError::Checkpoint(ref why) if why.contains("length 4")),
+            "{err}"
+        );
+        assert_eq!(cp.encode_capped(4).unwrap(), cp.encode());
+    }
+
+    /// The exact bytes of one checkpoint file, footer included.
+    #[test]
+    fn file_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join(format!("snrc-golden-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(CHECKPOINT_FILE);
+        sample().write_file(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "534e5243020002000204000000e803000000000000e7030000000000000200000002000000010100000003000000000000000000000005000000070000000500000007000000040000000000000000000000050000000700000009000000090000000a0000000b000000020000000100000005000000d20400000000000001000000000000000300000000000000dc0500000000000001000000040000000903000000000000010000000000000004000000000000008403000000000000e9c7227493ffde6a");
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), sample());
     }
 }

@@ -588,7 +588,7 @@ impl ShardDriver {
         inproc: &mut Option<InProcess>,
     ) -> Result<(usize, Vec<(NodeId, NodeId)>), DriverError> {
         let threshold = self.config.matching.threshold;
-        pool.phase = PhaseCtx { phase, min_degree, threshold };
+        pool.begin_phase(PhaseCtx { phase, min_degree, threshold });
         {
             let _bspan = snr_telemetry::span!("broadcast", phase = phase, delta = delta.len());
             pool.broadcast_ready(&Message::Phase {
@@ -1056,6 +1056,9 @@ struct WorkerSlot {
     generation: u32,
     /// Relaunches of this slot so far (drives the backoff exponent).
     respawns: u32,
+    /// Tasks assigned to this slot in the current phase, across its
+    /// incarnations (see [`WorkerPool::idle_worker`]).
+    phase_tasks: u32,
 }
 
 enum Event {
@@ -1097,6 +1100,7 @@ impl WorkerPool {
                     assignment: None,
                     generation: 0,
                     respawns: 0,
+                    phase_tasks: 0,
                 })
                 .collect(),
             events: rx,
@@ -1279,12 +1283,36 @@ impl WorkerPool {
             + self.pending_respawn.len()
     }
 
-    /// A Ready worker with no outstanding assignment.
+    /// Arms a new phase: records its parameters (for `Reinit`) and
+    /// restarts every slot's task count.
+    fn begin_phase(&mut self, phase: PhaseCtx) {
+        self.phase = phase;
+        for slot in &mut self.slots {
+            slot.phase_tasks = 0;
+        }
+    }
+
+    /// The worker to hand the next task to: a Ready one with no
+    /// outstanding assignment and the fewest tasks this phase.
+    ///
+    /// Every live worker — Ready, or still in its `Init` handshake — gets
+    /// one task in a phase before any worker gets a second. Without this a
+    /// fast worker can drain a small phase while a slower one is still
+    /// handshaking, so a fault aimed at that worker's round (say
+    /// `kill:w1@round1`) would depend on process start-up timing instead
+    /// of firing every time.
     fn idle_worker(&self) -> Option<u32> {
+        let handshaking_unserved = self
+            .slots
+            .iter()
+            .any(|s| matches!(s.state, SlotState::AwaitingInit { .. }) && s.phase_tasks == 0);
         self.slots
             .iter()
-            .position(|s| matches!(s.state, SlotState::Ready) && s.assignment.is_none())
-            .map(|i| i as u32)
+            .enumerate()
+            .filter(|(_, s)| matches!(s.state, SlotState::Ready) && s.assignment.is_none())
+            .filter(|(_, s)| !handshaking_unserved || s.phase_tasks == 0)
+            .min_by_key(|(_, s)| s.phase_tasks)
+            .map(|(i, _)| i as u32)
     }
 
     /// Whether an event belongs to a previous incarnation of its slot.
@@ -1323,8 +1351,10 @@ impl WorkerPool {
         if !self.send(w, msg) {
             return false;
         }
-        self.slots[w as usize].assignment =
+        let slot = &mut self.slots[w as usize];
+        slot.assignment =
             Some(Assignment { task, deadline: Some(Instant::now() + timeout), speculated: false });
+        slot.phase_tasks += 1;
         true
     }
 
@@ -1472,4 +1502,58 @@ fn worker_binary(config: &DriverConfig) -> Result<PathBuf, DriverError> {
          or point SNR_DRIVER_WORKER at it",
         candidate.display()
     )))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pool(states: Vec<SlotState>) -> WorkerPool {
+        let (events_tx, events) = std::sync::mpsc::channel();
+        let slots = states
+            .into_iter()
+            .map(|state| WorkerSlot {
+                child: None,
+                stdin: None,
+                state,
+                assignment: None,
+                generation: 1,
+                respawns: 0,
+                phase_tasks: 0,
+            })
+            .collect();
+        WorkerPool {
+            slots,
+            events,
+            events_tx,
+            pending_respawn: Vec::new(),
+            respawns_used: 0,
+            last_fault: None,
+            phase: PhaseCtx { phase: 1, min_degree: 1, threshold: 2 },
+            bin: PathBuf::new(),
+        }
+    }
+
+    #[test]
+    fn every_live_worker_gets_a_task_before_any_gets_a_second() {
+        let handshaking = || SlotState::AwaitingInit { deadline: Instant::now() };
+        let mut pool = pool(vec![SlotState::Ready, handshaking(), SlotState::Dead]);
+        assert_eq!(pool.idle_worker(), Some(0));
+        pool.slots[0].phase_tasks = 1;
+        assert_eq!(pool.idle_worker(), None, "worker 0 waits for worker 1's first task");
+        pool.slots[1].state = SlotState::Ready;
+        assert_eq!(pool.idle_worker(), Some(1));
+        pool.slots[1].phase_tasks = 1;
+        assert_eq!(pool.idle_worker(), Some(0), "the dead slot holds nobody back");
+        pool.slots[0].phase_tasks = 2;
+        assert_eq!(pool.idle_worker(), Some(1), "the least-served Ready worker goes first");
+        // A respawned slot keeps its count for the phase, so its new
+        // handshake does not stall the others a second time.
+        pool.slots[1].state = handshaking();
+        assert_eq!(pool.idle_worker(), Some(0));
+        pool.begin_phase(PhaseCtx { phase: 2, min_degree: 1, threshold: 2 });
+        assert_eq!(pool.idle_worker(), Some(0));
+        pool.slots[0].phase_tasks = 1;
+        assert_eq!(pool.idle_worker(), None, "a new phase waits for the handshake again");
+    }
 }

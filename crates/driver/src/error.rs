@@ -1,6 +1,7 @@
 //! Error type of the shard driver.
 
 use snr_graph::GraphError;
+use snr_store::wire::WireError;
 
 /// Everything that can go wrong while coordinating worker subprocesses.
 ///
@@ -133,6 +134,14 @@ impl From<std::io::Error> for DriverError {
 impl From<GraphError> for DriverError {
     fn from(e: GraphError) -> Self {
         DriverError::Graph(e)
+    }
+}
+
+/// A wire-level defect in a protocol frame body. (Checkpoint decoding maps
+/// its wire errors to [`DriverError::Checkpoint`] itself.)
+impl From<WireError> for DriverError {
+    fn from(e: WireError) -> Self {
+        DriverError::Protocol(format!("frame body: {e}"))
     }
 }
 

@@ -8,7 +8,10 @@
 //! exhaustively bounds-checked: truncation, inflated counts, bad tags, and
 //! trailing bytes are all [`DriverError::Protocol`] errors, never panics
 //! and never unbounded allocations (`tests/protocol_roundtrip.rs` pins
-//! this in the `snr-store` corruption-fuzz style).
+//! this in the `snr-store` corruption-fuzz style). Both directions go
+//! through [`snr_store::wire`]: its `Reader` bounds-checks every field, and
+//! its `Writer` checks every length prefix, so an over-long field or body is
+//! an error when the frame is written, never a wrapped `u32`.
 //!
 //! The conversation is strictly coordinator-driven:
 //!
@@ -33,6 +36,7 @@
 //! replica state an uninterrupted worker would hold.
 
 use crate::error::DriverError;
+use snr_store::wire::{self, Reader, WireError, Writer};
 use std::io::{Read, Write};
 
 /// Upper bound on one frame body. Claims frames scale with the candidate
@@ -192,131 +196,38 @@ const TAG_SHUTDOWN: u8 = 7;
 const TAG_REINIT: u8 = 8;
 const TAG_STATS: u8 = 9;
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-/// Bounds-checked decoding cursor over one frame body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DriverError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| DriverError::Protocol("frame body truncated".into()))?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DriverError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DriverError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DriverError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads a length prefix that claims `width`-byte elements, rejecting
-    /// counts the remaining body cannot hold (so corruption cannot force a
-    /// huge allocation).
-    fn count(&mut self, width: usize) -> Result<usize, DriverError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(width) > self.bytes.len() - self.pos {
-            return Err(DriverError::Protocol(format!(
-                "count {n} overruns {} remaining frame bytes",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(n)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, DriverError> {
-        let n = self.count(1)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, DriverError> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| DriverError::Protocol("string field is not UTF-8".into()))
-    }
-
-    fn pairs(&mut self) -> Result<Vec<(u32, u32)>, DriverError> {
-        let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u32()?, self.u32()?));
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), DriverError> {
-        if self.pos != self.bytes.len() {
-            return Err(DriverError::Protocol(format!(
-                "{} trailing bytes after frame body",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+fn string(r: &mut Reader<'_>) -> Result<String, DriverError> {
+    String::from_utf8(r.bytes()?.to_vec())
+        .map_err(|_| DriverError::Protocol("string field is not UTF-8".into()))
 }
 
 impl G1Spec {
-    fn encode(&self, out: &mut Vec<u8>) {
+    fn encode(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
         match self {
             G1Spec::RangeLoad { path } => {
-                out.push(0);
-                put_str(out, path);
+                w.u8(0);
+                w.bytes(path.as_bytes())
             }
             G1Spec::MmapWhole { path } => {
-                out.push(1);
-                put_str(out, path);
+                w.u8(1);
+                w.bytes(path.as_bytes())
             }
             G1Spec::Shards { paths } => {
-                out.push(2);
-                put_u32(out, paths.len() as u32);
-                for p in paths {
-                    put_str(out, p);
-                }
+                w.u8(2);
+                w.len_prefix(paths.len())?;
+                paths.iter().try_for_each(|p| w.bytes(p.as_bytes()))
             }
         }
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<G1Spec, DriverError> {
-        match c.u8()? {
-            0 => Ok(G1Spec::RangeLoad { path: c.string()? }),
-            1 => Ok(G1Spec::MmapWhole { path: c.string()? }),
+    fn decode(r: &mut Reader<'_>) -> Result<G1Spec, DriverError> {
+        match r.u8()? {
+            0 => Ok(G1Spec::RangeLoad { path: string(r)? }),
+            1 => Ok(G1Spec::MmapWhole { path: string(r)? }),
             2 => {
                 // Each path costs at least its 4-byte length prefix.
-                let n = c.count(4)?;
-                let mut paths = Vec::with_capacity(n);
-                for _ in 0..n {
-                    paths.push(c.string()?);
-                }
+                let n = r.count(4)?;
+                let paths = (0..n).map(|_| string(r)).collect::<Result<_, _>>()?;
                 Ok(G1Spec::Shards { paths })
             }
             t => Err(DriverError::Protocol(format!("unknown g1 store tag {t}"))),
@@ -325,23 +236,19 @@ impl G1Spec {
 }
 
 impl G2Spec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            G2Spec::Load { path } => {
-                out.push(0);
-                put_str(out, path);
-            }
-            G2Spec::Mmap { path } => {
-                out.push(1);
-                put_str(out, path);
-            }
-        }
+    fn encode(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
+        let (tag, path) = match self {
+            G2Spec::Load { path } => (0, path),
+            G2Spec::Mmap { path } => (1, path),
+        };
+        w.u8(tag);
+        w.bytes(path.as_bytes())
     }
 
-    fn decode(c: &mut Cursor<'_>) -> Result<G2Spec, DriverError> {
-        match c.u8()? {
-            0 => Ok(G2Spec::Load { path: c.string()? }),
-            1 => Ok(G2Spec::Mmap { path: c.string()? }),
+    fn decode(r: &mut Reader<'_>) -> Result<G2Spec, DriverError> {
+        match r.u8()? {
+            0 => Ok(G2Spec::Load { path: string(r)? }),
+            1 => Ok(G2Spec::Mmap { path: string(r)? }),
             t => Err(DriverError::Protocol(format!("unknown g2 store tag {t}"))),
         }
     }
@@ -349,165 +256,182 @@ impl G2Spec {
 
 impl Message {
     /// Serializes the frame body (without the length prefix).
+    ///
+    /// # Panics
+    ///
+    /// If a string, byte field or list is longer than a `u32` prefix can
+    /// carry. [`write_frame`], the path every frame on the pipe takes,
+    /// checks this and fails with [`DriverError::Protocol`] instead.
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_capped(wire::MAX_LEN).expect("frame fields fit their u32 length prefixes")
+    }
+
+    /// Serializes the frame body, rejecting any string, byte field or list
+    /// longer than `max_len`.
+    fn encode_capped(&self, max_len: usize) -> Result<Vec<u8>, DriverError> {
         let mut out = Vec::new();
+        self.encode_fields(&mut Writer::with_max_len(&mut out, max_len))?;
+        Ok(out)
+    }
+
+    fn encode_fields(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
         match self {
             Message::Init { worker_id, n1, n2, g1, g2 } => {
-                out.push(TAG_INIT);
-                put_u32(&mut out, *worker_id);
-                put_u64(&mut out, *n1);
-                put_u64(&mut out, *n2);
-                g1.encode(&mut out);
-                g2.encode(&mut out);
+                w.u8(TAG_INIT);
+                w.u32(*worker_id);
+                w.u64(*n1);
+                w.u64(*n2);
+                g1.encode(w)?;
+                g2.encode(w)?;
             }
             Message::InitOk { worker_id } => {
-                out.push(TAG_INIT_OK);
-                put_u32(&mut out, *worker_id);
+                w.u8(TAG_INIT_OK);
+                w.u32(*worker_id);
             }
             Message::Phase { phase, min_deg1, min_deg2, threshold, links_delta } => {
-                out.push(TAG_PHASE);
-                put_u32(&mut out, *phase);
-                put_u32(&mut out, *min_deg1);
-                put_u32(&mut out, *min_deg2);
-                put_u32(&mut out, *threshold);
-                put_u32(&mut out, links_delta.len() as u32);
-                for &(a, b) in links_delta {
-                    put_u32(&mut out, a);
-                    put_u32(&mut out, b);
+                w.u8(TAG_PHASE);
+                for v in [phase, min_deg1, min_deg2, threshold] {
+                    w.u32(*v);
                 }
+                w.pairs(links_delta)?;
             }
             Message::Task { phase, first_node, node_count } => {
-                out.push(TAG_TASK);
-                put_u32(&mut out, *phase);
-                put_u32(&mut out, *first_node);
-                put_u32(&mut out, *node_count);
+                w.u8(TAG_TASK);
+                for v in [phase, first_node, node_count] {
+                    w.u32(*v);
+                }
             }
             Message::TaskDone { phase, first_node, node_count, claims } => {
-                out.push(TAG_TASK_DONE);
-                put_u32(&mut out, *phase);
-                put_u32(&mut out, *first_node);
-                put_u32(&mut out, *node_count);
-                put_bytes(&mut out, claims);
+                w.u8(TAG_TASK_DONE);
+                for v in [phase, first_node, node_count] {
+                    w.u32(*v);
+                }
+                w.bytes(claims)?;
             }
             Message::WorkerError { message } => {
-                out.push(TAG_WORKER_ERROR);
-                put_str(&mut out, message);
+                w.u8(TAG_WORKER_ERROR);
+                w.bytes(message.as_bytes())?;
             }
-            Message::Shutdown => out.push(TAG_SHUTDOWN),
+            Message::Shutdown => w.u8(TAG_SHUTDOWN),
             Message::Stats { worker_id, spans, counters, events } => {
-                out.push(TAG_STATS);
-                put_u32(&mut out, *worker_id);
-                put_u32(&mut out, spans.len() as u32);
+                w.u8(TAG_STATS);
+                w.u32(*worker_id);
+                w.len_prefix(spans.len())?;
                 for (name, fields, start_us, dur_us) in spans {
-                    put_str(&mut out, name);
-                    put_str(&mut out, fields);
-                    put_u64(&mut out, *start_us);
-                    put_u64(&mut out, *dur_us);
+                    w.bytes(name.as_bytes())?;
+                    w.bytes(fields.as_bytes())?;
+                    w.u64(*start_us);
+                    w.u64(*dur_us);
                 }
-                put_u32(&mut out, counters.len() as u32);
+                w.len_prefix(counters.len())?;
                 for (name, delta) in counters {
-                    put_str(&mut out, name);
-                    put_u64(&mut out, *delta);
+                    w.bytes(name.as_bytes())?;
+                    w.u64(*delta);
                 }
-                put_u32(&mut out, events.len() as u32);
+                w.len_prefix(events.len())?;
                 for (name, fields, at_us) in events {
-                    put_str(&mut out, name);
-                    put_str(&mut out, fields);
-                    put_u64(&mut out, *at_us);
+                    w.bytes(name.as_bytes())?;
+                    w.bytes(fields.as_bytes())?;
+                    w.u64(*at_us);
                 }
             }
             Message::Reinit { phase, min_deg1, min_deg2, threshold, links_full } => {
-                out.push(TAG_REINIT);
-                put_u32(&mut out, *phase);
-                put_u32(&mut out, *min_deg1);
-                put_u32(&mut out, *min_deg2);
-                put_u32(&mut out, *threshold);
-                put_u32(&mut out, links_full.len() as u32);
-                for &(a, b) in links_full {
-                    put_u32(&mut out, a);
-                    put_u32(&mut out, b);
+                w.u8(TAG_REINIT);
+                for v in [phase, min_deg1, min_deg2, threshold] {
+                    w.u32(*v);
                 }
+                w.pairs(links_full)?;
             }
         }
-        out
+        Ok(())
     }
 
     /// Parses one frame body. Every structural defect is a
     /// [`DriverError::Protocol`] — never a panic.
     pub fn decode(bytes: &[u8]) -> Result<Message, DriverError> {
-        let mut c = Cursor { bytes, pos: 0 };
-        let msg = match c.u8()? {
+        let r = &mut Reader::new(bytes);
+        let msg = match r.u8()? {
             TAG_INIT => Message::Init {
-                worker_id: c.u32()?,
-                n1: c.u64()?,
-                n2: c.u64()?,
-                g1: G1Spec::decode(&mut c)?,
-                g2: G2Spec::decode(&mut c)?,
+                worker_id: r.u32()?,
+                n1: r.u64()?,
+                n2: r.u64()?,
+                g1: G1Spec::decode(r)?,
+                g2: G2Spec::decode(r)?,
             },
-            TAG_INIT_OK => Message::InitOk { worker_id: c.u32()? },
+            TAG_INIT_OK => Message::InitOk { worker_id: r.u32()? },
             TAG_PHASE => Message::Phase {
-                phase: c.u32()?,
-                min_deg1: c.u32()?,
-                min_deg2: c.u32()?,
-                threshold: c.u32()?,
-                links_delta: c.pairs()?,
+                phase: r.u32()?,
+                min_deg1: r.u32()?,
+                min_deg2: r.u32()?,
+                threshold: r.u32()?,
+                links_delta: r.pairs()?,
             },
             TAG_TASK => {
-                Message::Task { phase: c.u32()?, first_node: c.u32()?, node_count: c.u32()? }
+                Message::Task { phase: r.u32()?, first_node: r.u32()?, node_count: r.u32()? }
             }
             TAG_TASK_DONE => Message::TaskDone {
-                phase: c.u32()?,
-                first_node: c.u32()?,
-                node_count: c.u32()?,
-                claims: c.bytes()?,
+                phase: r.u32()?,
+                first_node: r.u32()?,
+                node_count: r.u32()?,
+                claims: r.bytes()?.to_vec(),
             },
-            TAG_WORKER_ERROR => Message::WorkerError { message: c.string()? },
+            TAG_WORKER_ERROR => Message::WorkerError { message: string(r)? },
             TAG_SHUTDOWN => Message::Shutdown,
             TAG_STATS => {
-                let worker_id = c.u32()?;
+                let worker_id = r.u32()?;
                 // Minimum element widths: a span is two string prefixes plus
                 // two u64s (24 bytes), a counter is one prefix plus a u64
                 // (12), an event two prefixes plus a u64 (16) — enough to
                 // keep an inflated count from forcing a huge allocation.
-                let n = c.count(24)?;
-                let mut spans = Vec::with_capacity(n);
-                for _ in 0..n {
-                    spans.push((c.string()?, c.string()?, c.u64()?, c.u64()?));
-                }
-                let n = c.count(12)?;
-                let mut counters = Vec::with_capacity(n);
-                for _ in 0..n {
-                    counters.push((c.string()?, c.u64()?));
-                }
-                let n = c.count(16)?;
-                let mut events = Vec::with_capacity(n);
-                for _ in 0..n {
-                    events.push((c.string()?, c.string()?, c.u64()?));
-                }
+                let n = r.count(24)?;
+                let spans = (0..n)
+                    .map(|_| Ok((string(r)?, string(r)?, r.u64()?, r.u64()?)))
+                    .collect::<Result<_, DriverError>>()?;
+                let n = r.count(12)?;
+                let counters = (0..n)
+                    .map(|_| Ok((string(r)?, r.u64()?)))
+                    .collect::<Result<_, DriverError>>()?;
+                let n = r.count(16)?;
+                let events = (0..n)
+                    .map(|_| Ok((string(r)?, string(r)?, r.u64()?)))
+                    .collect::<Result<_, DriverError>>()?;
                 Message::Stats { worker_id, spans, counters, events }
             }
             TAG_REINIT => Message::Reinit {
-                phase: c.u32()?,
-                min_deg1: c.u32()?,
-                min_deg2: c.u32()?,
-                threshold: c.u32()?,
-                links_full: c.pairs()?,
+                phase: r.u32()?,
+                min_deg1: r.u32()?,
+                min_deg2: r.u32()?,
+                threshold: r.u32()?,
+                links_full: r.pairs()?,
             },
             t => return Err(DriverError::Protocol(format!("unknown frame tag {t}"))),
         };
-        c.finish()?;
+        r.finish()?;
         Ok(msg)
     }
 }
 
 /// Writes one length-prefixed frame and flushes (pipes are the transport;
-/// an unflushed frame is a deadlock).
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> std::io::Result<()> {
-    let body = msg.encode();
-    debug_assert!(body.len() <= MAX_FRAME);
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
+/// an unflushed frame is a deadlock). A body over [`MAX_FRAME`] bytes is a
+/// [`DriverError::Protocol`] error and nothing is written.
+pub fn write_frame<W: Write>(w: &mut W, msg: &Message) -> Result<(), DriverError> {
+    write_frame_capped(w, msg, MAX_FRAME)
+}
+
+/// [`write_frame`] with every length — each field's and the body's — capped
+/// at `max_len`.
+fn write_frame_capped<W: Write>(
+    w: &mut W,
+    msg: &Message,
+    max_len: usize,
+) -> Result<(), DriverError> {
+    let body = msg.encode_capped(max_len)?;
+    let mut prefix = Vec::with_capacity(4);
+    Writer::with_max_len(&mut prefix, max_len).len_prefix(body.len())?;
+    w.write_all(&prefix)?;
     w.write_all(&body)?;
-    w.flush()
+    w.flush()?;
+    Ok(())
 }
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on clean EOF at a
@@ -579,9 +503,25 @@ mod tests {
             Message::WorkerError { message: "segment missing".into() },
             Message::Shutdown,
         ];
+        // The exact bytes of each frame, length prefix included: a roundtrip
+        // passes whenever encode and decode change together, these fail on
+        // any change to the layout itself.
+        let golden = [
+            "3a0000000103000000e803000000000000e703000000000000020200000006000000612e736e727306000000622e736e7273010700000067322e736e7273",
+            "050000000203000000",
+            "2d000000080200000004000000040000000200000003000000000000000500000007000000070000000900000002000000",
+            "2500000003010000000200000002000000020000000200000000000000050000000700000007000000",
+            "0d000000040100000000000000f4010000",
+            "14000000050100000000000000f401000003000000010203",
+            "97000000090300000001000000040000007461736b1000000070686173653d3120726f77733d3530300a00000000000000fa00000000000000020000000c00000073636f7265645f7061697273d2040000000000000f0000007461736b735f636f6d706c657465640100000000000000010000000b0000006661756c745f66697265640c000000616374696f6e3d7374616c6c6300000000000000",
+            "14000000060f0000007365676d656e74206d697373696e67",
+            "0100000007",
+        ];
         let mut pipe = Vec::new();
-        for m in &msgs {
+        for (m, expected) in msgs.iter().zip(golden) {
+            let start = pipe.len();
             write_frame(&mut pipe, m).unwrap();
+            assert_eq!(hex(&pipe[start..]), expected, "{m:?}");
         }
         let mut r = pipe.as_slice();
         for m in &msgs {
@@ -604,5 +544,40 @@ mod tests {
         let mut body = Message::Shutdown.encode();
         body.push(0);
         assert!(Message::decode(&body).is_err());
+    }
+
+    #[test]
+    fn over_long_fields_and_bodies_are_clean_errors() {
+        let mut pipe = Vec::new();
+        // Byte fields and pair lists over the cap fail at their own prefix.
+        let done = Message::TaskDone { phase: 1, first_node: 0, node_count: 1, claims: vec![0; 5] };
+        let phase = Message::Phase {
+            phase: 1,
+            min_deg1: 1,
+            min_deg2: 1,
+            threshold: 2,
+            links_delta: vec![(0, 0); 5],
+        };
+        for msg in [&done, &phase] {
+            let err = write_frame_capped(&mut pipe, msg, 4).unwrap_err();
+            assert!(
+                matches!(err, DriverError::Protocol(ref why) if why.contains("length 5")),
+                "{err}"
+            );
+        }
+        // A 13-byte body over a 12-byte cap fails at the frame prefix.
+        let task = Message::Task { phase: 1, first_node: 0, node_count: 1 };
+        let err = write_frame_capped(&mut pipe, &task, 12).unwrap_err();
+        assert!(
+            matches!(err, DriverError::Protocol(ref why) if why.contains("length 13")),
+            "{err}"
+        );
+        assert!(pipe.is_empty(), "a rejected frame writes nothing");
+        write_frame_capped(&mut pipe, &task, 13).unwrap();
+        assert_eq!(read_frame(&mut pipe.as_slice()).unwrap(), Some(task));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 }

@@ -1,7 +1,8 @@
 //! Minimal command-line argument handling shared by the experiment binaries.
 //!
-//! We deliberately avoid a CLI-parsing dependency: the binaries accept only
-//! five flags.
+//! We deliberately avoid a CLI-parsing dependency: the binaries accept the
+//! few flags below, each value given either as the next argument
+//! (`--seed 7`) or inline (`--seed=7`).
 //!
 //! * `--seed <u64>` — RNG seed (default 20140707, the VLDB 2014 date).
 //! * `--full` — run at (closer to) the paper's dataset sizes instead of the
@@ -197,73 +198,40 @@ impl ExperimentArgs {
         let mut out = ExperimentArgs::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            match arg.as_ref() {
+            // Every flag takes its value either as the next argument or
+            // inline, `--flag=value`.
+            let arg = arg.as_ref();
+            let (flag, mut inline) = match arg.split_once('=') {
+                Some((flag, value)) if flag.starts_with("--") => (flag, Some(value.to_string())),
+                _ => (arg, None),
+            };
+            let mut value = |what: &str| match inline.take() {
+                Some(v) => Ok(v),
+                None => iter
+                    .next()
+                    .map(|v| v.as_ref().to_string())
+                    .ok_or_else(|| format!("{flag} requires {what}")),
+            };
+            match flag {
                 "--seed" => {
-                    let v = iter.next().ok_or("--seed requires a value")?;
-                    out.seed = v
-                        .as_ref()
-                        .parse()
-                        .map_err(|_| format!("invalid --seed value: {}", v.as_ref()))?;
+                    let v = value("a value")?;
+                    out.seed = v.parse().map_err(|_| format!("invalid --seed value: {v}"))?;
                 }
-                "--full" => out.full = true,
-                "--json" => {
-                    let v = iter.next().ok_or("--json requires a path")?;
-                    out.json = Some(PathBuf::from(v.as_ref()));
-                }
-                "--store" => {
-                    let v = iter.next().ok_or("--store requires a value")?;
-                    out.store = v.as_ref().parse()?;
-                }
-                arg if arg.starts_with("--store=") => {
-                    out.store = arg["--store=".len()..].parse()?;
-                }
-                "--backend" => {
-                    let v = iter.next().ok_or("--backend requires a value")?;
-                    out.set_backend(v.as_ref())?;
-                }
-                arg if arg.starts_with("--backend=") => {
-                    out.set_backend(&arg["--backend=".len()..])?;
-                }
-                "--blocking" => {
-                    let v = iter.next().ok_or("--blocking requires a value")?;
-                    out.blocking = parse_blocking(v.as_ref())?;
-                }
-                arg if arg.starts_with("--blocking=") => {
-                    out.blocking = parse_blocking(&arg["--blocking=".len()..])?;
-                }
+                "--json" => out.json = Some(PathBuf::from(value("a path")?)),
+                "--store" => out.store = value("a value")?.parse()?,
+                "--backend" => out.set_backend(&value("a value")?)?,
+                "--blocking" => out.blocking = parse_blocking(&value("a value")?)?,
                 "--respawn-budget" => {
-                    let v = iter.next().ok_or("--respawn-budget requires a value")?;
-                    out.respawn_budget = Some(parse_respawn_budget(v.as_ref())?);
+                    out.respawn_budget = Some(parse_respawn_budget(&value("a value")?)?);
                 }
-                arg if arg.starts_with("--respawn-budget=") => {
-                    out.respawn_budget =
-                        Some(parse_respawn_budget(&arg["--respawn-budget=".len()..])?);
-                }
-                "--degrade" => {
-                    let v = iter.next().ok_or("--degrade requires a value")?;
-                    out.degrade = Some(parse_degrade(v.as_ref())?);
-                }
-                arg if arg.starts_with("--degrade=") => {
-                    out.degrade = Some(parse_degrade(&arg["--degrade=".len()..])?);
-                }
+                "--degrade" => out.degrade = Some(parse_degrade(&value("a value")?)?),
                 "--spill-budget" => {
-                    let v = iter.next().ok_or("--spill-budget requires a byte count")?;
-                    out.spill_budget = Some(parse_spill_budget(v.as_ref())?);
+                    out.spill_budget = Some(parse_spill_budget(&value("a byte count")?)?);
                 }
-                arg if arg.starts_with("--spill-budget=") => {
-                    out.spill_budget = Some(parse_spill_budget(&arg["--spill-budget=".len()..])?);
-                }
-                "--trace-out" => {
-                    let v = iter.next().ok_or("--trace-out requires a path")?;
-                    out.trace_out = Some(PathBuf::from(v.as_ref()));
-                }
-                arg if arg.starts_with("--trace-out=") => {
-                    out.trace_out = Some(PathBuf::from(&arg["--trace-out=".len()..]));
-                }
-                "--help" | "-h" => {
-                    return Err(Self::usage().to_string());
-                }
-                other => return Err(format!("unknown argument {other:?}\n{}", Self::usage())),
+                "--trace-out" => out.trace_out = Some(PathBuf::from(value("a path")?)),
+                "--full" if inline.is_none() => out.full = true,
+                "--help" | "-h" if inline.is_none() => return Err(Self::usage().to_string()),
+                _ => return Err(format!("unknown argument {arg:?}\n{}", Self::usage())),
             }
         }
         Ok(out)

@@ -18,6 +18,10 @@
 //! | `attack_experiment` | §5 "Robustness to attack" |
 //! | `ablation_bucketing_baseline` | §5 ablation: bucketing + baseline |
 //!
+//! Alongside them, the `smoke` binary runs one end-to-end check per
+//! subsystem (storage, shuffle, spill, driver, resilience, telemetry,
+//! blocking) over the shared fixture in [`smoke`].
+//!
 //! Real datasets used by the paper (Facebook WOSN'09, Enron, DBLP, Gowalla,
 //! Wikipedia dumps, billion-edge R-MAT instances) are not available in this
 //! offline environment; [`datasets`] builds synthetic proxies with matching
@@ -30,6 +34,7 @@
 pub mod cli;
 pub mod datasets;
 pub mod runner;
+pub mod smoke;
 pub mod validate;
 
 pub use cli::{ExperimentArgs, StoreMode};

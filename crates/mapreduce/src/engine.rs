@@ -1110,36 +1110,7 @@ mod tests {
         assert!(split_into_chunks(Vec::<u32>::new(), 3).is_empty());
     }
 
-    /// Codec for the `(u32, u64)` spill tests: key, value count, values.
-    struct TestCodec;
-
-    impl SpillCodec<u32, u64> for TestCodec {
-        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-
-        fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<u64>), String> {
-            if bytes.len() < 8 {
-                return Err("group too short".into());
-            }
-            let key = u32::from_le_bytes(bytes[0..4].try_into().unwrap());
-            let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-            if bytes.len() != 8 + 8 * count {
-                return Err("group length mismatch".into());
-            }
-            Ok((
-                key,
-                bytes[8..]
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                    .collect(),
-            ))
-        }
-    }
+    use crate::spill::tests::U32U64Codec as TestCodec;
 
     fn spill_scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("snr-engine-spill-{}-{name}", std::process::id()))

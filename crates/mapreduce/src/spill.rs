@@ -9,9 +9,9 @@
 //!
 //! # Run-file format
 //!
-//! The framing mirrors the `snr-store` segment files (magic, version, and
-//! the shared [`snr_store::Checksum64`] footer) so corruption is always
-//! detected before any group is decoded:
+//! The framing is [`snr_store::wire`]'s, shared with the segment files
+//! (magic, version, and the [`snr_store::Checksum64`] footer), so
+//! corruption is always detected before any group is decoded:
 //!
 //! ```text
 //! [ magic "SNRM" | version u16 | round u32 | task u32 | partition u32
@@ -30,6 +30,7 @@
 
 use parking_lot::Mutex;
 use snr_faults::{FaultRegistry, FaultSite};
+use snr_store::wire::{self, Format, HashWriter, Reader, WireError, Writer};
 use snr_store::Checksum64;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -45,7 +46,8 @@ pub const RUN_VERSION: u16 = 2;
 /// Header bytes: magic + version + round + task + partition + group count.
 pub const RUN_HEADER_LEN: usize = 4 + 2 + 4 + 4 + 4 + 8;
 /// Trailer bytes: the [`Checksum64`] of header + body.
-pub const RUN_FOOTER_LEN: usize = 8;
+pub const RUN_FOOTER_LEN: usize = wire::FOOTER_LEN;
+const RUN_FORMAT: Format = Format { magic: RUN_MAGIC, version: RUN_VERSION, name: "spill run" };
 /// Buffer size of the run writer and reader. Runs are written and read
 /// front to back in one stream each, so a large buffer turns the small
 /// per-group writes and reads into few large system calls.
@@ -114,6 +116,15 @@ fn io_spill(path: &Path, what: &str, e: std::io::Error) -> EngineError {
     EngineError::Spill(format!("{what} {}: {e}", path.display()))
 }
 
+fn frame_error(path: &Path, e: WireError) -> EngineError {
+    EngineError::Spill(match e {
+        WireError::Version { found, .. } => {
+            format!("run file {} has unsupported version {found}", path.display())
+        }
+        e => format!("run file {}: {e}", path.display()),
+    })
+}
+
 /// Writes one map task's sorted partition bucket as a checksummed run file.
 /// Returns the file size in bytes. Consults `faults` at the `spill_io` site
 /// *after* the header is out, so an injected hit leaves a partial file
@@ -129,23 +140,17 @@ pub(crate) fn write_run<K, V, SC: SpillCodec<K, V>>(
     faults: &Mutex<FaultRegistry>,
 ) -> Result<u64, EngineError> {
     let file = File::create(path).map_err(|e| io_spill(path, "creating run file", e))?;
-    let mut w = BufWriter::with_capacity(RUN_IO_BUF, file);
-    let mut hash = Checksum64::new();
-    let mut total = 0u64;
-    let mut put = |w: &mut BufWriter<File>, bytes: &[u8]| -> Result<(), EngineError> {
-        hash.update(bytes);
-        total += bytes.len() as u64;
-        w.write_all(bytes).map_err(|e| io_spill(path, "writing run file", e))
-    };
+    let mut w = HashWriter::new(BufWriter::with_capacity(RUN_IO_BUF, file));
+    let write_error = |e| io_spill(path, "writing run file", e);
 
     let mut header = Vec::with_capacity(RUN_HEADER_LEN);
-    header.extend_from_slice(&RUN_MAGIC);
-    header.extend_from_slice(&RUN_VERSION.to_le_bytes());
-    header.extend_from_slice(&round.to_le_bytes());
-    header.extend_from_slice(&task.to_le_bytes());
-    header.extend_from_slice(&partition.to_le_bytes());
-    header.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-    put(&mut w, &header)?;
+    let mut h = Writer::new(&mut header);
+    RUN_FORMAT.put_header(&mut h);
+    for v in [round, task, partition] {
+        h.u32(v);
+    }
+    h.u64(groups.len() as u64);
+    w.write_all(&header).map_err(write_error)?;
 
     if faults.lock().fire(FaultSite::SpillIo, None, Some(round)).is_some() {
         let _ = w.flush();
@@ -166,12 +171,9 @@ pub(crate) fn write_run<K, V, SC: SpillCodec<K, V>>(
             EngineError::Spill(format!("group exceeds u32 length in {}", path.display()))
         })?;
         buf[..4].copy_from_slice(&len.to_le_bytes());
-        put(&mut w, &buf)?;
+        w.write_all(&buf).map_err(write_error)?;
     }
-    let footer = hash.finish().to_le_bytes();
-    total += footer.len() as u64;
-    w.write_all(&footer).map_err(|e| io_spill(path, "writing run file", e))?;
-    w.flush().map_err(|e| io_spill(path, "flushing run file", e))?;
+    let (_, total) = w.finish().map_err(|e| io_spill(path, "flushing run file", e))?;
     Ok(total)
 }
 
@@ -221,30 +223,18 @@ impl<'a, K, V, SC: SpillCodec<K, V>> RunReader<'a, K, V, SC> {
         }
         let mut footer = [0u8; RUN_FOOTER_LEN];
         reader.read_exact(&mut footer).map_err(|e| io_spill(path, "reading run file", e))?;
-        if u64::from_le_bytes(footer) != hash.finish() {
-            return Err(EngineError::Spill(format!(
-                "run file {} failed its checksum (corrupt spill data)",
-                path.display()
-            )));
-        }
+        wire::verify_footer(&footer, hash.finish()).map_err(|e| frame_error(path, e))?;
         // Pass 2: rewind and parse the header; groups stream from here.
         reader.seek(SeekFrom::Start(0)).map_err(|e| io_spill(path, "rewinding run file", e))?;
         let mut header = [0u8; RUN_HEADER_LEN];
         reader.read_exact(&mut header).map_err(|e| io_spill(path, "reading run file", e))?;
-        if header[..4] != RUN_MAGIC {
-            return Err(EngineError::Spill(format!(
-                "run file {} has a bad magic prefix",
-                path.display()
-            )));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != RUN_VERSION {
-            return Err(EngineError::Spill(format!(
-                "run file {} has unsupported version {version}",
-                path.display()
-            )));
-        }
-        let remaining = u64::from_le_bytes(header[18..26].try_into().expect("8-byte slice"));
+        let mut r = Reader::new(&header);
+        // Round, task and partition are for humans inspecting the file.
+        let remaining = RUN_FORMAT
+            .check_header(&mut r)
+            .and_then(|()| r.take(12))
+            .and_then(|_| r.u64())
+            .map_err(|e| frame_error(path, e))?;
         Ok(RunReader {
             path: path.to_path_buf(),
             reader,
@@ -375,11 +365,11 @@ pub(crate) fn corrupt_first_run(dir: &Path, seed: u64) -> Option<PathBuf> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Toy codec for `(u32, Vec<u64>)` groups: key, count, then values.
-    struct U32U64Codec;
+    pub(crate) struct U32U64Codec;
 
     impl SpillCodec<u32, u64> for U32U64Codec {
         fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
@@ -571,6 +561,26 @@ mod tests {
         assert_eq!(std::fs::read(&b).unwrap(), pristine_b, "only one file is touched");
         assert!(RunReader::open(&a, &U32U64Codec).is_err(), "corruption must be detected");
         assert!(RunReader::open(&b, &U32U64Codec).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The exact bytes of one run file: header, two groups, footer.
+    #[test]
+    fn run_file_bytes_are_pinned() {
+        let dir = scratch("golden");
+        let path = dir.join("run-t1-p2.snrr");
+        let faults = Mutex::new(FaultRegistry::empty());
+        let groups = vec![(3u32, vec![7u64]), (5, vec![1, 258])];
+        write_run(&path, 4, 1, 2, &groups, &U32U64Codec, &faults).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "534e524d020004000000010000000200000002000000000000001000000003000000010000000700000000000000180000000500000002000000010000000000000002010000000000001df3d70ad8de9adc");
+        let mut reader = RunReader::open(&path, &U32U64Codec).unwrap();
+        let mut back = Vec::new();
+        while let Some(g) = reader.next_group().unwrap() {
+            back.push(g);
+        }
+        assert_eq!(back, groups);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -28,9 +28,10 @@
 //! [`GraphView`] and never hold the encoded gap stream in memory.
 //!
 //! The file format (layout, versioning, checksum) is documented in
-//! [`segment`]. The footer checksum, [`Checksum64`], is shared by every
-//! on-disk frame in the workspace (segments, driver checkpoints and
-//! MapReduce spill runs).
+//! [`segment`]. The footer checksum, [`Checksum64`], and the [`wire`] codec
+//! (bounds-checked reader, checked writer, magic/version/footer framing)
+//! are shared by every frame and file in the workspace: segments, driver
+//! protocol frames and checkpoints, and MapReduce spill runs.
 //!
 //! `unsafe` appears in exactly two places in this stack: the raw
 //! `mmap`/`munmap`/`madvise` calls inside the `memmap2` shim, and the
@@ -45,6 +46,7 @@ pub mod checksum;
 pub mod mmap;
 pub mod segment;
 pub mod sharded;
+pub mod wire;
 
 pub use checksum::{checksum64, Checksum64};
 pub use mmap::MmapGraph;

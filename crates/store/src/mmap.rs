@@ -15,7 +15,7 @@
 
 use crate::checksum::Checksum64;
 use crate::segment::{
-    parse_segment_structure, verify_checksum, Layout, SegmentMeta, FOOTER_LEN, HEADER_LEN,
+    invalid, parse_segment_structure, Layout, SegmentMeta, FOOTER_LEN, HEADER_LEN,
 };
 use memmap2::{Advice, Mmap};
 use snr_graph::blocks::{BlockCursor, BlockNeighbors};
@@ -129,7 +129,7 @@ impl MmapGraph {
             },
         )?;
         hash.update(&data[hashed..]);
-        verify_checksum(&map, hash.finish())?;
+        crate::wire::verify_footer(&map, hash.finish()).map_err(invalid)?;
         let _ = map.advise(Advice::Random);
         Ok(MmapGraph { map, meta, layout })
     }

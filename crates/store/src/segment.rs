@@ -44,7 +44,7 @@
 //! in memory, so a `CsrGraph` can be spilled without first building its
 //! `CompactCsr`.
 
-use crate::checksum::{checksum64, Checksum64};
+use crate::wire::{self, Format, HashWriter, Reader, WireError, Writer};
 use snr_graph::blocks::{varint_len, write_varint, BLOCK_SIZE};
 use snr_graph::{CompactCsr, GraphError, GraphView, NodeId};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -58,7 +58,13 @@ pub const VERSION: u16 = 2;
 /// that follow stay aligned within the file).
 pub const HEADER_LEN: usize = 72;
 /// Size of the trailing checksum in bytes.
-pub const FOOTER_LEN: usize = 8;
+pub const FOOTER_LEN: usize = wire::FOOTER_LEN;
+const FORMAT: Format = Format { magic: MAGIC, version: VERSION, name: "segment" };
+
+/// A wire-level defect as this crate's error.
+pub(crate) fn invalid(e: WireError) -> GraphError {
+    GraphError::InvalidBinary(format!("segment: {e}"))
+}
 
 /// Parsed segment header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -111,6 +117,23 @@ impl SegmentMeta {
         (self.node_count + 1) * 8 + self.block_count * 8 + self.data_len
     }
 
+    /// Fails unless the file is exactly as long as the header implies.
+    /// Widened arithmetic: corrupted headers can claim counts whose implied
+    /// size overflows usize, and that must be an error, not a panic.
+    fn check_file_len(&self, len: u64) -> Result<(), GraphError> {
+        let expected = HEADER_LEN as u128
+            + (self.node_count as u128 + 1) * 8
+            + self.block_count as u128 * 8
+            + self.data_len as u128
+            + FOOTER_LEN as u128;
+        if len as u128 != expected {
+            return Err(GraphError::InvalidBinary(format!(
+                "segment is {len} bytes, header implies {expected}"
+            )));
+        }
+        Ok(())
+    }
+
     pub(crate) fn layout(&self) -> Layout {
         let eo = HEADER_LEN..HEADER_LEN + (self.node_count + 1) * 4;
         let bs = eo.end..eo.end + (self.node_count + 1) * 4;
@@ -120,12 +143,13 @@ impl SegmentMeta {
         Layout { entry_offsets: eo, block_starts: bs, skip_firsts: sf, skip_bytes: sb, data }
     }
 
-    fn to_header_bytes(self) -> [u8; HEADER_LEN] {
-        let mut h = [0u8; HEADER_LEN];
-        h[0..4].copy_from_slice(&MAGIC);
-        h[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        h[6] = self.directed as u8;
-        for (i, v) in [
+    fn to_header_bytes(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN);
+        let mut w = Writer::new(&mut out);
+        FORMAT.put_header(&mut w);
+        w.u8(self.directed as u8);
+        w.u8(0);
+        for v in [
             self.total_nodes,
             self.first_node,
             self.node_count,
@@ -134,39 +158,33 @@ impl SegmentMeta {
             self.entry_count,
             self.block_count,
             self.data_len,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            h[8 + i * 8..16 + i * 8].copy_from_slice(&(v as u64).to_le_bytes());
+        ] {
+            w.u64(v as u64);
         }
-        h
+        out
     }
 
     /// Parses and sanity-checks the fixed header (not the payload).
     pub fn from_header_bytes(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(GraphError::InvalidBinary(format!(
-                "segment header truncated: {} of {HEADER_LEN} bytes",
-                bytes.len()
-            )));
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(GraphError::InvalidBinary("bad segment magic bytes".into()));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != VERSION {
-            return Err(GraphError::InvalidBinary(format!(
-                "unsupported segment version {version} (expected {VERSION})"
-            )));
-        }
-        if bytes[6] > 1 || bytes[7] != 0 {
+        let read = |r: &mut Reader<'_>| -> Result<([u8; 2], [u64; 8]), WireError> {
+            FORMAT.check_header(r)?;
+            let flags = [r.u8()?, r.u8()?];
+            let mut words = [0u64; 8];
+            for word in &mut words {
+                *word = r.u64()?;
+            }
+            Ok((flags, words))
+        };
+        let (flags, words) = read(&mut Reader::new(bytes)).map_err(invalid)?;
+        if flags[0] > 1 || flags[1] != 0 {
             return Err(GraphError::InvalidBinary("invalid segment flags".into()));
         }
         let word = |i: usize| -> Result<usize, GraphError> {
-            let v = u64::from_le_bytes(bytes[8 + i * 8..16 + i * 8].try_into().expect("8 bytes"));
-            usize::try_from(v).map_err(|_| {
-                GraphError::InvalidBinary(format!("segment header field {i} overflows usize: {v}"))
+            usize::try_from(words[i]).map_err(|_| {
+                GraphError::InvalidBinary(format!(
+                    "segment header field {i} overflows usize: {}",
+                    words[i]
+                ))
             })
         };
         let meta = SegmentMeta {
@@ -178,7 +196,7 @@ impl SegmentMeta {
             entry_count: word(5)?,
             block_count: word(6)?,
             data_len: word(7)?,
-            directed: bytes[6] == 1,
+            directed: flags[0] == 1,
         };
         // Widened: corrupted headers can hold values whose sum overflows
         // usize, and that must be an error, not an overflow panic.
@@ -191,26 +209,6 @@ impl SegmentMeta {
             )));
         }
         Ok(meta)
-    }
-}
-
-/// [`Write`] adapter folding every byte that passes through it into a
-/// [`Checksum64`], so the writer can emit the checksum footer without
-/// buffering the file.
-struct HashWriter<W: Write> {
-    inner: W,
-    hash: Checksum64,
-}
-
-impl<W: Write> Write for HashWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -311,7 +309,7 @@ pub fn write_segment_range<G: GraphView, W: Write>(
     };
 
     // Pass 2: stream everything through the hashing writer.
-    let mut hw = HashWriter { inner: w, hash: Checksum64::new() };
+    let mut hw = HashWriter::new(w);
     hw.write_all(&meta.to_header_bytes())?;
     write_u32s(&mut hw, &entry_offsets)?;
     write_u32s(&mut hw, &block_starts)?;
@@ -332,34 +330,18 @@ pub fn write_segment_range<G: GraphView, W: Write>(
         hw.write_all(&gap_buf)?;
     }
     debug_assert_eq!(written, data_len, "sizing and encoding passes disagree");
-    let checksum = hw.hash.finish();
-    let mut w = hw.inner;
-    w.write_all(&checksum.to_le_bytes())?;
-    w.flush()?;
+    hw.finish()?;
     Ok(meta)
 }
 
 /// Validates a segment image's header and section lengths — everything
 /// *except* the checksum scan — and returns the parsed header. Callers that
 /// read the whole payload anyway (the mmap-backed open's fused
-/// validate-and-checksum pass) use this plus [`verify_checksum`] so the file
-/// is scanned once, not twice.
+/// validate-and-checksum pass) use this plus [`wire::verify_footer`] so the
+/// file is scanned once, not twice.
 pub(crate) fn parse_segment_structure(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
     let meta = SegmentMeta::from_header_bytes(bytes)?;
-    // Widened arithmetic: corrupted headers can claim counts whose implied
-    // file size overflows usize, and that corruption must surface as an
-    // error, not an overflow panic.
-    let expected = HEADER_LEN as u128
-        + (meta.node_count as u128 + 1) * 8
-        + meta.block_count as u128 * 8
-        + meta.data_len as u128
-        + FOOTER_LEN as u128;
-    if bytes.len() as u128 != expected {
-        return Err(GraphError::InvalidBinary(format!(
-            "segment is {} bytes, header implies {expected}",
-            bytes.len()
-        )));
-    }
+    meta.check_file_len(bytes.len() as u64)?;
     let layout = meta.layout();
     let last_entry = u32::from_le_bytes(
         bytes[layout.entry_offsets.end - 4..layout.entry_offsets.end].try_into().expect("4 bytes"),
@@ -373,25 +355,11 @@ pub(crate) fn parse_segment_structure(bytes: &[u8]) -> Result<SegmentMeta, Graph
     Ok(meta)
 }
 
-/// Compares a fully-folded body hash against the segment's stored footer.
-/// `actual` must be the [`Checksum64`] of every byte before the footer
-/// (`bytes[..len - FOOTER_LEN]`), however the caller produced it — in one
-/// [`checksum64`] call or incrementally during another scan.
-pub(crate) fn verify_checksum(bytes: &[u8], actual: u64) -> Result<(), GraphError> {
-    let stored = u64::from_le_bytes(bytes[bytes.len() - FOOTER_LEN..].try_into().expect("8 bytes"));
-    if stored != actual {
-        return Err(GraphError::InvalidBinary(format!(
-            "segment checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"
-        )));
-    }
-    Ok(())
-}
-
 /// Validates a complete in-memory segment image (header, section lengths,
 /// checksum) and returns its parsed header.
 pub(crate) fn parse_segment(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
     let meta = parse_segment_structure(bytes)?;
-    verify_checksum(bytes, checksum64(&bytes[..bytes.len() - FOOTER_LEN]))?;
+    wire::open_sealed(bytes).map_err(invalid)?;
     Ok(meta)
 }
 
@@ -465,18 +433,7 @@ pub fn read_segment_rows<R: Read + Seek>(
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let meta = SegmentMeta::from_header_bytes(&header)?;
-    // Widened arithmetic, like `parse_segment_structure`: corrupted headers
-    // can claim counts whose implied file size overflows usize.
-    let expected = HEADER_LEN as u128
-        + (meta.node_count as u128 + 1) * 8
-        + meta.block_count as u128 * 8
-        + meta.data_len as u128
-        + FOOTER_LEN as u128;
-    if file_len as u128 != expected {
-        return Err(GraphError::InvalidBinary(format!(
-            "segment is {file_len} bytes, header implies {expected}"
-        )));
-    }
+    meta.check_file_len(file_len)?;
     if rows.start > rows.end || rows.end as usize > meta.node_count {
         return Err(GraphError::InvalidParameter(format!(
             "segment rows {rows:?} out of range for a segment with {} rows",
@@ -756,5 +713,16 @@ mod tests {
         let (_, compact) = read_segment(buf.as_slice()).unwrap();
         assert!(compact.is_directed());
         assert_eq!(compact.to_csr(), g);
+    }
+
+    /// The exact bytes of one small segment: header, the four index arrays,
+    /// the gap stream and the footer.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]);
+        let (_, buf) = segment_bytes(&g);
+        let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "534e52530200000004000000000000000000000000000000040000000000000004000000000000000300000000000000080000000000000004000000000000000400000000000000000000000200000004000000070000000800000000000000010000000200000003000000040000000100000000000000000000000200000000000000010000000200000004000000010201021d83fa5b978f618d");
+        assert_eq!(read_segment(buf.as_slice()).unwrap().1, g.compact());
     }
 }

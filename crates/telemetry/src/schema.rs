@@ -1,6 +1,6 @@
 //! Trace-schema validation: a tiny parser for the flat one-level JSON
 //! objects the JSONL exporter emits, plus the line-by-line schema checker
-//! used by `telemetry_smoke` in CI.
+//! used by the `smoke telemetry` and `smoke spill` scenarios in CI.
 
 use std::collections::BTreeMap;
 
