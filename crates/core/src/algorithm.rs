@@ -1,11 +1,11 @@
 //! The User-Matching algorithm (Section 3.2 of the paper).
 
 use crate::backend::Backend;
-use crate::blocking::{adaptive_lsh_phase, DEFAULT_SKETCH_SEED};
+use crate::blocking::adaptive_lsh_phase;
 use crate::config::{CandidateSource, MatchingConfig};
 use crate::linking::Linking;
 use crate::scoring::{fused_phase_on, mapreduce_fused_phase_on, CandidateCache};
-use crate::stats::{MatchingOutcome, PhaseStats};
+use crate::stats::MatchingOutcome;
 use snr_graph::{GraphView, NodeId};
 use snr_mapreduce::{Engine, EngineError, EngineStats};
 use snr_sketch::Banding;
@@ -149,8 +149,8 @@ impl UserMatching {
     {
         let start = Instant::now();
         let cfg = &self.config;
-        let mut links = Linking::with_seeds(g1.node_count(), g2.node_count(), seeds);
-        let mut phases = Vec::new();
+        let mut outcome =
+            MatchingOutcome::new(Linking::with_seeds(g1.node_count(), g2.node_count(), seeds));
 
         let schedule = cfg.schedule(g1.max_degree().max(g2.max_degree()));
 
@@ -185,10 +185,14 @@ impl UserMatching {
             CandidateCache::build(g2)
         });
 
-        for (iteration, bucket) in schedule {
+        for phase in &schedule {
             let phase_start = Instant::now();
-            let _phase_span = snr_telemetry::span!("phase", iter = iteration, bucket = bucket);
-            let min_degree = 1usize << bucket;
+            // The span carries the bucket the phase runs, not the reported one.
+            let bucket = phase.min_degree.trailing_zeros();
+            let _phase_span =
+                snr_telemetry::span!("phase", iter = phase.iteration, bucket = bucket);
+            let min_degree = phase.min_degree;
+            let links = &outcome.links;
             let candidates = cand_cache1.eligible(
                 min_degree,
                 |u| links.is_linked_g1(NodeId(u)),
@@ -206,7 +210,7 @@ impl UserMatching {
                         engine,
                         g1,
                         g2,
-                        &links,
+                        links,
                         candidates,
                         min_degree,
                         cfg.threshold,
@@ -224,20 +228,19 @@ impl UserMatching {
                         CandidateSource::Exact => fused_phase_on(
                             g1,
                             g2,
-                            &links,
+                            links,
                             &candidates,
                             min_degree,
                             cfg.threshold,
                             parallel,
                         ),
                         // Blocked path: MinHash/LSH proposes candidate
-                        // pairs, which are then scored exactly. The
-                        // sketch seed mixes in the phase coordinates so
-                        // each phase re-draws its hash family. Phases
-                        // whose exact scan is light fall back to it
-                        // (lossless and faster there); only mass-heavy
-                        // phases pay the sketch — see the adaptive gate
-                        // in `crate::blocking`.
+                        // pairs, which are then scored exactly, with the
+                        // phase's own sketch seed. Phases whose exact
+                        // scan is light fall back to it (lossless and
+                        // faster there); only mass-heavy phases pay the
+                        // sketch — see the adaptive gate in
+                        // `crate::blocking`.
                         CandidateSource::Lsh { bands, rows } => {
                             let candidates2 = || {
                                 cand_cache2
@@ -249,19 +252,16 @@ impl UserMatching {
                                         |v| g2.degree(NodeId(v)),
                                     )
                             };
-                            let seed = DEFAULT_SKETCH_SEED
-                                ^ (u64::from(iteration) << 32)
-                                ^ u64::from(bucket);
                             adaptive_lsh_phase(
                                 g1,
                                 g2,
-                                &links,
+                                links,
                                 &candidates,
                                 candidates2,
                                 min_degree,
                                 cfg.threshold,
                                 &Banding::new(bands, rows),
-                                seed,
+                                phase.sketch_seed,
                                 cfg.lsh_mass_floor,
                                 parallel,
                             )
@@ -270,25 +270,12 @@ impl UserMatching {
                 }
             };
 
-            let new_links = links.insert_batch(&new_pairs);
-            let duration = phase_start.elapsed();
-
             snr_telemetry::Counter::ScoredPairs.add(scored_pairs as u64);
-            snr_telemetry::Counter::LinksInserted.add(new_links as u64);
-            snr_telemetry::Gauge::LinksTotal.set(links.len() as u64);
-            snr_telemetry::Histogram::PhaseMicros.record(duration.as_micros() as u64);
-
-            phases.push(PhaseStats {
-                iteration,
-                bucket: if cfg.degree_bucketing { bucket } else { 0 },
-                scored_pairs,
-                new_links,
-                total_links: links.len(),
-                duration,
-            });
+            outcome.close_phase(phase, scored_pairs, &new_pairs, phase_start);
         }
 
-        Ok(MatchingOutcome { links, phases, total_duration: start.elapsed() })
+        outcome.total_duration = start.elapsed();
+        Ok(outcome)
     }
 }
 

@@ -11,9 +11,10 @@
 //! * on the Wikipedia-style workload its error rate balloons (27.9% vs
 //!   17.3% in the paper).
 
+use crate::config::MatchingConfig;
 use crate::linking::Linking;
 use crate::scoring::{collect_candidates, fused_phase_on};
-use crate::stats::{MatchingOutcome, PhaseStats};
+use crate::stats::MatchingOutcome;
 use serde::{Deserialize, Serialize};
 use snr_graph::{GraphView, NodeId};
 use std::time::Instant;
@@ -69,24 +70,33 @@ impl BaselineMatching {
         G2: GraphView + Sync,
     {
         let start = Instant::now();
-        let mut links = Linking::with_seeds(g1.node_count(), g2.node_count(), seeds);
-        let mut phases = Vec::new();
-        for pass in 1..=self.config.passes.max(1) {
-            let phase_start = Instant::now();
-            let candidates = collect_candidates(g1, &links, 1);
-            let (scored_pairs, pairs) =
-                fused_phase_on(g1, g2, &links, &candidates, 1, self.config.threshold, false);
-            let new_links = links.insert_batch(&pairs);
-            phases.push(PhaseStats {
-                iteration: pass,
-                bucket: 0,
-                scored_pairs,
-                new_links,
-                total_links: links.len(),
-                duration: phase_start.elapsed(),
-            });
+        let mut outcome =
+            MatchingOutcome::new(Linking::with_seeds(g1.node_count(), g2.node_count(), seeds));
+        // The baseline's passes are the unbucketed schedule at bucket 0:
+        // every pass scores all nodes of degree at least 1.
+        let schedule = MatchingConfig {
+            iterations: self.config.passes.max(1),
+            degree_bucketing: false,
+            min_bucket: 0,
+            ..MatchingConfig::default()
         }
-        MatchingOutcome { links, phases, total_duration: start.elapsed() }
+        .schedule(0);
+        for phase in &schedule {
+            let phase_start = Instant::now();
+            let candidates = collect_candidates(g1, &outcome.links, phase.min_degree);
+            let (scored_pairs, pairs) = fused_phase_on(
+                g1,
+                g2,
+                &outcome.links,
+                &candidates,
+                phase.min_degree,
+                self.config.threshold,
+                false,
+            );
+            outcome.close_phase(phase, scored_pairs, &pairs, phase_start);
+        }
+        outcome.total_duration = start.elapsed();
+        outcome
     }
 }
 

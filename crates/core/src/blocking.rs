@@ -117,7 +117,7 @@ where
 ///
 /// The exact arena costs a few nanoseconds per entry, so blocking only wins
 /// on phases whose scan is *heavy* — in absolute terms (`mass_floor`) and
-/// per row ([`LSH_MASS_PER_ROW`]): light phases pay the sketch + banding
+/// per row (`LSH_MASS_PER_ROW`): light phases pay the sketch + banding
 /// overhead without enough scan to save. A `mass_floor` of 0 disables the
 /// gate entirely (every phase blocks) — what the recall experiments use to
 /// map the pure-blocking trade-off.

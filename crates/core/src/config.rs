@@ -1,7 +1,7 @@
 //! Algorithm configuration.
 
 use crate::backend::Backend;
-use crate::blocking::DEFAULT_LSH_MASS_FLOOR;
+use crate::blocking::{DEFAULT_LSH_MASS_FLOOR, DEFAULT_SKETCH_SEED};
 use serde::{Deserialize, Serialize};
 
 /// How each phase generates the candidate `(u, v)` pairs it scores.
@@ -125,18 +125,20 @@ impl MatchingConfig {
         self
     }
 
-    /// The run's phase schedule as `(iteration, bucket exponent)` pairs, in
-    /// execution order: for each of the `k` iterations, buckets `j` from
-    /// the top bucket down to [`MatchingConfig::min_bucket`]; a phase at
-    /// bucket `j` considers nodes of degree at least `2^j`.
+    /// The run's phase schedule, in execution order: for each of the `k`
+    /// iterations, buckets `j` from the top bucket down to
+    /// [`MatchingConfig::min_bucket`]; a phase at bucket `j` considers nodes
+    /// of degree at least `2^j`.
     ///
     /// `max_degree` is the paper's `D`, "a parameter related to the largest
     /// node degree" — callers pass the larger of the two copies' maximum
     /// degrees, so the first bucket is never empty on either side. With
     /// degree bucketing the top bucket is `⌊log₂ D⌋` (at least
     /// `min_bucket`); without it every iteration is the single bucket
-    /// `min_bucket`.
-    pub fn schedule(&self, max_degree: usize) -> Vec<(u32, u32)> {
+    /// `min_bucket`. A `min_bucket` of 0 (set directly; the builder clamps
+    /// to 1) is a supported input: its phases take every node of degree at
+    /// least 1, which is how [`crate::BaselineMatching`] gets its passes.
+    pub fn schedule(&self, max_degree: usize) -> Vec<Phase> {
         let top_bucket = if self.degree_bucketing {
             (usize::BITS - 1).saturating_sub(max_degree.max(1).leading_zeros()).max(self.min_bucket)
         } else {
@@ -146,8 +148,36 @@ impl MatchingConfig {
             .flat_map(|iteration| {
                 (self.min_bucket..=top_bucket).rev().map(move |bucket| (iteration, bucket))
             })
+            .zip(1..)
+            .map(|((iteration, bucket), number)| Phase {
+                number,
+                iteration,
+                bucket: if self.degree_bucketing { bucket } else { 0 },
+                min_degree: 1 << bucket,
+                sketch_seed: DEFAULT_SKETCH_SEED ^ (u64::from(iteration) << 32) ^ u64::from(bucket),
+            })
             .collect()
     }
+}
+
+/// One phase of a [`MatchingConfig::schedule`]: everything a matcher needs
+/// to run it and to report it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Phase {
+    /// Position in the schedule, starting at 1.
+    pub number: u32,
+    /// Outer iteration index, starting at 1.
+    pub iteration: u32,
+    /// Degree-bucket exponent `j` as [`crate::PhaseStats`] reports it; `0`
+    /// when degree bucketing is disabled.
+    pub bucket: u32,
+    /// Minimum degree of a candidate on either side: `2^j` of the bucket
+    /// the phase actually runs (`min_bucket` without bucketing).
+    pub min_degree: usize,
+    /// Seed of the phase's MinHash family: [`DEFAULT_SKETCH_SEED`] with the
+    /// iteration and the bucket the phase actually runs mixed in, so every
+    /// phase re-draws its hash functions.
+    pub sketch_seed: u64,
 }
 
 #[cfg(test)]
@@ -196,18 +226,40 @@ mod tests {
 
     #[test]
     fn schedule_sweeps_buckets_from_log_d_down_each_iteration() {
+        let pairs = |s: Vec<Phase>| s.iter().map(|p| (p.iteration, p.bucket)).collect::<Vec<_>>();
+        let seed = |iteration: u32, bucket: u32| {
+            DEFAULT_SKETCH_SEED ^ (u64::from(iteration) << 32) ^ u64::from(bucket)
+        };
         let c = MatchingConfig::default().with_iterations(2);
         // D = 11: floor(log2 11) = 3.
-        assert_eq!(c.schedule(11), vec![(1, 3), (1, 2), (1, 1), (2, 3), (2, 2), (2, 1)]);
+        let s = c.schedule(11);
+        assert_eq!(pairs(s.clone()), vec![(1, 3), (1, 2), (1, 1), (2, 3), (2, 2), (2, 1)]);
+        for (i, p) in s.iter().enumerate() {
+            assert_eq!(p.number, i as u32 + 1);
+            assert_eq!(p.min_degree, 1 << p.bucket);
+            assert_eq!(p.sketch_seed, seed(p.iteration, p.bucket));
+        }
         // Exact powers of two start their own bucket.
-        assert_eq!(c.schedule(8)[0], (1, 3));
-        assert_eq!(c.schedule(7)[0], (1, 2));
+        assert_eq!(pairs(c.schedule(8))[0], (1, 3));
+        assert_eq!(pairs(c.schedule(7))[0], (1, 2));
         // Tiny or empty graphs still run the min_bucket phase.
-        assert_eq!(c.schedule(0), vec![(1, 1), (2, 1)]);
-        assert_eq!(c.clone().with_min_bucket(4).schedule(11), vec![(1, 4), (2, 4)]);
-        // Without bucketing every iteration is one min_bucket phase.
-        let flat = c.with_degree_bucketing(false);
-        assert_eq!(flat.schedule(1 << 20), vec![(1, 1), (2, 1)]);
+        assert_eq!(pairs(c.schedule(0)), vec![(1, 1), (2, 1)]);
+        assert_eq!(pairs(c.clone().with_min_bucket(4).schedule(11)), vec![(1, 4), (2, 4)]);
+        // Without bucketing every iteration is one min_bucket phase, reported
+        // as bucket 0; its degree floor and sketch seed still come from the
+        // bucket it runs.
+        let flat = c.clone().with_degree_bucketing(false).schedule(1 << 20);
+        assert_eq!(pairs(flat.clone()), vec![(1, 0), (2, 0)]);
+        assert_eq!(flat.iter().map(|p| p.number).collect::<Vec<_>>(), vec![1, 2]);
+        assert!(flat.iter().all(|p| p.min_degree == 2));
+        assert_eq!(flat[1].sketch_seed, seed(2, 1));
+        // min_bucket 0 (the baseline's passes) runs down to degree 1.
+        let zero = MatchingConfig { min_bucket: 0, ..c };
+        assert_eq!(pairs(zero.schedule(4)), vec![(1, 2), (1, 1), (1, 0), (2, 2), (2, 1), (2, 0)]);
+        let passes = MatchingConfig { degree_bucketing: false, ..zero }.schedule(1 << 20);
+        assert_eq!(pairs(passes.clone()), vec![(1, 0), (2, 0)]);
+        assert!(passes.iter().all(|p| p.min_degree == 1));
+        assert_eq!(passes[1].sketch_seed, seed(2, 0));
     }
 
     #[test]

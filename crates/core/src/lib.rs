@@ -86,6 +86,6 @@ pub mod witness;
 pub use algorithm::UserMatching;
 pub use backend::Backend;
 pub use baseline::BaselineMatching;
-pub use config::{CandidateSource, MatchingConfig};
+pub use config::{CandidateSource, MatchingConfig, Phase};
 pub use linking::Linking;
 pub use stats::{MatchingOutcome, PhaseStats};

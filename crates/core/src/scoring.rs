@@ -34,7 +34,7 @@
 //! The fused output is bit-for-bit identical to
 //! `mutual_best_pairs(&count_sequential(..), t)`: per-row bests are exact
 //! (each worker sees whole rows), and per-`v` bests merge with
-//! [`Best::merge`], which is associative, commutative, and preserves
+//! `Best::merge`, which is associative, commutative, and preserves
 //! tie-abstention across worker boundaries.
 //!
 //! # Threshold-filtered selection
@@ -506,39 +506,47 @@ impl SelectSink {
     /// sink bit-identical to one that scored every row locally: claim order
     /// is irrelevant ([`SelectSink::finish`] sorts), `scored_pairs` is a
     /// plain sum, and the per-`v` bests merge with the associative,
-    /// commutative, tie-abstaining [`Best::merge`].
+    /// commutative, tie-abstaining `Best::merge`.
     ///
     /// Claims are validated before any state changes: a copy-2 id at or
-    /// beyond this sink's `n2`, or a claim or per-`v` best below this
-    /// sink's threshold (sinks only fold entries at or above it, so no sink
-    /// produces one) is rejected and the sink is left untouched, so a
-    /// corrupt or mismatched payload can never poison the selection.
-    pub fn absorb_claims(&mut self, claims: &SinkClaims) -> Result<(), GraphError> {
+    /// beyond this sink's `n2`, a claimed row or per-`v` best partner outside
+    /// `rows` (the copy-1 rows the producing sink scored), or a claim or
+    /// per-`v` best below this sink's threshold (sinks only fold entries at
+    /// or above it, so no sink produces one) is rejected and the sink is left
+    /// untouched, so a corrupt or mismatched payload can never poison the
+    /// selection.
+    pub fn absorb_claims(
+        &mut self,
+        claims: &SinkClaims,
+        rows: std::ops::Range<u32>,
+    ) -> Result<(), GraphError> {
         let n2 = self.best_v.len() as u32;
-        for &(_, partner, score) in &claims.claims {
+        let invalid = |what: String| Err(GraphError::InvalidParameter(what));
+        for &(u, partner, score) in &claims.claims {
+            if !rows.contains(&u) {
+                return invalid(format!("sink claim row {u} outside the scored rows {rows:?}"));
+            }
             if partner >= n2 {
-                return Err(GraphError::InvalidParameter(format!(
-                    "sink claim partner {partner} out of range (n2 = {n2})"
-                )));
+                return invalid(format!("sink claim partner {partner} out of range (n2 = {n2})"));
             }
             if score < self.threshold {
-                return Err(GraphError::InvalidParameter(format!(
+                return invalid(format!(
                     "sink claim score {score} below threshold {}",
                     self.threshold
-                )));
+                ));
             }
         }
         for &(v, partner, score, _) in &claims.bests {
-            if v >= n2 || partner >= n2 {
-                return Err(GraphError::InvalidParameter(format!(
-                    "per-v best ({v}, {partner}) out of range (n2 = {n2})"
-                )));
+            if v >= n2 || !rows.contains(&partner) {
+                return invalid(format!(
+                    "per-v best ({v}, {partner}) out of range (n2 = {n2}, rows {rows:?})"
+                ));
             }
             if score < self.threshold {
-                return Err(GraphError::InvalidParameter(format!(
+                return invalid(format!(
                     "per-v best for {v} has score {score} below threshold {}",
                     self.threshold
-                )));
+                ));
             }
         }
         self.scored_pairs += claims.scored_pairs as usize;
@@ -1594,7 +1602,7 @@ mod tests {
                     &mut sink,
                 );
                 let decoded = SinkClaims::decode(&sink.into_claims().encode()).unwrap();
-                acc.absorb_claims(&decoded).unwrap();
+                acc.absorb_claims(&decoded, start..end).unwrap();
             }
             assert_eq!(acc.finish(), expected, "d={d} t={t}");
         }
@@ -1673,13 +1681,14 @@ mod tests {
         );
         let claims = sink.into_claims();
         assert!(claims.claim_count() > 0);
+        let rows = 0..g1.node_count() as u32;
 
         // A smaller sink rejects ids beyond its v-axis.
         let mut small = SelectSink::new(1, 2);
-        assert!(small.absorb_claims(&claims).is_err());
+        assert!(small.absorb_claims(&claims, rows.clone()).is_err());
         // A stricter sink rejects claims below its threshold.
         let mut strict = SelectSink::new(n2, u32::MAX);
-        assert!(strict.absorb_claims(&claims).is_err());
+        assert!(strict.absorb_claims(&claims, rows.clone()).is_err());
         // Sinks fold only entries at or above their threshold, so every
         // shipped per-v best meets it ...
         assert!(claims.bests.iter().all(|&(_, _, score, _)| score >= 2));
@@ -1689,13 +1698,28 @@ mod tests {
             let mut bad = claims.clone();
             bad.bests.push((0, 0, score, true));
             let mut sink = SelectSink::new(n2, 2);
-            assert!(sink.absorb_claims(&bad).is_err(), "per-v best score {score}");
+            assert!(sink.absorb_claims(&bad, rows.clone()).is_err(), "per-v best score {score}");
             assert_eq!(sink.scored_pairs, 0, "a rejected payload must not change the sink");
             assert!(sink.claims.is_empty());
         }
+        // A claim or a per-v best naming a row outside the scored range is
+        // rejected the same way: the range's sink could not have produced it.
+        let (u, _, _) = claims.claims[0];
+        let mut bad_claim = claims.clone();
+        bad_claim.claims.push((rows.end, 0, 2));
+        let mut bad_best = claims.clone();
+        bad_best.bests.push((0, rows.end, 2, true));
+        for (bad, range) in
+            [(&bad_claim, rows.clone()), (&bad_best, rows.clone()), (&claims, u + 1..rows.end)]
+        {
+            let mut sink = SelectSink::new(n2, 2);
+            assert!(sink.absorb_claims(bad, range).is_err());
+            assert_eq!(sink.scored_pairs, 0, "a rejected payload must not change the sink");
+            assert!(sink.claims.is_empty() && sink.best_v.iter().all(|b| b.score == 0));
+        }
         // The matching sink accepts them.
         let mut ok = SelectSink::new(n2, 2);
-        ok.absorb_claims(&claims).unwrap();
+        ok.absorb_claims(&claims, rows).unwrap();
         assert_eq!(ok.finish(), phase(&g1, &g2, &links, 2, 2, 2, false));
     }
 

@@ -1,8 +1,10 @@
 //! Per-phase statistics and the overall matching outcome.
 
+use crate::config::Phase;
 use crate::linking::Linking;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
+use snr_graph::NodeId;
+use std::time::{Duration, Instant};
 
 /// Statistics of one phase (one degree bucket within one outer iteration).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -50,6 +52,38 @@ pub struct MatchingOutcome {
 }
 
 impl MatchingOutcome {
+    /// A run's outcome before its first phase: `links` holds the seeds.
+    pub fn new(links: Linking) -> Self {
+        MatchingOutcome { links, phases: Vec::new(), total_duration: Duration::ZERO }
+    }
+
+    /// Closes `phase`, which began at `started` and selected `selected`:
+    /// inserts the pairs into the links, records the link and phase-time
+    /// telemetry, and appends the phase's [`PhaseStats`]. The caller accounts
+    /// for `scored_pairs` in telemetry itself (the driver's workers report
+    /// their own).
+    pub fn close_phase(
+        &mut self,
+        phase: &Phase,
+        scored_pairs: usize,
+        selected: &[(NodeId, NodeId)],
+        started: Instant,
+    ) {
+        let new_links = self.links.insert_batch(selected);
+        let duration = started.elapsed();
+        snr_telemetry::Counter::LinksInserted.add(new_links as u64);
+        snr_telemetry::Gauge::LinksTotal.set(self.links.len() as u64);
+        snr_telemetry::Histogram::PhaseMicros.record(duration.as_micros() as u64);
+        self.phases.push(PhaseStats {
+            iteration: phase.iteration,
+            bucket: phase.bucket,
+            scored_pairs,
+            new_links,
+            total_links: self.links.len(),
+            duration,
+        });
+    }
+
     /// Number of links discovered by the algorithm (excludes seeds).
     pub fn discovered(&self) -> usize {
         self.links.discovered_count()

@@ -1,10 +1,12 @@
 //! The worker subprocess of the shard driver.
 //!
 //! Speaks the length-prefixed frame protocol of `snr_driver::protocol` over
-//! stdin/stdout: opens the segment stores named by `Init`, folds each
-//! `Phase`'s link delta into a resident `Linking` and rebuilds the
-//! `LinkCache`, and answers every `Task` with the serialized `SelectSink`
-//! claims of one contiguous row-range. A `Reinit` frame (sent to fresh
+//! stdin/stdout: opens a `ShardScorer` on the segment stores named by
+//! `Init`, folds each `Phase`'s link delta into a resident `Linking` and
+//! sets the scorer up for the phase, and answers every `Task` with the
+//! serialized claims the scorer returns for one contiguous row-range (the
+//! coordinator's degradation path scores through the same `ShardScorer`).
+//! A `Reinit` frame (sent to fresh
 //! processes — respawns and resumed runs) replaces the resident `Linking`
 //! with the full snapshot it carries, which by the invariant in
 //! `snr_driver::driver` is bit-identical to the state an uninterrupted
@@ -18,16 +20,13 @@
 //! byte in (and truncates) one claims payload, and `truncate_frame` cuts a
 //! `TaskDone` frame off mid-body and exits.
 
-use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink};
 use snr_core::Linking;
-use snr_driver::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
-use snr_driver::DriverError;
+use snr_driver::protocol::{read_frame, write_frame, Message};
+use snr_driver::{DriverError, ShardScorer};
 use snr_faults::{corrupt_payload, FaultRegistry, FaultSite};
-use snr_graph::{CompactCsr, NodeId};
-use snr_store::{read_segment, read_segment_rows_file, wire, MmapGraph, ShardedGraph};
-use std::fs::File;
-use std::io::{BufReader, Write};
-use std::path::PathBuf;
+use snr_graph::NodeId;
+use snr_store::wire;
+use std::io::Write;
 use std::time::Duration;
 
 fn main() {
@@ -39,66 +38,10 @@ fn main() {
     }
 }
 
-/// The copy-1 view: whole (indexed by global row id) or a segment path the
-/// worker range-loads per task.
-enum G1View {
-    Range(PathBuf),
-    Whole(MmapGraph),
-    Sharded(ShardedGraph<MmapGraph>),
-}
-
-/// The copy-2 view (always whole: eligibility spans the full `v` axis).
-enum G2View {
-    Mem(CompactCsr),
-    Map(MmapGraph),
-}
-
-/// Per-phase parameters retained between `Phase` and its `Task`s.
-struct PhaseParams {
-    phase: u32,
-    min_deg1: usize,
-    threshold: u32,
-    cache: LinkCache,
-}
-
 struct WorkerState {
     worker_id: u32,
-    n2: usize,
-    g1: G1View,
-    g2: G2View,
     links: Linking,
-    arena: ScoreArena,
-    params: Option<PhaseParams>,
-}
-
-impl WorkerState {
-    /// Rebuilds the `LinkCache` and phase params after the links changed
-    /// (the shared tail of `Phase` and `Reinit`).
-    fn set_phase(&mut self, phase: u32, min_deg1: u32, min_deg2: u32, threshold: u32) {
-        let cache = match &self.g2 {
-            G2View::Mem(g) => LinkCache::build(g, &self.links, min_deg2 as usize),
-            G2View::Map(g) => LinkCache::build(g, &self.links, min_deg2 as usize),
-        };
-        self.params = Some(PhaseParams { phase, min_deg1: min_deg1 as usize, threshold, cache });
-    }
-}
-
-fn open_g1(spec: &G1Spec) -> Result<G1View, DriverError> {
-    Ok(match spec {
-        G1Spec::RangeLoad { path } => G1View::Range(PathBuf::from(path)),
-        G1Spec::MmapWhole { path } => G1View::Whole(MmapGraph::open(path)?),
-        G1Spec::Shards { paths } => G1View::Sharded(ShardedGraph::open(paths)?),
-    })
-}
-
-fn open_g2(spec: &G2Spec) -> Result<G2View, DriverError> {
-    Ok(match spec {
-        G2Spec::Load { path } => {
-            let (_, g) = read_segment(BufReader::new(File::open(path)?))?;
-            G2View::Mem(g)
-        }
-        G2Spec::Mmap { path } => G2View::Map(MmapGraph::open(path)?),
-    })
+    scorer: ShardScorer,
 }
 
 fn to_pairs(raw: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
@@ -119,16 +62,10 @@ fn run() -> Result<(), DriverError> {
         match msg {
             Message::Shutdown => return Ok(()),
             Message::Init { worker_id, n1, n2, g1, g2 } => {
-                let n1 = n1 as usize;
-                let n2 = n2 as usize;
                 state = Some(WorkerState {
                     worker_id,
-                    n2,
-                    g1: open_g1(&g1)?,
-                    g2: open_g2(&g2)?,
-                    links: Linking::new(n1, n2),
-                    arena: ScoreArena::new(n2),
-                    params: None,
+                    links: Linking::new(n1 as usize, n2 as usize),
+                    scorer: ShardScorer::open(&g1, &g2)?,
                 });
                 write_frame(&mut stdout, &Message::InitOk { worker_id })?;
             }
@@ -137,7 +74,7 @@ fn run() -> Result<(), DriverError> {
                     .as_mut()
                     .ok_or_else(|| DriverError::Protocol("Phase before Init".into()))?;
                 st.links.insert_batch(&to_pairs(&links_delta));
-                st.set_phase(phase, min_deg1, min_deg2, threshold);
+                st.scorer.set_phase(&st.links, phase, min_deg1, min_deg2, threshold);
             }
             Message::Reinit { phase, min_deg1, min_deg2, threshold, links_full } => {
                 let st = state
@@ -148,28 +85,16 @@ fn run() -> Result<(), DriverError> {
                 let mut links = Linking::new(st.links.g1_capacity(), st.links.g2_capacity());
                 links.insert_batch(&to_pairs(&links_full));
                 st.links = links;
-                if phase == 0 {
-                    // Handshake completed before the first phase broadcast;
-                    // the Phase frame will follow.
-                    st.params = None;
-                } else {
-                    st.set_phase(phase, min_deg1, min_deg2, threshold);
-                }
+                // Phase 0: the handshake completed before the first phase
+                // broadcast, and the Phase frame will follow.
+                st.scorer.set_phase(&st.links, phase, min_deg1, min_deg2, threshold);
             }
             Message::Task { phase, first_node, node_count } => {
                 let st = state
                     .as_mut()
                     .ok_or_else(|| DriverError::Protocol("Task before Init".into()))?;
-                let params = st
-                    .params
-                    .as_ref()
-                    .ok_or_else(|| DriverError::Protocol("Task before Phase".into()))?;
-                if params.phase != phase {
-                    return Err(DriverError::Protocol(format!(
-                        "Task for phase {phase} while phase {} is current",
-                        params.phase
-                    )));
-                }
+                // A missing or stale phase is rejected before any fault fires.
+                st.scorer.check_phase(phase)?;
                 let me = Some(st.worker_id);
                 if faults.fire(FaultSite::Kill, me, Some(phase)).is_some() {
                     // Injected fault: die mid-round without a goodbye, the
@@ -193,44 +118,7 @@ fn run() -> Result<(), DriverError> {
                     first = first_node,
                     rows = node_count
                 );
-                let mut sink = SelectSink::new(st.n2, params.threshold);
-                match &st.g1 {
-                    G1View::Range(path) => {
-                        let (_, rows) =
-                            read_segment_rows_file(path, first_node..first_node + node_count)?;
-                        score_assigned_rows(
-                            &rows,
-                            first_node,
-                            0..node_count,
-                            &params.cache,
-                            &st.links,
-                            params.min_deg1,
-                            &mut st.arena,
-                            &mut sink,
-                        );
-                    }
-                    G1View::Whole(g) => score_assigned_rows(
-                        g,
-                        0,
-                        first_node..first_node + node_count,
-                        &params.cache,
-                        &st.links,
-                        params.min_deg1,
-                        &mut st.arena,
-                        &mut sink,
-                    ),
-                    G1View::Sharded(g) => score_assigned_rows(
-                        g,
-                        0,
-                        first_node..first_node + node_count,
-                        &params.cache,
-                        &st.links,
-                        params.min_deg1,
-                        &mut st.arena,
-                        &mut sink,
-                    ),
-                }
-                let sink_claims = sink.into_claims();
+                let sink_claims = st.scorer.score(&st.links, phase, first_node, node_count)?;
                 snr_telemetry::Counter::ScoredPairs.add(sink_claims.scored_pairs());
                 snr_telemetry::Counter::TasksCompleted.add(1);
                 drop(task_span);

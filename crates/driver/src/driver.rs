@@ -29,29 +29,27 @@
 //! delta would hold — so a `Reinit` frame carrying the full snapshot
 //! brings a *fresh* process (respawn, resume) to a state bit-identical to
 //! an uninterrupted worker's, and the in-process degradation path scores
-//! row-ranges through the very same `score_assigned_rows` + `SelectSink`
-//! code the workers run.
+//! row-ranges through the very same [`ShardScorer`] the workers run.
 //!
 //! # Fault tolerance and self-healing
 //!
 //! A worker that dies (pipe EOF, nonzero exit, undecodable claims) or
 //! misses its round deadline has its row-range re-queued for the
 //! surviving workers; stragglers get one speculative grace period and are
-//! then killed. On top of that PR-6 baseline sit three healing layers:
+//! then killed. On top of that sit three healing layers:
 //!
 //! 1. **Respawn** — every death schedules a relaunch with exponential
-//!    backoff (`backoff_base_ms · 2^attempt`) while the per-run
+//!    backoff (`50 ms · 2^attempt`) while the per-run
 //!    [`DriverConfig::respawn_budget`] lasts; the replacement syncs via
 //!    `Reinit` and picks up tasks mid-phase.
 //! 2. **Checkpoint/resume** — after each phase the coordinator persists
 //!    links + counters to `checkpoint.snrc` in the scratch dir (see
 //!    [`crate::checkpoint`]); [`ShardDriver::resume`] restarts from the
 //!    last complete phase, bit-identical to an uninterrupted run.
-//! 3. **Degradation** — when the pool (live + scheduled respawns) falls
-//!    below [`DriverConfig::degrade_floor`], the coordinator finishes the
-//!    remaining row-ranges in-process ([`DegradePolicy::InProcess`], the
-//!    default) instead of failing; [`DegradePolicy::Fail`] keeps the old
-//!    abort behavior.
+//! 3. **Degradation** — when the pool (live + scheduled respawns) is
+//!    empty, the coordinator finishes the remaining row-ranges in-process
+//!    ([`DegradePolicy::InProcess`], the default) instead of failing;
+//!    [`DegradePolicy::Fail`] keeps the old abort behavior.
 //!
 //! The failure modes that remain — the pool collapsing under
 //! `DegradePolicy::Fail`, or one row-range burning through the retry
@@ -60,19 +58,17 @@
 use crate::checkpoint::{Checkpoint, CheckpointPhase, CHECKPOINT_FILE};
 use crate::error::DriverError;
 use crate::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
-use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
-use snr_core::{Linking, MatchingConfig, MatchingOutcome, PhaseStats};
+use crate::shard::ShardScorer;
+use snr_core::scoring::{SelectSink, SinkClaims};
+use snr_core::{Linking, MatchingConfig, MatchingOutcome, Phase};
 use snr_faults::{FaultRegistry, FaultSite};
-use snr_graph::{CompactCsr, GraphView, NodeId};
+use snr_graph::{GraphView, NodeId};
 use snr_store::segment::{SegmentMeta, HEADER_LEN};
-use snr_store::{
-    read_segment, read_segment_rows_file, write_segment_file, write_shard_segments, MmapGraph,
-    ShardedGraph,
-};
+use snr_store::{write_segment_file, write_shard_segments, MmapGraph, ShardedGraph};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -92,16 +88,16 @@ pub enum DriverStore {
     Sharded(usize),
 }
 
-/// What the coordinator does when the worker pool collapses below
-/// [`DriverConfig::degrade_floor`].
+/// What the coordinator does when every worker is lost (none live and no
+/// respawn scheduled).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DegradePolicy {
     /// Abort the run with [`DriverError::AllWorkersDead`] (the pre-healing
     /// behavior).
     Fail,
     /// Finish the remaining row-ranges in-process through the same
-    /// `score_assigned_rows` + `SelectSink` path the workers run: slower,
-    /// but bit-identical and always completes.
+    /// [`ShardScorer`] the workers run: slower, but bit-identical and always
+    /// completes.
     #[default]
     InProcess,
 }
@@ -136,15 +132,10 @@ pub struct DriverConfig {
     /// has the task speculatively re-queued, and is killed if it also
     /// sleeps through the grace period.
     pub task_timeout: Duration,
-    /// Row-range granularity: the node space is cut into
-    /// `workers * tasks_per_worker` entry-balanced tasks (ignored for
-    /// [`DriverStore::Sharded`], where each shard is one task).
-    pub tasks_per_worker: usize,
     /// Fault-injection spec (see `snr_faults` for the grammar). Parsed into
     /// a registry by [`ShardDriver::new`]; worker-site actions are
     /// re-scoped per subprocess through `FaultRegistry::worker_spec`.
-    /// Inherited from `SNR_FAULT` (or the legacy `SNR_DRIVER_FAULT`) by
-    /// [`DriverConfig::new`].
+    /// Inherited from `SNR_FAULT` by [`DriverConfig::new`].
     pub fault: Option<String>,
     /// Explicit worker binary path; when unset the driver checks
     /// `SNR_DRIVER_WORKER` and then looks next to the current executable.
@@ -152,45 +143,40 @@ pub struct DriverConfig {
     /// How many worker relaunches one run may spend (a respawn consumes
     /// budget when it is scheduled, whether or not the exec succeeds).
     pub respawn_budget: u32,
-    /// Base of the exponential respawn backoff: attempt `k` of a slot
-    /// waits `backoff_base_ms · 2^k` before relaunching.
-    pub backoff_base_ms: u64,
-    /// What to do when the pool collapses below `degrade_floor`.
+    /// What to do when every worker is lost.
     pub degrade: DegradePolicy,
-    /// Degrade once live-or-respawning workers drop below this count
-    /// (default 1: degrade only on total loss). 0 disables degradation:
-    /// total loss then surfaces as [`DriverError::AllWorkersDead`]
-    /// regardless of [`DriverConfig::degrade`].
-    pub degrade_floor: usize,
     /// Whether to persist a checkpoint after every phase (default true).
     pub checkpoints: bool,
 }
 
 impl DriverConfig {
     /// A config with `workers` subprocesses and defaults for the rest:
-    /// mmap stores, 60 s round deadline, three tasks per worker, two
-    /// respawns with 50 ms base backoff, in-process degradation on total
-    /// loss, per-phase checkpoints, fault spec taken from the `SNR_FAULT`
-    /// (or legacy `SNR_DRIVER_FAULT`) environment variable.
+    /// mmap stores, 60 s round deadline, two respawns, in-process
+    /// degradation on total loss, per-phase checkpoints, fault spec taken
+    /// from the `SNR_FAULT` environment variable.
     pub fn new(workers: usize) -> Self {
-        let env_spec = |var: &str| std::env::var(var).ok().filter(|s| !s.is_empty());
         DriverConfig {
             workers: workers.max(1),
             matching: MatchingConfig::default(),
             store: DriverStore::Mmap,
             task_timeout: Duration::from_secs(60),
-            tasks_per_worker: 3,
-            fault: env_spec(snr_faults::ENV_FAULT)
-                .or_else(|| env_spec(snr_faults::ENV_FAULT_LEGACY)),
+            fault: std::env::var(snr_faults::ENV_FAULT).ok().filter(|s| !s.is_empty()),
             worker_bin: None,
             respawn_budget: 2,
-            backoff_base_ms: 50,
             degrade: DegradePolicy::InProcess,
-            degrade_floor: 1,
             checkpoints: true,
         }
     }
 }
+
+/// Row-range granularity: the node space is cut into
+/// `workers * TASKS_PER_WORKER` entry-balanced tasks (except under
+/// [`DriverStore::Sharded`], where each shard is one task).
+const TASKS_PER_WORKER: usize = 3;
+
+/// Base of the exponential respawn backoff: attempt `k` of a slot waits
+/// `BACKOFF_BASE_MS · 2^k` before relaunching.
+const BACKOFF_BASE_MS: u64 = 50;
 
 /// Monotonic suffix so concurrent drivers in one process get distinct
 /// scratch directories.
@@ -236,47 +222,64 @@ impl ShardDriver {
             SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&scratch)?;
-        let g2_path = scratch.join("g2.snrs");
-        write_segment_file(g2, &g2_path)?;
-        let g2_spec = g2_spec_for(config.store, &g2_path)?;
-        let (g1_spec, cuts, mut segment_bytes) = match config.store {
+        write_segment_file(g2, &scratch.join("g2.snrs"))?;
+        let g1_paths = match config.store {
             DriverStore::Compact | DriverStore::Mmap => {
-                let g1_path = scratch.join("g1.snrs");
-                write_segment_file(g1, &g1_path)?;
-                let parts = config.workers.max(1) * config.tasks_per_worker.max(1);
-                let cuts = snr_store::shard_boundaries(g1, parts);
-                let spec = if matches!(config.store, DriverStore::Compact) {
-                    G1Spec::RangeLoad { path: path_str(&g1_path)? }
-                } else {
-                    G1Spec::MmapWhole { path: path_str(&g1_path)? }
-                };
-                (spec, cuts, file_len(&g1_path))
+                let path = scratch.join("g1.snrs");
+                write_segment_file(g1, &path)?;
+                vec![path]
             }
             DriverStore::Sharded(n) => {
-                let shard_dir = scratch.join("g1-shards");
-                std::fs::create_dir_all(&shard_dir)?;
-                let paths = write_shard_segments(g1, n.max(1), &shard_dir)?;
-                let cuts = snr_store::shard_boundaries(g1, n.max(1));
-                let mut bytes = 0u64;
-                let mut strs = Vec::with_capacity(paths.len());
-                for p in &paths {
-                    bytes += file_len(p);
-                    strs.push(path_str(p)?);
-                }
-                (G1Spec::Shards { paths: strs }, cuts, bytes)
+                write_shard_segments(g1, n.max(1), &scratch.join("g1-shards"))?
             }
         };
-        segment_bytes += file_len(&g2_path);
-        let tasks: Vec<(u32, u32)> =
-            cuts.windows(2).map(|w| (w[0], w[1] - w[0])).filter(|&(_, count)| count > 0).collect();
+        ShardDriver::plan(scratch, config, faults, g1, g1_paths, g2.node_count(), g2.max_degree())
+    }
+
+    /// The segment plan shared by [`ShardDriver::new`] and
+    /// [`ShardDriver::resume`]: from the copy-1 view and its segment files
+    /// (`g2.snrs` sits next to them in `scratch`), derives the specs the
+    /// workers open, the task tiling of `0..n1`, and the segment byte count.
+    fn plan<G1: GraphView>(
+        scratch: PathBuf,
+        config: DriverConfig,
+        faults: FaultRegistry,
+        g1: &G1,
+        g1_paths: Vec<PathBuf>,
+        n2: usize,
+        g2_max_degree: usize,
+    ) -> Result<ShardDriver, DriverError> {
+        let g2_path = scratch.join("g2.snrs");
+        let g2_mmap = G2Spec::Mmap { path: path_str(&g2_path)? };
+        let tiles = config.workers.max(1) * TASKS_PER_WORKER;
+        let (g1_spec, g2_spec, parts) = match config.store {
+            DriverStore::Compact => (
+                G1Spec::RangeLoad { path: path_str(&g1_paths[0])? },
+                G2Spec::Load { path: path_str(&g2_path)? },
+                tiles,
+            ),
+            DriverStore::Mmap => {
+                (G1Spec::MmapWhole { path: path_str(&g1_paths[0])? }, g2_mmap, tiles)
+            }
+            DriverStore::Sharded(n) => {
+                let paths = g1_paths.iter().map(|p| path_str(p)).collect::<Result<_, _>>()?;
+                (G1Spec::Shards { paths }, g2_mmap, n.max(1))
+            }
+        };
+        let tasks = snr_store::shard_boundaries(g1, parts)
+            .windows(2)
+            .map(|w| (w[0], w[1] - w[0]))
+            .filter(|&(_, count)| count > 0)
+            .collect();
+        let segment_bytes = g1_paths.iter().chain([&g2_path]).map(|p| file_len(p)).sum();
         Ok(ShardDriver {
             config,
             faults,
             scratch,
             keep_scratch: Cell::new(false),
             n1: g1.node_count(),
-            n2: g2.node_count(),
-            max_degree: g1.max_degree().max(g2.max_degree()),
+            n2,
+            max_degree: g1.max_degree().max(g2_max_degree),
             g1_spec,
             g2_spec,
             tasks,
@@ -338,39 +341,27 @@ impl ShardDriver {
         }
         config.store = cp.store;
         let faults = parse_faults(&config)?;
-        let g2_path = scratch.join("g2.snrs");
-        let g2_meta = read_meta(&g2_path)?;
+        let g2_meta = read_meta(&scratch.join("g2.snrs"))?;
         if g2_meta.node_count as u64 != cp.n2 {
             return Err(DriverError::Checkpoint(format!(
                 "checkpoint says n2={} but g2.snrs holds {} nodes",
                 cp.n2, g2_meta.node_count
             )));
         }
-        let g2_spec = g2_spec_for(config.store, &g2_path)?;
-        let (g1_spec, cuts, g1_max_degree, mut segment_bytes) = match config.store {
+        let (n2, g2_max_degree) = (g2_meta.node_count, g2_meta.max_degree);
+        match config.store {
             DriverStore::Compact | DriverStore::Mmap => {
-                let g1_path = scratch.join("g1.snrs");
-                let g1 = MmapGraph::open(&g1_path)?;
+                let path = scratch.join("g1.snrs");
+                let g1 = MmapGraph::open(&path)?;
                 check_n1(g1.node_count(), cp)?;
-                let parts = config.workers.max(1) * config.tasks_per_worker.max(1);
-                let cuts = snr_store::shard_boundaries(&g1, parts);
-                let spec = if matches!(config.store, DriverStore::Compact) {
-                    G1Spec::RangeLoad { path: path_str(&g1_path)? }
-                } else {
-                    G1Spec::MmapWhole { path: path_str(&g1_path)? }
-                };
-                (spec, cuts, g1.max_degree(), file_len(&g1_path))
+                ShardDriver::plan(scratch, config, faults, &g1, vec![path], n2, g2_max_degree)
             }
-            DriverStore::Sharded(n) => {
+            DriverStore::Sharded(_) => {
                 let shard_dir = scratch.join("g1-shards");
-                let mut paths = Vec::new();
-                loop {
-                    let p = shard_dir.join(format!("shard-{}.snrs", paths.len()));
-                    if !p.exists() {
-                        break;
-                    }
-                    paths.push(p);
-                }
+                let paths: Vec<PathBuf> = (0..)
+                    .map(|k| shard_dir.join(format!("shard-{k}.snrs")))
+                    .take_while(|p| p.exists())
+                    .collect();
                 if paths.is_empty() {
                     return Err(DriverError::Checkpoint(format!(
                         "checkpoint expects sharded g1 but {} holds no shard-*.snrs",
@@ -379,34 +370,9 @@ impl ShardDriver {
                 }
                 let g1 = ShardedGraph::open(&paths)?;
                 check_n1(g1.node_count(), cp)?;
-                let cuts = snr_store::shard_boundaries(&g1, n.max(1));
-                let mut bytes = 0u64;
-                let mut strs = Vec::with_capacity(paths.len());
-                for p in &paths {
-                    bytes += file_len(p);
-                    strs.push(path_str(p)?);
-                }
-                (G1Spec::Shards { paths: strs }, cuts, g1.max_degree(), bytes)
+                ShardDriver::plan(scratch, config, faults, &g1, paths, n2, g2_max_degree)
             }
-        };
-        segment_bytes += file_len(&g2_path);
-        let tasks: Vec<(u32, u32)> =
-            cuts.windows(2).map(|w| (w[0], w[1] - w[0])).filter(|&(_, count)| count > 0).collect();
-        Ok(ShardDriver {
-            config,
-            faults,
-            scratch,
-            keep_scratch: Cell::new(false),
-            n1: cp.n1 as usize,
-            n2: cp.n2 as usize,
-            max_degree: g1_max_degree.max(g2_meta.max_degree),
-            g1_spec,
-            g2_spec,
-            tasks,
-            segment_bytes,
-            stats: RefCell::new(RunStats::default()),
-            pids: RefCell::new(Vec::new()),
-        })
+        }
     }
 
     /// Total bytes of the scratch segment files shipped to workers.
@@ -457,28 +423,26 @@ impl ShardDriver {
         prior: Option<&Checkpoint>,
     ) -> Result<MatchingOutcome, DriverError> {
         let start = Instant::now();
-        let cfg = &self.config.matching;
         *self.stats.borrow_mut() = RunStats::default();
         self.pids.borrow_mut().clear();
-        let mut links = Linking::with_seeds(self.n1, self.n2, seeds);
-        let mut phases: Vec<PhaseStats> = Vec::new();
+        let mut outcome = MatchingOutcome::new(Linking::with_seeds(self.n1, self.n2, seeds));
         if let Some(cp) = prior {
             let pairs: Vec<(NodeId, NodeId)> =
                 cp.links.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
-            links.insert_batch(&pairs);
-            phases = cp.phase_stats();
+            outcome.links.insert_batch(&pairs);
+            outcome.phases = cp.phase_stats();
         }
-        let schedule = cfg.schedule(self.max_degree);
-        if phases.len() > schedule.len() {
+        let schedule = self.config.matching.schedule(self.max_degree);
+        if outcome.phases.len() > schedule.len() {
             return Err(DriverError::Checkpoint(format!(
                 "checkpoint records {} phases but the schedule only has {}",
-                phases.len(),
+                outcome.phases.len(),
                 schedule.len()
             )));
         }
-        let completed = phases.len();
+        let completed = outcome.phases.len();
         let mut pool = WorkerPool::spawn(self)?;
-        let mut inproc: Option<InProcess> = None;
+        let mut scorer: Option<ShardScorer> = None;
         // The delta a *Ready* worker folds in at the next Phase broadcast.
         // A fresh pool (first phase of a run, or any resume) has no Ready
         // workers yet; those sync through Reinit's full snapshot instead.
@@ -487,43 +451,31 @@ impl ShardDriver {
         } else {
             seeds.iter().map(|&(a, b)| (a.0, b.0)).collect()
         };
-        for (idx, &(iteration, bucket)) in schedule.iter().enumerate().skip(completed) {
+        for phase in &schedule[completed..] {
             let phase_start = Instant::now();
-            let phase_no = (idx + 1) as u32;
-            let min_degree = 1usize << bucket;
-            let _phase_span =
-                snr_telemetry::span!("phase", n = phase_no, iter = iteration, bucket = bucket);
-            let (scored_pairs, new_pairs) = self.run_phase(
-                &mut pool,
-                phase_no,
-                min_degree as u32,
-                &delta,
-                &links,
-                &mut inproc,
-            )?;
-            let new_links = links.insert_batch(&new_pairs);
+            // The span carries the bucket the phase runs, not the reported one.
+            let _phase_span = snr_telemetry::span!(
+                "phase",
+                n = phase.number,
+                iter = phase.iteration,
+                bucket = phase.min_degree.trailing_zeros()
+            );
+            // Workers count their scored pairs in their own telemetry.
+            let (scored_pairs, new_pairs) =
+                self.run_phase(&mut pool, phase, &delta, &outcome.links, &mut scorer)?;
+            outcome.close_phase(phase, scored_pairs, &new_pairs, phase_start);
             delta = new_pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-            snr_telemetry::Counter::LinksInserted.add(new_links as u64);
-            snr_telemetry::Gauge::LinksTotal.set(links.len() as u64);
-            snr_telemetry::Histogram::PhaseMicros.record(phase_start.elapsed().as_micros() as u64);
-            phases.push(PhaseStats {
-                iteration,
-                bucket: if cfg.degree_bucketing { bucket } else { 0 },
-                scored_pairs,
-                new_links,
-                total_links: links.len(),
-                duration: phase_start.elapsed(),
-            });
             if self.config.checkpoints {
-                self.write_checkpoint(seeds, &links, &phases, phase_no);
+                self.write_checkpoint(seeds, &outcome, phase.number);
             }
-            if self.faults.fire(FaultSite::Halt, None, Some(phase_no)).is_some() {
+            if self.faults.fire(FaultSite::Halt, None, Some(phase.number)).is_some() {
                 pool.shutdown();
-                return Err(DriverError::Interrupted { phase: phase_no });
+                return Err(DriverError::Interrupted { phase: phase.number });
             }
         }
         pool.shutdown();
-        Ok(MatchingOutcome { links, phases, total_duration: start.elapsed() })
+        outcome.total_duration = start.elapsed();
+        Ok(outcome)
     }
 
     /// Persists the merged state after a phase. A failed write (real I/O or
@@ -533,8 +485,7 @@ impl ShardDriver {
     fn write_checkpoint(
         &self,
         seeds: &[(NodeId, NodeId)],
-        links: &Linking,
-        phases: &[PhaseStats],
+        outcome: &MatchingOutcome,
         phase_no: u32,
     ) {
         let _span = snr_telemetry::span!("checkpoint", phase = phase_no);
@@ -548,8 +499,8 @@ impl ShardDriver {
             degree_bucketing: cfg.degree_bucketing,
             min_bucket: cfg.min_bucket,
             seeds: seeds.iter().map(|&(a, b)| (a.0, b.0)).collect(),
-            links: links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
-            phases: phases.iter().map(CheckpointPhase::from).collect(),
+            links: outcome.links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
+            phases: outcome.phases.iter().map(CheckpointPhase::from).collect(),
         };
         let result = if self.faults.fire(FaultSite::CheckpointIo, None, Some(phase_no)).is_some() {
             Err(DriverError::Io(std::io::Error::other("injected checkpoint_io fault")))
@@ -581,13 +532,13 @@ impl ShardDriver {
     fn run_phase(
         &self,
         pool: &mut WorkerPool,
-        phase: u32,
-        min_degree: u32,
+        phase: &Phase,
         delta: &[(u32, u32)],
         links: &Linking,
-        inproc: &mut Option<InProcess>,
+        scorer: &mut Option<ShardScorer>,
     ) -> Result<(usize, Vec<(NodeId, NodeId)>), DriverError> {
         let threshold = self.config.matching.threshold;
+        let (min_degree, phase) = (phase.min_degree as u32, phase.number);
         pool.begin_phase(PhaseCtx { phase, min_degree, threshold });
         {
             let _bspan = snr_telemetry::span!("broadcast", phase = phase, delta = delta.len());
@@ -601,46 +552,27 @@ impl ShardDriver {
         }
         let mut sink = SelectSink::new(self.n2, threshold);
         let total = self.tasks.len();
-        if total == 0 {
-            return Ok(sink.finish());
-        }
         let mut done = vec![false; total];
         let mut attempts = vec![0u32; total];
         let mut assigned_to: Vec<Vec<u32>> = vec![Vec::new(); total];
-        let mut done_count = 0usize;
         let mut pending: VecDeque<usize> = (0..total).collect();
         let attempt_budget = (self.config.workers * 2 + 4) as u32 + self.config.respawn_budget * 2;
 
-        while done_count < total {
+        while done.contains(&false) {
             pool.launch_due_respawns(self);
             snr_telemetry::Gauge::WorkersAlive.set(pool.potential_workers() as u64);
-            // A pool below the floor degrades (or fails); a pool of zero is
-            // always actionable even with the floor at 0, because nothing
-            // could ever finish the remaining tasks otherwise.
-            if pool.potential_workers() < self.config.degrade_floor.max(1) {
-                let degrade = self.config.degrade_floor > 0
-                    && matches!(self.config.degrade, DegradePolicy::InProcess);
-                if degrade {
-                    self.finish_in_process(
-                        phase,
-                        min_degree,
-                        links,
-                        inproc,
-                        &mut sink,
-                        &mut done,
-                        &mut done_count,
-                    )?;
-                    continue;
+            // An empty pool can never finish the remaining tasks: the
+            // degrade policy decides between scoring them here and failing.
+            if pool.potential_workers() == 0 {
+                if matches!(self.config.degrade, DegradePolicy::InProcess) {
+                    self.finish_in_process(phase, min_degree, links, scorer, &mut sink, &done)?;
+                    break;
                 }
-                return Err(DriverError::AllWorkersDead {
-                    phase,
-                    respawns_used: pool.respawns_used,
-                    respawn_budget: self.config.respawn_budget,
-                    last_fault: pool.last_fault.clone(),
-                });
+                return Err(pool.all_dead(phase, self.config.respawn_budget));
             }
             // Hand pending tasks to idle workers.
             while let Some(&task) = pending.front() {
+                // A task that finished since it was queued is dropped here.
                 if done[task] {
                     pending.pop_front();
                     continue;
@@ -695,20 +627,19 @@ impl ShardDriver {
                             if done[task] {
                                 continue;
                             }
+                            let (first, count) = self.tasks[task];
                             // `absorb_claims` validates fully before
                             // mutating, so a rejected frame leaves the sink
                             // untouched and the range can be rescored.
                             let merged = {
                                 let _mspan =
                                     snr_telemetry::span!("merge", first = first_node, worker = w);
-                                SinkClaims::decode(&claims)
-                                    .and_then(|decoded| sink.absorb_claims(&decoded))
+                                SinkClaims::decode(&claims).and_then(|decoded| {
+                                    sink.absorb_claims(&decoded, first..first + count)
+                                })
                             };
                             match merged {
-                                Ok(()) => {
-                                    done[task] = true;
-                                    done_count += 1;
-                                }
+                                Ok(()) => done[task] = true,
                                 Err(e) => {
                                     pool.note_death(
                                         self,
@@ -737,13 +668,8 @@ impl ShardDriver {
                             );
                         }
                         Message::WorkerError { message } => {
-                            if let Some(t) =
-                                pool.note_death(self, w, &format!("worker {w} failed: {message}"))
-                            {
-                                if !done[t] {
-                                    pending.push_back(t);
-                                }
-                            }
+                            let reason = format!("worker {w} failed: {message}");
+                            pending.extend(pool.note_death(self, w, &reason));
                         }
                         other => {
                             return Err(DriverError::Protocol(format!(
@@ -756,11 +682,8 @@ impl ShardDriver {
                     if pool.is_stale(w, generation) {
                         continue;
                     }
-                    if let Some(t) = pool.note_death(self, w, &format!("worker {w} pipe closed")) {
-                        if !done[t] {
-                            pending.push_back(t);
-                        }
-                    }
+                    let reason = format!("worker {w} pipe closed");
+                    pending.extend(pool.note_death(self, w, &reason));
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
@@ -769,18 +692,11 @@ impl ShardDriver {
                             // Slept through the grace period too: stop
                             // waiting, reclaim the slot, and let the respawn
                             // machinery replace the process.
-                            if let Some(t) = pool.note_death(
-                                self,
-                                w,
-                                &format!(
-                                    "worker {w} missed two deadlines for the row-range at {}",
-                                    self.tasks[task].0
-                                ),
-                            ) {
-                                if !done[t] {
-                                    pending.push_back(t);
-                                }
-                            }
+                            let reason = format!(
+                                "worker {w} missed two deadlines for the row-range at {}",
+                                self.tasks[task].0
+                            );
+                            pending.extend(pool.note_death(self, w, &reason));
                         } else if !done[task] {
                             // First deadline miss: re-queue speculatively,
                             // first completion wins.
@@ -796,12 +712,7 @@ impl ShardDriver {
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(DriverError::AllWorkersDead {
-                        phase,
-                        respawns_used: pool.respawns_used,
-                        respawn_budget: self.config.respawn_budget,
-                        last_fault: pool.last_fault.clone(),
-                    });
+                    return Err(pool.all_dead(phase, self.config.respawn_budget));
                 }
             }
         }
@@ -809,86 +720,40 @@ impl ShardDriver {
     }
 
     /// The degradation path: scores every remaining row-range in the
-    /// coordinator's own process through the same `score_assigned_rows` +
-    /// `SelectSink` pipeline the workers run, absorbing each range's claims
-    /// into the phase sink. Bit-identical by construction (the in-memory
-    /// claims skip only the encode/decode roundtrip, which is an identity).
-    #[allow(clippy::too_many_arguments)]
+    /// coordinator's own process through the same [`ShardScorer`] the
+    /// workers run, absorbing each range's claims into the phase sink.
+    /// Bit-identical by construction (the in-memory claims skip only the
+    /// encode/decode roundtrip, which is an identity).
     fn finish_in_process(
         &self,
         phase: u32,
         min_degree: u32,
         links: &Linking,
-        inproc: &mut Option<InProcess>,
+        scorer: &mut Option<ShardScorer>,
         sink: &mut SelectSink,
-        done: &mut [bool],
-        done_count: &mut usize,
+        done: &[bool],
     ) -> Result<(), DriverError> {
-        if inproc.is_none() {
-            *inproc = Some(InProcess::open(&self.g1_spec, &self.g2_spec, self.n2)?);
+        let scorer = match scorer {
+            Some(scorer) => scorer,
+            none => none.insert(ShardScorer::open(&self.g1_spec, &self.g2_spec)?),
+        };
+        // Consecutive degraded phases build each phase's LinkCache once.
+        if scorer.phase() != Some(phase) {
+            let threshold = self.config.matching.threshold;
+            scorer.set_phase(links, phase, min_degree, min_degree, threshold);
         }
-        let ip = inproc.as_mut().expect("just opened");
-        if ip.cache.as_ref().map(|&(p, _)| p) != Some(phase) {
-            let cache = match &ip.g2 {
-                CoordG2::Mem(g) => LinkCache::build(g, links, min_degree as usize),
-                CoordG2::Map(g) => LinkCache::build(g, links, min_degree as usize),
-            };
-            ip.cache = Some((phase, cache));
+        let remaining: Vec<(u32, u32)> =
+            self.tasks.iter().zip(done).filter(|&(_, &done)| !done).map(|(&t, _)| t).collect();
+        for &(first_node, node_count) in &remaining {
+            let claims = scorer.score(links, phase, first_node, node_count)?;
+            sink.absorb_claims(&claims, first_node..first_node + node_count)?;
         }
-        let cache = &ip.cache.as_ref().expect("just built").1;
-        let threshold = self.config.matching.threshold;
-        let mut scored = 0u64;
-        for (task, &(first_node, node_count)) in self.tasks.iter().enumerate() {
-            if done[task] {
-                continue;
-            }
-            let mut task_sink = SelectSink::new(self.n2, threshold);
-            match &ip.g1 {
-                CoordG1::Range(path) => {
-                    let (_, rows) =
-                        read_segment_rows_file(path, first_node..first_node + node_count)?;
-                    score_assigned_rows(
-                        &rows,
-                        first_node,
-                        0..node_count,
-                        cache,
-                        links,
-                        min_degree as usize,
-                        &mut ip.arena,
-                        &mut task_sink,
-                    );
-                }
-                CoordG1::Whole(g) => score_assigned_rows(
-                    g,
-                    0,
-                    first_node..first_node + node_count,
-                    cache,
-                    links,
-                    min_degree as usize,
-                    &mut ip.arena,
-                    &mut task_sink,
-                ),
-                CoordG1::Sharded(g) => score_assigned_rows(
-                    g,
-                    0,
-                    first_node..first_node + node_count,
-                    cache,
-                    links,
-                    min_degree as usize,
-                    &mut ip.arena,
-                    &mut task_sink,
-                ),
-            }
-            sink.absorb_claims(&task_sink.into_claims())?;
-            done[task] = true;
-            *done_count += 1;
-            scored += 1;
-        }
+        let scored = remaining.len() as u64;
         self.stats.borrow_mut().degraded_tasks += scored;
         snr_telemetry::Counter::DegradedTasks.add(scored);
         snr_telemetry::event!("degraded", phase = phase, tasks = scored);
         snr_telemetry::warn!(
-            "worker pool below floor in phase {phase}; scored {scored} row-range(s) in-process"
+            "worker pool empty in phase {phase}; scored {scored} row-range(s) in-process"
         );
         Ok(())
     }
@@ -937,13 +802,6 @@ fn parse_faults(config: &DriverConfig) -> Result<FaultRegistry, DriverError> {
     }
 }
 
-fn g2_spec_for(store: DriverStore, g2_path: &Path) -> Result<G2Spec, DriverError> {
-    Ok(match store {
-        DriverStore::Compact => G2Spec::Load { path: path_str(g2_path)? },
-        DriverStore::Mmap | DriverStore::Sharded(_) => G2Spec::Mmap { path: path_str(g2_path)? },
-    })
-}
-
 fn check_n1(actual: usize, cp: &Checkpoint) -> Result<(), DriverError> {
     if actual as u64 != cp.n1 {
         return Err(DriverError::Checkpoint(format!(
@@ -974,46 +832,6 @@ fn path_str(p: &Path) -> Result<String, DriverError> {
 
 fn file_len(p: &Path) -> u64 {
     std::fs::metadata(p).map(|m| m.len()).unwrap_or(0)
-}
-
-/// The coordinator's own graph views for the degradation path, opened
-/// lazily from the same scratch segments the workers use.
-struct InProcess {
-    g1: CoordG1,
-    g2: CoordG2,
-    arena: ScoreArena,
-    /// Phase-stamped `LinkCache` so consecutive degraded phases rebuild it
-    /// exactly once each.
-    cache: Option<(u32, LinkCache)>,
-}
-
-enum CoordG1 {
-    Range(PathBuf),
-    Whole(MmapGraph),
-    Sharded(ShardedGraph<MmapGraph>),
-}
-
-enum CoordG2 {
-    Mem(CompactCsr),
-    Map(MmapGraph),
-}
-
-impl InProcess {
-    fn open(g1: &G1Spec, g2: &G2Spec, n2: usize) -> Result<InProcess, DriverError> {
-        let g1 = match g1 {
-            G1Spec::RangeLoad { path } => CoordG1::Range(PathBuf::from(path)),
-            G1Spec::MmapWhole { path } => CoordG1::Whole(MmapGraph::open(path)?),
-            G1Spec::Shards { paths } => CoordG1::Sharded(ShardedGraph::open(paths)?),
-        };
-        let g2 = match g2 {
-            G2Spec::Load { path } => {
-                let (_, g) = read_segment(BufReader::new(File::open(path)?))?;
-                CoordG2::Mem(g)
-            }
-            G2Spec::Mmap { path } => CoordG2::Map(MmapGraph::open(path)?),
-        };
-        Ok(InProcess { g1, g2, arena: ScoreArena::new(n2), cache: None })
-    }
 }
 
 /// The phase parameters a `Reinit` answer to a late `InitOk` must carry.
@@ -1117,12 +935,7 @@ impl WorkerPool {
             }
         }
         if pool.potential_workers() == 0 && matches!(driver.config.degrade, DegradePolicy::Fail) {
-            return Err(DriverError::AllWorkersDead {
-                phase: 0,
-                respawns_used: pool.respawns_used,
-                respawn_budget: driver.config.respawn_budget,
-                last_fault: pool.last_fault.clone(),
-            });
+            return Err(pool.all_dead(0, driver.config.respawn_budget));
         }
         Ok(pool)
     }
@@ -1150,7 +963,6 @@ impl WorkerPool {
         // index; a spec exported in the user's shell cannot take down the
         // whole pool.
         cmd.env_remove(snr_faults::ENV_FAULT);
-        cmd.env_remove(snr_faults::ENV_FAULT_LEGACY);
         if let Some(spec) = driver.faults.worker_spec(w as u32, after_round) {
             cmd.env(snr_faults::ENV_FAULT, spec);
         }
@@ -1232,8 +1044,7 @@ impl WorkerPool {
         let slot = &mut self.slots[w];
         let exponent = slot.respawns.min(6);
         slot.respawns += 1;
-        let delay =
-            Duration::from_millis(driver.config.backoff_base_ms.saturating_mul(1 << exponent));
+        let delay = Duration::from_millis(BACKOFF_BASE_MS << exponent);
         self.pending_respawn.push((w, Instant::now() + delay));
     }
 
@@ -1273,6 +1084,17 @@ impl WorkerPool {
             self.slots[w as usize].state = SlotState::Ready;
         } else {
             self.note_death(driver, w, &format!("worker {w} reinit pipe write failed"));
+        }
+    }
+
+    /// The error for a pool that lost every worker (and every respawn)
+    /// during `phase`.
+    fn all_dead(&self, phase: u32, respawn_budget: u32) -> DriverError {
+        DriverError::AllWorkersDead {
+            phase,
+            respawns_used: self.respawns_used,
+            respawn_budget,
+            last_fault: self.last_fault.clone(),
         }
     }
 
@@ -1369,15 +1191,9 @@ impl WorkerPool {
     /// call twice for one death — the second call finds no child and does
     /// not double-schedule.
     fn note_death(&mut self, driver: &ShardDriver, w: u32, reason: &str) -> Option<usize> {
-        let slot = &mut self.slots[w as usize];
-        let had_child = slot.child.is_some();
-        if let Some(mut child) = slot.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        slot.stdin = None;
-        slot.state = SlotState::Dead;
-        let task = slot.assignment.take().map(|a| a.task);
+        let had_child = self.slots[w as usize].child.is_some();
+        self.reap(w as usize);
+        let task = self.slots[w as usize].assignment.take().map(|a| a.task);
         if had_child {
             snr_telemetry::warn!("{reason}");
             self.last_fault = Some(reason.to_string());

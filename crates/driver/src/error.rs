@@ -19,13 +19,6 @@ pub enum DriverError {
     Graph(GraphError),
     /// A malformed or unexpected protocol frame.
     Protocol(String),
-    /// A worker reported a fatal error of its own.
-    Worker {
-        /// Which worker reported.
-        worker: u32,
-        /// The worker's error message.
-        message: String,
-    },
     /// Every worker died and the respawn budget could not refill the pool
     /// (only reachable under [`crate::DegradePolicy::Fail`]; the default
     /// policy finishes in-process instead).
@@ -74,9 +67,6 @@ impl std::fmt::Display for DriverError {
             DriverError::Io(e) => write!(f, "driver I/O error: {e}"),
             DriverError::Graph(e) => write!(f, "driver graph error: {e}"),
             DriverError::Protocol(msg) => write!(f, "driver protocol error: {msg}"),
-            DriverError::Worker { worker, message } => {
-                write!(f, "worker {worker} failed: {message}")
-            }
             DriverError::AllWorkersDead { phase, respawns_used, respawn_budget, last_fault } => {
                 write!(
                     f,

@@ -1,0 +1,222 @@
+//! The scorer of one distributed task, shared by the worker binary and the
+//! coordinator's in-process degradation path.
+//!
+//! A task is a contiguous copy-1 row range of one phase. Scoring it means:
+//! open the segment views the run's [`G1Spec`]/[`G2Spec`] name, build the
+//! phase's [`LinkCache`] once, and run `score_assigned_rows` over the range
+//! into a fresh [`SelectSink`]. Both executors do exactly this through
+//! [`ShardScorer`], which is why a range scored in-process is bit-identical
+//! to the same range scored by a worker.
+
+use crate::error::DriverError;
+use crate::protocol::{G1Spec, G2Spec};
+use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
+use snr_core::Linking;
+use snr_graph::{CompactCsr, GraphView};
+use snr_store::{read_segment, read_segment_rows_file, MmapGraph, ShardedGraph};
+use std::fs::File;
+use std::io::BufReader;
+use std::path::PathBuf;
+
+/// The copy-1 view: a segment path each scored range is read from, or the
+/// whole graph indexed by global row id.
+enum G1View {
+    Range(PathBuf),
+    Whole(MmapGraph),
+    Sharded(ShardedGraph<MmapGraph>),
+}
+
+/// The copy-2 view (always whole: eligibility spans the full `v` axis).
+enum G2View {
+    Mem(CompactCsr),
+    Map(MmapGraph),
+}
+
+/// The phase a scorer is set up for.
+struct PhaseState {
+    phase: u32,
+    min_deg1: usize,
+    threshold: u32,
+    cache: LinkCache,
+}
+
+/// Opened graph views, a score arena, and the current phase's [`LinkCache`]:
+/// everything needed to score row ranges of one phase.
+pub struct ShardScorer {
+    g1: G1View,
+    g2: G2View,
+    n2: usize,
+    arena: ScoreArena,
+    phase: Option<PhaseState>,
+}
+
+impl ShardScorer {
+    /// Opens the views `g1` and `g2` describe. No phase is set yet.
+    pub fn open(g1: &G1Spec, g2: &G2Spec) -> Result<ShardScorer, DriverError> {
+        let g1 = match g1 {
+            G1Spec::RangeLoad { path } => G1View::Range(PathBuf::from(path)),
+            G1Spec::MmapWhole { path } => G1View::Whole(MmapGraph::open(path)?),
+            G1Spec::Shards { paths } => G1View::Sharded(ShardedGraph::open(paths)?),
+        };
+        let g2 = match g2 {
+            G2Spec::Load { path } => {
+                G2View::Mem(read_segment(BufReader::new(File::open(path)?))?.1)
+            }
+            G2Spec::Mmap { path } => G2View::Map(MmapGraph::open(path)?),
+        };
+        let n2 = match &g2 {
+            G2View::Mem(g) => g.node_count(),
+            G2View::Map(g) => g.node_count(),
+        };
+        Ok(ShardScorer { g1, g2, n2, arena: ScoreArena::new(n2), phase: None })
+    }
+
+    /// The phase the scorer is set up for, if any.
+    pub fn phase(&self) -> Option<u32> {
+        self.phase.as_ref().map(|p| p.phase)
+    }
+
+    /// Whether a task of `phase` can be scored now: a protocol error unless
+    /// the scorer is set up for exactly that phase.
+    pub fn check_phase(&self, phase: u32) -> Result<(), DriverError> {
+        current(&self.phase, phase).map(|_| ())
+    }
+
+    /// Sets the scorer up for `phase` over `links`: rebuilds the
+    /// [`LinkCache`] and keeps the row filter and threshold. Phase 0 means
+    /// "no phase yet" and drops the cache.
+    pub fn set_phase(
+        &mut self,
+        links: &Linking,
+        phase: u32,
+        min_deg1: u32,
+        min_deg2: u32,
+        threshold: u32,
+    ) {
+        self.phase = (phase != 0).then(|| {
+            let cache = match &self.g2 {
+                G2View::Mem(g) => LinkCache::build(g, links, min_deg2 as usize),
+                G2View::Map(g) => LinkCache::build(g, links, min_deg2 as usize),
+            };
+            PhaseState { phase, min_deg1: min_deg1 as usize, threshold, cache }
+        });
+    }
+
+    /// Scores rows `first_node..first_node + node_count` of `phase` against
+    /// `links` (the links the phase was set up with) and returns the sink's
+    /// claims. A task of any other phase, or rows past the end of copy 1,
+    /// is a protocol error.
+    pub fn score(
+        &mut self,
+        links: &Linking,
+        phase: u32,
+        first_node: u32,
+        node_count: u32,
+    ) -> Result<SinkClaims, DriverError> {
+        let p = current(&self.phase, phase)?;
+        let bad_rows = || {
+            DriverError::Protocol(format!("Task rows {first_node}+{node_count} are outside copy 1"))
+        };
+        let rows = first_node..first_node.checked_add(node_count).ok_or_else(bad_rows)?;
+        // A range load checks its rows against the segment; whole views here.
+        let checked =
+            |n1: usize| (rows.end as usize <= n1).then(|| rows.clone()).ok_or_else(bad_rows);
+        let mut sink = SelectSink::new(self.n2, p.threshold);
+        let arena = &mut self.arena;
+        match &self.g1 {
+            G1View::Range(path) => {
+                let (_, g) = read_segment_rows_file(path, rows)?;
+                let local = 0..node_count;
+                score_assigned_rows(
+                    &g, first_node, local, &p.cache, links, p.min_deg1, arena, &mut sink,
+                )
+            }
+            G1View::Whole(g) => {
+                let rows = checked(g.node_count())?;
+                score_assigned_rows(g, 0, rows, &p.cache, links, p.min_deg1, arena, &mut sink)
+            }
+            G1View::Sharded(g) => {
+                let rows = checked(g.node_count())?;
+                score_assigned_rows(g, 0, rows, &p.cache, links, p.min_deg1, arena, &mut sink)
+            }
+        }
+        Ok(sink.into_claims())
+    }
+}
+
+/// The state of `phase` if it is the one set up.
+fn current(state: &Option<PhaseState>, phase: u32) -> Result<&PhaseState, DriverError> {
+    let p = state.as_ref().ok_or_else(|| DriverError::Protocol("Task before Phase".into()))?;
+    if p.phase != phase {
+        return Err(DriverError::Protocol(format!(
+            "Task for phase {phase} while phase {} is current",
+            p.phase
+        )));
+    }
+    Ok(p)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use snr_core::scoring::{collect_candidates, fused_phase_on};
+    use snr_generators::preferential_attachment;
+    use snr_sampling::independent::independent_deletion_symmetric;
+    use snr_sampling::sample_seeds;
+    use snr_store::{write_segment_file, write_shard_segments};
+
+    #[test]
+    fn every_store_combination_reassembles_the_fused_phase() {
+        let mut rng = StdRng::seed_from_u64(91);
+        let g = preferential_attachment(600, 6, &mut rng).unwrap();
+        let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
+        let seeds = sample_seeds(&pair, 0.1, &mut rng).unwrap();
+        let (g1, g2) = (&pair.g1, &pair.g2);
+        let links = Linking::with_seeds(g1.node_count(), g2.node_count(), &seeds);
+
+        let dir = std::env::temp_dir().join(format!("snr-shard-scorer-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path_of = |p: &std::path::Path| p.to_str().unwrap().to_owned();
+        write_segment_file(g1, &dir.join("g1.snrs")).unwrap();
+        write_segment_file(g2, &dir.join("g2.snrs")).unwrap();
+        let shards = write_shard_segments(g1, 3, &dir.join("shards")).unwrap();
+        let g1_specs = [
+            G1Spec::RangeLoad { path: path_of(&dir.join("g1.snrs")) },
+            G1Spec::MmapWhole { path: path_of(&dir.join("g1.snrs")) },
+            G1Spec::Shards { paths: shards.iter().map(|p| path_of(p)).collect() },
+        ];
+        let g2_specs = [
+            G2Spec::Load { path: path_of(&dir.join("g2.snrs")) },
+            G2Spec::Mmap { path: path_of(&dir.join("g2.snrs")) },
+        ];
+
+        let n1 = g1.node_count() as u32;
+        for (min_degree, threshold) in [(1usize, 1u32), (2, 2), (4, 3)] {
+            let candidates = collect_candidates(g1, &links, min_degree);
+            let expected =
+                fused_phase_on(g1, g2, &links, &candidates, min_degree, threshold, false);
+            for g1_spec in &g1_specs {
+                for g2_spec in &g2_specs {
+                    let mut scorer = ShardScorer::open(g1_spec, g2_spec).unwrap();
+                    assert!(scorer.score(&links, 5, 0, n1).is_err(), "no phase set yet");
+                    let d = min_degree as u32;
+                    scorer.set_phase(&links, 5, d, d, threshold);
+                    assert!(scorer.score(&links, 6, 0, n1).is_err(), "stale phase");
+                    assert!(scorer.score(&links, 5, 1, n1).is_err(), "rows past copy 1");
+                    assert!(scorer.score(&links, 5, u32::MAX, 2).is_err(), "overflowing rows");
+                    // Uneven ranges tiling 0..n1, crossing shard boundaries.
+                    let mut sink = SelectSink::new(g2.node_count(), threshold);
+                    for first in (0..n1).step_by(97) {
+                        let count = 97.min(n1 - first);
+                        let claims = scorer.score(&links, 5, first, count).unwrap();
+                        sink.absorb_claims(&claims, first..first + count).unwrap();
+                    }
+                    assert_eq!(sink.finish(), expected, "{g1_spec:?} x {g2_spec:?} d={d}");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

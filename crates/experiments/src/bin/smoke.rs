@@ -358,7 +358,7 @@ fn spill(args: &ExperimentArgs) {
 
 /// The multi-process shard driver on the Table 2 schedule (T = 2, one
 /// iteration): a healthy distributed run AND a run whose worker 0 is killed
-/// the first time it receives a task (`kill_worker:1`, forcing the
+/// the first time it receives a task (`kill:w0@round1`, forcing the
 /// coordinator to detect the death and re-assign the lost row-ranges) must
 /// both produce links, per-phase counters, and good/bad counts
 /// bit-identical to the sequential matcher.
@@ -389,11 +389,11 @@ fn driver(args: &ExperimentArgs) {
         &pair.g1,
         &pair.g2,
         seeds,
-        driver_config(workers, matching, Some("kill_worker:1")),
+        driver_config(workers, matching, Some("kill:w0@round1")),
     )
     .expect("a killed worker among several must be survivable");
     let faulted_secs = start.elapsed().as_secs_f64();
-    assert_identical("kill_worker:1", &faulted, &reference, &fixture);
+    assert_identical("kill:w0@round1", &faulted, &reference, &fixture);
     println!(
         "driver x{workers} (worker 0 killed in round 1): {faulted_secs:.3}s, {} links — \
          re-assigned ranges converged",

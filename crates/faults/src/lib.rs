@@ -3,8 +3,7 @@
 //! Every recovery path in `snr-driver` — worker respawn, checkpoint/resume,
 //! in-process degradation — is only trustworthy if the failures that trigger
 //! it can be produced on demand, deterministically, in tests and smoke runs.
-//! This crate replaces the ad-hoc `SNR_DRIVER_FAULT=kill_worker:<round>`
-//! string with a seeded registry of named fault *sites* that both the
+//! This crate is a seeded registry of named fault *sites* that both the
 //! coordinator and the worker binary consult at well-defined points.
 //!
 //! # Spec grammar
@@ -15,15 +14,13 @@
 //!
 //! ```text
 //! spec          := action ("," action)*
-//! action        := worker-fault | coord-fault | "seed:" u64 | legacy
+//! action        := worker-fault | coord-fault | "seed:" u64
 //! worker-fault  := ("kill" | "error_frame" | "corrupt_frame"
 //!                    | "truncate_frame" | "respawn_fail") ":" wsel
 //!                | "stall" ":" wsel ":" millis ["ms"]
 //! wsel          := "w" u32 [ "@" ("round" | "phase") u32 ]
 //! coord-fault   := ("checkpoint_io" | "halt") "@" ("round" | "phase") u32
 //!                | ("spill_io" | "spill_corrupt") [ "@" ("round" | "phase") u32 ]
-//! legacy        := "kill_worker:" u32      (alias for kill:w0@round<N>)
-//!                | "stall_worker:" u64     (alias for stall:w0:<MS>)
 //! ```
 //!
 //! Examples: `kill:w1@round2`, `corrupt_frame:w0@round1`,
@@ -35,8 +32,7 @@
 //! - An action without a round selector matches any round; one without a
 //!   worker selector (coordinator sites only) matches any worker query.
 //! - Every site fires **at most once** per registry, except [`FaultSite::Stall`],
-//!   which stalls every matching task (matching the legacy behavior that
-//!   fault-tolerance tests rely on).
+//!   which stalls every matching task (the straggler tests rely on that).
 //! - The seed (default [`DEFAULT_SEED`]) feeds [`splitmix64`] so corruption
 //!   faults flip the same byte on every run.
 //! - [`FaultRegistry::worker_spec`] re-serializes the subset of actions a
@@ -53,8 +49,6 @@ use std::fmt;
 
 /// Primary environment variable carrying a fault spec.
 pub const ENV_FAULT: &str = "SNR_FAULT";
-/// Legacy environment variable (PR 6 spelling), still honored.
-pub const ENV_FAULT_LEGACY: &str = "SNR_DRIVER_FAULT";
 /// Seed used when the spec does not carry a `seed:<n>` action.
 pub const DEFAULT_SEED: u64 = 0x5EED_5EED;
 
@@ -208,14 +202,11 @@ impl FaultRegistry {
         Ok(reg)
     }
 
-    /// Reads the spec from [`ENV_FAULT`], falling back to
-    /// [`ENV_FAULT_LEGACY`]. A malformed value is reported on stderr and
-    /// treated as empty (a worker must never crash on its environment).
+    /// Reads the spec from [`ENV_FAULT`]. A malformed value is reported on
+    /// stderr and treated as empty (a worker must never crash on its
+    /// environment).
     pub fn from_env() -> FaultRegistry {
-        let spec = std::env::var(ENV_FAULT)
-            .ok()
-            .filter(|s| !s.is_empty())
-            .or_else(|| std::env::var(ENV_FAULT_LEGACY).ok().filter(|s| !s.is_empty()));
+        let spec = std::env::var(ENV_FAULT).ok().filter(|s| !s.is_empty());
         match spec {
             None => FaultRegistry::empty(),
             Some(s) => FaultRegistry::parse(&s).unwrap_or_else(|e| {
@@ -238,14 +229,6 @@ impl FaultRegistry {
             ("seed", None, 2) => {
                 let n = segments[1].parse().map_err(|_| format!("bad seed in {item:?}"))?;
                 self.seed = Some(n);
-            }
-            ("kill_worker", None, 2) => {
-                let round = segments[1].parse().map_err(|_| format!("bad round in {item:?}"))?;
-                self.push(FaultSite::Kill, Some(0), Some(round), None);
-            }
-            ("stall_worker", None, 2) => {
-                let ms = segments[1].parse().map_err(|_| format!("bad millis in {item:?}"))?;
-                self.push(FaultSite::Stall, Some(0), None, Some(ms));
             }
             ("checkpoint_io" | "halt", Some(at), 1) => {
                 let site =
@@ -455,15 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_spellings_alias_worker_zero() {
-        let reg = FaultRegistry::parse("kill_worker:3").unwrap();
-        assert!(reg.fire(FaultSite::Kill, Some(0), Some(3)).is_some());
-        let reg = FaultRegistry::parse("stall_worker:1500").unwrap();
-        let hit = reg.fire(FaultSite::Stall, Some(0), Some(9)).unwrap();
-        assert_eq!(hit.millis, 1500);
-    }
-
-    #[test]
     fn coordinator_sites_take_phase_selectors() {
         let reg = FaultRegistry::parse("checkpoint_io@phase2,halt@phase3").unwrap();
         assert!(reg.fire(FaultSite::CheckpointIo, None, Some(1)).is_none());
@@ -544,6 +518,8 @@ mod tests {
             "spill_io@round",
             "spill_corrupt@banana1",
             "spill_corrupt:w1@round2",
+            "kill_worker:1",
+            "stall_worker:1500",
         ] {
             assert!(FaultRegistry::parse(bad).is_err(), "{bad:?} should be rejected");
         }

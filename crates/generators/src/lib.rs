@@ -10,11 +10,11 @@
 //!
 //! * [`erdos_renyi`] — `G(n, p)` and `G(n, m)` random graphs (§4.1 of the
 //!   paper).
-//! * [`preferential_attachment`] — the Bollobás–Riordan formulation of the
+//! * [`preferential_attachment()`] — the Bollobás–Riordan formulation of the
 //!   Barabási–Albert model the paper analyses in §4.2.
 //! * [`affiliation`] — the Lattanzi–Sivakumar affiliation-network model used
 //!   for the correlated-deletion experiment (Table 4).
-//! * [`rmat`] — the recursive R-MAT generator used for the scalability
+//! * [`rmat()`] — the recursive R-MAT generator used for the scalability
 //!   experiment (Table 2).
 //! * [`watts_strogatz`], [`configuration`], [`sbm`] — additional standard
 //!   models used in tests and robustness experiments.

@@ -8,7 +8,7 @@
 //!   8.5G adjacency entries, but a single in-memory shard is bounded by
 //!   `u32` here — construction asserts it);
 //! * each sorted neighbor list is split into blocks of
-//!   [`BLOCK_SIZE`](crate::blocks::BLOCK_SIZE) entries; the first element of
+//!   [`BLOCK_SIZE`] entries; the first element of
 //!   every block is stored verbatim in a skip array and the rest as
 //!   varint-encoded gaps from their predecessor (see [`crate::blocks`]).
 //!

@@ -24,7 +24,7 @@
 //! is rejected.
 //!
 //! All integers are little-endian. A reader first streams the whole file
-//! through the checksum ([`RunReader::open`]) and only then decodes groups
+//! through the checksum (`RunReader::open`) and only then decodes groups
 //! one at a time, so a flipped byte or a truncated tail surfaces as a clean
 //! [`EngineError::Spill`] — never a panic, never a silently wrong group.
 

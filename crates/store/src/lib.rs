@@ -13,7 +13,7 @@
 //!   (in-memory `CompactCsr` via [`ShardedGraph::partition`], or mapped
 //!   segments via [`write_shard_segments`] + [`ShardedGraph::open`]).
 //!   Exposes its shard ranges through
-//!   [`GraphView::storage_partitions`] so partition-aware schedulers (the
+//!   [`snr_graph::GraphView::storage_partitions`] so partition-aware schedulers (the
 //!   arena scorer in `snr-core`) can align worker row ranges with storage.
 //!
 //! Both views decode neighbor lists through the exact
