@@ -26,7 +26,7 @@
 //!   O(1) (bump the epoch), and a contribution is one read-modify-write of
 //!   one cell — one random cache line per witness, where separate stamp and
 //!   score arrays cost two. [`ScoreArena::score_row`] is the one row kernel
-//!   every executor runs.
+//!   every executor runs, and its bump is branch-free (see below).
 //! * **[`SelectSink`]** receives each finished row and fuses mutual-best
 //!   selection into row finalization — it keeps each row's argmax and a
 //!   per-`v` running best, so the full score table is never materialized.
@@ -54,6 +54,28 @@
 //!
 //! Rows fed to the sink as `(v, score)` entries (the MapReduce reduce
 //! and LSH verification) are filtered the same way.
+//!
+//! # Branch-free bump and fold
+//!
+//! The two hot loops carry no data-dependent branch, because both tests
+//! they would make are close to coin flips: about half of all bumps are a
+//! row's first touch of their cell, and most scored pairs fall below `T`.
+//!
+//! * [`ScoreArena::bump`] sets every cell to
+//!   `max(cell, epoch << 32) + 1`. Stamps never exceed the epoch, so the
+//!   cell is current iff it is at least `epoch << 32`: this adds one to a
+//!   current score and starts a stale cell at `(epoch << 32) | 1`. It
+//!   writes `v` one past the end of the touched list on every bump and
+//!   advances the list's length only on a first touch, so the list holds
+//!   exactly the first touches in order.
+//! * [`SelectSink`]'s one fold writes every entry of a row into a reused
+//!   scratch buffer and advances the write position only for a score
+//!   `≥ T`; the kept prefix is exactly the entries the filter above
+//!   admits, in row order, and only it is folded into the bests.
+//!
+//! Both leave the same cells, touched lists, scored pairs and selections
+//! as a branch on the same test would, so links and every work count are
+//! exact.
 //!
 //! # One entry point per executor
 //!
@@ -291,23 +313,32 @@ fn decode_eligible<G2: GraphView>(
 /// the epoch invalidates the whole row in O(1), so the arena is reused
 /// across every row of a phase without clearing, and a contribution reads
 /// and writes exactly one cell.
+///
+/// The bump is branch-free: it sets the cell to `max(cell, epoch << 32) + 1`
+/// and writes `v` past the end of the touched list, which advances only on
+/// a first touch (see the module docs for why this is exact).
 pub struct ScoreArena {
     /// `(stamp << 32) | score` per copy-2 node.
     cells: Vec<u64>,
     epoch: u32,
+    /// The current row's first-touch list is `touched[..len]`. The slots
+    /// past `len` are scratch that every bump writes into. The buffer grows
+    /// on demand to the longest row plus one cached neighbor list, not to
+    /// `n2` up front.
     touched: Vec<u32>,
+    len: usize,
 }
 
 impl ScoreArena {
     /// An arena over `n2` copy-2 nodes.
     pub fn new(n2: usize) -> ScoreArena {
-        ScoreArena { cells: vec![0; n2], epoch: 0, touched: Vec::new() }
+        ScoreArena { cells: vec![0; n2], epoch: 0, touched: Vec::new(), len: 0 }
     }
 
     /// Starts a new row, invalidating the previous one in O(1).
     #[inline]
     pub fn begin_row(&mut self) {
-        self.touched.clear();
+        self.len = 0;
         if self.epoch == u32::MAX {
             // One reset every 2^32 - 1 rows keeps the stamp test exact.
             self.cells.fill(0);
@@ -317,26 +348,46 @@ impl ScoreArena {
         }
     }
 
-    /// Adds one witness contribution for copy-2 node `v`.
+    /// Adds one witness contribution for every copy-2 node in `vs` (once
+    /// per occurrence), without a data-dependent branch.
     #[inline]
-    pub fn bump(&mut self, v: u32) {
-        let row = u64::from(self.epoch) << 32;
-        let cell = &mut self.cells[v as usize];
-        // Stamps never exceed the epoch (a wrap clears every cell), so the
-        // cell is current iff it is at least `row`.
-        if *cell >= row {
-            *cell += 1;
-        } else {
-            *cell = row | 1;
-            self.touched.push(v);
+    pub fn bump(&mut self, vs: &[u32]) {
+        // Each bump appends at most one node, so one capacity check per
+        // slice covers every write below.
+        let need = self.len + vs.len();
+        if self.touched.len() < need {
+            self.grow(need);
         }
+        let row = u64::from(self.epoch) << 32;
+        let cells = &mut self.cells[..];
+        let touched = &mut self.touched[..];
+        let mut len = self.len;
+        for &v in vs {
+            let cell = &mut cells[v as usize];
+            let old = *cell;
+            // Stamps never exceed the epoch (a wrap clears every cell), so
+            // the cell is current iff it is at least `row`: `max` keeps a
+            // current cell and restarts a stale one at `row | 0`.
+            *cell = old.max(row) + 1;
+            touched[len] = v;
+            len += usize::from(old < row);
+        }
+        self.len = len;
+    }
+
+    /// Grows the touched buffer to at least `need` slots, at least doubling
+    /// it, so an arena grows a logarithmic number of times in its lifetime.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, need: usize) {
+        self.touched.resize(need.max(2 * self.touched.len()), 0);
     }
 
     /// The copy-2 nodes with a non-zero score in the current row, in first-
     /// touch order.
     #[inline]
     pub fn touched(&self) -> &[u32] {
-        &self.touched
+        &self.touched[..self.len]
     }
 
     /// The current row's score for `v`. Only meaningful for touched `v`.
@@ -363,9 +414,7 @@ impl ScoreArena {
         self.begin_row();
         for w1 in g1.neighbors_iter(row) {
             if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    self.bump(v);
-                }
+                self.bump(vs);
             }
         }
     }
@@ -381,6 +430,10 @@ impl ScoreArena {
 /// score table is never materialized. Sinks are order-independent: rows
 /// arrive in ascending `u` order within a worker, but per-worker sinks may
 /// [`SelectSink::merge`] in any order.
+///
+/// The threshold filter is branch-free: each row is first compacted into a
+/// reused scratch buffer whose write position advances only for a score
+/// `≥ T`, and only that kept prefix is folded (see the module docs).
 pub struct SelectSink {
     threshold: u32,
     /// Rows whose best entry met the threshold with a strictly unique
@@ -392,6 +445,8 @@ pub struct SelectSink {
     /// Total number of non-zero `(u, v)` pairs seen (the `scored_pairs`
     /// phase statistic, kept identical to `ScoreTable::len`).
     scored_pairs: usize,
+    /// Reused per-row buffer of the entries at or above the threshold.
+    kept: Vec<(u32, u32)>,
 }
 
 /// A running best that has seen no entry yet.
@@ -407,6 +462,7 @@ impl SelectSink {
             claims: Vec::new(),
             best_v: vec![NO_BEST; n2],
             scored_pairs: 0,
+            kept: Vec::new(),
         }
     }
 
@@ -450,24 +506,39 @@ impl SelectSink {
         self
     }
 
-    /// Consumes one complete row given as `(v, score)` entries. The caller
-    /// must pass every non-zero entry of row `u` exactly once, in any order
-    /// (the row best and per-`v` bests are order-independent). All entries
-    /// count as scored pairs; only those at or above the threshold are
-    /// folded into the row best and the per-`v` bests, and the row is
-    /// claimed if its best is strictly unique. An empty row changes nothing.
+    /// The one row fold: consumes one complete row given as `(v, score)`
+    /// entries. The caller must pass every non-zero entry of row `u` exactly
+    /// once, in any order (the row best and per-`v` bests are
+    /// order-independent); zero-score entries may be mixed in and are
+    /// ignored. Non-zero entries count as scored pairs; only those at or
+    /// above the threshold are folded into the row best and the per-`v`
+    /// bests, and the row is claimed if its best is strictly unique. An
+    /// empty row changes nothing.
     #[inline]
-    pub(crate) fn row_entries(&mut self, u: u32, entries: impl Iterator<Item = (u32, u32)>) {
-        let mut best = NO_BEST;
-        let mut seen = 0usize;
-        for (v, score) in entries {
-            seen += 1;
-            if score >= self.threshold {
-                best.consider(v, score);
-                self.best_v[v as usize].consider(u, score);
-            }
+    pub(crate) fn row_entries(
+        &mut self,
+        u: u32,
+        entries: impl ExactSizeIterator<Item = (u32, u32)>,
+    ) {
+        if self.kept.len() < entries.len() {
+            self.kept.resize(entries.len(), (0, 0));
         }
-        self.scored_pairs += seen;
+        // Branch-free compaction: every entry is written at `kept`, and
+        // only one at or above the threshold (>= 1) moves past it.
+        let (threshold, buf) = (self.threshold, &mut self.kept[..]);
+        let mut kept = 0usize;
+        let mut scored = 0usize;
+        for (v, score) in entries {
+            buf[kept] = (v, score);
+            kept += usize::from(score >= threshold);
+            scored += usize::from(score != 0);
+        }
+        self.scored_pairs += scored;
+        let mut best = NO_BEST;
+        for &(v, score) in &self.kept[..kept] {
+            best.consider(v, score);
+            self.best_v[v as usize].consider(u, score);
+        }
         // Every folded score is at least the threshold (>= 1), so a row
         // with a folded entry leaves `best` above `NO_BEST` and its flag
         // exact.
@@ -836,9 +907,10 @@ pub fn score_assigned_rows<G1: GraphView>(
 /// `snr_sketch::propose_pairs` emits). For each distinct `u` the full row
 /// is accumulated into `arena` through the same [`LinkCache`] walk as
 /// [`score_assigned_rows`] — so every score handed on is *exact* — but only
-/// the proposed `(u, v)` entries with a non-zero score reach the sink. The
-/// sink therefore selects mutual bests over the blocked candidate set, and
-/// its `scored_pairs` statistic counts proposed non-zero pairs: the number
+/// the proposed `(u, v)` entries reach the sink, with score 0 for a
+/// proposal the row never touched, which the sink ignores. The sink
+/// therefore selects mutual bests over the blocked candidate set, and its
+/// `scored_pairs` statistic counts proposed non-zero pairs: the number
 /// blocking actually sent to selection, the quantity the recall/speed
 /// sweeps compare against the exact path's scored-pair count.
 pub fn score_pair_list<G1: GraphView>(
@@ -848,7 +920,6 @@ pub fn score_pair_list<G1: GraphView>(
     arena: &mut ScoreArena,
     sink: &mut SelectSink,
 ) {
-    let mut entries: Vec<(u32, u32)> = Vec::new();
     let mut i = 0usize;
     while i < pairs.len() {
         let u = pairs[i].0;
@@ -857,13 +928,9 @@ pub fn score_pair_list<G1: GraphView>(
             j += 1;
         }
         arena.score_row(g1, NodeId(u), cache);
-        entries.clear();
-        for &(_, v) in &pairs[i..j] {
-            if let Some(score) = arena.current(v) {
-                entries.push((v, score));
-            }
-        }
-        sink.row_entries(u, entries.iter().copied());
+        // An untouched proposal scores 0, which the fold ignores.
+        let proposed = pairs[i..j].iter().map(|&(_, v)| (v, arena.current(v).unwrap_or(0)));
+        sink.row_entries(u, proposed);
         i = j;
     }
 }
@@ -1184,15 +1251,13 @@ mod tests {
     fn arena_rows_reset_in_constant_time() {
         let mut arena = ScoreArena::new(4);
         arena.begin_row();
-        arena.bump(1);
-        arena.bump(1);
-        arena.bump(3);
+        arena.bump(&[1, 1, 3]);
         assert_eq!(arena.touched(), &[1, 3]);
         assert_eq!(arena.get(1), 2);
         assert_eq!(arena.get(3), 1);
         arena.begin_row();
         assert!(arena.touched().is_empty());
-        arena.bump(1);
+        arena.bump(&[1]);
         assert_eq!(arena.get(1), 1, "stale score must not leak across rows");
     }
 
@@ -1201,10 +1266,7 @@ mod tests {
         let mut arena = ScoreArena::new(3);
         arena.epoch = u32::MAX - 1;
         arena.begin_row(); // epoch == MAX
-        for _ in 0..3 {
-            arena.bump(0);
-        }
-        arena.bump(1);
+        arena.bump(&[0, 0, 0, 1]);
         assert_eq!((arena.get(0), arena.get(1)), (3, 1));
         assert_eq!(arena.cells[0], (u64::from(u32::MAX) << 32) | 3, "packed (stamp, score)");
         arena.begin_row(); // wraps: every cell cleared, epoch == 1
@@ -1214,30 +1276,128 @@ mod tests {
         // current-row test and its score 3 would leak into this row.
         assert_eq!(arena.current(0), None);
         assert_eq!(arena.current(1), None);
-        arena.bump(0);
+        arena.bump(&[0]);
         assert_eq!(arena.get(0), 1);
         assert_eq!(arena.current(1), None);
         assert_eq!(arena.touched(), &[0]);
     }
 
+    /// Random bump sequences against a `HashMap` reference, over many rows
+    /// of one arena so stale cells of earlier rows are always in play: the
+    /// same first-touch order and the same `get`/`current` values, whether
+    /// a row arrives one node per `bump` or in random-length slices. Covers
+    /// the epoch wrap at `u32::MAX` and a row touching every node, which
+    /// grows the touched buffer to `n2` from an empty start.
+    #[test]
+    fn arena_matches_a_hashmap_reference_on_random_rows() {
+        use rand::Rng;
+        use std::collections::HashMap;
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..60 {
+            let n2 = rng.gen_range(1..=400usize);
+            let mut arena = ScoreArena::new(n2);
+            assert!(arena.touched.is_empty(), "the buffer is not sized to n2 up front");
+            if case % 3 == 0 {
+                // The wrap lands on the fourth row.
+                arena.epoch = u32::MAX - 3;
+            }
+            for row in 0..24 {
+                let bumps: Vec<u32> = if row % 8 == 5 {
+                    // Every node, then a second pass over every third one.
+                    (0..n2 as u32).rev().chain((0..n2 as u32).step_by(3)).collect()
+                } else {
+                    let len = rng.gen_range(0..=3 * n2);
+                    (0..len).map(|_| rng.gen_range(0..n2 as u32)).collect()
+                };
+                arena.begin_row();
+                let mut rest = &bumps[..];
+                while !rest.is_empty() {
+                    let most = if row % 2 == 0 { 1 } else { rest.len().min(9) };
+                    let (head, tail) = rest.split_at(rng.gen_range(1..=most));
+                    arena.bump(head);
+                    rest = tail;
+                }
+                let mut order = Vec::new();
+                let mut reference: HashMap<u32, u32> = HashMap::new();
+                for &v in &bumps {
+                    *reference.entry(v).or_insert_with(|| {
+                        order.push(v);
+                        0
+                    }) += 1;
+                }
+                assert_eq!(arena.touched(), &order[..], "case {case} row {row}");
+                for v in 0..n2 as u32 {
+                    let expected = reference.get(&v).copied();
+                    assert_eq!(arena.current(v), expected, "case {case} row {row} v {v}");
+                    if let Some(score) = expected {
+                        assert_eq!(arena.get(v), score);
+                    }
+                }
+            }
+        }
+    }
+
     /// A phase result: `(scored_pairs, selected_pairs)`.
     type Selection = (usize, Vec<(NodeId, NodeId)>);
 
-    /// Feeds hand-written rows to a sink through an arena and returns the
-    /// sink's result next to the oracle selection on the same entries.
+    /// Feeds hand-written rows through an arena to three sinks, one per
+    /// entry point of the fold: `row` reads the arena, `row_entries` gets
+    /// the entries reversed and mixed with zero-score entries (as
+    /// [`score_pair_list`] passes unscored proposals), and `row_packed`
+    /// gets them packed. Asserts the three agree and returns their result
+    /// next to the oracle selection on the same entries.
     fn select_rows(rows: &[(u32, &[u32])], n2: usize, t: u32) -> (Selection, Selection) {
         let mut arena = ScoreArena::new(n2);
-        let mut sink = SelectSink::new(n2, t);
+        let [mut by_arena, mut by_entries, mut by_packed] = [(); 3].map(|_| SelectSink::new(n2, t));
         let mut table = crate::witness::ScoreTable::new();
         for &(u, bumps) in rows {
             arena.begin_row();
+            arena.bump(bumps);
             for &v in bumps {
-                arena.bump(v);
                 *table.entry((u, v)).or_insert(0) += 1;
             }
-            sink.row(u, &arena);
+            by_arena.row(u, &arena);
+            let entries: Vec<(u32, u32)> =
+                arena.touched().iter().rev().map(|&v| (v, arena.get(v))).collect();
+            let unscored = (0..n2 as u32).filter(|&v| arena.current(v).is_none()).map(|v| (v, 0));
+            let mixed: Vec<(u32, u32)> = entries.iter().copied().chain(unscored).collect();
+            by_entries.row_entries(u, mixed.into_iter());
+            let packed: Vec<u64> = entries.iter().map(|&(v, score)| pack_entry(v, score)).collect();
+            by_packed.row_packed(u, &packed);
         }
-        (sink.finish(), (table.len(), mutual_best_pairs(&table, t)))
+        let got = by_arena.finish();
+        assert_eq!(by_entries.finish(), got, "row_entries against row at t={t}");
+        assert_eq!(by_packed.finish(), got, "row_packed against row at t={t}");
+        (got, (table.len(), mutual_best_pairs(&table, t)))
+    }
+
+    #[test]
+    fn every_fold_entry_point_is_exact_around_the_threshold() {
+        // Scores at T - 1, T and T + 1 for T = 3.
+        let rows: &[(u32, &[u32])] = &[
+            // Scores 2, 3, 4: claims node 3 at T + 1.
+            (0, &[1, 1, 2, 2, 2, 3, 3, 3, 3]),
+            // A tie at T: no claim.
+            (1, &[4, 4, 4, 5, 5, 5]),
+            // Only entries below T: counted, never folded.
+            (2, &[6, 6, 7, 7]),
+            // Node 3 again at T, below row 0's T + 1: (0, 3) survives.
+            (3, &[3, 3, 3]),
+            // Claims node 2 at T, but node 2 ties at T with row 0.
+            (4, &[2, 2, 2]),
+            // Claims node 8 at exactly T; node 9 at T - 1 is not folded.
+            (5, &[8, 8, 8, 9, 9]),
+            // Claims node 9 at T + 1, unchallenged above T.
+            (6, &[9, 9, 9, 9]),
+        ];
+        let (got, expected) = select_rows(rows, 10, 3);
+        assert_eq!(got, expected);
+        let pairs = vec![(NodeId(0), NodeId(3)), (NodeId(5), NodeId(8)), (NodeId(6), NodeId(9))];
+        assert_eq!(got, (12, pairs));
+        for t in [0, 1, 2, 4, 5, u32::MAX] {
+            let (got, expected) = select_rows(rows, 10, t);
+            assert_eq!(got, expected, "t={t}");
+        }
     }
 
     #[test]

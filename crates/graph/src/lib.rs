@@ -66,7 +66,6 @@ pub mod blocks;
 pub mod builder;
 pub mod compact;
 pub mod csr;
-pub mod degree_buckets;
 pub mod error;
 pub mod intersect;
 pub mod io;
