@@ -147,7 +147,7 @@ fn bench_rmat16(c: &mut Criterion) {
         b.iter(|| black_box(mapreduce_phase(&engine, &c1, &c2, &links)))
     });
     // The same fused round forced out-of-core: a 1 MiB budget makes every
-    // map task spill its post-combine buckets to run files that the reduce
+    // map task spill its buckets to run files that the reduce
     // k-way merges back. The baseline pins the cost of the spill write +
     // checksum + merge path relative to the in-memory round above.
     group.bench_function("csr/mapreduce_spill", |b| {

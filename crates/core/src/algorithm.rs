@@ -7,7 +7,7 @@ use crate::linking::Linking;
 use crate::scoring::{fused_phase_on, mapreduce_fused_phase_on, CandidateCache};
 use crate::stats::MatchingOutcome;
 use snr_graph::{GraphView, NodeId};
-use snr_mapreduce::{Engine, EngineError, EngineStats};
+use snr_mapreduce::{Engine, EngineError};
 use snr_sketch::Banding;
 use std::time::Instant;
 
@@ -31,6 +31,8 @@ use std::time::Instant;
 /// The struct owns the configuration; [`UserMatching::run`] executes the
 /// algorithm on a pair of graphs and a seed set and returns a
 /// [`MatchingOutcome`] with the final links and per-phase statistics.
+/// [`UserMatching::try_run_on_engine`] runs the MapReduce backend on a
+/// caller's engine, for a spill budget or round statistics.
 #[derive(Clone, Debug)]
 pub struct UserMatching {
     config: MatchingConfig,
@@ -58,42 +60,25 @@ impl UserMatching {
     /// [`snr_graph::CsrGraph`]s, [`snr_graph::CompactCsr`]s, or one of each —
     /// the algorithm (and its output) is identical for every combination.
     ///
-    /// Infallible: the engine this entry point builds carries whatever spill
-    /// budget `SNR_MR_SPILL_BUDGET` requests, so a spill failure (I/O error
-    /// or corrupt run file) panics here — use [`UserMatching::try_run`] to
-    /// handle it instead.
+    /// Infallible: on the MapReduce backend this builds an engine without a
+    /// spill budget, whose rounds never touch disk and never fail.
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
         G2: GraphView + Sync,
     {
-        self.try_run(g1, g2, seeds).expect("spill round failed")
-    }
-
-    /// Fallible sibling of [`UserMatching::run`]: surfaces a spill I/O or
-    /// corruption failure in the MapReduce backend's out-of-core shuffle as
-    /// a clean [`EngineError`] instead of panicking. A run without a spill
-    /// budget never returns `Err`.
-    pub fn try_run<G1, G2>(
-        &self,
-        g1: &G1,
-        g2: &G2,
-        seeds: &[(NodeId, NodeId)],
-    ) -> Result<MatchingOutcome, EngineError>
-    where
-        G1: GraphView + Sync,
-        G2: GraphView + Sync,
-    {
         self.run_internal(g1, g2, seeds, None)
+            .expect("an engine without a spill budget cannot fail")
     }
 
     /// Runs the algorithm on the MapReduce backend using a caller-supplied
-    /// engine, so that the caller can inspect round statistics afterwards —
-    /// and give the engine a spill budget ([`Engine::with_spill_budget`]):
-    /// a failed spill surfaces as a clean [`EngineError`] with the engine's
-    /// scratch space already removed. Panics if the configured backend is
-    /// not [`Backend::MapReduce`] (that is a programming error, not a
-    /// runtime fault).
+    /// engine, so that the caller can inspect round statistics afterwards
+    /// ([`Engine::stats`]: one round per phase) — and give the engine a
+    /// spill budget ([`Engine::with_spill_budget`]): a failed spill
+    /// surfaces as a clean [`EngineError`] with the engine's scratch space
+    /// already removed. Panics if the configured backend is not
+    /// [`Backend::MapReduce`] (that is a programming error, not a runtime
+    /// fault).
     pub fn try_run_on_engine<G1, G2>(
         &self,
         g1: &G1,
@@ -110,30 +95,6 @@ impl UserMatching {
             "try_run_on_engine requires the MapReduce backend"
         );
         self.run_internal(g1, g2, seeds, Some(engine))
-    }
-
-    /// Runs on the MapReduce backend with a fresh engine (spill budget from
-    /// `SNR_MR_SPILL_BUDGET`) and also returns the engine's round
-    /// statistics (used to verify the `O(k log D)` round claim). Panics if
-    /// the configured backend is not [`Backend::MapReduce`] or a spill
-    /// fails.
-    pub fn run_with_round_stats<G1, G2>(
-        &self,
-        g1: &G1,
-        g2: &G2,
-        seeds: &[(NodeId, NodeId)],
-    ) -> (MatchingOutcome, EngineStats)
-    where
-        G1: GraphView + Sync,
-        G2: GraphView + Sync,
-    {
-        let workers = match self.config.backend {
-            Backend::MapReduce { workers } => workers,
-            _ => 1,
-        };
-        let engine = Engine::new(workers);
-        let outcome = self.try_run_on_engine(g1, g2, seeds, &engine).expect("spill round failed");
-        (outcome, engine.stats())
     }
 
     fn run_internal<G1, G2>(
@@ -201,7 +162,7 @@ impl UserMatching {
 
             let (scored_pairs, new_pairs) = match (cfg.backend, engine_ref) {
                 (Backend::MapReduce { .. }, Some(engine)) => {
-                    // One engine round per phase: combiner mappers score
+                    // One engine round per phase: whole-row mappers score
                     // candidate rows on task-local arenas, the packed
                     // shuffle is range-partitioned by row, and the
                     // reduce folds rows into per-partition SelectSinks —
@@ -482,12 +443,15 @@ mod tests {
         let mr_cfg = MatchingConfig::default()
             .with_iterations(1)
             .with_backend(Backend::MapReduce { workers: 2 });
-        let (mr, engine_stats) =
-            UserMatching::new(mr_cfg).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+        let engine = Engine::new(2);
+        let mr = UserMatching::new(mr_cfg)
+            .try_run_on_engine(&pair.g1, &pair.g2, &seeds, &engine)
+            .unwrap();
+        let engine_stats = engine.stats();
         assert_eq!(seq.links, mr.links);
-        // One fused MapReduce round per phase: combiner mappers + packed
+        // One fused MapReduce round per phase: whole-row mappers + packed
         // shuffle + select-fused reduce (the paper sketches the same phase
-        // as 4 rounds; the combiner collapses it to 1).
+        // as 4 rounds; whole-row mappers collapse it to 1).
         assert_eq!(engine_stats.rounds, mr.phases.len());
         assert!(engine_stats.per_round.iter().all(|r| r.label == "witness-score"));
     }

@@ -9,7 +9,7 @@
 //! * [`Backend::Rayon`] — shared-memory data parallelism over candidate
 //!   rows (the practical choice on one machine);
 //! * [`Backend::MapReduce`] — runs each phase as one fused round on the
-//!   `snr-mapreduce` engine (combiner mappers over the scoring arena, a
+//!   `snr-mapreduce` engine (whole-row mappers over the scoring arena, a
 //!   packed row-partitioned shuffle, mutual-best selection fused into the
 //!   reduce), letting the experiments count rounds and measure shuffle
 //!   volume in records and bytes.

@@ -1075,12 +1075,11 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 ///   pre-aggregated record per non-empty row: a dense `u32` key and the
 ///   row's packed `(v, count)` entries ([`pack_entry`]). Shuffle payload
 ///   is 4 bytes per row (the key) plus 8 bytes per scored pair (one
-///   packed entry), the `bytes_of` charge below.
+///   packed entry), `PackedRowCodec`'s `bytes_of` charge.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
-///   range in ascending order. A row is scored by exactly one map task, so
-///   there is nothing for a combiner to merge; over a spill budget the
-///   shuffle spills to checksummed run files (`PackedRowCodec`).
+///   range in ascending order. Over a spill budget the shuffle spills to
+///   checksummed run files in `PackedRowCodec`'s format.
 /// * **Reduce** — each partition folds its rows straight into a
 ///   [`SelectSink`]; the per-partition sinks merge exactly like the rayon
 ///   backend's per-worker sinks (`Best::merge` is associative and
@@ -1112,8 +1111,8 @@ where
     G2: GraphView + Sync,
 {
     let (n1, n2) = (g1.node_count(), g2.node_count());
-    let parts = engine.reduce_partitions();
-    let sinks: Vec<SelectSink> = engine.run_combined_spilling(
+    let parts = engine.workers();
+    let sinks: Vec<SelectSink> = engine.run(
         "witness-score",
         candidates,
         |chunk: &[u32]| {
@@ -1129,9 +1128,7 @@ where
             }
             rows
         },
-        |_, _: &mut Vec<Vec<u64>>| {},
         move |&u: &u32| range_partition(u, n1, parts),
-        |_, row: &Vec<u64>| 4 + 8 * row.len(),
         |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
             let mut sink = SelectSink::new(n2, threshold);
             for (u, fragments) in groups {
@@ -1145,14 +1142,19 @@ where
     Ok(merged.unwrap_or_else(|| SelectSink::new(n2, threshold)).finish())
 }
 
-/// Spill codec for the packed-row shuffle protocol: a group is its dense
-/// `u32` key, a fragment count, and each fragment as a `u32` length plus
-/// that many packed `(v, count)` `u64` entries ([`pack_entry`]) — exactly
-/// the in-memory `(u32, Vec<Vec<u64>>)` shape, so a round that spills to
-/// disk reduces bit-identically to one that never did.
+/// Record format of the packed-row shuffle. A row is charged 4 bytes for
+/// its `u32` key plus 8 per packed `(v, count)` entry ([`pack_entry`]). A
+/// spilled group is its dense `u32` key, a fragment count, and each
+/// fragment as a `u32` length plus that many packed entries — exactly the
+/// in-memory `(u32, Vec<Vec<u64>>)` shape, so a round that spills to disk
+/// reduces bit-identically to one that never did.
 pub(crate) struct PackedRowCodec;
 
 impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
+    fn bytes_of(&self, _key: &u32, row: &Vec<u64>) -> usize {
+        4 + 8 * row.len()
+    }
+
     fn encode_group(&self, key: &u32, values: &[Vec<u64>], out: &mut Vec<u8>) {
         // A count past u32::MAX implies a group over u32::MAX bytes, which
         // the run writer rejects with a clean error, so these casts never

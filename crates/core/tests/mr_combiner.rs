@@ -5,17 +5,19 @@
 //! bit-for-bit — the select-fused round `mapreduce_fused_phase_on` equals
 //! `count_brute_force` → `mutual_best_pairs`, scored-pair count included —
 //! while the engine's shuffle statistics confirm the round really did move
-//! one record per candidate row.
+//! one record per candidate row. Through the whole matcher, a spill fault
+//! fails exactly the rounds that spill.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::matching::mutual_best_pairs;
 use snr_core::scoring::{collect_candidates, mapreduce_fused_phase_on};
 use snr_core::witness::count_brute_force;
-use snr_core::Linking;
-use snr_generators::{gnp, preferential_attachment};
+use snr_core::{Backend, Linking, MatchingConfig, UserMatching};
+use snr_faults::FaultRegistry;
+use snr_generators::{gnp, preferential_attachment, rmat, RmatConfig};
 use snr_graph::{CsrGraph, GraphView};
-use snr_mapreduce::Engine;
+use snr_mapreduce::{Engine, EngineError};
 use snr_sampling::independent::independent_deletion_symmetric;
 use snr_sampling::sample_seeds;
 use snr_store::{write_segment_file, MmapGraph};
@@ -196,11 +198,11 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
 #[test]
 fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
     // Force the out-of-core path: budget 0 spills every map task's
-    // post-combine buckets to checksummed run files, and the reduce k-way
+    // buckets to checksummed run files, and the reduce k-way
     // merges them back. Links, scored-pair count, and the non-spill shuffle
     // statistics must be exactly what the in-memory round produces.
     let (g1, g2, links) = workload(true, 260, 3, 0xD15C);
-    let in_memory = Engine::sequential().with_chunk_size(16);
+    let in_memory = Engine::new(1).with_chunk_size(16);
     let expected = mr_phase(&in_memory, &g1, &g2, &links, 2, 2);
     let scratch = std::env::temp_dir().join(format!("snr-core-spill-{}", std::process::id()));
     for (workers, budget) in [(1usize, 0u64), (1, 512), (3, 0), (3, 2048)] {
@@ -223,7 +225,7 @@ fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
 #[test]
 fn chunking_and_worker_count_never_change_results() {
     let (g1, g2, links) = workload(false, 200, 2, 7);
-    let reference = mr_phase(&Engine::sequential(), &g1, &g2, &links, 2, 2);
+    let reference = mr_phase(&Engine::new(1), &g1, &g2, &links, 2, 2);
     for workers in [1usize, 2, 5] {
         for chunk in [1usize, 3, 64, 10_000] {
             let engine = Engine::new(workers).with_chunk_size(chunk);
@@ -232,6 +234,60 @@ fn chunking_and_worker_count_never_change_results() {
                 reference,
                 "fused workers={workers} chunk={chunk}"
             );
+        }
+    }
+}
+
+#[test]
+fn spill_faults_fail_exactly_the_rounds_that_spill() {
+    // RMAT-10 on 2 workers with a spill budget of 0, so every map task with
+    // shuffle bytes spills. A fault-free reference run records which
+    // rounds spilled; then `spill_io` and `spill_corrupt` are injected at
+    // every round, plus one round past the last phase.
+    let mut rng = StdRng::seed_from_u64(10);
+    let g = rmat(&RmatConfig::graph500(10, 16), &mut rng).unwrap();
+    let pair = independent_deletion_symmetric(&g, 0.5, &mut rng).unwrap();
+    let seeds = sample_seeds(&pair, 0.10, &mut rng).unwrap();
+    let config = MatchingConfig::default();
+    let expected = UserMatching::new(config.clone().with_backend(Backend::Sequential))
+        .run(&pair.g1, &pair.g2, &seeds)
+        .links;
+    let matcher = UserMatching::new(config.with_backend(Backend::MapReduce { workers: 2 }));
+    let scratch = std::env::temp_dir().join(format!("snr-mr-fault-slice-{}", std::process::id()));
+    let engine = |faults: FaultRegistry| {
+        Engine::new(2)
+            .with_spill_budget(Some(0))
+            .with_scratch_dir(&scratch)
+            .with_fault_registry(faults)
+    };
+
+    let reference = engine(FaultRegistry::empty());
+    let outcome = matcher.try_run_on_engine(&pair.g1, &pair.g2, &seeds, &reference).unwrap();
+    assert_eq!(outcome.links, expected, "fault-free spilling run");
+    let spilled: Vec<usize> = reference.stats().per_round.iter().map(|r| r.spilled_runs).collect();
+    assert_eq!(spilled.len(), outcome.phases.len(), "one round per phase");
+    assert!(spilled.iter().any(|&runs| runs > 0), "the reference run must spill");
+
+    for round in 1..=spilled.len() + 1 {
+        for site in ["spill_io", "spill_corrupt"] {
+            let spec = format!("{site}@round{round}");
+            let faulted = engine(FaultRegistry::parse(&spec).unwrap());
+            let result = matcher.try_run_on_engine(&pair.g1, &pair.g2, &seeds, &faulted);
+            if spilled.get(round - 1).is_some_and(|&runs| runs > 0) {
+                let Err(EngineError::Spill(why)) = result else {
+                    panic!("{spec}: a round that spills must fail");
+                };
+                let named = match site {
+                    "spill_io" => why.contains("spill_io"),
+                    _ => why.contains("checksum") || why.contains("magic"),
+                };
+                assert!(named, "{spec}: unexpected error {why:?}");
+                assert_eq!(faulted.stats().rounds, round - 1, "{spec}: the run stops there");
+            } else {
+                let outcome = result.unwrap_or_else(|e| panic!("{spec}: {e}"));
+                assert_eq!(outcome.links, expected, "{spec}: links");
+            }
+            assert!(!scratch.exists(), "{spec}: scratch dir removed");
         }
     }
 }

@@ -188,7 +188,7 @@ fn segment(args: &ExperimentArgs) {
 /// workload shape: edge survival 0.7, 2% seeds): the fused engine round
 /// must select bit-identically to the sequential arena path, its shuffle
 /// bytes must be one `u32` key per row plus 8 bytes per scored pair, and
-/// its reported (post-combiner) shuffle records must come in at least 5x
+/// its shuffle must carry one record per non-empty row, at least 5x
 /// below the per-contribution formula `Σ_{(w1,w2)∈L} |N1*(w1)| · |N2*(w2)|`
 /// the pre-arena round used to shuffle. Catches regressions that silently
 /// fall back to record-at-a-time shuffling.

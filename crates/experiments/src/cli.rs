@@ -25,9 +25,8 @@
 //! * `--degrade <fail|inprocess>` — for driver-backed runs: what the
 //!   coordinator does when the worker pool collapses.
 //! * `--spill-budget <bytes>` — for MapReduce-backed runs: memory budget
-//!   for each engine round's post-combine shuffle; rounds that exceed it
-//!   spill sorted run files to disk and k-way merge them back. `0` spills
-//!   everything. Equivalent to setting `SNR_MR_SPILL_BUDGET=<bytes>`.
+//!   for each engine round's shuffle; rounds that exceed it spill sorted
+//!   run files to disk and k-way merge them back. `0` spills everything.
 //! * `--trace-out <path>` — enable `snr-telemetry` and write the run's
 //!   JSONL trace (spans, events, counters) to `<path>` on exit. Equivalent
 //!   to setting `SNR_TRACE=<path>` in the environment.

@@ -1,59 +1,48 @@
-//! The MapReduce execution engine.
+//! The MapReduce execution engine: one round shape.
 
-use crate::partition::partition_for;
-use crate::spill::{self, EngineError, MergeSource, NoSpill, RunReader, SpillCodec};
+use crate::spill::{self, EngineError, MergeSource, RunReader, SpillCodec};
 use crate::stats::{EngineStats, RoundStats};
 use parking_lot::Mutex;
 use snr_faults::{FaultRegistry, FaultSite};
-use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Default number of input records per map task.
+/// Smallest number of input records per map task when the chunk size is
+/// not set explicitly.
 const DEFAULT_CHUNK: usize = 8_192;
 
-/// Environment override for the engine's spill memory budget, in bytes
-/// (`0` spills everything; unset or empty means unlimited). A malformed
-/// value is reported and ignored — an engine must never fail to construct
-/// because of its environment.
-pub const ENV_SPILL_BUDGET: &str = "SNR_MR_SPILL_BUDGET";
-
-/// Upper bound on map tasks per worker for [`Engine::run_combined`] rounds.
+/// Upper bound on map tasks per worker when the chunk size is not set
+/// explicitly.
 ///
-/// Chunked-map jobs typically pay a per-task setup cost (the witness rounds
-/// build a task-local `LinkCache`), so their chunks are sized to keep the
-/// task count at a small multiple of the worker count instead of letting a
-/// tiny configured chunk size explode into thousands of setup-heavy tasks.
-const COMBINED_TASKS_PER_WORKER: usize = 4;
+/// Mappers typically pay a per-task setup cost (the witness rounds build a
+/// task-local `LinkCache`), so chunks are sized to keep the task count at a
+/// small multiple of the worker count instead of letting a tiny chunk size
+/// explode into thousands of setup-heavy tasks.
+const TASKS_PER_WORKER: usize = 4;
 
-/// An in-memory MapReduce engine.
+/// Process-wide engine counter: it names each engine's default scratch
+/// directory, so two engines in one process never share spill runs.
+static NEXT_ENGINE: AtomicU64 = AtomicU64::new(0);
+
+/// An in-memory MapReduce engine with an optional out-of-core shuffle.
 ///
-/// One engine instance corresponds to one "cluster": it owns a worker count,
-/// a partition count for the shuffle, and cumulative [`EngineStats`] across
-/// every job (round) it runs. Jobs are expressed as plain closures in two
-/// shapes: the classic record-at-a-time [`Engine::run`], and the
-/// aggregation-friendly [`Engine::run_combined`] (chunked mappers, a
-/// combiner hook, a caller-chosen partitioner, and a per-partition reduce
-/// fold).
+/// One engine instance corresponds to one "cluster": it owns a worker count
+/// (also the number of reduce partitions per round), an optional spill
+/// budget, and cumulative [`EngineStats`] across every round it runs. A
+/// round is one call to [`Engine::run`].
 #[derive(Debug)]
 pub struct Engine {
     workers: usize,
-    reduce_partitions: usize,
-    chunk_size: usize,
-    /// True once [`Engine::with_chunk_size`] has been called: an explicitly
-    /// configured chunk size is honored exactly, even by the chunked-map
-    /// rounds that would otherwise floor it (tests rely on tiny chunks to
-    /// exercise fragmentation and combiner merging).
-    chunk_size_overridden: bool,
-    /// Memory budget for a round's resident post-combine shuffle bytes;
-    /// `None` means unlimited (never spill). Only rounds run through
-    /// [`Engine::run_combined_spilling`] can spill — the other shapes have
-    /// no serialization codec and always hold their shuffle in memory.
+    /// Input records per map task; `None` sizes chunks from the input
+    /// length (see [`TASKS_PER_WORKER`]).
+    chunk_size: Option<usize>,
+    /// Memory budget for a round's resident shuffle bytes; `None` means
+    /// unlimited (never spill).
     spill_budget: Option<u64>,
-    /// Scratch directory for spill runs; `None` uses a per-process
-    /// directory under the system temp dir.
-    scratch_dir: Option<PathBuf>,
+    /// Base directory for spill runs; each round uses a `round-<N>`
+    /// subdirectory beneath it.
+    scratch_dir: PathBuf,
     /// 1-based round sequence, claimed at round start — the `R` that
     /// `spill_io@roundR` / `spill_corrupt@roundR` fault selectors match.
     round_seq: AtomicU64,
@@ -65,51 +54,36 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine with `workers` map/reduce threads and the same
-    /// number of shuffle partitions. The spill budget defaults to the
-    /// [`ENV_SPILL_BUDGET`] environment variable (unlimited when unset) and
-    /// the fault registry to [`FaultRegistry::from_env`].
+    /// Creates an engine with `workers` map/reduce threads and as many
+    /// reduce partitions per round. It never spills until
+    /// [`Engine::with_spill_budget`] gives it a budget; its fault registry
+    /// comes from [`FaultRegistry::from_env`].
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+        let engine_id = NEXT_ENGINE.fetch_add(1, Ordering::Relaxed);
         Engine {
-            workers,
-            reduce_partitions: workers.max(1),
-            chunk_size: DEFAULT_CHUNK,
-            chunk_size_overridden: false,
-            spill_budget: spill_budget_from_env(),
-            scratch_dir: None,
+            workers: workers.max(1),
+            chunk_size: None,
+            spill_budget: None,
+            scratch_dir: std::env::temp_dir()
+                .join(format!("snr-mr-spill-{}-{engine_id}", std::process::id())),
             round_seq: AtomicU64::new(0),
             faults: Mutex::new(FaultRegistry::from_env()),
             stats: Mutex::new(EngineStats::default()),
         }
     }
 
-    /// Creates a single-threaded engine (useful for deterministic debugging).
-    pub fn sequential() -> Self {
-        Engine::new(1)
-    }
-
-    /// Overrides the number of shuffle partitions (reduce tasks).
-    pub fn with_reduce_partitions(mut self, partitions: usize) -> Self {
-        self.reduce_partitions = partitions.max(1);
-        self
-    }
-
-    /// Overrides the number of input records per map task. The given size
-    /// is honored exactly by every round shape; without this call,
-    /// [`Engine::run_combined`] sizes chunks itself to amortize per-task
-    /// setup.
+    /// Sets the number of input records per map task exactly; without this
+    /// call the engine sizes chunks itself to amortize per-task setup.
     pub fn with_chunk_size(mut self, chunk: usize) -> Self {
-        self.chunk_size = chunk.max(1);
-        self.chunk_size_overridden = true;
+        self.chunk_size = Some(chunk.max(1));
         self
     }
 
-    /// Overrides the spill memory budget in bytes: when a round's resident
-    /// post-combine shuffle bytes would cross it, map tasks flush their
-    /// buckets to disk runs. `Some(0)` spills every non-empty task;
-    /// `None` (the default, absent [`ENV_SPILL_BUDGET`]) never spills.
-    /// Output is bit-identical at every budget; only residency changes.
+    /// Sets the spill memory budget in bytes: when a round's resident
+    /// shuffle bytes would cross it, map tasks flush their buckets to disk
+    /// runs. `Some(0)` spills every non-empty task; `None` (the default)
+    /// never spills. Output is bit-identical at every budget; only
+    /// residency changes.
     pub fn with_spill_budget(mut self, budget: Option<u64>) -> Self {
         self.spill_budget = budget;
         self
@@ -117,9 +91,12 @@ impl Engine {
 
     /// Overrides the scratch directory spill runs are written under (a
     /// `round-<N>` subdirectory per round, removed when the round ends —
-    /// successfully or not).
+    /// successfully or not). The default is a directory of this engine's
+    /// own under the system temp dir. Engines that run rounds at the same
+    /// time must not share an explicit scratch directory: their round
+    /// numbers and run-file names collide.
     pub fn with_scratch_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.scratch_dir = Some(dir.into());
+        self.scratch_dir = dir.into();
         self
     }
 
@@ -131,19 +108,10 @@ impl Engine {
         self
     }
 
-    /// The configured spill budget (`None` = unlimited).
-    pub fn spill_budget(&self) -> Option<u64> {
-        self.spill_budget
-    }
-
-    /// Number of worker threads used for map and reduce tasks.
+    /// Number of worker threads used for map and reduce tasks, and the
+    /// number of reduce partitions per round.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Number of shuffle partitions (reduce tasks) per round.
-    pub fn reduce_partitions(&self) -> usize {
-        self.reduce_partitions
     }
 
     /// A snapshot of the cumulative statistics.
@@ -151,160 +119,50 @@ impl Engine {
         self.stats.lock().clone()
     }
 
-    /// Clears the cumulative statistics.
-    pub fn reset_stats(&self) {
-        self.stats.lock().clear();
-    }
-
-    /// Runs one classic MapReduce round.
-    ///
-    /// * `map` is applied to every input record and emits intermediate
-    ///   `(key, value)` pairs.
-    /// * Pairs are shuffled (hash-partitioned and grouped by key).
-    /// * `reduce` is applied once per distinct key with all of its values and
-    ///   emits output records.
-    ///
-    /// The output order is deterministic: results are sorted by the reduce
-    /// partition index, then by key order within each partition.
-    pub fn run<I, K, V, O, M, R>(&self, label: &str, input: Vec<I>, map: M, reduce: R) -> Vec<O>
-    where
-        I: Send,
-        K: Hash + Eq + Ord + Send,
-        V: Send,
-        O: Send,
-        M: Fn(I) -> Vec<(K, V)> + Sync,
-        R: Fn(K, Vec<V>) -> Vec<O> + Sync,
-    {
-        let start = Instant::now();
-        let _span = snr_telemetry::span!("round", label = label);
-        let parts = self.reduce_partitions;
-        let (per_part, round) = self
-            .run_inner(
-                input,
-                self.chunk_size,
-                &|chunk: Vec<I>| chunk.into_iter().flat_map(&map).collect::<Vec<(K, V)>>(),
-                None::<&fn(&K, &mut Vec<V>)>,
-                &|k: &K| partition_for(k, parts),
-                &|_: &K, _: &V| std::mem::size_of::<K>() + std::mem::size_of::<V>(),
-                &|_, groups: Vec<(K, Vec<V>)>| {
-                    let mut out = Vec::new();
-                    for (k, vs) in groups {
-                        out.extend(reduce(k, vs));
-                    }
-                    out
-                },
-                None::<&NoSpill>,
-            )
-            .expect("the in-memory round shape is infallible");
-        let mut output = Vec::new();
-        for mut part_out in per_part {
-            output.append(&mut part_out);
-        }
-        self.record_round(label, round, output.len(), start);
-        output
-    }
-
-    /// Runs one aggregation-oriented MapReduce round: chunked mappers, a
-    /// combiner, a caller-chosen partitioner, and a per-partition reduce
-    /// fold.
+    /// Runs one MapReduce round: chunked mappers, a caller-chosen
+    /// partitioner, an optionally spilling shuffle, and a per-partition
+    /// reduce fold.
     ///
     /// * `map` sees a whole *chunk* of input records at a time, so it can
     ///   amortize per-task setup (decode caches, scratch arenas) and emit
     ///   already-aggregated pairs instead of one record per contribution.
-    /// * `combine` runs on every map task's per-partition bucket before the
-    ///   shuffle, once per distinct key with that bucket's values; it may
-    ///   shrink (or rewrite) the value list in place. Only the post-combine
-    ///   records are shuffled, and [`RoundStats::shuffled_records`] /
-    ///   [`RoundStats::shuffled_bytes`] report exactly those — the
-    ///   pre-combine volume is kept in [`RoundStats::map_output_records`].
-    /// * `part_of` routes a key to a reduce partition (`0..reduce_partitions`),
-    ///   replacing the default hash partitioner: range-partitioning dense
-    ///   keys keeps each partition a contiguous, sorted key interval.
-    /// * `bytes_of` reports the payload size of one post-combine record, so
-    ///   [`RoundStats::shuffled_bytes`] stays honest for variable-length
-    ///   values (a packed score *row* is `4 + 8·entries` bytes, which
-    ///   `size_of` cannot see through a `Vec` header).
+    /// * `part_of` routes a key to a reduce partition (`0..workers`);
+    ///   [`crate::partition::range_partition`] keeps each partition a
+    ///   contiguous, sorted key interval.
     /// * `reduce` is called once per partition with *all* of that
-    ///   partition's key groups in ascending key order and folds them into a
-    ///   single output value, so per-partition state (a selection sink, an
-    ///   accumulator) lives across keys without a global materialization.
+    ///   partition's key groups in ascending key order, a key's values in
+    ///   map-task order, and folds them into a single output value, so
+    ///   per-partition state (a selection sink, an accumulator) lives
+    ///   across keys without a global materialization.
+    /// * `codec` owns the record format: [`SpillCodec::bytes_of`] is the
+    ///   shuffle-byte charge of one record, reported in
+    ///   [`RoundStats::shuffled_bytes`] and reserved against the spill
+    ///   budget, and the encode/decode pair serializes key groups when the
+    ///   round spills.
     ///
-    /// Returns one output per partition, in partition order (deterministic).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_combined<I, K, V, O, M, C, P, B, R>(
-        &self,
-        label: &str,
-        input: Vec<I>,
-        map: M,
-        combine: C,
-        part_of: P,
-        bytes_of: B,
-        reduce: R,
-    ) -> Vec<O>
-    where
-        I: Send,
-        K: Ord + Send,
-        V: Send,
-        O: Send,
-        M: Fn(&[I]) -> Vec<(K, V)> + Sync,
-        C: Fn(&K, &mut Vec<V>) + Sync,
-        P: Fn(&K) -> usize + Sync,
-        B: Fn(&K, &V) -> usize + Sync,
-        R: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
-    {
-        let start = Instant::now();
-        let _span = snr_telemetry::span!("round", label = label);
-        // Setup-heavy chunked mappers: unless the caller configured a chunk
-        // size explicitly, cap the task count at a small multiple of the
-        // worker count (see COMBINED_TASKS_PER_WORKER).
-        let chunk_size = if self.chunk_size_overridden {
-            self.chunk_size
-        } else {
-            let min_chunk = input.len().div_ceil(self.workers * COMBINED_TASKS_PER_WORKER).max(1);
-            self.chunk_size.max(min_chunk)
-        };
-        let (output, round) = self
-            .run_inner(
-                input,
-                chunk_size,
-                &|chunk: Vec<I>| map(&chunk),
-                Some(&combine),
-                &part_of,
-                &bytes_of,
-                &reduce,
-                None::<&NoSpill>,
-            )
-            .expect("the in-memory round shape is infallible");
-        let outputs = output.len();
-        self.record_round(label, round, outputs, start);
-        output
-    }
-
-    /// [`Engine::run_combined`] with an out-of-core shuffle: `codec`
-    /// serializes key groups, and when the round's accumulated post-combine
-    /// shuffle bytes would cross the engine's spill budget
+    /// When the round's shuffle bytes would cross the spill budget
     /// ([`Engine::with_spill_budget`]), map tasks flush their sorted
     /// per-partition buckets to checksummed run files and the reduce side
-    /// k-way-merges the on-disk runs with the in-memory tail.
+    /// k-way-merges the on-disk runs with the in-memory tail. Output is
+    /// **bit-identical** at every budget.
     ///
-    /// Output is **bit-identical** to [`Engine::run_combined`] at every
-    /// budget — only where the shuffle resides changes. With no budget
-    /// configured this never touches disk and cannot fail. Spill I/O
-    /// failures and run-file corruption (including the injected `spill_io`
-    /// / `spill_corrupt` fault sites) surface as a clean
+    /// Returns one output per partition, in partition order.
+    ///
+    /// # Errors
+    ///
+    /// Spill I/O failures and run-file corruption (including the injected
+    /// `spill_io` / `spill_corrupt` fault sites) surface as a clean
     /// [`EngineError::Spill`] with the round's scratch directory removed
-    /// and the round excluded from [`Engine::stats`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_combined_spilling<I, K, V, O, M, C, P, B, R, SC>(
+    /// and the round excluded from [`Engine::stats`]. An engine without a
+    /// spill budget never touches disk and never fails.
+    pub fn run<I, K, V, O, M, P, R, C>(
         &self,
         label: &str,
         input: Vec<I>,
         map: M,
-        combine: C,
         part_of: P,
-        bytes_of: B,
         reduce: R,
-        codec: &SC,
+        codec: &C,
     ) -> Result<Vec<O>, EngineError>
     where
         I: Send,
@@ -312,147 +170,74 @@ impl Engine {
         V: Send,
         O: Send,
         M: Fn(&[I]) -> Vec<(K, V)> + Sync,
-        C: Fn(&K, &mut Vec<V>) + Sync,
         P: Fn(&K) -> usize + Sync,
-        B: Fn(&K, &V) -> usize + Sync,
         R: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
-        SC: SpillCodec<K, V> + Sync,
+        C: SpillCodec<K, V> + Sync,
     {
         let start = Instant::now();
         let _span = snr_telemetry::span!("round", label = label);
-        let chunk_size = if self.chunk_size_overridden {
-            self.chunk_size
-        } else {
-            let min_chunk = input.len().div_ceil(self.workers * COMBINED_TASKS_PER_WORKER).max(1);
-            self.chunk_size.max(min_chunk)
-        };
-        let (output, round) = self.run_inner(
-            input,
-            chunk_size,
-            &|chunk: Vec<I>| map(&chunk),
-            Some(&combine),
-            &part_of,
-            &bytes_of,
-            &reduce,
-            Some(codec),
-        )?;
-        let outputs = output.len();
-        self.record_round(label, round, outputs, start);
+        let (output, counters) = self.run_round(input, &map, &part_of, &reduce, codec)?;
+        self.record_round(label, counters, output.len(), start);
         Ok(output)
     }
 
-    /// Shared round executor: chunked map → per-bucket group (+ optional
-    /// combine) → budget check (+ optional spill to disk runs) → shuffle →
-    /// per-partition sorted group / k-way run merge → partition fold.
-    /// Returns one fold output per partition plus the round's counters
-    /// (map tasks, pre/post-combine record counts, key groups, spill
-    /// volume). Infallible unless both a codec and a spill budget are
-    /// present; the round's scratch directory is removed on every exit
-    /// path.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn run_inner<I, K, V, O, MF, CF, PF, BF, RF, SC>(
+    /// The body of [`Engine::run`]: chunked map → per-bucket group → budget
+    /// check (+ spill to disk runs) → shuffle → per-partition sorted group
+    /// / k-way run merge → partition fold. Returns one fold output per
+    /// partition plus the round's counters.
+    #[allow(clippy::type_complexity)]
+    fn run_round<I, K, V, O, M, P, R, C>(
         &self,
         input: Vec<I>,
-        chunk_size: usize,
-        map: &MF,
-        combine: Option<&CF>,
-        part_of: &PF,
-        bytes_of: &BF,
-        reduce_fold: &RF,
-        codec: Option<&SC>,
+        map: &M,
+        part_of: &P,
+        reduce: &R,
+        codec: &C,
     ) -> Result<(Vec<O>, RoundCounters), EngineError>
     where
         I: Send,
         K: Ord + Send,
         V: Send,
         O: Send,
-        MF: Fn(Vec<I>) -> Vec<(K, V)> + Sync,
-        CF: Fn(&K, &mut Vec<V>) + Sync,
-        PF: Fn(&K) -> usize + Sync,
-        BF: Fn(&K, &V) -> usize + Sync,
-        RF: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
-        SC: SpillCodec<K, V> + Sync,
+        M: Fn(&[I]) -> Vec<(K, V)> + Sync,
+        P: Fn(&K) -> usize + Sync,
+        R: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
+        C: SpillCodec<K, V> + Sync,
     {
         // Claim this round's 1-based sequence number up front: it names the
         // scratch subdirectory and is the `R` that `spill_io@roundR` /
         // `spill_corrupt@roundR` fault selectors match.
         let round_no = self.round_seq.fetch_add(1, Ordering::Relaxed) as u32 + 1;
-        let spill: Option<SpillState<'_, SC>> = match (codec, self.spill_budget) {
-            (Some(codec), Some(budget)) => Some(SpillState {
-                codec,
-                budget,
-                round: round_no,
-                round_dir: self.scratch_base().join(format!("round-{round_no}")),
-                in_mem: AtomicU64::new(0),
-                spilled_bytes: AtomicU64::new(0),
-                spilled_runs: AtomicU64::new(0),
-                merge_micros: AtomicU64::new(0),
-            }),
-            _ => None,
-        };
-        let result = self.run_round(
-            input,
-            chunk_size,
-            map,
-            combine,
-            part_of,
-            bytes_of,
-            reduce_fold,
-            spill.as_ref(),
-        );
-        // The run files were fully consumed (or the round failed): remove
-        // the round's scratch subdirectory on every exit path, and prune the
-        // base scratch dir too once no other round is using it
-        // (`remove_dir` is non-recursive, so it only succeeds when empty).
-        if let Some(sp) = &spill {
-            let _ = std::fs::remove_dir_all(&sp.round_dir);
-            if let Some(base) = sp.round_dir.parent() {
-                let _ = std::fs::remove_dir(base);
-            }
-        }
-        result
-    }
-
-    /// The fallible body of [`Engine::run_inner`]; scratch cleanup stays
-    /// with the caller so it runs on error paths too.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn run_round<I, K, V, O, MF, CF, PF, BF, RF, SC>(
-        &self,
-        input: Vec<I>,
-        chunk_size: usize,
-        map: &MF,
-        combine: Option<&CF>,
-        part_of: &PF,
-        bytes_of: &BF,
-        reduce_fold: &RF,
-        spill: Option<&SpillState<'_, SC>>,
-    ) -> Result<(Vec<O>, RoundCounters), EngineError>
-    where
-        I: Send,
-        K: Ord + Send,
-        V: Send,
-        O: Send,
-        MF: Fn(Vec<I>) -> Vec<(K, V)> + Sync,
-        CF: Fn(&K, &mut Vec<V>) + Sync,
-        PF: Fn(&K) -> usize + Sync,
-        BF: Fn(&K, &V) -> usize + Sync,
-        RF: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
-        SC: SpillCodec<K, V> + Sync,
-    {
+        // Declared before the round's other locals so it drops after them:
+        // its `Drop` removes the round's scratch directory on every exit
+        // path.
+        let spill_state = self.spill_budget.map(|budget| SpillState {
+            budget,
+            round: round_no,
+            round_dir: self.scratch_dir.join(format!("round-{round_no}")),
+            in_mem: AtomicU64::new(0),
+            spilled_bytes: AtomicU64::new(0),
+            spilled_runs: AtomicU64::new(0),
+            merge_micros: AtomicU64::new(0),
+        });
+        let spill = spill_state.as_ref();
         let input_records = input.len();
-        let parts = self.reduce_partitions;
+        let parts = self.workers;
+        let chunk_size = self.chunk_size.unwrap_or_else(|| {
+            DEFAULT_CHUNK.max(input_records.div_ceil(self.workers * TASKS_PER_WORKER))
+        });
 
         // ---- Map phase -----------------------------------------------------
         // Split the input into chunks and map them on the worker pool. Each
-        // worker emits `parts` buckets of key groups, already sorted by key
-        // and combined, so the shuffle only moves grouped records and the
-        // reduce-side sort sees nearly-sorted runs.
+        // task emits `parts` buckets of key groups, already sorted by key,
+        // so the shuffle only moves grouped records and the reduce-side sort
+        // sees nearly-sorted runs.
         let chunks: Vec<(usize, Vec<I>)> =
             split_into_chunks(input, chunk_size).into_iter().enumerate().collect();
         let map_tasks = chunks.len();
-        // Each map task tallies its own post-combine shuffle volume
-        // (records and bytes) while the data is still hot in its worker, so
-        // the single-threaded transpose below only sums per-task scalars.
+        // Each map task tallies its own shuffle volume (records and bytes)
+        // while the data is still hot in its worker, so the single-threaded
+        // transpose below only sums per-task scalars.
         // When a spill budget is active the task then tries to *reserve*
         // its bytes against the shared budget; if the reservation would
         // cross it, the task flushes its buckets to disk runs instead and
@@ -461,9 +246,8 @@ impl Engine {
         // the merged output is bit-identical regardless.
         type MapOut<K, V> = (TaskTally, Vec<Vec<(K, Vec<V>)>>, Vec<Option<PathBuf>>);
         let map_task = |(task, chunk): (usize, Vec<I>)| -> Result<MapOut<K, V>, EngineError> {
-            let pairs = map(chunk);
-            let mut tally =
-                TaskTally { emitted: pairs.len(), shuffled_records: 0, shuffled_bytes: 0 };
+            let pairs = map(&chunk);
+            let mut tally = TaskTally { records: pairs.len(), bytes: 0 };
             let mut flat: Vec<Vec<(K, V)>> = (0..parts).map(|_| Vec::new()).collect();
             for (k, v) in pairs {
                 let p = part_of(&k);
@@ -472,19 +256,15 @@ impl Engine {
             }
             let mut buckets = Vec::with_capacity(parts);
             for bucket in flat {
-                let mut groups = group_sorted(bucket);
-                for (k, vs) in &mut groups {
-                    if let Some(combine) = combine {
-                        combine(k, vs);
-                    }
-                    tally.shuffled_records += vs.len();
-                    tally.shuffled_bytes += vs.iter().map(|v| bytes_of(k, v)).sum::<usize>();
+                let groups = group_sorted(bucket);
+                for (k, vs) in &groups {
+                    tally.bytes += vs.iter().map(|v| codec.bytes_of(k, v)).sum::<usize>();
                 }
                 buckets.push(groups);
             }
             let mut run_paths: Vec<Option<PathBuf>> = vec![None; parts];
             if let Some(sp) = spill {
-                let bytes = tally.shuffled_bytes as u64;
+                let bytes = tally.bytes as u64;
                 let resident = sp.in_mem.fetch_add(bytes, Ordering::Relaxed);
                 if resident + bytes > sp.budget {
                     // Over budget: undo the reservation and spill this
@@ -507,7 +287,7 @@ impl Engine {
                             task as u32,
                             p as u32,
                             bucket,
-                            sp.codec,
+                            codec,
                             &self.faults,
                         )?;
                         snr_telemetry::event!(
@@ -538,7 +318,6 @@ impl Engine {
         // Transpose the per-task buckets into per-partition columns (cheap:
         // only `Vec` headers move, plus a scalar sum per task). Record
         // movement happens inside the per-partition reduce workers.
-        let mut map_output_records = 0usize;
         let mut shuffled_records = 0usize;
         let mut shuffled_bytes = 0usize;
         let mut columns: Vec<Vec<Vec<(K, Vec<V>)>>> =
@@ -547,9 +326,8 @@ impl Engine {
             (0..parts).map(|_| Vec::with_capacity(map_tasks)).collect();
         for task_result in mapped {
             let (tally, mut worker_buckets, mut worker_runs) = task_result?;
-            map_output_records += tally.emitted;
-            shuffled_records += tally.shuffled_records;
-            shuffled_bytes += tally.shuffled_bytes;
+            shuffled_records += tally.records;
+            shuffled_bytes += tally.bytes;
             for p in (0..parts).rev() {
                 let bucket = worker_buckets.pop().expect("bucket count mismatch");
                 columns[p].push(bucket);
@@ -588,11 +366,11 @@ impl Engine {
                 let sp = spill.expect("run files only exist when spilling");
                 let merge_start = Instant::now();
                 let _span = snr_telemetry::span!("spill_merge", partition = p);
-                let mut sources: Vec<MergeSource<'_, K, V, SC>> = Vec::with_capacity(col.len());
+                let mut sources: Vec<MergeSource<'_, K, V, C>> = Vec::with_capacity(col.len());
                 for (bucket, run) in col.into_iter().zip(runs) {
                     match run {
                         Some(path) => {
-                            sources.push(MergeSource::Disk(RunReader::open(&path, sp.codec)?))
+                            sources.push(MergeSource::Disk(RunReader::open(&path, codec)?))
                         }
                         None => sources.push(MergeSource::Mem(bucket.into_iter())),
                     }
@@ -604,7 +382,7 @@ impl Engine {
             } else {
                 merge_sorted_buckets(col)
             };
-            Ok((groups.len(), reduce_fold(p, groups)))
+            Ok((groups.len(), reduce(p, groups)))
         };
         let reduced: Vec<Result<(usize, O), EngineError>> = if self.workers == 1 || parts <= 1 {
             tasks.into_iter().map(reduce_task).collect()
@@ -629,7 +407,6 @@ impl Engine {
         };
         let counters = RoundCounters {
             input_records,
-            map_output_records,
             shuffled_records,
             shuffled_bytes,
             key_groups,
@@ -640,14 +417,6 @@ impl Engine {
             spill_merge_micros,
         };
         Ok((output, counters))
-    }
-
-    /// The engine's spill scratch base directory; each round uses a
-    /// `round-<N>` subdirectory beneath it.
-    fn scratch_base(&self) -> PathBuf {
-        self.scratch_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("snr-mr-spill-{}", std::process::id()))
-        })
     }
 
     fn record_round(&self, label: &str, c: RoundCounters, output_records: usize, start: Instant) {
@@ -669,7 +438,8 @@ impl Engine {
         self.stats.lock().record(RoundStats {
             label: label.to_string(),
             input_records: c.input_records,
-            map_output_records: c.map_output_records,
+            // No combiner: every emitted pair is shuffled.
+            map_output_records: c.shuffled_records,
             shuffled_records: c.shuffled_records,
             shuffled_bytes: c.shuffled_bytes,
             key_groups: c.key_groups,
@@ -684,31 +454,18 @@ impl Engine {
     }
 }
 
-/// Reads [`ENV_SPILL_BUDGET`]; malformed values are reported and ignored.
-fn spill_budget_from_env() -> Option<u64> {
-    let raw = std::env::var(ENV_SPILL_BUDGET).ok().filter(|s| !s.is_empty())?;
-    match raw.parse::<u64>() {
-        Ok(bytes) => Some(bytes),
-        Err(_) => {
-            snr_telemetry::warn!("ignoring unparseable {ENV_SPILL_BUDGET}={raw:?} (want bytes)");
-            None
-        }
-    }
-}
-
 /// Per-round spill bookkeeping shared by the map and reduce workers.
-struct SpillState<'a, SC> {
-    codec: &'a SC,
-    /// Resident post-combine bytes allowed before tasks start spilling.
+/// Dropping it removes the round's scratch directory.
+struct SpillState {
+    /// Resident shuffle bytes allowed before tasks start spilling.
     budget: u64,
     /// 1-based engine round number (fault selectors, run-file headers).
     round: u32,
-    /// This round's scratch subdirectory (created lazily on first spill,
-    /// removed on every exit path).
+    /// This round's scratch subdirectory (created lazily on first spill).
     round_dir: PathBuf,
-    /// Post-combine bytes currently reserved as in-memory.
+    /// Shuffle bytes currently reserved as in-memory.
     in_mem: AtomicU64,
-    /// Post-combine bytes flushed to disk runs.
+    /// Shuffle bytes flushed to disk runs.
     spilled_bytes: AtomicU64,
     /// Run files written.
     spilled_runs: AtomicU64,
@@ -716,18 +473,28 @@ struct SpillState<'a, SC> {
     merge_micros: AtomicU64,
 }
 
-/// Per-map-task shuffle tally, computed inside the task's worker.
-struct TaskTally {
-    emitted: usize,
-    shuffled_records: usize,
-    shuffled_bytes: usize,
+impl Drop for SpillState {
+    /// The run files were fully consumed (or the round failed): remove the
+    /// round's scratch subdirectory, and the base scratch dir too once no
+    /// other round is using it (`remove_dir` only removes an empty one).
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.round_dir);
+        if let Some(base) = self.round_dir.parent() {
+            let _ = std::fs::remove_dir(base);
+        }
+    }
 }
 
-/// Per-round counters accumulated by [`Engine::run_inner`]; the public entry
-/// points fill in the label, output count, and duration.
+/// Per-map-task shuffle tally, computed inside the task's worker.
+struct TaskTally {
+    records: usize,
+    bytes: usize,
+}
+
+/// Per-round counters accumulated by [`Engine::run_round`]; [`Engine::run`]
+/// fills in the label, output count, and duration.
 struct RoundCounters {
     input_records: usize,
-    map_output_records: usize,
     shuffled_records: usize,
     shuffled_bytes: usize,
     key_groups: usize,
@@ -755,8 +522,7 @@ fn group_sorted<K: Ord, V>(mut bucket: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
 
 /// Merges one partition's grouped buckets — one sorted bucket per map task —
 /// into a single ascending key-group list. Buckets arrive in task order and
-/// the merge sort is stable, so a key's values concatenate in task order,
-/// exactly as the old record-at-a-time grouping produced them.
+/// the merge sort is stable, so a key's values concatenate in task order.
 fn merge_sorted_buckets<K: Ord, V>(buckets: Vec<Vec<(K, Vec<V>)>>) -> Vec<(K, Vec<V>)> {
     let total: usize = buckets.iter().map(Vec::len).sum();
     let mut entries: Vec<(K, Vec<V>)> = Vec::with_capacity(total);
@@ -831,274 +597,191 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::range_partition;
+    use crate::spill::tests::U32U64Codec as TestCodec;
 
-    fn word_count(engine: &Engine, docs: Vec<String>) -> Vec<(String, usize)> {
-        let mut out: Vec<(String, usize)> = engine.run(
-            "wc",
-            docs,
-            |doc: String| doc.split_whitespace().map(|w| (w.to_string(), 1usize)).collect(),
-            |w, ones| vec![(w, ones.len())],
-        );
-        out.sort();
-        out
+    /// Key groups as the reduce saw them, one list per partition.
+    type Groups = Vec<(u32, Vec<u64>)>;
+
+    /// A round that keys each value by `key_of`, range-partitions keys in
+    /// `0..bound`, and returns every partition's groups unchanged.
+    fn groups_round(
+        engine: &Engine,
+        input: Vec<u64>,
+        key_of: fn(u64) -> u32,
+        bound: usize,
+    ) -> Result<Vec<Groups>, EngineError> {
+        let parts = engine.workers();
+        engine.run(
+            "groups",
+            input,
+            |chunk: &[u64]| chunk.iter().map(|&x| (key_of(x), x)).collect(),
+            |&k: &u32| range_partition(k, bound, parts),
+            |_, groups: Groups| groups,
+            &TestCodec,
+        )
     }
 
-    /// The same word count as a chunked round with a summing combiner.
-    fn word_count_combined(engine: &Engine, docs: Vec<String>) -> Vec<(String, usize)> {
-        let parts = engine.reduce_partitions();
-        let per_part: Vec<Vec<(String, usize)>> = engine.run_combined(
-            "wc-combined",
-            docs,
-            |chunk: &[String]| {
-                chunk
-                    .iter()
-                    .flat_map(|doc| doc.split_whitespace().map(|w| (w.to_string(), 1usize)))
-                    .collect()
-            },
-            |_w, counts: &mut Vec<usize>| {
-                let total: usize = counts.iter().sum();
-                counts.clear();
-                counts.push(total);
-            },
-            |w: &String| partition_for(w, parts),
-            |w: &String, _: &usize| w.len() + 8,
-            |_, groups| {
-                groups.into_iter().map(|(w, counts)| (w, counts.iter().sum())).collect::<Vec<_>>()
-            },
-        );
-        let mut out: Vec<(String, usize)> = per_part.into_iter().flatten().collect();
-        out.sort();
-        out
-    }
-
-    #[test]
-    fn word_count_single_threaded() {
-        let engine = Engine::sequential();
-        let out = word_count(&engine, vec!["x y x".into(), "y z".into()]);
-        assert_eq!(out, vec![("x".into(), 2), ("y".into(), 2), ("z".into(), 1)]);
+    /// Per-key sums of a `(key, value)` input, flattened across partitions.
+    fn sums(engine: &Engine, input: Vec<(u32, u64)>, bound: usize) -> Vec<(u32, u64)> {
+        let parts = engine.workers();
+        let per_part: Vec<Vec<(u32, u64)>> = engine
+            .run(
+                "sums",
+                input,
+                |chunk: &[(u32, u64)]| chunk.to_vec(),
+                |&k: &u32| range_partition(k, bound, parts),
+                |_, groups: Groups| {
+                    groups.into_iter().map(|(k, vs)| (k, vs.iter().sum())).collect::<Vec<_>>()
+                },
+                &TestCodec,
+            )
+            .expect("an engine without a spill budget cannot fail");
+        per_part.into_iter().flatten().collect()
     }
 
     #[test]
-    fn word_count_multi_threaded_matches_sequential() {
-        let seq = Engine::sequential();
-        let par = Engine::new(4).with_chunk_size(1);
-        let docs: Vec<String> = (0..50).map(|i| format!("w{} w{} shared", i, i % 7)).collect();
-        assert_eq!(word_count(&seq, docs.clone()), word_count(&par, docs));
-    }
-
-    #[test]
-    fn chunked_map_with_combiner_round_equals_record_at_a_time_round() {
-        let docs: Vec<String> =
-            (0..60).map(|i| format!("w{} w{} shared again", i % 9, i % 4)).collect();
-        for workers in [1usize, 3] {
-            let classic = Engine::new(workers).with_chunk_size(7);
-            let combined = Engine::new(workers).with_chunk_size(7);
-            assert_eq!(
-                word_count(&classic, docs.clone()),
-                word_count_combined(&combined, docs.clone()),
-                "workers={workers}"
-            );
-            // The combiner collapsed each (task, word) repeat before the
-            // shuffle; the classic round shuffled every single `1`.
-            let classic_round = &classic.stats().per_round[0];
-            let combined_round = &combined.stats().per_round[0];
-            assert_eq!(
-                classic_round.shuffled_records, classic_round.map_output_records,
-                "no combiner: shuffle == map output"
-            );
-            assert_eq!(combined_round.map_output_records, classic_round.map_output_records);
-            assert!(
-                combined_round.shuffled_records < combined_round.map_output_records,
-                "combiner must shrink the shuffle: {} vs {}",
-                combined_round.shuffled_records,
-                combined_round.map_output_records
-            );
+    fn parallel_round_matches_sequential() {
+        let input: Vec<(u32, u64)> = (0..500u64).map(|x| ((x * 7 % 31) as u32, x)).collect();
+        let expected = sums(&Engine::new(1), input.clone(), 31);
+        assert_eq!(expected.len(), 31);
+        for (workers, chunk) in [(2usize, 1usize), (4, 7), (5, 1_000)] {
+            let engine = Engine::new(workers).with_chunk_size(chunk);
+            assert_eq!(sums(&engine, input.clone(), 31), expected, "workers={workers}");
         }
     }
 
     #[test]
-    fn combiner_accounting_is_pinned_on_a_known_workload() {
-        // 12 records, 3 distinct keys, chunks of 4 → 3 map tasks of exactly
-        // 4 records each. Keys are `i % 3`, so every chunk holds keys
-        // {0, 1, 2} with 4 records collapsing to 3 per chunk.
-        let engine = Engine::sequential().with_chunk_size(4).with_reduce_partitions(2);
-        let input: Vec<u32> = (0..12).collect();
-        let out: Vec<(u32, u32)> = engine
-            .run_combined(
-                "pinned",
-                input,
-                |chunk: &[u32]| chunk.iter().map(|&x| (x % 3, 1u32)).collect(),
-                |_k, ones: &mut Vec<u32>| {
-                    let total: u32 = ones.iter().sum();
-                    ones.clear();
-                    ones.push(total);
-                },
-                |k: &u32| (*k as usize) % 2,
-                |_: &u32, _: &u32| 8,
-                |_, groups| {
-                    groups
-                        .into_iter()
-                        .map(|(k, counts)| (k, counts.iter().sum::<u32>()))
-                        .collect::<Vec<_>>()
-                },
-            )
-            .into_iter()
-            .flatten()
-            .collect();
-        assert_eq!(out, vec![(0, 4), (2, 4), (1, 4)], "partition order, then key order");
+    fn round_accounting_is_pinned_on_a_known_workload() {
+        // 12 records, keys `i % 3`, chunks of 4 → 3 map tasks of exactly 4
+        // records each; 2 workers → 2 reduce partitions, keys split by parity.
+        let engine = Engine::new(2).with_chunk_size(4);
+        let run = || -> Vec<(u32, u64)> {
+            engine
+                .run(
+                    "pinned",
+                    (0..12u64).collect(),
+                    |chunk: &[u64]| chunk.iter().map(|&x| ((x % 3) as u32, 1u64)).collect(),
+                    |&k: &u32| k as usize % 2,
+                    |_, groups: Groups| {
+                        groups.into_iter().map(|(k, vs)| (k, vs.iter().sum())).collect::<Vec<_>>()
+                    },
+                    &TestCodec,
+                )
+                .unwrap()
+                .into_iter()
+                .flatten()
+                .collect()
+        };
+        assert_eq!(run(), vec![(0, 4), (2, 4), (1, 4)], "partition order, then key order");
         let stats = engine.stats();
         let round = &stats.per_round[0];
+        assert_eq!(round.label, "pinned");
         assert_eq!(round.input_records, 12);
         assert_eq!(round.map_output_records, 12, "mappers emitted one pair per record");
-        assert_eq!(round.shuffled_records, 9, "3 tasks x 3 combined keys");
-        assert_eq!(round.shuffled_bytes, 9 * 8, "u32 key + u32 value");
+        assert_eq!(round.shuffled_records, 12, "every emitted pair is shuffled");
+        assert_eq!(round.shuffled_bytes, 12 * 12, "the codec charges 12 bytes a record");
         assert_eq!(round.key_groups, 3);
-        assert_eq!(stats.total_shuffled_records, 9);
-        assert_eq!(stats.total_shuffled_bytes, 72);
+        assert_eq!(round.output_records, 2, "one fold output per partition");
+        assert_eq!(round.map_tasks, 3);
+        assert_eq!(round.reduce_tasks, 2);
+        assert_eq!(round.spilled_runs, 0);
         let summary = stats.stats_summary();
         assert!(summary.contains("1 round"), "{summary}");
-        assert!(summary.contains("9 shuffled"), "{summary}");
+        assert!(summary.contains("12 shuffled"), "{summary}");
+
+        // A second round accumulates into the engine's totals.
+        run();
+        let stats = engine.stats();
+        assert_eq!(stats.rounds, 2);
+        assert_eq!(stats.total_input_records, 24);
+        assert_eq!(stats.total_shuffled_records, 24);
+        assert_eq!(stats.total_shuffled_bytes, 288);
+        assert_eq!(stats.total_output_records, 4);
     }
 
     #[test]
-    fn range_partitioned_combined_output_is_globally_key_sorted() {
-        use crate::partition::range_partition;
-        let engine = Engine::new(3).with_reduce_partitions(4).with_chunk_size(5);
-        let input: Vec<u32> = (0..100).rev().collect();
-        let per_part: Vec<Vec<u32>> = engine.run_combined(
-            "range",
-            input,
-            |chunk: &[u32]| chunk.iter().map(|&x| (x, ())).collect(),
-            |_, _: &mut Vec<()>| {},
-            |k: &u32| range_partition(*k, 100, 4),
-            |_: &u32, _: &()| 4,
-            |_, groups| groups.into_iter().map(|(k, _)| k).collect::<Vec<u32>>(),
-        );
+    fn default_chunking_caps_tasks_per_worker_with_a_floor() {
+        // Without an explicit chunk size a task holds at least
+        // DEFAULT_CHUNK records, and a round has at most
+        // TASKS_PER_WORKER tasks per worker.
+        let map_tasks = |workers: usize, records: u64| {
+            let engine = Engine::new(workers);
+            groups_round(&engine, (0..records).collect(), |x| (x % 4) as u32, 4).unwrap();
+            engine.stats().per_round[0].map_tasks
+        };
+        assert_eq!(map_tasks(2, 1_000), 1, "one chunk below the floor");
+        assert_eq!(map_tasks(2, 20_000), 3, "chunks of DEFAULT_CHUNK");
+        assert_eq!(map_tasks(2, 100_000), 8, "2 workers x 4 tasks");
+        assert_eq!(map_tasks(3, 100_000), 12, "3 workers x 4 tasks");
+    }
+
+    #[test]
+    fn range_partitioned_output_is_globally_key_sorted() {
+        let engine = Engine::new(4).with_chunk_size(5);
+        let per_part = groups_round(&engine, (0..100).rev().collect(), |x| x as u32, 100).unwrap();
         assert_eq!(per_part.len(), 4);
-        let flat: Vec<u32> = per_part.into_iter().flatten().collect();
-        assert_eq!(flat, (0..100).collect::<Vec<u32>>());
+        let keys: Vec<u32> = per_part.into_iter().flatten().map(|(k, _)| k).collect();
+        assert_eq!(keys, (0..100).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn empty_input_produces_empty_output_and_counts_a_round() {
-        let engine = Engine::new(2);
-        let out: Vec<(u32, u32)> =
-            engine.run("empty", Vec::<u32>::new(), |x| vec![(x, x)], |k, _| vec![(k, k)]);
-        assert!(out.is_empty());
+    fn empty_round_still_folds_every_partition_and_counts_a_round() {
+        let engine = Engine::new(3);
+        let out: Vec<usize> = engine
+            .run(
+                "empty",
+                Vec::<u64>::new(),
+                |chunk: &[u64]| chunk.iter().map(|&x| (x as u32, x)).collect(),
+                |_: &u32| 0,
+                |p, groups: Groups| {
+                    assert!(groups.is_empty());
+                    p
+                },
+                &TestCodec,
+            )
+            .unwrap();
+        assert_eq!(out, vec![0, 1, 2], "one fold output per partition, in order");
         let stats = engine.stats();
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.total_input_records, 0);
         assert_eq!(stats.total_shuffled_records, 0);
-    }
-
-    #[test]
-    fn empty_combined_round_still_folds_every_partition() {
-        let engine = Engine::new(2).with_reduce_partitions(3);
-        let out: Vec<usize> = engine.run_combined(
-            "empty-combined",
-            Vec::<u32>::new(),
-            |chunk: &[u32]| chunk.iter().map(|&x| (x, x)).collect(),
-            |_, _: &mut Vec<u32>| {},
-            |_: &u32| 0,
-            |_: &u32, _: &u32| 8,
-            |p, groups| {
-                assert!(groups.is_empty());
-                p
-            },
-        );
-        assert_eq!(out, vec![0, 1, 2], "one fold output per partition, in order");
-    }
-
-    #[test]
-    fn stats_track_shuffled_and_output_records() {
-        let engine = Engine::new(3).with_chunk_size(2);
-        let input: Vec<u32> = (0..10).collect();
-        // Each record emits 2 pairs; keys collapse into 5 groups.
-        let out: Vec<(u32, usize)> = engine.run(
-            "pairs",
-            input,
-            |x| vec![(x % 5, x), (x % 5, x + 100)],
-            |k, vs| vec![(k, vs.len())],
-        );
-        assert_eq!(out.len(), 5);
-        let stats = engine.stats();
-        assert_eq!(stats.rounds, 1);
-        assert_eq!(stats.total_input_records, 10);
-        assert_eq!(stats.total_shuffled_records, 20);
-        assert_eq!(stats.total_output_records, 5);
-        assert_eq!(stats.per_round[0].key_groups, 5);
-        assert_eq!(stats.per_round[0].map_output_records, 20);
-        assert_eq!(stats.per_round[0].shuffled_bytes, 20 * 8);
-        // Every group got both pairs from each of its 2 source records.
-        for (_, count) in out {
-            assert_eq!(count, 4);
-        }
-    }
-
-    #[test]
-    fn chained_rounds_accumulate_round_count() {
-        let engine = Engine::new(2);
-        let first: Vec<(u32, u32)> = engine.run(
-            "r1",
-            vec![1u32, 2, 3],
-            |x| vec![(x % 2, x)],
-            |k, vs| vec![(k, vs.iter().sum())],
-        );
-        let second: Vec<(u32, u32)> =
-            engine.run("r2", first, |(k, v)| vec![(k, v * 2)], |k, vs| vec![(k, vs.iter().sum())]);
-        assert_eq!(engine.stats().rounds, 2);
-        assert!(!second.is_empty());
+        assert_eq!(stats.per_round[0].map_tasks, 0);
     }
 
     #[test]
     fn reduce_sees_all_values_for_a_key_exactly_once() {
-        let engine = Engine::new(4).with_chunk_size(3).with_reduce_partitions(5);
-        let input: Vec<u64> = (0..1000).collect();
-        let mut out: Vec<(u64, u64)> = engine.run(
-            "sum",
-            input,
-            |x| vec![(x % 10, x)],
-            |k, vs| vec![(k, vs.into_iter().sum::<u64>())],
-        );
-        out.sort();
+        let engine = Engine::new(4).with_chunk_size(3);
+        let input: Vec<(u32, u64)> = (0..1000u64).map(|x| ((x % 10) as u32, x)).collect();
+        let out = sums(&engine, input, 10);
         assert_eq!(out.len(), 10);
         for (k, sum) in out {
-            // Sum of k, k+10, ..., k+990 = 100*k + 10*(0+10+...+990)/10
-            let expected: u64 = (0..100).map(|i| k + 10 * i).sum();
+            // Sum of k, k+10, ..., k+990.
+            let expected: u64 = (0..100).map(|i| k as u64 + 10 * i).sum();
             assert_eq!(sum, expected, "wrong sum for key {k}");
         }
-        let stats = engine.stats();
-        assert_eq!(stats.per_round[0].reduce_tasks, 5);
-        assert!(stats.per_round[0].map_tasks >= 300);
+        let round = &engine.stats().per_round[0];
+        assert_eq!(round.reduce_tasks, 4);
+        assert_eq!(round.map_tasks, 334, "an explicit chunk size is honored exactly");
+    }
+
+    #[test]
+    fn reduce_values_preserve_task_order_within_a_key() {
+        // Values for one key arrive in map-task order with each task's
+        // emission order preserved.
+        let engine = Engine::new(3).with_chunk_size(2);
+        let out = groups_round(&engine, (0..20).collect(), |_| 0, 1).unwrap();
+        let flat: Groups = out.into_iter().flatten().collect();
+        assert_eq!(flat, vec![(0, (0..20).collect::<Vec<u64>>())]);
     }
 
     #[test]
     fn output_is_deterministic_across_runs() {
         let run = || {
             let engine = Engine::new(4).with_chunk_size(7);
-            let input: Vec<u32> = (0..200).collect();
-            engine.run(
-                "det",
-                input,
-                |x| vec![(x % 17, x)],
-                |k, mut vs| {
-                    vs.sort_unstable();
-                    vec![(k, vs)]
-                },
-            )
+            groups_round(&engine, (0..200).collect(), |x| (x % 17) as u32, 17).unwrap()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn reduce_values_preserve_task_order_within_a_key() {
-        // Values for one key must arrive in map-task order with each task's
-        // emission order preserved — the contract the stable sort-based
-        // shuffle keeps from the old HashMap grouping.
-        let engine = Engine::new(3).with_chunk_size(2);
-        let input: Vec<u32> = (0..20).collect();
-        let out: Vec<Vec<u32>> = engine.run("order", input, |x| vec![((), x)], |_, vs| vec![vs]);
-        assert_eq!(out, vec![(0..20).collect::<Vec<u32>>()]);
     }
 
     #[test]
@@ -1110,43 +793,25 @@ mod tests {
         assert!(split_into_chunks(Vec::<u32>::new(), 3).is_empty());
     }
 
-    use crate::spill::tests::U32U64Codec as TestCodec;
-
     fn spill_scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("snr-engine-spill-{}-{name}", std::process::id()))
     }
 
-    /// Runs the reference workload (sorted value lists per key mod 7) on
-    /// `engine` through the spillable shape and returns per-partition
-    /// output plus the recorded round stats.
-    type SpillOutput = Vec<Vec<(u32, Vec<u64>)>>;
-
-    fn spill_workload(engine: &Engine) -> Result<(SpillOutput, RoundStats), EngineError> {
-        let parts = engine.reduce_partitions();
-        let input: Vec<u64> = (0..200).collect();
-        let out = engine.run_combined_spilling(
-            "spill-workload",
-            input,
-            |chunk: &[u64]| chunk.iter().map(|&x| ((x % 7) as u32, x)).collect(),
-            |_k, _vs: &mut Vec<u64>| {},
-            |k: &u32| partition_for(k, parts),
-            |_: &u32, _: &u64| 12,
-            |_, groups: Vec<(u32, Vec<u64>)>| groups,
-            &TestCodec,
-        )?;
+    /// Runs the reference workload (value lists per key mod 7) on `engine`
+    /// and returns its groups, flattened across partitions, plus the
+    /// recorded round stats.
+    fn spill_workload(engine: &Engine) -> Result<(Groups, RoundStats), EngineError> {
+        let out = groups_round(engine, (0..200).collect(), |x| (x % 7) as u32, 7)?;
         let stats = engine.stats();
-        Ok((out, stats.per_round.last().expect("round recorded").clone()))
+        let round = stats.per_round.last().expect("round recorded").clone();
+        Ok((out.into_iter().flatten().collect(), round))
     }
 
     #[test]
     fn spill_output_and_stats_are_bit_identical_across_budgets() {
         let scratch = spill_scratch("budgets");
         let make = |budget: Option<u64>| {
-            Engine::sequential()
-                .with_chunk_size(16)
-                .with_reduce_partitions(3)
-                .with_spill_budget(budget)
-                .with_scratch_dir(&scratch)
+            Engine::new(1).with_chunk_size(16).with_spill_budget(budget).with_scratch_dir(&scratch)
         };
         // Reference: unlimited budget — never touches disk.
         let engine = make(None);
@@ -1187,9 +852,8 @@ mod tests {
         let (out, round) = spill_workload(&engine).unwrap();
         assert_eq!(out, reference);
         assert_eq!(round.spilled_bytes, round.shuffled_bytes, "budget 0 spills every byte");
-        // 200 records / chunks of 16 = 13 map tasks, each hitting up to 3
-        // partitions; sequential engine makes the count deterministic.
-        assert!(round.spilled_runs >= 13, "every task spills at least one run");
+        // 200 records / chunks of 16 = 13 map tasks, one run each.
+        assert_eq!(round.spilled_runs, 13, "every task spills its one partition");
 
         // The non-spill half of the stats is bit-identical throughout.
         let mut normalized = round.clone();
@@ -1199,31 +863,60 @@ mod tests {
         normalized.duration = ref_round.duration;
         assert_eq!(normalized, ref_round);
 
-        assert!(!scratch.join("round-1").exists(), "scratch cleaned up");
-        let _ = std::fs::remove_dir_all(&scratch);
+        assert!(!scratch.exists(), "scratch cleaned up");
     }
 
     #[test]
     fn parallel_spilling_engine_matches_sequential_reference() {
         let scratch = spill_scratch("parallel");
-        let (reference, _) =
-            spill_workload(&Engine::sequential().with_chunk_size(16).with_reduce_partitions(3))
-                .unwrap();
+        let (reference, _) = spill_workload(&Engine::new(1).with_chunk_size(16)).unwrap();
         let engine = Engine::new(4)
             .with_chunk_size(16)
-            .with_reduce_partitions(3)
             .with_spill_budget(Some(64))
             .with_scratch_dir(&scratch);
         let (out, round) = spill_workload(&engine).unwrap();
         assert_eq!(out, reference, "spilling must never change output");
         assert!(round.spilled_runs > 0);
-        let _ = std::fs::remove_dir_all(&scratch);
+        assert!(!scratch.exists(), "scratch cleaned up");
+    }
+
+    #[test]
+    fn concurrent_engines_with_default_scratch_dirs_never_share_runs() {
+        // Two engines spilling at the same time under their default scratch
+        // dirs: each must read back exactly its own run files.
+        let input = |salt: u64| (0..4_000u64).map(|x| 2 * x + salt).collect::<Vec<u64>>();
+        let expected: Vec<Vec<Groups>> = (0..2)
+            .map(|salt| groups_round(&Engine::new(2), input(salt), |x| (x % 50) as u32, 50))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        for _ in 0..20 {
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..2)
+                    .map(|salt| {
+                        let start = &start;
+                        s.spawn(move || {
+                            let engine =
+                                Engine::new(2).with_chunk_size(500).with_spill_budget(Some(0));
+                            start.wait();
+                            let out = groups_round(&engine, input(salt), |x| (x % 50) as u32, 50);
+                            (out, engine.stats())
+                        })
+                    })
+                    .collect();
+                for (salt, handle) in handles.into_iter().enumerate() {
+                    let (out, stats) = handle.join().expect("engine thread panicked");
+                    assert_eq!(out.unwrap(), expected[salt], "engine {salt}");
+                    assert_eq!(stats.per_round[0].spilled_runs, 16, "8 tasks x 2 partitions");
+                }
+            });
+        }
     }
 
     #[test]
     fn unlimited_budget_never_creates_a_scratch_dir() {
         let scratch = spill_scratch("untouched");
-        let engine = Engine::sequential().with_scratch_dir(&scratch);
+        let engine = Engine::new(1).with_scratch_dir(&scratch);
         spill_workload(&engine).unwrap();
         assert!(!scratch.exists(), "no budget, no disk traffic");
     }
@@ -1231,7 +924,7 @@ mod tests {
     #[test]
     fn spill_io_fault_is_a_clean_error_with_scratch_removed() {
         let scratch = spill_scratch("io-fault");
-        let engine = Engine::sequential()
+        let engine = Engine::new(1)
             .with_chunk_size(16)
             .with_spill_budget(Some(0))
             .with_scratch_dir(&scratch)
@@ -1250,7 +943,7 @@ mod tests {
     #[test]
     fn spill_corrupt_fault_is_a_clean_error_never_wrong_output() {
         let scratch = spill_scratch("corrupt-fault");
-        let engine = Engine::sequential()
+        let engine = Engine::new(1)
             .with_chunk_size(16)
             .with_spill_budget(Some(0))
             .with_scratch_dir(&scratch)
@@ -1262,30 +955,6 @@ mod tests {
         );
         assert!(!scratch.exists(), "scratch removed on error");
         assert_eq!(engine.stats().rounds, 0);
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
-
-    #[test]
-    fn spilling_shape_without_budget_equals_run_combined() {
-        // The spillable entry point with no budget is a drop-in for
-        // run_combined: same output, same stats, zero spill counters.
-        let a = Engine::sequential().with_chunk_size(16).with_reduce_partitions(3);
-        let (out_a, round_a) = spill_workload(&a).unwrap();
-        let parts = 3;
-        let b = Engine::sequential().with_chunk_size(16).with_reduce_partitions(parts);
-        let out_b: Vec<Vec<(u32, Vec<u64>)>> = b.run_combined(
-            "spill-workload",
-            (0..200u64).collect(),
-            |chunk: &[u64]| chunk.iter().map(|&x| ((x % 7) as u32, x)).collect(),
-            |_k, _vs: &mut Vec<u64>| {},
-            |k: &u32| partition_for(k, parts),
-            |_: &u32, _: &u64| 12,
-            |_, groups: Vec<(u32, Vec<u64>)>| groups,
-        );
-        assert_eq!(out_a, out_b);
-        let round_b = b.stats().per_round[0].clone();
-        assert_eq!(round_a.shuffled_bytes, round_b.shuffled_bytes);
-        assert_eq!(round_a.spilled_runs, 0);
     }
 
     proptest::proptest! {
@@ -1296,25 +965,21 @@ mod tests {
             chunk in 1usize..16,
             budget in 0u64..400,
         ) {
-            let parts = 3usize;
-            let reference = Engine::sequential().with_chunk_size(chunk).with_reduce_partitions(parts);
             let run = |engine: &Engine, input: Vec<(u32, u64)>| {
-                engine.run_combined_spilling(
+                engine.run(
                     "prop-spill",
                     input,
                     |chunk: &[(u32, u64)]| chunk.to_vec(),
-                    |_k, _vs: &mut Vec<u64>| {},
-                    |k: &u32| partition_for(k, parts),
-                    |_: &u32, _: &u64| 12,
-                    |_, groups: Vec<(u32, Vec<u64>)>| groups,
+                    |&k: &u32| range_partition(k, 9, workers),
+                    |_, groups: Groups| groups,
                     &TestCodec,
                 )
             };
-            let expected = run(&reference, values.clone()).unwrap();
+            let in_memory = Engine::new(workers).with_chunk_size(chunk);
+            let expected = run(&in_memory, values.clone()).unwrap();
             let scratch = spill_scratch("prop");
             let spilling = Engine::new(workers)
                 .with_chunk_size(chunk)
-                .with_reduce_partitions(parts)
                 .with_spill_budget(Some(budget))
                 .with_scratch_dir(&scratch);
             let got = run(&spilling, values).unwrap();
@@ -1327,56 +992,9 @@ mod tests {
                                             chunk in 1usize..20) {
             let engine = Engine::new(workers).with_chunk_size(chunk);
             let expected: u64 = values.iter().sum();
-            let out: Vec<u64> = engine.run(
-                "psum",
-                values,
-                |x| vec![((), x)],
-                |_, vs| vec![vs.into_iter().sum::<u64>()],
-            );
-            let total: u64 = out.into_iter().sum();
+            let input: Vec<(u32, u64)> = values.into_iter().map(|v| ((v % 13) as u32, v)).collect();
+            let total: u64 = sums(&engine, input, 13).into_iter().map(|(_, s)| s).sum();
             proptest::prop_assert_eq!(total, expected);
-        }
-
-        #[test]
-        fn combined_and_classic_rounds_agree_on_random_sums(
-            values in proptest::collection::vec((0u32..12, 0u64..1000), 0..200),
-            workers in 1usize..5,
-            chunk in 1usize..16,
-            parts in 1usize..5,
-        ) {
-            let classic = Engine::new(workers).with_chunk_size(chunk).with_reduce_partitions(parts);
-            let mut expected: Vec<(u32, u64)> = classic.run(
-                "csum",
-                values.clone(),
-                |(k, v)| vec![(k, v)],
-                |k, vs| vec![(k, vs.into_iter().sum::<u64>())],
-            );
-            expected.sort_unstable();
-            let combined = Engine::new(workers).with_chunk_size(chunk).with_reduce_partitions(parts);
-            let mut got: Vec<(u32, u64)> = combined
-                .run_combined(
-                    "csum-combined",
-                    values,
-                    |chunk: &[(u32, u64)]| chunk.to_vec(),
-                    |_, vs: &mut Vec<u64>| {
-                        let total = vs.iter().sum();
-                        vs.clear();
-                        vs.push(total);
-                    },
-                    |k: &u32| partition_for(k, parts),
-                    |_: &u32, _: &u64| 12,
-                    |_, groups| {
-                        groups
-                            .into_iter()
-                            .map(|(k, vs)| (k, vs.iter().sum::<u64>()))
-                            .collect::<Vec<_>>()
-                    },
-                )
-                .into_iter()
-                .flatten()
-                .collect();
-            got.sort_unstable();
-            proptest::prop_assert_eq!(got, expected);
         }
     }
 }

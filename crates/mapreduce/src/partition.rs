@@ -1,59 +1,19 @@
 //! Key partitioning for the shuffle phase.
 //!
-//! Keys are routed to reducers by a stable hash so that a run with the same
-//! inputs and the same reducer count always produces the same grouping —
-//! determinism matters because the experiment harness compares MapReduce
-//! results against the sequential backend bit-for-bit.
-
-use std::hash::{Hash, Hasher};
-
-/// A deterministic, seedless 64-bit hasher (FNV-1a). `std`'s default hasher
-/// is randomly seeded per process, which would make shuffles
-/// non-reproducible across runs.
-#[derive(Clone, Debug)]
-pub struct Fnv1aHasher {
-    state: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-impl Default for Fnv1aHasher {
-    fn default() -> Self {
-        Fnv1aHasher { state: FNV_OFFSET }
-    }
-}
-
-impl Hasher for Fnv1aHasher {
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-}
-
-/// Returns the reducer index (in `0..partitions`) responsible for `key`.
-pub fn partition_for<K: Hash>(key: &K, partitions: usize) -> usize {
-    debug_assert!(partitions > 0, "partition count must be positive");
-    let mut h = Fnv1aHasher::default();
-    key.hash(&mut h);
-    (h.finish() % partitions as u64) as usize
-}
+//! Keys are routed to reducers by a pure function of the key, so a run with
+//! the same inputs and the same worker count always produces the same
+//! grouping — determinism matters because the experiment harness compares
+//! MapReduce results against the sequential backend bit-for-bit.
 
 /// Range partitioner for dense `u32` keys: maps `key` in `0..bound` to one
 /// of `partitions` contiguous, equally-wide key intervals.
 ///
-/// Unlike [`partition_for`], consecutive keys land in the same partition, so
-/// a reduce partition owns a sorted key *range* — this is what lets
-/// [`crate::Engine::run_combined`] callers fold whole candidate rows into a
-/// per-partition sink and still concatenate per-partition outputs into
-/// globally key-ordered results. Keys at or above `bound` (and everything
-/// when `bound` is 0) clamp into the last partition rather than panicking.
+/// Consecutive keys land in the same partition, so a reduce partition owns
+/// a sorted key *range* — this is what lets [`crate::Engine::run`] callers
+/// fold whole candidate rows into a per-partition sink and still
+/// concatenate per-partition outputs into globally key-ordered results.
+/// Keys at or above `bound` (and everything when `bound` is 0) clamp into
+/// the last partition rather than panicking.
 pub fn range_partition(key: u32, bound: usize, partitions: usize) -> usize {
     debug_assert!(partitions > 0, "partition count must be positive");
     if bound == 0 {
@@ -65,53 +25,6 @@ pub fn range_partition(key: u32, bound: usize, partitions: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partition_is_deterministic() {
-        for k in 0..100u64 {
-            assert_eq!(partition_for(&k, 7), partition_for(&k, 7));
-        }
-    }
-
-    #[test]
-    fn partition_is_in_range() {
-        for parts in 1..10usize {
-            for k in 0..200u64 {
-                assert!(partition_for(&k, parts) < parts);
-            }
-        }
-    }
-
-    #[test]
-    fn partition_spreads_keys_reasonably() {
-        let parts = 8;
-        let mut counts = vec![0usize; parts];
-        for k in 0..8000u64 {
-            counts[partition_for(&k, parts)] += 1;
-        }
-        // Each partition should receive a decent share; FNV on sequential
-        // integers is not perfectly uniform but must not collapse.
-        for &c in &counts {
-            assert!(c > 200, "partition too small: {counts:?}");
-        }
-    }
-
-    #[test]
-    fn fnv_hash_matches_reference_values() {
-        // Reference: FNV-1a of the empty input is the offset basis.
-        let h = Fnv1aHasher::default();
-        assert_eq!(h.finish(), FNV_OFFSET);
-        // Hashing "a" (0x61): (offset ^ 0x61) * prime
-        let mut h = Fnv1aHasher::default();
-        h.write(b"a");
-        assert_eq!(h.finish(), (FNV_OFFSET ^ 0x61).wrapping_mul(FNV_PRIME));
-    }
-
-    #[test]
-    fn string_and_tuple_keys_partition_consistently() {
-        let a = ("node".to_string(), 42u32);
-        assert_eq!(partition_for(&a, 13), partition_for(&a.clone(), 13));
-    }
 
     #[test]
     fn range_partition_is_monotone_in_range_and_covers_all_partitions() {

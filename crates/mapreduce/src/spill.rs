@@ -1,11 +1,11 @@
 //! Spill-to-disk run files for the out-of-core shuffle.
 //!
-//! When a round's accumulated post-combine shuffle bytes cross the engine's
-//! memory budget (see [`crate::Engine::with_spill_budget`]), map tasks flush
+//! When a round's accumulated shuffle bytes cross the engine's memory
+//! budget (see [`crate::Engine::with_spill_budget`]), map tasks flush
 //! their sorted per-partition buckets to *run files* in a scratch directory
 //! and the reduce side k-way-merges the on-disk runs with the in-memory
-//! tail. This module holds the pieces: the [`SpillCodec`] serialization
-//! seam, the checksummed run-file writer/reader, and the streaming merge.
+//! tail. This module holds the pieces: the [`SpillCodec`] record format,
+//! the checksummed run-file writer/reader, and the streaming merge.
 //!
 //! # Run-file format
 //!
@@ -53,14 +53,14 @@ const RUN_FORMAT: Format = Format { magic: RUN_MAGIC, version: RUN_VERSION, name
 /// per-group writes and reads into few large system calls.
 const RUN_IO_BUF: usize = 1 << 20;
 
-/// Error surfaced by the spillable round shapes
-/// ([`crate::Engine::run_combined_spilling`]).
+/// Error surfaced by a round ([`crate::Engine::run`]).
 ///
-/// The in-memory path is infallible; every variant here originates from the
-/// spill machinery — scratch-dir I/O, run-file corruption, or an injected
-/// `spill_io`/`spill_corrupt` fault. The engine guarantees that by the time
-/// an `EngineError` reaches the caller the round's scratch directory has
-/// been removed and no partial output was produced.
+/// A round that stays in memory is infallible; every variant here
+/// originates from the spill machinery — scratch-dir I/O, run-file
+/// corruption, or an injected `spill_io`/`spill_corrupt` fault. The engine
+/// guarantees that by the time an `EngineError` reaches the caller the
+/// round's scratch directory has been removed and no partial output was
+/// produced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// A spill run file could not be written, read back, or validated.
@@ -77,39 +77,30 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// Serialization seam between the engine's generic `(K, Vec<V>)` key groups
-/// and the bytes that hit a run file.
+/// The record format of one round's shuffle: what a `(key, value)` record
+/// costs and how a `(K, Vec<V>)` key group is written to a run file.
 ///
 /// The engine itself places no serialization bound on keys or values, so
-/// spilling is opt-in per round shape: callers of
-/// [`crate::Engine::run_combined_spilling`] supply a codec for their
-/// concrete types (e.g. the packed score-row codec in `snr-core`).
+/// every caller of [`crate::Engine::run`] supplies a codec for its concrete
+/// types (e.g. the packed score-row codec in `snr-core`).
 ///
-/// The contract is exact round-tripping: `decode_group(encode_group(k, vs))`
+/// The encoding contract is exact round-tripping: `decode_group(encode_group(k, vs))`
 /// must reproduce `(k, vs)` bit-identically, because the spilled and
 /// in-memory halves of a shuffle are merged back together and the output is
 /// pinned byte-for-byte against the all-in-RAM path.
 pub trait SpillCodec<K, V> {
+    /// Shuffle bytes charged for one `(key, value)` record. The sum over a
+    /// round's records is [`crate::RoundStats::shuffled_bytes`], and each map
+    /// task reserves its sum against the spill budget. It is an accounting
+    /// charge, not the encoded length: a packed score row charges
+    /// `4 + 8·entries`, which `size_of` cannot see through a `Vec` header.
+    fn bytes_of(&self, key: &K, value: &V) -> usize;
     /// Appends one encoded key group to `out`.
     fn encode_group(&self, key: &K, values: &[V], out: &mut Vec<u8>);
     /// Decodes one key group previously produced by
     /// [`SpillCodec::encode_group`]. Errors are descriptive strings; the
     /// engine wraps them in [`EngineError::Spill`].
     fn decode_group(&self, bytes: &[u8]) -> Result<(K, Vec<V>), String>;
-}
-
-/// Placeholder codec for the infallible in-memory round shapes, which never
-/// spill and therefore never invoke it.
-pub(crate) struct NoSpill;
-
-impl<K, V> SpillCodec<K, V> for NoSpill {
-    fn encode_group(&self, _key: &K, _values: &[V], _out: &mut Vec<u8>) {
-        unreachable!("in-memory rounds never spill")
-    }
-
-    fn decode_group(&self, _bytes: &[u8]) -> Result<(K, Vec<V>), String> {
-        unreachable!("in-memory rounds never spill")
-    }
 }
 
 fn io_spill(path: &Path, what: &str, e: std::io::Error) -> EngineError {
@@ -372,6 +363,11 @@ pub(crate) mod tests {
     pub(crate) struct U32U64Codec;
 
     impl SpillCodec<u32, u64> for U32U64Codec {
+        /// A `u32` key plus a `u64` value.
+        fn bytes_of(&self, _key: &u32, _value: &u64) -> usize {
+            12
+        }
+
         fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
             out.extend_from_slice(&key.to_le_bytes());
             out.extend_from_slice(&(values.len() as u32).to_le_bytes());

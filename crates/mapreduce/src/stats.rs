@@ -2,11 +2,10 @@
 //!
 //! The paper's efficiency argument is about *round complexity*: User-Matching
 //! needs `O(k log D)` MapReduce rounds. The engine keeps enough bookkeeping
-//! to verify that claim on real runs — and, since the combiner optimization
-//! landed, enough to verify the *data-movement* claim too: shuffle volume is
-//! tracked both pre-combine ([`RoundStats::map_output_records`]) and
-//! post-combine ([`RoundStats::shuffled_records`] /
-//! [`RoundStats::shuffled_bytes`]), so the shuffle shrinkage the combiner
+//! to verify that claim on real runs — and enough to verify the
+//! *data-movement* claim too: shuffle volume is tracked in records
+//! ([`RoundStats::shuffled_records`]) and in bytes
+//! ([`RoundStats::shuffled_bytes`]), so the shrinkage that pre-aggregating
 //! mappers buy is measured, not assumed.
 
 use serde::{Deserialize, Serialize};
@@ -19,17 +18,16 @@ pub struct RoundStats {
     pub label: String,
     /// Number of input records mapped.
     pub input_records: usize,
-    /// Number of intermediate `(key, value)` pairs emitted by mappers,
-    /// *before* the combiner ran. Equal to [`RoundStats::shuffled_records`]
-    /// for rounds without a combiner.
+    /// Number of intermediate `(key, value)` pairs emitted by mappers. The
+    /// engine has no combiner, so this equals
+    /// [`RoundStats::shuffled_records`].
     pub map_output_records: usize,
-    /// Number of intermediate `(key, value)` records actually shuffled —
-    /// i.e. *after* the per-worker combiner collapsed each map task's
-    /// buckets. This is the number that crosses the (simulated) network.
+    /// Number of intermediate `(key, value)` records shuffled — the number
+    /// that crosses the (simulated) network.
     pub shuffled_records: usize,
-    /// In-memory bytes of the shuffled records
-    /// (`shuffled_records × size_of::<(K, V)>`'s fields) — the shuffle
-    /// volume a real cluster would serialize.
+    /// Shuffle bytes of the round: the codec's
+    /// [`crate::SpillCodec::bytes_of`] charge summed over every shuffled
+    /// record — the shuffle volume a real cluster would serialize.
     pub shuffled_bytes: usize,
     /// Number of distinct key groups seen by reducers.
     pub key_groups: usize,
@@ -39,7 +37,7 @@ pub struct RoundStats {
     pub map_tasks: usize,
     /// Number of reduce tasks (partitions).
     pub reduce_tasks: usize,
-    /// Post-combine shuffle bytes that were flushed to on-disk spill runs
+    /// Shuffle bytes that were flushed to on-disk spill runs
     /// instead of staying resident (a subset of
     /// [`RoundStats::shuffled_bytes`]; `0` when the round fit in its
     /// memory budget).
@@ -78,9 +76,9 @@ pub struct EngineStats {
     pub rounds: usize,
     /// Total records mapped across all rounds.
     pub total_input_records: usize,
-    /// Total post-combiner records shuffled across all rounds.
+    /// Total records shuffled across all rounds.
     pub total_shuffled_records: usize,
-    /// Total post-combiner shuffle bytes across all rounds.
+    /// Total shuffle bytes across all rounds.
     pub total_shuffled_bytes: usize,
     /// Total output records across all rounds.
     pub total_output_records: usize,
@@ -104,9 +102,7 @@ impl EngineStats {
         self.per_round.iter().map(|r| r.duration).sum()
     }
 
-    /// Total pre-combiner mapper output across all rounds; with
-    /// [`EngineStats::total_shuffled_records`], the measured combiner
-    /// shrinkage factor.
+    /// Total mapper output across all rounds.
     pub fn total_map_output_records(&self) -> usize {
         self.per_round.iter().map(|r| r.map_output_records).sum()
     }
@@ -125,11 +121,6 @@ impl EngineStats {
             self.total_output_records,
             self.total_duration(),
         )
-    }
-
-    /// Resets all counters.
-    pub fn clear(&mut self) {
-        *self = EngineStats::default();
     }
 }
 
@@ -184,14 +175,6 @@ mod tests {
         assert_eq!(s.total_output_records, 12);
         assert_eq!(s.per_round.len(), 2);
         assert_eq!(s.total_duration(), Duration::from_micros(300));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut s = EngineStats::default();
-        s.record(round("a", 1, 1, 1));
-        s.clear();
-        assert_eq!(s, EngineStats::default());
     }
 
     #[test]

@@ -77,7 +77,7 @@ metric_enum! {
         DegradedTasks => "degraded_tasks",
         /// Injected faults that actually fired.
         FaultsFired => "faults_fired",
-        /// Post-combine shuffle bytes flushed to spill run files.
+        /// Shuffle bytes flushed to spill run files.
         SpilledBytes => "spilled_bytes",
         /// Spill run files written by the MapReduce engine.
         SpilledRuns => "spilled_runs",

@@ -7,11 +7,11 @@
 //! The paper's efficiency claim is about *round complexity*: it sketches
 //! each phase of the algorithm as 4 MapReduce rounds, so a full run is
 //! `O(k log D)` rounds. This reproduction's engine collapses each phase to
-//! a *single* round (combiner mappers pre-aggregate scores on task-local
+//! a *single* round (whole-row mappers pre-aggregate scores on task-local
 //! arenas, the packed shuffle is range-partitioned by candidate row, and
 //! mutual-best selection is fused into the reduce), keeping the same
 //! `O(k log D)` bound with a 4x smaller constant and a shuffle volume of
-//! one record per scored pair instead of one per witness contribution.
+//! one record per candidate row instead of one per witness contribution.
 //! This example runs the algorithm on the bundled in-memory MapReduce
 //! engine and prints the actual rounds executed, the records and bytes
 //! shuffled per round, and the phase structure, so the claims can be
@@ -34,7 +34,11 @@ fn main() {
         .with_iterations(2)
         .with_backend(Backend::MapReduce { workers: 4 });
     let algo = UserMatching::new(config);
-    let (outcome, engine_stats) = algo.run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let engine = Engine::new(4);
+    let outcome = algo
+        .try_run_on_engine(&pair.g1, &pair.g2, &seeds, &engine)
+        .expect("an engine without a spill budget cannot fail");
+    let engine_stats = engine.stats();
 
     let eval = Evaluation::score(&pair, &outcome.links, outcome.links.seed_count());
     println!(
@@ -55,7 +59,7 @@ fn main() {
     println!("\nMapReduce execution:");
     println!("  phases: {}", outcome.phases.len());
     println!(
-        "  rounds: {} (= 1 fused round per phase: combiner mappers score candidate rows, \
+        "  rounds: {} (= 1 fused round per phase: whole-row mappers score candidate rows, \
          the packed shuffle range-partitions by row, the reduce selects mutual bests)",
         engine_stats.rounds
     );
@@ -66,12 +70,8 @@ fn main() {
         .max_by_key(|r| r.shuffled_records)
         .expect("at least one round");
     println!(
-        "  heaviest round: {:?} with {} shuffled records ({} pre-combine mapper pairs) \
-         across {} reduce tasks",
-        heaviest.label,
-        heaviest.shuffled_records,
-        heaviest.map_output_records,
-        heaviest.reduce_tasks
+        "  heaviest round: {:?} with {} shuffled records ({} bytes) across {} reduce tasks",
+        heaviest.label, heaviest.shuffled_records, heaviest.shuffled_bytes, heaviest.reduce_tasks
     );
 
     let max_degree = pair.g1.max_degree().max(pair.g2.max_degree());

@@ -1,6 +1,6 @@
 //! Empirical check of the paper's round-complexity claim: User-Matching runs
 //! in `O(k log D)` MapReduce rounds. The paper sketches four rounds per
-//! (iteration, degree-bucket) phase; this engine's combiner mappers +
+//! (iteration, degree-bucket) phase; this engine's whole-row mappers +
 //! range-partitioned packed shuffle + select-fused reduce collapse each
 //! phase to exactly one round — same bound, 4x smaller constant — and the
 //! per-round statistics let us verify the data-movement claim too: the
@@ -9,7 +9,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use social_reconcile::core::{Backend, MatchingConfig, UserMatching};
+use social_reconcile::core::{Backend, MatchingConfig, MatchingOutcome, UserMatching};
+use social_reconcile::mapreduce::EngineStats;
 use social_reconcile::prelude::*;
 
 fn build(seed: u64) -> (RealizationPair, Vec<(NodeId, NodeId)>) {
@@ -18,6 +19,21 @@ fn build(seed: u64) -> (RealizationPair, Vec<(NodeId, NodeId)>) {
     let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
     let seeds = sample_seeds(&pair, 0.10, &mut rng).unwrap();
     (pair, seeds)
+}
+
+/// Runs `config` (a MapReduce backend with `workers` workers) on a fresh
+/// engine and returns the outcome with the engine's round statistics.
+fn run_on_engine(
+    config: MatchingConfig,
+    workers: usize,
+    pair: &RealizationPair,
+    seeds: &[(NodeId, NodeId)],
+) -> (MatchingOutcome, EngineStats) {
+    let engine = Engine::new(workers);
+    let outcome = UserMatching::new(config)
+        .try_run_on_engine(&pair.g1, &pair.g2, seeds, &engine)
+        .expect("an engine without a spill budget cannot fail");
+    (outcome, engine.stats())
 }
 
 #[test]
@@ -38,8 +54,7 @@ fn mapreduce_rounds_are_one_fused_round_per_phase() {
     let config = MatchingConfig::default()
         .with_iterations(2)
         .with_backend(Backend::MapReduce { workers: 2 });
-    let (outcome, stats) =
-        UserMatching::new(config).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let (outcome, stats) = run_on_engine(config, 2, &pair, &seeds);
     assert_eq!(stats.rounds, outcome.phases.len());
     assert_eq!(stats.per_round.len(), stats.rounds);
     assert!(stats.per_round.iter().all(|r| r.label == "witness-score"));
@@ -64,7 +79,7 @@ fn mapreduce_rounds_are_one_fused_round_per_phase() {
         );
         assert!(
             round.map_output_records >= round.shuffled_records,
-            "combiner can only shrink the shuffle"
+            "mappers emit every shuffled record"
         );
     }
 }
@@ -76,8 +91,7 @@ fn disabling_bucketing_collapses_to_k_phases() {
         .with_iterations(2)
         .with_degree_bucketing(false)
         .with_backend(Backend::MapReduce { workers: 2 });
-    let (outcome, stats) =
-        UserMatching::new(config).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let (outcome, stats) = run_on_engine(config, 2, &pair, &seeds);
     assert_eq!(outcome.phases.len(), 2);
     assert_eq!(stats.rounds, 2);
 }
@@ -88,7 +102,7 @@ fn engine_round_statistics_are_internally_consistent() {
     let config = MatchingConfig::default()
         .with_iterations(1)
         .with_backend(Backend::MapReduce { workers: 3 });
-    let (_, stats) = UserMatching::new(config).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let (_, stats) = run_on_engine(config, 3, &pair, &seeds);
     assert_eq!(stats.per_round.len(), stats.rounds);
     let sum_inputs: usize = stats.per_round.iter().map(|r| r.input_records).sum();
     let sum_outputs: usize = stats.per_round.iter().map(|r| r.output_records).sum();
