@@ -302,6 +302,7 @@ where
         propose_pairs(banding, &left, &right)
     };
     snr_telemetry::Counter::LshProposals.add(proposals.pairs.len() as u64);
+    snr_telemetry::Counter::LshBandCollisions.add(proposals.raw_collisions);
     let _span = snr_telemetry::span!("verify", proposals = proposals.pairs.len());
     verify_proposals(g1, cache, &proposals.pairs, n2, threshold, parallel)
 }

@@ -642,14 +642,26 @@ fn blocking(args: &ExperimentArgs) {
         .clone()
         .with_candidates(CandidateSource::Lsh { bands: BANDS, rows: ROWS })
         .with_lsh_mass_floor(0);
+    snr_telemetry::reset();
+    snr_telemetry::enable();
     let (pure, pure_secs) = run(pure_cfg);
+    snr_telemetry::disable();
+    // Banding finds a pair once per band it agrees on: the pre-dedup
+    // collision count lies between the proposals and `bands ×` them.
+    let proposals = snr_telemetry::Counter::LshProposals.get();
+    let collisions = snr_telemetry::Counter::LshBandCollisions.get();
+    assert!(
+        proposals > 0 && proposals <= collisions && collisions <= BANDS as u64 * proposals,
+        "lsh_band_collisions {collisions} out of range for {proposals} proposals"
+    );
     let pure_eval = evaluate(&pure);
     let pure_scored = scored_pairs(&pure);
     let recall = pure_eval.new_good as f64 / (exact_eval.new_good as f64).max(1.0);
     let reduction = exact_scored as f64 / pure_scored.max(1) as f64;
     println!(
         "lsh:{BANDS}x{ROWS}: {pure_secs:.3}s, {pure_scored} scored pairs ({reduction:.1}x fewer), \
-         {} good / {} bad new links (recall {recall:.3})",
+         {} good / {} bad new links (recall {recall:.3}), {collisions} band collisions for \
+         {proposals} proposals",
         pure_eval.new_good, pure_eval.new_bad
     );
     assert!(

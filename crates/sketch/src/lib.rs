@@ -22,8 +22,9 @@
 //!
 //! Everything is deterministic: the `k = b·r` hash functions derive from
 //! one base seed via SplitMix64, parallel signature building splices
-//! per-chunk results in input order, and proposal generation sorts and
-//! dedups — results are bit-identical across runs and worker counts.
+//! per-chunk results in input order, and proposal generation merges every
+//! band's collisions into one sorted, deduplicated list — results are
+//! bit-identical across runs and worker counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

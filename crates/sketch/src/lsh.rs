@@ -11,13 +11,37 @@
 //! bucketed band by band, and only left×right pairs within a bucket are
 //! emitted (the matcher proposes copy-1 × copy-2 pairs, never pairs within
 //! one copy). Output is sorted and duplicate-free, and identical across
-//! runs and worker counts: bands are processed independently, concatenated
-//! in band order, then globally sorted.
+//! runs and worker counts.
+//!
+//! [`propose_pairs`] runs in expected time linear in its input and
+//! output, with no global comparison sort: the only sorts are of single
+//! radix buckets (a few entries each) and of each left cluster's short
+//! row. Every key it buckets on is a [`mix64`] output, so a radix
+//! partition on a key's top bits spreads entries evenly:
+//!
+//! 1. **Clusters.** Each side is grouped by a chain hash of the full
+//!    signature, radix-partitioned so equal hashes share a bucket.
+//!    Identical signatures collide in every band, so banding one
+//!    representative per cluster does their work once. Clusters are
+//!    numbered in first-member order and stored as CSR; when every
+//!    signature is distinct (the common case) each cluster is one node.
+//! 2. **Band keys.** One pass over each representative's signature writes
+//!    its `b` band keys, band-major.
+//! 3. **Per-band join.** Bands run in parallel. Each band radix-partitions
+//!    both sides' keys into the same buckets and joins bucket by bucket,
+//!    emitting every colliding cluster pair.
+//! 4. **Rows.** All bands' cluster pairs are counting-sorted by left
+//!    cluster into rows of right ids; each short row is sorted and
+//!    deduplicated, then repeated for every left id of its cluster, in
+//!    ascending id order.
+//!
+//! A cluster pair is emitted once per band it agrees on, so step 3 emits
+//! at most `b ×` the distinct cluster pairs, a bound reached only when
+//! every colliding pair has identical signatures.
 
 use crate::minhash::SignatureSet;
 use rand::hash::mix64;
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// A `b × r` banding scheme over signatures of length `k = b·r`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,21 +80,35 @@ impl Banding {
         1.0 - (1.0 - j.powi(self.rows as i32)).powi(self.bands as i32)
     }
 
-    /// The bucket key of `sig`'s band `band`: the `r` row values folded
-    /// through [`mix64`]. Signatures agreeing on the whole band agree on
-    /// the key; unequal bands collide only with hash-collision probability.
-    fn band_key(&self, sig: &[u64], band: usize) -> u64 {
-        let mut acc = mix64(0x00B1_0C55 ^ band as u64);
-        for &row in &sig[band * self.rows..(band + 1) * self.rows] {
-            acc = mix64(acc ^ row);
+    /// The band keys of each representative's signature, band-major:
+    /// `keys[band * reps.len() + c]` folds band `band` of `reps[c]`'s
+    /// signature through [`mix64`], from a per-band seed. Signatures
+    /// agreeing on a whole band agree on its key; unequal bands collide
+    /// only with hash-collision probability.
+    fn band_keys(&self, set: &SignatureSet, reps: &[u32]) -> Vec<u64> {
+        let n = reps.len();
+        let seeds: Vec<u64> =
+            (0..self.bands).map(|band| mix64(0x00B1_0C55 ^ band as u64)).collect();
+        let mut keys = vec![0u64; self.bands * n];
+        for (c, &rep) in reps.iter().enumerate() {
+            let sig = set.signature_at(rep as usize);
+            for (band, (rows, &seed)) in sig.chunks_exact(self.rows).zip(&seeds).enumerate() {
+                keys[band * n + c] = rows.iter().fold(seed, |acc, &row| mix64(acc ^ row));
+            }
         }
-        acc
+        keys
     }
 }
 
 /// Candidate pairs proposed by banded bucketing, plus the raw (pre-dedup)
-/// collision count — the work the banding stage actually did, which the
-/// recall/speed sweeps report alongside the deduplicated pair count.
+/// collision count: the work the banding stage did. The matcher's blocked
+/// phase adds it to the `lsh_band_collisions` telemetry counter, next to
+/// `lsh_proposals`, so a trace shows banding's waste ratio.
+///
+/// A pair agreeing on several bands is found once per band, and the
+/// per-band results are merged per left cluster. `raw_collisions` is at
+/// most `b ×` the number of pairs, with equality only when every proposed
+/// pair has identical signatures.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Proposals {
     /// Deduplicated `(left, right)` candidate pairs in ascending order.
@@ -80,128 +118,211 @@ pub struct Proposals {
     pub raw_collisions: u64,
 }
 
-/// One side's signatures grouped by *full* signature: `reps[c]` is the
-/// signature-set index of cluster `c`'s representative and `members[c]` its
-/// node ids. Nodes with identical signatures collide in every band, so
-/// banding them individually would emit each cross-pair once per band;
-/// clustering bands them once and expands their pairs once.
-struct Clusters {
-    reps: Vec<u32>,
-    members: Vec<Vec<u32>>,
+/// The bucket of a uniform 64-bit key among `buckets`: its top bits, by
+/// multiply-shift range reduction (no division, any bucket count).
+#[inline]
+fn bucket_of(key: u64, buckets: usize) -> usize {
+    ((u128::from(key) * buckets as u128) >> 64) as usize
 }
 
-/// Groups a signature set by a 64-bit chain hash of the full signature.
-/// A hash collision merging two genuinely different signatures only *adds*
-/// proposals (callers verify proposals exactly), and at 64 bits it is
-/// vanishingly unlikely.
-fn cluster_by_signature(set: &SignatureSet) -> Clusters {
-    let mut index: HashMap<u64, u32> = HashMap::with_capacity(set.len());
-    let mut out = Clusters { reps: Vec::new(), members: Vec::new() };
-    for i in 0..set.len() {
-        let mut h = 0x51C7_C0DE_u64;
-        for &row in set.signature_at(i) {
-            h = mix64(h ^ row);
-        }
-        let c = *index.entry(h).or_insert_with(|| {
-            out.reps.push(i as u32);
-            out.members.push(Vec::new());
-            (out.reps.len() - 1) as u32
-        });
-        out.members[c as usize].push(set.ids()[i]);
+/// Stable counting sort of `items`, each tagged with its bucket below
+/// `buckets`. Returns `(starts, sorted)`: bucket `b` holds
+/// `sorted[starts[b]..starts[b + 1]]`, in input order. `items` is walked
+/// twice, once to count and once to scatter.
+fn counting_sort<T: Copy + Default>(
+    buckets: usize,
+    items: impl Iterator<Item = (usize, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    // Counts land two slots up, so after the prefix sum `starts[b + 1]` is
+    // bucket b's first slot; scattering advances it to bucket b's end,
+    // which is bucket b + 1's first slot.
+    let mut starts = vec![0u32; buckets + 2];
+    for (b, _) in items.clone() {
+        starts[b + 2] += 1;
     }
-    out
+    for j in 1..starts.len() {
+        starts[j] += starts[j - 1];
+    }
+    let mut sorted = vec![T::default(); starts[buckets + 1] as usize];
+    for (b, item) in items {
+        let slot = &mut starts[b + 1];
+        sorted[*slot as usize] = item;
+        *slot += 1;
+    }
+    starts.pop();
+    (starts, sorted)
+}
+
+/// Radix-partitions `(keys[i], i)` by [`bucket_of`] into `buckets`
+/// buckets, each in ascending `i`.
+fn radix_partition(keys: &[u64], buckets: usize) -> (Vec<u32>, Vec<(u64, u32)>) {
+    counting_sort(
+        buckets,
+        keys.iter().zip(0u32..).map(|(&key, i)| (bucket_of(key, buckets), (key, i))),
+    )
+}
+
+/// One side's signatures grouped by *full* signature, numbered in
+/// first-member order.
+struct Clusters {
+    /// `reps[c]`: the signature index of cluster `c`'s first member.
+    reps: Vec<u32>,
+    /// `of[i]`: the cluster of signature index `i`.
+    of: Vec<u32>,
+    /// Cluster `c`'s node ids, in index order, are
+    /// `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Clusters {
+    /// Groups a signature set by a 64-bit chain hash of the full
+    /// signature. A hash collision merging two genuinely different
+    /// signatures only *adds* proposals (callers verify proposals
+    /// exactly), and at 64 bits it is vanishingly unlikely.
+    fn of(set: &SignatureSet) -> Clusters {
+        let n = set.len();
+        // Chain hashes of the full signatures, four at a time: each chain
+        // is a serial run of `k` mix64 calls, and interleaving four
+        // independent chains hides their latency.
+        let mut hashes = vec![0x51C7_C0DE_u64; n];
+        for (block, hs) in hashes.chunks_mut(4).enumerate() {
+            for row in 0..set.k() {
+                for (j, h) in hs.iter_mut().enumerate() {
+                    *h = mix64(*h ^ set.signature_at(block * 4 + j)[row]);
+                }
+            }
+        }
+        // first[i]: the lowest index whose signature hashes like i's. Equal
+        // hashes share a bucket; sorting a bucket (a handful of entries)
+        // puts each run of equal hashes behind its lowest index.
+        let mut first: Vec<u32> = (0..n as u32).collect();
+        let (starts, mut entries) = radix_partition(&hashes, n);
+        for w in starts.windows(2) {
+            let bucket = &mut entries[w[0] as usize..w[1] as usize];
+            bucket.sort_unstable();
+            for run in bucket.chunk_by(|a, b| a.0 == b.0) {
+                for &(_, i) in &run[1..] {
+                    first[i as usize] = run[0].1;
+                }
+            }
+        }
+        let mut reps = Vec::with_capacity(n);
+        let mut of = vec![0u32; n];
+        for i in 0..n {
+            let f = first[i] as usize;
+            if f == i {
+                of[i] = reps.len() as u32;
+                reps.push(i as u32);
+            } else {
+                of[i] = of[f];
+            }
+        }
+        let ids = set.ids();
+        let (starts, members) = if reps.len() == n {
+            ((0..=n as u32).collect(), ids.to_vec())
+        } else {
+            counting_sort(reps.len(), of.iter().zip(ids).map(|(&c, &id)| (c as usize, id)))
+        };
+        Clusters { reps, of, starts, members }
+    }
+
+    fn len(&self) -> usize {
+        self.reps.len()
+    }
+
+    fn members(&self, c: u32) -> &[u32] {
+        &self.members[self.starts[c as usize] as usize..self.starts[c as usize + 1] as usize]
+    }
 }
 
 /// Proposes left×right candidate pairs: for every band, left and right
 /// signatures are bucketed by band key and each bucket emits its cross
-/// product. Pairs are returned sorted and deduplicated.
+/// product. Pairs are returned sorted and deduplicated. The module doc
+/// describes the steps.
 ///
-/// Both signature sets must have length `banding.k()` signatures.
+/// Both signature sets must have length `banding.k()` signatures, and
+/// each side's ids must be distinct.
 pub fn propose_pairs(banding: &Banding, left: &SignatureSet, right: &SignatureSet) -> Proposals {
     assert_eq!(left.k(), banding.k(), "left signatures must have length b*r");
     assert_eq!(right.k(), banding.k(), "right signatures must have length b*r");
     if left.is_empty() || right.is_empty() {
         return Proposals::default();
     }
-    let (lc, rc) = (cluster_by_signature(left), cluster_by_signature(right));
-    let b = banding.bands();
-    // Cluster-major band-key matrices: keys[c * b + band].
-    let band_keys = |set: &SignatureSet, clusters: &Clusters| -> Vec<u64> {
-        let mut keys = Vec::with_capacity(clusters.reps.len() * b);
-        for &rep in &clusters.reps {
-            let sig = set.signature_at(rep as usize);
-            keys.extend((0..b).map(|band| banding.band_key(sig, band)));
-        }
-        keys
-    };
-    let (l_keys, r_keys) = (band_keys(left, &lc), band_keys(right, &rc));
-    let bands: Vec<usize> = (0..b).collect();
-    // Band over cluster representatives. A pair agreeing on several bands
-    // is emitted only in its *first* agreeing band, so the concatenated
-    // per-band outputs are duplicate-free without a multi-pass sort;
-    // `raw` still counts every id-level band collision.
-    let per_band: Vec<(Vec<(u32, u32)>, u64)> = bands
+    let (lc, rc) = (Clusters::of(left), Clusters::of(right));
+    let (nl, nr) = (lc.len(), rc.len());
+    let (l_keys, r_keys) = (banding.band_keys(left, &lc.reps), banding.band_keys(right, &rc.reps));
+    let bands: Vec<usize> = (0..banding.bands()).collect();
+    let per_band: Vec<Vec<(u32, u32)>> = bands
         .par_iter()
         .map(|&band| {
-            // Sort-merge join on this band's keys: equal-key runs on the
-            // two sides emit their cross products. Cheaper and cache-denser
-            // than a hash-bucket map at this volume.
-            let keyed = |keys: &[u64], n: usize| {
-                let mut v: Vec<(u64, u32)> =
-                    (0..n).map(|c| (keys[c * b + band], c as u32)).collect();
-                v.sort_unstable();
-                v
-            };
-            let (ls, rs) = (keyed(&l_keys, lc.reps.len()), keyed(&r_keys, rc.reps.len()));
-            let mut out = Vec::new();
-            let mut raw = 0u64;
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < ls.len() && j < rs.len() {
-                let key = ls[i].0;
-                match key.cmp(&rs[j].0) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        let i_end = i + ls[i..].iter().take_while(|(k, _)| *k == key).count();
-                        let j_end = j + rs[j..].iter().take_while(|(k, _)| *k == key).count();
-                        for &(_, l) in &ls[i..i_end] {
-                            let lm = lc.members[l as usize].len() as u64;
-                            let lk = &l_keys[l as usize * b..l as usize * b + band];
-                            for &(_, r) in &rs[j..j_end] {
-                                raw += lm * rc.members[r as usize].len() as u64;
-                                let rk = &r_keys[r as usize * b..r as usize * b + band];
-                                if lk.iter().zip(rk).all(|(x, y)| x != y) {
-                                    out.push((l, r));
-                                }
-                            }
-                        }
-                        i = i_end;
-                        j = j_end;
+            // Both sides share one bucket count, so equal keys share a
+            // bucket; about one entry per bucket on the larger side.
+            let buckets = nl.max(nr);
+            let (ls, le) = radix_partition(&l_keys[band * nl..(band + 1) * nl], buckets);
+            let (rs, re) = radix_partition(&r_keys[band * nr..(band + 1) * nr], buckets);
+            let mut hits = Vec::new();
+            for bucket in 0..buckets {
+                let rb = &re[rs[bucket] as usize..rs[bucket + 1] as usize];
+                for &(key, l) in &le[ls[bucket] as usize..ls[bucket + 1] as usize] {
+                    for &(_, r) in rb.iter().filter(|(rkey, _)| *rkey == key) {
+                        hits.push((l, r));
                     }
                 }
             }
-            (out, raw)
+            hits
         })
         .collect();
-    let raw_collisions = per_band.iter().map(|(_, raw)| raw).sum();
-    let mut cluster_pairs: Vec<(u32, u32)> =
-        per_band.into_iter().flat_map(|(pairs, _)| pairs).collect();
-    cluster_pairs.sort_unstable();
-    // Distinct cluster pairs expand to disjoint id-pair sets (an id pair
-    // determines its cluster pair), so expansion needs a sort but no dedup.
-    let total: usize = cluster_pairs
-        .iter()
-        .map(|&(l, r)| lc.members[l as usize].len() * rc.members[r as usize].len())
-        .sum();
-    let mut pairs = Vec::with_capacity(total);
-    for (l, r) in cluster_pairs {
-        for &lid in &lc.members[l as usize] {
-            for &rid in &rc.members[r as usize] {
-                pairs.push((lid, rid));
-            }
+    // Rows: every hit's right ids under its left cluster (a counting sort
+    // by left cluster), then each row sorted and deduplicated in place.
+    // Distinct right clusters have disjoint ids, so deduplicating ids
+    // deduplicates cluster pairs. The sort is written out here because a
+    // hit expands to several ids: through `counting_sort`'s iterator it
+    // measured about three times slower.
+    let mut row_starts = vec![0usize; nl + 2];
+    for &(l, r) in per_band.iter().flatten() {
+        row_starts[l as usize + 2] += rc.members(r).len();
+    }
+    for j in 1..row_starts.len() {
+        row_starts[j] += row_starts[j - 1];
+    }
+    let mut row_ids = vec![0u32; row_starts[nl + 1]];
+    for &(l, r) in per_band.iter().flatten() {
+        let slot = &mut row_starts[l as usize + 1];
+        for &rid in rc.members(r) {
+            row_ids[*slot] = rid;
+            *slot += 1;
         }
     }
-    pairs.sort_unstable();
+    drop(per_band);
+    let mut raw_collisions = 0u64;
+    let mut rows = vec![0usize; nl + 1];
+    let mut len = 0;
+    for c in 0..nl {
+        let (start, end) = (row_starts[c], row_starts[c + 1]);
+        raw_collisions += (lc.members(c as u32).len() * (end - start)) as u64;
+        row_ids[start..end].sort_unstable();
+        let mut prev = u64::MAX;
+        for k in start..end {
+            let rid = row_ids[k];
+            row_ids[len] = rid;
+            len += usize::from(u64::from(rid) != prev);
+            prev = u64::from(rid);
+        }
+        rows[c + 1] = len;
+    }
+    // Expansion, left ids ascending (a linear pass when they already are).
+    let mut order: Vec<u32> = (0..left.len() as u32).collect();
+    order.sort_by_key(|&i| left.ids()[i as usize]);
+    let row = |i: u32| {
+        let c = lc.of[i as usize] as usize;
+        &row_ids[rows[c]..rows[c + 1]]
+    };
+    let mut pairs = Vec::with_capacity(order.iter().map(|&i| row(i).len()).sum());
+    for i in order {
+        let lid = left.ids()[i as usize];
+        pairs.extend(row(i).iter().map(|&rid| (lid, rid)));
+    }
     Proposals { pairs, raw_collisions }
 }
 
@@ -269,5 +390,37 @@ mod tests {
         let full = sig_set(&hasher, &[(3, vec![1, 2, 3])]);
         assert_eq!(propose_pairs(&banding, &empty, &full), Proposals::default());
         assert_eq!(propose_pairs(&banding, &full, &empty), Proposals::default());
+    }
+
+    /// The proposals of one small fixed input, recorded before banding
+    /// dropped its comparison sorts. Left ids `3t..3t+2` and right ids
+    /// `2t, 2t+1` share item sets, so both sides have multi-member
+    /// clusters.
+    #[test]
+    fn proposals_are_pinned() {
+        let banding = Banding::new(4, 2);
+        let hasher = MinHasher::new(banding.k(), 7);
+        let ids: Vec<u32> = (0..8).collect();
+        let left = SignatureSet::build(&hasher, &ids, |id, out| {
+            out.extend((0..4).map(|j| u64::from(id / 3 + j)));
+        });
+        let right = SignatureSet::build(&hasher, &ids, |id, out| {
+            out.extend((0..4).map(|j| u64::from(id / 2 + j)));
+        });
+        let rows: [(u32, std::ops::RangeInclusive<u32>); 8] = [
+            (0, 0..=3),
+            (1, 0..=3),
+            (2, 0..=3),
+            (3, 0..=5),
+            (4, 0..=5),
+            (5, 0..=5),
+            (6, 2..=5),
+            (7, 2..=5),
+        ];
+        let expected: Vec<(u32, u32)> =
+            rows.into_iter().flat_map(|(l, rs)| rs.map(move |r| (l, r))).collect();
+        let proposals = propose_pairs(&banding, &left, &right);
+        assert_eq!(proposals.pairs, expected);
+        assert_eq!(proposals.raw_collisions, 106);
     }
 }

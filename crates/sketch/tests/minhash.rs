@@ -1,9 +1,10 @@
 //! Property tests for the sketch crate: MinHash must estimate Jaccard
-//! similarity within statistical tolerance, banding must be deterministic
-//! across runs and build strategies, and degenerate inputs (empty or
-//! singleton item sets) must be handled, never panicked on.
+//! similarity within statistical tolerance, banding must match a
+//! brute-force reference and be deterministic across runs and build
+//! strategies, and degenerate inputs (empty or singleton item sets) must
+//! be handled, never panicked on.
 
-use snr_sketch::{estimate_jaccard, propose_pairs, Banding, MinHasher, SignatureSet};
+use snr_sketch::{estimate_jaccard, propose_pairs, Banding, MinHasher, Proposals, SignatureSet};
 
 /// Two sets with `shared` common items, `a_only` / `b_only` private items,
 /// and true Jaccard `shared / (shared + a_only + b_only)`. Item values are
@@ -110,5 +111,89 @@ fn jaccard_estimate_tracks_known_overlaps() {
         let sig_b = hasher.signature(b.iter().copied()).unwrap();
         let estimate = estimate_jaccard(&sig_a, &sig_b);
         assert!((estimate - true_j).abs() < 0.1, "estimate {estimate} vs true {true_j}");
+    }
+}
+
+/// The literal definition of banding: a left×right pair is proposed iff
+/// its two signatures are equal on every row of some band, and
+/// `raw_collisions` counts each (pair, agreeing band) once.
+fn reference_proposals(banding: &Banding, left: &SignatureSet, right: &SignatureSet) -> Proposals {
+    let rows = banding.rows();
+    let mut out = Proposals::default();
+    for (i, &lid) in left.ids().iter().enumerate() {
+        for (j, &rid) in right.ids().iter().enumerate() {
+            let (a, b) = (left.signature_at(i), right.signature_at(j));
+            let agreeing = (0..banding.bands())
+                .filter(|band| {
+                    a[band * rows..(band + 1) * rows] == b[band * rows..(band + 1) * rows]
+                })
+                .count() as u64;
+            out.raw_collisions += agreeing;
+            if agreeing > 0 {
+                out.pairs.push((lid, rid));
+            }
+        }
+    }
+    out.pairs.sort_unstable();
+    out
+}
+
+proptest::proptest! {
+    #[test]
+    fn propose_pairs_matches_the_brute_force_reference(
+        bands in 1usize..12,
+        rows in 1usize..5,
+        n in 1usize..60,
+        shape in 0u32..3,
+        reversed in 0u32..2,
+        seed in 0u64..10_000,
+    ) {
+        let banding = Banding::new(bands, rows);
+        let hasher = MinHasher::new(banding.k(), seed);
+        // Sparse ids, ascending or descending: the output order must not
+        // depend on the order the sets were built in.
+        let mut ids: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+        if reversed == 1 {
+            ids.reverse();
+        }
+        let (left, right) = match shape {
+            // Few distinct overlapping sets: many identical signatures,
+            // so both sides have multi-member clusters.
+            0 => {
+                let items = |id: u32, out: &mut Vec<u64>| {
+                    out.extend((0..3).map(|j| u64::from(id % 5 + j)));
+                };
+                let right_items = |id: u32, out: &mut Vec<u64>| items(id / 2, out);
+                (
+                    SignatureSet::build(&hasher, &ids, items),
+                    SignatureSet::build(&hasher, &ids, right_items),
+                )
+            }
+            // Sliding windows: every signature distinct, neighbours close.
+            1 => {
+                let items = |id: u32, out: &mut Vec<u64>| {
+                    out.extend((0..4).map(|j| u64::from(id + j)));
+                };
+                let right_items = |id: u32, out: &mut Vec<u64>| items(id + 2, out);
+                (
+                    SignatureSet::build(&hasher, &ids, items),
+                    SignatureSet::build(&hasher, &ids, right_items),
+                )
+            }
+            // One side has no signatures at all.
+            _ => {
+                let items = |id: u32, out: &mut Vec<u64>| out.push(u64::from(id));
+                (
+                    SignatureSet::build(&hasher, &ids, items),
+                    SignatureSet::build(&hasher, &ids, |_, _| {}),
+                )
+            }
+        };
+        for (l, r) in [(&left, &right), (&right, &left)] {
+            let proposals = propose_pairs(&banding, l, r);
+            let reference = reference_proposals(&banding, l, r);
+            assert_eq!(proposals.pairs, reference.pairs, "b={bands} r={rows} shape={shape}");
+            assert_eq!(proposals.raw_collisions, reference.raw_collisions);
+        }
     }
 }

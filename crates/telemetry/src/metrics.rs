@@ -59,6 +59,9 @@ metric_enum! {
         EngineRounds => "engine_rounds",
         /// Candidate pairs proposed by LSH banding.
         LshProposals => "lsh_proposals",
+        /// LSH band-bucket collisions before deduplication: the banding
+        /// work behind `lsh_proposals`, at most `bands ×` it.
+        LshBandCollisions => "lsh_band_collisions",
         /// Phases where the adaptive gate chose the sketch path.
         LshGateSketch => "lsh_gate_sketch",
         /// Phases where the adaptive gate fell back to the exact scan.
