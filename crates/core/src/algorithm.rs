@@ -62,6 +62,12 @@ impl UserMatching {
     ///
     /// Infallible: on the MapReduce backend this builds an engine without a
     /// spill budget, whose rounds never touch disk and never fail.
+    ///
+    /// # Panics
+    ///
+    /// If `g2` is directed: a phase's `LinkCache` may be built by
+    /// transposing copy-2 rows, which needs undirected adjacency. Also if
+    /// LSH candidate blocking is configured on the MapReduce backend.
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
@@ -76,9 +82,13 @@ impl UserMatching {
     /// ([`Engine::stats`]: one round per phase) — and give the engine a
     /// spill budget ([`Engine::with_spill_budget`]): a failed spill
     /// surfaces as a clean [`EngineError`] with the engine's scratch space
-    /// already removed. Panics if the configured backend is not
-    /// [`Backend::MapReduce`] (that is a programming error, not a runtime
-    /// fault).
+    /// already removed.
+    ///
+    /// # Panics
+    ///
+    /// If the configured backend is not [`Backend::MapReduce`] (that is a
+    /// programming error, not a runtime fault), or if `g2` is directed (see
+    /// [`UserMatching::run`]).
     pub fn try_run_on_engine<G1, G2>(
         &self,
         g1: &G1,
@@ -124,6 +134,11 @@ impl UserMatching {
             (_, provided) => provided,
         };
 
+        assert!(
+            !g2.is_directed(),
+            "User-Matching needs an undirected copy 2: the LinkCache build \
+             may transpose copy-2 rows"
+        );
         if matches!(cfg.candidates, CandidateSource::Lsh { .. }) {
             assert!(
                 !matches!(cfg.backend, Backend::MapReduce { .. }),
@@ -269,6 +284,15 @@ mod tests {
             }
         }
         (good, bad)
+    }
+
+    #[test]
+    #[should_panic(expected = "undirected copy 2")]
+    fn a_directed_copy_2_panics_before_any_phase() {
+        let g1 = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut b = snr_graph::GraphBuilder::directed(3);
+        b.add_edge(NodeId(0), NodeId(1));
+        UserMatching::with_defaults().run(&g1, &b.build(), &[(NodeId(0), NodeId(0))]);
     }
 
     #[test]

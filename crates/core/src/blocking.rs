@@ -133,6 +133,11 @@ pub fn should_block(scored: u64, candidates: usize, mass_floor: u64) -> bool {
 /// LSH-blocked pipeline (entry-heavy phases, where candidate generation is
 /// the wall). `candidates2` is only evaluated when the phase blocks, so the
 /// exact fallback never pays for the copy-2 eligible scan.
+///
+/// # Panics
+///
+/// If `g2` is directed and the phase has links and candidates (see
+/// [`LinkCache::build`]).
 #[allow(clippy::too_many_arguments)]
 pub fn adaptive_lsh_phase<G1, G2, F>(
     g1: &G1,
@@ -156,7 +161,7 @@ where
     if links.is_empty() || candidates1.is_empty() {
         return (0, Vec::new());
     }
-    let cache = LinkCache::build_traced(g2, links, min_deg2, parallel);
+    let cache = LinkCache::build_traced(g2, links, min_deg2);
     // Two-step gate: the exact bump mass is an upper bound on the scored-
     // pair count and cheap to compute, so it rejects light phases without
     // sampling; phases that pass it are gated on the sampled scored-pair

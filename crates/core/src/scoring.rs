@@ -11,15 +11,13 @@
 //!   row `score(u, ·)` depends only on `u`'s own neighborhood, so rows are
 //!   independent: workers own disjoint sets of rows and the parallel path
 //!   needs no merge of overlapping tables.
-//! * **[`LinkCache`]** decodes, once per phase, the threshold-filtered
-//!   copy-2 neighbor list of every linked pair `(w1, w2)` into one flat
-//!   arena, and maps `w1` to its slice in O(1). Scoring a row is then a pure
-//!   slice scan — no per-link block decoding (this is what closes the
-//!   `CompactCsr` gap) and no hashing. The filter itself ("degree at least
-//!   `min_deg2` and not yet linked") is precomputed once per build into an
-//!   eligibility bitmap of `n2 / 8` bytes, so each decoded neighbor costs
-//!   one bit test instead of a degree lookup and a link lookup at two
-//!   random addresses.
+//! * **[`LinkCache`]** holds, once per phase, the threshold-filtered copy-2
+//!   neighbor list of every linked pair `(w1, w2)` in one flat arena, and
+//!   maps `w1` to its slice in O(1). Scoring a row is then a pure slice
+//!   scan — no per-link block decoding (this is what closes the
+//!   `CompactCsr` gap) and no hashing. The build decodes whichever side
+//!   holds fewer adjacency entries: the linked rows, or, by transposition,
+//!   the eligible ones ("degree at least `min_deg2` and not yet linked").
 //! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
 //!   scratch: one packed `u64` cell per copy-2 node holding
 //!   `(stamp << 32) | score`, plus the `touched` list. Starting a row is
@@ -93,9 +91,9 @@
 //!
 //! [`mapreduce_fused_phase_on`] expresses one whole phase as a single
 //! engine round built from the same pieces: map tasks score contiguous
-//! chunks of candidate rows through a task-local [`LinkCache`] +
-//! [`ScoreArena`] (each linked neighbor list is decoded once per task, not
-//! once per contribution) and emit one already-aggregated record per
+//! chunks of candidate rows through the round's one [`LinkCache`] and a
+//! task-local [`ScoreArena`] (each linked neighbor list is built once per
+//! round, not decoded once per contribution) and emit one already-aggregated record per
 //! candidate *row* — a dense `u32` key plus the row's packed `(v, count)`
 //! entries — instead of one `((u, v), 1)` record per *witness
 //! contribution*. That collapses the shuffled record count by orders of
@@ -113,25 +111,26 @@ use snr_mapreduce::partition::range_partition;
 use snr_mapreduce::{Engine, EngineError, SpillCodec};
 use snr_store::wire::{self, Reader, WireError, Writer};
 
-/// Sentinel in [`LinkCache::slot`] for copy-1 nodes that are not linked.
+/// Sentinel for a node that is not linked: in [`LinkCache::slot`] over
+/// copy 1, and, unless [`ELIGIBLE`], in the build's copy-2 node states.
 const NO_LINK: u32 = u32::MAX;
+
+/// Copy-2 node state in [`LinkCache::build`]: unlinked, with degree at
+/// least the phase's bound. Link indices stay below it.
+const ELIGIBLE: u32 = u32::MAX - 1;
 
 /// Minimum candidate-row (or, for LSH verification, proposal) count before
 /// a parallel phase spawns workers.
 pub(crate) const PARALLEL_CUTOFF: usize = 64;
 
-/// Minimum link count before [`LinkCache::build_parallel`] spawns workers;
-/// below this the per-chunk splice costs more than the decode it saves.
-const PARALLEL_BUILD_CUTOFF: usize = 1_024;
-
 /// Per-phase decoded-neighbor cache: for every link `(w1, w2)`, the
-/// threshold-eligible neighbors of `w2`, decoded once and stored in one flat
-/// arena.
+/// threshold-eligible neighbors of `w2`, in ascending id order, stored in
+/// one flat arena.
 ///
-/// During a phase the link set and the eligibility predicate are fixed, so
-/// each linked `w2`'s list can be decoded and filtered exactly once instead
-/// of once per copy-1 node adjacent to `w1` (for `CompactCsr` that decode is
-/// a varint block walk — the per-link cost the ROADMAP flagged at R-MAT-18).
+/// During a phase the link set and the eligibility predicate ("degree at
+/// least `min_deg2` and not yet linked") are fixed, so each link's list is
+/// built once instead of once per copy-1 node adjacent to `w1` (for
+/// `CompactCsr` that decode is a varint block walk).
 pub struct LinkCache {
     /// `slot[w1]` is the link index of `w1`, or [`NO_LINK`].
     slot: Vec<u32>,
@@ -142,78 +141,92 @@ pub struct LinkCache {
 }
 
 impl LinkCache {
-    /// Decodes and filters the copy-2 neighborhoods of all current links.
+    /// Builds the eligible neighbor lists of all current links as `(k, v)`
+    /// hits (eligible `v` is in link `k`'s list), counting-sorted by link.
+    /// The hits come from whichever side holds fewer adjacency entries:
+    /// the *linked* rows (`Σ_{(w1,w2)∈L} d2(w2)`), each `w2` in link order
+    /// giving a hit per eligible neighbor — smaller with few links and many
+    /// eligible rows, as in an unbucketed first pass — or, by
+    /// transposition, the *eligible* rows (`Σ_{eligible v} d2(v)`), each
+    /// `v` in ascending order giving a hit per linked neighbor. On
+    /// undirected adjacency both give the same lists.
     ///
-    /// Cost: `O(n1 + Σ_{(w1,w2)∈L} d2(w2))` — the same neighborhood scan one
-    /// link-centric pass already pays, amortized over the whole phase. The
-    /// slot array is sized by [`Linking::g1_capacity`], which bounds every
-    /// `w1` the linking can contain (inserts are bounds-checked).
+    /// Cost: `O(n1 + n2 + min(Σ_L d2(w2), Σ_eligible d2(v)))`. The slot
+    /// array is sized by [`Linking::g1_capacity`], which bounds every `w1`
+    /// the linking can contain (inserts are bounds-checked).
+    ///
+    /// # Panics
+    ///
+    /// If `g2` is directed (the transposition needs symmetric adjacency), or
+    /// if the cache would hold more than `u32::MAX` targets.
     pub fn build<G2: GraphView>(g2: &G2, links: &Linking, min_deg2: usize) -> LinkCache {
-        // The build walks every linked `w2`'s neighborhood in link order —
-        // close to sequential over the on-disk layout for mmap-backed views
-        // — while the scoring that follows jumps rows at random.
-        g2.advise_sequential();
-        let eligible = eligibility_bitmap(g2, links, min_deg2);
-        let part = decode_eligible(g2, &eligible, links.pairs().map(|(_, w2)| w2));
-        g2.advise_random();
-        LinkCache::splice(links, vec![part])
-    }
-
-    /// Parallel sibling of [`LinkCache::build`], producing a bit-identical
-    /// cache: the link list is split into contiguous chunks, each worker
-    /// decodes and filters its chunk's copy-2 neighborhoods into a private
-    /// target arena, and the arenas are spliced back in chunk order (so
-    /// offsets, targets, and slots come out exactly as the sequential build
-    /// would emit them). At RMAT-20+ link sets the per-phase decode is
-    /// `O(Σ d2(w2))` over millions of links — the last sequential stretch
-    /// of a rayon-backend phase.
-    pub fn build_parallel<G2: GraphView + Sync>(
-        g2: &G2,
-        links: &Linking,
-        min_deg2: usize,
-    ) -> LinkCache {
-        if links.len() < PARALLEL_BUILD_CUTOFF {
-            return LinkCache::build(g2, links, min_deg2);
-        }
-        let partners: Vec<NodeId> = links.pairs().map(|(_, w2)| w2).collect();
-        g2.advise_sequential();
-        let eligible = eligibility_bitmap(g2, links, min_deg2);
-        let chunk_size = partners.len().div_ceil(rayon::current_num_threads());
-        let chunks: Vec<&[NodeId]> = partners.chunks(chunk_size).collect();
-        let parts: Vec<(Vec<u32>, Vec<u32>)> = chunks
-            .par_iter()
-            .map(|chunk| decode_eligible(g2, &eligible, chunk.iter().copied()))
-            .collect();
-        g2.advise_random();
-        LinkCache::splice(links, parts)
-    }
-
-    /// Assembles a cache from per-chunk `(ends, targets)` decodes that
-    /// together cover every link in [`Linking::pairs`] order: global
-    /// offsets are each chunk's local ends shifted by the targets before
-    /// it, targets concatenate, and `w1`'s slot is its position in that
-    /// order.
-    fn splice(links: &Linking, parts: Vec<(Vec<u32>, Vec<u32>)>) -> LinkCache {
+        assert!(!g2.is_directed(), "LinkCache::build needs an undirected copy-2 view");
+        let (n2, l) = (g2.node_count(), links.len());
         let mut slot = vec![NO_LINK; links.g1_capacity()];
-        for (k, (w1, _)) in links.pairs().enumerate() {
+        // `state[v]` is copy-2 node `v`'s link index, ELIGIBLE, or NO_LINK.
+        let mut state = vec![NO_LINK; n2];
+        let mut linked_entries = 0usize;
+        for (k, (w1, w2)) in links.pairs().enumerate() {
             slot[w1.index()] = k as u32;
+            state[w2.index()] = k as u32;
+            linked_entries += g2.degree(w2);
         }
-        let total: usize = parts.iter().map(|(_, t)| t.len()).sum();
-        let mut offsets = Vec::with_capacity(links.len() + 1);
-        offsets.push(0u32);
-        let mut targets: Vec<u32> = Vec::new();
-        for (ends, part) in parts {
-            let base = targets.len() as u32;
-            offsets.extend(ends.iter().map(|&end| base + end));
-            if targets.is_empty() {
-                // The first chunk's arena is reused, not copied.
-                targets = part;
-                targets.reserve(total - targets.len());
-            } else {
-                targets.extend(part);
+        let mut eligible_entries = 0usize;
+        for (v, s) in state.iter_mut().enumerate() {
+            let degree = g2.degree(NodeId(v as u32));
+            if *s == NO_LINK && degree >= min_deg2 {
+                *s = ELIGIBLE;
+                eligible_entries += degree;
             }
         }
+        // Each decoded entry writes a hit at `hits[len]` and only a kept one
+        // advances `len`: no branch on the filter, one slot per entry.
+        let mut hits = vec![(0u32, 0u32); linked_entries.min(eligible_entries)];
+        let mut len = 0usize;
+        // The decode streams rows in order, while the scoring jumps rows.
+        g2.advise_sequential();
+        if linked_entries <= eligible_entries {
+            for (k, (_, w2)) in links.pairs().enumerate() {
+                for v in g2.neighbors_iter(w2) {
+                    hits[len] = (k as u32, v.0);
+                    len += usize::from(state[v.index()] == ELIGIBLE);
+                }
+            }
+        } else {
+            // A neighbor that is not linked maps to the scratch link `l`
+            // (ELIGIBLE and NO_LINK both exceed it), whose hit is dropped.
+            let trash = l as u32;
+            for v in (0..n2 as u32).filter(|&v| state[v as usize] == ELIGIBLE) {
+                for w2 in g2.neighbors_iter(NodeId(v)) {
+                    let k = state[w2.index()].min(trash);
+                    hits[len] = (k, v);
+                    len += usize::from(k != trash);
+                }
+            }
+        }
+        g2.advise_random();
+        // A stable counting sort by link: `k` counts at `offsets[k + 2]`;
+        // after the prefix sum its cursor `offsets[k + 1]` runs from its
+        // start to its end, the next link's start, leaving `offsets[..=l]`.
+        let mut offsets = vec![0u32; l + 2];
+        for &(k, _) in &hits[..len] {
+            offsets[k as usize + 2] += 1;
+        }
+        prefix_sum_within(&mut offsets, u32::MAX);
+        let mut targets = vec![0u32; len];
+        for &(k, v) in &hits[..len] {
+            let cursor = &mut offsets[k as usize + 1];
+            targets[*cursor as usize] = v;
+            *cursor += 1;
+        }
+        offsets.truncate(l + 1);
         LinkCache { slot, offsets, targets }
+    }
+
+    /// The same as [`LinkCache::build`]; the whole-run benchmark's traced
+    /// re-drive (`perfbench/src/trace.rs`) calls it by this name.
+    pub fn build_parallel<G2: GraphView>(g2: &G2, links: &Linking, min_deg2: usize) -> LinkCache {
+        LinkCache::build(g2, links, min_deg2)
     }
 
     /// The cached eligible copy-2 neighbors of `w1`'s link partner, or
@@ -245,22 +258,17 @@ impl LinkCache {
         self.targets.len()
     }
 
-    /// The phase's cache as the in-process executors build it — in parallel
-    /// when `parallel` — inside a `link_cache` telemetry span, adding the
-    /// build time to [`snr_telemetry::Counter::CacheBuildMicros`].
-    pub(crate) fn build_traced<G2: GraphView + Sync>(
+    /// The phase's cache as the in-process executors build it, inside a
+    /// `link_cache` telemetry span, adding the build time to
+    /// [`snr_telemetry::Counter::CacheBuildMicros`].
+    pub(crate) fn build_traced<G2: GraphView>(
         g2: &G2,
         links: &Linking,
         min_deg2: usize,
-        parallel: bool,
     ) -> LinkCache {
         let _span = snr_telemetry::span!("link_cache", links = links.len());
         let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = if parallel {
-            LinkCache::build_parallel(g2, links, min_deg2)
-        } else {
-            LinkCache::build(g2, links, min_deg2)
-        };
+        let cache = LinkCache::build(g2, links, min_deg2);
         if let Some(t) = t {
             snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
         }
@@ -268,42 +276,18 @@ impl LinkCache {
     }
 }
 
-/// The per-build eligibility filter as a bitmap over copy-2 ids: bit `v` is
-/// set iff `v` has degree at least `min_deg2` and is not yet linked. One
-/// sequential pass over the degrees and the link table replaces two random
-/// lookups per decoded neighbor in [`decode_eligible`].
-fn eligibility_bitmap<G2: GraphView>(g2: &G2, links: &Linking, min_deg2: usize) -> Vec<u64> {
-    let n2 = g2.node_count();
-    let mut bits = vec![0u64; n2.div_ceil(64)];
-    for v in 0..n2 {
-        let id = NodeId(v as u32);
-        if g2.degree(id) >= min_deg2 && !links.is_linked_g2(id) {
-            bits[v / 64] |= 1 << (v % 64);
-        }
+/// Turns `counts` into its inclusive prefix sums in place. A sum above
+/// `limit` panics: the cache's offsets are `u32`, and a wrapped offset
+/// would silently hand links the wrong targets.
+fn prefix_sum_within(counts: &mut [u32], limit: u32) {
+    let mut sum = 0u32;
+    for count in counts {
+        sum = sum
+            .checked_add(*count)
+            .filter(|&s| s <= limit)
+            .unwrap_or_else(|| panic!("LinkCache offsets overflow their limit of {limit}"));
+        *count = sum;
     }
-    bits
-}
-
-/// The decode-and-filter loop behind every [`LinkCache`] build: for each
-/// link partner `w2`, appends its neighbors whose bit is set in `eligible`
-/// (see [`eligibility_bitmap`]) to the returned targets, and records the
-/// targets length after each link as that link's local end offset.
-fn decode_eligible<G2: GraphView>(
-    g2: &G2,
-    eligible: &[u64],
-    partners: impl Iterator<Item = NodeId>,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut ends = Vec::new();
-    let mut targets = Vec::new();
-    for w2 in partners {
-        targets.extend(
-            g2.neighbors_iter(w2)
-                .map(|v| v.0)
-                .filter(|&v| eligible[v as usize / 64] >> (v % 64) & 1 != 0),
-        );
-        ends.push(targets.len() as u32);
-    }
-    (ends, targets)
 }
 
 /// Dense, generation-stamped scratch for accumulating one candidate row.
@@ -940,12 +924,16 @@ pub fn score_pair_list<G1: GraphView>(
 /// degree-eligible and unlinked — what [`CandidateCache::eligible`] or
 /// [`collect_candidates`] return), without materializing a score table.
 ///
-/// Builds the phase's [`LinkCache`] (in parallel when `parallel`) and runs
-/// [`score_phase_cached`] on it. Returns `(scored_pairs, selected_pairs)`
+/// Builds the phase's [`LinkCache`] and runs [`score_phase_cached`] on it;
+/// an empty `candidates` skips both. Returns `(scored_pairs, selected_pairs)`
 /// where `scored_pairs` equals the length of the oracle table
 /// `count_sequential(..)` and `selected_pairs` equals
 /// `mutual_best_pairs(&table, threshold)` (ascending `(u, v)` order). This
 /// is the phase `UserMatching` runs on the sequential and rayon backends.
+///
+/// # Panics
+///
+/// If `g2` is directed and `candidates` is not empty ([`LinkCache::build`]).
 pub fn fused_phase_on<G1, G2>(
     g1: &G1,
     g2: &G2,
@@ -959,8 +947,11 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
+    if candidates.is_empty() {
+        return (0, Vec::new());
+    }
     let n2 = g2.node_count();
-    let cache = LinkCache::build_traced(g2, links, min_deg2, parallel);
+    let cache = LinkCache::build_traced(g2, links, min_deg2);
     score_phase_cached(g1, &cache, n2, candidates, parallel, || SelectSink::new(n2, threshold))
         .finish()
 }
@@ -1068,10 +1059,10 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 /// engine: whole-row mappers, packed shuffle, fused select reduce.
 ///
 /// * **Map** — each task scores a contiguous chunk of the `candidates`
-///   rows (ascending copy-1 ids, as for [`fused_phase_on`]) through a
-///   *task-local* [`LinkCache`] + [`ScoreArena`] (each linked neighbor
-///   list is decoded once per task — in a real cluster this is the
-///   map-side join against the broadcast link set), emitting one
+///   rows (ascending copy-1 ids, as for [`fused_phase_on`]) through the
+///   round's one [`LinkCache`], built before the round and shared by every
+///   task, and a *task-local* [`ScoreArena`] (in a real cluster the cache
+///   is the map-side join against the broadcast link set), emitting one
 ///   pre-aggregated record per non-empty row: a dense `u32` key and the
 ///   row's packed `(v, count)` entries ([`pack_entry`]). Shuffle payload
 ///   is 4 bytes per row (the key) plus 8 bytes per scored pair (one
@@ -1097,6 +1088,10 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 /// Fails with [`EngineError`] only when the engine carries a spill budget
 /// and the round's spill I/O fails or a run file is corrupt; an engine
 /// without a budget never returns `Err`.
+///
+/// # Panics
+///
+/// If `g2` is directed and `candidates` is not empty ([`LinkCache::build`]).
 pub fn mapreduce_fused_phase_on<G1, G2>(
     engine: &Engine,
     g1: &G1,
@@ -1112,15 +1107,17 @@ where
 {
     let (n1, n2) = (g1.node_count(), g2.node_count());
     let parts = engine.workers();
+    // One cache per round, shared by the map tasks (none without candidates).
+    let cache = (!candidates.is_empty()).then(|| LinkCache::build(g2, links, min_deg2));
     let sinks: Vec<SelectSink> = engine.run(
         "witness-score",
         candidates,
         |chunk: &[u32]| {
-            let cache = LinkCache::build(g2, links, min_deg2);
+            let cache = cache.as_ref().expect("a map task implies candidates");
             let mut arena = ScoreArena::new(n2);
             let mut rows = Vec::new();
             for &u in chunk {
-                arena.score_row(g1, NodeId(u), &cache);
+                arena.score_row(g1, NodeId(u), cache);
                 let touched = arena.touched();
                 if !touched.is_empty() {
                     rows.push((u, touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect()));
@@ -1481,21 +1478,126 @@ mod tests {
         }
     }
 
+    /// The cache as a literal decode would build it: every link's `w2`
+    /// neighbor list, in link order, filtered to the eligible entries.
+    fn literal_decode<G2: GraphView>(g2: &G2, links: &Linking, d: usize) -> [Vec<u32>; 3] {
+        let mut slot = vec![NO_LINK; links.g1_capacity()];
+        let (mut offsets, mut targets) = (vec![0], Vec::new());
+        for (k, (w1, w2)) in links.pairs().enumerate() {
+            slot[w1.index()] = k as u32;
+            let eligible = |v: &NodeId| g2.degree(*v) >= d && !links.is_linked_g2(*v);
+            targets.extend(g2.neighbors_iter(w2).filter(eligible).map(|v| v.0));
+            offsets.push(targets.len() as u32);
+        }
+        [slot, offsets, targets]
+    }
+
+    /// Disjoint complete bipartite blocks K(1,2), K(2,4), K(4,8) and
+    /// K(8,8) plus a path: every node's degree is exactly 1, 2, 4 or 8.
+    fn power_of_two_degrees() -> CsrGraph {
+        let mut edges = Vec::new();
+        let mut next = 0u32;
+        for (a, b) in [(1u32, 2u32), (2, 4), (4, 8), (8, 8)] {
+            for i in 0..a {
+                edges.extend((0..b).map(|j| (next + i, next + a + j)));
+            }
+            next += a + b;
+        }
+        edges.extend((next..next + 5).map(|v| (v, v + 1)));
+        CsrGraph::from_edges(next as usize + 6, &edges)
+    }
+
     #[test]
-    fn parallel_link_cache_build_matches_sequential() {
-        let (g1, g2, _) = pa_workload(31, 4_000, 6);
-        let n = g1.node_count().min(g2.node_count()) as u32;
-        // Enough identity links to cross the parallel cutoff.
-        let seeds: Vec<(NodeId, NodeId)> =
-            (0..n / 2).map(|i| (NodeId(i * 2), NodeId(i * 2))).collect();
-        assert!(seeds.len() >= super::PARALLEL_BUILD_CUTOFF);
-        let links = Linking::with_seeds(g1.node_count(), g2.node_count(), &seeds);
-        for d in [1usize, 2, 4] {
-            let seq = LinkCache::build(&g2, &links, d);
-            let par = LinkCache::build_parallel(&g2, &links, d);
-            assert_eq!(par.slot, seq.slot, "slot at d={d}");
-            assert_eq!(par.offsets, seq.offsets, "offsets at d={d}");
-            assert_eq!(par.targets, seq.targets, "targets at d={d}");
+    fn link_cache_build_matches_a_literal_decode() {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(0x11ca);
+        let star = CsrGraph::from_edges(40, &(1..40).map(|v| (0, v)).collect::<Vec<_>>());
+        let graphs = [
+            ("er", snr_generators::gnp(300, 0.03, &mut rng).unwrap()),
+            ("pa", preferential_attachment(400, 5, &mut rng).unwrap()),
+            ("star", star),
+            ("2^j", power_of_two_degrees()),
+        ];
+        let dir = std::env::temp_dir().join(format!("snr-link-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut transposed = [0usize; 2];
+        for (name, g2) in &graphs {
+            let n = g2.node_count();
+            let path = dir.join(format!("{name}.snrs"));
+            snr_store::write_segment_file(g2, &path).unwrap();
+            let mmap = snr_store::MmapGraph::open(&path).unwrap();
+            // Links pair copy-1 ids with shuffled copy-2 ids, so link order
+            // (copy-1 order) differs from the order the build walks copy 2.
+            let mut partners: Vec<u32> = (0..n as u32).collect();
+            partners.shuffle(&mut rng);
+            let pairs: Vec<(NodeId, NodeId)> =
+                (0..n as u32).map(|i| (NodeId(i), NodeId(partners[i as usize]))).collect();
+            let mut partial = |p| pairs.iter().copied().filter(|_| rng.gen_bool(p)).collect();
+            let (sparse, dense): (Vec<_>, Vec<_>) = (partial(0.1), partial(0.7));
+            let link_sets =
+                [("empty", &[][..]), ("10%", &sparse[..]), ("70%", &dense[..]), ("all", &pairs)];
+            for (set, seeds) in link_sets {
+                let links = Linking::with_seeds(n, n, seeds);
+                for d in [1usize, 2, 4, 8] {
+                    let expected = literal_decode(g2, &links, d);
+                    // Which decode the build picks: the linked rows unless
+                    // the eligible rows hold fewer entries.
+                    let linked: usize = links.pairs().map(|(_, w2)| g2.degree(w2)).sum();
+                    let eligible: usize = (0..n as u32)
+                        .map(NodeId)
+                        .filter(|&v| g2.degree(v) >= d && !links.is_linked_g2(v))
+                        .map(|v| g2.degree(v))
+                        .sum();
+                    transposed[usize::from(linked > eligible)] += 1;
+                    let builds = [
+                        ("csr", LinkCache::build(g2, &links, d)),
+                        ("compact", LinkCache::build(&g2.compact(), &links, d)),
+                        ("mmap", LinkCache::build(&mmap, &links, d)),
+                    ];
+                    for (view, cache) in builds {
+                        let got = [cache.slot, cache.offsets, cache.targets];
+                        assert_eq!(got, expected, "{name} {set} links, d={d}, {view}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(transposed.iter().all(|&cases| cases > 0), "both decodes run: {transposed:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "undirected copy-2 view")]
+    fn link_cache_build_rejects_a_directed_view() {
+        let mut b = snr_graph::GraphBuilder::directed(3);
+        b.add_edge(NodeId(0), NodeId(1));
+        b.add_edge(NodeId(1), NodeId(2));
+        let links = Linking::with_seeds(3, 3, &[(NodeId(1), NodeId(1))]);
+        LinkCache::build(&b.build(), &links, 1);
+    }
+
+    #[test]
+    fn a_phase_without_candidates_builds_no_cache() {
+        // The build would panic on this directed copy 2.
+        let g1 = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut b = snr_graph::GraphBuilder::directed(3);
+        b.add_edge(NodeId(0), NodeId(1));
+        let g2 = b.build();
+        let links = Linking::with_seeds(3, 3, &[(NodeId(1), NodeId(1))]);
+        for parallel in [false, true] {
+            assert_eq!(fused_phase_on(&g1, &g2, &links, &[], 1, 1, parallel), (0, vec![]));
+        }
+    }
+
+    #[test]
+    fn prefix_sum_within_stops_at_its_limit() {
+        let mut counts = [0u32, 0, 3, 4, 5];
+        prefix_sum_within(&mut counts, 12);
+        assert_eq!(counts, [0, 0, 3, 7, 12], "a total equal to the limit fits");
+        for (counts, limit) in [(vec![3u32, 4, 5], 11), (vec![1, u32::MAX], u32::MAX)] {
+            let mut counts = counts;
+            let caught = std::panic::catch_unwind(move || prefix_sum_within(&mut counts, limit));
+            assert!(caught.is_err(), "a sum past {limit} must panic");
         }
     }
 

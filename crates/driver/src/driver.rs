@@ -58,7 +58,7 @@
 use crate::checkpoint::{Checkpoint, CheckpointPhase, CHECKPOINT_FILE};
 use crate::error::DriverError;
 use crate::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
-use crate::shard::ShardScorer;
+use crate::shard::{require_undirected, ShardScorer};
 use snr_core::scoring::{SelectSink, SinkClaims};
 use snr_core::{Linking, MatchingConfig, MatchingOutcome, Phase};
 use snr_faults::{FaultRegistry, FaultSite};
@@ -210,11 +210,16 @@ pub struct ShardDriver {
 impl ShardDriver {
     /// Snapshots `g1`/`g2` into scratch segment files and plans the task
     /// ranges. No worker is spawned yet; that happens in [`ShardDriver::run`].
+    ///
+    /// A directed `g2` is rejected up front with
+    /// [`snr_graph::GraphError::InvalidParameter`]: the phase's
+    /// `LinkCache` build needs undirected copy-2 adjacency.
     pub fn new<G1, G2>(g1: &G1, g2: &G2, config: DriverConfig) -> Result<Self, DriverError>
     where
         G1: GraphView,
         G2: GraphView,
     {
+        require_undirected(g2.is_directed())?;
         let faults = parse_faults(&config)?;
         let scratch = std::env::temp_dir().join(format!(
             "snr-driver-{}-{}",
@@ -1371,5 +1376,19 @@ mod tests {
         assert_eq!(pool.idle_worker(), Some(0));
         pool.slots[0].phase_tasks = 1;
         assert_eq!(pool.idle_worker(), None, "a new phase waits for the handshake again");
+    }
+
+    #[test]
+    fn a_directed_copy_2_is_rejected_before_any_segment_is_written() {
+        let g1 = snr_graph::CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut b = snr_graph::GraphBuilder::directed(3);
+        b.add_edge(NodeId(0), NodeId(1));
+        let seeds = [(NodeId(0), NodeId(0))];
+        match run_distributed(&g1, &b.build(), &seeds, DriverConfig::new(1)) {
+            Err(DriverError::Graph(snr_graph::GraphError::InvalidParameter(why))) => {
+                assert!(why.contains("directed"), "{why}")
+            }
+            other => panic!("a directed copy 2 must be a typed error, got {other:?}"),
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::error::DriverError;
 use crate::protocol::{G1Spec, G2Spec};
 use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
 use snr_core::Linking;
-use snr_graph::{CompactCsr, GraphView};
+use snr_graph::{CompactCsr, GraphError, GraphView};
 use snr_store::{read_segment, read_segment_rows_file, MmapGraph, ShardedGraph};
 use std::fs::File;
 use std::io::BufReader;
@@ -52,6 +52,12 @@ pub struct ShardScorer {
 
 impl ShardScorer {
     /// Opens the views `g1` and `g2` describe. No phase is set yet.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a segment cannot be opened, or with
+    /// [`GraphError::InvalidParameter`] if the copy-2 segment is directed:
+    /// the [`LinkCache`] build needs undirected adjacency.
     pub fn open(g1: &G1Spec, g2: &G2Spec) -> Result<ShardScorer, DriverError> {
         let g1 = match g1 {
             G1Spec::RangeLoad { path } => G1View::Range(PathBuf::from(path)),
@@ -64,10 +70,11 @@ impl ShardScorer {
             }
             G2Spec::Mmap { path } => G2View::Map(MmapGraph::open(path)?),
         };
-        let n2 = match &g2 {
-            G2View::Mem(g) => g.node_count(),
-            G2View::Map(g) => g.node_count(),
+        let (n2, directed) = match &g2 {
+            G2View::Mem(g) => (g.node_count(), g.is_directed()),
+            G2View::Map(g) => (g.node_count(), g.is_directed()),
         };
+        require_undirected(directed)?;
         Ok(ShardScorer { g1, g2, n2, arena: ScoreArena::new(n2), phase: None })
     }
 
@@ -144,6 +151,18 @@ impl ShardScorer {
     }
 }
 
+/// Rejects a directed copy 2 with [`GraphError::InvalidParameter`]: the
+/// [`LinkCache`] build may transpose copy-2 rows, which needs undirected
+/// adjacency.
+pub(crate) fn require_undirected(directed: bool) -> Result<(), DriverError> {
+    if directed {
+        return Err(DriverError::Graph(GraphError::InvalidParameter(
+            "copy 2 is directed; the LinkCache build needs undirected adjacency".into(),
+        )));
+    }
+    Ok(())
+}
+
 /// The state of `phase` if it is the one set up.
 fn current(state: &Option<PhaseState>, phase: u32) -> Result<&PhaseState, DriverError> {
     let p = state.as_ref().ok_or_else(|| DriverError::Protocol("Task before Phase".into()))?;
@@ -215,6 +234,29 @@ mod tests {
                     }
                     assert_eq!(sink.finish(), expected, "{g1_spec:?} x {g2_spec:?} d={d}");
                 }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_directed_copy_2_segment_is_rejected_on_open() {
+        let dir = std::env::temp_dir().join(format!("snr-shard-directed-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut b = snr_graph::GraphBuilder::directed(4);
+        b.add_edge(snr_graph::NodeId(0), snr_graph::NodeId(1));
+        b.add_edge(snr_graph::NodeId(2), snr_graph::NodeId(3));
+        let path = dir.join("directed.snrs");
+        write_segment_file(&b.build(), &path).unwrap();
+        let path = path.to_str().unwrap().to_owned();
+        let g1 = G1Spec::MmapWhole { path: path.clone() };
+        for g2 in [G2Spec::Load { path: path.clone() }, G2Spec::Mmap { path: path.clone() }] {
+            match ShardScorer::open(&g1, &g2) {
+                Err(DriverError::Graph(GraphError::InvalidParameter(why))) => {
+                    assert!(why.contains("directed"), "{why}")
+                }
+                Err(e) => panic!("{g2:?}: wrong error {e}"),
+                Ok(_) => panic!("{g2:?}: a directed copy 2 was accepted"),
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -120,11 +120,12 @@ pub trait GraphView {
         None
     }
 
-    /// Hints that the caller is about to stream most of the adjacency in
-    /// one pass (e.g. a per-phase `LinkCache` build decoding every linked
-    /// neighborhood). Purely an access-pattern hint: default no-op;
-    /// mmap-backed views forward it to `madvise(MADV_SEQUENTIAL)` so the
-    /// kernel reads ahead. Never affects results.
+    /// Hints that the caller is about to stream rows in order (e.g. a
+    /// per-phase `LinkCache` build decoding the linked rows in link order
+    /// or the eligible rows in ascending order). Purely an access-pattern
+    /// hint: default no-op; mmap-backed views forward it to
+    /// `madvise(MADV_SEQUENTIAL)` so the kernel reads ahead. Never affects
+    /// results.
     fn advise_sequential(&self) {}
 
     /// Hints that point lookups in no particular order come next (the

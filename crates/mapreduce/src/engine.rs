@@ -15,10 +15,10 @@ const DEFAULT_CHUNK: usize = 8_192;
 /// Upper bound on map tasks per worker when the chunk size is not set
 /// explicitly.
 ///
-/// Mappers typically pay a per-task setup cost (the witness rounds build a
-/// task-local `LinkCache`), so chunks are sized to keep the task count at a
-/// small multiple of the worker count instead of letting a tiny chunk size
-/// explode into thousands of setup-heavy tasks.
+/// Mappers typically pay a per-task setup cost (the witness rounds
+/// allocate a task-local `ScoreArena`), so chunks are sized to keep the
+/// task count at a small multiple of the worker count instead of letting a
+/// tiny chunk size explode into thousands of setup-heavy tasks.
 const TASKS_PER_WORKER: usize = 4;
 
 /// Process-wide engine counter: it names each engine's default scratch

@@ -218,7 +218,9 @@ impl GraphView for MmapGraph {
     }
 
     /// `madvise(MADV_SEQUENTIAL)` over the whole mapping: the kernel reads
-    /// ahead while a streaming pass (the `LinkCache` build) walks the file.
+    /// ahead while a streaming pass (the `LinkCache` build, which decodes
+    /// the linked rows in link order or the eligible rows in ascending id
+    /// order) walks the file.
     fn advise_sequential(&self) {
         let _ = self.map.advise(Advice::Sequential);
     }
