@@ -13,31 +13,47 @@
 //!   their intersection size, `score(u, v) = |S1(u) ∩ S2(v)|`, so pairs
 //!   with a high score have high Jaccard similarity relative to their set
 //!   sizes — exactly the pairs MinHash + LSH banding is built to find.
-//! * Both sides are sketched with the **same** `k = b·r` hash family
+//! * Each candidate's row is decoded **once** into its witness-link list
+//!   (link indices in [`Linking::pairs`] order), and each side's lists are
+//!   kept as one CSR of `u32`. A list shorter than the threshold is
+//!   dropped: such a node cannot reach `T` against any partner.
+//! * Both sides' lists are sketched with the **same** `k = b·r` hash family
 //!   ([`snr_sketch::MinHasher`]), signatures are banded, and colliding
 //!   left×right pairs become proposals ([`snr_sketch::propose_pairs`]).
-//! * Proposals are re-scored **exactly** through the same
-//!   [`LinkCache`] + [`ScoreArena`] walk as the unblocked path
-//!   ([`crate::scoring::score_pair_list`]) and fed to a [`SelectSink`], so
-//!   every link the blocked phase emits carries its true witness count —
-//!   blocking can miss pairs (bounded recall), never mis-score them.
+//! * Proposals are re-scored **exactly** by list intersection: each
+//!   proposed row stamps `S1(u)` into a link-indexed array once, and each
+//!   proposed `v` scores the stamped entries of `S2(v)`. Copy 2 is
+//!   undirected and every proposed `v` is eligible, so this is the score
+//!   the exact arena would give the pair. The `(v, score)` entries feed a
+//!   [`SelectSink`], so every link the blocked phase emits carries its true
+//!   witness count — blocking can miss pairs (bounded recall), never
+//!   mis-score them.
+//!
+//! The blocked arm builds no [`LinkCache`]; only the adaptive gate does,
+//! when its floor is above 0, to measure the exact scan and to run it on
+//! light phases. The verify's work is the list entries it intersects (the
+//! `lsh_verify_entries` counter), not the exact scan's bumps: the
+//! whole-run benchmark's `core.bumps` on an LSH workload still reports
+//! [`phase_mass`], the exact scan's work, which the blocked verify does
+//! not do.
 //!
 //! Everything is deterministic: the hash family derives from the phase
-//! seed, signature building is bit-identical sequential or parallel, and
+//! seed, lists and signatures are bit-identical sequential or parallel, and
 //! proposals arrive sorted and deduplicated — the blocked phase returns the
 //! same links for the same inputs at any worker count.
 
 use crate::linking::Linking;
-use crate::scoring::{
-    score_pair_list, score_phase_cached, LinkCache, ScoreArena, SelectSink, PARALLEL_CUTOFF,
-};
+use crate::scoring::{score_phase_cached, LinkCache, ScoreArena, SelectSink, PARALLEL_CUTOFF};
 use rayon::prelude::*;
 use snr_graph::{GraphView, NodeId};
 pub use snr_sketch::Banding;
 use snr_sketch::{propose_pairs, MinHasher, SignatureSet};
 
-/// `slot` sentinel for copy-2 nodes that are not a link endpoint.
+/// Slot of a node that is not a link endpoint.
 const UNLINKED: u32 = u32::MAX;
+
+/// Minimum nodes per worker when decoding witness-link lists in parallel.
+const PARALLEL_DECODE_MIN: usize = 256;
 
 /// Base seed of the per-phase sketch hash families. The algorithm XORs in
 /// the iteration and bucket so consecutive phases re-draw their hash
@@ -85,8 +101,7 @@ where
 
 /// Strided-sample estimate of the exact phase's scored-pair count — the
 /// number of distinct `(u, v)` entries its selection stage would process,
-/// which is what blocking actually reduces (the verify stage re-pays the
-/// row bumps of every proposed row, so bump mass alone cannot be saved).
+/// the quantity the gate's floors were calibrated on.
 /// Scores every `ceil(n / 256)`-th candidate row through the cache (bumps
 /// only, no sink) and extrapolates the touched-entry count; deterministic,
 /// and costs roughly `mass / 256` bumps — a fraction of a percent of the
@@ -126,18 +141,20 @@ pub fn should_block(scored: u64, candidates: usize, mass_floor: u64) -> bool {
         || (scored >= mass_floor && scored >= LSH_MASS_PER_ROW.saturating_mul(candidates as u64))
 }
 
-/// One adaptively blocked phase: builds the phase's [`LinkCache`], measures
-/// the exact scan's cost ([`phase_mass`] as the quick bound, then
-/// [`estimate_scored_pairs`]), and either runs the exact scan on the
-/// already-built cache (light phases — lossless and faster there) or the
-/// LSH-blocked pipeline (entry-heavy phases, where candidate generation is
-/// the wall). `candidates2` is only evaluated when the phase blocks, so the
-/// exact fallback never pays for the copy-2 eligible scan.
+/// One adaptively blocked phase. With a `mass_floor` above 0 it builds the
+/// phase's [`LinkCache`], measures the exact scan's cost ([`phase_mass`] as
+/// the quick bound, then [`estimate_scored_pairs`]), and runs the exact
+/// scan on that cache for light phases (lossless and faster there). Heavy
+/// phases, and every phase at a floor of 0, run the LSH-blocked pipeline
+/// on witness-link lists; a floor of 0 builds no cache at all.
+/// `candidates2` is only evaluated when the phase blocks, so the exact
+/// fallback never pays for the copy-2 eligible scan.
 ///
 /// # Panics
 ///
-/// If `g2` is directed and the phase has links and candidates (see
-/// [`LinkCache::build`]).
+/// If `g2` is directed and the phase has links and candidates: both the
+/// [`LinkCache`] and the list-intersection verify read copy-2 adjacency in
+/// both directions.
 #[allow(clippy::too_many_arguments)]
 pub fn adaptive_lsh_phase<G1, G2, F>(
     g1: &G1,
@@ -161,19 +178,21 @@ where
     if links.is_empty() || candidates1.is_empty() {
         return (0, Vec::new());
     }
-    let cache = LinkCache::build_traced(g2, links, min_deg2);
+    assert!(!g2.is_directed(), "adaptive_lsh_phase needs an undirected copy-2 view");
     // Two-step gate: the exact bump mass is an upper bound on the scored-
     // pair count and cheap to compute, so it rejects light phases without
     // sampling; phases that pass it are gated on the sampled scored-pair
     // estimate — bump-heavy but entry-light hub phases (mass ≫ scored) stay
     // exact, which is where blocking loses.
-    let blocked = mass_floor == 0
-        || (should_block(phase_mass(g1, &cache, candidates1), candidates1.len(), mass_floor)
+    let cache = (mass_floor > 0).then(|| LinkCache::build_traced(g2, links, min_deg2));
+    let blocked = cache.as_ref().is_none_or(|cache| {
+        should_block(phase_mass(g1, cache, candidates1), candidates1.len(), mass_floor)
             && should_block(
-                estimate_scored_pairs(g1, &cache, candidates1, n2),
+                estimate_scored_pairs(g1, cache, candidates1, n2),
                 candidates1.len(),
                 mass_floor,
-            ));
+            )
+    });
     if blocked {
         snr_telemetry::Counter::LshGateSketch.add(1);
     } else {
@@ -184,7 +203,7 @@ where
         verdict = if blocked { "sketch" } else { "exact" },
         rows = candidates1.len(),
     );
-    if !blocked {
+    if let Some(cache) = cache.filter(|_| !blocked) {
         // The exact arm scores on the cache the gate already built.
         return score_phase_cached(g1, &cache, n2, candidates1, parallel, || {
             SelectSink::new(n2, threshold)
@@ -195,23 +214,12 @@ where
     if candidates2.is_empty() {
         return (0, Vec::new());
     }
-    lsh_phase_cached(
-        g1,
-        g2,
-        links,
-        &cache,
-        candidates1,
-        &candidates2,
-        threshold,
-        banding,
-        seed,
-        parallel,
-    )
+    lsh_phase(g1, g2, links, candidates1, &candidates2, threshold, banding, seed, parallel)
 }
 
-/// One blocked phase over the phase's [`LinkCache`] — the blocked arm of
-/// [`adaptive_lsh_phase`]: propose candidate pairs via MinHash/LSH, verify
-/// them exactly, select mutual bests.
+/// One blocked phase — the blocked arm of [`adaptive_lsh_phase`]: decode
+/// both sides' witness-link lists, propose candidate pairs via
+/// MinHash/LSH, verify them by list intersection, select mutual bests.
 ///
 /// `candidates1` / `candidates2` are the phase's degree-eligible unlinked
 /// nodes of each copy (ascending ids — what [`crate::scoring::CandidateCache`]
@@ -221,11 +229,10 @@ where
 /// proposed pairs with a non-zero exact score — the blocked counterpart of
 /// the exact path's scored-pair statistic.
 #[allow(clippy::too_many_arguments)]
-fn lsh_phase_cached<G1, G2>(
+fn lsh_phase<G1, G2>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
-    cache: &LinkCache,
     candidates1: &[u32],
     candidates2: &[u32],
     threshold: u32,
@@ -237,117 +244,183 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    let n2 = g2.node_count();
-    if candidates1.is_empty() || candidates2.is_empty() {
-        return (0, Vec::new());
-    }
-
-    // Copy-2 endpoint → link index, in the same `Linking::pairs` order that
-    // numbered the cache's copy-1 slots — both sides sketch the *same* link
-    // index universe.
-    let mut slot2 = vec![UNLINKED; links.g2_capacity()];
-    for (k, (_, w2)) in links.pairs().enumerate() {
-        slot2[w2.index()] = k as u32;
-    }
-
-    let hasher = MinHasher::new(banding.k(), seed);
-    // A node scores at most |its witness-link set| against any partner, so
-    // sets smaller than the threshold can never produce a selectable link —
-    // below-threshold rows also cannot be any node's mutual best or tie one
-    // (that would need a score ≥ the threshold), so dropping them here is
-    // exact-safe, not a recall trade. It is also the performance linchpin:
-    // with a single-item set every signature component hashes that one
-    // item, so all nodes sharing one popular witness link would otherwise
-    // carry *identical* signatures, collide in every band, and flood the
-    // proposal list with pairs that can only verify below the threshold.
-    let floor = threshold as usize;
-    let left_items = |u: u32, out: &mut Vec<u64>| {
-        for w1 in g1.neighbors_iter(NodeId(u)) {
-            if let Some(k) = cache.link_slot(w1) {
-                out.push(u64::from(k));
-            }
-        }
-        if out.len() < floor {
-            out.clear();
-        }
-    };
-    let right_items = |v: u32, out: &mut Vec<u64>| {
-        for w2 in g2.neighbors_iter(NodeId(v)) {
-            if let Some(&k) = slot2.get(w2.index()) {
-                if k != UNLINKED {
-                    out.push(u64::from(k));
-                }
-            }
-        }
-        if out.len() < floor {
-            out.clear();
-        }
-    };
-    let (left, right) = {
+    let (left, right, signatures) = {
         let _span = snr_telemetry::span!(
             "sketch",
             left = candidates1.len(),
             right = candidates2.len(),
             k = banding.k(),
         );
-        if parallel {
-            (
-                SignatureSet::build_parallel(&hasher, candidates1, left_items),
-                SignatureSet::build_parallel(&hasher, candidates2, right_items),
-            )
-        } else {
-            (
-                SignatureSet::build(&hasher, candidates1, left_items),
-                SignatureSet::build(&hasher, candidates2, right_items),
-            )
+        // Each endpoint → its link index, in `Linking::pairs` order: both
+        // sides list (and sketch) the *same* link index universe.
+        let mut slot1 = vec![UNLINKED; g1.node_count().max(links.g1_capacity())];
+        let mut slot2 = vec![UNLINKED; g2.node_count().max(links.g2_capacity())];
+        for (k, (w1, w2)) in links.pairs().enumerate() {
+            slot1[w1.index()] = k as u32;
+            slot2[w2.index()] = k as u32;
         }
+        // A node scores at most |its witness-link set| against any partner,
+        // so a list shorter than the threshold can never produce a
+        // selectable link — such a row also cannot be any node's mutual
+        // best or tie one (that would need a score ≥ the threshold), so
+        // dropping it is exact-safe, not a recall trade. It is also the
+        // performance linchpin: with a single-item set every signature
+        // component hashes that one item, so all nodes sharing one popular
+        // witness link would otherwise carry *identical* signatures,
+        // collide in every band, and flood the proposal list with pairs
+        // that can only verify below the threshold.
+        let floor = threshold.max(1) as usize;
+        let left = WitnessLists::decode(g1, candidates1, &slot1, floor, parallel);
+        let right = WitnessLists::decode(g2, candidates2, &slot2, floor, parallel);
+        drop((slot1, slot2));
+        let hasher = MinHasher::new(banding.k(), seed);
+        let signatures = (left.sign(&hasher, parallel), right.sign(&hasher, parallel));
+        (left, right, signatures)
     };
     let proposals = {
         let _span = snr_telemetry::span!("band");
-        propose_pairs(banding, &left, &right)
+        propose_pairs(banding, &signatures.0, &signatures.1)
     };
+    drop(signatures);
     snr_telemetry::Counter::LshProposals.add(proposals.pairs.len() as u64);
     snr_telemetry::Counter::LshBandCollisions.add(proposals.raw_collisions);
     let _span = snr_telemetry::span!("verify", proposals = proposals.pairs.len());
-    verify_proposals(g1, cache, &proposals.pairs, n2, threshold, parallel)
-}
-
-/// Exactly scores a sorted, deduplicated proposal list and selects mutual
-/// bests — the verification half of a blocked phase, also usable to
-/// re-score an externally produced pair list.
-pub fn verify_proposals<G1>(
-    g1: &G1,
-    cache: &LinkCache,
-    pairs: &[(u32, u32)],
-    n2: usize,
-    threshold: u32,
-    parallel: bool,
-) -> (usize, Vec<(NodeId, NodeId)>)
-where
-    G1: GraphView + Sync,
-{
+    if snr_telemetry::enabled() {
+        let entries: usize = proposals.pairs.iter().map(|&(_, j)| right.list(j).len()).sum();
+        snr_telemetry::Counter::LshVerifyEntries.add(entries as u64);
+    }
+    let verify = |pairs: &[(u32, u32)]| {
+        verify_rows(&left, &right, pairs, links.len(), SelectSink::new(g2.node_count(), threshold))
+    };
+    let pairs = &proposals.pairs[..];
     if !parallel || pairs.len() < PARALLEL_CUTOFF {
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = SelectSink::new(n2, threshold);
-        score_pair_list(g1, cache, pairs, &mut arena, &mut sink);
-        sink.finish()
+        verify(pairs).finish()
     } else {
         let chunks = chunk_pairs_by_row(pairs, rayon::current_num_threads().max(1));
-        let sinks: Vec<SelectSink> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut arena = ScoreArena::new(n2);
-                let mut sink = SelectSink::new(n2, threshold);
-                score_pair_list(g1, cache, chunk, &mut arena, &mut sink);
-                sink
-            })
-            .collect();
+        let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| verify(chunk)).collect();
         sinks
             .into_iter()
             .reduce(SelectSink::merge)
             .expect("proposal set is non-empty in the parallel branch")
             .finish()
     }
+}
+
+/// One side of a blocked phase: the witness-link list of every node whose
+/// list reached the threshold, as one CSR. Proposals and signatures refer
+/// to a node by its position `i` here; `ids` is ascending, so position
+/// order is id order.
+struct WitnessLists {
+    /// The kept nodes, in input order.
+    ids: Vec<u32>,
+    /// `items[starts[i]..starts[i + 1]]` is `ids[i]`'s list.
+    starts: Vec<usize>,
+    /// Link indices of every kept node's linked neighbours, concatenated.
+    items: Vec<u32>,
+}
+
+impl WitnessLists {
+    /// Decodes each of `nodes`' rows once, mapping every neighbour through
+    /// `slot` (link index or [`UNLINKED`]) and keeping the nodes whose
+    /// list holds at least `floor` links. Each neighbour is written at the
+    /// list's end and only a linked one advances it, so the decode has no
+    /// branch on the link test. The parallel decode splits `nodes` into
+    /// contiguous chunks and splices them back in order, bit-identical to
+    /// the sequential one.
+    fn decode<G: GraphView + Sync>(
+        g: &G,
+        nodes: &[u32],
+        slot: &[u32],
+        floor: usize,
+        parallel: bool,
+    ) -> WitnessLists {
+        let decode_chunk = |nodes: &[u32]| {
+            let mut out = WitnessLists { ids: Vec::new(), starts: vec![0], items: Vec::new() };
+            let mut len = 0usize;
+            for &x in nodes {
+                let start = len;
+                let end = start + g.degree(NodeId(x));
+                if out.items.len() < end {
+                    out.items.resize(end, 0);
+                }
+                for w in g.neighbors_iter(NodeId(x)) {
+                    let k = slot[w.index()];
+                    out.items[len] = k;
+                    len += usize::from(k != UNLINKED);
+                }
+                if len - start >= floor {
+                    out.ids.push(x);
+                    out.starts.push(len);
+                } else {
+                    len = start;
+                }
+            }
+            out.items.truncate(len);
+            out
+        };
+        if !parallel || nodes.len() < 2 * PARALLEL_DECODE_MIN {
+            return decode_chunk(nodes);
+        }
+        let chunk_size =
+            nodes.len().div_ceil(rayon::current_num_threads().max(1)).max(PARALLEL_DECODE_MIN);
+        let chunks: Vec<&[u32]> = nodes.chunks(chunk_size).collect();
+        let parts: Vec<WitnessLists> = chunks.par_iter().map(|c| decode_chunk(c)).collect();
+        let mut out = WitnessLists { ids: Vec::new(), starts: vec![0], items: Vec::new() };
+        for part in parts {
+            let base = out.items.len();
+            out.ids.extend(part.ids);
+            out.starts.extend(part.starts[1..].iter().map(|s| s + base));
+            out.items.extend(part.items);
+        }
+        out
+    }
+
+    /// The list at position `i`.
+    #[inline]
+    fn list(&self, i: u32) -> &[u32] {
+        &self.items[self.starts[i as usize]..self.starts[i as usize + 1]]
+    }
+
+    /// The MinHash signature of every list, keyed by position.
+    fn sign(&self, hasher: &MinHasher, parallel: bool) -> SignatureSet {
+        let positions: Vec<u32> = (0..self.ids.len() as u32).collect();
+        let items_of =
+            |i: u32, out: &mut Vec<u64>| out.extend(self.list(i).iter().map(|&k| u64::from(k)));
+        if parallel {
+            SignatureSet::build_parallel(hasher, &positions, items_of)
+        } else {
+            SignatureSet::build(hasher, &positions, items_of)
+        }
+    }
+}
+
+/// Verifies the proposals `pairs` (positions into `left` × `right`, sorted
+/// by `(i, j)`) into `sink`: each row stamps its list into a link-indexed
+/// array once, and each proposed `j` scores the stamped entries of its
+/// list. A row's stamp is its position plus one, unique within a call, so
+/// the array is never cleared. `link_count` bounds every list entry.
+fn verify_rows(
+    left: &WitnessLists,
+    right: &WitnessLists,
+    pairs: &[(u32, u32)],
+    link_count: usize,
+    mut sink: SelectSink,
+) -> SelectSink {
+    let mut stamp_of = vec![0u32; link_count];
+    for row in pairs.chunk_by(|a, b| a.0 == b.0) {
+        let i = row[0].0;
+        let stamp = i + 1;
+        for &k in left.list(i) {
+            stamp_of[k as usize] = stamp;
+        }
+        let stamp_of = &stamp_of;
+        let entries = row.iter().map(|&(_, j)| {
+            let score = right.list(j).iter().map(|&k| u32::from(stamp_of[k as usize] == stamp));
+            (right.ids[j as usize], score.sum())
+        });
+        sink.row_entries(left.ids[i as usize], entries);
+    }
+    sink
 }
 
 /// Splits a `(u, v)`-sorted pair list into at most `workers` contiguous
@@ -371,6 +444,156 @@ fn chunk_pairs_by_row(pairs: &[(u32, u32)], workers: usize) -> Vec<&[(u32, u32)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matching::mutual_best_pairs;
+    use crate::scoring::{collect_candidates, fused_phase_on};
+    use crate::witness::ScoreTable;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use snr_graph::CsrGraph;
+    use std::collections::{HashMap, HashSet};
+
+    /// The blocked phase written out literally: witness-link sets as
+    /// `HashSet`s, signed with the phase's hasher (a set smaller than the
+    /// threshold gets no signature), banded by `propose_pairs`, every
+    /// proposal scored by set intersection, and the non-zero scores
+    /// selected by `mutual_best_pairs`.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_blocked_phase(
+        g1: &CsrGraph,
+        g2: &CsrGraph,
+        links: &Linking,
+        c1: &[u32],
+        c2: &[u32],
+        threshold: u32,
+        banding: &Banding,
+        seed: u64,
+    ) -> (usize, Vec<(NodeId, NodeId)>) {
+        let link1: HashMap<NodeId, u32> =
+            links.pairs().enumerate().map(|(k, (w1, _))| (w1, k as u32)).collect();
+        let link2: HashMap<NodeId, u32> =
+            links.pairs().enumerate().map(|(k, (_, w2))| (w2, k as u32)).collect();
+        let sets = |g: &CsrGraph, nodes: &[u32], link: &HashMap<NodeId, u32>| {
+            let set_of = |x: u32| -> HashSet<u32> {
+                g.neighbors_iter(NodeId(x)).filter_map(|w| link.get(&w).copied()).collect()
+            };
+            nodes.iter().map(|&x| (x, set_of(x))).collect::<HashMap<u32, HashSet<u32>>>()
+        };
+        let (s1, s2) = (sets(g1, c1, &link1), sets(g2, c2, &link2));
+        let hasher = MinHasher::new(banding.k(), seed);
+        let sign = |nodes: &[u32], sets: &HashMap<u32, HashSet<u32>>| {
+            SignatureSet::build(&hasher, nodes, |x, out| {
+                if sets[&x].len() >= threshold as usize {
+                    out.extend(sets[&x].iter().map(|&k| u64::from(k)));
+                }
+            })
+        };
+        let proposals = propose_pairs(banding, &sign(c1, &s1), &sign(c2, &s2));
+        let mut table = ScoreTable::new();
+        for (u, v) in proposals.pairs {
+            let score = s1[&u].intersection(&s2[&v]).count() as u32;
+            if score > 0 {
+                table.insert((u, v), score);
+            }
+        }
+        (table.len(), mutual_best_pairs(&table, threshold))
+    }
+
+    /// Hubs `0..6` linked to themselves in both copies; nodes `6..60` see
+    /// hubs {0, 1, 2} (one shared list, so identical signatures: the
+    /// clustered banding path), nodes `60..100` three consecutive hubs, and
+    /// nodes `100..130` hub 0 alone (below every threshold above 1).
+    fn duplicate_lists() -> (CsrGraph, Linking) {
+        let mut edges = Vec::new();
+        edges.extend((6..60).flat_map(|x| (0..3).map(move |h| (h, x))));
+        edges.extend((60..100).flat_map(|x| (0..3).map(move |i| ((x + i) % 6, x))));
+        edges.extend((100..130).map(|x| (0, x)));
+        let g = CsrGraph::from_edges(130, &edges);
+        let hubs: Vec<(NodeId, NodeId)> = (0..6).map(|h| (NodeId(h), NodeId(h))).collect();
+        (g, Linking::with_seeds(130, 130, &hubs))
+    }
+
+    #[test]
+    fn blocked_phase_matches_a_literal_reference() {
+        use snr_generators::{gnp, preferential_attachment};
+        use snr_sampling::independent::independent_deletion_symmetric;
+        use snr_sampling::sample_seeds;
+        let mut rng = StdRng::seed_from_u64(0xb10c);
+        let mut cases = Vec::new();
+        for (name, g) in [
+            ("pa", preferential_attachment(1500, 6, &mut rng).unwrap()),
+            ("er", gnp(1000, 0.015, &mut rng).unwrap()),
+        ] {
+            let pair = independent_deletion_symmetric(&g, 0.7, &mut rng).unwrap();
+            let seeds = sample_seeds(&pair, 0.1, &mut rng).unwrap();
+            let links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
+            cases.push((name, pair.g1, pair.g2, links));
+        }
+        let star = CsrGraph::from_edges(200, &(1..200).map(|v| (0, v)).collect::<Vec<_>>());
+        let even: Vec<(NodeId, NodeId)> =
+            (2..200).step_by(2).map(|v| (NodeId(v), NodeId(v))).collect();
+        cases.push(("star", star.clone(), star, Linking::with_seeds(200, 200, &even)));
+        let (dup, hubs) = duplicate_lists();
+        cases.push(("duplicates", dup.clone(), dup, hubs));
+
+        let (mut scored_total, mut links_total) = (0, 0);
+        for (name, g1, g2, links) in &cases {
+            let (k1, k2) = (g1.compact(), g2.compact());
+            for (d, t) in [(1usize, 1u32), (1, 2), (2, 3), (4, 2)] {
+                let c1 = collect_candidates(g1, links, d);
+                let c2: Vec<u32> = (0..g2.node_count() as u32)
+                    .filter(|&v| g2.degree(NodeId(v)) >= d && !links.is_linked_g2(NodeId(v)))
+                    .collect();
+                for banding in [Banding::new(16, 2), Banding::new(4, 4)] {
+                    let seed = DEFAULT_SKETCH_SEED ^ d as u64;
+                    let expected =
+                        reference_blocked_phase(g1, g2, links, &c1, &c2, t, &banding, seed);
+                    scored_total += expected.0;
+                    links_total += expected.1.len();
+                    for parallel in [false, true] {
+                        let label = format!("{name} d={d} t={t} {banding:?} parallel={parallel}");
+                        let blocked = |floor| {
+                            let csr = adaptive_lsh_phase(
+                                g1,
+                                g2,
+                                links,
+                                &c1,
+                                || c2.clone(),
+                                d,
+                                t,
+                                &banding,
+                                seed,
+                                floor,
+                                parallel,
+                            );
+                            let compact = adaptive_lsh_phase(
+                                &k1,
+                                &k2,
+                                links,
+                                &c1,
+                                || c2.clone(),
+                                d,
+                                t,
+                                &banding,
+                                seed,
+                                floor,
+                                parallel,
+                            );
+                            assert_eq!(csr, compact, "{label} floor={floor}: csr vs compact");
+                            csr
+                        };
+                        assert_eq!(blocked(0), expected, "{label}");
+                        // A floor no phase reaches: the gate's exact arm.
+                        let exact = fused_phase_on(g1, g2, links, &c1, d, t, parallel);
+                        assert_eq!(blocked(u64::MAX), exact, "{label}: exact arm");
+                    }
+                }
+            }
+        }
+        assert!(
+            scored_total > 10_000 && links_total > 500,
+            "{scored_total} scored, {links_total} links"
+        );
+    }
 
     #[test]
     fn row_chunking_never_splits_a_row() {
@@ -414,6 +637,19 @@ mod tests {
         // neighbor 2 — 1 bump.
         assert_eq!(phase_mass(&g1, &cache, &[0]), 1);
         assert_eq!(phase_mass(&g1, &cache, &[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "undirected copy-2 view")]
+    fn a_directed_copy_2_is_rejected_at_floor_0() {
+        let mut b = snr_graph::GraphBuilder::directed(3);
+        b.add_edge(NodeId(0), NodeId(1));
+        b.add_edge(NodeId(1), NodeId(2));
+        let g2 = b.build();
+        let g1 = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let links = Linking::with_seeds(3, 3, &[(NodeId(1), NodeId(1))]);
+        let banding = Banding::new(2, 2);
+        adaptive_lsh_phase(&g1, &g2, &links, &[0, 2], || vec![0, 2], 1, 1, &banding, 0, 0, false);
     }
 
     #[test]

@@ -84,8 +84,10 @@
 //! * [`score_assigned_rows`] — one row range, the distributed driver's
 //!   worker kernel;
 //! * [`mapreduce_fused_phase_on`] — one [`snr_mapreduce::Engine`] round;
-//! * [`crate::blocking::adaptive_lsh_phase`] and
-//!   [`crate::blocking::verify_proposals`] — LSH-blocked phases.
+//! * [`crate::blocking::adaptive_lsh_phase`] — LSH-blocked phases: the
+//!   gate's exact arm runs [`score_phase_cached`]; the blocked arm scores
+//!   its proposals by witness-link list intersection, without a
+//!   [`LinkCache`], and feeds `(v, score)` entries to a [`SelectSink`].
 //!
 //! # The MapReduce round runs the same kernel
 //!
@@ -240,17 +242,6 @@ impl LinkCache {
         let lo = self.offsets[k as usize] as usize;
         let hi = self.offsets[k as usize + 1] as usize;
         Some(&self.targets[lo..hi])
-    }
-
-    /// The link index of `w1` (its position in [`Linking::pairs`] order), or
-    /// `None` if `w1` is not linked. Unlike [`LinkCache::eligible_of`] this
-    /// ignores the eligibility filter — every link has an index even when
-    /// its cached target list is empty. The blocking layer uses it to turn
-    /// a copy-1 neighborhood into its witness-link set.
-    #[inline]
-    pub fn link_slot(&self, w1: NodeId) -> Option<u32> {
-        let k = *self.slot.get(w1.index())?;
-        (k != NO_LINK).then_some(k)
     }
 
     /// Total number of cached eligible neighbors across all links.
@@ -884,41 +875,6 @@ pub fn score_assigned_rows<G1: GraphView>(
     }
 }
 
-/// Scores an explicit candidate-pair list through the exact arena path —
-/// the verification kernel of LSH candidate blocking.
-///
-/// `pairs` must be sorted by `(u, v)` and duplicate-free (what
-/// `snr_sketch::propose_pairs` emits). For each distinct `u` the full row
-/// is accumulated into `arena` through the same [`LinkCache`] walk as
-/// [`score_assigned_rows`] — so every score handed on is *exact* — but only
-/// the proposed `(u, v)` entries reach the sink, with score 0 for a
-/// proposal the row never touched, which the sink ignores. The sink
-/// therefore selects mutual bests over the blocked candidate set, and its
-/// `scored_pairs` statistic counts proposed non-zero pairs: the number
-/// blocking actually sent to selection, the quantity the recall/speed
-/// sweeps compare against the exact path's scored-pair count.
-pub fn score_pair_list<G1: GraphView>(
-    g1: &G1,
-    cache: &LinkCache,
-    pairs: &[(u32, u32)],
-    arena: &mut ScoreArena,
-    sink: &mut SelectSink,
-) {
-    let mut i = 0usize;
-    while i < pairs.len() {
-        let u = pairs[i].0;
-        let mut j = i;
-        while j < pairs.len() && pairs[j].0 == u {
-            j += 1;
-        }
-        arena.score_row(g1, NodeId(u), cache);
-        // An untouched proposal scores 0, which the fold ignores.
-        let proposed = pairs[i..j].iter().map(|&(_, v)| (v, arena.current(v).unwrap_or(0)));
-        sink.row_entries(u, proposed);
-        i = j;
-    }
-}
-
 /// One exact in-process phase: witness scoring and mutual-best selection in
 /// a single pass over `candidates` (ascending copy-1 ids, already
 /// degree-eligible and unlinked — what [`CandidateCache::eligible`] or
@@ -1341,8 +1297,8 @@ mod tests {
 
     /// Feeds hand-written rows through an arena to three sinks, one per
     /// entry point of the fold: `row` reads the arena, `row_entries` gets
-    /// the entries reversed and mixed with zero-score entries (as
-    /// [`score_pair_list`] passes unscored proposals), and `row_packed`
+    /// the entries reversed and mixed with zero-score entries (as the
+    /// blocked verify may pass a proposal sharing no witness), and `row_packed`
     /// gets them packed. Asserts the three agree and returns their result
     /// next to the oracle selection on the same entries.
     fn select_rows(rows: &[(u32, &[u32])], n2: usize, t: u32) -> (Selection, Selection) {
@@ -2029,50 +1985,6 @@ mod tests {
                 "mapreduce d={d} t={t}"
             );
         }
-    }
-
-    #[test]
-    fn pair_list_over_all_nonzero_pairs_matches_fused_phase() {
-        let (g1, g2, links) = pa_workload(79, 400, 6);
-        let n2 = g2.node_count();
-        for (d, t) in [(1usize, 1u32), (2, 2), (4, 3), (2, u32::MAX)] {
-            let table = count_sequential(&g1, &g2, &links, d, d);
-            let mut all_pairs: Vec<(u32, u32)> = table.keys().copied().collect();
-            all_pairs.sort_unstable();
-            let cache = LinkCache::build(&g2, &links, d);
-            let mut arena = ScoreArena::new(n2);
-            let mut sink = SelectSink::new(n2, t);
-            score_pair_list(&g1, &cache, &all_pairs, &mut arena, &mut sink);
-            assert_eq!(sink.finish(), phase(&g1, &g2, &links, d, d, t, false), "d={d} t={t}");
-        }
-    }
-
-    #[test]
-    fn pair_list_counts_only_proposed_nonzero_pairs() {
-        let (g1, g2, links) = pa_workload(83, 400, 6);
-        let n2 = g2.node_count();
-        let table = count_sequential(&g1, &g2, &links, 2, 2);
-        let mut nonzero: Vec<(u32, u32)> = table.keys().copied().collect();
-        nonzero.sort_unstable();
-        // Half the true pairs plus some zero-score proposals: the sink must
-        // count exactly the proposed non-zero pairs and score them exactly.
-        let proposed: Vec<(u32, u32)> = nonzero
-            .iter()
-            .step_by(2)
-            .copied()
-            .chain((0..20).map(|i| (u32::MAX - 1 - i, 0)))
-            .collect();
-        let mut sorted = proposed.clone();
-        sorted.sort_unstable();
-        // Out-of-range rows would panic in neighbors_iter; keep only valid.
-        let sorted: Vec<(u32, u32)> =
-            sorted.into_iter().filter(|&(u, _)| (u as usize) < g1.node_count()).collect();
-        let cache = LinkCache::build(&g2, &links, 2);
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = SelectSink::new(n2, 2);
-        score_pair_list(&g1, &cache, &sorted, &mut arena, &mut sink);
-        let (scored, _) = sink.finish();
-        assert_eq!(scored, sorted.iter().filter(|p| table.contains_key(*p)).count());
     }
 
     #[test]

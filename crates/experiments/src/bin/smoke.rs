@@ -654,6 +654,14 @@ fn blocking(args: &ExperimentArgs) {
         proposals > 0 && proposals <= collisions && collisions <= BANDS as u64 * proposals,
         "lsh_band_collisions {collisions} out of range for {proposals} proposals"
     );
+    // Every proposal's copy-2 list holds at least one link (lists below
+    // the threshold are dropped), so the verify intersects at least one
+    // entry per proposal.
+    let verify_entries = snr_telemetry::Counter::LshVerifyEntries.get();
+    assert!(
+        verify_entries >= proposals,
+        "lsh_verify_entries {verify_entries} below the {proposals} proposals"
+    );
     let pure_eval = evaluate(&pure);
     let pure_scored = scored_pairs(&pure);
     let recall = pure_eval.new_good as f64 / (exact_eval.new_good as f64).max(1.0);
@@ -661,7 +669,7 @@ fn blocking(args: &ExperimentArgs) {
     println!(
         "lsh:{BANDS}x{ROWS}: {pure_secs:.3}s, {pure_scored} scored pairs ({reduction:.1}x fewer), \
          {} good / {} bad new links (recall {recall:.3}), {collisions} band collisions for \
-         {proposals} proposals",
+         {proposals} proposals, {verify_entries} list entries verified",
         pure_eval.new_good, pure_eval.new_bad
     );
     assert!(

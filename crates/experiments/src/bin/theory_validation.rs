@@ -69,14 +69,16 @@ fn main() {
         "  measured  average correct-pair witnesses: {correct_avg:.2}   maximum wrong-pair witnesses: {wrong_max}"
     );
 
+    let er_threshold = model.sparse_regime_threshold();
     let run = run_user_matching(
         &pair,
         l,
-        MatchingConfig::default().with_threshold(3).with_iterations(2),
+        MatchingConfig::default().with_threshold(er_threshold).with_iterations(2),
         args.seed,
     );
+    let er_precision = run.eval.precision();
     println!(
-        "  full run at T = 3 (Lemma 3's threshold): precision {} recall {}\n",
+        "  full run at T = {er_threshold} (Lemma 3's threshold): precision {} recall {}\n",
         pct(run.eval.precision()),
         pct(run.eval.recall())
     );
@@ -108,10 +110,11 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(args.seed ^ 0x7EA0_0002);
     let g = preferential_attachment(n, m, &mut rng).expect("valid parameters");
     let pair = independent_deletion_symmetric(&g, s, &mut rng).expect("valid probability");
+    let pa_threshold = 2;
     let run = run_user_matching(
         &pair,
         l,
-        MatchingConfig::default().with_threshold(2).with_iterations(2),
+        MatchingConfig::default().with_threshold(pa_threshold).with_iterations(2),
         args.seed,
     );
 
@@ -130,7 +133,11 @@ fn main() {
     let high_recall = if high_total == 0 { 0.0 } else { high_found as f64 / high_total as f64 };
 
     let mut table = TextTable::new(["metric", "predicted", "measured"]);
-    table.row(["overall precision".to_string(), "100%".to_string(), pct(run.eval.precision())]);
+    table.row([
+        "overall precision".to_string(),
+        format!("100% at T = {} (Lemma 10)", pa_model.analysis_threshold()),
+        pct(run.eval.precision()),
+    ]);
     table.row([
         format!("recall of nodes with copy degree ≥ {threshold_degree}"),
         "~100% (Lemma 11)".to_string(),
@@ -150,14 +157,32 @@ fn main() {
             .paper_value("high_degree_recall", 1.0),
     );
 
+    // Which runs the lemmas speak for: a run outside a lemma's regime
+    // measures the algorithm there, but checks nothing the lemma claims.
+    let regime = |inside: bool| if inside { "inside" } else { "outside" };
+    println!("Regimes of the runs above:");
     println!(
-        "The theoretical thresholds (T = 3 for ER, T = 9 and m·s² ≥ 22 for PA) are sufficient"
+        "  Erdős–Rényi: {} the sparse-regime analysis (Lemma 3's T = {er_threshold}, copies \
+         connected w.h.p.) and {} Theorem 1's dense regime; measured precision {} against a \
+         predicted 100%.",
+        regime(model.copies_are_connected_whp()),
+        regime(model.satisfies_dense_regime()),
+        pct(er_precision)
     );
+    let lemma12 = pa_model.satisfies_lemma12() && pa_threshold == pa_model.analysis_threshold();
     println!(
-        "conditions chosen to make the proofs go through; the measured runs show the algorithm"
-    );
-    println!(
-        "doing at least as well as predicted at far milder settings, which is the paper's point."
+        "  Preferential attachment: {} Lemma 12's regime (m·s² = {:.1}, it needs ≥ 22; T = \
+         {pa_threshold}, the analysis uses T = {}). Measured precision {} and recall {} are {}.",
+        regime(lemma12),
+        m as f64 * s * s,
+        pa_model.analysis_threshold(),
+        pct(run.eval.precision()),
+        pct(run.eval.recall()),
+        if lemma12 {
+            "checks of the lemma's 100% and 97%"
+        } else {
+            "observations outside the lemma, not checks of its 100% and 97%"
+        }
     );
     args.maybe_write_json(&record);
     args.maybe_write_trace();

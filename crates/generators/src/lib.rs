@@ -16,7 +16,7 @@
 //!   for the correlated-deletion experiment (Table 4).
 //! * [`rmat()`] — the recursive R-MAT generator used for the scalability
 //!   experiment (Table 2).
-//! * [`watts_strogatz`], [`configuration`], [`sbm`] — additional standard
+//! * [`watts_strogatz`], [`configuration`] — additional standard
 //!   models used in tests and robustness experiments.
 //! * [`temporal`] — timestamped variants used to emulate the DBLP / Gowalla
 //!   odd–even time-slice experiments (Table 5).
@@ -32,7 +32,6 @@ pub mod configuration;
 pub mod erdos_renyi;
 pub mod preferential_attachment;
 pub mod rmat;
-pub mod sbm;
 pub mod temporal;
 pub mod watts_strogatz;
 

@@ -33,8 +33,8 @@
 //! views, for graphs bigger than RAM.
 //!
 //! The crate also ships the supporting pieces a downstream user of the
-//! library needs: traversals ([`traversal`]), degree statistics ([`stats`]),
-//! induced subgraphs ([`subgraph`]), text and binary serialization ([`io`])
+//! library needs: degree statistics ([`stats`]), induced subgraphs
+//! ([`subgraph`]), text and binary serialization ([`io`])
 //! and the sorted-slice intersection kernels ([`intersect`]) that make
 //! similarity-witness counting cheap — all generic over [`GraphView`].
 //!
@@ -72,7 +72,6 @@ pub mod io;
 pub mod node;
 pub mod stats;
 pub mod subgraph;
-pub mod traversal;
 pub mod view;
 
 pub use builder::GraphBuilder;

@@ -20,8 +20,6 @@
 //!   befriends the victim's neighbors (the robustness-to-attack experiment).
 //! * [`noise`] — extension: spurious edges present in a copy but not in the
 //!   underlying graph (mentioned as a model generalization in §3.1).
-//! * [`vertex_deletion`] — extension: nodes (not just edges) missing from a
-//!   copy, the other generalization §3.1 mentions.
 //! * [`seeds`] — sampling of the initial identification links `L`, uniform
 //!   (probability `l`) or degree-biased.
 //!
@@ -42,7 +40,6 @@ pub mod noise;
 pub mod realization;
 pub mod seeds;
 pub mod time_slice;
-pub mod vertex_deletion;
 
 pub use ground_truth::GroundTruth;
 pub use realization::RealizationPair;

@@ -62,6 +62,10 @@ metric_enum! {
         /// LSH band-bucket collisions before deduplication: the banding
         /// work behind `lsh_proposals`, at most `bands ×` it.
         LshBandCollisions => "lsh_band_collisions",
+        /// Witness-link list entries the blocked verify intersected: the
+        /// copy-2 list length of every proposal, the verify's work next to
+        /// `lsh_proposals`.
+        LshVerifyEntries => "lsh_verify_entries",
         /// Phases where the adaptive gate chose the sketch path.
         LshGateSketch => "lsh_gate_sketch",
         /// Phases where the adaptive gate fell back to the exact scan.

@@ -14,7 +14,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`graph`] | `snr-graph` | CSR graphs, builders, traversals, statistics, I/O |
+//! | [`graph`] | `snr-graph` | CSR graphs, builders, statistics, I/O |
 //! | [`store`] | `snr-store` | on-disk graph segments, mmap-backed and sharded views |
 //! | [`generators`] | `snr-generators` | Erdős–Rényi, preferential attachment, affiliation, R-MAT, temporal, … |
 //! | [`sampling`] | `snr-sampling` | realization models, ground truth, seed links |
