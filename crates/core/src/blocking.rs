@@ -38,7 +38,8 @@
 //! not do.
 //!
 //! Everything is deterministic: the hash family derives from the phase
-//! seed, lists and signatures are bit-identical sequential or parallel, and
+//! seed, lists are decoded sequentially, signatures and verify are
+//! bit-identical sequential or parallel, and
 //! proposals arrive sorted and deduplicated — the blocked phase returns the
 //! same links for the same inputs at any worker count.
 
@@ -51,9 +52,6 @@ use snr_sketch::{propose_pairs, MinHasher, SignatureSet};
 
 /// Slot of a node that is not a link endpoint.
 const UNLINKED: u32 = u32::MAX;
-
-/// Minimum nodes per worker when decoding witness-link lists in parallel.
-const PARALLEL_DECODE_MIN: usize = 256;
 
 /// Base seed of the per-phase sketch hash families. The algorithm XORs in
 /// the iteration and bucket so consecutive phases re-draw their hash
@@ -270,8 +268,8 @@ where
         // collide in every band, and flood the proposal list with pairs
         // that can only verify below the threshold.
         let floor = threshold.max(1) as usize;
-        let left = WitnessLists::decode(g1, candidates1, &slot1, floor, parallel);
-        let right = WitnessLists::decode(g2, candidates2, &slot2, floor, parallel);
+        let left = WitnessLists::decode(g1, candidates1, &slot1, floor);
+        let right = WitnessLists::decode(g2, candidates2, &slot2, floor);
         drop((slot1, slot2));
         let hasher = MinHasher::new(banding.k(), seed);
         let signatures = (left.sign(&hasher, parallel), right.sign(&hasher, parallel));
@@ -324,54 +322,31 @@ impl WitnessLists {
     /// `slot` (link index or [`UNLINKED`]) and keeping the nodes whose
     /// list holds at least `floor` links. Each neighbour is written at the
     /// list's end and only a linked one advances it, so the decode has no
-    /// branch on the link test. The parallel decode splits `nodes` into
-    /// contiguous chunks and splices them back in order, bit-identical to
-    /// the sequential one.
-    fn decode<G: GraphView + Sync>(
-        g: &G,
-        nodes: &[u32],
-        slot: &[u32],
-        floor: usize,
-        parallel: bool,
-    ) -> WitnessLists {
-        let decode_chunk = |nodes: &[u32]| {
-            let mut out = WitnessLists { ids: Vec::new(), starts: vec![0], items: Vec::new() };
-            let mut len = 0usize;
-            for &x in nodes {
-                let start = len;
-                let end = start + g.degree(NodeId(x));
-                if out.items.len() < end {
-                    out.items.resize(end, 0);
-                }
-                for w in g.neighbors_iter(NodeId(x)) {
-                    let k = slot[w.index()];
-                    out.items[len] = k;
-                    len += usize::from(k != UNLINKED);
-                }
-                if len - start >= floor {
-                    out.ids.push(x);
-                    out.starts.push(len);
-                } else {
-                    len = start;
-                }
-            }
-            out.items.truncate(len);
-            out
-        };
-        if !parallel || nodes.len() < 2 * PARALLEL_DECODE_MIN {
-            return decode_chunk(nodes);
-        }
-        let chunk_size =
-            nodes.len().div_ceil(rayon::current_num_threads().max(1)).max(PARALLEL_DECODE_MIN);
-        let chunks: Vec<&[u32]> = nodes.chunks(chunk_size).collect();
-        let parts: Vec<WitnessLists> = chunks.par_iter().map(|c| decode_chunk(c)).collect();
+    /// branch on the link test. The decode is sequential on every backend:
+    /// on the R-MAT-16 blocked phase a parallel decode measured within the
+    /// run-to-run spread of this one.
+    fn decode<G: GraphView>(g: &G, nodes: &[u32], slot: &[u32], floor: usize) -> WitnessLists {
         let mut out = WitnessLists { ids: Vec::new(), starts: vec![0], items: Vec::new() };
-        for part in parts {
-            let base = out.items.len();
-            out.ids.extend(part.ids);
-            out.starts.extend(part.starts[1..].iter().map(|s| s + base));
-            out.items.extend(part.items);
+        let mut len = 0usize;
+        for &x in nodes {
+            let start = len;
+            let end = start + g.degree(NodeId(x));
+            if out.items.len() < end {
+                out.items.resize(end, 0);
+            }
+            for w in g.neighbors_iter(NodeId(x)) {
+                let k = slot[w.index()];
+                out.items[len] = k;
+                len += usize::from(k != UNLINKED);
+            }
+            if len - start >= floor {
+                out.ids.push(x);
+                out.starts.push(len);
+            } else {
+                len = start;
+            }
         }
+        out.items.truncate(len);
         out
     }
 
@@ -512,21 +487,90 @@ mod tests {
         (g, Linking::with_seeds(130, 130, &hubs))
     }
 
+    /// `adaptive_lsh_phase` on `CsrGraph` and on `CompactCsr`, asserted
+    /// equal. The parallel run goes through a four-worker pool, so the
+    /// signatures and the verify split into several chunks (and the verify
+    /// merges several sinks) on any host.
+    #[allow(clippy::too_many_arguments)]
+    fn blocked_on_both_views(
+        g1: &CsrGraph,
+        g2: &CsrGraph,
+        links: &Linking,
+        c1: &[u32],
+        c2: &[u32],
+        d: usize,
+        t: u32,
+        banding: &Banding,
+        seed: u64,
+        floor: u64,
+        parallel: bool,
+    ) -> (usize, Vec<(NodeId, NodeId)>) {
+        let (k1, k2) = (g1.compact(), g2.compact());
+        let run = || {
+            let csr = adaptive_lsh_phase(
+                g1,
+                g2,
+                links,
+                c1,
+                || c2.to_vec(),
+                d,
+                t,
+                banding,
+                seed,
+                floor,
+                parallel,
+            );
+            let compact = adaptive_lsh_phase(
+                &k1,
+                &k2,
+                links,
+                c1,
+                || c2.to_vec(),
+                d,
+                t,
+                banding,
+                seed,
+                floor,
+                parallel,
+            );
+            assert_eq!(csr, compact, "floor {floor} parallel {parallel}: csr vs compact");
+            csr
+        };
+        if parallel {
+            rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap().install(run)
+        } else {
+            run()
+        }
+    }
+
+    /// A copy pair (`p`-deletion of `g`) with 10% of its true pairs seeded.
+    fn seeded_pair(g: &CsrGraph, rng: &mut StdRng) -> (CsrGraph, CsrGraph, Linking) {
+        use snr_sampling::independent::independent_deletion_symmetric;
+        use snr_sampling::sample_seeds;
+        let pair = independent_deletion_symmetric(g, 0.7, rng).unwrap();
+        let seeds = sample_seeds(&pair, 0.1, rng).unwrap();
+        let links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
+        (pair.g1, pair.g2, links)
+    }
+
+    /// The phase's unlinked copy-2 nodes of degree at least `d`.
+    fn eligible2(g2: &CsrGraph, links: &Linking, d: usize) -> Vec<u32> {
+        (0..g2.node_count() as u32)
+            .filter(|&v| g2.degree(NodeId(v)) >= d && !links.is_linked_g2(NodeId(v)))
+            .collect()
+    }
+
     #[test]
     fn blocked_phase_matches_a_literal_reference() {
         use snr_generators::{gnp, preferential_attachment};
-        use snr_sampling::independent::independent_deletion_symmetric;
-        use snr_sampling::sample_seeds;
         let mut rng = StdRng::seed_from_u64(0xb10c);
         let mut cases = Vec::new();
         for (name, g) in [
             ("pa", preferential_attachment(1500, 6, &mut rng).unwrap()),
             ("er", gnp(1000, 0.015, &mut rng).unwrap()),
         ] {
-            let pair = independent_deletion_symmetric(&g, 0.7, &mut rng).unwrap();
-            let seeds = sample_seeds(&pair, 0.1, &mut rng).unwrap();
-            let links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
-            cases.push((name, pair.g1, pair.g2, links));
+            let (g1, g2, links) = seeded_pair(&g, &mut rng);
+            cases.push((name, g1, g2, links));
         }
         let star = CsrGraph::from_edges(200, &(1..200).map(|v| (0, v)).collect::<Vec<_>>());
         let even: Vec<(NodeId, NodeId)> =
@@ -537,12 +581,9 @@ mod tests {
 
         let (mut scored_total, mut links_total) = (0, 0);
         for (name, g1, g2, links) in &cases {
-            let (k1, k2) = (g1.compact(), g2.compact());
             for (d, t) in [(1usize, 1u32), (1, 2), (2, 3), (4, 2)] {
                 let c1 = collect_candidates(g1, links, d);
-                let c2: Vec<u32> = (0..g2.node_count() as u32)
-                    .filter(|&v| g2.degree(NodeId(v)) >= d && !links.is_linked_g2(NodeId(v)))
-                    .collect();
+                let c2 = eligible2(g2, links, d);
                 for banding in [Banding::new(16, 2), Banding::new(4, 4)] {
                     let seed = DEFAULT_SKETCH_SEED ^ d as u64;
                     let expected =
@@ -552,34 +593,9 @@ mod tests {
                     for parallel in [false, true] {
                         let label = format!("{name} d={d} t={t} {banding:?} parallel={parallel}");
                         let blocked = |floor| {
-                            let csr = adaptive_lsh_phase(
-                                g1,
-                                g2,
-                                links,
-                                &c1,
-                                || c2.clone(),
-                                d,
-                                t,
-                                &banding,
-                                seed,
-                                floor,
-                                parallel,
-                            );
-                            let compact = adaptive_lsh_phase(
-                                &k1,
-                                &k2,
-                                links,
-                                &c1,
-                                || c2.clone(),
-                                d,
-                                t,
-                                &banding,
-                                seed,
-                                floor,
-                                parallel,
-                            );
-                            assert_eq!(csr, compact, "{label} floor={floor}: csr vs compact");
-                            csr
+                            blocked_on_both_views(
+                                g1, g2, links, &c1, &c2, d, t, &banding, seed, floor, parallel,
+                            )
                         };
                         assert_eq!(blocked(0), expected, "{label}");
                         // A floor no phase reaches: the gate's exact arm.
@@ -593,6 +609,53 @@ mod tests {
             scored_total > 10_000 && links_total > 500,
             "{scored_total} scored, {links_total} links"
         );
+    }
+
+    /// A floor above 0 that the phase passes: the gate builds a
+    /// `LinkCache`, measures the scan on it, and still blocks — the
+    /// blocked arm must then ignore the cache and match the reference.
+    #[test]
+    fn a_phase_that_passes_the_gate_matches_the_reference() {
+        // Dense enough that a candidate row's scan clears the per-row
+        // minimum: ~200 neighbours a row, ~20 of them linked, each with
+        // ~200 eligible partner neighbours among 4000 nodes.
+        let mut rng = StdRng::seed_from_u64(0x9a7e);
+        let g = snr_generators::gnp(4000, 0.08, &mut rng).unwrap();
+        let (g1, g2, links) = seeded_pair(&g, &mut rng);
+        let (d, t, floor) = (2usize, 2u32, 1u64);
+        let c1: Vec<u32> = collect_candidates(&g1, &links, d).into_iter().take(48).collect();
+        let c2 = eligible2(&g2, &links, d);
+        let cache = LinkCache::build(&g2, &links, d);
+        let (mass, scored) = (
+            phase_mass(&g1, &cache, &c1),
+            estimate_scored_pairs(&g1, &cache, &c1, g2.node_count()),
+        );
+        assert!(
+            should_block(mass, c1.len(), floor) && should_block(scored, c1.len(), floor),
+            "the gate keeps this phase exact: mass {mass}, ~{scored} scored pairs"
+        );
+        let banding = Banding::new(16, 2);
+        let expected =
+            reference_blocked_phase(&g1, &g2, &links, &c1, &c2, t, &banding, DEFAULT_SKETCH_SEED);
+        assert!(expected.0 > 1_000 && !expected.1.is_empty(), "{expected:?}");
+        for parallel in [false, true] {
+            let blocked = |floor| {
+                blocked_on_both_views(
+                    &g1,
+                    &g2,
+                    &links,
+                    &c1,
+                    &c2,
+                    d,
+                    t,
+                    &banding,
+                    DEFAULT_SKETCH_SEED,
+                    floor,
+                    parallel,
+                )
+            };
+            assert_eq!(blocked(floor), expected, "floor {floor} parallel {parallel}");
+        }
     }
 
     #[test]

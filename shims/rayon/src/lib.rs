@@ -5,6 +5,9 @@
 //! witness-counting and mutual-best kernels. Work is split into one
 //! contiguous chunk per available core and executed on `std::thread::scope`
 //! threads — genuinely parallel, just without rayon's work stealing.
+//! `ThreadPoolBuilder::new().num_threads(n).build()?.install(op)` runs `op`
+//! with `n` as the worker count, so tests can force a multi-chunk split on
+//! any host.
 //!
 //! As with real rayon, the grouping of items into fold accumulators is an
 //! implementation detail: callers must use commutative/associative
@@ -259,9 +262,81 @@ where
     })
 }
 
-/// Number of worker threads used for parallel operations.
+thread_local! {
+    /// Worker count set by [`ThreadPool::install`] on the calling thread.
+    static INSTALLED_THREADS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Number of worker threads used for parallel operations: the installed
+/// pool's size inside [`ThreadPool::install`], else one per available core.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    INSTALLED_THREADS
+        .with(|n| n.get())
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+}
+
+/// Builder for a [`ThreadPool`] of a fixed size, mirroring rayon's.
+#[derive(Debug, Default)]
+pub struct ThreadPoolBuilder {
+    num_threads: usize,
+}
+
+/// Error of [`ThreadPoolBuilder::build`]; the shim never fails to build.
+#[derive(Debug)]
+pub struct ThreadPoolBuildError;
+
+impl ThreadPoolBuilder {
+    /// A builder for a pool with one worker per available core.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Sets the worker count; 0 means one per available core.
+    pub fn num_threads(mut self, num_threads: usize) -> Self {
+        self.num_threads = num_threads;
+        self
+    }
+
+    /// Builds the pool.
+    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
+        let threads = match self.num_threads {
+            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+            n => n,
+        };
+        Ok(ThreadPool { threads })
+    }
+}
+
+/// A fixed-size pool: parallel operations started inside
+/// [`ThreadPool::install`] split their work as if the host had that many
+/// cores. The shim spawns scoped threads per operation, so the pool only
+/// carries its size.
+#[derive(Debug)]
+pub struct ThreadPool {
+    threads: usize,
+}
+
+impl ThreadPool {
+    /// Runs `op` with this pool's worker count in effect.
+    pub fn install<OP, R>(&self, op: OP) -> R
+    where
+        OP: FnOnce() -> R + Send,
+        R: Send,
+    {
+        struct Restore(Option<usize>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                INSTALLED_THREADS.with(|n| n.set(self.0));
+            }
+        }
+        let _restore = Restore(INSTALLED_THREADS.with(|n| n.replace(Some(self.threads))));
+        op()
+    }
+
+    /// The pool's worker count.
+    pub fn current_num_threads(&self) -> usize {
+        self.threads
+    }
 }
 
 /// Glob-importable traits, mirroring `rayon::prelude`.
@@ -319,6 +394,18 @@ mod tests {
             .reduce(|| 0, |a, b| a + b);
         let seq: u64 = map.iter().map(|(&k, &v)| k as u64 + v).sum();
         assert_eq!(par, seq);
+    }
+
+    #[test]
+    fn install_sets_the_worker_count_and_restores_it() {
+        let outside = super::current_num_threads();
+        let pool = super::ThreadPoolBuilder::new().num_threads(7).build().unwrap();
+        assert_eq!(pool.install(super::current_num_threads), 7);
+        assert_eq!(super::current_num_threads(), outside);
+        let items: Vec<u64> = (0..1_000).collect();
+        let sum = pool
+            .install(|| items.par_iter().fold(|| 0u64, |a, &b| a + b).reduce(|| 0, |a, b| a + b));
+        assert_eq!(sum, items.iter().sum::<u64>());
     }
 
     #[test]
