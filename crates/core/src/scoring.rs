@@ -1423,9 +1423,6 @@ mod tests {
         fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
             GraphView::neighbors_iter(&self.g, v)
         }
-        fn neighbor_cursor(&self, v: NodeId) -> impl snr_graph::intersect::SortedCursor + '_ {
-            GraphView::neighbor_cursor(&self.g, v)
-        }
         fn memory_bytes(&self) -> usize {
             GraphView::memory_bytes(&self.g)
         }
@@ -1786,9 +1783,6 @@ mod tests {
         }
         fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
             GraphView::neighbors_iter(self.g, NodeId(self.rows.start + v.0))
-        }
-        fn neighbor_cursor(&self, v: NodeId) -> impl snr_graph::intersect::SortedCursor + '_ {
-            GraphView::neighbor_cursor(self.g, NodeId(self.rows.start + v.0))
         }
         fn memory_bytes(&self) -> usize {
             GraphView::memory_bytes(self.g)

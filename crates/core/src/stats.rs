@@ -89,11 +89,6 @@ impl MatchingOutcome {
         self.links.discovered_count()
     }
 
-    /// Total number of phases that added at least one link.
-    pub fn productive_phases(&self) -> usize {
-        self.phases.iter().filter(|p| p.new_links > 0).count()
-    }
-
     /// Sum of scored candidate pairs across all phases (a proxy for the
     /// algorithm's total work).
     pub fn total_scored_pairs(&self) -> usize {
@@ -128,7 +123,6 @@ mod tests {
             total_duration: Duration::from_millis(5),
         };
         assert_eq!(outcome.discovered(), 2);
-        assert_eq!(outcome.productive_phases(), 2);
         assert_eq!(outcome.total_scored_pairs(), 30);
     }
 

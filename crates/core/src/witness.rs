@@ -66,8 +66,10 @@ fn eligible_g2_neighbors<G2: GraphView>(
     min_deg2: usize,
     buf: &mut Vec<NodeId>,
 ) {
-    g2.neighbors_into(w2, buf);
-    buf.retain(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v));
+    buf.clear();
+    buf.extend(
+        g2.neighbors_iter(w2).filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v)),
+    );
 }
 
 /// Counts similarity witnesses for every candidate pair whose copy-1 degree

@@ -153,18 +153,17 @@ fn segment_checks(scale: u32, seed: u64, dir: &Path) -> Result<(), String> {
     check_view("sharded-mmap x4", &sharded, &g)?;
     check_view("sharded-mem x4", &ShardedGraph::partition(&g, 4), &g)?;
 
-    // Spot-check the views agree on an intersection kernel the matcher
-    // actually runs (common-neighbor counting via seekable cursors).
-    let (a, b) = (NodeId(0), NodeId(1));
-    let expected = snr_graph::intersect::count_common(g.neighbors(a), g.neighbors(b));
-    let via_shards = snr_graph::intersect::count_common_cursors(
-        sharded.neighbor_cursor(a),
-        sharded.neighbor_cursor(b),
-    );
-    if via_shards != expected {
-        return Err(format!("cursor intersection {via_shards} != {expected}"));
+    // Spot-check edge probes on the mapped shards: every neighbor of the
+    // highest-degree node, plus the first id that is not one.
+    let hub = GraphView::nodes_iter(&g).max_by_key(|&v| g.degree(v)).unwrap_or(NodeId(0));
+    if let Some(&w) = g.neighbors(hub).iter().find(|&&w| !sharded.has_edge(hub, w)) {
+        return Err(format!("edge probe missed {}-{}", hub.0, w.0));
     }
-    println!("  intersections: OK");
+    let absent = GraphView::nodes_iter(&g).find(|&w| !g.has_edge(hub, w));
+    if let Some(w) = absent.filter(|&w| sharded.has_edge(hub, w)) {
+        return Err(format!("edge probe found absent {}-{}", hub.0, w.0));
+    }
+    println!("  edge probes: OK");
     Ok(())
 }
 

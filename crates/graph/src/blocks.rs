@@ -5,18 +5,16 @@
 //! The first element of every block is stored verbatim in a skip array
 //! (`skip_firsts`) together with the byte offset of the block's gap stream
 //! (`skip_bytes`); the remaining elements are LEB128 varint gaps from their
-//! predecessor. [`BlockCursor`] decodes any such layout borrowed as plain
+//! predecessor. [`BlockNeighbors`] decodes any such layout borrowed as plain
 //! slices, which is what lets a memory-mapped segment reuse the exact
-//! decoding (and block-skipping `seek`) path the in-memory representation
-//! uses — zero copies, identical results.
+//! decoding path the in-memory representation uses — zero copies,
+//! identical results.
 
-use crate::intersect::SortedCursor;
 use crate::node::NodeId;
 
 /// Number of adjacency entries per delta-encoded block. Each block costs one
-/// 8-byte skip entry, so larger blocks trade seek granularity for footprint;
-/// 64 keeps the skip overhead at 1/8 byte per entry while a worst-case seek
-/// decodes at most 63 gaps.
+/// 8-byte skip entry, so larger blocks trade the skip arrays' footprint for
+/// longer gap runs; 64 keeps the skip overhead at 1/8 byte per entry.
 pub const BLOCK_SIZE: usize = 64;
 
 /// Appends `v` to `out` as an LEB128 varint.
@@ -82,131 +80,48 @@ pub fn try_read_varint(data: &[u8], mut pos: usize) -> Option<(u32, usize)> {
     }
 }
 
-/// Decoding [`SortedCursor`] over one node's delta-encoded neighbor list.
+/// Iterator over one node's delta-encoded neighbor list.
 ///
-/// The cursor borrows the *global* skip arrays and gap stream and is
-/// positioned on the node's block range `block_lo..block_hi`; `seek` binary-
-/// searches the block first-elements so a probe never decodes more than one
-/// block.
-pub struct BlockCursor<'a> {
+/// Borrows the *global* skip arrays and gap stream and starts at the node's
+/// first block: each block's first element comes from the skip array, the
+/// rest from the varint gaps that follow it.
+pub struct BlockNeighbors<'a> {
     skip_firsts: &'a [u32],
     skip_bytes: &'a [u32],
     data: &'a [u8],
-    /// The node's global block range.
-    block_lo: usize,
-    block_hi: usize,
+    /// Global index of the next block to enter.
+    block: usize,
+    /// Entries yielded so far; exhausted when `pos == total`.
+    pos: usize,
     /// Degree of the node.
     total: usize,
-    /// Index of the current element within the list; exhausted when
-    /// `pos == total`.
-    pos: usize,
-    /// Global index of the block containing `pos`.
-    cur_block: usize,
     /// Next byte to decode within `data`.
     byte_pos: usize,
-    /// Decoded value at `pos` (meaningful only while `pos < total`).
+    /// Last yielded value, the base of the next gap.
     cur: u32,
 }
 
-impl<'a> BlockCursor<'a> {
-    /// A cursor over the list of `total` entries stored in global blocks
-    /// `block_lo..block_hi` of the given skip arrays and gap stream.
+impl<'a> BlockNeighbors<'a> {
+    /// An iterator over the list of `total` entries stored in the global
+    /// blocks starting at `block_lo` of the given skip arrays and gap stream.
     #[inline]
     pub fn new(
         skip_firsts: &'a [u32],
         skip_bytes: &'a [u32],
         data: &'a [u8],
         block_lo: usize,
-        block_hi: usize,
         total: usize,
     ) -> Self {
-        let (cur, byte_pos) = if total == 0 {
-            (0, 0)
-        } else {
-            (skip_firsts[block_lo], skip_bytes[block_lo] as usize)
-        };
-        BlockCursor {
+        BlockNeighbors {
             skip_firsts,
             skip_bytes,
             data,
-            block_lo,
-            block_hi,
-            total,
+            block: block_lo,
             pos: 0,
-            cur_block: block_lo,
-            byte_pos,
-            cur,
+            total,
+            byte_pos: 0,
+            cur: 0,
         }
-    }
-
-    /// Entries not yet yielded (exact; drives `size_hint`).
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.total - self.pos.min(self.total)
-    }
-
-    /// Repositions the cursor at the first element of global block `b`.
-    #[inline]
-    fn jump_to_block(&mut self, b: usize) {
-        self.cur_block = b;
-        self.pos = (b - self.block_lo) * BLOCK_SIZE;
-        self.cur = self.skip_firsts[b];
-        self.byte_pos = self.skip_bytes[b] as usize;
-    }
-}
-
-impl SortedCursor for BlockCursor<'_> {
-    #[inline]
-    fn current(&self) -> Option<NodeId> {
-        (self.pos < self.total).then_some(NodeId(self.cur))
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        if self.pos >= self.total {
-            return;
-        }
-        self.pos += 1;
-        if self.pos >= self.total {
-            return;
-        }
-        if self.pos.is_multiple_of(BLOCK_SIZE) {
-            self.cur_block += 1;
-            self.cur = self.skip_firsts[self.cur_block];
-            self.byte_pos = self.skip_bytes[self.cur_block] as usize;
-        } else {
-            self.cur += read_varint(self.data, &mut self.byte_pos);
-        }
-    }
-
-    fn seek(&mut self, target: NodeId) {
-        if self.pos >= self.total || self.cur >= target.0 {
-            return;
-        }
-        // Binary-search the skip entries of the blocks after the current one
-        // for the last block whose first element is <= target; everything in
-        // earlier blocks is < that first element, so decoding can start
-        // there.
-        let later_firsts = &self.skip_firsts[self.cur_block + 1..self.block_hi];
-        let jump = later_firsts.partition_point(|&f| f <= target.0);
-        if jump > 0 {
-            self.jump_to_block(self.cur_block + jump);
-        }
-        while self.pos < self.total && self.cur < target.0 {
-            self.advance();
-        }
-    }
-}
-
-/// Iterator adapter over [`BlockCursor`].
-pub struct BlockNeighbors<'a> {
-    cursor: BlockCursor<'a>,
-}
-
-impl<'a> BlockNeighbors<'a> {
-    /// Wraps a cursor into an iterator yielding its remaining entries.
-    pub fn new(cursor: BlockCursor<'a>) -> Self {
-        BlockNeighbors { cursor }
     }
 }
 
@@ -215,13 +130,22 @@ impl Iterator for BlockNeighbors<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        let out = self.cursor.current();
-        self.cursor.advance();
-        out
+        if self.pos == self.total {
+            return None;
+        }
+        if self.pos.is_multiple_of(BLOCK_SIZE) {
+            self.cur = self.skip_firsts[self.block];
+            self.byte_pos = self.skip_bytes[self.block] as usize;
+            self.block += 1;
+        } else {
+            self.cur += read_varint(self.data, &mut self.byte_pos);
+        }
+        self.pos += 1;
+        Some(NodeId(self.cur))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.cursor.remaining();
+        let left = self.total - self.pos;
         (left, Some(left))
     }
 }
@@ -254,15 +178,15 @@ mod tests {
     }
 
     #[test]
-    fn cursor_over_hand_built_blocks() {
+    fn decodes_hand_built_blocks() {
         // One list of 3 entries in a single block: [10, 17, 25].
         let skip_firsts = [10u32];
         let skip_bytes = [0u32];
         let mut data = Vec::new();
         write_varint(&mut data, 7);
         write_varint(&mut data, 8);
-        let c = BlockCursor::new(&skip_firsts, &skip_bytes, &data, 0, 1, 3);
-        let decoded: Vec<NodeId> = BlockNeighbors::new(c).collect();
+        let decoded: Vec<NodeId> =
+            BlockNeighbors::new(&skip_firsts, &skip_bytes, &data, 0, 3).collect();
         assert_eq!(decoded, vec![NodeId(10), NodeId(17), NodeId(25)]);
     }
 }

@@ -72,11 +72,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of edge insertions so far (before deduplication).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Whether this builder produces a directed graph.
     pub fn is_directed(&self) -> bool {
         self.directed

@@ -12,12 +12,9 @@
 //!   every block is stored verbatim in a skip array and the rest as
 //!   varint-encoded gaps from their predecessor (see [`crate::blocks`]).
 //!
-//! The skip entries keep the read API competitive with the uncompressed
-//! form: [`GraphView::degree`] is O(1) from the entry offsets, and
-//! [`GraphView::neighbor_cursor`] seeks by binary-searching block first
-//! elements before decoding at most one block — so galloping intersection
-//! ([`crate::intersect::count_common_cursors`]) and `has_edge` never decode
-//! more than `BLOCK_SIZE` gaps.
+//! [`GraphView::degree`] stays O(1) from the entry offsets, and
+//! [`GraphView::neighbors_iter`] decodes a list front to back: each block's
+//! first element from the skip array, the rest from its gaps.
 //!
 //! The same block layout is what the `snr-store` segment format serializes;
 //! [`CompactCsr::from_raw_parts`] / [`CompactCsr::raw_parts`] expose the
@@ -26,10 +23,9 @@
 //! before trusting a deserialized layout.
 
 pub use crate::blocks::BLOCK_SIZE;
-use crate::blocks::{write_varint, BlockCursor, BlockNeighbors};
+use crate::blocks::{write_varint, BlockNeighbors};
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
-use crate::intersect::SortedCursor;
 use crate::node::NodeId;
 use crate::view::GraphView;
 
@@ -331,20 +327,12 @@ impl CompactCsr {
             targets.extend(self.neighbors_iter(NodeId::from_index(v)));
             offsets.push(targets.len());
         }
-        CsrGraph::from_normalized_parts(n, offsets, targets, self.directed)
+        CsrGraph::from_raw_parts(n, offsets, targets, self.directed)
     }
 
     /// Number of delta-encoded blocks (one skip entry each).
     pub fn block_count(&self) -> usize {
         self.skip_firsts.len()
-    }
-
-    fn cursor(&self, v: NodeId) -> BlockCursor<'_> {
-        let i = v.index();
-        let block_lo = self.block_starts[i] as usize;
-        let block_hi = self.block_starts[i + 1] as usize;
-        let total = (self.entry_offsets[i + 1] - self.entry_offsets[i]) as usize;
-        BlockCursor::new(&self.skip_firsts, &self.skip_bytes, &self.data, block_lo, block_hi, total)
     }
 }
 
@@ -381,11 +369,13 @@ impl GraphView for CompactCsr {
     }
 
     fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        BlockNeighbors::new(self.cursor(v))
-    }
-
-    fn neighbor_cursor(&self, v: NodeId) -> impl SortedCursor + '_ {
-        self.cursor(v)
+        BlockNeighbors::new(
+            &self.skip_firsts,
+            &self.skip_bytes,
+            &self.data,
+            self.block_starts[v.index()] as usize,
+            self.degree(v),
+        )
     }
 
     fn memory_bytes(&self) -> usize {
@@ -409,7 +399,6 @@ impl CsrGraph {
 mod tests {
     use super::*;
     use crate::blocks::read_varint;
-    use crate::intersect::{count_common, count_common_cursors};
 
     fn assert_same_graph(csr: &CsrGraph, compact: &CompactCsr) {
         assert_eq!(GraphView::node_count(csr), compact.node_count());
@@ -455,39 +444,15 @@ mod tests {
     }
 
     #[test]
-    fn cursor_seek_skips_blocks() {
+    fn has_edge_finds_entries_past_the_first_block() {
         let edges: Vec<(u32, u32)> = (1..=1000u32).map(|i| (0, i * 7)).collect();
         let csr = CsrGraph::from_edges(7_001, &edges);
         let compact = csr.compact();
-        let mut c = compact.neighbor_cursor(NodeId(0));
-        c.seek(NodeId(3_500));
-        assert_eq!(c.current(), Some(NodeId(3_500)));
-        c.seek(NodeId(6_999));
-        assert_eq!(c.current(), Some(NodeId(7_000)));
-        c.seek(NodeId(7_001));
-        assert_eq!(c.current(), None);
-        // has_edge goes through the same path.
         assert!(compact.has_edge(NodeId(0), NodeId(700)));
+        assert!(compact.has_edge(NodeId(0), NodeId(7_000)));
         assert!(!compact.has_edge(NodeId(0), NodeId(701)));
-    }
-
-    #[test]
-    fn cursor_intersection_matches_slice_intersection() {
-        let e1: Vec<(u32, u32)> = (1..=500u32).map(|i| (0, i * 3)).collect();
-        let e2: Vec<(u32, u32)> = (1..=500u32).map(|i| (0, i * 5)).collect();
-        let g1 = CsrGraph::from_edges(3_000, &e1);
-        let g2 = CsrGraph::from_edges(3_000, &e2);
-        let (c1, c2) = (g1.compact(), g2.compact());
-        let expected = count_common(g1.neighbors(NodeId(0)), g2.neighbors(NodeId(0)));
-        assert_eq!(
-            count_common_cursors(c1.neighbor_cursor(NodeId(0)), c2.neighbor_cursor(NodeId(0))),
-            expected
-        );
-        // Mixed representations intersect too.
-        assert_eq!(
-            count_common_cursors(g1.neighbor_cursor(NodeId(0)), c2.neighbor_cursor(NodeId(0))),
-            expected
-        );
+        assert!(!compact.has_edge(NodeId(0), NodeId(7_001)));
+        assert!(compact.has_edge(NodeId(3_500), NodeId(0)));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Immutable compressed-sparse-row graph storage.
 
-use crate::intersect::SliceCursor;
 use crate::node::{Edge, NodeId};
 use crate::view::GraphView;
 use serde::{Deserialize, Serialize};
@@ -8,9 +7,8 @@ use serde::{Deserialize, Serialize};
 /// An immutable graph stored in compressed sparse row (CSR) form.
 ///
 /// Neighbor lists are sorted and deduplicated, so
-/// * `neighbors(v)` is a sorted slice usable with binary search and
-///   merge-based set intersection (the kernel of similarity-witness
-///   counting), and
+/// * `has_edge` is a binary search over the sorted slice `neighbors(u)`,
+///   and
 /// * `degree(v)` is an O(1) subtraction of two offsets.
 ///
 /// For undirected graphs each edge `{u, v}` is stored twice (once per
@@ -44,7 +42,7 @@ impl CsrGraph {
 
         // Fast path: when the offsets start at 0 and every neighbor range is
         // already strictly increasing (sorted and duplicate-free), reuse the
-        // arrays as-is. The binary deserializer and several generator
+        // arrays as-is. `CompactCsr::to_csr` and several generator
         // builders emit normalized ranges, and skipping the rebuild avoids a
         // second full-size `targets` allocation on multi-gigabyte graphs.
         // The `offsets[0] == 0` check matters: a nonzero first offset leaves
@@ -181,30 +179,6 @@ impl CsrGraph {
     pub fn total_degree(&self) -> usize {
         self.targets.len()
     }
-
-    /// Number of nodes with degree at least `d`.
-    pub fn nodes_with_degree_at_least(&self, d: usize) -> usize {
-        self.nodes().filter(|&v| self.degree(v) >= d).count()
-    }
-
-    /// Borrows the raw CSR arrays `(offsets, targets)`; exposed for the
-    /// binary serializer and for zero-copy consumers.
-    pub fn raw(&self) -> (&[usize], &[NodeId]) {
-        (&self.offsets, &self.targets)
-    }
-
-    /// Reconstructs a graph from already-normalized CSR arrays (sorted,
-    /// deduplicated neighbor ranges). Used by the binary deserializer.
-    pub fn from_normalized_parts(
-        node_count: usize,
-        offsets: Vec<usize>,
-        targets: Vec<NodeId>,
-        directed: bool,
-    ) -> Self {
-        // The normalizing constructor's fast path verifies the input really
-        // is normalized and reuses the arrays without copying.
-        CsrGraph::from_raw_parts(node_count, offsets, targets, directed)
-    }
 }
 
 impl GraphView for CsrGraph {
@@ -241,17 +215,6 @@ impl GraphView for CsrGraph {
     #[inline]
     fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.neighbors(v).iter().copied()
-    }
-
-    #[inline]
-    fn neighbor_cursor(&self, v: NodeId) -> impl crate::intersect::SortedCursor + '_ {
-        SliceCursor::new(self.neighbors(v))
-    }
-
-    #[inline]
-    fn neighbors_into(&self, v: NodeId, buf: &mut Vec<NodeId>) {
-        buf.clear();
-        buf.extend_from_slice(self.neighbors(v));
     }
 
     #[inline]
@@ -322,23 +285,15 @@ mod tests {
     }
 
     #[test]
-    fn nodes_with_degree_at_least_counts_correctly() {
-        let g = path_graph(5);
-        assert_eq!(g.nodes_with_degree_at_least(1), 5);
-        assert_eq!(g.nodes_with_degree_at_least(2), 3);
-        assert_eq!(g.nodes_with_degree_at_least(3), 0);
-    }
-
-    #[test]
     fn normalized_input_is_reused_without_reallocation() {
         let g = CsrGraph::from_edges(6, &[(0, 1), (0, 3), (1, 2), (2, 3), (4, 5)]);
-        let (offsets, targets) = g.raw();
-        let (offsets, targets) = (offsets.to_vec(), targets.to_vec());
+        let offsets = g.offsets.clone();
+        let targets = g.targets.clone();
         let target_ptr = targets.as_ptr();
-        let g2 = CsrGraph::from_normalized_parts(g.node_count(), offsets, targets, false);
+        let g2 = CsrGraph::from_raw_parts(g.node_count(), offsets, targets, false);
         assert_eq!(g2, g);
         // The fast path must hand back the same allocation, not a copy.
-        assert_eq!(g2.raw().1.as_ptr(), target_ptr);
+        assert_eq!(g2.targets.as_ptr(), target_ptr);
     }
 
     #[test]

@@ -1,18 +1,12 @@
-//! Graph serialization: whitespace-separated edge lists (the format every
-//! public social-network dataset in the paper ships in) and a compact binary
-//! format for caching generated graphs between experiment runs.
+//! Graph serialization as whitespace-separated edge lists, the format every
+//! public social-network dataset in the paper ships in. The binary format is
+//! the `snr-store` segment.
 
 use crate::builder::GraphBuilder;
 use crate::csr::CsrGraph;
 use crate::error::GraphError;
 use crate::node::NodeId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{BufRead, Write};
-
-/// Magic bytes identifying the binary graph format.
-const MAGIC: &[u8; 4] = b"SNRG";
-/// Current binary format version.
-const VERSION: u8 = 1;
 
 /// Writes `g` as a text edge list: one `u v` pair per line, undirected edges
 /// once each, preceded by a `# nodes=<n>` header so isolated nodes survive a
@@ -85,70 +79,6 @@ pub fn read_edge_list<R: BufRead>(r: R) -> Result<CsrGraph, GraphError> {
     builder.reserve_edges(edges.len());
     builder.extend_edges(edges);
     Ok(builder.build())
-}
-
-/// Serializes `g` into the compact binary format.
-///
-/// Layout: magic, version, directed flag, node count (u64), adjacency length
-/// (u64), offsets as u64 deltas… actually offsets as u64 values, then targets
-/// as u32 values. All little-endian.
-pub fn to_bytes(g: &CsrGraph) -> Bytes {
-    let (offsets, targets) = g.raw();
-    let mut buf = BytesMut::with_capacity(4 + 2 + 16 + offsets.len() * 8 + targets.len() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(g.is_directed() as u8);
-    buf.put_u64_le(g.node_count() as u64);
-    buf.put_u64_le(targets.len() as u64);
-    for &o in offsets {
-        buf.put_u64_le(o as u64);
-    }
-    for &t in targets {
-        buf.put_u32_le(t.0);
-    }
-    buf.freeze()
-}
-
-/// Deserializes a graph written by [`to_bytes`].
-pub fn from_bytes(mut data: &[u8]) -> Result<CsrGraph, GraphError> {
-    if data.len() < 4 + 2 + 16 {
-        return Err(GraphError::InvalidBinary("payload too small for header".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(GraphError::InvalidBinary("bad magic bytes".into()));
-    }
-    let version = data.get_u8();
-    if version != VERSION {
-        return Err(GraphError::InvalidBinary(format!("unsupported version {version}")));
-    }
-    let directed = data.get_u8() != 0;
-    let node_count = data.get_u64_le() as usize;
-    let target_len = data.get_u64_le() as usize;
-    let need = (node_count + 1) * 8 + target_len * 4;
-    if data.remaining() < need {
-        return Err(GraphError::InvalidBinary(format!(
-            "payload truncated: need {need} more bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let mut offsets = Vec::with_capacity(node_count + 1);
-    for _ in 0..=node_count {
-        offsets.push(data.get_u64_le() as usize);
-    }
-    if *offsets.last().unwrap_or(&0) != target_len || offsets[0] != 0 {
-        return Err(GraphError::InvalidBinary("inconsistent offset array".into()));
-    }
-    let mut targets = Vec::with_capacity(target_len);
-    for _ in 0..target_len {
-        let t = data.get_u32_le();
-        if t as usize >= node_count {
-            return Err(GraphError::InvalidBinary(format!("target {t} out of range")));
-        }
-        targets.push(NodeId(t));
-    }
-    Ok(CsrGraph::from_normalized_parts(node_count, offsets, targets, directed))
 }
 
 #[cfg(test)]
@@ -247,60 +177,7 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn binary_roundtrip() {
-        let g = sample();
-        let bytes = to_bytes(&g);
-        let g2 = from_bytes(&bytes).unwrap();
-        assert_eq!(g, g2);
-    }
-
-    #[test]
-    fn binary_roundtrip_directed_and_empty() {
-        let mut b = GraphBuilder::directed(3);
-        b.add_edge(NodeId(0), NodeId(2));
-        let g = b.build();
-        let g2 = from_bytes(&to_bytes(&g)).unwrap();
-        assert_eq!(g, g2);
-
-        let empty = CsrGraph::from_edges(0, &[]);
-        let e2 = from_bytes(&to_bytes(&empty)).unwrap();
-        assert_eq!(empty, e2);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let g = sample();
-        let mut bytes = to_bytes(&g).to_vec();
-        bytes[0] = b'X';
-        assert!(matches!(from_bytes(&bytes), Err(GraphError::InvalidBinary(_))));
-    }
-
-    #[test]
-    fn binary_rejects_truncation() {
-        let g = sample();
-        let bytes = to_bytes(&g);
-        for cut in [0, 3, 10, bytes.len() - 1] {
-            assert!(from_bytes(&bytes[..cut]).is_err(), "cut at {cut} should fail");
-        }
-    }
-
-    #[test]
-    fn binary_rejects_wrong_version() {
-        let g = sample();
-        let mut bytes = to_bytes(&g).to_vec();
-        bytes[4] = 99;
-        assert!(from_bytes(&bytes).is_err());
-    }
-
     proptest::proptest! {
-        #[test]
-        fn binary_roundtrip_random_graphs(edges in proptest::collection::vec((0u32..40, 0u32..40), 0..200)) {
-            let g = CsrGraph::from_edges(40, &edges);
-            let g2 = from_bytes(&to_bytes(&g)).unwrap();
-            proptest::prop_assert_eq!(g, g2);
-        }
-
         #[test]
         fn edge_list_roundtrip_random_graphs(edges in proptest::collection::vec((0u32..25, 0u32..25), 0..100)) {
             let g = CsrGraph::from_edges(25, &edges);

@@ -9,8 +9,10 @@
 //!
 //! * degree of a node,
 //! * iteration over the (sorted) neighbor list of a node,
-//! * counting common neighbors of two nodes (one per copy),
 //! * global statistics (maximum degree drives the degree-bucketing schedule).
+//!
+//! Similarity witnesses are counted row by row from those lists (the
+//! score arena in `snr-core`); no phase intersects two adjacency lists.
 //!
 //! That read-only surface is captured by the [`GraphView`] trait, with two
 //! interchangeable implementations:
@@ -22,7 +24,7 @@
 //!   mirroring).
 //! * [`CompactCsr`] — the same graph in roughly half the memory: `u32`
 //!   offsets and delta-encoded varint neighbor blocks with per-block skip
-//!   entries, so degrees stay O(1) and seeks stay sublinear. Convert with
+//!   entries, so degrees stay O(1). Convert with
 //!   [`CsrGraph::compact`] / [`CompactCsr::to_csr`]; pick it when the
 //!   working set (two copies plus ground truth) is what stops an experiment
 //!   from fitting in memory.
@@ -34,9 +36,8 @@
 //!
 //! The crate also ships the supporting pieces a downstream user of the
 //! library needs: degree statistics ([`stats`]), induced subgraphs
-//! ([`subgraph`]), text and binary serialization ([`io`])
-//! and the sorted-slice intersection kernels ([`intersect`]) that make
-//! similarity-witness counting cheap — all generic over [`GraphView`].
+//! ([`subgraph`]) and text edge-list serialization ([`io`]), all generic
+//! over [`GraphView`].
 //!
 //! ## Example
 //!
@@ -53,10 +54,7 @@
 //! assert_eq!(g.node_count(), 4);
 //! assert_eq!(g.edge_count(), 4);
 //! assert_eq!(g.degree(NodeId(2)), 3);
-//! assert_eq!(
-//!     snr_graph::intersect::count_common(g.neighbors(NodeId(0)), g.neighbors(NodeId(1))),
-//!     1 // node 2 is the only common neighbor of 0 and 1
-//! );
+//! assert_eq!(g.neighbors(NodeId(0)), &[NodeId(1), NodeId(2)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,7 +65,6 @@ pub mod builder;
 pub mod compact;
 pub mod csr;
 pub mod error;
-pub mod intersect;
 pub mod io;
 pub mod node;
 pub mod stats;

@@ -66,18 +66,6 @@ pub fn degree_histogram<G: GraphView>(g: &G) -> Vec<usize> {
     hist
 }
 
-/// Complementary cumulative degree distribution: `ccdf[d]` is the number of
-/// nodes with degree `>= d`. Length is `max_degree + 2` so that the final
-/// entry is always zero.
-pub fn degree_ccdf<G: GraphView>(g: &G) -> Vec<usize> {
-    let hist = degree_histogram(g);
-    let mut ccdf = vec![0usize; hist.len() + 1];
-    for d in (0..hist.len()).rev() {
-        ccdf[d] = ccdf[d + 1] + hist[d];
-    }
-    ccdf
-}
-
 /// Estimates the exponent of a power-law degree distribution via the
 /// maximum-likelihood (Hill) estimator over nodes with degree `>= d_min`.
 ///
@@ -183,19 +171,6 @@ mod tests {
         assert_eq!(hist.iter().sum::<usize>(), 8);
         assert_eq!(hist[1], 7);
         assert_eq!(hist[7], 1);
-    }
-
-    #[test]
-    fn ccdf_is_monotone_nonincreasing() {
-        let g = star(8);
-        let ccdf = degree_ccdf(&g);
-        assert_eq!(ccdf[0], 8);
-        assert_eq!(*ccdf.last().unwrap(), 0);
-        for w in ccdf.windows(2) {
-            assert!(w[0] >= w[1]);
-        }
-        assert_eq!(ccdf[1], 8); // every node has degree >= 1
-        assert_eq!(ccdf[2], 1); // only the hub has degree >= 2
     }
 
     #[test]

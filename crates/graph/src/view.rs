@@ -14,7 +14,6 @@
 //! [`crate::GraphBuilder`] and the conversion routines
 //! ([`crate::CsrGraph::compact`], [`crate::CompactCsr::to_csr`]).
 
-use crate::intersect::SortedCursor;
 use crate::node::{Edge, NodeId};
 
 /// Read-only view of an immutable graph with sorted, deduplicated neighbor
@@ -50,31 +49,14 @@ pub trait GraphView {
     /// Sorted, deduplicated neighbors of `v`.
     fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_;
 
-    /// A seekable [`SortedCursor`] over the neighbors of `v`, for
-    /// intersection kernels that want to skip forward sublinearly.
-    fn neighbor_cursor(&self, v: NodeId) -> impl SortedCursor + '_;
-
-    /// Decodes the neighbors of `v` into `buf`, clearing it first.
-    ///
-    /// Equivalent to collecting [`GraphView::neighbors_iter`], but lets hot
-    /// per-phase loops reuse one allocation across many nodes — the witness
-    /// kernels decode thousands of (possibly block-compressed) lists per
-    /// phase and would otherwise allocate per node. Implementations with
-    /// contiguous storage override this with a memcpy.
-    fn neighbors_into(&self, v: NodeId, buf: &mut Vec<NodeId>) {
-        buf.clear();
-        buf.extend(self.neighbors_iter(v));
-    }
-
     /// Heap bytes used by the adjacency structure (offset/skip arrays plus
     /// target storage; excludes the constant-size header).
     fn memory_bytes(&self) -> usize;
 
-    /// True if `{u, v}` (or `u -> v` for directed graphs) is an edge.
+    /// True if `{u, v}` (or `u -> v` for directed graphs) is an edge. The
+    /// default scans `u`'s ascending list up to `v`.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let mut c = self.neighbor_cursor(u);
-        c.seek(v);
-        c.current() == Some(v)
+        self.neighbors_iter(u).find(|&x| x >= v) == Some(v)
     }
 
     /// Iterator over all node ids.
@@ -91,11 +73,6 @@ pub trait GraphView {
                 .filter(move |&v| directed || u.0 <= v.0)
                 .map(move |v| Edge::new(u, v))
         })
-    }
-
-    /// Number of nodes with degree at least `d`.
-    fn nodes_with_degree_at_least(&self, d: usize) -> usize {
-        self.nodes_iter().filter(|&v| self.degree(v) >= d).count()
     }
 
     /// Memory footprint per logical edge — the figure of merit for the
@@ -164,15 +141,5 @@ mod tests {
         assert!(GraphView::has_edge(&g, NodeId(1), NodeId(5)));
         assert!(!GraphView::has_edge(&g, NodeId(0), NodeId(3)));
         assert_eq!(g.neighbors_iter(NodeId(1)).collect::<Vec<_>>(), g.neighbors(NodeId(1)));
-    }
-
-    #[test]
-    fn default_has_edge_goes_through_the_cursor() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        let mut c = g.neighbor_cursor(NodeId(0));
-        c.seek(NodeId(2));
-        assert_eq!(c.current(), Some(NodeId(2)));
-        c.advance();
-        assert_eq!(c.current(), Some(NodeId(3)));
     }
 }

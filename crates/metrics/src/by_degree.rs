@@ -10,7 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 use snr_core::Linking;
-use snr_graph::NodeId;
 use snr_sampling::RealizationPair;
 
 /// Precision / recall within one degree bucket.
@@ -112,12 +111,6 @@ pub fn degree_curve(
         }
     }
     buckets
-}
-
-/// Convenience: the degree (min over the two copies) of a correct pair, used
-/// by experiments to pick sensible bucket bounds.
-pub fn pair_degree(pair: &RealizationPair, u1: NodeId, u2: NodeId) -> usize {
-    pair.g1.degree(u1).min(pair.g2.degree(u2))
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 use snr_core::Linking;
-use snr_graph::NodeId;
 use snr_sampling::{GroundTruth, RealizationPair};
 
 /// The outcome of comparing a set of identification links against ground
@@ -89,15 +88,6 @@ impl Evaluation {
         }
     }
 
-    /// Recall over the matchable nodes counting only non-seed links.
-    pub fn new_recall(&self) -> f64 {
-        if self.matchable == 0 {
-            0.0
-        } else {
-            self.new_good as f64 / self.matchable as f64
-        }
-    }
-
     /// F1 score of precision (over new links) and recall (over matchable).
     pub fn f1(&self) -> f64 {
         let p = self.precision();
@@ -110,14 +100,10 @@ impl Evaluation {
     }
 }
 
-/// Convenience: count how many pairs of an explicit list are correct.
-pub fn count_correct(truth: &GroundTruth, pairs: &[(NodeId, NodeId)]) -> usize {
-    pairs.iter().filter(|&&(u1, u2)| truth.is_correct(u1, u2)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snr_graph::NodeId;
 
     fn truth() -> GroundTruth {
         // 5 nodes, identity correspondence.
@@ -171,14 +157,6 @@ mod tests {
     fn zero_matchable_gives_zero_recall() {
         let eval = Evaluation::score_against(&truth(), 0, &links_with(&[(0, 0)]), 0);
         assert_eq!(eval.recall(), 0.0);
-        assert_eq!(eval.new_recall(), 0.0);
-    }
-
-    #[test]
-    fn count_correct_helper() {
-        let pairs = vec![(NodeId(0), NodeId(0)), (NodeId(1), NodeId(2))];
-        assert_eq!(count_correct(&truth(), &pairs), 1);
-        assert_eq!(count_correct(&truth(), &[]), 0);
     }
 
     #[test]

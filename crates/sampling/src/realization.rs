@@ -31,20 +31,6 @@ impl RealizationPair {
             .filter(|&(u1, u2)| self.g1.degree(u1) >= 1 && self.g2.degree(u2) >= 1)
             .count()
     }
-
-    /// Number of matchable nodes (degree ≥ 1 in both copies) whose degree in
-    /// the *intersection* of the two copies is strictly greater than `d`.
-    /// Used for the per-degree recall curves of Figure 4.
-    pub fn matchable_nodes_above_degree(&self, d: usize) -> usize {
-        self.truth
-            .correct_pairs()
-            .filter(|&(u1, u2)| {
-                self.g1.degree(u1) >= 1
-                    && self.g2.degree(u2) >= 1
-                    && self.g1.degree(u1).min(self.g2.degree(u2)) > d
-            })
-            .count()
-    }
 }
 
 /// Builds a [`RealizationPair`] from two edge subsets expressed in
@@ -135,8 +121,6 @@ mod tests {
         let e2 = edges(&[(0, 1)]);
         let pair = pair_from_edge_subsets(4, &e1, &e2, &mut rng);
         assert_eq!(pair.matchable_nodes(), 2); // only nodes 0 and 1
-        assert_eq!(pair.matchable_nodes_above_degree(0), 2);
-        assert_eq!(pair.matchable_nodes_above_degree(1), 0);
     }
 
     #[test]

@@ -73,13 +73,6 @@ impl Banding {
         self.bands * self.rows
     }
 
-    /// Collision probability of a pair with Jaccard similarity `j`:
-    /// `1 − (1 − j^r)^b`. Useful for choosing `(b, r)` against a target
-    /// recall.
-    pub fn collision_probability(&self, j: f64) -> f64 {
-        1.0 - (1.0 - j.powi(self.rows as i32)).powi(self.bands as i32)
-    }
-
     /// The band keys of each representative's signature, band-major:
     /// `keys[band * reps.len() + c]` folds band `band` of `reps[c]`'s
     /// signature through [`mix64`], from a per-band seed. Signatures
@@ -371,15 +364,6 @@ mod tests {
         let proposals = propose_pairs(&banding, &left, &right);
         assert_eq!(proposals.pairs, vec![(1, 5), (2, 5)]);
         assert!(proposals.raw_collisions >= proposals.pairs.len() as u64);
-    }
-
-    #[test]
-    fn collision_probability_is_the_s_curve() {
-        let banding = Banding::new(16, 4);
-        assert!(banding.collision_probability(0.9) > 0.99);
-        assert!(banding.collision_probability(0.05) < 0.001);
-        assert!(banding.collision_probability(0.0) == 0.0);
-        assert!((banding.collision_probability(1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   arena scorer in `snr-core`) can align worker row ranges with storage.
 //!
 //! Both views decode neighbor lists through the exact
-//! [`snr_graph::blocks::BlockCursor`] path the in-memory representation
-//! uses, so every consumer of [`GraphView`] — witness counting on any
+//! [`snr_graph::blocks::BlockNeighbors`] iterator the in-memory
+//! representation uses, so every consumer of [`GraphView`] — witness counting on any
 //! backend, matching, sampling, experiments — produces bit-for-bit
 //! identical results on them (`tests/backend_equivalence.rs` at the
 //! workspace root pins this).

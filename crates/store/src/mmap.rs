@@ -5,9 +5,9 @@
 //! and checksum once (a single sequential scan of the file), and then serves
 //! every read straight from the mapped pages: degrees are two `u32` loads
 //! from the mapped entry-offset array, and neighbor lists decode through the
-//! same [`snr_graph::blocks::BlockCursor`] the in-memory [`CompactCsr`]
-//! uses — identical traversal order, identical intersection results, no
-//! per-open copy of the adjacency. Resident memory is whatever subset of
+//! same [`snr_graph::blocks::BlockNeighbors`] the in-memory [`CompactCsr`]
+//! uses — identical lists in identical order, no per-open copy of the
+//! adjacency. Resident memory is whatever subset of
 //! the file the kernel keeps cached, so graphs bigger than RAM stay
 //! runnable.
 //!
@@ -18,9 +18,8 @@ use crate::segment::{
     invalid, parse_segment_structure, Layout, SegmentMeta, FOOTER_LEN, HEADER_LEN,
 };
 use memmap2::{Advice, Mmap};
-use snr_graph::blocks::{BlockCursor, BlockNeighbors};
+use snr_graph::blocks::BlockNeighbors;
 use snr_graph::compact::validate_parts_with;
-use snr_graph::intersect::SortedCursor;
 use snr_graph::{GraphError, GraphView, NodeId};
 use std::fs::File;
 use std::path::Path;
@@ -151,23 +150,6 @@ impl MmapGraph {
     fn block_starts(&self) -> &[u32] {
         u32_slice(&self.map[self.layout.block_starts.clone()])
     }
-
-    fn cursor(&self, v: NodeId) -> BlockCursor<'_> {
-        let i = v.index();
-        let entry_offsets = self.entry_offsets();
-        let block_starts = self.block_starts();
-        let block_lo = block_starts[i] as usize;
-        let block_hi = block_starts[i + 1] as usize;
-        let total = (entry_offsets[i + 1] - entry_offsets[i]) as usize;
-        BlockCursor::new(
-            u32_slice(&self.map[self.layout.skip_firsts.clone()]),
-            u32_slice(&self.map[self.layout.skip_bytes.clone()]),
-            &self.map[self.layout.data.clone()],
-            block_lo,
-            block_hi,
-            total,
-        )
-    }
 }
 
 impl GraphView for MmapGraph {
@@ -203,11 +185,13 @@ impl GraphView for MmapGraph {
     }
 
     fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        BlockNeighbors::new(self.cursor(v))
-    }
-
-    fn neighbor_cursor(&self, v: NodeId) -> impl SortedCursor + '_ {
-        self.cursor(v)
+        BlockNeighbors::new(
+            u32_slice(&self.map[self.layout.skip_firsts.clone()]),
+            u32_slice(&self.map[self.layout.skip_bytes.clone()]),
+            &self.map[self.layout.data.clone()],
+            self.block_starts()[v.index()] as usize,
+            self.degree(v),
+        )
     }
 
     /// Mapped bytes of the adjacency payload (index arrays + gap stream) —
@@ -277,7 +261,6 @@ impl GraphView for MmapGraph {
 mod tests {
     use super::*;
     use crate::segment::{write_segment, write_segment_range};
-    use snr_graph::intersect::count_common_cursors;
     use snr_graph::CsrGraph;
     use std::io::Write as _;
     use std::path::PathBuf;
@@ -314,17 +297,12 @@ mod tests {
                 "neighbors of {v:?}"
             );
         }
-        // Cursor intersection against the uncompressed form agrees.
-        let expected =
-            snr_graph::intersect::count_common(g.neighbors(NodeId(0)), g.neighbors(NodeId(1)));
-        assert_eq!(
-            count_common_cursors(m.neighbor_cursor(NodeId(0)), m.neighbor_cursor(NodeId(1))),
-            expected
-        );
-        assert_eq!(
-            count_common_cursors(g.neighbor_cursor(NodeId(0)), m.neighbor_cursor(NodeId(1))),
-            expected
-        );
+        // Edge probes agree with the uncompressed form on every pair.
+        for u in GraphView::nodes_iter(&g) {
+            for v in GraphView::nodes_iter(&g) {
+                assert_eq!(m.has_edge(u, v), g.has_edge(u, v), "edge {u:?}-{v:?}");
+            }
+        }
         assert!(m.memory_bytes() <= m.file_len());
         std::fs::remove_file(&path).unwrap();
     }

@@ -13,7 +13,6 @@
 use crate::mmap::MmapGraph;
 use crate::segment::{write_segment_range, SegmentMeta};
 use rayon::prelude::*;
-use snr_graph::intersect::SortedCursor;
 use snr_graph::{CompactCsr, GraphError, GraphView, NodeId};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -252,16 +251,6 @@ impl<S: GraphView> GraphView for ShardedGraph<S> {
         self.shards[k].neighbors_iter(local)
     }
 
-    fn neighbor_cursor(&self, v: NodeId) -> impl SortedCursor + '_ {
-        let (k, local) = self.locate(v);
-        self.shards[k].neighbor_cursor(local)
-    }
-
-    fn neighbors_into(&self, v: NodeId, buf: &mut Vec<NodeId>) {
-        let (k, local) = self.locate(v);
-        self.shards[k].neighbors_into(local, buf);
-    }
-
     fn memory_bytes(&self) -> usize {
         self.starts.len() * std::mem::size_of::<u32>()
             + self.shards.iter().map(|s| s.memory_bytes()).sum::<usize>()
@@ -333,10 +322,6 @@ impl<G: GraphView> GraphView for RowRange<'_, G> {
         self.g.neighbors_iter(self.global(v))
     }
 
-    fn neighbor_cursor(&self, v: NodeId) -> impl SortedCursor + '_ {
-        self.g.neighbor_cursor(self.global(v))
-    }
-
     fn memory_bytes(&self) -> usize {
         0 // a borrow owns nothing
     }
@@ -367,6 +352,9 @@ mod tests {
                 g.neighbors(v).to_vec(),
                 "neighbors of {v:?}"
             );
+            for w in GraphView::nodes_iter(g) {
+                assert_eq!(sharded.has_edge(v, w), g.has_edge(v, w), "edge {v:?}-{w:?}");
+            }
         }
     }
 

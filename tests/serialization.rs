@@ -1,13 +1,14 @@
-//! Serialization round-trips across crate boundaries: graphs written by the
-//! graph crate and read back for reconciliation, experiment records, and the
-//! dataset proxies' determinism guarantees.
+//! Serialization round-trips across crate boundaries: graphs written as
+//! edge lists and as store segments and read back for reconciliation,
+//! experiment records, and the dataset proxies' determinism guarantees.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use social_reconcile::experiments::datasets::{facebook_like, Scale};
-use social_reconcile::graph::io::{from_bytes, read_edge_list, to_bytes, write_edge_list};
+use social_reconcile::graph::io::{read_edge_list, write_edge_list};
 use social_reconcile::metrics::{ExperimentRecord, MeasuredRow};
 use social_reconcile::prelude::*;
+use social_reconcile::store::{read_segment, write_segment};
 
 #[test]
 fn graph_edge_list_roundtrip_through_a_file() {
@@ -35,10 +36,15 @@ fn graph_binary_roundtrip_preserves_reconciliation_results() {
     let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
     let seeds = sample_seeds(&pair, 0.10, &mut rng).unwrap();
 
-    // Serialize both copies, deserialize, and check the matcher produces the
-    // identical link set on the round-tripped graphs.
-    let g1 = from_bytes(&to_bytes(&pair.g1)).unwrap();
-    let g2 = from_bytes(&to_bytes(&pair.g2)).unwrap();
+    // Write both copies as segments, read them back, and check the matcher
+    // produces the identical link set on the round-tripped graphs.
+    let roundtrip = |g: &CsrGraph| {
+        let mut bytes = Vec::new();
+        write_segment(g, &mut bytes).unwrap();
+        read_segment(bytes.as_slice()).unwrap().1.to_csr()
+    };
+    let g1 = roundtrip(&pair.g1);
+    let g2 = roundtrip(&pair.g2);
     assert_eq!(g1, pair.g1);
     assert_eq!(g2, pair.g2);
 
