@@ -104,7 +104,7 @@ where
 /// only, no sink) and extrapolates the touched-entry count; deterministic,
 /// and costs roughly `mass / 256` bumps — a fraction of a percent of the
 /// scan it predicts on the phases where the prediction matters.
-pub fn estimate_scored_pairs<G1>(g1: &G1, cache: &LinkCache, candidates: &[u32], n2: usize) -> u64
+pub fn estimate_scored_pairs<G1>(g1: &G1, cache: &LinkCache, candidates: &[u32]) -> u64
 where
     G1: GraphView,
 {
@@ -112,7 +112,7 @@ where
         return 0;
     }
     let stride = candidates.len().div_ceil(SCORED_SAMPLE_ROWS).max(1);
-    let mut arena = ScoreArena::new(n2);
+    let mut arena = ScoreArena::new(cache.eligible_count());
     let mut rows = 0u64;
     let mut scored = 0u64;
     let mut i = 0usize;
@@ -186,7 +186,7 @@ where
     let blocked = cache.as_ref().is_none_or(|cache| {
         should_block(phase_mass(g1, cache, candidates1), candidates1.len(), mass_floor)
             && should_block(
-                estimate_scored_pairs(g1, cache, candidates1, n2),
+                estimate_scored_pairs(g1, cache, candidates1),
                 candidates1.len(),
                 mass_floor,
             )
@@ -626,10 +626,8 @@ mod tests {
         let c1: Vec<u32> = collect_candidates(&g1, &links, d).into_iter().take(48).collect();
         let c2 = eligible2(&g2, &links, d);
         let cache = LinkCache::build(&g2, &links, d);
-        let (mass, scored) = (
-            phase_mass(&g1, &cache, &c1),
-            estimate_scored_pairs(&g1, &cache, &c1, g2.node_count()),
-        );
+        let (mass, scored) =
+            (phase_mass(&g1, &cache, &c1), estimate_scored_pairs(&g1, &cache, &c1));
         assert!(
             should_block(mass, c1.len(), floor) && should_block(scored, c1.len(), floor),
             "the gate keeps this phase exact: mass {mass}, ~{scored} scored pairs"

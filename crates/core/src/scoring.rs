@@ -18,8 +18,16 @@
 //!   `CompactCsr` gap) and no hashing. The build decodes whichever side
 //!   holds fewer adjacency entries: the linked rows, or, by transposition,
 //!   the eligible ones ("degree at least `min_deg2` and not yet linked").
+//! * **Rank space.** The build also gives the phase's eligible copy-2 nodes
+//!   dense ranks, `⌊log₂ degree⌋` descending and then ascending id, and the
+//!   lists hold ranks. Most bumps land on the few high-degree nodes, which
+//!   now share the first cache lines of every arena and sink, and those are
+//!   sized to the eligible count instead of `n2`. A rank-space sink is
+//!   translated to node ids exactly once, at its executor's boundary (see
+//!   below); ties abstain, so the relabelling changes no selection and no
+//!   count.
 //! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
-//!   scratch: one packed `u64` cell per copy-2 node holding
+//!   scratch: one packed `u64` cell per rank holding
 //!   `(stamp << 32) | score`, plus the `touched` list. Starting a row is
 //!   O(1) (bump the epoch), and a contribution is one read-modify-write of
 //!   one cell — one random cache line per witness, where separate stamp and
@@ -77,13 +85,20 @@
 //!
 //! # One entry point per executor
 //!
+//! Each takes and returns copy-2 node ids; where it scores, it translates
+//! from ranks once:
+//!
 //! * [`fused_phase_on`] — in-process, sequential or rayon (builds the
 //!   phase's [`LinkCache`], then runs [`score_phase_cached`]);
 //! * [`score_phase_cached`] — the same over a caller-built cache (the
-//!   adaptive blocking gate's exact arm);
+//!   adaptive blocking gate's exact arm); the merged rank-space sink is
+//!   absorbed into the caller's node-id sink;
 //! * [`score_assigned_rows`] — one row range, the distributed driver's
-//!   worker kernel;
+//!   worker kernel; the range's rank-space sink is absorbed into the
+//!   caller's sink before the worker ships its [`SinkClaims`];
 //! * [`mapreduce_fused_phase_on`] — one [`snr_mapreduce::Engine`] round;
+//!   map tasks emit rows by node id, so the shuffle and reduce never see
+//!   ranks;
 //! * [`crate::blocking::adaptive_lsh_phase`] — LSH-blocked phases: the
 //!   gate's exact arm runs [`score_phase_cached`]; the blocked arm scores
 //!   its proposals by witness-link list intersection, without a
@@ -114,44 +129,62 @@ use snr_mapreduce::{Engine, EngineError, SpillCodec};
 use snr_store::wire::{self, Reader, WireError, Writer};
 
 /// Sentinel for a node that is not linked: in [`LinkCache::slot`] over
-/// copy 1, and, unless [`ELIGIBLE`], in the build's copy-2 node states.
+/// copy 1, and, unless eligible, in the build's copy-2 node states.
 const NO_LINK: u32 = u32::MAX;
 
-/// Copy-2 node state in [`LinkCache::build`]: unlinked, with degree at
-/// least the phase's bound. Link indices stay below it.
-const ELIGIBLE: u32 = u32::MAX - 1;
+/// Number of rank groups: `usize::leading_zeros` of a degree, 0 to 64.
+const GROUPS: usize = usize::BITS as usize + 1;
+
+/// Copy-2 node state in [`LinkCache::build`] while ranks are counted: an
+/// eligible node of rank group `g` holds `GROUP_MARK + g`. Link indices and
+/// `l + rank` values stay below it.
+const GROUP_MARK: u32 = NO_LINK - GROUPS as u32;
 
 /// Minimum candidate-row (or, for LSH verification, proposal) count before
 /// a parallel phase spawns workers.
 pub(crate) const PARALLEL_CUTOFF: usize = 64;
 
 /// Per-phase decoded-neighbor cache: for every link `(w1, w2)`, the
-/// threshold-eligible neighbors of `w2`, in ascending id order, stored in
-/// one flat arena.
+/// threshold-eligible neighbors of `w2`, in ascending id order, stored as
+/// *ranks* in one flat arena.
 ///
 /// During a phase the link set and the eligibility predicate ("degree at
 /// least `min_deg2` and not yet linked") are fixed, so each link's list is
 /// built once instead of once per copy-1 node adjacent to `w1` (for
 /// `CompactCsr` that decode is a varint block walk).
+///
+/// The build gives the phase's eligible copy-2 nodes dense ranks
+/// `0..eligible_count()`, ordered by `⌊log₂ degree⌋` descending, then by
+/// ascending id. Most witness bumps land on the few high-degree nodes, so
+/// their [`ScoreArena`] and [`SelectSink`] cells share the first cache
+/// lines instead of spreading over all of copy 2, and the eligible nodes of
+/// any power-of-two degree bound are a rank prefix. [`LinkCache::nodes`]
+/// maps a rank back to its node; a rank-space sink crosses back to node
+/// ids once, at its executor's boundary.
 pub struct LinkCache {
     /// `slot[w1]` is the link index of `w1`, or [`NO_LINK`].
     slot: Vec<u32>,
     /// `offsets[k]..offsets[k + 1]` is link `k`'s slice of `targets`.
     offsets: Vec<u32>,
-    /// Eligible copy-2 neighbors of every link, concatenated.
+    /// Ranks of the eligible copy-2 neighbors of every link, concatenated.
     targets: Vec<u32>,
+    /// `nodes[r]` is the copy-2 node of rank `r`.
+    nodes: Vec<u32>,
+    /// The copy-2 node count the cache was built against.
+    n2: usize,
 }
 
 impl LinkCache {
-    /// Builds the eligible neighbor lists of all current links as `(k, v)`
-    /// hits (eligible `v` is in link `k`'s list), counting-sorted by link.
-    /// The hits come from whichever side holds fewer adjacency entries:
-    /// the *linked* rows (`Σ_{(w1,w2)∈L} d2(w2)`), each `w2` in link order
-    /// giving a hit per eligible neighbor — smaller with few links and many
-    /// eligible rows, as in an unbucketed first pass — or, by
-    /// transposition, the *eligible* rows (`Σ_{eligible v} d2(v)`), each
-    /// `v` in ascending order giving a hit per linked neighbor. On
-    /// undirected adjacency both give the same lists.
+    /// Ranks the eligible copy-2 nodes and builds the eligible neighbor
+    /// lists of all current links as `(k, rank)` hits (the eligible node of
+    /// that rank is in link `k`'s list), counting-sorted by link. The hits
+    /// come from whichever side holds fewer adjacency entries: the *linked*
+    /// rows (`Σ_{(w1,w2)∈L} d2(w2)`), each `w2` in link order giving a hit
+    /// per eligible neighbor — smaller with few links and many eligible
+    /// rows, as in an unbucketed first pass — or, by transposition, the
+    /// *eligible* rows (`Σ_{eligible v} d2(v)`), each `v` in ascending id
+    /// order giving a hit per linked neighbor. On undirected adjacency both
+    /// give the same lists, in ascending node id order.
     ///
     /// Cost: `O(n1 + n2 + min(Σ_L d2(w2), Σ_eligible d2(v)))`. The slot
     /// array is sized by [`Linking::g1_capacity`], which bounds every `w1`
@@ -162,10 +195,22 @@ impl LinkCache {
     /// If `g2` is directed (the transposition needs symmetric adjacency), or
     /// if the cache would hold more than `u32::MAX` targets.
     pub fn build<G2: GraphView>(g2: &G2, links: &Linking, min_deg2: usize) -> LinkCache {
+        LinkCache::build_from(g2, links, min_deg2, |linked, eligible| linked > eligible)
+    }
+
+    /// [`LinkCache::build`], decoding the eligible rows iff `transpose`
+    /// says so given the entry counts of the linked and the eligible rows.
+    fn build_from<G2: GraphView>(
+        g2: &G2,
+        links: &Linking,
+        min_deg2: usize,
+        transpose: impl FnOnce(usize, usize) -> bool,
+    ) -> LinkCache {
         assert!(!g2.is_directed(), "LinkCache::build needs an undirected copy-2 view");
         let (n2, l) = (g2.node_count(), links.len());
         let mut slot = vec![NO_LINK; links.g1_capacity()];
-        // `state[v]` is copy-2 node `v`'s link index, ELIGIBLE, or NO_LINK.
+        // `state[v]` is copy-2 node `v`'s link index, its rank group mark
+        // and then `l + rank` if eligible, or NO_LINK.
         let mut state = vec![NO_LINK; n2];
         let mut linked_entries = 0usize;
         for (k, (w1, w2)) in links.pairs().enumerate() {
@@ -173,35 +218,65 @@ impl LinkCache {
             state[w2.index()] = k as u32;
             linked_entries += g2.degree(w2);
         }
+        // Group `g` holds the degrees with `g` leading zeros: `⌊log₂ d⌋`
+        // descending, degree 0 last.
+        let mut group_starts = [0u32; GROUPS + 1];
         let mut eligible_entries = 0usize;
         for (v, s) in state.iter_mut().enumerate() {
             let degree = g2.degree(NodeId(v as u32));
             if *s == NO_LINK && degree >= min_deg2 {
-                *s = ELIGIBLE;
+                let g = degree.leading_zeros() as usize;
+                *s = GROUP_MARK + g as u32;
+                group_starts[g + 1] += 1;
                 eligible_entries += degree;
+            }
+        }
+        for g in 1..=GROUPS {
+            group_starts[g] += group_starts[g - 1];
+        }
+        // Ascending ids within a group: one pass hands out each group's
+        // ranks in order.
+        let eligible = group_starts[GROUPS];
+        let mut nodes = vec![0u32; eligible as usize];
+        for (v, s) in state.iter_mut().enumerate() {
+            let g = s.wrapping_sub(GROUP_MARK) as usize;
+            if g < GROUPS {
+                let rank = group_starts[g];
+                group_starts[g] += 1;
+                nodes[rank as usize] = v as u32;
+                *s = l as u32 + rank;
             }
         }
         // Each decoded entry writes a hit at `hits[len]` and only a kept one
         // advances `len`: no branch on the filter, one slot per entry.
-        let mut hits = vec![(0u32, 0u32); linked_entries.min(eligible_entries)];
+        let transpose = transpose(linked_entries, eligible_entries);
+        let mut hits =
+            vec![(0u32, 0u32); if transpose { eligible_entries } else { linked_entries }];
         let mut len = 0usize;
         // The decode streams rows in order, while the scoring jumps rows.
         g2.advise_sequential();
-        if linked_entries <= eligible_entries {
+        if !transpose {
             for (k, (_, w2)) in links.pairs().enumerate() {
                 for v in g2.neighbors_iter(w2) {
-                    hits[len] = (k as u32, v.0);
-                    len += usize::from(state[v.index()] == ELIGIBLE);
+                    // A link index wraps past every rank, NO_LINK too.
+                    let rank = state[v.index()].wrapping_sub(l as u32);
+                    hits[len] = (k as u32, rank);
+                    len += usize::from(rank < eligible);
                 }
             }
         } else {
             // A neighbor that is not linked maps to the scratch link `l`
-            // (ELIGIBLE and NO_LINK both exceed it), whose hit is dropped.
+            // (eligible states and NO_LINK are all at least `l`), whose hit
+            // is dropped.
             let trash = l as u32;
-            for v in (0..n2 as u32).filter(|&v| state[v as usize] == ELIGIBLE) {
+            for v in 0..n2 as u32 {
+                let rank = state[v as usize].wrapping_sub(trash);
+                if rank >= eligible {
+                    continue;
+                }
                 for w2 in g2.neighbors_iter(NodeId(v)) {
                     let k = state[w2.index()].min(trash);
-                    hits[len] = (k, v);
+                    hits[len] = (k, rank);
                     len += usize::from(k != trash);
                 }
             }
@@ -216,13 +291,13 @@ impl LinkCache {
         }
         prefix_sum_within(&mut offsets, u32::MAX);
         let mut targets = vec![0u32; len];
-        for &(k, v) in &hits[..len] {
+        for &(k, rank) in &hits[..len] {
             let cursor = &mut offsets[k as usize + 1];
-            targets[*cursor as usize] = v;
+            targets[*cursor as usize] = rank;
             *cursor += 1;
         }
         offsets.truncate(l + 1);
-        LinkCache { slot, offsets, targets }
+        LinkCache { slot, offsets, targets, nodes, n2 }
     }
 
     /// The same as [`LinkCache::build`]; the whole-run benchmark's traced
@@ -231,8 +306,8 @@ impl LinkCache {
         LinkCache::build(g2, links, min_deg2)
     }
 
-    /// The cached eligible copy-2 neighbors of `w1`'s link partner, or
-    /// `None` if `w1` is not linked.
+    /// The ranks of the cached eligible copy-2 neighbors of `w1`'s link
+    /// partner (see [`LinkCache::nodes`]), or `None` if `w1` is not linked.
     #[inline]
     pub fn eligible_of(&self, w1: NodeId) -> Option<&[u32]> {
         let k = *self.slot.get(w1.index())?;
@@ -247,6 +322,17 @@ impl LinkCache {
     /// Total number of cached eligible neighbors across all links.
     pub fn cached_targets(&self) -> usize {
         self.targets.len()
+    }
+
+    /// The rank → copy-2 node map: `nodes()[r]` is the eligible node of
+    /// rank `r`.
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
+    /// The phase's eligible copy-2 node count: every rank is below it.
+    pub fn eligible_count(&self) -> usize {
+        self.nodes.len()
     }
 
     /// The phase's cache as the in-process executors build it, inside a
@@ -283,8 +369,12 @@ fn prefix_sum_within(counts: &mut [u32], limit: u32) {
 
 /// Dense, generation-stamped scratch for accumulating one candidate row.
 ///
-/// Each copy-2 node `v` owns one packed cell `(stamp << 32) | score`; the
-/// score is valid only where the stamp equals the current epoch. Bumping
+/// The arena scores in a [`LinkCache`]'s rank space: each eligible copy-2
+/// node owns the packed cell `(stamp << 32) | score` at its rank, so an
+/// arena is sized to the phase's eligible count and the high-degree nodes
+/// that take most bumps share its first cache lines. [`ScoreArena::touched`]
+/// and [`ScoreArena::get`] speak ranks; [`LinkCache::nodes`] maps them back.
+/// The score is valid only where the stamp equals the current epoch. Bumping
 /// the epoch invalidates the whole row in O(1), so the arena is reused
 /// across every row of a phase without clearing, and a contribution reads
 /// and writes exactly one cell.
@@ -293,7 +383,7 @@ fn prefix_sum_within(counts: &mut [u32], limit: u32) {
 /// and writes `v` past the end of the touched list, which advances only on
 /// a first touch (see the module docs for why this is exact).
 pub struct ScoreArena {
-    /// `(stamp << 32) | score` per copy-2 node.
+    /// `(stamp << 32) | score` per rank.
     cells: Vec<u64>,
     epoch: u32,
     /// The current row's first-touch list is `touched[..len]`. The slots
@@ -305,9 +395,10 @@ pub struct ScoreArena {
 }
 
 impl ScoreArena {
-    /// An arena over `n2` copy-2 nodes.
-    pub fn new(n2: usize) -> ScoreArena {
-        ScoreArena { cells: vec![0; n2], epoch: 0, touched: Vec::new(), len: 0 }
+    /// An arena over `cells` ranks (at least the eligible count of every
+    /// [`LinkCache`] it scores through).
+    pub fn new(cells: usize) -> ScoreArena {
+        ScoreArena { cells: vec![0; cells], epoch: 0, touched: Vec::new(), len: 0 }
     }
 
     /// Starts a new row, invalidating the previous one in O(1).
@@ -323,8 +414,8 @@ impl ScoreArena {
         }
     }
 
-    /// Adds one witness contribution for every copy-2 node in `vs` (once
-    /// per occurrence), without a data-dependent branch.
+    /// Adds one witness contribution for every rank in `vs` (once per
+    /// occurrence), without a data-dependent branch.
     #[inline]
     pub fn bump(&mut self, vs: &[u32]) {
         // Each bump appends at most one node, so one capacity check per
@@ -358,20 +449,20 @@ impl ScoreArena {
         self.touched.resize(need.max(2 * self.touched.len()), 0);
     }
 
-    /// The copy-2 nodes with a non-zero score in the current row, in first-
-    /// touch order.
+    /// The ranks with a non-zero score in the current row, in first-touch
+    /// order.
     #[inline]
     pub fn touched(&self) -> &[u32] {
         &self.touched[..self.len]
     }
 
-    /// The current row's score for `v`. Only meaningful for touched `v`.
+    /// The current row's score for rank `v`. Only meaningful for touched `v`.
     #[inline]
     pub fn get(&self, v: u32) -> u32 {
         self.cells[v as usize] as u32
     }
 
-    /// The current row's score for `v`, or `None` if `v` was not touched
+    /// The current row's score for rank `v`, or `None` if `v` was not touched
     /// this row. Only valid after at least one [`ScoreArena::begin_row`].
     #[inline]
     pub fn current(&self, v: u32) -> Option<u32> {
@@ -380,9 +471,9 @@ impl ScoreArena {
     }
 
     /// The row kernel: starts a new row and scores copy-1 node `row` of
-    /// `g1` into it — one bump per cached eligible copy-2 neighbor of every
-    /// linked neighbor of `row`. Every executor scores rows through this
-    /// loop; the finished row is read via [`ScoreArena::touched`] and
+    /// `g1` into it — one bump per cached eligible copy-2 neighbor (by rank)
+    /// of every linked neighbor of `row`. Every executor scores rows through
+    /// this loop; the finished row is read via [`ScoreArena::touched`] and
     /// [`ScoreArena::get`].
     #[inline]
     pub fn score_row<G1: GraphView>(&mut self, g1: &G1, row: NodeId, cache: &LinkCache) {
@@ -409,13 +500,20 @@ impl ScoreArena {
 /// The threshold filter is branch-free: each row is first compacted into a
 /// reused scratch buffer whose write position advances only for a score
 /// `≥ T`, and only that kept prefix is folded (see the module docs).
+///
+/// The `v` axis is either copy-2 node ids (a sink from [`SelectSink::new`]
+/// over `n2`, which every public entry point takes and returns) or a
+/// [`LinkCache`]'s ranks (the executors' internal sinks over the eligible
+/// count, fed from a [`ScoreArena`]); `absorb_ranked` folds the latter into
+/// the former.
 pub struct SelectSink {
     threshold: u32,
     /// Rows whose best entry met the threshold with a strictly unique
     /// score: `(u, best)` in ascending `u` order per worker.
     claims: Vec<(u32, Best)>,
-    /// Running best partner for every copy-2 node over the entries that
-    /// met the threshold; `score == 0` means no such entry seen yet.
+    /// Running best partner for every copy-2 node (or rank) over the
+    /// entries that met the threshold; `score == 0` means no such entry
+    /// seen yet.
     best_v: Vec<Best>,
     /// Total number of non-zero `(u, v)` pairs seen (the `scored_pairs`
     /// phase statistic, kept identical to `ScoreTable::len`).
@@ -426,6 +524,14 @@ pub struct SelectSink {
 
 /// A running best that has seen no entry yet.
 const NO_BEST: Best = Best { partner: NO_LINK, score: 0, unique: false };
+
+/// Merges the running best `theirs` into `mine`; a side that has seen no
+/// entry (score 0) yields the other.
+fn merge_best(mine: &mut Best, theirs: Best) {
+    if theirs.score > 0 {
+        *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
+    }
+}
 
 impl SelectSink {
     /// A sink selecting pairs with at least `threshold` witnesses over `n2`
@@ -474,11 +580,27 @@ impl SelectSink {
         self.scored_pairs += other.scored_pairs;
         self.claims.append(&mut other.claims);
         for (mine, theirs) in self.best_v.iter_mut().zip(other.best_v) {
-            if theirs.score > 0 {
-                *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
-            }
+            merge_best(mine, theirs);
         }
         self
+    }
+
+    /// Folds `ranked`, a sink over `cache`'s ranks, into this sink over
+    /// copy-2 node ids: the one place a rank-space sink is translated. Each
+    /// claim's partner and each per-rank best move to their node; the
+    /// per-`v` bests merge as in [`SelectSink::merge`].
+    pub(crate) fn absorb_ranked(&mut self, ranked: SelectSink, cache: &LinkCache) {
+        let nodes = cache.nodes();
+        self.scored_pairs += ranked.scored_pairs;
+        self.claims.extend(
+            ranked
+                .claims
+                .into_iter()
+                .map(|(u, b)| (u, Best { partner: nodes[b.partner as usize], ..b })),
+        );
+        for (&v, theirs) in nodes.iter().zip(ranked.best_v) {
+            merge_best(&mut self.best_v[v as usize], theirs);
+        }
     }
 
     /// The one row fold: consumes one complete row given as `(v, score)`
@@ -605,9 +727,7 @@ impl SelectSink {
                 .map(|&(u, partner, score)| (u, Best { partner, score, unique: true })),
         );
         for &(v, partner, score, unique) in &claims.bests {
-            let mine = &mut self.best_v[v as usize];
-            let theirs = Best { partner, score, unique };
-            *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
+            merge_best(&mut self.best_v[v as usize], Best { partner, score, unique });
         }
         Ok(())
     }
@@ -851,6 +971,11 @@ fn chunk_candidates<'a, G1: GraphView>(
 /// skipped. Running disjoint ranges that tile `0..n1` through fresh
 /// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase_on`]
 /// bit-for-bit.
+///
+/// `arena` scores in `cache`'s rank space, so it needs at least
+/// [`LinkCache::eligible_count`] cells (an arena over `n2` always fits);
+/// `sink` is over copy-2 node ids, and the range's rank-space sink is
+/// translated into it once, at the end.
 #[allow(clippy::too_many_arguments)]
 pub fn score_assigned_rows<G1: GraphView>(
     g1_rows: &G1,
@@ -865,14 +990,16 @@ pub fn score_assigned_rows<G1: GraphView>(
     // A worker reads exactly this row range; tell mmap-backed views to
     // prefetch it (no-op for in-memory views).
     g1_rows.advise_rows(local_rows.clone());
+    let mut ranked = SelectSink::new(cache.eligible_count(), sink.threshold);
     for local in local_rows {
         let global = base + local;
         if g1_rows.degree(NodeId(local)) < min_deg1 || links.is_linked_g1(NodeId(global)) {
             continue;
         }
         arena.score_row(g1_rows, NodeId(local), cache);
-        sink.row(global, arena);
+        ranked.row(global, arena);
     }
+    sink.absorb_ranked(ranked, cache);
 }
 
 /// One exact in-process phase: witness scoring and mutual-best selection in
@@ -913,16 +1040,23 @@ where
 }
 
 /// Scores every candidate row through a caller-supplied [`LinkCache`] (and
-/// `n2`, the copy-2 node count the cache was built against) and returns the
-/// merged sink — lets a caller that needs the cache for its own bookkeeping
-/// (the adaptive blocking gate) build it once and still run the exact phase
-/// on it.
+/// `n2`, the copy-2 node count the cache was built against) into the sink
+/// `make_sink` returns — lets a caller that needs the cache for its own
+/// bookkeeping (the adaptive blocking gate) build it once and still run the
+/// exact phase on it.
 ///
-/// `parallel = false` scores every row on the calling thread; `parallel =
-/// true` partitions the candidate rows across rayon workers (each with a
-/// private arena and a sink from `make_sink`) and merges the per-worker
-/// sinks. Both paths feed identical rows to identical sinks, so the merged
-/// sink is the same either way.
+/// Rows are scored in the cache's rank space: every arena and per-worker
+/// sink is sized to [`LinkCache::eligible_count`], not `n2`, and the merged
+/// rank-space sink is translated into `make_sink`'s node-id sink once, at
+/// the end. `parallel = false` scores every row on the calling thread;
+/// `parallel = true` partitions the candidate rows across rayon workers
+/// (each with a private arena and sink) and merges the per-worker sinks.
+/// Both paths feed identical rows to identical sinks, so the result is the
+/// same either way.
+///
+/// # Panics
+///
+/// If `n2` is not the copy-2 node count `cache` was built against.
 pub fn score_phase_cached<G1, F>(
     g1: &G1,
     cache: &LinkCache,
@@ -933,34 +1067,41 @@ pub fn score_phase_cached<G1, F>(
 ) -> SelectSink
 where
     G1: GraphView + Sync,
-    F: Fn() -> SelectSink + Sync,
+    F: FnOnce() -> SelectSink,
 {
+    assert_eq!(n2, cache.n2, "score_phase_cached: n2 differs from the cache's copy 2");
+    let mut sink = make_sink();
+    let (eligible, threshold) = (cache.eligible_count(), sink.threshold);
     let score_rows = |rows: &[u32]| {
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = make_sink();
+        let mut arena = ScoreArena::new(eligible);
+        let mut ranked = SelectSink::new(eligible, threshold);
         for &u in rows {
             arena.score_row(g1, NodeId(u), cache);
-            sink.row(u, &arena);
+            ranked.row(u, &arena);
         }
-        sink
+        ranked
     };
-    if !parallel || candidates.len() < PARALLEL_CUTOFF {
-        return score_rows(candidates);
-    }
-    // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
-    // sharded view — chunked here rather than by the scheduler, so scratch
-    // memory stays O(chunks · n2) (one arena + one sink each) and the number
-    // of O(n2) sink merges stays proportional to the worker count,
-    // independent of how finely the underlying pool slices work. Whole rows
-    // stay on one worker either way, and merge order is fixed left-to-right
-    // (the sinks are order-independent regardless).
-    let workers = rayon::current_num_threads().max(1);
-    let chunks = chunk_candidates(g1, candidates, workers);
-    let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_rows(chunk)).collect();
-    sinks
-        .into_iter()
-        .reduce(SelectSink::merge)
-        .expect("candidate set is non-empty in the parallel branch")
+    let ranked = if !parallel || candidates.len() < PARALLEL_CUTOFF {
+        score_rows(candidates)
+    } else {
+        // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
+        // sharded view — chunked here rather than by the scheduler, so
+        // scratch memory stays O(chunks · eligible) (one arena + one sink
+        // each) and the number of sink merges stays proportional to the
+        // worker count, independent of how finely the underlying pool
+        // slices work. Whole rows stay on one worker either way, and merge
+        // order is fixed left-to-right (the sinks are order-independent
+        // regardless).
+        let workers = rayon::current_num_threads().max(1);
+        let chunks = chunk_candidates(g1, candidates, workers);
+        let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_rows(chunk)).collect();
+        sinks
+            .into_iter()
+            .reduce(SelectSink::merge)
+            .expect("candidate set is non-empty in the parallel branch")
+    };
+    sink.absorb_ranked(ranked, cache);
+    sink
 }
 
 /// Packs a `(v, count)` score entry into one shuffle-friendly `u64`: the
@@ -1017,10 +1158,11 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 /// * **Map** — each task scores a contiguous chunk of the `candidates`
 ///   rows (ascending copy-1 ids, as for [`fused_phase_on`]) through the
 ///   round's one [`LinkCache`], built before the round and shared by every
-///   task, and a *task-local* [`ScoreArena`] (in a real cluster the cache
-///   is the map-side join against the broadcast link set), emitting one
-///   pre-aggregated record per non-empty row: a dense `u32` key and the
-///   row's packed `(v, count)` entries ([`pack_entry`]). Shuffle payload
+///   task, and a *task-local* [`ScoreArena`] in the cache's rank space (in
+///   a real cluster the cache is the map-side join against the broadcast
+///   link set), emitting one pre-aggregated record per non-empty row: a
+///   dense `u32` key and the row's packed `(v, count)` entries
+///   ([`pack_entry`]), translated back to copy-2 node ids. Shuffle payload
 ///   is 4 bytes per row (the key) plus 8 bytes per scored pair (one
 ///   packed entry), `PackedRowCodec`'s `bytes_of` charge.
 /// * **Shuffle** — records are range-partitioned by `u`
@@ -1070,13 +1212,17 @@ where
         candidates,
         |chunk: &[u32]| {
             let cache = cache.as_ref().expect("a map task implies candidates");
-            let mut arena = ScoreArena::new(n2);
+            let nodes = cache.nodes();
+            let mut arena = ScoreArena::new(cache.eligible_count());
             let mut rows = Vec::new();
             for &u in chunk {
                 arena.score_row(g1, NodeId(u), cache);
                 let touched = arena.touched();
                 if !touched.is_empty() {
-                    rows.push((u, touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect()));
+                    // Emitted by node id: the shuffle and reduce never see ranks.
+                    let entries =
+                        touched.iter().map(|&r| pack_entry(nodes[r as usize], arena.get(r)));
+                    rows.push((u, entries.collect()));
                 }
             }
             rows
@@ -1445,6 +1591,11 @@ mod tests {
         [slot, offsets, targets]
     }
 
+    /// The cache's targets translated from ranks to copy-2 node ids.
+    fn node_targets(cache: &LinkCache) -> Vec<u32> {
+        cache.targets.iter().map(|&r| cache.nodes[r as usize]).collect()
+    }
+
     /// Disjoint complete bipartite blocks K(1,2), K(2,4), K(4,8) and
     /// K(8,8) plus a path: every node's degree is exactly 1, 2, 4 or 8.
     fn power_of_two_degrees() -> CsrGraph {
@@ -1509,7 +1660,8 @@ mod tests {
                         ("mmap", LinkCache::build(&mmap, &links, d)),
                     ];
                     for (view, cache) in builds {
-                        let got = [cache.slot, cache.offsets, cache.targets];
+                        let targets = node_targets(&cache);
+                        let got = [cache.slot, cache.offsets, targets];
                         assert_eq!(got, expected, "{name} {set} links, d={d}, {view}");
                     }
                 }
@@ -1517,6 +1669,191 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(transposed.iter().all(|&cases| cases > 0), "both decodes run: {transposed:?}");
+    }
+
+    /// The ranks are dense over exactly the eligible copy-2 nodes, ordered
+    /// by `⌊log₂ degree⌋` descending and then by id (so every power-of-two
+    /// degree bound's eligible set is a rank prefix), and the lists
+    /// translate back to a literal decode's, whichever side the build
+    /// decodes. Two isolated nodes put degree 0 in play at `min_deg2` 0.
+    #[test]
+    fn link_cache_ranks_eligible_nodes_by_degree_bucket_then_id() {
+        let base = power_of_two_degrees();
+        let n = base.node_count() + 2;
+        let g2 = CsrGraph::from_edges(n, &edges_of(&base));
+        let key = |v: u32| (g2.degree(NodeId(v)).leading_zeros(), v);
+        // Every third copy-2 node is linked, to copy-1 nodes in reverse.
+        let seeds: Vec<(NodeId, NodeId)> =
+            (0..n as u32).step_by(3).map(|v| (NodeId(n as u32 - 1 - v), NodeId(v))).collect();
+        let links = Linking::with_seeds(n, n, &seeds);
+        for d in [0usize, 1, 3, 4, 8] {
+            let eligible: Vec<u32> = (0..n as u32)
+                .filter(|&v| g2.degree(NodeId(v)) >= d && !links.is_linked_g2(NodeId(v)))
+                .collect();
+            let expected = literal_decode(&g2, &links, d);
+            for transpose in [false, true] {
+                let cache = LinkCache::build_from(&g2, &links, d, |_, _| transpose);
+                let case = format!("d={d} transpose={transpose}");
+                assert_eq!(cache.eligible_count(), eligible.len(), "{case}");
+                let mut ranked = cache.nodes().to_vec();
+                ranked.sort_unstable();
+                ranked.dedup();
+                assert_eq!(
+                    ranked, eligible,
+                    "rank -> node is a bijection onto the eligible set, {case}"
+                );
+                assert!(
+                    cache.nodes().windows(2).all(|w| key(w[0]) < key(w[1])),
+                    "bucket descending, then id: {:?}, {case}",
+                    cache.nodes()
+                );
+                for bound in [1usize, 2, 4, 8, 16] {
+                    let prefix =
+                        cache.nodes().iter().take_while(|&&v| g2.degree(NodeId(v)) >= bound);
+                    let total = eligible.iter().filter(|&&v| g2.degree(NodeId(v)) >= bound).count();
+                    assert_eq!(prefix.count(), total, "degree >= {bound} is a rank prefix, {case}");
+                }
+                assert!(cache.targets.iter().all(|&r| (r as usize) < eligible.len()), "{case}");
+                let got = [cache.slot.clone(), cache.offsets.clone(), node_targets(&cache)];
+                assert_eq!(got, expected, "{case}");
+            }
+        }
+    }
+
+    /// Every undirected edge of `g` once, as `(u, v)` with `u < v`.
+    fn edges_of(g: &CsrGraph) -> Vec<(u32, u32)> {
+        (0..g.node_count() as u32)
+            .flat_map(|u| {
+                g.neighbors_iter(NodeId(u)).filter(move |v| v.0 > u).map(move |v| (u, v.0))
+            })
+            .collect()
+    }
+
+    /// Copy 2 relabelled by `perm` (old id `v` becomes `perm[v]`), with the
+    /// seeds' copy-2 ends moved along.
+    fn relabel_copy2(
+        g2: &CsrGraph,
+        seeds: &[(NodeId, NodeId)],
+        perm: &[u32],
+    ) -> (CsrGraph, Vec<(NodeId, NodeId)>) {
+        let edges: Vec<(u32, u32)> =
+            edges_of(g2).into_iter().map(|(a, b)| (perm[a as usize], perm[b as usize])).collect();
+        let seeds = seeds.iter().map(|&(u, v)| (u, NodeId(perm[v.index()]))).collect();
+        (CsrGraph::from_edges(g2.node_count(), &edges), seeds)
+    }
+
+    /// One phase through every exact entry point: `fused_phase_on`
+    /// sequential and on a 4-worker pool, `mapreduce_fused_phase_on` with no
+    /// spill budget and a budget of 0, and tiled `score_assigned_rows` plus
+    /// `absorb_claims`. Asserts they agree and returns the result.
+    fn every_exact_path(
+        g1: &CsrGraph,
+        g2: &CsrGraph,
+        links: &Linking,
+        d: usize,
+        t: u32,
+    ) -> Selection {
+        let candidates = collect_candidates(g1, links, d);
+        let expected = fused_phase_on(g1, g2, links, &candidates, d, t, false);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let pooled = pool.install(|| fused_phase_on(g1, g2, links, &candidates, d, t, true));
+        assert_eq!(pooled, expected, "rayon d={d} t={t}");
+        for budget in [None, Some(0)] {
+            let engine = Engine::new(2).with_chunk_size(16).with_spill_budget(budget);
+            let got = mapreduce_fused_phase_on(&engine, g1, g2, links, candidates.clone(), d, t);
+            assert_eq!(got.unwrap(), expected, "mapreduce budget {budget:?} d={d} t={t}");
+        }
+        let (n1, n2) = (g1.node_count() as u32, g2.node_count());
+        let cache = LinkCache::build(g2, links, d);
+        let mut arena = ScoreArena::new(n2);
+        let mut acc = SelectSink::new(n2, t);
+        for start in (0..n1).step_by(23) {
+            let end = (start + 23).min(n1);
+            let window = RowWindow { g: g1, rows: start..end };
+            let mut sink = SelectSink::new(n2, t);
+            score_assigned_rows(
+                &window,
+                start,
+                0..end - start,
+                &cache,
+                links,
+                d,
+                &mut arena,
+                &mut sink,
+            );
+            acc.absorb_claims(&sink.into_claims(), start..end).unwrap();
+        }
+        assert_eq!(acc.finish(), expected, "tiled rows d={d} t={t}");
+        expected
+    }
+
+    // Ties abstain, so no exact path may depend on copy-2 ids: after
+    // relabelling copy 2 (and the seeds) by a random permutation, every
+    // entry point selects the permuted pairs with the same `scored_pairs`.
+    // Tie-heavy shapes (a star, duplicated rows, degrees exactly at 2^j)
+    // run with identical copies.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn every_exact_path_is_invariant_under_relabelling_copy_2(
+            family in 0usize..6,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::seq::SliceRandom;
+            use rand::Rng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let random = |g: CsrGraph, rng: &mut StdRng| {
+                let pair = independent_deletion_symmetric(&g, 0.7, rng).unwrap();
+                let seeds = sample_seeds(&pair, 0.2, rng).unwrap();
+                (pair.g1, pair.g2, seeds)
+            };
+            let identical = |g: CsrGraph, rng: &mut StdRng| {
+                let n = g.node_count() as u32;
+                let seeds: Vec<(NodeId, NodeId)> =
+                    (0..n).filter(|_| rng.gen_bool(0.3)).map(|v| (NodeId(v), NodeId(v))).collect();
+                (g.clone(), g, seeds)
+            };
+            let (g1, g2, seeds) = match family {
+                0 => random(preferential_attachment(150, 4, &mut rng).unwrap(), &mut rng),
+                1 => random(snr_generators::gnp(150, 0.06, &mut rng).unwrap(), &mut rng),
+                2 => {
+                    let config = snr_generators::RmatConfig::graph500(7, 6);
+                    random(snr_generators::rmat(&config, &mut rng).unwrap(), &mut rng)
+                }
+                3 => {
+                    // Two stars sharing their leaves.
+                    let edges: Vec<(u32, u32)> = (2..40).flat_map(|v| [(0, v), (1, v)]).collect();
+                    identical(CsrGraph::from_edges(40, &edges), &mut rng)
+                }
+                4 => {
+                    // Every node of a PA graph gets a twin with its row.
+                    let g = preferential_attachment(60, 3, &mut rng).unwrap();
+                    let edges: Vec<(u32, u32)> = (0..60u32)
+                        .flat_map(|u| g.neighbors_iter(NodeId(u)).map(move |v| (u, v.0)))
+                        .flat_map(|(u, v)| [(u, v), (u + 60, v)])
+                        .collect();
+                    identical(CsrGraph::from_edges(120, &edges), &mut rng)
+                }
+                _ => identical(power_of_two_degrees(), &mut rng),
+            };
+            let n2 = g2.node_count();
+            let mut perm: Vec<u32> = (0..n2 as u32).collect();
+            perm.shuffle(&mut rng);
+            let (g2p, seeds_p) = relabel_copy2(&g2, &seeds, &perm);
+            let links = Linking::with_seeds(g1.node_count(), n2, &seeds);
+            let links_p = Linking::with_seeds(g1.node_count(), n2, &seeds_p);
+            let mut selected = 0;
+            for (d, t) in [(1usize, 1u32), (1, 2), (2, 2), (4, 3)] {
+                let (scored, pairs) = every_exact_path(&g1, &g2, &links, d, t);
+                selected += pairs.len();
+                let mut moved: Vec<(NodeId, NodeId)> =
+                    pairs.iter().map(|&(u, v)| (u, NodeId(perm[v.index()]))).collect();
+                moved.sort_unstable();
+                let got = every_exact_path(&g1, &g2p, &links_p, d, t);
+                proptest::prop_assert_eq!(got, (scored, moved), "family {} seed {} d={} t={}", family, seed, d, t);
+            }
+            proptest::prop_assert!(selected > 0, "family {} seed {} selects nothing", family, seed);
+        }
     }
 
     #[test]
@@ -1608,8 +1945,13 @@ mod tests {
     fn link_cache_maps_linked_nodes_to_filtered_neighbors() {
         let (_g1, g2, links) = tiny_case();
         let cache = LinkCache::build(&g2, &links, 2);
+        let nodes_of = |w1| {
+            cache
+                .eligible_of(w1)
+                .map(|rs| rs.iter().map(|&r| cache.nodes()[r as usize]).collect::<Vec<_>>())
+        };
         // Node 2 is linked to 2; N2(2) = {1, 3}, both degree 2 and unlinked.
-        assert_eq!(cache.eligible_of(NodeId(2)), Some(&[1u32, 3][..]));
+        assert_eq!(nodes_of(NodeId(2)), Some(vec![1u32, 3]));
         assert_eq!(cache.eligible_of(NodeId(0)), None, "unlinked node has no cache entry");
         assert_eq!(cache.cached_targets(), 2);
         // Raising the threshold filters the cached lists.
@@ -1628,8 +1970,9 @@ mod tests {
             let mut entries = 0usize;
             for u in collect_candidates(&g1, &links, d) {
                 arena.score_row(&g1, NodeId(u), &cache);
-                for &v in arena.touched() {
-                    assert_eq!(Some(&arena.get(v)), oracle.get(&(u, v)), "({u}, {v}) at d={d}");
+                for &r in arena.touched() {
+                    let v = cache.nodes()[r as usize];
+                    assert_eq!(Some(&arena.get(r)), oracle.get(&(u, v)), "({u}, {v}) at d={d}");
                 }
                 entries += arena.touched().len();
             }

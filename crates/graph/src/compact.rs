@@ -398,7 +398,6 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocks::read_varint;
 
     fn assert_same_graph(csr: &CsrGraph, compact: &CompactCsr) {
         assert_eq!(GraphView::node_count(csr), compact.node_count());
@@ -601,20 +600,6 @@ mod tests {
         assert!(parts(10).is_ok());
         let r = parts(6);
         assert!(matches!(r, Err(GraphError::InvalidBinary(_))), "{r:?}");
-    }
-
-    #[test]
-    fn varint_roundtrip() {
-        let mut buf = Vec::new();
-        let values = [0u32, 1, 127, 128, 300, 16_383, 16_384, u32::MAX];
-        for &v in &values {
-            write_varint(&mut buf, v);
-        }
-        let mut pos = 0;
-        for &v in &values {
-            assert_eq!(read_varint(&buf, &mut pos), v);
-        }
-        assert_eq!(pos, buf.len());
     }
 
     proptest::proptest! {

@@ -35,9 +35,8 @@
 //! views, for graphs bigger than RAM.
 //!
 //! The crate also ships the supporting pieces a downstream user of the
-//! library needs: degree statistics ([`stats`]), induced subgraphs
-//! ([`subgraph`]) and text edge-list serialization ([`io`]), all generic
-//! over [`GraphView`].
+//! library needs: degree statistics ([`stats`]) and text edge-list
+//! serialization ([`io`]), both generic over [`GraphView`].
 //!
 //! ## Example
 //!
@@ -68,7 +67,6 @@ pub mod error;
 pub mod io;
 pub mod node;
 pub mod stats;
-pub mod subgraph;
 pub mod view;
 
 pub use builder::GraphBuilder;
