@@ -4,8 +4,8 @@
 //! in-process sequential and rayon (`fused_phase_on`), LSH-blocked
 //! (`adaptive_lsh_phase`), one MapReduce round (`mapreduce_fused_phase_on`,
 //! in memory and spilling) and one distributed driver round. The R-MAT-16
-//! phase runs on all four graph representations (CSR, compact, mmap-backed
-//! segment, sharded) with their memory footprints printed for the record;
+//! phase runs on all three graph representations (CSR, compact, mmap-backed
+//! segment) with their memory footprints printed for the record;
 //! the degree-threshold group shows the oracle table's cost falling with
 //! the bucket (higher buckets touch far fewer candidate pairs).
 
@@ -17,10 +17,10 @@ use snr_core::scoring::{
 };
 use snr_core::witness::count_sequential;
 use snr_core::{Linking, MatchingConfig};
-use snr_driver::{DriverConfig, DriverStore, ShardDriver};
+use snr_driver::{DriverConfig, ShardDriver};
 use snr_graph::{GraphView, NodeId};
 use snr_mapreduce::Engine;
-use snr_store::{write_segment_file, MmapGraph, ShardedGraph};
+use snr_store::{write_segment_file, MmapGraph};
 use std::hint::black_box;
 use std::path::PathBuf;
 
@@ -157,20 +157,17 @@ fn bench_rmat16(c: &mut Criterion) {
     });
 
     // The storage subsystem on the same workload: witness pass over
-    // mmap-backed segments and over the 4-shard partition.
+    // mmap-backed segments.
     let ((m1, p1), (m2, p2)) = (mmap_of(g1, "rmat16-g1"), mmap_of(g2, "rmat16-g2"));
-    let (s1, s2) = (ShardedGraph::partition(g1, 4), ShardedGraph::partition(g2, 4));
     println!("witness_counting/rmat16 graph memory (copy 1):");
     for (name, bytes, bpe) in [
         ("csr", GraphView::memory_bytes(g1), g1.bytes_per_edge()),
         ("compact", c1.memory_bytes(), c1.bytes_per_edge()),
         ("mmap", m1.memory_bytes(), m1.bytes_per_edge()),
-        ("sharded", s1.memory_bytes(), s1.bytes_per_edge()),
     ] {
         println!("  {name:8} memory_bytes = {bytes:>12}  bytes_per_edge = {bpe:.2}");
     }
     group.bench_function("mmap/fused", |b| b.iter(|| black_box(phase(&m1, &m2, &links, true))));
-    group.bench_function("sharded/fused", |b| b.iter(|| black_box(phase(&s1, &s2, &links, true))));
 
     // The same phase as one distributed round of the multi-process shard
     // driver (snr-driver): 2 worker subprocesses over mmap segments,
@@ -187,7 +184,6 @@ fn bench_rmat16(c: &mut Criterion) {
         .with_iterations(1)
         .with_degree_bucketing(false)
         .with_min_bucket(1);
-    driver_config.store = DriverStore::Mmap;
     driver_config.fault = None;
     // The healing layers stay out of this label: no per-phase checkpoint
     // write, no respawn budget — the same pure round the baseline recorded.

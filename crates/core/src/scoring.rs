@@ -914,61 +914,21 @@ impl CandidateCache {
     }
 }
 
-/// Splits the sorted candidate list into per-worker chunks, aligning chunk
-/// boundaries with `g1`'s storage partitions when it has any (a sharded
-/// view: each worker then streams candidate rows from one shard instead of
-/// faulting pages across all of them). Large shards are subdivided so the
-/// chunk count still scales with the worker count; which chunking is chosen
-/// never changes results — rows are scored independently and the sinks
-/// merge order-independently.
-fn chunk_candidates<'a, G1: GraphView>(
-    g1: &G1,
-    candidates: &'a [u32],
-    workers: usize,
-) -> Vec<&'a [u32]> {
-    let shard_slices: Vec<&[u32]> = match g1.storage_partitions() {
-        Some(ranges) if ranges.len() > 1 => {
-            // Slice at every shard boundary, keeping the pieces *between*
-            // declared ranges too: a view whose partitions don't tile the
-            // node space must still have every candidate row scored —
-            // alignment is an optimization, coverage is correctness.
-            let mut cut_ids: Vec<u32> = ranges.iter().flat_map(|r| [r.start, r.end]).collect();
-            cut_ids.sort_unstable();
-            cut_ids.dedup();
-            let mut cut_positions: Vec<usize> = vec![0];
-            cut_positions.extend(cut_ids.iter().map(|&id| candidates.partition_point(|&u| u < id)));
-            cut_positions.push(candidates.len());
-            cut_positions.dedup();
-            cut_positions
-                .windows(2)
-                .map(|w| &candidates[w[0]..w[1]])
-                .filter(|s| !s.is_empty())
-                .collect()
-        }
-        _ => vec![candidates],
-    };
-    let total: usize = shard_slices.iter().map(|s| s.len()).sum();
-    let mut chunks = Vec::with_capacity(workers + shard_slices.len());
-    for slice in shard_slices {
-        // Subdivide proportionally to the slice's share of the candidates.
-        let pieces = (slice.len() * workers).div_ceil(total.max(1)).max(1);
-        let chunk_size = slice.len().div_ceil(pieces);
-        chunks.extend(slice.chunks(chunk_size));
-    }
-    chunks
+/// Splits the sorted candidate list into at most `workers` contiguous
+/// chunks of equal length (the last may be shorter). Which chunking is
+/// chosen never changes results: rows are scored independently and the
+/// sinks merge order-independently.
+fn chunk_candidates(candidates: &[u32], workers: usize) -> Vec<&[u32]> {
+    candidates.chunks(candidates.len().div_ceil(workers.max(1)).max(1)).collect()
 }
 
 /// Scores a contiguous range of rows through a prebuilt per-phase
 /// [`LinkCache`] into `sink` — the worker-side kernel of the distributed
 /// shard driver.
 ///
-/// `g1_rows` is a view of copy-1 rows indexed by *local* id; `base` maps
-/// local row `r` to global candidate id `base + r` (a view holding the whole
-/// graph passes `base = 0`). Neighbor ids inside `g1_rows` are always
-/// global, which is what segment row-range extraction preserves. Candidate
-/// filtering matches [`collect_candidates`] exactly: a row is scored iff its
-/// degree reaches `min_deg1` and its global id is unlinked; empty rows are
-/// skipped. Running disjoint ranges that tile `0..n1` through fresh
+/// `rows` is a range of copy-1 row ids of `g1`. Candidate filtering
+/// matches [`collect_candidates`] exactly: a row is scored iff its degree
+/// reaches `min_deg1` and it is unlinked; empty rows are skipped. Running disjoint ranges that tile `0..n1` through fresh
 /// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase_on`]
 /// bit-for-bit.
 ///
@@ -976,11 +936,9 @@ fn chunk_candidates<'a, G1: GraphView>(
 /// [`LinkCache::eligible_count`] cells (an arena over `n2` always fits);
 /// `sink` is over copy-2 node ids, and the range's rank-space sink is
 /// translated into it once, at the end.
-#[allow(clippy::too_many_arguments)]
 pub fn score_assigned_rows<G1: GraphView>(
-    g1_rows: &G1,
-    base: u32,
-    local_rows: std::ops::Range<u32>,
+    g1: &G1,
+    rows: std::ops::Range<u32>,
     cache: &LinkCache,
     links: &Linking,
     min_deg1: usize,
@@ -989,15 +947,14 @@ pub fn score_assigned_rows<G1: GraphView>(
 ) {
     // A worker reads exactly this row range; tell mmap-backed views to
     // prefetch it (no-op for in-memory views).
-    g1_rows.advise_rows(local_rows.clone());
+    g1.advise_rows(rows.clone());
     let mut ranked = SelectSink::new(cache.eligible_count(), sink.threshold);
-    for local in local_rows {
-        let global = base + local;
-        if g1_rows.degree(NodeId(local)) < min_deg1 || links.is_linked_g1(NodeId(global)) {
+    for u in rows {
+        if g1.degree(NodeId(u)) < min_deg1 || links.is_linked_g1(NodeId(u)) {
             continue;
         }
-        arena.score_row(g1_rows, NodeId(local), cache);
-        ranked.row(global, arena);
+        arena.score_row(g1, NodeId(u), cache);
+        ranked.row(u, arena);
     }
     sink.absorb_ranked(ranked, cache);
 }
@@ -1084,8 +1041,8 @@ where
     let ranked = if !parallel || candidates.len() < PARALLEL_CUTOFF {
         score_rows(candidates)
     } else {
-        // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
-        // sharded view — chunked here rather than by the scheduler, so
+        // Contiguous chunks of candidate rows, chunked here rather than by
+        // the scheduler, so
         // scratch memory stays O(chunks · eligible) (one arena + one sink
         // each) and the number of sink merges stays proportional to the
         // worker count, independent of how finely the underlying pool
@@ -1093,7 +1050,7 @@ where
         // order is fixed left-to-right (the sinks are order-independent
         // regardless).
         let workers = rayon::current_num_threads().max(1);
-        let chunks = chunk_candidates(g1, candidates, workers);
+        let chunks = chunk_candidates(candidates, workers);
         let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_rows(chunk)).collect();
         sinks
             .into_iter()
@@ -1540,43 +1497,6 @@ mod tests {
         assert_eq!(sink.finish(), (0, vec![]));
     }
 
-    /// `CsrGraph` wrapper pretending its rows live in shards, for testing
-    /// the partition-aware chunking without a dependency on `snr-store`.
-    struct FakeSharded {
-        g: CsrGraph,
-        parts: Vec<std::ops::Range<u32>>,
-    }
-
-    impl GraphView for FakeSharded {
-        fn node_count(&self) -> usize {
-            GraphView::node_count(&self.g)
-        }
-        fn edge_count(&self) -> usize {
-            GraphView::edge_count(&self.g)
-        }
-        fn is_directed(&self) -> bool {
-            GraphView::is_directed(&self.g)
-        }
-        fn max_degree(&self) -> usize {
-            GraphView::max_degree(&self.g)
-        }
-        fn degree(&self, v: NodeId) -> usize {
-            GraphView::degree(&self.g, v)
-        }
-        fn total_degree(&self) -> usize {
-            GraphView::total_degree(&self.g)
-        }
-        fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-            GraphView::neighbors_iter(&self.g, v)
-        }
-        fn memory_bytes(&self) -> usize {
-            GraphView::memory_bytes(&self.g)
-        }
-        fn storage_partitions(&self) -> Option<Vec<std::ops::Range<u32>>> {
-            Some(self.parts.clone())
-        }
-    }
-
     /// The cache as a literal decode would build it: every link's `w2`
     /// neighbor list, in link order, filtered to the eligible entries.
     fn literal_decode<G2: GraphView>(g2: &G2, links: &Linking, d: usize) -> [Vec<u32>; 3] {
@@ -1769,18 +1689,8 @@ mod tests {
         let mut acc = SelectSink::new(n2, t);
         for start in (0..n1).step_by(23) {
             let end = (start + 23).min(n1);
-            let window = RowWindow { g: g1, rows: start..end };
             let mut sink = SelectSink::new(n2, t);
-            score_assigned_rows(
-                &window,
-                start,
-                0..end - start,
-                &cache,
-                links,
-                d,
-                &mut arena,
-                &mut sink,
-            );
+            score_assigned_rows(g1, start..end, &cache, links, d, &mut arena, &mut sink);
             acc.absorb_claims(&sink.into_claims(), start..end).unwrap();
         }
         assert_eq!(acc.finish(), expected, "tiled rows d={d} t={t}");
@@ -1892,52 +1802,13 @@ mod tests {
     }
 
     #[test]
-    fn chunking_aligns_with_storage_partitions_and_loses_no_rows() {
+    fn chunking_loses_no_rows() {
         let candidates: Vec<u32> = (0..1_000u32).filter(|u| u % 3 != 0).collect();
-        let g = FakeSharded {
-            g: CsrGraph::from_edges(1_000, &[(0, 1)]),
-            parts: vec![0..10, 10..700, 700..1_000],
-        };
         for workers in [1usize, 2, 4, 13] {
-            let chunks = chunk_candidates(&g, &candidates, workers);
+            let chunks = chunk_candidates(&candidates, workers);
+            assert!(chunks.len() <= workers, "workers={workers}");
             let flattened: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
             assert_eq!(flattened, candidates, "workers={workers}");
-            // No chunk straddles a shard boundary.
-            for chunk in &chunks {
-                let (first, last) = (chunk[0], *chunk.last().unwrap());
-                assert!(
-                    g.parts.iter().any(|r| r.contains(&first) && r.contains(&last)),
-                    "chunk {first}..={last} straddles shards (workers={workers})"
-                );
-            }
-        }
-        // Monolithic views still get plain even chunks.
-        let plain = CsrGraph::from_edges(1_000, &[(0, 1)]);
-        let chunks = chunk_candidates(&plain, &candidates, 4);
-        assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), candidates.len());
-        // Partitions that do NOT tile the id space (gaps before, between,
-        // and after the ranges) must still cover every candidate.
-        let gappy = FakeSharded {
-            g: CsrGraph::from_edges(1_000, &[(0, 1)]),
-            parts: vec![100..300, 600..800],
-        };
-        let chunks = chunk_candidates(&gappy, &candidates, 4);
-        let flattened: Vec<u32> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
-        assert_eq!(flattened, candidates, "gappy partitions dropped candidates");
-    }
-
-    #[test]
-    fn fused_phase_is_identical_on_a_partitioned_view() {
-        let (g1, g2, links) = pa_workload(37, 500, 6);
-        let n1 = g1.node_count() as u32;
-        let parts = vec![0..n1 / 4, n1 / 4..n1 / 2, n1 / 2..n1];
-        let sharded = FakeSharded { g: g1.clone(), parts };
-        for parallel in [false, true] {
-            assert_eq!(
-                phase(&sharded, &g2, &links, 2, 2, 2, parallel),
-                phase(&g1, &g2, &links, 2, 2, 2, parallel),
-                "parallel={parallel}"
-            );
         }
     }
 
@@ -2097,41 +1968,6 @@ mod tests {
         );
     }
 
-    /// Read-only window over a contiguous row range of a `CsrGraph`: rows
-    /// are addressed by local id, neighbor ids stay global — the shape a
-    /// worker sees after range-addressed segment extraction.
-    struct RowWindow<'a> {
-        g: &'a CsrGraph,
-        rows: std::ops::Range<u32>,
-    }
-
-    impl GraphView for RowWindow<'_> {
-        fn node_count(&self) -> usize {
-            self.rows.len()
-        }
-        fn edge_count(&self) -> usize {
-            GraphView::edge_count(self.g)
-        }
-        fn is_directed(&self) -> bool {
-            GraphView::is_directed(self.g)
-        }
-        fn max_degree(&self) -> usize {
-            GraphView::max_degree(self.g)
-        }
-        fn degree(&self, v: NodeId) -> usize {
-            GraphView::degree(self.g, NodeId(self.rows.start + v.0))
-        }
-        fn total_degree(&self) -> usize {
-            GraphView::total_degree(self.g)
-        }
-        fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-            GraphView::neighbors_iter(self.g, NodeId(self.rows.start + v.0))
-        }
-        fn memory_bytes(&self) -> usize {
-            GraphView::memory_bytes(self.g)
-        }
-    }
-
     #[test]
     fn range_scored_claims_reassemble_the_fused_selection() {
         let (g1, g2, links) = pa_workload(53, 400, 6);
@@ -2145,19 +1981,9 @@ mod tests {
             // sink whose claims make a wire round-trip before absorption.
             for start in (0..n1).step_by(97) {
                 let end = (start + 97).min(n1);
-                let window = RowWindow { g: &g1, rows: start..end };
                 let mut arena = ScoreArena::new(n2);
                 let mut sink = SelectSink::new(n2, t);
-                score_assigned_rows(
-                    &window,
-                    start,
-                    0..(end - start),
-                    &cache,
-                    &links,
-                    d,
-                    &mut arena,
-                    &mut sink,
-                );
+                score_assigned_rows(&g1, start..end, &cache, &links, d, &mut arena, &mut sink);
                 let decoded = SinkClaims::decode(&sink.into_claims().encode()).unwrap();
                 acc.absorb_claims(&decoded, start..end).unwrap();
             }
@@ -2174,7 +2000,7 @@ mod tests {
         let cache = LinkCache::build(&g2, &links, 2);
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(&g1, 0, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
+        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         assert_eq!(sink.finish(), expected);
     }
 
@@ -2185,16 +2011,8 @@ mod tests {
         let n2 = g2.node_count();
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(
-            &g1,
-            0,
-            0..g1.node_count() as u32,
-            &cache,
-            &links,
-            2,
-            &mut arena,
-            &mut sink,
-        );
+        let n1 = g1.node_count() as u32;
+        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         let claims = sink.into_claims();
         assert!(claims.claim_count() > 0, "workload must produce claims");
         let bytes = claims.encode();
@@ -2226,16 +2044,8 @@ mod tests {
         let cache = LinkCache::build(&g2, &links, 2);
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(
-            &g1,
-            0,
-            0..g1.node_count() as u32,
-            &cache,
-            &links,
-            2,
-            &mut arena,
-            &mut sink,
-        );
+        let n1 = g1.node_count() as u32;
+        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         let claims = sink.into_claims();
         assert!(claims.claim_count() > 0);
         let rows = 0..g1.node_count() as u32;

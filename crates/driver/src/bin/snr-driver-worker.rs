@@ -1,7 +1,7 @@
 //! The worker subprocess of the shard driver.
 //!
 //! Speaks the length-prefixed frame protocol of `snr_driver::protocol` over
-//! stdin/stdout: opens a `ShardScorer` on the segment stores named by
+//! stdin/stdout: opens a `ShardScorer` on the two segment files named by
 //! `Init`, folds each `Phase`'s link delta into a resident `Linking` and
 //! sets the scorer up for the phase, and answers every `Task` with the
 //! serialized claims the scorer returns for one contiguous row-range (the

@@ -5,15 +5,15 @@
 //! The on-disk format is framed by [`snr_store::wire`], like every other
 //! file in the workspace: a magic (`SNRC`), a format version, fixed-width
 //! little-endian fields, and a trailing 8-byte [`snr_store::Checksum64`]
-//! over everything before it (a version-1 checkpoint, which had an older
-//! footer checksum, is rejected). Every structural defect — bad magic, bad
+//! over everything before it. Older versions are rejected: version 1 had
+//! an older footer checksum, and version 2 carried a store tag from when
+//! workers could open the segments more than one way. Every structural defect — bad magic, bad
 //! version, truncation, inflated counts, checksum mismatch, trailing bytes —
 //! is a [`DriverError::Checkpoint`], never a panic and never an oversized
 //! allocation. Writes go to a temp file that is atomically renamed over
 //! the previous checkpoint, so a torn write leaves the prior phase's
 //! checkpoint intact (resume just redoes one more phase).
 
-use crate::driver::DriverStore;
 use crate::error::DriverError;
 use snr_core::PhaseStats;
 use snr_store::segment::VERSION as STORE_VERSION;
@@ -29,7 +29,7 @@ pub const CHECKPOINT_FILE: &str = "checkpoint.snrc";
 pub const MAGIC: [u8; 4] = *b"SNRC";
 
 /// Checkpoint format version.
-pub const VERSION: u16 = 2;
+pub const VERSION: u16 = 3;
 
 const FORMAT: Format = Format { magic: MAGIC, version: VERSION, name: "checkpoint" };
 
@@ -40,8 +40,6 @@ fn corrupt(e: WireError) -> DriverError {
 /// Everything needed to restart a run at its next phase boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// How the interrupted run's workers opened the scratch segments.
-    pub store: DriverStore,
     /// Copy-1 node-space size.
     pub n1: u64,
     /// Copy-2 node-space size.
@@ -130,13 +128,6 @@ impl Checkpoint {
     fn encode_fields(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
         FORMAT.put_header(w);
         w.u16(STORE_VERSION);
-        let (tag, shards) = match self.store {
-            DriverStore::Compact => (0, 0),
-            DriverStore::Mmap => (1, 0),
-            DriverStore::Sharded(n) => (2, n),
-        };
-        w.u8(tag);
-        w.len_prefix(shards)?;
         w.u64(self.n1);
         w.u64(self.n2);
         w.u32(self.threshold);
@@ -159,12 +150,11 @@ impl Checkpoint {
     /// Parses and validates a serialized checkpoint.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, DriverError> {
         let body = wire::open_sealed(bytes).map_err(corrupt)?;
-        // Every field as stored; the tags and cross-field invariants are
-        // checked below.
+        // Every field as stored; the segment version and cross-field
+        // invariants are checked below.
         let read = |r: &mut Reader<'_>| {
             FORMAT.check_header(r)?;
             let seg_version = r.u16()?;
-            let store = (r.u8()?, r.u32()?);
             let sizes = (r.u64()?, r.u64()?);
             let params = (r.u32()?, r.u32()?, r.bool()?, r.u32()?);
             let (seeds, links) = (r.pairs()?, r.pairs()?);
@@ -182,9 +172,9 @@ impl Checkpoint {
                 })
                 .collect::<Result<Vec<_>, WireError>>()?;
             r.finish()?;
-            Ok((seg_version, store, sizes, params, seeds, links, phases))
+            Ok((seg_version, sizes, params, seeds, links, phases))
         };
-        let (seg_version, store, (n1, n2), params, seeds, links, phases) =
+        let (seg_version, (n1, n2), params, seeds, links, phases) =
             read(&mut Reader::new(body)).map_err(corrupt)?;
         let (threshold, iterations, degree_bucketing, min_bucket) = params;
         if seg_version != STORE_VERSION {
@@ -192,14 +182,7 @@ impl Checkpoint {
                 "checkpoint references segment format v{seg_version}, this build reads v{STORE_VERSION}"
             )));
         }
-        let store = match store {
-            (0, _) => DriverStore::Compact,
-            (1, _) => DriverStore::Mmap,
-            (2, n) => DriverStore::Sharded(n as usize),
-            (t, _) => return Err(DriverError::Checkpoint(format!("unknown store tag {t}"))),
-        };
         let cp = Checkpoint {
-            store,
             n1,
             n2,
             threshold,
@@ -255,7 +238,6 @@ mod tests {
 
     fn sample() -> Checkpoint {
         Checkpoint {
-            store: DriverStore::Sharded(4),
             n1: 1000,
             n2: 999,
             threshold: 2,
@@ -290,11 +272,6 @@ mod tests {
         let cp = sample();
         let bytes = cp.encode();
         assert_eq!(Checkpoint::decode(&bytes).unwrap(), cp);
-        for store in [DriverStore::Compact, DriverStore::Mmap] {
-            let mut cp = sample();
-            cp.store = store;
-            assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
-        }
     }
 
     #[test]
@@ -328,16 +305,17 @@ mod tests {
         assert!(Checkpoint::decode(&[]).is_err());
     }
 
-    #[test]
-    fn version_1_checkpoints_are_clean_errors() {
+    /// A checkpoint stamped with an older `version` is a clean error,
+    /// whether its footer is left stale or re-sealed.
+    fn assert_old_version_is_rejected(version: u16) {
         let bytes = sample().encode();
         let mut old = bytes.clone();
-        old[4..6].copy_from_slice(&1u16.to_le_bytes());
-        // As written by a version-1 build, the footer no longer matches:
-        // the checksum check fires first.
+        old[4..6].copy_from_slice(&version.to_le_bytes());
+        // With the footer left alone it no longer matches: the checksum
+        // check fires first.
         match Checkpoint::decode(&old) {
             Err(DriverError::Checkpoint(why)) => assert!(why.contains("checksum"), "{why}"),
-            other => panic!("version-1 checkpoint decoded as {other:?}"),
+            other => panic!("version-{version} checkpoint decoded as {other:?}"),
         }
         // Re-sealed with a valid footer, the version check fires instead.
         let body = old.len() - 8;
@@ -345,10 +323,21 @@ mod tests {
         old[body..].copy_from_slice(&sum.to_le_bytes());
         match Checkpoint::decode(&old) {
             Err(DriverError::Checkpoint(why)) => {
-                assert!(why.contains("unsupported checkpoint version 1"), "{why}")
+                let expected = format!("unsupported checkpoint version {version}");
+                assert!(why.contains(&expected), "{why}")
             }
-            other => panic!("version-1 checkpoint decoded as {other:?}"),
+            other => panic!("version-{version} checkpoint decoded as {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_1_checkpoints_are_clean_errors() {
+        assert_old_version_is_rejected(1);
+    }
+
+    #[test]
+    fn version_2_checkpoints_are_clean_errors() {
+        assert_old_version_is_rejected(2);
     }
 
     #[test]
@@ -394,7 +383,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, "534e5243020002000204000000e803000000000000e7030000000000000200000002000000010100000003000000000000000000000005000000070000000500000007000000040000000000000000000000050000000700000009000000090000000a0000000b000000020000000100000005000000d20400000000000001000000000000000300000000000000dc0500000000000001000000040000000903000000000000010000000000000004000000000000008403000000000000e9c7227493ffde6a");
+        assert_eq!(hex, "534e524303000200e803000000000000e7030000000000000200000002000000010100000003000000000000000000000005000000070000000500000007000000040000000000000000000000050000000700000009000000090000000a0000000b000000020000000100000005000000d20400000000000001000000000000000300000000000000dc05000000000000010000000400000009030000000000000100000000000000040000000000000084030000000000005895bb34538db12a");
         assert_eq!(Checkpoint::decode(&bytes).unwrap(), sample());
     }
 }

@@ -57,14 +57,14 @@
 
 use crate::checkpoint::{Checkpoint, CheckpointPhase, CHECKPOINT_FILE};
 use crate::error::DriverError;
-use crate::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
+use crate::protocol::{read_frame, write_frame, Message};
 use crate::shard::{require_undirected, ShardScorer};
 use snr_core::scoring::{SelectSink, SinkClaims};
 use snr_core::{Linking, MatchingConfig, MatchingOutcome, Phase};
 use snr_faults::{FaultRegistry, FaultSite};
 use snr_graph::{GraphView, NodeId};
 use snr_store::segment::{SegmentMeta, HEADER_LEN};
-use snr_store::{write_segment_file, write_shard_segments, MmapGraph, ShardedGraph};
+use snr_store::{write_segment_file, MmapGraph};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fs::File;
@@ -75,17 +75,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-/// How the driver materializes graphs for its workers.
+/// How the driver materializes graphs for its workers. Workers always
+/// memory-map one whole-graph segment per copy, so this has one value; it
+/// stays only because the whole-run benchmark's driver set-up names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverStore {
-    /// Workers read each assigned row-range into an in-memory `CompactCsr`
-    /// (and load g2 whole); no worker ever holds all of g1.
-    Compact,
-    /// Workers memory-map one whole-graph segment per side.
+    /// Workers memory-map one whole-graph segment per copy.
     Mmap,
-    /// g1 is split into this many shard segments; workers map them through
-    /// a `ShardedGraph` view, and each shard is one task.
-    Sharded(usize),
 }
 
 /// What the coordinator does when every worker is lost (none live and no
@@ -126,7 +122,8 @@ pub struct DriverConfig {
     /// The matching schedule to distribute (threshold, iterations,
     /// bucketing) — same meaning as in the sequential driver.
     pub matching: MatchingConfig,
-    /// How workers open the graphs.
+    /// How workers open the graphs: always [`DriverStore::Mmap`]. Kept only
+    /// because the whole-run benchmark's driver set-up assigns it.
     pub store: DriverStore,
     /// Per-task round deadline: a worker that holds a task past this long
     /// has the task speculatively re-queued, and is killed if it also
@@ -151,7 +148,7 @@ pub struct DriverConfig {
 
 impl DriverConfig {
     /// A config with `workers` subprocesses and defaults for the rest:
-    /// mmap stores, 60 s round deadline, two respawns, in-process
+    /// mapped segments, 60 s round deadline, two respawns, in-process
     /// degradation on total loss, per-phase checkpoints, fault spec taken
     /// from the `SNR_FAULT` environment variable.
     pub fn new(workers: usize) -> Self {
@@ -170,8 +167,7 @@ impl DriverConfig {
 }
 
 /// Row-range granularity: the node space is cut into
-/// `workers * TASKS_PER_WORKER` entry-balanced tasks (except under
-/// [`DriverStore::Sharded`], where each shard is one task).
+/// `workers * TASKS_PER_WORKER` entry-balanced tasks.
 const TASKS_PER_WORKER: usize = 3;
 
 /// Base of the exponential respawn backoff: attempt `k` of a slot waits
@@ -198,8 +194,9 @@ pub struct ShardDriver {
     n1: usize,
     n2: usize,
     max_degree: usize,
-    g1_spec: G1Spec,
-    g2_spec: G2Spec,
+    /// Paths of the copy-1 and copy-2 segments every worker maps.
+    g1_path: String,
+    g2_path: String,
     /// Disjoint `(first_node, node_count)` ranges tiling `0..n1`, ascending.
     tasks: Vec<(u32, u32)>,
     segment_bytes: u64,
@@ -228,55 +225,28 @@ impl ShardDriver {
         ));
         std::fs::create_dir_all(&scratch)?;
         write_segment_file(g2, &scratch.join("g2.snrs"))?;
-        let g1_paths = match config.store {
-            DriverStore::Compact | DriverStore::Mmap => {
-                let path = scratch.join("g1.snrs");
-                write_segment_file(g1, &path)?;
-                vec![path]
-            }
-            DriverStore::Sharded(n) => {
-                write_shard_segments(g1, n.max(1), &scratch.join("g1-shards"))?
-            }
-        };
-        ShardDriver::plan(scratch, config, faults, g1, g1_paths, g2.node_count(), g2.max_degree())
+        write_segment_file(g1, &scratch.join("g1.snrs"))?;
+        ShardDriver::plan(scratch, config, faults, g1, g2.node_count(), g2.max_degree())
     }
 
-    /// The segment plan shared by [`ShardDriver::new`] and
-    /// [`ShardDriver::resume`]: from the copy-1 view and its segment files
-    /// (`g2.snrs` sits next to them in `scratch`), derives the specs the
-    /// workers open, the task tiling of `0..n1`, and the segment byte count.
+    /// The plan shared by [`ShardDriver::new`] and [`ShardDriver::resume`]:
+    /// from the copy-1 view (`g1.snrs` and `g2.snrs` sit in `scratch`),
+    /// derives the task tiling of `0..n1` and the segment byte count.
     fn plan<G1: GraphView>(
         scratch: PathBuf,
         config: DriverConfig,
         faults: FaultRegistry,
         g1: &G1,
-        g1_paths: Vec<PathBuf>,
         n2: usize,
         g2_max_degree: usize,
     ) -> Result<ShardDriver, DriverError> {
-        let g2_path = scratch.join("g2.snrs");
-        let g2_mmap = G2Spec::Mmap { path: path_str(&g2_path)? };
-        let tiles = config.workers.max(1) * TASKS_PER_WORKER;
-        let (g1_spec, g2_spec, parts) = match config.store {
-            DriverStore::Compact => (
-                G1Spec::RangeLoad { path: path_str(&g1_paths[0])? },
-                G2Spec::Load { path: path_str(&g2_path)? },
-                tiles,
-            ),
-            DriverStore::Mmap => {
-                (G1Spec::MmapWhole { path: path_str(&g1_paths[0])? }, g2_mmap, tiles)
-            }
-            DriverStore::Sharded(n) => {
-                let paths = g1_paths.iter().map(|p| path_str(p)).collect::<Result<_, _>>()?;
-                (G1Spec::Shards { paths }, g2_mmap, n.max(1))
-            }
-        };
-        let tasks = snr_store::shard_boundaries(g1, parts)
+        let (g1_path, g2_path) = (scratch.join("g1.snrs"), scratch.join("g2.snrs"));
+        let tasks = shard_boundaries(g1, config.workers.max(1) * TASKS_PER_WORKER)
             .windows(2)
             .map(|w| (w[0], w[1] - w[0]))
             .filter(|&(_, count)| count > 0)
             .collect();
-        let segment_bytes = g1_paths.iter().chain([&g2_path]).map(|p| file_len(p)).sum();
+        let segment_bytes = file_len(&g1_path) + file_len(&g2_path);
         Ok(ShardDriver {
             config,
             faults,
@@ -285,8 +255,8 @@ impl ShardDriver {
             n1: g1.node_count(),
             n2,
             max_degree: g1.max_degree().max(g2_max_degree),
-            g1_spec,
-            g2_spec,
+            g1_path: path_str(&g1_path)?,
+            g2_path: path_str(&g2_path)?,
             tasks,
             segment_bytes,
             stats: RefCell::new(RunStats::default()),
@@ -299,8 +269,8 @@ impl ShardDriver {
     /// that remain. The result is bit-identical to what the uninterrupted
     /// run would have produced.
     ///
-    /// The checkpoint pins the store mode and the matching schedule; a
-    /// `config` whose schedule disagrees is a [`DriverError::Checkpoint`]
+    /// The checkpoint pins the matching schedule; a `config` whose
+    /// schedule disagrees is a [`DriverError::Checkpoint`]
     /// (no silent partial resume). Worker count, timeouts, and the healing
     /// knobs are free to differ — task tiling does not affect the result.
     pub fn resume<P: AsRef<Path>>(
@@ -324,7 +294,7 @@ impl ShardDriver {
     /// validates every checkpointed parameter against `config`.
     fn reopen(
         scratch: PathBuf,
-        mut config: DriverConfig,
+        config: DriverConfig,
         cp: &Checkpoint,
     ) -> Result<ShardDriver, DriverError> {
         let m = &config.matching;
@@ -344,7 +314,6 @@ impl ShardDriver {
                 cp.min_bucket
             )));
         }
-        config.store = cp.store;
         let faults = parse_faults(&config)?;
         let g2_meta = read_meta(&scratch.join("g2.snrs"))?;
         if g2_meta.node_count as u64 != cp.n2 {
@@ -353,31 +322,15 @@ impl ShardDriver {
                 cp.n2, g2_meta.node_count
             )));
         }
-        let (n2, g2_max_degree) = (g2_meta.node_count, g2_meta.max_degree);
-        match config.store {
-            DriverStore::Compact | DriverStore::Mmap => {
-                let path = scratch.join("g1.snrs");
-                let g1 = MmapGraph::open(&path)?;
-                check_n1(g1.node_count(), cp)?;
-                ShardDriver::plan(scratch, config, faults, &g1, vec![path], n2, g2_max_degree)
-            }
-            DriverStore::Sharded(_) => {
-                let shard_dir = scratch.join("g1-shards");
-                let paths: Vec<PathBuf> = (0..)
-                    .map(|k| shard_dir.join(format!("shard-{k}.snrs")))
-                    .take_while(|p| p.exists())
-                    .collect();
-                if paths.is_empty() {
-                    return Err(DriverError::Checkpoint(format!(
-                        "checkpoint expects sharded g1 but {} holds no shard-*.snrs",
-                        shard_dir.display()
-                    )));
-                }
-                let g1 = ShardedGraph::open(&paths)?;
-                check_n1(g1.node_count(), cp)?;
-                ShardDriver::plan(scratch, config, faults, &g1, paths, n2, g2_max_degree)
-            }
+        let g1 = MmapGraph::open(scratch.join("g1.snrs"))?;
+        if g1.node_count() as u64 != cp.n1 {
+            return Err(DriverError::Checkpoint(format!(
+                "checkpoint says n1={} but g1.snrs holds {} nodes",
+                cp.n1,
+                g1.node_count()
+            )));
         }
+        ShardDriver::plan(scratch, config, faults, &g1, g2_meta.node_count, g2_meta.max_degree)
     }
 
     /// Total bytes of the scratch segment files shipped to workers.
@@ -496,7 +449,6 @@ impl ShardDriver {
         let _span = snr_telemetry::span!("checkpoint", phase = phase_no);
         let cfg = &self.config.matching;
         let cp = Checkpoint {
-            store: self.config.store,
             n1: self.n1 as u64,
             n2: self.n2 as u64,
             threshold: cfg.threshold,
@@ -740,7 +692,7 @@ impl ShardDriver {
     ) -> Result<(), DriverError> {
         let scorer = match scorer {
             Some(scorer) => scorer,
-            none => none.insert(ShardScorer::open(&self.g1_spec, &self.g2_spec)?),
+            none => none.insert(ShardScorer::open(&self.g1_path, &self.g2_path)?),
         };
         // Consecutive degraded phases build each phase's LinkCache once.
         if scorer.phase() != Some(phase) {
@@ -807,14 +759,30 @@ fn parse_faults(config: &DriverConfig) -> Result<FaultRegistry, DriverError> {
     }
 }
 
-fn check_n1(actual: usize, cp: &Checkpoint) -> Result<(), DriverError> {
-    if actual as u64 != cp.n1 {
-        return Err(DriverError::Checkpoint(format!(
-            "checkpoint says n1={} but the g1 segments hold {} nodes",
-            cp.n1, actual
-        )));
+/// Balanced shard boundaries: contiguous node ranges with roughly equal
+/// adjacency-entry counts (node counts can be wildly skewed on power-law
+/// graphs, entry counts are what scoring actually pays for). Returns
+/// `shards + 1` ascending cut points starting at 0 and ending at
+/// `node_count`.
+fn shard_boundaries<G: GraphView>(g: &G, shards: usize) -> Vec<u32> {
+    let shards = shards.max(1);
+    let n = g.node_count();
+    let total = g.total_degree();
+    let mut cuts = Vec::with_capacity(shards + 1);
+    cuts.push(0u32);
+    let mut acc = 0usize;
+    let mut v = 0usize;
+    for k in 1..shards {
+        // Cut when the running entry count reaches k/shards of the total.
+        let target = total * k / shards;
+        while v < n && acc < target {
+            acc += g.degree(NodeId(v as u32));
+            v += 1;
+        }
+        cuts.push(v as u32);
     }
-    Ok(())
+    cuts.push(n as u32);
+    cuts
 }
 
 /// Reads just the header of a segment file (node counts, max degree) for
@@ -1028,8 +996,8 @@ impl WorkerPool {
             worker_id: id,
             n1: driver.n1 as u64,
             n2: driver.n2 as u64,
-            g1: driver.g1_spec.clone(),
-            g2: driver.g2_spec.clone(),
+            g1: driver.g1_path.clone(),
+            g2: driver.g2_path.clone(),
         };
         if !self.send(id, &init) {
             self.reap(w);
@@ -1376,6 +1344,26 @@ mod tests {
         assert_eq!(pool.idle_worker(), Some(0));
         pool.slots[0].phase_tasks = 1;
         assert_eq!(pool.idle_worker(), None, "a new phase waits for the handshake again");
+    }
+
+    #[test]
+    fn boundaries_are_entry_balanced_and_tile_the_space() {
+        // A hub plus a sparse tail: entry-balanced cuts differ visibly from
+        // node-balanced ones.
+        let mut edges: Vec<(u32, u32)> = (1..200u32).map(|i| (0, i)).collect();
+        edges.extend((200..400u32).map(|i| (i, (i + 1) % 400)));
+        let g = snr_graph::CsrGraph::from_edges(400, &edges);
+        for shards in [1usize, 2, 3, 4, 7] {
+            let cuts = shard_boundaries(&g, shards);
+            assert_eq!(cuts.len(), shards + 1);
+            assert_eq!(cuts[0], 0);
+            assert_eq!(*cuts.last().unwrap(), g.node_count() as u32);
+            assert!(cuts.windows(2).all(|w| w[0] <= w[1]));
+        }
+        // The hub (node 0, degree 199 of 798 entries) forces the 4-shard
+        // first cut well before the node-count midpoint.
+        let cuts = shard_boundaries(&g, 4);
+        assert!(cuts[1] < 200, "first cut at {} ignores entry balance", cuts[1]);
     }
 
     #[test]

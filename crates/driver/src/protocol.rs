@@ -44,49 +44,11 @@ use std::io::{Read, Write};
 /// not turn into a giant allocation.
 pub const MAX_FRAME: usize = 1 << 30;
 
-/// How a worker should open copy-1 rows.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum G1Spec {
-    /// One whole-graph segment; materialize each assigned row-range on
-    /// demand via `read_segment_rows_file`.
-    RangeLoad {
-        /// Segment file path.
-        path: String,
-    },
-    /// One whole-graph segment, memory-mapped once; tasks index it by
-    /// global row id.
-    MmapWhole {
-        /// Segment file path.
-        path: String,
-    },
-    /// Shard segment files tiling the node space, memory-mapped through
-    /// `ShardedGraph::open`; tasks index the sharded view by global row id.
-    Shards {
-        /// Shard segment paths, in ascending row order.
-        paths: Vec<String>,
-    },
-}
-
-/// How a worker should open the copy-2 graph (always whole: every worker
-/// scores against the full `v` axis).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum G2Spec {
-    /// Read the segment into an in-memory `CompactCsr`.
-    Load {
-        /// Segment file path.
-        path: String,
-    },
-    /// Memory-map the segment.
-    Mmap {
-        /// Segment file path.
-        path: String,
-    },
-}
-
 /// One protocol frame body.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    /// Coordinator → worker: identity, node-space sizes, and store specs.
+    /// Coordinator → worker: identity, node-space sizes, and the two
+    /// whole-graph segment files the worker maps.
     Init {
         /// This worker's id (0-based).
         worker_id: u32,
@@ -94,12 +56,12 @@ pub enum Message {
         n1: u64,
         /// Copy-2 node-space size.
         n2: u64,
-        /// How to open copy-1 rows.
-        g1: G1Spec,
-        /// How to open the copy-2 graph.
-        g2: G2Spec,
+        /// Path of the copy-1 segment.
+        g1: String,
+        /// Path of the copy-2 segment.
+        g2: String,
     },
-    /// Worker → coordinator: stores opened, ready for phases.
+    /// Worker → coordinator: segments mapped, ready for phases.
     InitOk {
         /// Echoed worker id.
         worker_id: u32,
@@ -201,59 +163,6 @@ fn string(r: &mut Reader<'_>) -> Result<String, DriverError> {
         .map_err(|_| DriverError::Protocol("string field is not UTF-8".into()))
 }
 
-impl G1Spec {
-    fn encode(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
-        match self {
-            G1Spec::RangeLoad { path } => {
-                w.u8(0);
-                w.bytes(path.as_bytes())
-            }
-            G1Spec::MmapWhole { path } => {
-                w.u8(1);
-                w.bytes(path.as_bytes())
-            }
-            G1Spec::Shards { paths } => {
-                w.u8(2);
-                w.len_prefix(paths.len())?;
-                paths.iter().try_for_each(|p| w.bytes(p.as_bytes()))
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<G1Spec, DriverError> {
-        match r.u8()? {
-            0 => Ok(G1Spec::RangeLoad { path: string(r)? }),
-            1 => Ok(G1Spec::MmapWhole { path: string(r)? }),
-            2 => {
-                // Each path costs at least its 4-byte length prefix.
-                let n = r.count(4)?;
-                let paths = (0..n).map(|_| string(r)).collect::<Result<_, _>>()?;
-                Ok(G1Spec::Shards { paths })
-            }
-            t => Err(DriverError::Protocol(format!("unknown g1 store tag {t}"))),
-        }
-    }
-}
-
-impl G2Spec {
-    fn encode(&self, w: &mut Writer<'_>) -> Result<(), WireError> {
-        let (tag, path) = match self {
-            G2Spec::Load { path } => (0, path),
-            G2Spec::Mmap { path } => (1, path),
-        };
-        w.u8(tag);
-        w.bytes(path.as_bytes())
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<G2Spec, DriverError> {
-        match r.u8()? {
-            0 => Ok(G2Spec::Load { path: string(r)? }),
-            1 => Ok(G2Spec::Mmap { path: string(r)? }),
-            t => Err(DriverError::Protocol(format!("unknown g2 store tag {t}"))),
-        }
-    }
-}
-
 impl Message {
     /// Serializes the frame body (without the length prefix).
     ///
@@ -281,8 +190,8 @@ impl Message {
                 w.u32(*worker_id);
                 w.u64(*n1);
                 w.u64(*n2);
-                g1.encode(w)?;
-                g2.encode(w)?;
+                w.bytes(g1.as_bytes())?;
+                w.bytes(g2.as_bytes())?;
             }
             Message::InitOk { worker_id } => {
                 w.u8(TAG_INIT_OK);
@@ -355,8 +264,8 @@ impl Message {
                 worker_id: r.u32()?,
                 n1: r.u64()?,
                 n2: r.u64()?,
-                g1: G1Spec::decode(r)?,
-                g2: G2Spec::decode(r)?,
+                g1: string(r)?,
+                g2: string(r)?,
             },
             TAG_INIT_OK => Message::InitOk { worker_id: r.u32()? },
             TAG_PHASE => Message::Phase {
@@ -474,8 +383,8 @@ mod tests {
                 worker_id: 3,
                 n1: 1_000,
                 n2: 999,
-                g1: G1Spec::Shards { paths: vec!["a.snrs".into(), "b.snrs".into()] },
-                g2: G2Spec::Mmap { path: "g2.snrs".into() },
+                g1: "g1.snrs".into(),
+                g2: "g2.snrs".into(),
             },
             Message::InitOk { worker_id: 3 },
             Message::Reinit {
@@ -507,7 +416,7 @@ mod tests {
         // passes whenever encode and decode change together, these fail on
         // any change to the layout itself.
         let golden = [
-            "3a0000000103000000e803000000000000e703000000000000020200000006000000612e736e727306000000622e736e7273010700000067322e736e7273",
+            "2b0000000103000000e803000000000000e7030000000000000700000067312e736e72730700000067322e736e7273",
             "050000000203000000",
             "2d000000080200000004000000040000000200000003000000000000000500000007000000070000000900000002000000",
             "2500000003010000000200000002000000020000000200000000000000050000000700000007000000",

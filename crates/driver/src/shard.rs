@@ -2,35 +2,17 @@
 //! coordinator's in-process degradation path.
 //!
 //! A task is a contiguous copy-1 row range of one phase. Scoring it means:
-//! open the segment views the run's [`G1Spec`]/[`G2Spec`] name, build the
-//! phase's [`LinkCache`] once, and run `score_assigned_rows` over the range
-//! into a fresh [`SelectSink`]. Both executors do exactly this through
-//! [`ShardScorer`], which is why a range scored in-process is bit-identical
-//! to the same range scored by a worker.
+//! map the run's two segment files, build the phase's [`LinkCache`] once,
+//! and run `score_assigned_rows` over the range into a fresh
+//! [`SelectSink`]. Both executors do exactly this through [`ShardScorer`],
+//! which is why a range scored in-process is bit-identical to the same
+//! range scored by a worker.
 
 use crate::error::DriverError;
-use crate::protocol::{G1Spec, G2Spec};
 use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
 use snr_core::Linking;
-use snr_graph::{CompactCsr, GraphError, GraphView};
-use snr_store::{read_segment, read_segment_rows_file, MmapGraph, ShardedGraph};
-use std::fs::File;
-use std::io::BufReader;
-use std::path::PathBuf;
-
-/// The copy-1 view: a segment path each scored range is read from, or the
-/// whole graph indexed by global row id.
-enum G1View {
-    Range(PathBuf),
-    Whole(MmapGraph),
-    Sharded(ShardedGraph<MmapGraph>),
-}
-
-/// The copy-2 view (always whole: eligibility spans the full `v` axis).
-enum G2View {
-    Mem(CompactCsr),
-    Map(MmapGraph),
-}
+use snr_graph::{GraphError, GraphView};
+use snr_store::MmapGraph;
 
 /// The phase a scorer is set up for.
 struct PhaseState {
@@ -40,42 +22,28 @@ struct PhaseState {
     cache: LinkCache,
 }
 
-/// Opened graph views, a score arena, and the current phase's [`LinkCache`]:
-/// everything needed to score row ranges of one phase.
+/// Mapped graph views, a score arena, and the current phase's
+/// [`LinkCache`]: everything needed to score row ranges of one phase.
 pub struct ShardScorer {
-    g1: G1View,
-    g2: G2View,
-    n2: usize,
+    g1: MmapGraph,
+    g2: MmapGraph,
     arena: ScoreArena,
     phase: Option<PhaseState>,
 }
 
 impl ShardScorer {
-    /// Opens the views `g1` and `g2` describe. No phase is set yet.
+    /// Maps the whole-graph segments at `g1` and `g2`. No phase is set yet.
     ///
     /// # Errors
     ///
     /// Fails if a segment cannot be opened, or with
     /// [`GraphError::InvalidParameter`] if the copy-2 segment is directed:
     /// the [`LinkCache`] build needs undirected adjacency.
-    pub fn open(g1: &G1Spec, g2: &G2Spec) -> Result<ShardScorer, DriverError> {
-        let g1 = match g1 {
-            G1Spec::RangeLoad { path } => G1View::Range(PathBuf::from(path)),
-            G1Spec::MmapWhole { path } => G1View::Whole(MmapGraph::open(path)?),
-            G1Spec::Shards { paths } => G1View::Sharded(ShardedGraph::open(paths)?),
-        };
-        let g2 = match g2 {
-            G2Spec::Load { path } => {
-                G2View::Mem(read_segment(BufReader::new(File::open(path)?))?.1)
-            }
-            G2Spec::Mmap { path } => G2View::Map(MmapGraph::open(path)?),
-        };
-        let (n2, directed) = match &g2 {
-            G2View::Mem(g) => (g.node_count(), g.is_directed()),
-            G2View::Map(g) => (g.node_count(), g.is_directed()),
-        };
-        require_undirected(directed)?;
-        Ok(ShardScorer { g1, g2, n2, arena: ScoreArena::new(n2), phase: None })
+    pub fn open(g1: &str, g2: &str) -> Result<ShardScorer, DriverError> {
+        let (g1, g2) = (MmapGraph::open(g1)?, MmapGraph::open(g2)?);
+        require_undirected(g2.is_directed())?;
+        let arena = ScoreArena::new(g2.node_count());
+        Ok(ShardScorer { g1, g2, arena, phase: None })
     }
 
     /// The phase the scorer is set up for, if any.
@@ -101,10 +69,7 @@ impl ShardScorer {
         threshold: u32,
     ) {
         self.phase = (phase != 0).then(|| {
-            let cache = match &self.g2 {
-                G2View::Mem(g) => LinkCache::build(g, links, min_deg2 as usize),
-                G2View::Map(g) => LinkCache::build(g, links, min_deg2 as usize),
-            };
+            let cache = LinkCache::build(&self.g2, links, min_deg2 as usize);
             PhaseState { phase, min_deg1: min_deg1 as usize, threshold, cache }
         });
     }
@@ -124,29 +89,21 @@ impl ShardScorer {
         let bad_rows = || {
             DriverError::Protocol(format!("Task rows {first_node}+{node_count} are outside copy 1"))
         };
-        let rows = first_node..first_node.checked_add(node_count).ok_or_else(bad_rows)?;
-        // A range load checks its rows against the segment; whole views here.
-        let checked =
-            |n1: usize| (rows.end as usize <= n1).then(|| rows.clone()).ok_or_else(bad_rows);
-        let mut sink = SelectSink::new(self.n2, p.threshold);
-        let arena = &mut self.arena;
-        match &self.g1 {
-            G1View::Range(path) => {
-                let (_, g) = read_segment_rows_file(path, rows)?;
-                let local = 0..node_count;
-                score_assigned_rows(
-                    &g, first_node, local, &p.cache, links, p.min_deg1, arena, &mut sink,
-                )
-            }
-            G1View::Whole(g) => {
-                let rows = checked(g.node_count())?;
-                score_assigned_rows(g, 0, rows, &p.cache, links, p.min_deg1, arena, &mut sink)
-            }
-            G1View::Sharded(g) => {
-                let rows = checked(g.node_count())?;
-                score_assigned_rows(g, 0, rows, &p.cache, links, p.min_deg1, arena, &mut sink)
-            }
+        let end = first_node.checked_add(node_count).ok_or_else(bad_rows)?;
+        if end as usize > self.g1.node_count() {
+            return Err(bad_rows());
         }
+        let mut sink = SelectSink::new(self.g2.node_count(), p.threshold);
+        let arena = &mut self.arena;
+        score_assigned_rows(
+            &self.g1,
+            first_node..end,
+            &p.cache,
+            links,
+            p.min_deg1,
+            arena,
+            &mut sink,
+        );
         Ok(sink.into_claims())
     }
 }
@@ -184,10 +141,10 @@ mod tests {
     use snr_generators::preferential_attachment;
     use snr_sampling::independent::independent_deletion_symmetric;
     use snr_sampling::sample_seeds;
-    use snr_store::{write_segment_file, write_shard_segments};
+    use snr_store::write_segment_file;
 
     #[test]
-    fn every_store_combination_reassembles_the_fused_phase() {
+    fn scored_ranges_reassemble_the_fused_phase() {
         let mut rng = StdRng::seed_from_u64(91);
         let g = preferential_attachment(600, 6, &mut rng).unwrap();
         let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
@@ -197,44 +154,30 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("snr-shard-scorer-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path_of = |p: &std::path::Path| p.to_str().unwrap().to_owned();
-        write_segment_file(g1, &dir.join("g1.snrs")).unwrap();
-        write_segment_file(g2, &dir.join("g2.snrs")).unwrap();
-        let shards = write_shard_segments(g1, 3, &dir.join("shards")).unwrap();
-        let g1_specs = [
-            G1Spec::RangeLoad { path: path_of(&dir.join("g1.snrs")) },
-            G1Spec::MmapWhole { path: path_of(&dir.join("g1.snrs")) },
-            G1Spec::Shards { paths: shards.iter().map(|p| path_of(p)).collect() },
-        ];
-        let g2_specs = [
-            G2Spec::Load { path: path_of(&dir.join("g2.snrs")) },
-            G2Spec::Mmap { path: path_of(&dir.join("g2.snrs")) },
-        ];
+        let (p1, p2) = (dir.join("g1.snrs"), dir.join("g2.snrs"));
+        write_segment_file(g1, &p1).unwrap();
+        write_segment_file(g2, &p2).unwrap();
 
         let n1 = g1.node_count() as u32;
         for (min_degree, threshold) in [(1usize, 1u32), (2, 2), (4, 3)] {
             let candidates = collect_candidates(g1, &links, min_degree);
             let expected =
                 fused_phase_on(g1, g2, &links, &candidates, min_degree, threshold, false);
-            for g1_spec in &g1_specs {
-                for g2_spec in &g2_specs {
-                    let mut scorer = ShardScorer::open(g1_spec, g2_spec).unwrap();
-                    assert!(scorer.score(&links, 5, 0, n1).is_err(), "no phase set yet");
-                    let d = min_degree as u32;
-                    scorer.set_phase(&links, 5, d, d, threshold);
-                    assert!(scorer.score(&links, 6, 0, n1).is_err(), "stale phase");
-                    assert!(scorer.score(&links, 5, 1, n1).is_err(), "rows past copy 1");
-                    assert!(scorer.score(&links, 5, u32::MAX, 2).is_err(), "overflowing rows");
-                    // Uneven ranges tiling 0..n1, crossing shard boundaries.
-                    let mut sink = SelectSink::new(g2.node_count(), threshold);
-                    for first in (0..n1).step_by(97) {
-                        let count = 97.min(n1 - first);
-                        let claims = scorer.score(&links, 5, first, count).unwrap();
-                        sink.absorb_claims(&claims, first..first + count).unwrap();
-                    }
-                    assert_eq!(sink.finish(), expected, "{g1_spec:?} x {g2_spec:?} d={d}");
-                }
+            let mut scorer = ShardScorer::open(p1.to_str().unwrap(), p2.to_str().unwrap()).unwrap();
+            assert!(scorer.score(&links, 5, 0, n1).is_err(), "no phase set yet");
+            let d = min_degree as u32;
+            scorer.set_phase(&links, 5, d, d, threshold);
+            assert!(scorer.score(&links, 6, 0, n1).is_err(), "stale phase");
+            assert!(scorer.score(&links, 5, 1, n1).is_err(), "rows past copy 1");
+            assert!(scorer.score(&links, 5, u32::MAX, 2).is_err(), "overflowing rows");
+            // Uneven ranges tiling 0..n1.
+            let mut sink = SelectSink::new(g2.node_count(), threshold);
+            for first in (0..n1).step_by(97) {
+                let count = 97.min(n1 - first);
+                let claims = scorer.score(&links, 5, first, count).unwrap();
+                sink.absorb_claims(&claims, first..first + count).unwrap();
             }
+            assert_eq!(sink.finish(), expected, "d={d}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -248,16 +191,13 @@ mod tests {
         b.add_edge(snr_graph::NodeId(2), snr_graph::NodeId(3));
         let path = dir.join("directed.snrs");
         write_segment_file(&b.build(), &path).unwrap();
-        let path = path.to_str().unwrap().to_owned();
-        let g1 = G1Spec::MmapWhole { path: path.clone() };
-        for g2 in [G2Spec::Load { path: path.clone() }, G2Spec::Mmap { path: path.clone() }] {
-            match ShardScorer::open(&g1, &g2) {
-                Err(DriverError::Graph(GraphError::InvalidParameter(why))) => {
-                    assert!(why.contains("directed"), "{why}")
-                }
-                Err(e) => panic!("{g2:?}: wrong error {e}"),
-                Ok(_) => panic!("{g2:?}: a directed copy 2 was accepted"),
+        let path = path.to_str().unwrap();
+        match ShardScorer::open(path, path) {
+            Err(DriverError::Graph(GraphError::InvalidParameter(why))) => {
+                assert!(why.contains("directed"), "{why}")
             }
+            Err(e) => panic!("wrong error {e}"),
+            Ok(_) => panic!("a directed copy 2 was accepted"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -11,9 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::{MatchingConfig, MatchingOutcome, UserMatching};
-use snr_driver::{
-    run_distributed, DegradePolicy, DriverConfig, DriverError, DriverStore, ShardDriver,
-};
+use snr_driver::{run_distributed, DegradePolicy, DriverConfig, DriverError, ShardDriver};
 use snr_generators::preferential_attachment;
 use snr_graph::NodeId;
 use snr_sampling::independent::independent_deletion_symmetric;
@@ -33,7 +31,6 @@ fn workload(seed: u64) -> (RealizationPair, Vec<(NodeId, NodeId)>) {
 fn config(workers: usize, fault: &str, timeout: Duration) -> DriverConfig {
     let mut config = DriverConfig::new(workers);
     config.matching = MatchingConfig::default().with_threshold(2).with_iterations(2);
-    config.store = DriverStore::Mmap;
     config.task_timeout = timeout;
     config.worker_bin = Some(PathBuf::from(env!("CARGO_BIN_EXE_snr-driver-worker")));
     config.fault = if fault.is_empty() { None } else { Some(fault.to_string()) };

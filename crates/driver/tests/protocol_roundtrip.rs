@@ -5,7 +5,7 @@
 //! corruption-fuzz style).
 
 use proptest::prelude::*;
-use snr_driver::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
+use snr_driver::protocol::{read_frame, write_frame, Message};
 
 /// Builds one message of each coordinator/worker shape from a handful of
 /// drawn integers, cycling through the variants by `pick`.
@@ -15,17 +15,15 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             worker_id: a,
             n1: u64::from(b) + 1,
             n2: u64::from(a) + 1,
-            g1: G1Spec::RangeLoad { path: format!("/tmp/g1-{b}.snrs") },
-            g2: G2Spec::Load { path: format!("/tmp/g2-{a}.snrs") },
+            g1: format!("/tmp/g1-{b}.snrs"),
+            g2: format!("/tmp/g2-{a}.snrs"),
         },
         1 => Message::Init {
             worker_id: a,
             n1: u64::from(a),
             n2: u64::from(b),
-            g1: G1Spec::Shards {
-                paths: pairs.iter().map(|(x, y)| format!("/tmp/s-{x}-{y}.snrs")).collect(),
-            },
-            g2: G2Spec::Mmap { path: String::new() },
+            g1: pairs.iter().map(|(x, y)| format!("/{x}-{y}")).collect(),
+            g2: String::new(),
         },
         2 => Message::InitOk { worker_id: a },
         3 => Message::Phase {

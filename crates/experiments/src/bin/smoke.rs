@@ -21,7 +21,7 @@ use snr_experiments::smoke::{assert_identical, driver_config, rmat_graph, Fixtur
 use snr_experiments::ExperimentArgs;
 use snr_graph::{CsrGraph, GraphView, NodeId};
 use snr_mapreduce::{Engine, EngineError};
-use snr_store::{write_segment_file, write_shard_segments, MmapGraph, ShardedGraph};
+use snr_store::{write_segment_file, MmapGraph};
 use snr_telemetry::TraceSummary;
 use std::path::Path;
 use std::process::ExitCode;
@@ -133,6 +133,18 @@ fn segment_checks(scale: u32, seed: u64, dir: &Path) -> Result<(), String> {
     );
     let mapped = MmapGraph::open(&seg).map_err(|e| format!("open: {e}"))?;
     check_view("mmap", &mapped, &g)?;
+
+    // Spot-check edge probes on the mapped graph: every neighbor of the
+    // highest-degree node, plus the first id that is not one.
+    let hub = GraphView::nodes_iter(&g).max_by_key(|&v| g.degree(v)).unwrap_or(NodeId(0));
+    if let Some(&w) = g.neighbors(hub).iter().find(|&&w| !mapped.has_edge(hub, w)) {
+        return Err(format!("edge probe missed {}-{}", hub.0, w.0));
+    }
+    let absent = GraphView::nodes_iter(&g).find(|&w| !g.has_edge(hub, w));
+    if let Some(w) = absent.filter(|&w| mapped.has_edge(hub, w)) {
+        return Err(format!("edge probe found absent {}-{}", hub.0, w.0));
+    }
+    println!("  edge probes: OK");
     drop(mapped);
 
     // A flipped payload byte must be rejected by the checksum.
@@ -145,33 +157,13 @@ fn segment_checks(scale: u32, seed: u64, dir: &Path) -> Result<(), String> {
         Err(e) => println!("  corruption: rejected as expected ({e})"),
         Ok(_) => return Err("corrupted segment was accepted".to_string()),
     }
-
-    // Shard segments -> ShardedGraph (mmap-backed), plus the in-memory
-    // partitioned form.
-    let shard_paths = write_shard_segments(&g, 4, dir).map_err(|e| format!("write shards: {e}"))?;
-    let sharded = ShardedGraph::open(&shard_paths).map_err(|e| format!("open shards: {e}"))?;
-    check_view("sharded-mmap x4", &sharded, &g)?;
-    check_view("sharded-mem x4", &ShardedGraph::partition(&g, 4), &g)?;
-
-    // Spot-check edge probes on the mapped shards: every neighbor of the
-    // highest-degree node, plus the first id that is not one.
-    let hub = GraphView::nodes_iter(&g).max_by_key(|&v| g.degree(v)).unwrap_or(NodeId(0));
-    if let Some(&w) = g.neighbors(hub).iter().find(|&&w| !sharded.has_edge(hub, w)) {
-        return Err(format!("edge probe missed {}-{}", hub.0, w.0));
-    }
-    let absent = GraphView::nodes_iter(&g).find(|&w| !g.has_edge(hub, w));
-    if let Some(w) = absent.filter(|&w| sharded.has_edge(hub, w)) {
-        return Err(format!("edge probe found absent {}-{}", hub.0, w.0));
-    }
-    println!("  edge probes: OK");
     Ok(())
 }
 
 /// The `snr-store` segment pipeline: write an R-MAT graph (drawn from
-/// `StdRng(seed)`) as a whole-graph segment *and* as entry-balanced shard
-/// segments, reopen both through `MmapGraph`/`ShardedGraph`, verify every
-/// degree and neighbor list against the source, and check that a corrupted
-/// segment is rejected. Catches a broken writer, checksum, or mmap decode
+/// `StdRng(seed)`) as a whole-graph segment, reopen it through `MmapGraph`,
+/// verify every degree, neighbor list and a hub's edge probes against the
+/// source, and check that a corrupted segment is rejected. Catches a broken writer, checksum, or mmap decode
 /// even though the unit suites run on much smaller fixtures.
 fn segment(args: &ExperimentArgs) {
     let (scale, _) = scale_and_workers(args);

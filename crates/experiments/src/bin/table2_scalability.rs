@@ -18,17 +18,14 @@
 //!   [`snr_store::MmapGraph`]: resident graph memory is bounded by what the
 //!   kernel pages in from the mapped files, so the sweep can keep growing
 //!   past RAM.
-//! * `sharded:<N>` — each copy split into N entry-balanced in-memory shards
-//!   ([`snr_store::ShardedGraph`]); rayon workers score shard-aligned row
-//!   ranges.
 //!
 //! `--backend driver:<N>` swaps the in-process matcher for the
 //! multi-process shard driver (`snr-driver`): a coordinator spawns N worker
 //! subprocesses, ships them segment files, and runs every phase as one
 //! distributed round — the true distributed Table 2, with links
-//! bit-identical to the sequential run (`--store` then selects how the
-//! *workers* open the scratch segments). The worker binary must be built
-//! (`cargo build --release -p snr-driver`).
+//! bit-identical to the sequential run. Every worker maps the two scratch
+//! segments whatever `--store` says, and the table header says so. The
+//! worker binary must be built (`cargo build --release -p snr-driver`).
 //!
 //! `--blocking lsh:<B>x<R>` switches candidate generation from the exact
 //! all-eligible-pairs scan to MinHash/LSH blocking (`snr-sketch`): each
@@ -49,14 +46,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::{MatchingConfig, MatchingOutcome, UserMatching};
-use snr_driver::{DriverConfig, DriverStore, ShardDriver};
+use snr_driver::{DriverConfig, ShardDriver};
 use snr_experiments::datasets::rmat_like;
 use snr_experiments::{ExperimentArgs, StoreMode};
 use snr_graph::{CsrGraph, GraphView, NodeId};
 use snr_metrics::{Evaluation, ExperimentRecord, MeasuredRow, TextTable};
 use snr_sampling::independent::independent_deletion_symmetric;
 use snr_sampling::{sample_seeds, RealizationPair};
-use snr_store::{write_segment_file, MmapGraph, ShardedGraph};
+use snr_store::{write_segment_file, MmapGraph};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -84,23 +81,14 @@ fn segment_dir() -> PathBuf {
     )
 }
 
-/// One matcher run on the representation `store` selects. Returns the
-/// outcome, the matcher's wall-clock seconds (conversion and segment I/O
-/// excluded, matching the compact path's historical timing), the store's
-/// bytes-per-edge (averaged over the two copies), and the store's total
-/// adjacency bytes. The copies are consumed: each branch converts and then
-/// *drops the uncompressed pair* before matching, so peak memory during the
-/// matcher is governed by the chosen representation.
-/// One run through the multi-process shard driver (`--backend driver:N`).
-/// The store mode maps onto how the *workers* open the scratch segments:
-/// `compact` → per-task range loads, `mmap` → whole-segment maps,
-/// `sharded:<K>` → K mapped shard segments. Timing covers `ShardDriver::run`
-/// only (segment writing excluded, consistent with the in-process paths);
-/// bytes are the scratch segments shipped to the workers.
+/// One run through the multi-process shard driver (`--backend driver:N`),
+/// whose workers map the two scratch segments. Timing covers
+/// `ShardDriver::run` only (segment writing excluded, consistent with the
+/// in-process paths); bytes are the scratch segments shipped to the
+/// workers.
 fn run_on_driver(
     args: &ExperimentArgs,
     workers: usize,
-    store: StoreMode,
     g1: CsrGraph,
     g2: CsrGraph,
     seeds: &[(NodeId, NodeId)],
@@ -108,11 +96,6 @@ fn run_on_driver(
 ) -> (MatchingOutcome, f64, f64, usize) {
     let mut driver_config = DriverConfig::new(workers);
     driver_config.matching = config;
-    driver_config.store = match store {
-        StoreMode::Compact => DriverStore::Compact,
-        StoreMode::Mmap => DriverStore::Mmap,
-        StoreMode::Sharded(n) => DriverStore::Sharded(n),
-    };
     if let Some(budget) = args.respawn_budget {
         driver_config.respawn_budget = budget;
     }
@@ -162,6 +145,13 @@ where
     }
 }
 
+/// One matcher run on the representation `store` selects. Returns the
+/// outcome, the matcher's wall-clock seconds (conversion and segment I/O
+/// excluded, matching the compact path's historical timing), the store's
+/// bytes-per-edge (averaged over the two copies), and the store's total
+/// adjacency bytes. The copies are consumed: each branch converts and then
+/// *drops the uncompressed pair* before matching, so peak memory during the
+/// matcher is governed by the chosen representation.
 fn run_on_store(
     store: StoreMode,
     g1: CsrGraph,
@@ -203,15 +193,6 @@ fn run_on_store(
             let _ = std::fs::remove_dir(&dir);
             (outcome, secs, bpe, bytes, rounds)
         }
-        StoreMode::Sharded(n) => {
-            let s1 = ShardedGraph::partition(&g1, n);
-            let s2 = ShardedGraph::partition(&g2, n);
-            drop((g1, g2));
-            let bpe = (s1.bytes_per_edge() + s2.bytes_per_edge()) / 2.0;
-            let bytes = s1.memory_bytes() + s2.memory_bytes();
-            let (outcome, secs, rounds) = timed_match(&matcher, &s1, &s2, seeds, spill_budget);
-            (outcome, secs, bpe, bytes, rounds)
-        }
     }
 }
 
@@ -243,7 +224,12 @@ fn main() {
     };
 
     println!("Table 2 — relative running time on R-MAT graphs (s = 0.5, seed prob = 0.10, T = 2, k = 1)\n");
-    println!("Matcher representation: {}", args.store.label());
+    // Driver workers always map one segment per copy.
+    let representation = match args.driver {
+        Some(_) => "MmapGraph segments (driver workers)",
+        None => args.store.label(),
+    };
+    println!("Matcher representation: {representation}");
     println!("Matcher backend: {}", args.backend_label());
     println!("Candidate blocking: {}\n", args.blocking_label());
 
@@ -260,7 +246,7 @@ fn main() {
     ]);
     let mut record = ExperimentRecord::new("table2_scalability", "Table 2")
         .parameter("exponents", format!("{exponents:?}"))
-        .parameter("representation", args.store.label())
+        .parameter("representation", representation)
         .parameter("backend", args.backend_label())
         .parameter("blocking", args.blocking_label())
         .parameter("seed", args.seed.to_string())
@@ -295,8 +281,7 @@ fn main() {
             .with_candidates(args.blocking);
         let (outcome, secs, store_bpe, store_bytes, round_stats) = match args.driver {
             Some(workers) => {
-                let (o, s, b, m) =
-                    run_on_driver(&args, workers, args.store, g1, g2, &seeds, config);
+                let (o, s, b, m) = run_on_driver(&args, workers, g1, g2, &seeds, config);
                 (o, s, b, m, None)
             }
             None => run_on_store(args.store, g1, g2, &seeds, config, exp, args.spill_budget),

@@ -8,14 +8,16 @@
 //! * `--full` — run at (closer to) the paper's dataset sizes instead of the
 //!   laptop-friendly demo scale.
 //! * `--json <path>` — also write the experiment record as JSON.
-//! * `--store <mode>` — graph representation the matcher runs on, for the
-//!   binaries that honor it (`table2_scalability`): `compact` (default),
-//!   `mmap`, or `sharded:<N>`.
+//! * `--store <mode>` — graph representation the in-process matcher runs
+//!   on, for the binaries that honor it (`table2_scalability`): `compact`
+//!   (default) or `mmap`. `--backend driver` always runs on mapped
+//!   segments and ignores it.
 //! * `--backend <mode>` — execution backend for the binaries that honor it
 //!   (`table2_scalability`): `sequential` (default), `rayon`,
 //!   `mapreduce[:workers]` (worker count defaults to the CPU count), or
-//!   `driver[:workers]` — the multi-process shard driver from `snr-driver`
-//!   (worker count defaults to 2).
+//!   `driver[:workers]` — the multi-process shard driver from `snr-driver`,
+//!   whose workers each map one segment per copy (worker count defaults
+//!   to 2).
 //! * `--blocking <mode>` — candidate generation for the binaries that honor
 //!   it (`table2_scalability`): `exact` (default, every degree-eligible
 //!   pair) or `lsh:<bands>x<rows>` — MinHash/LSH candidate blocking from
@@ -101,19 +103,14 @@ pub enum StoreMode {
     /// On-disk segments opened as [`snr_store::MmapGraph`]s: resident graph
     /// memory is bounded by what the kernel pages in from the mapped files.
     Mmap,
-    /// N entry-balanced in-memory shards per copy
-    /// ([`snr_store::ShardedGraph`]); workers score shard-aligned row
-    /// ranges.
-    Sharded(usize),
 }
 
 impl StoreMode {
     /// Short label for table headers and experiment records.
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            StoreMode::Compact => "CompactCsr".to_string(),
-            StoreMode::Mmap => "MmapGraph".to_string(),
-            StoreMode::Sharded(n) => format!("ShardedGraph x{n}"),
+            StoreMode::Compact => "CompactCsr",
+            StoreMode::Mmap => "MmapGraph",
         }
     }
 }
@@ -125,12 +122,7 @@ impl FromStr for StoreMode {
         match s {
             "compact" => Ok(StoreMode::Compact),
             "mmap" => Ok(StoreMode::Mmap),
-            _ => match s.strip_prefix("sharded:").map(str::parse) {
-                Some(Ok(n)) if n > 0 => Ok(StoreMode::Sharded(n)),
-                _ => Err(format!(
-                    "invalid --store value {s:?} (expected compact, mmap, or sharded:<N>)"
-                )),
-            },
+            _ => Err(format!("invalid --store value {s:?} (expected compact or mmap)")),
         }
     }
 }
@@ -144,7 +136,8 @@ pub struct ExperimentArgs {
     pub full: bool,
     /// Optional path to write the JSON experiment record to.
     pub json: Option<PathBuf>,
-    /// Graph representation for the binaries that honor it.
+    /// Graph representation of in-process runs for the binaries that honor
+    /// it (driver runs always map segments).
     pub store: StoreMode,
     /// Execution backend for the binaries that honor it.
     pub backend: Backend,
@@ -272,7 +265,7 @@ impl ExperimentArgs {
     /// Usage string shown for `--help` and on parse errors.
     pub fn usage() -> &'static str {
         "usage: <experiment> [--seed <u64>] [--full] [--json <path>] \
-         [--store compact|mmap|sharded:<N>] \
+         [--store compact|mmap] \
          [--backend sequential|rayon|mapreduce[:N]|driver[:N]] \
          [--blocking exact|lsh:<B>x<R>] \
          [--respawn-budget <N>] [--degrade fail|inprocess] \
@@ -360,14 +353,10 @@ mod tests {
         assert_eq!(ExperimentArgs::parse(["--store", "mmap"]).unwrap().store, StoreMode::Mmap);
         assert_eq!(ExperimentArgs::parse(["--store=mmap"]).unwrap().store, StoreMode::Mmap);
         assert_eq!(
-            ExperimentArgs::parse(["--store=sharded:4"]).unwrap().store,
-            StoreMode::Sharded(4)
-        );
-        assert_eq!(
             ExperimentArgs::parse(["--store", "compact"]).unwrap().store,
             StoreMode::Compact
         );
-        assert_eq!(StoreMode::Sharded(4).label(), "ShardedGraph x4");
+        assert_eq!(StoreMode::Mmap.label(), "MmapGraph");
     }
 
     #[test]
@@ -378,8 +367,7 @@ mod tests {
         assert!(ExperimentArgs::parse(["--json"]).is_err());
         assert!(ExperimentArgs::parse(["--store"]).is_err());
         assert!(ExperimentArgs::parse(["--store", "floppy"]).is_err());
-        assert!(ExperimentArgs::parse(["--store=sharded:0"]).is_err());
-        assert!(ExperimentArgs::parse(["--store=sharded:x"]).is_err());
+        assert!(ExperimentArgs::parse(["--store=sharded:4"]).is_err());
         assert!(ExperimentArgs::parse(["--backend"]).is_err());
         assert!(ExperimentArgs::parse(["--backend", "quantum"]).is_err());
         assert!(ExperimentArgs::parse(["--backend=mapreduce:0"]).is_err());

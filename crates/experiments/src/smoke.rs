@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::{Linking, MatchingConfig, MatchingOutcome, UserMatching};
-use snr_driver::{DriverConfig, DriverStore};
+use snr_driver::DriverConfig;
 use snr_graph::{CsrGraph, NodeId};
 use snr_metrics::Evaluation;
 use snr_sampling::independent::independent_deletion_symmetric;
@@ -143,7 +143,7 @@ pub fn assert_identical(
     run
 }
 
-/// A driver config over `workers` worker subprocesses on mmap stores, with
+/// A driver config over `workers` worker subprocesses, with
 /// a generous task deadline (smoke hosts are slow and shared) and an
 /// optional `SNR_FAULT`-grammar fault spec.
 pub fn driver_config(
@@ -153,7 +153,6 @@ pub fn driver_config(
 ) -> DriverConfig {
     let mut config = DriverConfig::new(workers);
     config.matching = matching;
-    config.store = DriverStore::Mmap;
     config.task_timeout = std::time::Duration::from_secs(300);
     config.fault = fault.map(str::to_owned);
     config

@@ -16,8 +16,8 @@
 //!   for the correlated-deletion experiment (Table 4).
 //! * [`rmat()`] — the recursive R-MAT generator used for the scalability
 //!   experiment (Table 2).
-//! * [`watts_strogatz`], [`configuration`] — additional standard
-//!   models used in tests and robustness experiments.
+//! * [`watts_strogatz`] — the small-world model used in the robustness
+//!   tests.
 //! * [`temporal`] — timestamped variants used to emulate the DBLP / Gowalla
 //!   odd–even time-slice experiments (Table 5).
 //!
@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod affiliation;
-pub mod configuration;
 pub mod erdos_renyi;
 pub mod preferential_attachment;
 pub mod rmat;

@@ -5,8 +5,8 @@
 //! RMAT-18/20/22 pipelines (three graphs resident at once) on one machine:
 //!
 //! * offsets are `u32` instead of `usize` (the paper's largest instance has
-//!   8.5G adjacency entries, but a single in-memory shard is bounded by
-//!   `u32` here — construction asserts it);
+//!   8.5G adjacency entries, but one in-memory graph is bounded by `u32`
+//!   here — construction asserts it);
 //! * each sorted neighbor list is split into blocks of
 //!   [`BLOCK_SIZE`] entries; the first element of
 //!   every block is stored verbatim in a skip array and the rest as
@@ -72,7 +72,7 @@ pub struct CompactCsr {
 /// contains no zero gaps or `u32` overflows (lists stay strictly sorted),
 /// keeps skip first-elements increasing, keeps every decoded neighbor id
 /// below `id_bound` (the global node space — equal to `node_count` for a
-/// whole graph, larger for a shard holding global target ids; downstream
+/// whole graph, larger for a row range holding global target ids; downstream
 /// consumers index degree arrays and score arenas by these ids, so an
 /// out-of-range target must fail here, not panic there), and consumes the
 /// data exactly.
@@ -208,8 +208,8 @@ impl CompactCsr {
     ///
     /// # Panics
     /// Panics if the adjacency has more than `u32::MAX` entries or the
-    /// encoded gap stream exceeds `u32::MAX` bytes (one in-memory shard is
-    /// `u32`-bounded by design; shard first at that scale).
+    /// encoded gap stream exceeds `u32::MAX` bytes (one in-memory graph is
+    /// `u32`-bounded by design).
     pub fn from_view<G: GraphView>(g: &G) -> Self {
         let n = g.node_count();
         let entries = g.total_degree();
@@ -269,9 +269,9 @@ impl CompactCsr {
     /// invariants with [`validate_parts`] first.
     ///
     /// `id_bound` is the exclusive upper bound for target ids: `node_count`
-    /// for a whole graph, the *global* node space for a shard (local rows,
-    /// global target ids). `edge_count` is likewise stored as given: a
-    /// deserialized shard carries the global logical edge count of the
+    /// for a whole graph, the *global* node space for a row range (local
+    /// rows, global target ids). `edge_count` is likewise stored as given: a
+    /// deserialized row range carries the global logical edge count of the
     /// graph it was cut from, which only the serializer knows.
     #[allow(clippy::too_many_arguments)]
     pub fn from_raw_parts(
@@ -578,7 +578,7 @@ mod tests {
     #[test]
     fn from_raw_parts_rejects_targets_outside_the_node_space() {
         // A structurally perfect layout whose single list is [5, 8] — legal
-        // for a shard with id_bound 10, out of range for a whole graph of 6
+        // for a row range with id_bound 10, out of range for a whole graph of 6
         // nodes. Consumers index degree arrays and score arenas by these
         // ids, so the bound must be enforced at construction.
         let mut data = Vec::new();

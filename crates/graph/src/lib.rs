@@ -31,8 +31,8 @@
 //!
 //! Further implementations live outside this crate: the `snr-store` crate
 //! serializes the same delta-block layout (see [`blocks`]) into checksummed
-//! on-disk segments and reads them back through mmap-backed and sharded
-//! views, for graphs bigger than RAM.
+//! on-disk segments and reads them back through one mmap-backed view, for
+//! graphs bigger than RAM.
 //!
 //! The crate also ships the supporting pieces a downstream user of the
 //! library needs: degree statistics ([`stats`]) and text edge-list

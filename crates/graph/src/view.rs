@@ -82,21 +82,6 @@ pub trait GraphView {
         self.memory_bytes() as f64 / self.edge_count().max(1) as f64
     }
 
-    /// Disjoint, ascending node-id ranges whose adjacency lives in
-    /// independent storage units (shards), or `None` for monolithic
-    /// representations.
-    ///
-    /// Partition-aware schedulers use this to align work chunks with
-    /// storage: the arena scorer hands each worker candidate rows from one
-    /// shard, so a worker streams one segment instead of faulting pages
-    /// across all of them. Purely an access-locality hint — any consumer
-    /// must produce identical results when it is `None`, and must still
-    /// process node ids the ranges happen not to cover (the hint shapes
-    /// chunk boundaries, never the work set).
-    fn storage_partitions(&self) -> Option<Vec<std::ops::Range<u32>>> {
-        None
-    }
-
     /// Hints that the caller is about to stream rows in order (e.g. a
     /// per-phase `LinkCache` build decoding the linked rows in link order
     /// or the eligible rows in ascending order). Purely an access-pattern

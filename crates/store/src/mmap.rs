@@ -40,10 +40,9 @@ fn u32_slice(bytes: &[u8]) -> &[u32] {
 /// A read-only graph served directly from a mapped segment file.
 ///
 /// Implements [`GraphView`]; a whole-graph segment behaves exactly like the
-/// `CompactCsr` it was written from. Opening a *shard* segment through
-/// [`MmapGraph::open`] is rejected (its targets are global ids outside the
-/// local row range) — shards are opened together via
-/// [`crate::ShardedGraph::open`].
+/// `CompactCsr` it was written from. A segment holding only a range of rows
+/// is rejected on open: its targets are global ids outside the local row
+/// range.
 #[derive(Debug)]
 pub struct MmapGraph {
     map: Mmap,
@@ -53,24 +52,9 @@ pub struct MmapGraph {
 
 impl MmapGraph {
     /// Maps and validates the whole-graph segment at `path`.
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<MmapGraph, GraphError> {
-        let g = MmapGraph::open_any(path.as_ref())?;
-        if g.meta.is_shard() {
-            return Err(GraphError::InvalidBinary(format!(
-                "{} is a shard segment (rows {}..{} of {}); open it with ShardedGraph::open",
-                path.as_ref().display(),
-                g.meta.first_node,
-                g.meta.first_node + g.meta.node_count,
-                g.meta.total_nodes
-            )));
-        }
-        Ok(g)
-    }
-
-    /// Maps and validates any segment, shard or whole. Crate-internal:
-    /// [`crate::ShardedGraph::open`] is the public road to shard segments.
     #[allow(unsafe_code)]
-    pub(crate) fn open_any(path: &Path) -> Result<MmapGraph, GraphError> {
+    pub fn open<P: AsRef<Path>>(path: P) -> Result<MmapGraph, GraphError> {
+        let path = path.as_ref();
         if cfg!(target_endian = "big") {
             return Err(GraphError::InvalidBinary(
                 "mmap-backed segments require a little-endian host".into(),
@@ -104,6 +88,15 @@ impl MmapGraph {
         const HASH_SPAN: usize = 64 * 1024;
         let _ = map.advise(Advice::Sequential);
         let meta = parse_segment_structure(&map)?;
+        if meta.is_partial() {
+            return Err(GraphError::InvalidBinary(format!(
+                "{} holds rows {}..{} of {}, not a whole graph",
+                path.display(),
+                meta.first_node,
+                meta.first_node + meta.node_count,
+                meta.total_nodes
+            )));
+        }
         let layout = meta.layout();
         let mut hash = Checksum64::new();
         hash.update(&map[..layout.data.start]);
@@ -308,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_corruption_and_shards() {
+    fn open_rejects_corruption_and_partial_segments() {
         let g = sample();
         let mut buf = Vec::new();
         write_segment(&g, &mut buf).unwrap();
@@ -319,12 +312,12 @@ mod tests {
         let path = temp_segment("corrupt", &bad);
         assert!(MmapGraph::open(&path).is_err());
         std::fs::remove_file(&path).unwrap();
-        // A shard segment is redirected to ShardedGraph::open.
-        let mut shard = Vec::new();
-        write_segment_range(&g, &mut shard, 0..100).unwrap();
-        let path = temp_segment("shard", &shard);
+        // A segment of a row range is refused.
+        let mut partial = Vec::new();
+        write_segment_range(&g, &mut partial, 0..100).unwrap();
+        let path = temp_segment("partial", &partial);
         let err = MmapGraph::open(&path).unwrap_err();
-        assert!(err.to_string().contains("ShardedGraph"), "{err}");
+        assert!(err.to_string().contains("rows 0..100 of 200, not a whole graph"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -368,7 +361,6 @@ mod tests {
             for err in [
                 MmapGraph::open(&path).unwrap_err(),
                 crate::read_segment(bytes.as_slice()).unwrap_err(),
-                crate::read_segment_rows(std::io::Cursor::new(bytes), 0..4).unwrap_err(),
             ] {
                 assert!(err.to_string().contains("unsupported segment version 1"), "{name}: {err}");
             }

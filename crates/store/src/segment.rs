@@ -33,11 +33,13 @@
 //! footer checksum), are rejected by the header's version check.
 //!
 //! A segment with `first_node == 0 && node_count == total_nodes` is a whole
-//! graph; anything else is one **shard** of a graph whose neighbor lists
-//! still carry *global* target ids (that is what lets
-//! [`crate::ShardedGraph`] route reads without id translation).
+//! graph, the only kind the public writers produce and
+//! [`crate::MmapGraph::open`] accepts. The header keeps the two fields so
+//! the format can describe a row range whose neighbor lists carry *global*
+//! target ids; the crate's own tests write such a segment to check that
+//! it is refused.
 //!
-//! [`write_segment_range`] streams from any [`GraphView`] in two passes:
+//! [`write_segment`] streams from any [`GraphView`] in two passes:
 //! pass 1 sizes the gap stream and materializes only the index arrays
 //! (~8 bytes/node + 8 bytes/block), pass 2 re-encodes the neighbor lists
 //! straight into the writer — the O(edges) gap stream itself is never held
@@ -47,7 +49,7 @@
 use crate::wire::{self, Format, HashWriter, Reader, WireError, Writer};
 use snr_graph::blocks::{varint_len, write_varint, BLOCK_SIZE};
 use snr_graph::{CompactCsr, GraphError, GraphView, NodeId};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::ops::Range;
 
 /// Magic bytes identifying a graph segment file.
@@ -100,9 +102,8 @@ pub(crate) struct Layout {
 }
 
 impl SegmentMeta {
-    /// True when the segment holds a strict subrange of the node-id space
-    /// (one shard of a [`crate::ShardedGraph`]).
-    pub fn is_shard(&self) -> bool {
+    /// True when the segment holds a strict subrange of the node-id space.
+    pub(crate) fn is_partial(&self) -> bool {
         self.first_node != 0 || self.node_count != self.total_nodes
     }
 
@@ -225,7 +226,9 @@ fn write_u32s<W: Write>(w: &mut W, values: &[u32]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes the whole of `g` as one segment. See [`write_segment_range`].
+/// Writes the whole of `g` as one segment, streaming in two passes: a
+/// sizing pass that builds only the index arrays, then an encoding pass
+/// straight into `w`. Returns the header that was written.
 pub fn write_segment<G: GraphView, W: Write>(g: &G, w: W) -> Result<SegmentMeta, GraphError> {
     write_segment_range(g, w, 0..g.node_count() as u32)
 }
@@ -242,11 +245,9 @@ pub fn write_segment_file<G: GraphView>(
     write_segment(g, std::io::BufWriter::new(file))
 }
 
-/// Writes rows `rows` of `g` as one segment (a shard when the range is a
-/// strict subrange), streaming in two passes: a sizing pass that builds
-/// only the index arrays, then an encoding pass straight into `w`. Returns
-/// the header that was written.
-pub fn write_segment_range<G: GraphView, W: Write>(
+/// Writes rows `rows` of `g` as one segment, target ids left global. See
+/// [`write_segment`].
+pub(crate) fn write_segment_range<G: GraphView, W: Write>(
     g: &G,
     w: W,
     rows: Range<u32>,
@@ -276,9 +277,7 @@ pub fn write_segment_range<G: GraphView, W: Write>(
             if count.is_multiple_of(BLOCK_SIZE) {
                 skip_firsts.push(x.0);
                 skip_bytes.push(u32::try_from(data_len).map_err(|_| {
-                    GraphError::InvalidParameter(
-                        "segment gap stream overflows u32 offsets; use more shards".into(),
-                    )
+                    GraphError::InvalidParameter("segment gap stream overflows u32 offsets".into())
                 })?);
             } else {
                 data_len += varint_len(x.0 - prev);
@@ -289,9 +288,7 @@ pub fn write_segment_range<G: GraphView, W: Write>(
         max_degree = max_degree.max(count);
         let entries = entry_offsets[local] as usize + count;
         entry_offsets.push(u32::try_from(entries).map_err(|_| {
-            GraphError::InvalidParameter(
-                "segment adjacency overflows u32 offsets; use more shards".into(),
-            )
+            GraphError::InvalidParameter("segment adjacency overflows u32 offsets".into())
         })?);
         block_starts.push(skip_firsts.len() as u32);
     }
@@ -367,11 +364,8 @@ fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
     bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
 }
 
-/// Reads a segment into memory as a [`CompactCsr`] (plus its header).
-///
-/// For a shard segment the returned `CompactCsr` holds the shard's *local*
-/// rows with *global* target ids — hand it to
-/// [`crate::ShardedGraph::from_parts`] rather than using it standalone.
+/// Reads a segment into memory as a [`CompactCsr`] (plus its header),
+/// verifying its checksum.
 pub fn read_segment<R: Read>(mut r: R) -> Result<(SegmentMeta, CompactCsr), GraphError> {
     let mut bytes = Vec::new();
     r.read_to_end(&mut bytes)?;
@@ -390,157 +384,6 @@ pub fn read_segment<R: Read>(mut r: R) -> Result<(SegmentMeta, CompactCsr), Grap
         bytes[layout.data].to_vec(),
     )?;
     Ok((meta, compact))
-}
-
-/// Seeks to `pos` and reads `count` little-endian `u32`s.
-fn read_u32s_at<R: Read + Seek>(
-    r: &mut R,
-    pos: usize,
-    count: usize,
-) -> Result<Vec<u32>, GraphError> {
-    r.seek(SeekFrom::Start(pos as u64))?;
-    let mut buf = vec![0u8; count * 4];
-    r.read_exact(&mut buf)?;
-    Ok(decode_u32s(&buf))
-}
-
-/// Reads rows `rows` (local to the segment) out of a segment without
-/// touching the rest of the file: only the header, the sliced index arrays,
-/// and the range's own gap-stream bytes are read — I/O proportional to the
-/// extracted range, not the segment. This is how a shard-driver worker
-/// materializes its assigned row-range from a shared segment file.
-///
-/// The returned [`CompactCsr`] holds the range's rows under local ids with
-/// *global* target ids, and the returned header describes the extracted
-/// sub-segment (`first_node` is rebased, `max_degree` is recomputed over
-/// the range) — exactly what [`write_segment_range`] over the same rows
-/// would have produced.
-///
-/// Unlike [`read_segment`], the whole-file checksum is **not** verified
-/// (it would force the full scan this function exists to avoid). Structural
-/// validation still applies: sliced offsets that decrease, overrun the
-/// payload, or decode to a malformed gap stream are rejected through the
-/// same [`CompactCsr::from_raw_parts`] validation as every other open path,
-/// as errors, never panics. Callers that need end-to-end integrity should
-/// verify the segment once with [`read_segment`] or
-/// [`crate::MmapGraph::open`] before handing out ranges.
-pub fn read_segment_rows<R: Read + Seek>(
-    mut r: R,
-    rows: Range<u32>,
-) -> Result<(SegmentMeta, CompactCsr), GraphError> {
-    let file_len = r.seek(SeekFrom::End(0))?;
-    r.seek(SeekFrom::Start(0))?;
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    let meta = SegmentMeta::from_header_bytes(&header)?;
-    meta.check_file_len(file_len)?;
-    if rows.start > rows.end || rows.end as usize > meta.node_count {
-        return Err(GraphError::InvalidParameter(format!(
-            "segment rows {rows:?} out of range for a segment with {} rows",
-            meta.node_count
-        )));
-    }
-    let layout = meta.layout();
-    let local_n = (rows.end - rows.start) as usize;
-
-    // Slice and rebase the row-indexed arrays. Monotonicity violations mean
-    // a corrupt segment; `checked_sub` turns them into errors.
-    let decreasing = |what: &str| {
-        GraphError::InvalidBinary(format!("segment {what} decrease across the extracted range"))
-    };
-    let eo_raw =
-        read_u32s_at(&mut r, layout.entry_offsets.start + rows.start as usize * 4, local_n + 1)?;
-    let base_entry = eo_raw[0];
-    let mut entry_offsets = Vec::with_capacity(local_n + 1);
-    let mut max_degree = 0usize;
-    for &x in &eo_raw {
-        let rebased = x.checked_sub(base_entry).ok_or_else(|| decreasing("entry offsets"))?;
-        if let Some(&prev) = entry_offsets.last() {
-            let degree = rebased.checked_sub(prev).ok_or_else(|| decreasing("entry offsets"))?;
-            max_degree = max_degree.max(degree as usize);
-        }
-        entry_offsets.push(rebased);
-    }
-
-    let bs_raw =
-        read_u32s_at(&mut r, layout.block_starts.start + rows.start as usize * 4, local_n + 1)?;
-    let block_lo = bs_raw[0] as usize;
-    let block_hi = *bs_raw.last().expect("non-empty") as usize;
-    if block_lo > block_hi || block_hi > meta.block_count {
-        return Err(GraphError::InvalidBinary(format!(
-            "segment block range {block_lo}..{block_hi} exceeds {} blocks",
-            meta.block_count
-        )));
-    }
-    let block_starts = bs_raw
-        .iter()
-        .map(|&x| x.checked_sub(block_lo as u32))
-        .collect::<Option<Vec<u32>>>()
-        .ok_or_else(|| decreasing("block starts"))?;
-
-    // Blocks never span rows, so the range's blocks and gap bytes are
-    // contiguous: data starts where block `block_lo` starts and ends where
-    // block `block_hi` would start (or at the stream's end).
-    let span = block_hi - block_lo;
-    let skip_firsts = read_u32s_at(&mut r, layout.skip_firsts.start + block_lo * 4, span)?;
-    let sb_raw = read_u32s_at(&mut r, layout.skip_bytes.start + block_lo * 4, span)?;
-    let data_start = sb_raw.first().map_or(0, |&b| b as usize);
-    let data_end = if span == 0 {
-        data_start
-    } else if block_hi < meta.block_count {
-        read_u32s_at(&mut r, layout.skip_bytes.start + block_hi * 4, 1)?[0] as usize
-    } else {
-        meta.data_len
-    };
-    if data_start > data_end || data_end > meta.data_len {
-        return Err(GraphError::InvalidBinary(format!(
-            "segment gap-stream range {data_start}..{data_end} exceeds {} bytes",
-            meta.data_len
-        )));
-    }
-    let skip_bytes = sb_raw
-        .iter()
-        .map(|&x| x.checked_sub(data_start as u32))
-        .collect::<Option<Vec<u32>>>()
-        .ok_or_else(|| decreasing("skip bytes"))?;
-
-    r.seek(SeekFrom::Start((layout.data.start + data_start) as u64))?;
-    let mut data = vec![0u8; data_end - data_start];
-    r.read_exact(&mut data)?;
-
-    let sub_meta = SegmentMeta {
-        total_nodes: meta.total_nodes,
-        first_node: meta.first_node + rows.start as usize,
-        node_count: local_n,
-        edge_count: meta.edge_count,
-        max_degree,
-        entry_count: *entry_offsets.last().expect("non-empty") as usize,
-        block_count: span,
-        data_len: data_end - data_start,
-        directed: meta.directed,
-    };
-    let compact = CompactCsr::from_raw_parts(
-        local_n,
-        meta.total_nodes,
-        meta.directed,
-        meta.edge_count,
-        max_degree,
-        entry_offsets,
-        block_starts,
-        skip_firsts,
-        skip_bytes,
-        data,
-    )?;
-    Ok((sub_meta, compact))
-}
-
-/// Opens the segment file at `path` and extracts rows `rows` via
-/// [`read_segment_rows`].
-pub fn read_segment_rows_file(
-    path: &std::path::Path,
-    rows: Range<u32>,
-) -> Result<(SegmentMeta, CompactCsr), GraphError> {
-    read_segment_rows(std::io::BufReader::new(std::fs::File::open(path)?), rows)
 }
 
 #[cfg(test)]
@@ -563,29 +406,29 @@ mod tests {
         let g = sample();
         let (meta, buf) = segment_bytes(&g);
         assert_eq!(buf.len(), meta.file_len());
-        assert!(!meta.is_shard());
+        assert!(!meta.is_partial());
         let (meta2, compact) = read_segment(buf.as_slice()).unwrap();
         assert_eq!(meta, meta2);
         assert_eq!(compact, g.compact());
     }
 
     #[test]
-    fn shard_ranges_roundtrip_with_global_targets() {
+    fn row_ranges_roundtrip_with_global_targets() {
         let g = sample();
         let mut buf = Vec::new();
         let meta = write_segment_range(&g, &mut buf, 2..6).unwrap();
-        assert!(meta.is_shard());
+        assert!(meta.is_partial());
         assert_eq!(meta.first_node, 2);
         assert_eq!(meta.node_count, 4);
         assert_eq!(meta.total_nodes, 8);
-        let (_, shard) = read_segment(buf.as_slice()).unwrap();
-        assert_eq!(shard.node_count(), 4);
+        let (_, partial) = read_segment(buf.as_slice()).unwrap();
+        assert_eq!(partial.node_count(), 4);
         // Local row 0 is global node 2; targets stay global.
         assert_eq!(
-            shard.neighbors_iter(NodeId(0)).collect::<Vec<_>>(),
+            partial.neighbors_iter(NodeId(0)).collect::<Vec<_>>(),
             g.neighbors(NodeId(2)).to_vec()
         );
-        assert_eq!(shard.max_degree(), (2..6).map(|v| g.degree(NodeId(v))).max().unwrap());
+        assert_eq!(partial.max_degree(), (2..6).map(|v| g.degree(NodeId(v))).max().unwrap());
     }
 
     #[test]
@@ -626,80 +469,6 @@ mod tests {
         let (_, compact) = read_segment(buf.as_slice()).unwrap();
         assert_eq!(compact.node_count(), 0);
         assert_eq!(compact.edge_count(), 0);
-    }
-
-    #[test]
-    fn row_ranges_extract_without_a_full_read() {
-        let g = sample();
-        let (_, buf) = segment_bytes(&g);
-        for (a, b) in [(0u32, 8u32), (2, 6), (0, 0), (8, 8), (5, 8), (3, 4), (0, 1)] {
-            let (meta, compact) = read_segment_rows(std::io::Cursor::new(&buf), a..b).unwrap();
-            // The extraction must be indistinguishable from writing that
-            // row range directly.
-            let mut direct = Vec::new();
-            let direct_meta = write_segment_range(&g, &mut direct, a..b).unwrap();
-            let (_, direct_compact) = read_segment(direct.as_slice()).unwrap();
-            assert_eq!(meta, direct_meta, "meta for rows {a}..{b}");
-            assert_eq!(compact, direct_compact, "rows {a}..{b}");
-        }
-    }
-
-    #[test]
-    fn row_ranges_of_a_shard_rebase_first_node() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_segment_range(&g, &mut buf, 2..6).unwrap();
-        let (meta, compact) = read_segment_rows(std::io::Cursor::new(&buf), 1..3).unwrap();
-        assert_eq!(meta.first_node, 3);
-        assert_eq!(meta.node_count, 2);
-        // Local row 0 of the extraction is global node 3; targets stay
-        // global.
-        assert_eq!(
-            compact.neighbors_iter(NodeId(0)).collect::<Vec<_>>(),
-            g.neighbors(NodeId(3)).to_vec()
-        );
-    }
-
-    #[test]
-    fn row_range_extraction_rejects_bad_inputs() {
-        let g = sample();
-        let (_, buf) = segment_bytes(&g);
-        // Out-of-range rows.
-        assert!(read_segment_rows(std::io::Cursor::new(&buf), 4..20).is_err());
-        #[allow(clippy::reversed_empty_ranges)]
-        let reversed = 5..2;
-        assert!(read_segment_rows(std::io::Cursor::new(&buf), reversed).is_err());
-        // Truncation anywhere fails (the implied length no longer matches).
-        for cut in [0, HEADER_LEN - 1, HEADER_LEN, buf.len() - 1] {
-            assert!(
-                read_segment_rows(std::io::Cursor::new(&buf[..cut]), 0..2).is_err(),
-                "cut at {cut}"
-            );
-        }
-        // Header corruption never panics (the checksum is deliberately not
-        // scanned, so flips in trusted pass-through fields like edge_count
-        // may still parse — see the function docs).
-        for pos in 0..HEADER_LEN {
-            let mut bad = buf.clone();
-            bad[pos] ^= 0x40;
-            let _ = read_segment_rows(std::io::Cursor::new(&bad), 0..4);
-        }
-        // Flips in length-determining fields error outright: the implied
-        // file length stops matching.
-        for field_off in [24, 56, 64] {
-            let mut bad = buf.clone();
-            bad[field_off] ^= 0x40;
-            assert!(
-                read_segment_rows(std::io::Cursor::new(&bad), 0..4).is_err(),
-                "flip at header byte {field_off} was accepted"
-            );
-        }
-        // Corruption in the sliced arrays that breaks monotonicity errors.
-        let layout = SegmentMeta::from_header_bytes(&buf).unwrap().layout();
-        let mut bad = buf.clone();
-        bad[layout.entry_offsets.start + 4..layout.entry_offsets.start + 8]
-            .copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_segment_rows(std::io::Cursor::new(&bad), 0..4).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests for the segment pipeline: random PA/ER/R-MAT graphs go
-//! through write → reopen (in-memory, mmap-backed, sharded) and every view
+//! through write → reopen (in-memory and mmap-backed) and every view
 //! must observe the identical graph — counts, degrees, neighbor lists and
 //! edge probes. Corrupted segments must come back as errors, never panics.
 
@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_generators::{gnp, preferential_attachment, rmat, RmatConfig};
 use snr_graph::{CsrGraph, GraphView, NodeId};
-use snr_store::{read_segment, write_segment, write_shard_segments, MmapGraph, ShardedGraph};
+use snr_store::{read_segment, write_segment, MmapGraph};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,7 +70,6 @@ proptest::proptest! {
         family in 0u8..3,
         size_knob in 0usize..12,
         seed in 0u64..1_000,
-        shards in 1usize..6,
     ) {
         let g = generate(family, size_knob, seed);
 
@@ -89,18 +88,6 @@ proptest::proptest! {
         assert_view_matches(&mapped, &g, "mmap");
         drop(mapped);
         std::fs::remove_file(&path).unwrap();
-
-        // Sharded roundtrips: in-memory partition and mmap-backed shard
-        // segments, same boundaries.
-        let in_memory = ShardedGraph::partition(&g, shards);
-        assert_view_matches(&in_memory, &g, "sharded-mem");
-        let dir = scratch("shards");
-        let paths = write_shard_segments(&g, shards, &dir).unwrap();
-        let on_disk = ShardedGraph::open(&paths).unwrap();
-        assert_view_matches(&on_disk, &g, "sharded-mmap");
-        proptest::prop_assert_eq!(on_disk.shard_count(), shards);
-        drop(on_disk);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -139,16 +126,4 @@ proptest::proptest! {
         let cut = cut_knob % buf.len();
         proptest::prop_assert!(read_segment(&buf[..cut]).is_err(), "cut at {cut} was accepted");
     }
-}
-
-#[test]
-fn shard_count_exceeding_nodes_still_roundtrips() {
-    let g = CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
-    let dir = scratch("tiny-shards");
-    let paths = write_shard_segments(&g, 8, &dir).unwrap();
-    assert_eq!(paths.len(), 8);
-    let s = ShardedGraph::open(&paths).unwrap();
-    assert_view_matches(&s, &g, "tiny");
-    drop(s);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

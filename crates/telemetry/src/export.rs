@@ -1,9 +1,7 @@
-//! Exporters: JSON-lines trace files, Prometheus-style text snapshots, and
-//! the human phase-breakdown tree.
+//! Exporters: JSON-lines trace files and point-in-time metric snapshots.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::spans;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -104,7 +102,7 @@ pub fn write_trace_if_configured() -> io::Result<Option<PathBuf>> {
     }
 }
 
-/// A point-in-time copy of every metric, ready to render.
+/// A point-in-time copy of every metric.
 #[derive(Clone, Debug)]
 pub struct TelemetrySnapshot {
     /// Counter totals as `(name, value)`, in registration order.
@@ -135,108 +133,5 @@ impl TelemetrySnapshot {
             })
             .collect();
         TelemetrySnapshot { counters, gauges, histograms }
-    }
-
-    /// Renders the snapshot in the Prometheus text exposition format, with
-    /// every metric prefixed `snr_`. This is the shape the future
-    /// `snr-server` `/metrics` endpoint serves.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        for &(name, value) in &self.counters {
-            let _ = writeln!(out, "# TYPE snr_{name} counter");
-            let _ = writeln!(out, "snr_{name} {value}");
-        }
-        for &(name, value) in &self.gauges {
-            let _ = writeln!(out, "# TYPE snr_{name} gauge");
-            let _ = writeln!(out, "snr_{name} {value}");
-        }
-        for (name, buckets) in &self.histograms {
-            let _ = writeln!(out, "# TYPE snr_{name} histogram");
-            let mut cumulative = 0u64;
-            for &(le, count) in buckets {
-                cumulative += count;
-                let _ = writeln!(out, "snr_{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "snr_{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-            let _ = writeln!(out, "snr_{name}_count {cumulative}");
-        }
-        out
-    }
-
-    /// Renders the finished spans as an indented tree, aggregated by path:
-    /// spans with the same name under the same parent path are summed. Spans
-    /// absorbed from workers appear as roots tagged with their worker fields.
-    pub fn render_tree(&self) -> String {
-        struct Node {
-            total_us: u64,
-            count: u64,
-            order: usize,
-            children: Vec<String>,
-        }
-        let records = spans::finished();
-        let name_of: HashMap<u64, String> =
-            records.iter().map(|r| (r.id, r.name.to_string())).collect();
-        let parent_of: HashMap<u64, u64> = records.iter().map(|r| (r.id, r.parent)).collect();
-        // Path of a span = ancestor names joined by '/', so repeated phases
-        // aggregate into one line per nesting position.
-        let path_of = |id: u64| -> String {
-            let mut parts = Vec::new();
-            let mut cur = id;
-            while cur != 0 {
-                parts.push(name_of.get(&cur).cloned().unwrap_or_default());
-                cur = parent_of.get(&cur).copied().unwrap_or(0);
-            }
-            parts.reverse();
-            parts.join("/")
-        };
-        // Pass 1: aggregate totals per path. Pass 2: wire child lists, so a
-        // child that finishes before its parent still nests correctly.
-        let mut nodes: HashMap<String, Node> = HashMap::new();
-        for record in &records {
-            let path = path_of(record.id);
-            let order = record.start_us as usize;
-            let node = nodes.entry(path).or_insert_with(|| Node {
-                total_us: 0,
-                count: 0,
-                order,
-                children: Vec::new(),
-            });
-            node.total_us += record.dur_us;
-            node.count += 1;
-            node.order = node.order.min(order);
-        }
-        let paths: Vec<String> = nodes.keys().cloned().collect();
-        let mut roots: Vec<String> = Vec::new();
-        for path in &paths {
-            match path.rfind('/') {
-                Some(cut) if nodes.contains_key(&path[..cut]) => {
-                    nodes.get_mut(&path[..cut]).unwrap().children.push(path.clone());
-                }
-                _ => roots.push(path.clone()),
-            }
-        }
-        let mut out = String::new();
-        fn emit(out: &mut String, nodes: &HashMap<String, Node>, path: &str, depth: usize) {
-            let Some(node) = nodes.get(path) else { return };
-            let name = path.rsplit('/').next().unwrap_or(path);
-            let _ = writeln!(
-                out,
-                "{:indent$}{name}  {:.3}s  ×{}",
-                "",
-                node.total_us as f64 / 1e6,
-                node.count,
-                indent = depth * 2
-            );
-            let mut children = node.children.clone();
-            children.sort_by_key(|c| nodes.get(c).map_or(usize::MAX, |n| n.order));
-            for child in children {
-                emit(out, nodes, &child, depth + 1);
-            }
-        }
-        roots.sort_by_key(|r| nodes.get(r).map_or(usize::MAX, |n| n.order));
-        for root in roots {
-            emit(&mut out, &nodes, &root, 0);
-        }
-        out
     }
 }

@@ -8,9 +8,8 @@
 //!    thread-safe parent/child nesting and monotonic timestamps.
 //! 2. **Metrics** — typed [`Counter`]s, [`Gauge`]s, and log₂-bucket
 //!    [`Histogram`]s that are registered once and cheap to bump.
-//! 3. **Exporters** — a JSON-lines trace file ([`write_trace`]), a
-//!    Prometheus-style text snapshot ([`TelemetrySnapshot::render_prometheus`]),
-//!    and a human phase-breakdown tree ([`TelemetrySnapshot::render_tree`]).
+//! 3. **Exporters** — a JSON-lines trace file ([`write_trace`]) and a
+//!    point-in-time snapshot of every metric ([`TelemetrySnapshot`]).
 //! 4. **Logger** — leveled `key=value` logging to stderr ([`error!`],
 //!    [`warn!`], [`info!`], [`debug!`]) controlled by `SNR_LOG`, independent
 //!    of the trace switch.
@@ -326,34 +325,6 @@ mod tests {
             .map(|(_, buckets)| buckets.iter().map(|&(_, c)| c).sum())
             .unwrap();
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn prometheus_render_lists_every_counter_once() {
-        let _l = serial();
-        enable();
-        Counter::Respawns.add(2);
-        Gauge::WorkersAlive.set(4);
-        let text = TelemetrySnapshot::capture().render_prometheus();
-        assert!(text.contains("snr_respawns 2"), "{text}");
-        assert!(text.contains("snr_workers_alive 4"), "{text}");
-        assert!(text.contains("# TYPE snr_respawns counter"));
-        assert!(text.contains("# TYPE snr_workers_alive gauge"));
-    }
-
-    #[test]
-    fn tree_render_nests_children_under_parents() {
-        let _l = serial();
-        enable();
-        {
-            let _p = span!("phase");
-            let _c = span!("score");
-        }
-        let tree = TelemetrySnapshot::capture().render_tree();
-        let phase_at = tree.find("phase").unwrap();
-        let score_at = tree.find("score").unwrap();
-        assert!(phase_at < score_at, "parent listed before child:\n{tree}");
-        assert!(tree.lines().any(|l| l.trim_start().starts_with("score") && l.starts_with("  ")));
     }
 
     #[test]

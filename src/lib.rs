@@ -15,7 +15,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `snr-graph` | CSR graphs, builders, statistics, I/O |
-//! | [`store`] | `snr-store` | on-disk graph segments, mmap-backed and sharded views |
+//! | [`store`] | `snr-store` | on-disk graph segments and the mmap-backed view |
 //! | [`generators`] | `snr-generators` | Erdős–Rényi, preferential attachment, affiliation, R-MAT, temporal, … |
 //! | [`sampling`] | `snr-sampling` | realization models, ground truth, seed links |
 //! | [`mapreduce`] | `snr-mapreduce` | the in-memory MapReduce engine |
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use snr_sampling::{
         sample_seeds, sample_seeds_degree_biased, GroundTruth, RealizationPair,
     };
-    pub use snr_store::{MmapGraph, ShardedGraph};
+    pub use snr_store::MmapGraph;
 }
 
 #[cfg(test)]

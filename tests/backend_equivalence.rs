@@ -1,12 +1,12 @@
 //! Cross-backend and cross-representation equivalence: the sequential,
 //! rayon, and MapReduce backends must produce bit-for-bit identical link
 //! sets on identical inputs — and so must every `GraphView` implementation
-//! (`CsrGraph`, the delta-encoded `CompactCsr`, the mmap-backed `MmapGraph`
-//! over an on-disk segment, and the `ShardedGraph` partition). This is what
-//! makes the parallel and MapReduce claims of the paper meaningful (they
-//! are *the same algorithm*, only scheduled differently) and what makes the
-//! compressed, on-disk, and sharded representations safe to substitute in
-//! any experiment.
+//! (`CsrGraph`, the delta-encoded `CompactCsr`, and the mmap-backed
+//! `MmapGraph` over an on-disk segment), alone or mixed across the two
+//! copies. This is what makes the parallel and MapReduce claims of the
+//! paper meaningful (they are *the same algorithm*, only scheduled
+//! differently) and what makes the compressed and on-disk representations
+//! safe to substitute in any experiment.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,13 +55,11 @@ where
 }
 
 /// Runs every backend on every representation combination (both copies CSR,
-/// both compact, both mmap-backed segments, both sharded, and mixed) and
-/// asserts a single identical link set.
+/// both compact, both mmap-backed segments, and mixed) and asserts a single
+/// identical link set.
 fn assert_all_agree(pair: &RealizationPair, seeds: &[(NodeId, NodeId)], t: u32, workers: usize) {
     let (c1, c2) = (pair.g1.compact(), pair.g2.compact());
     let ((m1, p1), (m2, p2)) = (mmap_view(&pair.g1, "g1"), mmap_view(&pair.g2, "g2"));
-    let (s1, s2) =
-        (ShardedGraph::partition(&pair.g1, workers + 1), ShardedGraph::partition(&pair.g2, 3));
     // Sequential-on-CSR is the reference itself, so it is not re-run.
     let reference = run_on(&pair.g1, &pair.g2, seeds, Backend::Sequential, t);
     for backend in [Backend::Sequential, Backend::Rayon, Backend::MapReduce { workers }] {
@@ -73,14 +71,13 @@ fn assert_all_agree(pair: &RealizationPair, seeds: &[(NodeId, NodeId)], t: u32, 
         assert_eq!(on_compact, reference, "{backend:?} differs on CompactCsr at T={t}");
         let on_mmap = run_on(&m1, &m2, seeds, backend, t);
         assert_eq!(on_mmap, reference, "{backend:?} differs on MmapGraph at T={t}");
-        let on_sharded = run_on(&s1, &s2, seeds, backend, t);
-        assert_eq!(on_sharded, reference, "{backend:?} differs on ShardedGraph at T={t}");
+        let mapped_rows = run_on(&m1, &c2, seeds, backend, t);
+        assert_eq!(mapped_rows, reference, "{backend:?} differs on mmap x compact at T={t}");
         let mixed = run_on(&pair.g1, &c2, seeds, backend, t);
         assert_eq!(mixed, reference, "{backend:?} differs on mixed representations at T={t}");
-        // Sharded copy 1 drives the partition-aware row chunking while copy
-        // 2 serves from a mapped segment — the multi-store pipeline.
-        let mixed_store = run_on(&s1, &m2, seeds, backend, t);
-        assert_eq!(mixed_store, reference, "{backend:?} differs on sharded x mmap at T={t}");
+        // In-memory copy 1 while copy 2 serves from a mapped segment.
+        let mixed_store = run_on(&c1, &m2, seeds, backend, t);
+        assert_eq!(mixed_store, reference, "{backend:?} differs on compact x mmap at T={t}");
     }
     drop((m1, m2));
     let _ = std::fs::remove_file(p1);
@@ -148,17 +145,16 @@ fn witness_score_tables_are_identical_across_backends_and_representations() {
     let links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
     let (c1, c2) = (pair.g1.compact(), pair.g2.compact());
     let ((m1, p1), (m2, p2)) = (mmap_view(&pair.g1, "t1"), mmap_view(&pair.g2, "t2"));
-    let (s1, s2) = (ShardedGraph::partition(&pair.g1, 4), ShardedGraph::partition(&pair.g2, 4));
     // The oracle table is representation-independent.
     for min_deg in [1, 2, 4] {
         let reference = count_sequential(&pair.g1, &pair.g2, &links, min_deg, min_deg);
         assert!(!reference.is_empty(), "the workload must score pairs at d={min_deg}");
         let on_compact = count_sequential(&c1, &c2, &links, min_deg, min_deg);
         let on_mmap = count_sequential(&m1, &m2, &links, min_deg, min_deg);
-        let on_sharded = count_sequential(&s1, &s2, &links, min_deg, min_deg);
+        let on_mixed = count_sequential(&c1, &m2, &links, min_deg, min_deg);
         assert_eq!(on_compact, reference, "table differs on CompactCsr d={min_deg}");
         assert_eq!(on_mmap, reference, "table differs on MmapGraph d={min_deg}");
-        assert_eq!(on_sharded, reference, "table differs on ShardedGraph d={min_deg}");
+        assert_eq!(on_mixed, reference, "table differs on compact x mmap d={min_deg}");
     }
     // Every executor scores the same pairs and links the same count in
     // every phase, on every representation.
@@ -168,11 +164,11 @@ fn witness_score_tables_are_identical_across_backends_and_representations() {
         let on_csr = phase_counts(&pair.g1, &pair.g2, &seeds, backend);
         let on_compact = phase_counts(&c1, &c2, &seeds, backend);
         let on_mmap = phase_counts(&m1, &m2, &seeds, backend);
-        let on_sharded = phase_counts(&s1, &s2, &seeds, backend);
+        let on_mixed = phase_counts(&c1, &m2, &seeds, backend);
         assert_eq!(on_csr, reference, "{backend:?} phases differ on CsrGraph");
         assert_eq!(on_compact, reference, "{backend:?} phases differ on CompactCsr");
         assert_eq!(on_mmap, reference, "{backend:?} phases differ on MmapGraph");
-        assert_eq!(on_sharded, reference, "{backend:?} phases differ on ShardedGraph");
+        assert_eq!(on_mixed, reference, "{backend:?} phases differ on compact x mmap");
     }
     drop((m1, m2));
     let _ = std::fs::remove_file(p1);
