@@ -108,24 +108,29 @@
 //!
 //! [`mapreduce_fused_phase_on`] expresses one whole phase as a single
 //! engine round built from the same pieces: map tasks score contiguous
-//! chunks of candidate rows through the round's one [`LinkCache`] and a
-//! task-local [`ScoreArena`] (each linked neighbor list is built once per
-//! round, not decoded once per contribution) and emit one already-aggregated record per
-//! candidate *row* — a dense `u32` key plus the row's packed `(v, count)`
-//! entries — instead of one `((u, v), 1)` record per *witness
-//! contribution*. That collapses the shuffled record count by orders of
-//! magnitude (measured 938× at the RMAT-16 witness pass) and the shuffled
-//! bytes from 12 per contribution to 8 per scored pair. The shuffle
-//! range-partitions by `u`, so each reduce partition owns whole rows in
-//! ascending order and folds them straight into a [`SelectSink`] — the
-//! MapReduce backend never materializes a global score table either.
+//! chunks of candidate rows through the round's one [`LinkCache`] (each
+//! linked neighbor list is built once per round, not decoded once per
+//! contribution) and emit one already-aggregated record per candidate
+//! *row* — a dense `u32` key plus the row's packed `(v, count)` entries —
+//! instead of one `((u, v), 1)` record per *witness contribution*. That
+//! collapses the shuffled record count by orders of magnitude (measured
+//! 938× at the RMAT-16 witness pass) and the shuffled bytes from 12 per
+//! contribution to 8 per scored pair. A task splits its rows across the
+//! engine's workers, one [`ScoreArena`] per piece, and concatenates the
+//! pieces' records in order: a round whose rows fit in one task still uses
+//! every worker, and the records, spill decisions and run files are those
+//! of one thread. The shuffle range-partitions by `u`, so each reduce
+//! partition owns whole rows in ascending order and folds them into a
+//! [`SelectSink`] as they stream off the engine's k-way merge of its
+//! in-memory buckets and spill runs — the MapReduce backend never
+//! materializes a global score table, nor a whole partition's rows.
 
 use crate::linking::Linking;
 use crate::matching::Best;
 use rayon::prelude::*;
 use snr_graph::{GraphError, GraphView, NodeId};
 use snr_mapreduce::partition::range_partition;
-use snr_mapreduce::{Engine, EngineError, SpillCodec};
+use snr_mapreduce::{Engine, EngineError, Groups, SpillCodec};
 use snr_store::wire::{self, Reader, WireError, Writer};
 
 /// Sentinel for a node that is not linked: in [`LinkCache::slot`] over
@@ -1115,9 +1120,13 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 /// * **Map** — each task scores a contiguous chunk of the `candidates`
 ///   rows (ascending copy-1 ids, as for [`fused_phase_on`]) through the
 ///   round's one [`LinkCache`], built before the round and shared by every
-///   task, and a *task-local* [`ScoreArena`] in the cache's rank space (in
-///   a real cluster the cache is the map-side join against the broadcast
-///   link set), emitting one pre-aggregated record per non-empty row: a
+///   task (in a real cluster the cache is the map-side join against the
+///   broadcast link set). A task splits its rows into `engine.workers()`
+///   contiguous pieces scored on rayon threads, each through its own
+///   [`ScoreArena`] in the cache's rank space, and concatenates their
+///   records in row order, so a round of one large task still uses every
+///   worker and emits exactly what one thread would: one pre-aggregated
+///   record per non-empty row, a
 ///   dense `u32` key and the row's packed `(v, count)` entries
 ///   ([`pack_entry`]), translated back to copy-2 node ids. Shuffle payload
 ///   is 4 bytes per row (the key) plus 8 bytes per scored pair (one
@@ -1126,8 +1135,9 @@ fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
 ///   range in ascending order. Over a spill budget the shuffle spills to
 ///   checksummed run files in `PackedRowCodec`'s format.
-/// * **Reduce** — each partition folds its rows straight into a
-///   [`SelectSink`]; the per-partition sinks merge exactly like the rayon
+/// * **Reduce** — each partition folds its rows into a [`SelectSink`] as
+///   they stream off the engine's k-way merge of its buckets and spill
+///   runs ([`Groups`]); the per-partition sinks merge exactly like the rayon
 ///   backend's per-worker sinks (`Best::merge` is associative and
 ///   tie-abstention-preserving), so no global score table is ever built.
 ///
@@ -1169,23 +1179,17 @@ where
         candidates,
         |chunk: &[u32]| {
             let cache = cache.as_ref().expect("a map task implies candidates");
-            let nodes = cache.nodes();
-            let mut arena = ScoreArena::new(cache.eligible_count());
-            let mut rows = Vec::new();
-            for &u in chunk {
-                arena.score_row(g1, NodeId(u), cache);
-                let touched = arena.touched();
-                if !touched.is_empty() {
-                    // Emitted by node id: the shuffle and reduce never see ranks.
-                    let entries =
-                        touched.iter().map(|&r| pack_entry(nodes[r as usize], arena.get(r)));
-                    rows.push((u, entries.collect()));
-                }
-            }
-            rows
+            // The task's rows split across the engine's workers, the pieces'
+            // records concatenated in row order: the task emits exactly the
+            // records one thread would.
+            let workers = if chunk.len() < PARALLEL_CUTOFF { 1 } else { parts };
+            let pieces = chunk_candidates(chunk, workers);
+            let scored: Vec<Vec<(u32, Vec<u64>)>> =
+                pieces.par_iter().map(|rows| packed_rows(g1, cache, rows)).collect();
+            scored.into_iter().flatten().collect()
         },
         move |&u: &u32| range_partition(u, n1, parts),
-        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
+        |_, groups: &mut Groups<'_, u32, Vec<u64>>| {
             let mut sink = SelectSink::new(n2, threshold);
             for (u, fragments) in groups {
                 sink.row_packed(u, &merge_row_fragments(fragments));
@@ -1196,6 +1200,25 @@ where
     )?;
     let merged = sinks.into_iter().reduce(SelectSink::merge);
     Ok(merged.unwrap_or_else(|| SelectSink::new(n2, threshold)).finish())
+}
+
+/// Scores `rows` through `cache` on one task-local [`ScoreArena`] and
+/// returns one shuffle record per non-empty row: the row's key and its
+/// packed `(v, count)` entries by copy-2 node id, so the shuffle and reduce
+/// never see ranks.
+fn packed_rows<G1: GraphView>(g1: &G1, cache: &LinkCache, rows: &[u32]) -> Vec<(u32, Vec<u64>)> {
+    let nodes = cache.nodes();
+    let mut arena = ScoreArena::new(cache.eligible_count());
+    let mut records = Vec::new();
+    for &u in rows {
+        arena.score_row(g1, NodeId(u), cache);
+        let touched = arena.touched();
+        if !touched.is_empty() {
+            let entries = touched.iter().map(|&r| pack_entry(nodes[r as usize], arena.get(r)));
+            records.push((u, entries.collect()));
+        }
+    }
+    records
 }
 
 /// Record format of the packed-row shuffle. A row is charged 4 bytes for

@@ -11,12 +11,12 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::matching::mutual_best_pairs;
-use snr_core::scoring::{collect_candidates, mapreduce_fused_phase_on};
+use snr_core::scoring::{collect_candidates, fused_phase_on, mapreduce_fused_phase_on};
 use snr_core::witness::count_brute_force;
 use snr_core::{Backend, Linking, MatchingConfig, UserMatching};
 use snr_faults::FaultRegistry;
 use snr_generators::{gnp, preferential_attachment, rmat, RmatConfig};
-use snr_graph::{CsrGraph, GraphView};
+use snr_graph::{CsrGraph, GraphView, NodeId};
 use snr_mapreduce::{Engine, EngineError};
 use snr_sampling::independent::independent_deletion_symmetric;
 use snr_sampling::sample_seeds;
@@ -193,6 +193,79 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
         contributions
     );
     assert!(round.shuffled_bytes < contributions * 12, "bytes must shrink too");
+}
+
+#[test]
+fn splitting_map_tasks_across_workers_changes_no_record() {
+    // Map tasks split their rows across the engine's workers. On PA, R-MAT
+    // and a star, at 1, 2 and 4 workers, in memory and spilling every task,
+    // with one task per round (the default chunking here) or many: the
+    // selection equals the in-process phase's, and the shuffle carries one
+    // record per non-empty candidate row and 4 + 8 bytes per row and pair.
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    let g = rmat(&RmatConfig::graph500(10, 16), &mut rng).unwrap();
+    let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
+    let seeds = sample_seeds(&pair, 0.15, &mut rng).unwrap();
+    let rmat_links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
+    // A 400-node star whose center and first 20 leaves are seeds: every
+    // other leaf's row scores every other leaf through the center.
+    let star = CsrGraph::from_edges(400, &(1..400).map(|v| (0, v)).collect::<Vec<_>>());
+    let star_seeds: Vec<_> = (0..=20).map(|v| (NodeId(v), NodeId(v))).collect();
+    let star_links = Linking::with_seeds(400, 400, &star_seeds);
+    let (pa1, pa2, pa_links) = workload(true, 600, 3, 11);
+    let cases = [
+        ("pa", &pa1, &pa2, &pa_links),
+        ("rmat", &pair.g1, &pair.g2, &rmat_links),
+        ("star", &star, &star, &star_links),
+    ];
+    let scratch = std::env::temp_dir().join(format!("snr-mr-split-{}", std::process::id()));
+    for (name, g1, g2, links) in cases {
+        let (min_deg, threshold) = (1, 2);
+        let candidates = collect_candidates(g1, links, min_deg);
+        assert!(candidates.len() >= 256, "{name}: only {} candidate rows", candidates.len());
+        let expected = fused_phase_on(g1, g2, links, &candidates, min_deg, threshold, false);
+        let table = count_brute_force(g1, g2, links, min_deg, min_deg);
+        let rows: std::collections::HashSet<u32> = table.keys().map(|&(u, _)| u).collect();
+        assert_eq!(expected.0, table.len(), "{name}: scored pairs");
+        for workers in [1usize, 2, 4] {
+            for chunk in [None, Some(100)] {
+                for budget in [None, Some(0)] {
+                    let mut engine =
+                        Engine::new(workers).with_spill_budget(budget).with_scratch_dir(&scratch);
+                    if let Some(chunk) = chunk {
+                        engine = engine.with_chunk_size(chunk);
+                    }
+                    let what =
+                        format!("{name} workers={workers} chunk={chunk:?} budget={budget:?}");
+                    let got = mapreduce_fused_phase_on(
+                        &engine,
+                        g1,
+                        g2,
+                        links,
+                        candidates.clone(),
+                        min_deg,
+                        threshold,
+                    )
+                    .expect("round failed");
+                    assert_eq!(got, expected, "{what}");
+                    let round = engine.stats().per_round[0].clone();
+                    assert_eq!(round.shuffled_records, rows.len(), "{what}: records");
+                    assert_eq!(
+                        round.shuffled_bytes,
+                        4 * rows.len() + 8 * table.len(),
+                        "{what}: bytes"
+                    );
+                    if chunk.is_none() {
+                        assert_eq!(round.map_tasks, 1, "{what}: one task per round");
+                    }
+                    if budget.is_some() {
+                        assert!(round.spilled_runs > 0, "{what}: must spill");
+                    }
+                    assert!(!scratch.exists(), "{what}: scratch dir removed");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! The MapReduce execution engine: one round shape.
 
-use crate::spill::{self, EngineError, MergeSource, RunReader, SpillCodec};
+use crate::spill::{self, EngineError, MergeSource, MergeStream, RunReader, SpillCodec};
 use crate::stats::{EngineStats, RoundStats};
 use parking_lot::Mutex;
 use snr_faults::{FaultRegistry, FaultSite};
@@ -24,6 +24,11 @@ const TASKS_PER_WORKER: usize = 4;
 /// Process-wide engine counter: it names each engine's default scratch
 /// directory, so two engines in one process never share spill runs.
 static NEXT_ENGINE: AtomicU64 = AtomicU64::new(0);
+
+/// One reduce partition's key groups as [`Engine::run`] hands them to
+/// `reduce`: a stream of `(key, values)` in ascending key order, a key's
+/// values in map-task order.
+pub type Groups<'a, K, V> = dyn Iterator<Item = (K, Vec<V>)> + 'a;
 
 /// An in-memory MapReduce engine with an optional out-of-core shuffle.
 ///
@@ -129,11 +134,15 @@ impl Engine {
     /// * `part_of` routes a key to a reduce partition (`0..workers`);
     ///   [`crate::partition::range_partition`] keeps each partition a
     ///   contiguous, sorted key interval.
-    /// * `reduce` is called once per partition with *all* of that
-    ///   partition's key groups in ascending key order, a key's values in
-    ///   map-task order, and folds them into a single output value, so
+    /// * `reduce` is called once per partition with that partition's key
+    ///   groups as a stream ([`Groups`]): ascending key order, a key's values
+    ///   in map-task order. It folds them into a single output value, so
     ///   per-partition state (a selection sink, an accumulator) lives
-    ///   across keys without a global materialization.
+    ///   across keys without a global materialization. The stream is one
+    ///   k-way merge over the partition's map-task buckets, in memory or on
+    ///   disk, so a reduce holds one group per bucket, not the whole
+    ///   partition. Groups the reduce leaves unread are drained after it
+    ///   returns.
     /// * `codec` owns the record format: [`SpillCodec::bytes_of`] is the
     ///   shuffle-byte charge of one record, reported in
     ///   [`RoundStats::shuffled_bytes`] and reserved against the spill
@@ -142,8 +151,8 @@ impl Engine {
     ///
     /// When the round's shuffle bytes would cross the spill budget
     /// ([`Engine::with_spill_budget`]), map tasks flush their sorted
-    /// per-partition buckets to checksummed run files and the reduce side
-    /// k-way-merges the on-disk runs with the in-memory tail. Output is
+    /// per-partition buckets to checksummed run files and the reduce stream
+    /// merges the on-disk runs with the in-memory tail. Output is
     /// **bit-identical** at every budget.
     ///
     /// Returns one output per partition, in partition order.
@@ -153,8 +162,10 @@ impl Engine {
     /// Spill I/O failures and run-file corruption (including the injected
     /// `spill_io` / `spill_corrupt` fault sites) surface as a clean
     /// [`EngineError::Spill`] with the round's scratch directory removed
-    /// and the round excluded from [`Engine::stats`]. An engine without a
-    /// spill budget never touches disk and never fails.
+    /// and the round excluded from [`Engine::stats`]. A run that fails to
+    /// read or decode mid-stream ends its partition's stream; the error is
+    /// returned once `reduce` returns, and that output is dropped. An
+    /// engine without a spill budget never touches disk and never fails.
     pub fn run<I, K, V, O, M, P, R, C>(
         &self,
         label: &str,
@@ -171,7 +182,7 @@ impl Engine {
         O: Send,
         M: Fn(&[I]) -> Vec<(K, V)> + Sync,
         P: Fn(&K) -> usize + Sync,
-        R: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
+        R: Fn(usize, &mut Groups<'_, K, V>) -> O + Sync,
         C: SpillCodec<K, V> + Sync,
     {
         let start = Instant::now();
@@ -182,9 +193,9 @@ impl Engine {
     }
 
     /// The body of [`Engine::run`]: chunked map → per-bucket group → budget
-    /// check (+ spill to disk runs) → shuffle → per-partition sorted group
-    /// / k-way run merge → partition fold. Returns one fold output per
-    /// partition plus the round's counters.
+    /// check (+ spill to disk runs) → shuffle → per-partition fold over one
+    /// k-way merge of the partition's buckets and runs. Returns one fold
+    /// output per partition plus the round's counters.
     #[allow(clippy::type_complexity)]
     fn run_round<I, K, V, O, M, P, R, C>(
         &self,
@@ -201,7 +212,7 @@ impl Engine {
         O: Send,
         M: Fn(&[I]) -> Vec<(K, V)> + Sync,
         P: Fn(&K) -> usize + Sync,
-        R: Fn(usize, Vec<(K, Vec<V>)>) -> O + Sync,
+        R: Fn(usize, &mut Groups<'_, K, V>) -> O + Sync,
         C: SpillCodec<K, V> + Sync,
     {
         // Claim this round's 1-based sequence number up front: it names the
@@ -360,29 +371,32 @@ impl Engine {
             .map(|(p, (col, runs))| (p, col, runs))
             .collect();
         let reduce_task = |(p, col, runs): ReduceIn<K, V>| -> Result<(usize, O), EngineError> {
-            let groups = if runs.iter().any(Option::is_some) {
-                // Some of this partition's buckets live on disk: k-way-merge
-                // the runs with the in-memory tail, in map-task order.
+            // A partition with run files is timed (and spanned) from opening
+            // them to the end of its fold.
+            let spilled = runs
+                .iter()
+                .any(Option::is_some)
+                .then(|| (Instant::now(), snr_telemetry::span!("spill_merge", partition = p)));
+            let mut sources: Vec<MergeSource<'_, K, V, C>> = Vec::with_capacity(col.len());
+            for (bucket, run) in col.into_iter().zip(runs) {
+                sources.push(match run {
+                    Some(path) => MergeSource::Disk(RunReader::open(&path, codec)?),
+                    None => MergeSource::Mem(bucket.into_iter()),
+                });
+            }
+            let mut groups = MergeStream::new(sources);
+            let out = reduce(p, &mut groups);
+            // Drain what the fold left unread: `key_groups` counts every
+            // group, and a run that fails in the unread tail still fails
+            // the round.
+            groups.by_ref().for_each(drop);
+            let key_groups = groups.finish()?;
+            if let Some((merge_start, _span)) = spilled {
                 let sp = spill.expect("run files only exist when spilling");
-                let merge_start = Instant::now();
-                let _span = snr_telemetry::span!("spill_merge", partition = p);
-                let mut sources: Vec<MergeSource<'_, K, V, C>> = Vec::with_capacity(col.len());
-                for (bucket, run) in col.into_iter().zip(runs) {
-                    match run {
-                        Some(path) => {
-                            sources.push(MergeSource::Disk(RunReader::open(&path, codec)?))
-                        }
-                        None => sources.push(MergeSource::Mem(bucket.into_iter())),
-                    }
-                }
-                let merged = spill::merge_spill_sources(sources)?;
                 sp.merge_micros
                     .fetch_add(merge_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-                merged
-            } else {
-                merge_sorted_buckets(col)
-            };
-            Ok((groups.len(), reduce(p, groups)))
+            }
+            Ok((key_groups, out))
         };
         let reduced: Vec<Result<(usize, O), EngineError>> = if self.workers == 1 || parts <= 1 {
             tasks.into_iter().map(reduce_task).collect()
@@ -469,7 +483,8 @@ struct SpillState {
     spilled_bytes: AtomicU64,
     /// Run files written.
     spilled_runs: AtomicU64,
-    /// Microseconds reduce tasks spent k-way-merging runs.
+    /// Microseconds reduce tasks with run files spent merging and folding
+    /// their partition.
     merge_micros: AtomicU64,
 }
 
@@ -515,28 +530,6 @@ fn group_sorted<K: Ord, V>(mut bucket: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
         match groups.last_mut() {
             Some((lk, lvs)) if *lk == k => lvs.push(v),
             _ => groups.push((k, vec![v])),
-        }
-    }
-    groups
-}
-
-/// Merges one partition's grouped buckets — one sorted bucket per map task —
-/// into a single ascending key-group list. Buckets arrive in task order and
-/// the merge sort is stable, so a key's values concatenate in task order.
-fn merge_sorted_buckets<K: Ord, V>(buckets: Vec<Vec<(K, Vec<V>)>>) -> Vec<(K, Vec<V>)> {
-    let total: usize = buckets.iter().map(Vec::len).sum();
-    let mut entries: Vec<(K, Vec<V>)> = Vec::with_capacity(total);
-    for bucket in buckets {
-        entries.extend(bucket);
-    }
-    // Nearly-sorted input (each bucket is sorted): the stable merge sort
-    // detects the runs, so this is close to a single merge pass.
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut groups: Vec<(K, Vec<V>)> = Vec::with_capacity(entries.len());
-    for (k, mut vs) in entries {
-        match groups.last_mut() {
-            Some((lk, lvs)) if *lk == k => lvs.append(&mut vs),
-            _ => groups.push((k, vs)),
         }
     }
     groups
@@ -601,7 +594,10 @@ mod tests {
     use crate::spill::tests::U32U64Codec as TestCodec;
 
     /// Key groups as the reduce saw them, one list per partition.
-    type Groups = Vec<(u32, Vec<u64>)>;
+    type KeyGroups = Vec<(u32, Vec<u64>)>;
+
+    /// The reduce stream of the tests' rounds.
+    type Stream<'a> = Groups<'a, u32, u64>;
 
     /// A round that keys each value by `key_of`, range-partitions keys in
     /// `0..bound`, and returns every partition's groups unchanged.
@@ -610,14 +606,14 @@ mod tests {
         input: Vec<u64>,
         key_of: fn(u64) -> u32,
         bound: usize,
-    ) -> Result<Vec<Groups>, EngineError> {
+    ) -> Result<Vec<KeyGroups>, EngineError> {
         let parts = engine.workers();
         engine.run(
             "groups",
             input,
             |chunk: &[u64]| chunk.iter().map(|&x| (key_of(x), x)).collect(),
             |&k: &u32| range_partition(k, bound, parts),
-            |_, groups: Groups| groups,
+            |_, groups: &mut Stream<'_>| groups.collect::<KeyGroups>(),
             &TestCodec,
         )
     }
@@ -631,8 +627,8 @@ mod tests {
                 input,
                 |chunk: &[(u32, u64)]| chunk.to_vec(),
                 |&k: &u32| range_partition(k, bound, parts),
-                |_, groups: Groups| {
-                    groups.into_iter().map(|(k, vs)| (k, vs.iter().sum())).collect::<Vec<_>>()
+                |_, groups: &mut Stream<'_>| {
+                    groups.map(|(k, vs)| (k, vs.iter().sum())).collect::<Vec<_>>()
                 },
                 &TestCodec,
             )
@@ -663,8 +659,8 @@ mod tests {
                     (0..12u64).collect(),
                     |chunk: &[u64]| chunk.iter().map(|&x| ((x % 3) as u32, 1u64)).collect(),
                     |&k: &u32| k as usize % 2,
-                    |_, groups: Groups| {
-                        groups.into_iter().map(|(k, vs)| (k, vs.iter().sum())).collect::<Vec<_>>()
+                    |_, groups: &mut Stream<'_>| {
+                        groups.map(|(k, vs)| (k, vs.iter().sum())).collect::<Vec<_>>()
                     },
                     &TestCodec,
                 )
@@ -734,8 +730,8 @@ mod tests {
                 Vec::<u64>::new(),
                 |chunk: &[u64]| chunk.iter().map(|&x| (x as u32, x)).collect(),
                 |_: &u32| 0,
-                |p, groups: Groups| {
-                    assert!(groups.is_empty());
+                |p, groups: &mut Stream<'_>| {
+                    assert!(groups.next().is_none());
                     p
                 },
                 &TestCodec,
@@ -771,7 +767,7 @@ mod tests {
         // emission order preserved.
         let engine = Engine::new(3).with_chunk_size(2);
         let out = groups_round(&engine, (0..20).collect(), |_| 0, 1).unwrap();
-        let flat: Groups = out.into_iter().flatten().collect();
+        let flat: KeyGroups = out.into_iter().flatten().collect();
         assert_eq!(flat, vec![(0, (0..20).collect::<Vec<u64>>())]);
     }
 
@@ -800,7 +796,7 @@ mod tests {
     /// Runs the reference workload (value lists per key mod 7) on `engine`
     /// and returns its groups, flattened across partitions, plus the
     /// recorded round stats.
-    fn spill_workload(engine: &Engine) -> Result<(Groups, RoundStats), EngineError> {
+    fn spill_workload(engine: &Engine) -> Result<(KeyGroups, RoundStats), EngineError> {
         let out = groups_round(engine, (0..200).collect(), |x| (x % 7) as u32, 7)?;
         let stats = engine.stats();
         let round = stats.per_round.last().expect("round recorded").clone();
@@ -885,7 +881,7 @@ mod tests {
         // Two engines spilling at the same time under their default scratch
         // dirs: each must read back exactly its own run files.
         let input = |salt: u64| (0..4_000u64).map(|x| 2 * x + salt).collect::<Vec<u64>>();
-        let expected: Vec<Vec<Groups>> = (0..2)
+        let expected: Vec<Vec<KeyGroups>> = (0..2)
             .map(|salt| groups_round(&Engine::new(2), input(salt), |x| (x % 50) as u32, 50))
             .collect::<Result<_, _>>()
             .unwrap();
@@ -957,6 +953,65 @@ mod tests {
         assert_eq!(engine.stats().rounds, 0);
     }
 
+    /// [`TestCodec`], except that decoding key `bad` fails: a run holding it
+    /// passes its checksum and then fails mid-stream.
+    struct FailingDecode {
+        bad: u32,
+    }
+
+    impl SpillCodec<u32, u64> for FailingDecode {
+        fn bytes_of(&self, key: &u32, value: &u64) -> usize {
+            TestCodec.bytes_of(key, value)
+        }
+
+        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
+            TestCodec.encode_group(key, values, out);
+        }
+
+        fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<u64>), String> {
+            let (key, values) = TestCodec.decode_group(bytes)?;
+            if key == self.bad {
+                return Err(format!("refusing key {key}"));
+            }
+            Ok((key, values))
+        }
+    }
+
+    #[test]
+    fn a_decode_error_mid_stream_is_a_clean_error_with_scratch_removed() {
+        let scratch = spill_scratch("decode-fault");
+        let engine = Engine::new(1)
+            .with_chunk_size(16)
+            .with_spill_budget(Some(0))
+            .with_scratch_dir(&scratch);
+        let seen = Mutex::new(Vec::new());
+        let err = engine
+            .run(
+                "decode-fault",
+                (0..200).collect(),
+                |chunk: &[u64]| chunk.iter().map(|&x| ((x % 7) as u32, x)).collect(),
+                |&k: &u32| range_partition(k, 7, 1),
+                |_, groups: &mut Stream<'_>| seen.lock().extend(groups.map(|(k, _)| k)),
+                &FailingDecode { bad: 3 },
+            )
+            .expect_err("a group that fails to decode must fail the round");
+        let EngineError::Spill(why) = err;
+        // Task 0's run is the first to reach key 3.
+        let run = scratch.join("round-1").join("run-t0-p0.snrr");
+        assert!(why.contains(&format!("decoding group from {}", run.display())), "{why}");
+        assert!(why.contains("refusing key 3"), "{why}");
+        // Task 0 fails reading key 3 while key 2 is being merged, so the
+        // stream drops that half-merged group and ends.
+        assert_eq!(seen.into_inner(), vec![0, 1], "the stream ends at the failing read");
+        assert!(!scratch.exists(), "scratch removed on error");
+        assert_eq!(engine.stats().rounds, 0, "failed rounds are not recorded");
+        // The engine stays usable.
+        let (out, round) = spill_workload(&engine).unwrap();
+        assert_eq!(out.len(), 7);
+        assert_eq!(round.key_groups, 7);
+        assert!(!scratch.exists());
+    }
+
     proptest::proptest! {
         #[test]
         fn spilled_rounds_match_in_memory_rounds_on_random_workloads(
@@ -971,7 +1026,7 @@ mod tests {
                     input,
                     |chunk: &[(u32, u64)]| chunk.to_vec(),
                     |&k: &u32| range_partition(k, 9, workers),
-                    |_, groups: Groups| groups,
+                    |_, groups: &mut Stream<'_>| groups.collect::<KeyGroups>(),
                     &TestCodec,
                 )
             };

@@ -18,8 +18,10 @@
 //!   routes keys to one reduce partition per worker;
 //! * the shuffle is held in memory, or spilled to checksummed run files once
 //!   it crosses the engine's spill budget, with bit-identical output;
-//! * the reduce side folds each partition's sorted key groups into one
-//!   output value — per-partition state without a global materialization.
+//! * the reduce side folds each partition's key groups into one output
+//!   value as they stream off one k-way merge of the partition's buckets
+//!   and spill runs ([`Groups`]) — per-partition state, and one group per
+//!   bucket in memory, without a global materialization.
 //!
 //! A [`SpillCodec`] owns the record format: the shuffle-byte charge of a
 //! record and the encoding of a key group in a run file. This is what lets
@@ -36,7 +38,7 @@
 //!
 //! ```
 //! use snr_mapreduce::partition::range_partition;
-//! use snr_mapreduce::{Engine, SpillCodec};
+//! use snr_mapreduce::{Engine, Groups, SpillCodec};
 //!
 //! /// Groups of `u32` keys and `u64` values: the key, then each value.
 //! struct KeyValues;
@@ -71,8 +73,9 @@
 //!     (0..100u64).collect(),
 //!     |chunk: &[u64]| chunk.iter().map(|&x| ((x % 10) as u32, x)).collect(),
 //!     |&digit: &u32| range_partition(digit, 10, engine.workers()),
-//!     |_, groups: Vec<(u32, Vec<u64>)>| {
-//!         groups.into_iter().map(|(d, xs)| (d, xs.iter().sum())).collect::<Vec<(u32, u64)>>()
+//!     // The groups stream in: the fold never holds the partition at once.
+//!     |_, groups: &mut Groups<'_, u32, u64>| {
+//!         groups.map(|(d, xs)| (d, xs.iter().sum())).collect::<Vec<(u32, u64)>>()
 //!     },
 //!     &KeyValues,
 //! )?;
@@ -93,6 +96,6 @@ pub mod partition;
 pub mod spill;
 pub mod stats;
 
-pub use engine::Engine;
+pub use engine::{Engine, Groups};
 pub use spill::{EngineError, SpillCodec};
 pub use stats::{EngineStats, RoundStats};

@@ -4,8 +4,9 @@
 //! budget (see [`crate::Engine::with_spill_budget`]), map tasks flush
 //! their sorted per-partition buckets to *run files* in a scratch directory
 //! and the reduce side k-way-merges the on-disk runs with the in-memory
-//! tail. This module holds the pieces: the [`SpillCodec`] record format,
-//! the checksummed run-file writer/reader, and the streaming merge.
+//! tail as it folds them. This module holds the pieces: the [`SpillCodec`]
+//! record format, the checksummed run-file writer/reader, and the streaming
+//! merge.
 //!
 //! # Run-file format
 //!
@@ -274,9 +275,9 @@ impl<K, V, SC: SpillCodec<K, V>> MergeSource<'_, K, V, SC> {
     }
 }
 
-/// Heap entry ordered by `(key, task)` — the exact order the in-memory
-/// stable sort produces, so the streaming merge is bit-compatible with
-/// `merge_sorted_buckets`.
+/// Heap entry ordered by `(key, task)`: the order in which concatenating a
+/// partition's buckets in task order and stable-sorting them by key would
+/// list the groups.
 struct HeapGroup<K, V> {
     key: K,
     task: usize,
@@ -302,34 +303,80 @@ impl<K: Ord, V> Ord for HeapGroup<K, V> {
     }
 }
 
-/// K-way-merges one partition's sources (in map-task order) into ascending
-/// key groups, concatenating equal keys' values in task order.
+/// One partition's key groups as a stream: a k-way merge of its sources
+/// (in map-task order) into ascending keys, a key's values concatenated in
+/// task order.
 ///
 /// Each source yields strictly ascending keys (each map task's bucket was
-/// sorted and grouped before spilling), so ordering heap entries by
-/// `(key, task)` reproduces exactly what concatenating the buckets in task
-/// order and stable-sorting by key produces — the contract the in-memory
-/// reduce path has always had.
-pub(crate) fn merge_spill_sources<K: Ord, V, SC: SpillCodec<K, V>>(
-    mut sources: Vec<MergeSource<'_, K, V, SC>>,
-) -> Result<Vec<(K, Vec<V>)>, EngineError> {
-    let mut heap = BinaryHeap::with_capacity(sources.len());
-    for (task, source) in sources.iter_mut().enumerate() {
-        if let Some((key, values)) = source.next_group()? {
-            heap.push(HeapGroup { key, task, values });
+/// sorted and grouped before it spilled), so ordering heap entries by
+/// `(key, task)` yields exactly what concatenating the buckets in task
+/// order and stable-sorting by key would. The stream holds one group per
+/// source, never the whole partition.
+///
+/// A read or decode error ends the stream (the group it interrupts is
+/// dropped) and is kept for [`MergeStream::finish`].
+pub(crate) struct MergeStream<'a, K, V, SC> {
+    sources: Vec<MergeSource<'a, K, V, SC>>,
+    heap: BinaryHeap<HeapGroup<K, V>>,
+    error: Option<EngineError>,
+    /// Groups yielded so far.
+    groups: usize,
+}
+
+impl<'a, K: Ord, V, SC: SpillCodec<K, V>> MergeStream<'a, K, V, SC> {
+    /// A stream over `sources`, listed in map-task order.
+    pub(crate) fn new(sources: Vec<MergeSource<'a, K, V, SC>>) -> Self {
+        let mut stream = MergeStream {
+            heap: BinaryHeap::with_capacity(sources.len()),
+            sources,
+            error: None,
+            groups: 0,
+        };
+        for task in 0..stream.sources.len() {
+            stream.refill(task);
+        }
+        stream
+    }
+
+    /// Pushes source `task`'s next group onto the heap, or records its error.
+    fn refill(&mut self, task: usize) {
+        match self.sources[task].next_group() {
+            Ok(Some((key, values))) => self.heap.push(HeapGroup { key, task, values }),
+            Ok(None) => {}
+            Err(e) => {
+                self.error.get_or_insert(e);
+            }
         }
     }
-    let mut groups: Vec<(K, Vec<V>)> = Vec::new();
-    while let Some(HeapGroup { key, task, mut values }) = heap.pop() {
-        if let Some((k, vs)) = sources[task].next_group()? {
-            heap.push(HeapGroup { key: k, task, values: vs });
-        }
-        match groups.last_mut() {
-            Some((last_key, last_values)) if *last_key == key => last_values.append(&mut values),
-            _ => groups.push((key, values)),
+
+    /// The smallest `(key, task)` group, its source refilled; `None` once
+    /// the sources are exhausted or one of them failed.
+    fn pop(&mut self) -> Option<HeapGroup<K, V>> {
+        let top = self.heap.pop()?;
+        self.refill(top.task);
+        self.error.is_none().then_some(top)
+    }
+
+    /// The number of groups the stream yielded, or the error that ended it.
+    pub(crate) fn finish(self) -> Result<usize, EngineError> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.groups),
         }
     }
-    Ok(groups)
+}
+
+impl<K: Ord, V, SC: SpillCodec<K, V>> Iterator for MergeStream<'_, K, V, SC> {
+    type Item = (K, Vec<V>);
+
+    fn next(&mut self) -> Option<(K, Vec<V>)> {
+        let HeapGroup { key, mut values, .. } = self.pop()?;
+        while self.heap.peek().is_some_and(|next| next.key == key) {
+            values.append(&mut self.pop()?.values);
+        }
+        self.groups += 1;
+        Some((key, values))
+    }
 }
 
 /// Deterministically flips one byte of the first run file (in sorted path
@@ -534,13 +581,71 @@ pub(crate) mod tests {
             MergeSource::Disk(RunReader::open(&path, &U32U64Codec).unwrap()),
             MergeSource::Mem(t2.into_iter()),
         ];
-        let merged = merge_spill_sources(sources).unwrap();
+        let mut stream = MergeStream::new(sources);
+        let merged: Vec<_> = stream.by_ref().collect();
+        assert_eq!(stream.finish(), Ok(3));
         assert_eq!(
             merged,
             vec![(1, vec![100, 101]), (2, vec![200, 201]), (4, vec![400, 401]),],
             "values must concatenate in task order within each key"
         );
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A partition whose buckets are mixed in-memory and on-disk sources
+    // streams ascending keys, each key's values in task order.
+    proptest::proptest! {
+        #[test]
+        fn mixed_sources_stream_ascending_keys_with_values_in_task_order(
+            tasks in proptest::collection::vec(
+                (proptest::collection::vec((0u32..24, 1usize..4), 0..12), 0u8..2),
+                0..7,
+            ),
+        ) {
+            let dir = scratch("prop-merge");
+            let faults = Mutex::new(FaultRegistry::empty());
+            // Task `t`'s values for key `k` are `t * 1000 + k * 10 + i`.
+            // Each task's keys ascend without repeats (the first draw of a
+            // key wins), as a grouped bucket's do.
+            let buckets: Vec<Vec<(u32, Vec<u64>)>> = tasks
+                .iter()
+                .enumerate()
+                .map(|(t, (keys, _))| {
+                    let keys: std::collections::BTreeMap<u32, usize> =
+                        keys.iter().rev().copied().collect();
+                    keys.into_iter()
+                        .map(|(k, n)| {
+                            let base = t as u64 * 1000 + u64::from(k) * 10;
+                            (k, (base..base + n as u64).collect())
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut expected: Vec<(u32, Vec<u64>)> = Vec::new();
+            let mut flat: Vec<(u32, Vec<u64>)> = buckets.iter().flatten().cloned().collect();
+            flat.sort_by_key(|(k, _)| *k);
+            for (k, mut vs) in flat {
+                match expected.last_mut() {
+                    Some((lk, lvs)) if *lk == k => lvs.append(&mut vs),
+                    _ => expected.push((k, vs)),
+                }
+            }
+            let mut sources = Vec::new();
+            for (t, (bucket, (_, on_disk))) in buckets.into_iter().zip(&tasks).enumerate() {
+                if *on_disk == 1 {
+                    let path = dir.join(format!("run-t{t}-p0.snrr"));
+                    write_run(&path, 1, t as u32, 0, &bucket, &U32U64Codec, &faults).unwrap();
+                    sources.push(MergeSource::Disk(RunReader::open(&path, &U32U64Codec).unwrap()));
+                } else {
+                    sources.push(MergeSource::Mem(bucket.into_iter()));
+                }
+            }
+            let mut stream = MergeStream::new(sources);
+            let got: Vec<_> = stream.by_ref().collect();
+            proptest::prop_assert_eq!(stream.finish(), Ok(expected.len()));
+            proptest::prop_assert_eq!(got, expected);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

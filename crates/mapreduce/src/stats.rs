@@ -46,8 +46,10 @@ pub struct RoundStats {
     /// Spill run files written by map tasks this round.
     #[serde(default)]
     pub spilled_runs: usize,
-    /// Microseconds reduce tasks spent k-way-merging on-disk runs with the
-    /// in-memory tail (`0` when nothing spilled).
+    /// Microseconds reduce partitions with run files spent on their
+    /// streamed fold, from opening the runs through the k-way merge and
+    /// the reduce to its return, summed over those partitions (`0` when
+    /// nothing spilled).
     #[serde(default)]
     pub spill_merge_micros: u64,
     /// Wall-clock duration of the round.

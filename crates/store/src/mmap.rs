@@ -88,15 +88,6 @@ impl MmapGraph {
         const HASH_SPAN: usize = 64 * 1024;
         let _ = map.advise(Advice::Sequential);
         let meta = parse_segment_structure(&map)?;
-        if meta.is_partial() {
-            return Err(GraphError::InvalidBinary(format!(
-                "{} holds rows {}..{} of {}, not a whole graph",
-                path.display(),
-                meta.first_node,
-                meta.first_node + meta.node_count,
-                meta.total_nodes
-            )));
-        }
         let layout = meta.layout();
         let mut hash = Checksum64::new();
         hash.update(&map[..layout.data.start]);

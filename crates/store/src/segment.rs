@@ -33,8 +33,8 @@
 //! footer checksum), are rejected by the header's version check.
 //!
 //! A segment with `first_node == 0 && node_count == total_nodes` is a whole
-//! graph, the only kind the public writers produce and
-//! [`crate::MmapGraph::open`] accepts. The header keeps the two fields so
+//! graph, the only kind the public writers produce and the readers
+//! ([`read_segment`], [`crate::MmapGraph::open`]) accept. The header keeps the two fields so
 //! the format can describe a row range whose neighbor lists carry *global*
 //! target ids; the crate's own tests write such a segment to check that
 //! it is refused.
@@ -332,7 +332,9 @@ pub(crate) fn write_segment_range<G: GraphView, W: Write>(
 }
 
 /// Validates a segment image's header and section lengths — everything
-/// *except* the checksum scan — and returns the parsed header. Callers that
+/// *except* the checksum scan — and returns the parsed header. A segment
+/// of a row range (see the module docs) is refused here, so every reader
+/// rejects it with the same error. Callers that
 /// read the whole payload anyway (the mmap-backed open's fused
 /// validate-and-checksum pass) use this plus [`wire::verify_footer`] so the
 /// file is scanned once, not twice.
@@ -347,6 +349,14 @@ pub(crate) fn parse_segment_structure(bytes: &[u8]) -> Result<SegmentMeta, Graph
         return Err(GraphError::InvalidBinary(format!(
             "segment entry count mismatch: offsets end at {last_entry}, header claims {}",
             meta.entry_count
+        )));
+    }
+    if meta.is_partial() {
+        return Err(GraphError::InvalidBinary(format!(
+            "segment holds rows {}..{} of {}, not a whole graph",
+            meta.first_node,
+            meta.first_node + meta.node_count,
+            meta.total_nodes
         )));
     }
     Ok(meta)
@@ -413,22 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn row_ranges_roundtrip_with_global_targets() {
+    fn row_range_segments_are_refused() {
         let g = sample();
         let mut buf = Vec::new();
         let meta = write_segment_range(&g, &mut buf, 2..6).unwrap();
         assert!(meta.is_partial());
-        assert_eq!(meta.first_node, 2);
-        assert_eq!(meta.node_count, 4);
-        assert_eq!(meta.total_nodes, 8);
-        let (_, partial) = read_segment(buf.as_slice()).unwrap();
-        assert_eq!(partial.node_count(), 4);
-        // Local row 0 is global node 2; targets stay global.
-        assert_eq!(
-            partial.neighbors_iter(NodeId(0)).collect::<Vec<_>>(),
-            g.neighbors(NodeId(2)).to_vec()
+        assert_eq!((meta.first_node, meta.node_count, meta.total_nodes), (2, 4, 8));
+        // The bytes are sound (checksum and structure), yet neither reader
+        // may hand out a graph whose targets exceed its own node count.
+        assert!(wire::open_sealed(&buf).is_ok());
+        let err = read_segment(buf.as_slice()).unwrap_err();
+        assert!(
+            err.to_string().contains("segment holds rows 2..6 of 8, not a whole graph"),
+            "{err}"
         );
-        assert_eq!(partial.max_degree(), (2..6).map(|v| g.degree(NodeId(v))).max().unwrap());
     }
 
     #[test]

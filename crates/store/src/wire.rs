@@ -244,9 +244,12 @@ impl<'a> Writer<'a> {
     /// Appends little-endian `u64`s (the bulk counterpart of
     /// [`Reader::u64s`]).
     pub fn u64s(&mut self, values: &[u64]) {
-        self.out.reserve(8 * values.len());
-        for &v in values {
-            self.u64(v);
+        // Fill a pre-sized tail in place: one resize, then a fixed-width
+        // store per value, not one length-checked append each.
+        let start = self.out.len();
+        self.out.resize(start + 8 * values.len(), 0);
+        for (dst, v) in self.out[start..].chunks_exact_mut(8).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
