@@ -10,7 +10,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use snr_bench::Workload;
-use snr_core::{BaselineMatching, MatchingConfig, UserMatching};
+use snr_core::{MatchingConfig, UserMatching};
 use std::hint::black_box;
 
 fn bench_bucketing_ablation(c: &mut Criterion) {
@@ -42,7 +42,7 @@ fn bench_bucketing_ablation(c: &mut Criterion) {
     });
     group.bench_function("baseline_common_neighbors", |b| {
         b.iter(|| {
-            black_box(BaselineMatching::with_defaults().run(
+            black_box(UserMatching::new(MatchingConfig::baseline()).run(
                 &workload.pair.g1,
                 &workload.pair.g2,
                 &workload.seeds,

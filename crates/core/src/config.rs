@@ -125,6 +125,27 @@ impl MatchingConfig {
         self
     }
 
+    /// The common-neighbour baseline of §5, "a simple algorithm that just
+    /// counts the number of common neighbors": threshold 1, one pass, no
+    /// degree bucketing, and `min_bucket` 0, so its one phase scores every
+    /// node of degree at least 1. More passes ([`Self::with_iterations`])
+    /// recount with the links found so far.
+    ///
+    /// The paper reports two failure modes, both reproduced by the
+    /// `ablation_bucketing_baseline` experiment: under attack the baseline
+    /// keeps its precision but recovers far fewer nodes than the default
+    /// schedule, and on the Wikipedia-style workload its error rate
+    /// balloons (27.9% vs 17.3% in the paper).
+    pub fn baseline() -> Self {
+        MatchingConfig {
+            threshold: 1,
+            iterations: 1,
+            degree_bucketing: false,
+            min_bucket: 0,
+            ..MatchingConfig::default()
+        }
+    }
+
     /// The run's phase schedule, in execution order: for each of the `k`
     /// iterations, buckets `j` from the top bucket down to
     /// [`MatchingConfig::min_bucket`]; a phase at bucket `j` considers nodes
@@ -137,7 +158,7 @@ impl MatchingConfig {
     /// `min_bucket`); without it every iteration is the single bucket
     /// `min_bucket`. A `min_bucket` of 0 (set directly; the builder clamps
     /// to 1) is a supported input: its phases take every node of degree at
-    /// least 1, which is how [`crate::BaselineMatching`] gets its passes.
+    /// least 1, which is how [`MatchingConfig::baseline`] gets its passes.
     pub fn schedule(&self, max_degree: usize) -> Vec<Phase> {
         let top_bucket = if self.degree_bucketing {
             (usize::BITS - 1).saturating_sub(max_degree.max(1).leading_zeros()).max(self.min_bucket)
@@ -183,6 +204,18 @@ pub struct Phase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linking::Linking;
+    use crate::matching::mutual_best_pairs;
+    use crate::stats::MatchingOutcome;
+    use crate::witness::count_sequential;
+    use crate::UserMatching;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use snr_generators::preferential_attachment;
+    use snr_graph::NodeId;
+    use snr_sampling::attack::inject_attack;
+    use snr_sampling::independent::independent_deletion_symmetric;
+    use snr_sampling::sample_seeds;
 
     #[test]
     fn defaults_match_the_papers_common_settings() {
@@ -267,5 +300,90 @@ mod tests {
         let c = MatchingConfig::default().with_iterations(0).with_min_bucket(0);
         assert_eq!(c.iterations, 1);
         assert_eq!(c.min_bucket, 1);
+    }
+
+    #[test]
+    fn baseline_links_obvious_pairs() {
+        let g = snr_graph::CsrGraph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
+        let seeds = vec![(NodeId(1), NodeId(1)), (NodeId(2), NodeId(2))];
+        let outcome = UserMatching::new(MatchingConfig::baseline()).run(&g, &g.clone(), &seeds);
+        assert_eq!(outcome.links.linked_in_g2(NodeId(0)), Some(NodeId(0)));
+    }
+
+    #[test]
+    fn multiple_passes_grow_the_link_set() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = preferential_attachment(1_500, 8, &mut rng).unwrap();
+        let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
+        let seeds = sample_seeds(&pair, 0.05, &mut rng).unwrap();
+        let passes = |k: u32| {
+            UserMatching::new(MatchingConfig::baseline().with_iterations(k))
+                .run(&pair.g1, &pair.g2, &seeds)
+        };
+        let (one, two) = (passes(1), passes(2));
+        assert!(two.links.len() >= one.links.len());
+        assert_eq!(one.phases.len(), 1);
+        assert_eq!(two.phases.len(), 2);
+    }
+
+    #[test]
+    fn each_pass_equals_the_oracle_selection() {
+        // Two passes on a PA workload: every pass's links and scored-pair
+        // count must be the oracle table's, recomputed from the links the
+        // previous passes left behind.
+        let mut rng = StdRng::seed_from_u64(12);
+        let g = preferential_attachment(1_000, 6, &mut rng).unwrap();
+        let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
+        let seeds = sample_seeds(&pair, 0.08, &mut rng).unwrap();
+        let threshold = 1;
+        let mut links = Linking::with_seeds(pair.g1.node_count(), pair.g2.node_count(), &seeds);
+        for passes in 1..=2u32 {
+            let table = count_sequential(&pair.g1, &pair.g2, &links, 1, 1);
+            let new_links = links.insert_batch(&mutual_best_pairs(&table, threshold));
+            let config =
+                MatchingConfig::baseline().with_threshold(threshold).with_iterations(passes);
+            let outcome = UserMatching::new(config).run(&pair.g1, &pair.g2, &seeds);
+            let last = outcome.phases.last().expect("one phase per pass");
+            assert_eq!(outcome.phases.len(), passes as usize);
+            assert_eq!(last.scored_pairs, table.len(), "scored pairs of pass {passes}");
+            assert_eq!(last.new_links, new_links, "new links of pass {passes}");
+            assert!(new_links > 0, "pass {passes} must link something");
+            assert_eq!(outcome.links, links, "links after pass {passes}");
+        }
+    }
+
+    #[test]
+    fn baseline_under_attack_recovers_fewer_nodes_than_user_matching() {
+        // Reproduces the shape of the paper's ablation: under the attack
+        // model the baseline's recall is much lower than User-Matching's.
+        let mut rng = StdRng::seed_from_u64(6);
+        let g = preferential_attachment(1_200, 10, &mut rng).unwrap();
+        let clean = independent_deletion_symmetric(&g, 0.75, &mut rng).unwrap();
+        let attacked = inject_attack(&clean, 0.5, &mut rng).unwrap();
+        let seeds = sample_seeds(&attacked, 0.10, &mut rng).unwrap();
+
+        let um = UserMatching::new(MatchingConfig::default().with_threshold(2).with_iterations(2))
+            .run(&attacked.g1, &attacked.g2, &seeds);
+        let base =
+            UserMatching::new(MatchingConfig::baseline()).run(&attacked.g1, &attacked.g2, &seeds);
+
+        let correct = |o: &MatchingOutcome| {
+            o.links.pairs().filter(|&(a, b)| attacked.truth.is_correct(a, b)).count()
+        };
+        let um_good = correct(&um);
+        let base_good = correct(&base);
+        assert!(
+            base_good * 10 < um_good * 9,
+            "baseline ({base_good}) should clearly trail User-Matching ({um_good}) under attack"
+        );
+    }
+
+    #[test]
+    fn baseline_matches_the_papers_strawman() {
+        let c = MatchingConfig::baseline();
+        assert_eq!(c.threshold, 1);
+        assert_eq!(c.iterations, 1);
+        assert!(!c.degree_bucketing);
+        assert_eq!(c.min_bucket, 0);
     }
 }

@@ -25,8 +25,10 @@
 //!   [`MatchingConfig`], over three execution backends (sequential,
 //!   rayon data-parallel, and the `snr-mapreduce` engine that mirrors the
 //!   paper's `O(k log D)` MapReduce-round structure);
-//! * [`BaselineMatching`] — the "straightforward algorithm that just counts
-//!   the number of common neighbors" the paper compares against in §5;
+//! * [`MatchingConfig::baseline`] — the "straightforward algorithm that
+//!   just counts the number of common neighbors" the paper compares against
+//!   in §5, run by [`UserMatching`] as one unbucketed phase per pass over
+//!   every node of degree at least 1;
 //! * [`Linking`] — the growing set of identification links;
 //! * the phase kernel in [`scoring`]: one row kernel
 //!   ([`scoring::ScoreArena::score_row`]) with mutual-best selection fused
@@ -73,7 +75,6 @@
 
 pub mod algorithm;
 pub mod backend;
-pub mod baseline;
 pub mod blocking;
 pub mod config;
 pub mod linking;
@@ -85,7 +86,6 @@ pub mod witness;
 
 pub use algorithm::UserMatching;
 pub use backend::Backend;
-pub use baseline::BaselineMatching;
 pub use config::{CandidateSource, MatchingConfig, Phase};
 pub use linking::Linking;
 pub use stats::{MatchingOutcome, PhaseStats};

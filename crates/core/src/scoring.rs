@@ -1068,8 +1068,7 @@ where
 
 /// Packs a `(v, count)` score entry into one shuffle-friendly `u64`: the
 /// copy-2 node id in the high half, the witness count in the low half.
-/// Ordering packed entries orders them by `v` first, which is what lets the
-/// reduce merge a fragmented row's duplicates with one sort.
+/// Ordering packed entries orders them by `v` first.
 #[inline]
 pub fn pack_entry(v: u32, count: u32) -> u64 {
     ((v as u64) << 32) | count as u64
@@ -1079,39 +1078,6 @@ pub fn pack_entry(v: u32, count: u32) -> u64 {
 #[inline]
 pub fn unpack_entry(packed: u64) -> (u32, u32) {
     ((packed >> 32) as u32, packed as u32)
-}
-
-/// Merges packed entries with the same `v` by summing their counts (sorting
-/// the row by `v` as a side effect). Used by the reduce when a row arrives
-/// in pieces.
-fn combine_packed_row(entries: &mut Vec<u64>) {
-    if entries.len() <= 1 {
-        return;
-    }
-    entries.sort_unstable();
-    let mut w = 0usize;
-    for i in 1..entries.len() {
-        if entries[i] >> 32 == entries[w] >> 32 {
-            entries[w] += entries[i] & 0xFFFF_FFFF;
-        } else {
-            w += 1;
-            entries.swap(w, i);
-        }
-    }
-    entries.truncate(w + 1);
-}
-
-/// Flattens a key group's fragments (one per map task) back into a single
-/// duplicate-free row for the reduce. Whole-row mappers emit exactly one
-/// fragment per row, so this is the identity there; it is the one place
-/// that guards the reduce against a row arriving in pieces.
-fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
-    if fragments.len() == 1 {
-        return fragments.pop().expect("length checked");
-    }
-    let mut merged: Vec<u64> = fragments.into_iter().flatten().collect();
-    combine_packed_row(&mut merged);
-    merged
 }
 
 /// One phase of User-Matching as a single MapReduce round on the arena
@@ -1191,8 +1157,12 @@ where
         move |&u: &u32| range_partition(u, n1, parts),
         |_, groups: &mut Groups<'_, u32, Vec<u64>>| {
             let mut sink = SelectSink::new(n2, threshold);
-            for (u, fragments) in groups {
-                sink.row_packed(u, &merge_row_fragments(fragments));
+            for (u, records) in groups {
+                let [row]: [Vec<u64>; 1] = records.try_into().expect(
+                    "one record per row: each candidate row sits in exactly one map task, \
+                     and packed_rows emits at most one record for it",
+                );
+                sink.row_packed(u, &row);
             }
             sink
         },
@@ -1223,10 +1193,11 @@ fn packed_rows<G1: GraphView>(g1: &G1, cache: &LinkCache, rows: &[u32]) -> Vec<(
 
 /// Record format of the packed-row shuffle. A row is charged 4 bytes for
 /// its `u32` key plus 8 per packed `(v, count)` entry ([`pack_entry`]). A
-/// spilled group is its dense `u32` key, a fragment count, and each
-/// fragment as a `u32` length plus that many packed entries — exactly the
-/// in-memory `(u32, Vec<Vec<u64>>)` shape, so a round that spills to disk
-/// reduces bit-identically to one that never did.
+/// spilled group is its dense `u32` key, a record count (one per row in
+/// practice), and each record as a `u32` length plus that many packed
+/// entries — exactly the in-memory `(u32, Vec<Vec<u64>>)` shape, so a
+/// round that spills to disk reduces bit-identically to one that never
+/// did.
 pub(crate) struct PackedRowCodec;
 
 impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
@@ -1241,17 +1212,17 @@ impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
         let mut w = Writer::new(out);
         w.u32(*key);
         w.u32(values.len() as u32);
-        for fragment in values {
-            w.u32(fragment.len() as u32);
-            w.u64s(fragment);
+        for row in values {
+            w.u32(row.len() as u32);
+            w.u64s(row);
         }
     }
 
     fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<Vec<u64>>), String> {
         let read = |r: &mut Reader<'_>| {
             let key = r.u32()?;
-            let fragments = r.count(4)?;
-            let values = (0..fragments)
+            let records = r.count(4)?;
+            let values = (0..records)
                 .map(|_| {
                     let len = r.count(8)?;
                     r.u64s(len)
@@ -1937,17 +1908,6 @@ mod tests {
         let mut packed = [pack_entry(9, 1), pack_entry(2, 40), pack_entry(9, 2)];
         packed.sort_unstable();
         assert_eq!(packed.iter().map(|&e| unpack_entry(e).0).collect::<Vec<_>>(), [2, 9, 9]);
-    }
-
-    #[test]
-    fn combine_packed_row_merges_duplicate_targets() {
-        let mut row = vec![pack_entry(5, 2), pack_entry(1, 1), pack_entry(5, 3), pack_entry(2, 4)];
-        combine_packed_row(&mut row);
-        let entries: Vec<(u32, u32)> = row.iter().map(|&e| unpack_entry(e)).collect();
-        assert_eq!(entries, vec![(1, 1), (2, 4), (5, 5)]);
-        let mut single = vec![pack_entry(3, 9)];
-        combine_packed_row(&mut single);
-        assert_eq!(single, vec![pack_entry(3, 9)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use snr_graph::NodeId;
 use std::time::{Duration, Instant};
 
 /// Statistics of one phase (one degree bucket within one outer iteration).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseStats {
     /// Outer iteration index, starting at 1.
     pub iteration: u32,

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 use snr_core::matching::mutual_best_pairs;
 use snr_core::scoring::{collect_candidates, fused_phase_on, mapreduce_fused_phase_on};
 use snr_core::witness::count_brute_force;
-use snr_core::{Backend, Linking, MatchingConfig, UserMatching};
+use snr_core::{Backend, Linking, MatchingConfig, MatchingOutcome, UserMatching};
 use snr_faults::FaultRegistry;
 use snr_generators::{gnp, preferential_attachment, rmat, RmatConfig};
 use snr_graph::{CsrGraph, GraphView, NodeId};
@@ -314,18 +314,15 @@ fn chunking_and_worker_count_never_change_results() {
 #[test]
 fn spill_faults_fail_exactly_the_rounds_that_spill() {
     // RMAT-10 on 2 workers with a spill budget of 0, so every map task with
-    // shuffle bytes spills. A fault-free reference run records which
-    // rounds spilled; then `spill_io` and `spill_corrupt` are injected at
-    // every round, plus one round past the last phase.
+    // shuffle bytes spills, under User-Matching and under the two-pass
+    // common-neighbour baseline. A fault-free reference run records which
+    // rounds spilled and must score and link what the sequential run does;
+    // then `spill_io` and `spill_corrupt` are injected at every round, plus
+    // one round past the last phase.
     let mut rng = StdRng::seed_from_u64(10);
     let g = rmat(&RmatConfig::graph500(10, 16), &mut rng).unwrap();
     let pair = independent_deletion_symmetric(&g, 0.5, &mut rng).unwrap();
     let seeds = sample_seeds(&pair, 0.10, &mut rng).unwrap();
-    let config = MatchingConfig::default();
-    let expected = UserMatching::new(config.clone().with_backend(Backend::Sequential))
-        .run(&pair.g1, &pair.g2, &seeds)
-        .links;
-    let matcher = UserMatching::new(config.with_backend(Backend::MapReduce { workers: 2 }));
     let scratch = std::env::temp_dir().join(format!("snr-mr-fault-slice-{}", std::process::id()));
     let engine = |faults: FaultRegistry| {
         Engine::new(2)
@@ -333,34 +330,45 @@ fn spill_faults_fail_exactly_the_rounds_that_spill() {
             .with_scratch_dir(&scratch)
             .with_fault_registry(faults)
     };
+    let counts = |o: &MatchingOutcome| -> Vec<(usize, usize)> {
+        o.phases.iter().map(|p| (p.scored_pairs, p.new_links)).collect()
+    };
+    for config in [MatchingConfig::default(), MatchingConfig::baseline().with_iterations(2)] {
+        let sequential = UserMatching::new(config.clone().with_backend(Backend::Sequential))
+            .run(&pair.g1, &pair.g2, &seeds);
+        let expected = sequential.links.clone();
+        let matcher = UserMatching::new(config.with_backend(Backend::MapReduce { workers: 2 }));
 
-    let reference = engine(FaultRegistry::empty());
-    let outcome = matcher.try_run_on_engine(&pair.g1, &pair.g2, &seeds, &reference).unwrap();
-    assert_eq!(outcome.links, expected, "fault-free spilling run");
-    let spilled: Vec<usize> = reference.stats().per_round.iter().map(|r| r.spilled_runs).collect();
-    assert_eq!(spilled.len(), outcome.phases.len(), "one round per phase");
-    assert!(spilled.iter().any(|&runs| runs > 0), "the reference run must spill");
+        let reference = engine(FaultRegistry::empty());
+        let outcome = matcher.try_run_on_engine(&pair.g1, &pair.g2, &seeds, &reference).unwrap();
+        assert_eq!(outcome.links, expected, "fault-free spilling run");
+        assert_eq!(counts(&outcome), counts(&sequential), "fault-free spilling phases");
+        let spilled: Vec<usize> =
+            reference.stats().per_round.iter().map(|r| r.spilled_runs).collect();
+        assert_eq!(spilled.len(), outcome.phases.len(), "one round per phase");
+        assert!(spilled.iter().any(|&runs| runs > 0), "the reference run must spill");
 
-    for round in 1..=spilled.len() + 1 {
-        for site in ["spill_io", "spill_corrupt"] {
-            let spec = format!("{site}@round{round}");
-            let faulted = engine(FaultRegistry::parse(&spec).unwrap());
-            let result = matcher.try_run_on_engine(&pair.g1, &pair.g2, &seeds, &faulted);
-            if spilled.get(round - 1).is_some_and(|&runs| runs > 0) {
-                let Err(EngineError::Spill(why)) = result else {
-                    panic!("{spec}: a round that spills must fail");
-                };
-                let named = match site {
-                    "spill_io" => why.contains("spill_io"),
-                    _ => why.contains("checksum") || why.contains("magic"),
-                };
-                assert!(named, "{spec}: unexpected error {why:?}");
-                assert_eq!(faulted.stats().rounds, round - 1, "{spec}: the run stops there");
-            } else {
-                let outcome = result.unwrap_or_else(|e| panic!("{spec}: {e}"));
-                assert_eq!(outcome.links, expected, "{spec}: links");
+        for round in 1..=spilled.len() + 1 {
+            for site in ["spill_io", "spill_corrupt"] {
+                let spec = format!("{site}@round{round}");
+                let faulted = engine(FaultRegistry::parse(&spec).unwrap());
+                let result = matcher.try_run_on_engine(&pair.g1, &pair.g2, &seeds, &faulted);
+                if spilled.get(round - 1).is_some_and(|&runs| runs > 0) {
+                    let Err(EngineError::Spill(why)) = result else {
+                        panic!("{spec}: a round that spills must fail");
+                    };
+                    let named = match site {
+                        "spill_io" => why.contains("spill_io"),
+                        _ => why.contains("checksum") || why.contains("magic"),
+                    };
+                    assert!(named, "{spec}: unexpected error {why:?}");
+                    assert_eq!(faulted.stats().rounds, round - 1, "{spec}: the run stops there");
+                } else {
+                    let outcome = result.unwrap_or_else(|e| panic!("{spec}: {e}"));
+                    assert_eq!(outcome.links, expected, "{spec}: links");
+                }
+                assert!(!scratch.exists(), "{spec}: scratch dir removed");
             }
-            assert!(!scratch.exists(), "{spec}: scratch dir removed");
         }
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! Speaks the length-prefixed frame protocol of `snr_driver::protocol` over
 //! stdin/stdout: opens a `ShardScorer` on the two segment files named by
-//! `Init`, folds each `Phase`'s link delta into a resident `Linking` and
-//! sets the scorer up for the phase, and answers every `Task` with the
+//! `Init`, folds each `Phase`'s links into a resident `Linking` and sets
+//! the scorer up for the phase, and answers every `Task` with the
 //! serialized claims the scorer returns for one contiguous row-range (the
 //! coordinator's degradation path scores through the same `ShardScorer`).
-//! A `Reinit` frame (sent to fresh
-//! processes — respawns and resumed runs) replaces the resident `Linking`
-//! with the full snapshot it carries, which by the invariant in
-//! `snr_driver::driver` is bit-identical to the state an uninterrupted
-//! worker would hold. Fatal failures go out as one `WorkerError` frame
+//! The `Phase` frame that answers `InitOk` (sent to fresh processes —
+//! first launch, respawns and resumed runs) carries the full link
+//! snapshot; folded into the empty `Linking` that `Init` made, it gives a
+//! state that by the invariant in `snr_driver::driver` is bit-identical
+//! to the one an uninterrupted worker would hold. Fatal failures go out as one `WorkerError` frame
 //! followed by a nonzero exit; `Shutdown` or EOF on stdin is a clean exit.
 //!
 //! Fault injection (tests only) comes from the `SNR_FAULT` spec the
@@ -69,25 +69,14 @@ fn run() -> Result<(), DriverError> {
                 });
                 write_frame(&mut stdout, &Message::InitOk { worker_id })?;
             }
-            Message::Phase { phase, min_deg1, min_deg2, threshold, links_delta } => {
+            Message::Phase { phase, min_degree, threshold, links } => {
                 let st = state
                     .as_mut()
                     .ok_or_else(|| DriverError::Protocol("Phase before Init".into()))?;
-                st.links.insert_batch(&to_pairs(&links_delta));
-                st.scorer.set_phase(&st.links, phase, min_deg1, min_deg2, threshold);
-            }
-            Message::Reinit { phase, min_deg1, min_deg2, threshold, links_full } => {
-                let st = state
-                    .as_mut()
-                    .ok_or_else(|| DriverError::Protocol("Reinit before Init".into()))?;
-                // Replace, not merge: the snapshot *is* the coordinator's
-                // full link state for the current phase.
-                let mut links = Linking::new(st.links.g1_capacity(), st.links.g2_capacity());
-                links.insert_batch(&to_pairs(&links_full));
-                st.links = links;
+                st.links.insert_batch(&to_pairs(&links));
                 // Phase 0: the handshake completed before the first phase
-                // broadcast, and the Phase frame will follow.
-                st.scorer.set_phase(&st.links, phase, min_deg1, min_deg2, threshold);
+                // broadcast, and a delta Phase frame will follow.
+                st.scorer.set_phase(&st.links, phase, min_degree, threshold);
             }
             Message::Task { phase, first_node, node_count } => {
                 let st = state

@@ -57,52 +57,10 @@ pub struct Checkpoint {
     pub seeds: Vec<(u32, u32)>,
     /// Every link accumulated through the last complete phase.
     pub links: Vec<(u32, u32)>,
-    /// Counters of every completed phase, in execution order.
-    pub phases: Vec<CheckpointPhase>,
-}
-
-/// One completed phase's counters, as persisted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointPhase {
-    /// Outer iteration index, starting at 1.
-    pub iteration: u32,
-    /// Degree-bucket exponent (0 when bucketing is disabled).
-    pub bucket: u32,
-    /// Candidate pairs scored in the phase.
-    pub scored_pairs: u64,
-    /// Links added by the phase.
-    pub new_links: u64,
-    /// Total links after the phase.
-    pub total_links: u64,
-    /// Phase wall-clock, microseconds.
-    pub duration_us: u64,
-}
-
-impl From<&PhaseStats> for CheckpointPhase {
-    fn from(p: &PhaseStats) -> Self {
-        CheckpointPhase {
-            iteration: p.iteration,
-            bucket: p.bucket,
-            scored_pairs: p.scored_pairs as u64,
-            new_links: p.new_links as u64,
-            total_links: p.total_links as u64,
-            duration_us: p.duration.as_micros() as u64,
-        }
-    }
-}
-
-impl CheckpointPhase {
-    /// Back-converts to the in-memory stats record.
-    pub fn to_stats(&self) -> PhaseStats {
-        PhaseStats {
-            iteration: self.iteration,
-            bucket: self.bucket,
-            scored_pairs: self.scored_pairs as usize,
-            new_links: self.new_links as usize,
-            total_links: self.total_links as usize,
-            duration: Duration::from_micros(self.duration_us),
-        }
-    }
+    /// Counters of every completed phase, in execution order. Each is
+    /// stored as two `u32`s and four `u64`s, its duration in whole
+    /// microseconds.
+    pub phases: Vec<PhaseStats>,
 }
 
 impl Checkpoint {
@@ -140,9 +98,10 @@ impl Checkpoint {
         for p in &self.phases {
             w.u32(p.iteration);
             w.u32(p.bucket);
-            for v in [p.scored_pairs, p.new_links, p.total_links, p.duration_us] {
-                w.u64(v);
+            for v in [p.scored_pairs, p.new_links, p.total_links] {
+                w.u64(v as u64);
             }
+            w.u64(p.duration.as_micros() as u64);
         }
         Ok(())
     }
@@ -161,13 +120,13 @@ impl Checkpoint {
             let phase_count = r.count(40)?;
             let phases = (0..phase_count)
                 .map(|_| {
-                    Ok(CheckpointPhase {
+                    Ok(PhaseStats {
                         iteration: r.u32()?,
                         bucket: r.u32()?,
-                        scored_pairs: r.u64()?,
-                        new_links: r.u64()?,
-                        total_links: r.u64()?,
-                        duration_us: r.u64()?,
+                        scored_pairs: r.u64()? as usize,
+                        new_links: r.u64()? as usize,
+                        total_links: r.u64()? as usize,
+                        duration: Duration::from_micros(r.u64()?),
                     })
                 })
                 .collect::<Result<Vec<_>, WireError>>()?;
@@ -194,7 +153,7 @@ impl Checkpoint {
             phases,
         };
         if let Some(last) = cp.phases.last() {
-            if last.total_links != cp.links.len() as u64 {
+            if last.total_links != cp.links.len() {
                 return Err(DriverError::Checkpoint(format!(
                     "last phase reports {} total links but {} are stored",
                     last.total_links,
@@ -224,11 +183,6 @@ impl Checkpoint {
             .map_err(|e| DriverError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
         Checkpoint::decode(&bytes)
     }
-
-    /// The persisted phase counters as in-memory stats records.
-    pub fn phase_stats(&self) -> Vec<PhaseStats> {
-        self.phases.iter().map(CheckpointPhase::to_stats).collect()
-    }
 }
 
 #[cfg(test)]
@@ -247,21 +201,21 @@ mod tests {
             seeds: vec![(0, 0), (5, 7), (5, 7)],
             links: vec![(0, 0), (5, 7), (9, 9), (10, 11)],
             phases: vec![
-                CheckpointPhase {
+                PhaseStats {
                     iteration: 1,
                     bucket: 5,
                     scored_pairs: 1234,
                     new_links: 1,
                     total_links: 3,
-                    duration_us: 1500,
+                    duration: Duration::from_micros(1500),
                 },
-                CheckpointPhase {
+                PhaseStats {
                     iteration: 1,
                     bucket: 4,
                     scored_pairs: 777,
                     new_links: 1,
                     total_links: 4,
-                    duration_us: 900,
+                    duration: Duration::from_micros(900),
                 },
             ],
         }

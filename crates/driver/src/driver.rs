@@ -26,10 +26,11 @@
 //! The same argument covers every recovery path. During phase `P` the
 //! coordinator's merged `Linking` holds the seeds plus the selections of
 //! phases `1..P-1` — exactly the replica state a worker that saw every
-//! delta would hold — so a `Reinit` frame carrying the full snapshot
-//! brings a *fresh* process (respawn, resume) to a state bit-identical to
-//! an uninterrupted worker's, and the in-process degradation path scores
-//! row-ranges through the very same [`ShardScorer`] the workers run.
+//! delta would hold — so a `Phase` frame carrying the full snapshot
+//! brings a *fresh* process (respawn, resume) to a state
+//! bit-identical to an uninterrupted worker's, and the in-process
+//! degradation path scores row-ranges through the very same
+//! [`ShardScorer`] the workers run.
 //!
 //! # Fault tolerance and self-healing
 //!
@@ -40,8 +41,8 @@
 //!
 //! 1. **Respawn** — every death schedules a relaunch with exponential
 //!    backoff (`50 ms · 2^attempt`) while the per-run
-//!    [`DriverConfig::respawn_budget`] lasts; the replacement syncs via
-//!    `Reinit` and picks up tasks mid-phase.
+//!    [`DriverConfig::respawn_budget`] lasts; the replacement syncs via a
+//!    full-snapshot `Phase` frame and picks up tasks mid-phase.
 //! 2. **Checkpoint/resume** — after each phase the coordinator persists
 //!    links + counters to `checkpoint.snrc` in the scratch dir (see
 //!    [`crate::checkpoint`]); [`ShardDriver::resume`] restarts from the
@@ -55,7 +56,7 @@
 //! `DegradePolicy::Fail`, or one row-range burning through the retry
 //! budget — surface as [`DriverError`], never a hang.
 
-use crate::checkpoint::{Checkpoint, CheckpointPhase, CHECKPOINT_FILE};
+use crate::checkpoint::{Checkpoint, CHECKPOINT_FILE};
 use crate::error::DriverError;
 use crate::protocol::{read_frame, write_frame, Message};
 use crate::shard::{require_undirected, ShardScorer};
@@ -388,7 +389,7 @@ impl ShardDriver {
             let pairs: Vec<(NodeId, NodeId)> =
                 cp.links.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
             outcome.links.insert_batch(&pairs);
-            outcome.phases = cp.phase_stats();
+            outcome.phases = cp.phases.clone();
         }
         let schedule = self.config.matching.schedule(self.max_degree);
         if outcome.phases.len() > schedule.len() {
@@ -403,7 +404,7 @@ impl ShardDriver {
         let mut scorer: Option<ShardScorer> = None;
         // The delta a *Ready* worker folds in at the next Phase broadcast.
         // A fresh pool (first phase of a run, or any resume) has no Ready
-        // workers yet; those sync through Reinit's full snapshot instead.
+        // workers yet; those sync through the handshake's full snapshot.
         let mut delta: Vec<(u32, u32)> = if prior.is_some() {
             Vec::new()
         } else {
@@ -457,7 +458,7 @@ impl ShardDriver {
             min_bucket: cfg.min_bucket,
             seeds: seeds.iter().map(|&(a, b)| (a.0, b.0)).collect(),
             links: outcome.links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
-            phases: outcome.phases.iter().map(CheckpointPhase::from).collect(),
+            phases: outcome.phases.clone(),
         };
         let result = if self.faults.fire(FaultSite::CheckpointIo, None, Some(phase_no)).is_some() {
             Err(DriverError::Io(std::io::Error::other("injected checkpoint_io fault")))
@@ -501,10 +502,9 @@ impl ShardDriver {
             let _bspan = snr_telemetry::span!("broadcast", phase = phase, delta = delta.len());
             pool.broadcast_ready(&Message::Phase {
                 phase,
-                min_deg1: min_degree,
-                min_deg2: min_degree,
+                min_degree,
                 threshold,
-                links_delta: delta.to_vec(),
+                links: delta.to_vec(),
             });
         }
         let mut sink = SelectSink::new(self.n2, threshold);
@@ -697,7 +697,7 @@ impl ShardDriver {
         // Consecutive degraded phases build each phase's LinkCache once.
         if scorer.phase() != Some(phase) {
             let threshold = self.config.matching.threshold;
-            scorer.set_phase(links, phase, min_degree, min_degree, threshold);
+            scorer.set_phase(links, phase, min_degree, threshold);
         }
         let remaining: Vec<(u32, u32)> =
             self.tasks.iter().zip(done).filter(|&(_, &done)| !done).map(|(&t, _)| t).collect();
@@ -807,7 +807,8 @@ fn file_len(p: &Path) -> u64 {
     std::fs::metadata(p).map(|m| m.len()).unwrap_or(0)
 }
 
-/// The phase parameters a `Reinit` answer to a late `InitOk` must carry.
+/// The phase parameters the full-snapshot `Phase` answer to a late
+/// `InitOk` must carry.
 struct PhaseCtx {
     phase: u32,
     min_degree: u32,
@@ -826,7 +827,8 @@ struct Assignment {
 
 enum SlotState {
     /// Process launched, `Init` sent, waiting for `InitOk` (which the
-    /// coordinator answers with `Reinit` before marking the slot Ready).
+    /// coordinator answers with a full-snapshot `Phase` before marking the
+    /// slot Ready).
     AwaitingInit {
         /// Give up on the handshake past this instant.
         deadline: Instant,
@@ -870,15 +872,16 @@ struct WorkerPool {
     respawns_used: u32,
     /// The most recent failure description (surfaced in errors).
     last_fault: Option<String>,
-    /// Parameters of the phase currently running (for `Reinit`).
+    /// Parameters of the phase currently running (for the handshake).
     phase: PhaseCtx,
     bin: PathBuf,
 }
 
 impl WorkerPool {
     /// Spawns every worker subprocess and sends `Init`. The handshake
-    /// completes asynchronously: each `InitOk` is answered with `Reinit`
-    /// inside the phase event loop, so a slow worker delays nobody.
+    /// completes asynchronously: each `InitOk` is answered with a
+    /// full-snapshot `Phase` inside the phase event loop, so a slow worker
+    /// delays nobody.
     fn spawn(driver: &ShardDriver) -> Result<WorkerPool, DriverError> {
         let bin = worker_binary(&driver.config)?;
         let (tx, rx) = std::sync::mpsc::channel();
@@ -1046,17 +1049,16 @@ impl WorkerPool {
         if !matches!(self.slots[w as usize].state, SlotState::AwaitingInit { .. }) {
             return; // duplicate InitOk from a confused worker: ignore
         }
-        let reinit = Message::Reinit {
+        let snapshot = Message::Phase {
             phase: self.phase.phase,
-            min_deg1: self.phase.min_degree,
-            min_deg2: self.phase.min_degree,
+            min_degree: self.phase.min_degree,
             threshold: self.phase.threshold,
-            links_full: links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
+            links: links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
         };
-        if self.send(w, &reinit) {
+        if self.send(w, &snapshot) {
             self.slots[w as usize].state = SlotState::Ready;
         } else {
-            self.note_death(driver, w, &format!("worker {w} reinit pipe write failed"));
+            self.note_death(driver, w, &format!("worker {w} snapshot pipe write failed"));
         }
     }
 
@@ -1078,7 +1080,7 @@ impl WorkerPool {
             + self.pending_respawn.len()
     }
 
-    /// Arms a new phase: records its parameters (for `Reinit`) and
+    /// Arms a new phase: records its parameters (for the handshake) and
     /// restarts every slot's task count.
     fn begin_phase(&mut self, phase: PhaseCtx) {
         self.phase = phase;
@@ -1131,8 +1133,8 @@ impl WorkerPool {
 
     /// Sends a frame to every Ready worker (stragglers included — pipes are
     /// FIFO, so a busy worker sees the phase after its in-flight task).
-    /// Initializing workers are skipped: their `Reinit` answer carries the
-    /// same state.
+    /// Initializing workers are skipped: their full-snapshot answer carries
+    /// the same state.
     fn broadcast_ready(&mut self, msg: &Message) {
         for w in 0..self.slots.len() as u32 {
             if matches!(self.slots[w as usize].state, SlotState::Ready) {

@@ -18,8 +18,8 @@
 //! ```text
 //! C → W   Init      segment paths + node-space sizes        (once)
 //! W → C   InitOk                                            (once)
-//! C → W   Reinit    phase params + full link snapshot       (once, after InitOk)
-//! C → W   Phase     per-phase params + link delta           (per phase)
+//! C → W   Phase     phase params + full link snapshot       (once, after InitOk)
+//! C → W   Phase     phase params + link delta               (per phase)
 //! C → W   Task      one contiguous row-range                (0+ per phase)
 //! W → C   TaskDone  serialized SelectSink claims            (per task)
 //! W → C   Stats     telemetry delta (spans/counters/events) (0+ per task)
@@ -27,10 +27,12 @@
 //! C → W   Shutdown                                          (once)
 //! ```
 //!
-//! `Reinit` is the self-healing half of the handshake: instead of assuming
-//! a worker was present for every previous phase delta, the coordinator
-//! answers each `InitOk` with the *complete* accumulated link state plus
-//! the current phase parameters. That makes the very same handshake serve
+//! The first `Phase` frame a worker sees is the self-healing half of the
+//! handshake: instead of assuming a worker was present for every previous
+//! phase delta, the coordinator answers each `InitOk` with the *complete*
+//! accumulated link state plus the current phase parameters. A fresh
+//! worker's `Linking` is empty, so folding that snapshot in like any delta
+//! gives the coordinator's state. That makes the very same handshake serve
 //! first launch, mid-phase respawn of a crashed worker, and
 //! checkpoint-resume — a fresh process is always one frame away from the
 //! replica state an uninterrupted worker would hold.
@@ -66,38 +68,22 @@ pub enum Message {
         /// Echoed worker id.
         worker_id: u32,
     },
-    /// Coordinator → worker: replace the worker's resident `Linking` with
-    /// this full snapshot and arm the given phase. Sent in answer to every
-    /// `InitOk`, so a worker spawned mid-run (respawn, resume) starts from
-    /// exactly the replica state an uninterrupted worker would hold.
-    Reinit {
-        /// 1-based phase number the snapshot is current for.
-        phase: u32,
-        /// Minimum copy-1 degree for candidate rows.
-        min_deg1: u32,
-        /// Minimum copy-2 degree for eligible partners.
-        min_deg2: u32,
-        /// Selection threshold.
-        threshold: u32,
-        /// Every link pair accumulated so far (seeds included), replacing
-        /// any state the worker holds.
-        links_full: Vec<(u32, u32)>,
-    },
-    /// Coordinator → worker: start a phase. `links_delta` is the pairs
-    /// inserted since the previous phase (the seed set before phase 1);
-    /// the worker folds it into its resident `Linking` and rebuilds its
-    /// `LinkCache`.
+    /// Coordinator → worker: arm a phase. The worker folds `links` into
+    /// its resident `Linking` and rebuilds its `LinkCache`.
     Phase {
-        /// 1-based phase number.
+        /// 1-based phase number; 0 when a handshake completes before the
+        /// first phase.
         phase: u32,
-        /// Minimum copy-1 degree for candidate rows.
-        min_deg1: u32,
-        /// Minimum copy-2 degree for eligible partners.
-        min_deg2: u32,
+        /// Minimum degree of a candidate on either side.
+        min_degree: u32,
         /// Selection threshold.
         threshold: u32,
-        /// Link pairs inserted since the last phase.
-        links_delta: Vec<(u32, u32)>,
+        /// The link pairs inserted since the last phase (the seed set
+        /// before phase 1). The frame that answers `InitOk` carries every
+        /// link accumulated so far, seeds included, so a worker spawned
+        /// mid-run (respawn, resume) starts from exactly the replica state
+        /// an uninterrupted worker would hold.
+        links: Vec<(u32, u32)>,
     },
     /// Coordinator → worker: score one contiguous row-range of the current
     /// phase.
@@ -155,7 +141,6 @@ const TAG_TASK: u8 = 4;
 const TAG_TASK_DONE: u8 = 5;
 const TAG_WORKER_ERROR: u8 = 6;
 const TAG_SHUTDOWN: u8 = 7;
-const TAG_REINIT: u8 = 8;
 const TAG_STATS: u8 = 9;
 
 fn string(r: &mut Reader<'_>) -> Result<String, DriverError> {
@@ -197,12 +182,12 @@ impl Message {
                 w.u8(TAG_INIT_OK);
                 w.u32(*worker_id);
             }
-            Message::Phase { phase, min_deg1, min_deg2, threshold, links_delta } => {
+            Message::Phase { phase, min_degree, threshold, links } => {
                 w.u8(TAG_PHASE);
-                for v in [phase, min_deg1, min_deg2, threshold] {
+                for v in [phase, min_degree, threshold] {
                     w.u32(*v);
                 }
-                w.pairs(links_delta)?;
+                w.pairs(links)?;
             }
             Message::Task { phase, first_node, node_count } => {
                 w.u8(TAG_TASK);
@@ -244,13 +229,6 @@ impl Message {
                     w.u64(*at_us);
                 }
             }
-            Message::Reinit { phase, min_deg1, min_deg2, threshold, links_full } => {
-                w.u8(TAG_REINIT);
-                for v in [phase, min_deg1, min_deg2, threshold] {
-                    w.u32(*v);
-                }
-                w.pairs(links_full)?;
-            }
         }
         Ok(())
     }
@@ -270,10 +248,9 @@ impl Message {
             TAG_INIT_OK => Message::InitOk { worker_id: r.u32()? },
             TAG_PHASE => Message::Phase {
                 phase: r.u32()?,
-                min_deg1: r.u32()?,
-                min_deg2: r.u32()?,
+                min_degree: r.u32()?,
                 threshold: r.u32()?,
-                links_delta: r.pairs()?,
+                links: r.pairs()?,
             },
             TAG_TASK => {
                 Message::Task { phase: r.u32()?, first_node: r.u32()?, node_count: r.u32()? }
@@ -306,13 +283,6 @@ impl Message {
                     .collect::<Result<_, DriverError>>()?;
                 Message::Stats { worker_id, spans, counters, events }
             }
-            TAG_REINIT => Message::Reinit {
-                phase: r.u32()?,
-                min_deg1: r.u32()?,
-                min_deg2: r.u32()?,
-                threshold: r.u32()?,
-                links_full: r.pairs()?,
-            },
             t => return Err(DriverError::Protocol(format!("unknown frame tag {t}"))),
         };
         r.finish()?;
@@ -387,20 +357,7 @@ mod tests {
                 g2: "g2.snrs".into(),
             },
             Message::InitOk { worker_id: 3 },
-            Message::Reinit {
-                phase: 2,
-                min_deg1: 4,
-                min_deg2: 4,
-                threshold: 2,
-                links_full: vec![(0, 5), (7, 7), (9, 2)],
-            },
-            Message::Phase {
-                phase: 1,
-                min_deg1: 2,
-                min_deg2: 2,
-                threshold: 2,
-                links_delta: vec![(0, 5), (7, 7)],
-            },
+            Message::Phase { phase: 1, min_degree: 2, threshold: 2, links: vec![(0, 5), (7, 7)] },
             Message::Task { phase: 1, first_node: 0, node_count: 500 },
             Message::TaskDone { phase: 1, first_node: 0, node_count: 500, claims: vec![1, 2, 3] },
             Message::Stats {
@@ -418,8 +375,7 @@ mod tests {
         let golden = [
             "2b0000000103000000e803000000000000e7030000000000000700000067312e736e72730700000067322e736e7273",
             "050000000203000000",
-            "2d000000080200000004000000040000000200000003000000000000000500000007000000070000000900000002000000",
-            "2500000003010000000200000002000000020000000200000000000000050000000700000007000000",
+            "21000000030100000002000000020000000200000000000000050000000700000007000000",
             "0d000000040100000000000000f4010000",
             "14000000050100000000000000f401000003000000010203",
             "97000000090300000001000000040000007461736b1000000070686173653d3120726f77733d3530300a00000000000000fa00000000000000020000000c00000073636f7265645f7061697273d2040000000000000f0000007461736b735f636f6d706c657465640100000000000000010000000b0000006661756c745f66697265640c000000616374696f6e3d7374616c6c6300000000000000",
@@ -460,13 +416,8 @@ mod tests {
         let mut pipe = Vec::new();
         // Byte fields and pair lists over the cap fail at their own prefix.
         let done = Message::TaskDone { phase: 1, first_node: 0, node_count: 1, claims: vec![0; 5] };
-        let phase = Message::Phase {
-            phase: 1,
-            min_deg1: 1,
-            min_deg2: 1,
-            threshold: 2,
-            links_delta: vec![(0, 0); 5],
-        };
+        let phase =
+            Message::Phase { phase: 1, min_degree: 1, threshold: 2, links: vec![(0, 0); 5] };
         for msg in [&done, &phase] {
             let err = write_frame_capped(&mut pipe, msg, 4).unwrap_err();
             assert!(

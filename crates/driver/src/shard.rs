@@ -17,7 +17,7 @@ use snr_store::MmapGraph;
 /// The phase a scorer is set up for.
 struct PhaseState {
     phase: u32,
-    min_deg1: usize,
+    min_degree: usize,
     threshold: u32,
     cache: LinkCache,
 }
@@ -58,19 +58,13 @@ impl ShardScorer {
     }
 
     /// Sets the scorer up for `phase` over `links`: rebuilds the
-    /// [`LinkCache`] and keeps the row filter and threshold. Phase 0 means
-    /// "no phase yet" and drops the cache.
-    pub fn set_phase(
-        &mut self,
-        links: &Linking,
-        phase: u32,
-        min_deg1: u32,
-        min_deg2: u32,
-        threshold: u32,
-    ) {
+    /// [`LinkCache`] and keeps the degree floor (the same on both sides)
+    /// and threshold. Phase 0 means "no phase yet" and drops the cache.
+    pub fn set_phase(&mut self, links: &Linking, phase: u32, min_degree: u32, threshold: u32) {
         self.phase = (phase != 0).then(|| {
-            let cache = LinkCache::build(&self.g2, links, min_deg2 as usize);
-            PhaseState { phase, min_deg1: min_deg1 as usize, threshold, cache }
+            let min_degree = min_degree as usize;
+            let cache = LinkCache::build(&self.g2, links, min_degree);
+            PhaseState { phase, min_degree, threshold, cache }
         });
     }
 
@@ -100,7 +94,7 @@ impl ShardScorer {
             first_node..end,
             &p.cache,
             links,
-            p.min_deg1,
+            p.min_degree,
             arena,
             &mut sink,
         );
@@ -166,7 +160,7 @@ mod tests {
             let mut scorer = ShardScorer::open(p1.to_str().unwrap(), p2.to_str().unwrap()).unwrap();
             assert!(scorer.score(&links, 5, 0, n1).is_err(), "no phase set yet");
             let d = min_degree as u32;
-            scorer.set_phase(&links, 5, d, d, threshold);
+            scorer.set_phase(&links, 5, d, threshold);
             assert!(scorer.score(&links, 6, 0, n1).is_err(), "stale phase");
             assert!(scorer.score(&links, 5, 1, n1).is_err(), "rows past copy 1");
             assert!(scorer.score(&links, 5, u32::MAX, 2).is_err(), "overflowing rows");

@@ -168,7 +168,8 @@ fn respawn_resurrects_a_single_worker_pool() {
         .run(&pair.g1, &pair.g2, &seeds);
     // One worker, killed on its first task, Fail policy: only the respawn
     // machinery can finish this run. The replacement syncs mid-phase via
-    // Reinit's full link snapshot and must reproduce the healthy links.
+    // the handshake's full-snapshot Phase frame and must reproduce the
+    // healthy links.
     let (outcome, stats) = with_watchdog(move || {
         let mut config = config(1, "kill:w0@round1", Duration::from_secs(60));
         config.respawn_budget = 2;

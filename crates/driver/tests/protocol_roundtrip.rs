@@ -10,7 +10,7 @@ use snr_driver::protocol::{read_frame, write_frame, Message};
 /// Builds one message of each coordinator/worker shape from a handful of
 /// drawn integers, cycling through the variants by `pick`.
 fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
-    match pick % 9 {
+    match pick % 8 {
         0 => Message::Init {
             worker_id: a,
             n1: u64::from(b) + 1,
@@ -26,13 +26,7 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             g2: String::new(),
         },
         2 => Message::InitOk { worker_id: a },
-        3 => Message::Phase {
-            phase: a,
-            min_deg1: b,
-            min_deg2: b.wrapping_add(1),
-            threshold: a.wrapping_add(b),
-            links_delta: pairs,
-        },
+        3 => Message::Phase { phase: a, min_degree: b, threshold: a.wrapping_add(b), links: pairs },
         4 => Message::Task { phase: a, first_node: b, node_count: a ^ b },
         5 => Message::TaskDone {
             phase: a,
@@ -40,14 +34,7 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             node_count: a.wrapping_mul(3),
             claims: pairs.iter().flat_map(|&(x, y)| [x as u8, y as u8]).collect(),
         },
-        6 => Message::Reinit {
-            phase: a,
-            min_deg1: b,
-            min_deg2: b.wrapping_add(1),
-            threshold: a.wrapping_add(b),
-            links_full: pairs,
-        },
-        7 => Message::Stats {
+        6 => Message::Stats {
             worker_id: a,
             spans: pairs
                 .iter()
@@ -70,7 +57,7 @@ proptest::proptest! {
 
     #[test]
     fn encode_decode_is_the_identity(
-        pick in 0u32..9,
+        pick in 0u32..8,
         ab in (0u32..u32::MAX, 0u32..u32::MAX),
         pairs in proptest::collection::vec((0u32..100_000, 0u32..100_000), 0..64),
     ) {
@@ -86,7 +73,7 @@ proptest::proptest! {
 
     #[test]
     fn truncation_is_an_error_never_a_panic(
-        pick in 0u32..9,
+        pick in 0u32..8,
         ab in (0u32..5_000, 0u32..5_000),
         pairs in proptest::collection::vec((0u32..1_000, 0u32..1_000), 0..32),
         cut_knob in 0usize..10_000,
@@ -107,7 +94,7 @@ proptest::proptest! {
 
     #[test]
     fn byte_corruption_never_panics(
-        pick in 0u32..9,
+        pick in 0u32..8,
         ab in (0u32..5_000, 0u32..5_000),
         pairs in proptest::collection::vec((0u32..1_000, 0u32..1_000), 0..32),
         corrupt in (0usize..10_000, 1u32..256),
@@ -125,7 +112,7 @@ proptest::proptest! {
 
     #[test]
     fn body_level_corruption_of_the_tag_is_rejected(
-        pick in 0u32..9,
+        pick in 0u32..8,
         ab in (0u32..5_000, 0u32..5_000),
         tag in 10u32..255,
     ) {

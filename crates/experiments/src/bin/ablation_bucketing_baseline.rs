@@ -14,9 +14,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::{baseline::BaselineConfig, BaselineMatching, MatchingConfig};
+use snr_core::MatchingConfig;
 use snr_experiments::datasets::{facebook_like, wikipedia_like, Scale};
-use snr_experiments::{run_baseline, run_user_matching, ExperimentArgs};
+use snr_experiments::{run_user_matching, ExperimentArgs};
 use snr_metrics::table::pct;
 use snr_metrics::{ExperimentRecord, MeasuredRow, TextTable};
 use snr_sampling::attack::inject_attack;
@@ -90,7 +90,7 @@ fn main() {
         MatchingConfig::default().with_threshold(2).with_iterations(2),
         args.seed,
     );
-    let base = run_baseline(&attacked, 0.10, BaselineMatching::with_defaults(), args.seed);
+    let base = run_user_matching(&attacked, 0.10, MatchingConfig::baseline(), args.seed);
     // Count correctly aligned *real* users (matching the attacker's own two
     // fake accounts with each other is correct but not interesting here).
     let real_nodes = fb.graph.node_count();
@@ -138,12 +138,7 @@ fn main() {
         MatchingConfig::default().with_threshold(3).with_iterations(2),
         args.seed,
     );
-    let base = run_baseline(
-        &wiki,
-        0.10,
-        BaselineMatching::new(BaselineConfig { threshold: 1, passes: 1 }),
-        args.seed,
-    );
+    let base = run_user_matching(&wiki, 0.10, MatchingConfig::baseline(), args.seed);
     let mut t3 = TextTable::new(["algorithm", "new good", "new bad", "error rate", "recall"]);
     t3.row([
         "User-Matching (T=3)".to_string(),

@@ -394,10 +394,12 @@ fn driver(args: &ExperimentArgs) {
 }
 
 /// The driver's self-healing layers on a two-iteration Table 2 schedule:
-/// a mid-run worker kill healed by respawn (`kill:w1@round1`), a
+/// a mid-run worker kill healed by respawn ([`RESPAWN_FAULT`]), a
 /// coordinator halt healed by checkpoint/resume (`halt@phase1`), and a
 /// total worker loss healed by in-process degradation must all produce
 /// links and per-phase counters bit-identical to the sequential matcher.
+const RESPAWN_FAULT: &str = "kill:w1@round1,stall:w0@round1:200ms";
+
 fn resilience(args: &ExperimentArgs) {
     let (scale, workers) = scale_and_workers(args);
     let fixture = Fixture::table2(scale, args.seed);
@@ -410,12 +412,15 @@ fn resilience(args: &ExperimentArgs) {
     let reference = fixture.reference(&matching);
 
     // 1. Respawn: worker 1 dies mid-round; the budget (default 2) must
-    //    bring a healthy replacement back that syncs via Reinit.
+    //    bring a healthy replacement back that syncs from the handshake's
+    //    full link snapshot. Worker 0 stalls on its round-1 task for 200 ms,
+    //    past the 50 ms respawn backoff: without it the surviving worker can
+    //    finish the whole run before the relaunch comes due.
     let start = Instant::now();
     let driver = ShardDriver::new(
         &pair.g1,
         &pair.g2,
-        driver_config(workers, matching.clone(), Some("kill:w1@round1")),
+        driver_config(workers, matching.clone(), Some(RESPAWN_FAULT)),
     )
     .expect("snapshot graphs for driver");
     let respawned = driver.run(seeds).expect("a killed worker must be respawned around");
@@ -424,7 +429,7 @@ fn resilience(args: &ExperimentArgs) {
     assert!(stats.respawns >= 1, "respawn machinery never engaged: {stats:?}");
     assert_identical("respawn", &respawned, &reference, &fixture);
     println!(
-        "driver x{workers} (kill:w1@round1, {} respawns): {:.3}s, {} links — bit-identical",
+        "driver x{workers} ({RESPAWN_FAULT}, {} respawns): {:.3}s, {} links — bit-identical",
         stats.respawns,
         start.elapsed().as_secs_f64(),
         respawned.links.len()

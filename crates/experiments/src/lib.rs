@@ -38,5 +38,5 @@ pub mod smoke;
 pub mod validate;
 
 pub use cli::{ExperimentArgs, StoreMode};
-pub use runner::{run_baseline, run_user_matching, run_user_matching_on, ExperimentRun};
+pub use runner::{run_user_matching, run_user_matching_on, ExperimentRun};
 pub use validate::{check_bench_regressions, validate_record_json, BenchBaseline, BenchRecord};

@@ -7,7 +7,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::{BaselineMatching, MatchingConfig, MatchingOutcome, UserMatching};
+use snr_core::{MatchingConfig, MatchingOutcome, UserMatching};
 use snr_graph::GraphView;
 use snr_metrics::Evaluation;
 use snr_sampling::{sample_seeds, RealizationPair};
@@ -78,22 +78,6 @@ where
     ExperimentRun { eval, outcome, seed_count: seeds.len(), matcher_time }
 }
 
-/// Same skeleton for the common-neighbor baseline.
-pub fn run_baseline(
-    pair: &RealizationPair,
-    link_prob: f64,
-    baseline: BaselineMatching,
-    seed: u64,
-) -> ExperimentRun {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
-    let seeds = sample_seeds(pair, link_prob, &mut rng).expect("valid link probability");
-    let start = Instant::now();
-    let outcome = baseline.run(&pair.g1, &pair.g2, &seeds);
-    let matcher_time = start.elapsed();
-    let eval = Evaluation::score(pair, &outcome.links, outcome.links.seed_count());
-    ExperimentRun { eval, outcome, seed_count: seeds.len(), matcher_time }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +105,7 @@ mod tests {
     fn baseline_run_is_cheaper_but_weaker_or_equal() {
         let pair = small_pair(4);
         let um = run_user_matching(&pair, 0.1, MatchingConfig::default(), 4);
-        let base = run_baseline(&pair, 0.1, BaselineMatching::with_defaults(), 4);
+        let base = run_user_matching(&pair, 0.1, MatchingConfig::baseline(), 4);
         // With identical seed derivation both use the same seed set.
         assert_eq!(um.seed_count, base.seed_count);
         // The baseline (one pass, threshold 1) should not beat the full

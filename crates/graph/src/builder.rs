@@ -6,60 +6,32 @@
 //! tens of millions of edges and rely on this.
 
 use crate::csr::CsrGraph;
-use crate::error::GraphError;
 use crate::node::{Edge, NodeId};
-
-/// What to do with self-loops handed to the builder.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SelfLoopPolicy {
-    /// Silently drop `(v, v)` edges (the default; the reconciliation
-    /// algorithm never uses self-loops as witnesses).
-    Drop,
-    /// Keep self-loops; they contribute 1 to the node's degree.
-    Keep,
-}
 
 /// Incremental builder for [`CsrGraph`].
 ///
 /// The builder models an **undirected simple graph** by default: each added
 /// edge appears in the adjacency of both endpoints, parallel edges are
-/// collapsed at build time, and self-loops are dropped (see
-/// [`SelfLoopPolicy`]). A directed mode is provided for the few places
-/// (e.g. the bipartite user–interest structure of the affiliation model)
-/// where asymmetric adjacency is convenient.
+/// collapsed at build time, and self-loops are dropped (the reconciliation
+/// algorithm never uses them as witnesses). A directed mode is provided for
+/// the few places (e.g. the bipartite user–interest structure of the
+/// affiliation model) where asymmetric adjacency is convenient.
 #[derive(Clone, Debug)]
 pub struct GraphBuilder {
     node_count: usize,
     edges: Vec<Edge>,
     directed: bool,
-    self_loops: SelfLoopPolicy,
 }
 
 impl GraphBuilder {
     /// Creates a builder for an undirected graph with `node_count` nodes.
     pub fn undirected(node_count: usize) -> Self {
-        GraphBuilder {
-            node_count,
-            edges: Vec::new(),
-            directed: false,
-            self_loops: SelfLoopPolicy::Drop,
-        }
+        GraphBuilder { node_count, edges: Vec::new(), directed: false }
     }
 
     /// Creates a builder for a directed graph with `node_count` nodes.
     pub fn directed(node_count: usize) -> Self {
-        GraphBuilder {
-            node_count,
-            edges: Vec::new(),
-            directed: true,
-            self_loops: SelfLoopPolicy::Drop,
-        }
-    }
-
-    /// Overrides the self-loop policy (default: [`SelfLoopPolicy::Drop`]).
-    pub fn with_self_loop_policy(mut self, policy: SelfLoopPolicy) -> Self {
-        self.self_loops = policy;
-        self
+        GraphBuilder { node_count, edges: Vec::new(), directed: true }
     }
 
     /// Pre-allocates room for `additional` more edges.
@@ -87,23 +59,11 @@ impl GraphBuilder {
     /// Adds an edge between `a` and `b`.
     ///
     /// Node ids outside the current node range grow the node set (this keeps
-    /// generators that discover their node count on the fly simple). Use
-    /// [`GraphBuilder::try_add_edge`] for strict bounds checking.
+    /// generators that discover their node count on the fly simple).
     pub fn add_edge(&mut self, a: NodeId, b: NodeId) {
         let needed = (a.0.max(b.0) as usize) + 1;
         self.ensure_nodes(needed);
         self.edges.push(Edge::new(a, b));
-    }
-
-    /// Adds an edge, returning an error if either endpoint is out of bounds.
-    pub fn try_add_edge(&mut self, a: NodeId, b: NodeId) -> Result<(), GraphError> {
-        for n in [a, b] {
-            if n.index() >= self.node_count {
-                return Err(GraphError::NodeOutOfBounds { node: n.0, node_count: self.node_count });
-            }
-        }
-        self.edges.push(Edge::new(a, b));
-        Ok(())
     }
 
     /// Adds every edge from an iterator of `(u, v)` pairs.
@@ -117,23 +77,18 @@ impl GraphBuilder {
     }
 
     /// Builds the immutable CSR graph, deduplicating parallel edges and
-    /// applying the self-loop policy.
+    /// dropping self-loops.
     pub fn build(self) -> CsrGraph {
-        let GraphBuilder { node_count, mut edges, directed, self_loops } = self;
-
-        if self_loops == SelfLoopPolicy::Drop {
-            edges.retain(|e| !e.is_self_loop());
-        }
+        let GraphBuilder { node_count, mut edges, directed } = self;
+        edges.retain(|e| !e.is_self_loop());
 
         // Count per-node out-degree (counting both directions for undirected
         // graphs) to lay out the CSR offsets in one pass.
         let mut degree = vec![0usize; node_count];
         for e in &edges {
             degree[e.src.index()] += 1;
-            if !directed && !e.is_self_loop() {
+            if !directed {
                 degree[e.dst.index()] += 1;
-            } else if !directed && e.is_self_loop() {
-                // A kept self-loop contributes a single adjacency entry.
             }
         }
 
@@ -150,7 +105,7 @@ impl GraphBuilder {
         for e in &edges {
             targets[cursor[e.src.index()]] = e.dst;
             cursor[e.src.index()] += 1;
-            if !directed && !e.is_self_loop() {
+            if !directed {
                 targets[cursor[e.dst.index()]] = e.src;
                 cursor[e.dst.index()] += 1;
             }
@@ -215,28 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn self_loops_kept_when_requested() {
-        let mut b = GraphBuilder::undirected(2).with_self_loop_policy(SelfLoopPolicy::Keep);
-        b.add_edge(NodeId(0), NodeId(0));
-        let g = b.build();
-        assert_eq!(g.degree(NodeId(0)), 1);
-        assert_eq!(g.neighbors(NodeId(0)), &[NodeId(0)]);
-    }
-
-    #[test]
     fn add_edge_grows_node_set() {
         let mut b = GraphBuilder::undirected(1);
         b.add_edge(NodeId(0), NodeId(9));
         let g = b.build();
         assert_eq!(g.node_count(), 10);
-    }
-
-    #[test]
-    fn try_add_edge_rejects_out_of_bounds() {
-        let mut b = GraphBuilder::undirected(3);
-        assert!(b.try_add_edge(NodeId(0), NodeId(2)).is_ok());
-        let err = b.try_add_edge(NodeId(0), NodeId(3)).unwrap_err();
-        assert!(matches!(err, GraphError::NodeOutOfBounds { node: 3, node_count: 3 }));
     }
 
     #[test]

@@ -44,7 +44,8 @@ fn main() {
             .run(&pair.g1, &pair.g2, &seeds);
     let um = Evaluation::score(&pair, &um_outcome.links, um_outcome.links.seed_count());
 
-    let base_outcome = BaselineMatching::with_defaults().run(&pair.g1, &pair.g2, &seeds);
+    let base_outcome =
+        UserMatching::new(MatchingConfig::baseline()).run(&pair.g1, &pair.g2, &seeds);
     let base = Evaluation::score(&pair, &base_outcome.links, base_outcome.links.seed_count());
 
     println!("                         re-identified   precision   share of users exposed");

@@ -19,7 +19,7 @@
 //! | [`generators`] | `snr-generators` | Erdős–Rényi, preferential attachment, affiliation, R-MAT, temporal, … |
 //! | [`sampling`] | `snr-sampling` | realization models, ground truth, seed links |
 //! | [`mapreduce`] | `snr-mapreduce` | the in-memory MapReduce engine |
-//! | [`core`] | `snr-core` | the User-Matching algorithm and the baseline |
+//! | [`core`] | `snr-core` | the User-Matching algorithm (and its §5 baseline preset) |
 //! | [`metrics`] | `snr-metrics` | evaluation, per-degree curves, experiment records |
 //! | [`experiments`] | `snr-experiments` | dataset proxies and experiment runners |
 //!
@@ -63,9 +63,7 @@ pub use snr_store as store;
 
 /// Commonly used items, re-exported for `use social_reconcile::prelude::*`.
 pub mod prelude {
-    pub use snr_core::{
-        Backend, BaselineMatching, Linking, MatchingConfig, MatchingOutcome, UserMatching,
-    };
+    pub use snr_core::{Backend, Linking, MatchingConfig, MatchingOutcome, UserMatching};
     pub use snr_generators::{
         gnm, gnp, preferential_attachment, rmat, AffiliationConfig, AffiliationNetwork, RmatConfig,
         TemporalGraph,

@@ -110,7 +110,8 @@ fn baseline_is_never_dramatically_better_than_user_matching() {
     let seeds = sample_seeds(&pair, 0.05, &mut rng).unwrap();
 
     let um = reconcile(&pair, &seeds, 2);
-    let base_outcome = BaselineMatching::with_defaults().run(&pair.g1, &pair.g2, &seeds);
+    let base_outcome =
+        UserMatching::new(MatchingConfig::baseline()).run(&pair.g1, &pair.g2, &seeds);
     let base = Evaluation::score(&pair, &base_outcome.links, base_outcome.links.seed_count());
     assert!(base.new_good <= um.new_good + um.new_good / 5);
     // And the full algorithm must not have materially worse precision.
