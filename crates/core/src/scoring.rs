@@ -115,7 +115,8 @@
 //! instead of one `((u, v), 1)` record per *witness contribution*. That
 //! collapses the shuffled record count by orders of magnitude (measured
 //! 938× at the RMAT-16 witness pass) and the shuffled bytes from 12 per
-//! contribution to 8 per scored pair. A task splits its rows across the
+//! contribution to 8 per scored pair, or 4 when every entry of the row
+//! fits in 4 bytes (the charge stays 8). A task splits its rows across the
 //! engine's workers, one [`ScoreArena`] per piece, and concatenates the
 //! pieces' records in order: a round whose rows fit in one task still uses
 //! every worker, and the records, spill decisions and run files are those
@@ -650,10 +651,17 @@ impl SelectSink {
     }
 
     /// Reduce-side entry point: consumes one complete row of packed
-    /// `(v, count)` entries (see [`pack_entry`]), as shuffled by the
-    /// MapReduce witness round.
-    pub(crate) fn row_packed(&mut self, u: u32, entries: &[u64]) {
-        self.row_entries(u, entries.iter().map(|&e| unpack_entry(e)));
+    /// `(v, count)` entries in either form, as shuffled by the MapReduce
+    /// witness round.
+    pub(crate) fn row_packed(&mut self, u: u32, row: &PackedRow) {
+        match row {
+            PackedRow::Narrow(entries) => {
+                self.row_entries(u, entries.iter().map(|&e| unpack_narrow(e)));
+            }
+            PackedRow::Wide(entries) => {
+                self.row_entries(u, entries.iter().map(|&e| unpack_entry(e)));
+            }
+        }
     }
 
     /// Extracts this sink's accumulated state as a serializable
@@ -1080,6 +1088,55 @@ pub fn unpack_entry(packed: u64) -> (u32, u32) {
     ((packed >> 32) as u32, packed as u32)
 }
 
+/// Bits of the witness count in a narrow entry ([`PackedRow::Narrow`]).
+const NARROW_COUNT_BITS: u32 = 8;
+
+/// Inverse of a narrow entry `v << 8 | count`.
+#[inline]
+fn unpack_narrow(packed: u32) -> (u32, u32) {
+    (packed >> NARROW_COUNT_BITS, packed & ((1 << NARROW_COUNT_BITS) - 1))
+}
+
+/// One shuffled score row: its `(v, count)` entries by copy-2 node id, in
+/// 4 bytes each when every entry of the row fits, else in 8.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum PackedRow {
+    /// Entries `v << 8 | count`: every `v` is below 2^24 and every count
+    /// below 2^8.
+    Narrow(Vec<u32>),
+    /// Entries [`pack_entry`]`(v, count)`, for any other row.
+    Wide(Vec<u64>),
+}
+
+impl PackedRow {
+    /// Packs `entries`, narrow when every one of them fits.
+    fn new(entries: impl Iterator<Item = (u32, u32)> + Clone) -> PackedRow {
+        // One pass builds the narrow form and collects the bits that do
+        // not fit; a row with any such bit is packed again, wide.
+        let mut overflow = 0;
+        let narrow = entries
+            .clone()
+            .map(|(v, count)| {
+                overflow |= (v >> (32 - NARROW_COUNT_BITS)) | (count >> NARROW_COUNT_BITS);
+                v << NARROW_COUNT_BITS | count
+            })
+            .collect();
+        if overflow == 0 {
+            PackedRow::Narrow(narrow)
+        } else {
+            PackedRow::Wide(entries.map(|(v, count)| pack_entry(v, count)).collect())
+        }
+    }
+
+    /// Number of entries.
+    fn len(&self) -> usize {
+        match self {
+            PackedRow::Narrow(entries) => entries.len(),
+            PackedRow::Wide(entries) => entries.len(),
+        }
+    }
+}
+
 /// One phase of User-Matching as a single MapReduce round on the arena
 /// engine: whole-row mappers, packed shuffle, fused select reduce.
 ///
@@ -1093,14 +1150,18 @@ pub fn unpack_entry(packed: u64) -> (u32, u32) {
 ///   records in row order, so a round of one large task still uses every
 ///   worker and emits exactly what one thread would: one pre-aggregated
 ///   record per non-empty row, a
-///   dense `u32` key and the row's packed `(v, count)` entries
-///   ([`pack_entry`]), translated back to copy-2 node ids. Shuffle payload
-///   is 4 bytes per row (the key) plus 8 bytes per scored pair (one
-///   packed entry), `PackedRowCodec`'s `bytes_of` charge.
+///   dense `u32` key and the row's packed `(v, count)` entries,
+///   translated back to copy-2 node ids. A row whose every entry has
+///   `v < 2^24` and `count < 2^8` packs an entry in 4 bytes, any other
+///   row in 8 ([`pack_entry`]). The shuffle is charged 4 bytes per row
+///   (the key) plus 8 per scored pair whatever the form, `PackedRowCodec`'s
+///   `bytes_of` charge, so the round's `shuffled_bytes` and its spill
+///   decisions do not depend on the form.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
 ///   range in ascending order. Over a spill budget the shuffle spills to
-///   checksummed run files in `PackedRowCodec`'s format.
+///   checksummed run files in `PackedRowCodec`'s format, each entry in
+///   the width it is held in.
 /// * **Reduce** — each partition folds its rows into a [`SelectSink`] as
 ///   they stream off the engine's k-way merge of its buckets and spill
 ///   runs ([`Groups`]); the per-partition sinks merge exactly like the rayon
@@ -1150,15 +1211,15 @@ where
             // records one thread would.
             let workers = if chunk.len() < PARALLEL_CUTOFF { 1 } else { parts };
             let pieces = chunk_candidates(chunk, workers);
-            let scored: Vec<Vec<(u32, Vec<u64>)>> =
+            let scored: Vec<Vec<(u32, PackedRow)>> =
                 pieces.par_iter().map(|rows| packed_rows(g1, cache, rows)).collect();
             scored.into_iter().flatten().collect()
         },
         move |&u: &u32| range_partition(u, n1, parts),
-        |_, groups: &mut Groups<'_, u32, Vec<u64>>| {
+        |_, groups: &mut Groups<'_, u32, PackedRow>| {
             let mut sink = SelectSink::new(n2, threshold);
             for (u, records) in groups {
-                let [row]: [Vec<u64>; 1] = records.try_into().expect(
+                let [row]: [PackedRow; 1] = records.try_into().expect(
                     "one record per row: each candidate row sits in exactly one map task, \
                      and packed_rows emits at most one record for it",
                 );
@@ -1176,7 +1237,7 @@ where
 /// returns one shuffle record per non-empty row: the row's key and its
 /// packed `(v, count)` entries by copy-2 node id, so the shuffle and reduce
 /// never see ranks.
-fn packed_rows<G1: GraphView>(g1: &G1, cache: &LinkCache, rows: &[u32]) -> Vec<(u32, Vec<u64>)> {
+fn packed_rows<G1: GraphView>(g1: &G1, cache: &LinkCache, rows: &[u32]) -> Vec<(u32, PackedRow)> {
     let nodes = cache.nodes();
     let mut arena = ScoreArena::new(cache.eligible_count());
     let mut records = Vec::new();
@@ -1184,54 +1245,88 @@ fn packed_rows<G1: GraphView>(g1: &G1, cache: &LinkCache, rows: &[u32]) -> Vec<(
         arena.score_row(g1, NodeId(u), cache);
         let touched = arena.touched();
         if !touched.is_empty() {
-            let entries = touched.iter().map(|&r| pack_entry(nodes[r as usize], arena.get(r)));
-            records.push((u, entries.collect()));
+            let entries = touched.iter().map(|&r| (nodes[r as usize], arena.get(r)));
+            records.push((u, PackedRow::new(entries)));
         }
     }
     records
 }
 
 /// Record format of the packed-row shuffle. A row is charged 4 bytes for
-/// its `u32` key plus 8 per packed `(v, count)` entry ([`pack_entry`]). A
-/// spilled group is its dense `u32` key, a record count (one per row in
-/// practice), and each record as a `u32` length plus that many packed
-/// entries — exactly the in-memory `(u32, Vec<Vec<u64>>)` shape, so a
-/// round that spills to disk reduces bit-identically to one that never
-/// did.
+/// its `u32` key plus 8 per entry, the wide size, whichever form it is
+/// held in: the charge is what the spill budget and
+/// [`snr_mapreduce::RoundStats::shuffled_bytes`] count, not what the row
+/// holds or encodes to. A spilled group is its dense `u32` key, a record
+/// count (one per row in practice), and each record as a `u32` entry
+/// count, a width byte (4 for [`PackedRow::Narrow`], 8 for
+/// [`PackedRow::Wide`]) and the entries as held, little-endian — exactly
+/// the in-memory `(u32, Vec<PackedRow>)` shape, so a round that spills to
+/// disk reduces bit-identically to one that never did.
 pub(crate) struct PackedRowCodec;
 
-impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
-    fn bytes_of(&self, _key: &u32, row: &Vec<u64>) -> usize {
+impl PackedRowCodec {
+    /// [`SpillCodec::encode_group`] with every length prefix limited to
+    /// `max_len` instead of the format's `u32` limit, so each guard can be
+    /// tested at a small length.
+    fn encode_group_capped(
+        key: u32,
+        values: &[PackedRow],
+        out: &mut Vec<u8>,
+        max_len: usize,
+    ) -> Result<(), String> {
+        let too_long = |e: WireError| format!("packed-row group: {e}");
+        let mut w = Writer::with_max_len(out, max_len);
+        w.u32(key);
+        w.len_prefix(values.len()).map_err(too_long)?;
+        for row in values {
+            w.len_prefix(row.len()).map_err(too_long)?;
+            match row {
+                PackedRow::Narrow(entries) => {
+                    w.u8(4);
+                    w.u32s(entries);
+                }
+                PackedRow::Wide(entries) => {
+                    w.u8(8);
+                    w.u64s(entries);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl SpillCodec<u32, PackedRow> for PackedRowCodec {
+    fn bytes_of(&self, _key: &u32, row: &PackedRow) -> usize {
         4 + 8 * row.len()
     }
 
-    fn encode_group(&self, key: &u32, values: &[Vec<u64>], out: &mut Vec<u8>) {
-        // A count past u32::MAX implies a group over u32::MAX bytes, which
-        // the run writer rejects with a clean error, so these casts never
-        // reach a run file wrapped.
-        let mut w = Writer::new(out);
-        w.u32(*key);
-        w.u32(values.len() as u32);
-        for row in values {
-            w.u32(row.len() as u32);
-            w.u64s(row);
-        }
+    fn encode_group(
+        &self,
+        key: &u32,
+        values: &[PackedRow],
+        out: &mut Vec<u8>,
+    ) -> Result<(), String> {
+        PackedRowCodec::encode_group_capped(*key, values, out, wire::MAX_LEN)
     }
 
-    fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<Vec<u64>>), String> {
-        let read = |r: &mut Reader<'_>| {
-            let key = r.u32()?;
-            let records = r.count(4)?;
-            let values = (0..records)
-                .map(|_| {
-                    let len = r.count(8)?;
-                    r.u64s(len)
-                })
-                .collect::<Result<_, WireError>>()?;
-            r.finish()?;
-            Ok((key, values))
-        };
-        read(&mut Reader::new(bytes)).map_err(|e: WireError| format!("packed-row group: {e}"))
+    fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<PackedRow>), String> {
+        let wire = |e: WireError| format!("packed-row group: {e}");
+        let mut r = Reader::new(bytes);
+        let key = r.u32().map_err(wire)?;
+        // A record is at least its entry count and width byte.
+        let records = r.count(5).map_err(wire)?;
+        let values = (0..records)
+            .map(|_| {
+                let len = r.u32().map_err(wire)? as usize;
+                match r.u8().map_err(wire)? {
+                    4 => r.u32s(len).map(PackedRow::Narrow).map_err(wire),
+                    8 => r.u64s(len).map(PackedRow::Wide).map_err(wire),
+                    width => Err(format!("packed-row group: entry width {width} is not 4 or 8")),
+                }
+            })
+            .collect::<Result<_, String>>()?;
+        r.finish().map_err(wire)?;
+        Ok((key, values))
     }
 }
 
@@ -1392,15 +1487,17 @@ mod tests {
     /// A phase result: `(scored_pairs, selected_pairs)`.
     type Selection = (usize, Vec<(NodeId, NodeId)>);
 
-    /// Feeds hand-written rows through an arena to three sinks, one per
+    /// Feeds hand-written rows through an arena to four sinks, one per
     /// entry point of the fold: `row` reads the arena, `row_entries` gets
     /// the entries reversed and mixed with zero-score entries (as the
-    /// blocked verify may pass a proposal sharing no witness), and `row_packed`
-    /// gets them packed. Asserts the three agree and returns their result
-    /// next to the oracle selection on the same entries.
+    /// blocked verify may pass a proposal sharing no witness), and
+    /// `row_packed` gets them packed, once narrow and once wide. Asserts
+    /// the four agree and returns their result next to the oracle
+    /// selection on the same entries.
     fn select_rows(rows: &[(u32, &[u32])], n2: usize, t: u32) -> (Selection, Selection) {
         let mut arena = ScoreArena::new(n2);
-        let [mut by_arena, mut by_entries, mut by_packed] = [(); 3].map(|_| SelectSink::new(n2, t));
+        let [mut by_arena, mut by_entries, mut by_narrow, mut by_wide] =
+            [(); 4].map(|_| SelectSink::new(n2, t));
         let mut table = crate::witness::ScoreTable::new();
         for &(u, bumps) in rows {
             arena.begin_row();
@@ -1414,12 +1511,16 @@ mod tests {
             let unscored = (0..n2 as u32).filter(|&v| arena.current(v).is_none()).map(|v| (v, 0));
             let mixed: Vec<(u32, u32)> = entries.iter().copied().chain(unscored).collect();
             by_entries.row_entries(u, mixed.into_iter());
-            let packed: Vec<u64> = entries.iter().map(|&(v, score)| pack_entry(v, score)).collect();
-            by_packed.row_packed(u, &packed);
+            let narrow = PackedRow::new(entries.iter().copied());
+            assert!(matches!(narrow, PackedRow::Narrow(_)), "small entries pack narrow");
+            by_narrow.row_packed(u, &narrow);
+            let wide = entries.iter().map(|&(v, score)| pack_entry(v, score)).collect();
+            by_wide.row_packed(u, &PackedRow::Wide(wide));
         }
         let got = by_arena.finish();
         assert_eq!(by_entries.finish(), got, "row_entries against row at t={t}");
-        assert_eq!(by_packed.finish(), got, "row_packed against row at t={t}");
+        assert_eq!(by_narrow.finish(), got, "narrow row_packed against row at t={t}");
+        assert_eq!(by_wide.finish(), got, "wide row_packed against row at t={t}");
         (got, (table.len(), mutual_best_pairs(&table, t)))
     }
 
@@ -1482,7 +1583,8 @@ mod tests {
     fn empty_rows_are_a_no_op() {
         let mut sink = SelectSink::new(4, 2);
         sink.row_entries(0, std::iter::empty());
-        sink.row_packed(1, &[]);
+        sink.row_packed(1, &PackedRow::Narrow(Vec::new()));
+        sink.row_packed(3, &PackedRow::Wide(Vec::new()));
         let mut arena = ScoreArena::new(4);
         arena.begin_row();
         sink.row(2, &arena);
@@ -2150,10 +2252,133 @@ mod tests {
         assert_eq!(hex(&bytes), "06050403020100000200000001000000020000000300000004000000050000000600000002000000070000000800000009000000010a0000000b0000000c00000000");
         assert_eq!(SinkClaims::decode(&bytes).unwrap(), claims);
 
-        let group = vec![vec![pack_entry(3, 2), pack_entry(9, 1)], vec![], vec![pack_entry(1, 7)]];
+        let group = vec![
+            PackedRow::new([(3, 2), (9, 1)].into_iter()),
+            PackedRow::new([(1, 256)].into_iter()),
+        ];
+        assert_eq!(group[0], PackedRow::Narrow(vec![3 << 8 | 2, 9 << 8 | 1]));
+        assert_eq!(group[1], PackedRow::Wide(vec![pack_entry(1, 256)]));
         let mut out = Vec::new();
-        PackedRowCodec.encode_group(&42, &group, &mut out);
-        assert_eq!(hex(&out), "2a00000003000000020000000200000003000000010000000900000000000000010000000700000001000000");
+        PackedRowCodec.encode_group(&42, &group, &mut out).unwrap();
+        assert_eq!(
+            hex(&out),
+            "2a000000020000000200000004020300000109000001000000080001000001000000"
+        );
         assert_eq!(PackedRowCodec.decode_group(&out).unwrap(), (42, group));
+    }
+
+    /// A row's `(v, count)` entries, whichever form holds them.
+    fn unpacked(row: &PackedRow) -> Vec<(u32, u32)> {
+        match row {
+            PackedRow::Narrow(entries) => entries.iter().map(|&e| unpack_narrow(e)).collect(),
+            PackedRow::Wide(entries) => entries.iter().map(|&e| unpack_entry(e)).collect(),
+        }
+    }
+
+    #[test]
+    fn packed_row_lengths_over_the_cap_are_clean_errors() {
+        let entries = PackedRow::new([(1, 1), (2, 1), (3, 1)].into_iter());
+        let records = vec![PackedRow::Wide(vec![pack_entry(1, 1)]); 3];
+        for (what, group) in [("entry count", vec![entries]), ("record count", records)] {
+            let err = PackedRowCodec::encode_group_capped(7, &group, &mut Vec::new(), 2)
+                .expect_err("a length over the cap must fail");
+            assert!(err.contains("length 3 exceeds the 2"), "{what}: {err}");
+            let (mut capped, mut full) = (Vec::new(), Vec::new());
+            PackedRowCodec::encode_group_capped(7, &group, &mut capped, 3).unwrap();
+            PackedRowCodec.encode_group(&7, &group, &mut full).unwrap();
+            assert_eq!(capped, full, "{what}: at the cap the bytes are the format's");
+        }
+    }
+
+    /// Narrow-entry boundaries: `v` and `count` at and one past the
+    /// largest value a 4-byte entry holds, next to small and huge values.
+    const V_EDGES: [u32; 6] = [0, 1, (1 << 24) - 1, 1 << 24, 1 << 31, u32::MAX];
+    const COUNT_EDGES: [u32; 5] = [1, 2, 255, 256, u32::MAX];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn packed_row_groups_mixing_both_forms_round_trip(
+            key in 0u32..u32::MAX,
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0usize..6, 0usize..5), 1..5),
+                1..5,
+            ),
+        ) {
+            let mut group = Vec::new();
+            for row in &rows {
+                let entries: Vec<(u32, u32)> =
+                    row.iter().map(|&(i, j)| (V_EDGES[i], COUNT_EDGES[j])).collect();
+                let packed = PackedRow::new(entries.iter().copied());
+                let fits = entries.iter().all(|&(v, count)| v < 1 << 24 && count < 1 << 8);
+                proptest::prop_assert_eq!(matches!(packed, PackedRow::Narrow(_)), fits, "{:?}", entries);
+                proptest::prop_assert_eq!(unpacked(&packed), entries);
+                group.push(packed);
+            }
+            let mut out = Vec::new();
+            PackedRowCodec.encode_group(&key, &group, &mut out).unwrap();
+            proptest::prop_assert_eq!(PackedRowCodec.decode_group(&out).unwrap(), (key, group));
+        }
+    }
+
+    #[test]
+    fn every_byte_flip_and_truncation_of_a_packed_group_is_an_error_or_exact() {
+        let group = vec![
+            PackedRow::new([(3, 2), (9, 1)].into_iter()),
+            PackedRow::new([(1, 256), (7, 3)].into_iter()),
+        ];
+        let mut pristine = Vec::new();
+        PackedRowCodec.encode_group(&42, &group, &mut pristine).unwrap();
+        // No checksum guards these bytes: a decode either fails or reads
+        // a group that encodes back to exactly the bytes it came from.
+        for i in 0..pristine.len() {
+            for flip in [0x01, 0x5A, 0xFF] {
+                let mut bytes = pristine.clone();
+                bytes[i] ^= flip;
+                if let Ok((key, rows)) = PackedRowCodec.decode_group(&bytes) {
+                    let mut again = Vec::new();
+                    PackedRowCodec.encode_group(&key, &rows, &mut again).unwrap();
+                    assert_eq!(again, bytes, "byte {i} ^ {flip:#x} decoded inexactly");
+                }
+            }
+        }
+        for cut in 0..pristine.len() {
+            assert!(PackedRowCodec.decode_group(&pristine[..cut]).is_err(), "cut at {cut}");
+        }
+        // The first record's width byte follows the key, the record count
+        // and its entry count.
+        let mut bad_width = pristine.clone();
+        bad_width[12] = 5;
+        let err = PackedRowCodec.decode_group(&bad_width).unwrap_err();
+        assert!(err.contains("entry width 5"), "{err}");
+    }
+
+    #[test]
+    fn a_hub_row_over_255_witnesses_packs_wide_and_the_rest_narrow() {
+        // A hub whose 300 seeded leaves give its row a count of 300 at the
+        // hub itself, next to ten unseeded nodes `300 + i` sharing the
+        // first `4 + i` leaves; one graph serves as both copies.
+        let mut edges: Vec<(u32, u32)> = (1..=300).map(|leaf| (0, leaf)).collect();
+        for i in 1..=10 {
+            edges.extend((1..=4 + i).map(|leaf| (300 + i, leaf)));
+        }
+        let seeds: Vec<_> = (1..=300).map(|leaf| (NodeId(leaf), NodeId(leaf))).collect();
+        let (g, links) = (CsrGraph::from_edges(311, &edges), Linking::with_seeds(311, 311, &seeds));
+        let cache = LinkCache::build(&g, &links, 1);
+        let rows = collect_candidates(&g, &links, 1);
+        assert_eq!(rows, std::iter::once(0).chain(301..=310).collect::<Vec<u32>>());
+        let table = count_brute_force(&g, &g, &links, 1, 1);
+        let records = packed_rows(&g, &cache, &rows);
+        assert_eq!(records.len(), rows.len());
+        for (u, row) in &records {
+            assert_eq!(matches!(row, PackedRow::Wide(_)), *u == 0, "row {u}: {row:?}");
+            let mut got = unpacked(row);
+            got.sort_unstable();
+            let mut expected: Vec<(u32, u32)> =
+                table.iter().filter(|((r, _), _)| r == u).map(|(&(_, v), &c)| (v, c)).collect();
+            expected.sort_unstable();
+            assert_eq!(got, expected, "row {u}");
+        }
+        assert!(unpacked(&records[0].1).contains(&(0, 300)));
     }
 }

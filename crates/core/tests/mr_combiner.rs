@@ -197,11 +197,12 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
 
 #[test]
 fn splitting_map_tasks_across_workers_changes_no_record() {
-    // Map tasks split their rows across the engine's workers. On PA, R-MAT
-    // and a star, at 1, 2 and 4 workers, in memory and spilling every task,
-    // with one task per round (the default chunking here) or many: the
-    // selection equals the in-process phase's, and the shuffle carries one
-    // record per non-empty candidate row and 4 + 8 bytes per row and pair.
+    // Map tasks split their rows across the engine's workers. On PA, R-MAT,
+    // a star and a hub, at 1, 2 and 4 workers, in memory and spilling every
+    // task, with one task per round (the default chunking here) or many:
+    // the selection equals the in-process phase's, and the shuffle carries
+    // one record per non-empty candidate row and 4 + 8 bytes per row and
+    // pair, whether a row holds its entries in 4 bytes or in 8.
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let g = rmat(&RmatConfig::graph500(10, 16), &mut rng).unwrap();
     let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
@@ -212,11 +213,29 @@ fn splitting_map_tasks_across_workers_changes_no_record() {
     let star = CsrGraph::from_edges(400, &(1..400).map(|v| (0, v)).collect::<Vec<_>>());
     let star_seeds: Vec<_> = (0..=20).map(|v| (NodeId(v), NodeId(v))).collect();
     let star_links = Linking::with_seeds(400, 400, &star_seeds);
+    // A hub whose 300 seeded leaves score its row at 300 on the hub itself,
+    // too many for a 4-byte entry, so that row alone is held in 8. Ten
+    // nodes `300 + i` share the first `4 + i` seeded leaves, a rival 311
+    // shares 100 (a count cut to 8 bits, 44, would hand it the hub), and
+    // 260 unseeded leaves make the candidate rows many.
+    let mut hub_edges: Vec<(u32, u32)> = (1..=300).chain(312..572).map(|v| (0, v)).collect();
+    for i in 1..=10 {
+        hub_edges.extend((1..=4 + i).map(|leaf| (300 + i, leaf)));
+    }
+    hub_edges.extend((1..=100).map(|leaf| (311, leaf)));
+    let hub = CsrGraph::from_edges(572, &hub_edges);
+    let hub_seeds: Vec<_> = (1..=300).map(|v| (NodeId(v), NodeId(v))).collect();
+    let hub_links = Linking::with_seeds(572, 572, &hub_seeds);
+    let hub_table = count_brute_force(&hub, &hub, &hub_links, 1, 1);
+    assert_eq!(hub_table.get(&(0, 0)), Some(&300), "the hub row scores 300 on the hub");
+    let hub_selection = fused_phase_on(&hub, &hub, &hub_links, &[0, 311], 1, 2, false).1;
+    assert!(hub_selection.contains(&(NodeId(0), NodeId(0))), "the hub links to itself");
     let (pa1, pa2, pa_links) = workload(true, 600, 3, 11);
     let cases = [
         ("pa", &pa1, &pa2, &pa_links),
         ("rmat", &pair.g1, &pair.g2, &rmat_links),
         ("star", &star, &star, &star_links),
+        ("hub", &hub, &hub, &hub_links),
     ];
     let scratch = std::env::temp_dir().join(format!("snr-mr-split-{}", std::process::id()));
     for (name, g1, g2, links) in cases {

@@ -258,9 +258,10 @@ fn mr_shuffle(args: &ExperimentArgs) {
 /// runs to disk (`spilled_runs > 0`) while the phase's links and non-spill
 /// shuffle counters stay bit-identical to the in-memory round; the JSONL
 /// trace must schema-validate with the `spilled_bytes`/`spilled_runs`
-/// counters, one `spill` event per run and a `spill_merge` span; and an
-/// injected `spill_io` fault must fail cleanly (`EngineError`, scratch dir
-/// removed, no panic).
+/// counters, one `spill` event per run and a `spill_merge` span; the run
+/// files those events size must sum below the `spilled_bytes` charge; and
+/// an injected `spill_io` fault must fail cleanly (`EngineError`, scratch
+/// dir removed, no panic).
 fn spill(args: &ExperimentArgs) {
     let (scale, _) = scale_and_workers(args);
     let (min_deg, threshold) = (2usize, 2u32);
@@ -320,12 +321,31 @@ fn spill(args: &ExperimentArgs) {
     };
     assert_eq!(counter("spilled_bytes"), round.spilled_bytes as u64);
     assert_eq!(counter("spilled_runs"), round.spilled_runs as u64);
-    let spill_events = summary.events.iter().filter(|e| e.name == "spill").count();
-    assert_eq!(spill_events, round.spilled_runs, "one spill event per flushed run");
+    let spill_events: Vec<_> = summary.events.iter().filter(|e| e.name == "spill").collect();
+    assert_eq!(spill_events.len(), round.spilled_runs, "one spill event per flushed run");
+    // The run files' own sizes: rows held in 4-byte entries spill in 4,
+    // so the files stay below the 8-bytes-per-entry charge.
+    let file_bytes: u64 = spill_events
+        .iter()
+        .map(|e| {
+            let bytes = e.fields.split(' ').find_map(|f| f.strip_prefix("bytes="));
+            bytes.and_then(|b| b.parse::<u64>().ok()).expect("spill event without bytes")
+        })
+        .sum();
+    assert!(
+        file_bytes < round.spilled_bytes as u64,
+        "run files ({file_bytes} B) must be smaller than the charge ({} B)",
+        round.spilled_bytes
+    );
     let merge_spans = summary.spans.iter().filter(|s| s.name == "spill_merge").count();
     assert!(merge_spans > 0, "no spill_merge span in the trace");
     let _ = std::fs::remove_file(&trace_path);
-    println!("trace: schema-valid, {spill_events} spill events, {merge_spans} spill_merge spans");
+    println!(
+        "trace: schema-valid, {} spill events, {merge_spans} spill_merge spans, \
+         {file_bytes} B of run files for {} B spilled_bytes charged",
+        spill_events.len(),
+        round.spilled_bytes
+    );
 
     // 3. Injected spill I/O fault: clean error, clean scratch.
     let faulted = Engine::new(4)

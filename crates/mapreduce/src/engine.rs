@@ -964,8 +964,8 @@ mod tests {
             TestCodec.bytes_of(key, value)
         }
 
-        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
-            TestCodec.encode_group(key, values, out);
+        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) -> Result<(), String> {
+            TestCodec.encode_group(key, values, out)
         }
 
         fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<u64>), String> {

@@ -48,11 +48,12 @@
 //!         12
 //!     }
 //!
-//!     fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
+//!     fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) -> Result<(), String> {
 //!         out.extend_from_slice(&key.to_le_bytes());
 //!         for v in values {
 //!             out.extend_from_slice(&v.to_le_bytes());
 //!         }
+//!         Ok(())
 //!     }
 //!
 //!     fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<u64>), String> {

@@ -21,6 +21,11 @@
 //! [ Checksum64 of everything above ]                         -- 8 bytes
 //! ```
 //!
+//! The payload belongs to the codec: the framing above never looks inside
+//! it, so a codec may change how it lays out a group (the packed-row codec
+//! in `snr-core` writes an entry in 4 bytes when it fits) without touching
+//! the framing or [`RUN_VERSION`].
+//!
 //! A file of any other version (version 1 had an older footer checksum)
 //! is rejected.
 //!
@@ -36,7 +41,7 @@ use snr_store::Checksum64;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
@@ -49,9 +54,9 @@ pub const RUN_HEADER_LEN: usize = 4 + 2 + 4 + 4 + 4 + 8;
 /// Trailer bytes: the [`Checksum64`] of header + body.
 pub const RUN_FOOTER_LEN: usize = wire::FOOTER_LEN;
 const RUN_FORMAT: Format = Format { magic: RUN_MAGIC, version: RUN_VERSION, name: "spill run" };
-/// Buffer size of the run writer and reader. Runs are written and read
-/// front to back in one stream each, so a large buffer turns the small
-/// per-group writes and reads into few large system calls.
+/// Block size of the run writer and buffer size of the reader. Runs are
+/// written and read front to back in one stream each, so large blocks turn
+/// the small per-group writes and reads into few large system calls.
 const RUN_IO_BUF: usize = 1 << 20;
 
 /// Error surfaced by a round ([`crate::Engine::run`]).
@@ -93,11 +98,15 @@ pub trait SpillCodec<K, V> {
     /// Shuffle bytes charged for one `(key, value)` record. The sum over a
     /// round's records is [`crate::RoundStats::shuffled_bytes`], and each map
     /// task reserves its sum against the spill budget. It is an accounting
-    /// charge, not the encoded length: a packed score row charges
-    /// `4 + 8·entries`, which `size_of` cannot see through a `Vec` header.
+    /// charge, neither the size held in memory nor the encoded length: a
+    /// packed score row charges `4 + 8·entries`, which `size_of` cannot see
+    /// through a `Vec` header, though it holds and encodes an entry in 4
+    /// bytes when the entry fits.
     fn bytes_of(&self, key: &K, value: &V) -> usize;
-    /// Appends one encoded key group to `out`.
-    fn encode_group(&self, key: &K, values: &[V], out: &mut Vec<u8>);
+    /// Appends one encoded key group to `out`, or fails with a descriptive
+    /// string (a length that does not fit its prefix, say); the run writer
+    /// wraps it in [`EngineError::Spill`] naming the run file.
+    fn encode_group(&self, key: &K, values: &[V], out: &mut Vec<u8>) -> Result<(), String>;
     /// Decodes one key group previously produced by
     /// [`SpillCodec::encode_group`]. Errors are descriptive strings; the
     /// engine wraps them in [`EngineError::Spill`].
@@ -132,39 +141,45 @@ pub(crate) fn write_run<K, V, SC: SpillCodec<K, V>>(
     faults: &Mutex<FaultRegistry>,
 ) -> Result<u64, EngineError> {
     let file = File::create(path).map_err(|e| io_spill(path, "creating run file", e))?;
-    let mut w = HashWriter::new(BufWriter::with_capacity(RUN_IO_BUF, file));
+    let mut w = HashWriter::new(file);
     let write_error = |e| io_spill(path, "writing run file", e);
 
-    let mut header = Vec::with_capacity(RUN_HEADER_LEN);
-    let mut h = Writer::new(&mut header);
+    let mut block = Vec::with_capacity(RUN_IO_BUF);
+    let mut h = Writer::new(&mut block);
     RUN_FORMAT.put_header(&mut h);
     for v in [round, task, partition] {
         h.u32(v);
     }
     h.u64(groups.len() as u64);
-    w.write_all(&header).map_err(write_error)?;
+    w.write_all(&block).map_err(write_error)?;
+    block.clear();
 
     if faults.lock().fire(FaultSite::SpillIo, None, Some(round)).is_some() {
-        let _ = w.flush();
         return Err(EngineError::Spill(format!(
             "injected spill_io fault writing {} (round {round})",
             path.display()
         )));
     }
 
-    // Each group goes out as one `len | payload` piece: the length prefix
-    // is reserved, the codec appends, then the prefix is patched.
-    let mut buf = Vec::new();
+    // Groups are encoded straight into the block, each behind a length
+    // prefix that is reserved, then patched once the codec has appended;
+    // a full block goes out in one write.
     for (k, vs) in groups {
-        buf.clear();
-        buf.extend_from_slice(&[0; 4]);
-        codec.encode_group(k, vs, &mut buf);
-        let len = u32::try_from(buf.len() - 4).map_err(|_| {
+        let start = block.len();
+        block.extend_from_slice(&[0; 4]);
+        codec.encode_group(k, vs, &mut block).map_err(|why| {
+            EngineError::Spill(format!("encoding group for {}: {why}", path.display()))
+        })?;
+        let len = u32::try_from(block.len() - start - 4).map_err(|_| {
             EngineError::Spill(format!("group exceeds u32 length in {}", path.display()))
         })?;
-        buf[..4].copy_from_slice(&len.to_le_bytes());
-        w.write_all(&buf).map_err(write_error)?;
+        block[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        if block.len() >= RUN_IO_BUF {
+            w.write_all(&block).map_err(write_error)?;
+            block.clear();
+        }
     }
+    w.write_all(&block).map_err(write_error)?;
     let (_, total) = w.finish().map_err(|e| io_spill(path, "flushing run file", e))?;
     Ok(total)
 }
@@ -409,18 +424,28 @@ pub(crate) mod tests {
     /// Toy codec for `(u32, Vec<u64>)` groups: key, count, then values.
     pub(crate) struct U32U64Codec;
 
+    /// [`U32U64Codec`]'s encoding with the count limited to `max_len`.
+    fn encode_capped(
+        key: u32,
+        values: &[u64],
+        out: &mut Vec<u8>,
+        max_len: usize,
+    ) -> Result<(), String> {
+        let mut w = Writer::with_max_len(out, max_len);
+        w.u32(key);
+        w.len_prefix(values.len()).map_err(|e| e.to_string())?;
+        w.u64s(values);
+        Ok(())
+    }
+
     impl SpillCodec<u32, u64> for U32U64Codec {
         /// A `u32` key plus a `u64` value.
         fn bytes_of(&self, _key: &u32, _value: &u64) -> usize {
             12
         }
 
-        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) {
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) -> Result<(), String> {
+            encode_capped(*key, values, out, wire::MAX_LEN)
         }
 
         fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<u64>), String> {
@@ -563,6 +588,45 @@ pub(crate) mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), RUN_HEADER_LEN as u64);
         // Fire-once: the retry goes through.
         write_run(&path, 3, 0, 0, &sample_groups(), &U32U64Codec, &faults).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// [`U32U64Codec`], except that encoding a group of more than `cap`
+    /// values fails, as a length over its prefix's limit does.
+    struct CappedEncode {
+        cap: usize,
+    }
+
+    impl SpillCodec<u32, u64> for CappedEncode {
+        fn bytes_of(&self, key: &u32, value: &u64) -> usize {
+            U32U64Codec.bytes_of(key, value)
+        }
+
+        fn encode_group(&self, key: &u32, values: &[u64], out: &mut Vec<u8>) -> Result<(), String> {
+            encode_capped(*key, values, out, self.cap)
+        }
+
+        fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<u64>), String> {
+            U32U64Codec.decode_group(bytes)
+        }
+    }
+
+    #[test]
+    fn an_encode_error_is_a_spill_error_naming_the_run_file() {
+        let dir = scratch("encode-error");
+        let path = dir.join("run-t0-p0.snrr");
+        let faults = Mutex::new(FaultRegistry::empty());
+        // The last sample group holds 3 values.
+        let err = write_run(&path, 1, 0, 0, &sample_groups(), &CappedEncode { cap: 2 }, &faults)
+            .expect_err("a group over the cap must fail the run");
+        let EngineError::Spill(why) = err;
+        assert!(why.contains(&path.display().to_string()), "{why}");
+        assert!(why.contains("length 3 exceeds the 2"), "{why}");
+        // At the cap the same groups write the bytes of the uncapped codec.
+        write_run(&path, 1, 0, 0, &sample_groups(), &CappedEncode { cap: 3 }, &faults).unwrap();
+        let capped = std::fs::read(&path).unwrap();
+        write_run(&path, 1, 0, 0, &sample_groups(), &U32U64Codec, &faults).unwrap();
+        assert_eq!(capped, std::fs::read(&path).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -165,8 +165,18 @@ impl<'a> Reader<'a> {
         self.take(n)
     }
 
+    /// `n` little-endian `u32`s behind one bounds check (the spill path
+    /// decodes narrow packed rows this way).
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
+        let raw = self.take(n.saturating_mul(4))?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+            .collect())
+    }
+
     /// `n` little-endian `u64`s behind one bounds check (the spill path
-    /// decodes whole packed rows this way).
+    /// decodes wide packed rows this way).
     pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
         let raw = self.take(n.saturating_mul(8))?;
         Ok(raw
@@ -239,6 +249,16 @@ impl<'a> Writer<'a> {
     #[inline]
     pub fn u64(&mut self, v: u64) {
         self.raw(&v.to_le_bytes());
+    }
+
+    /// Appends little-endian `u32`s (the bulk counterpart of
+    /// [`Reader::u32s`]).
+    pub fn u32s(&mut self, values: &[u32]) {
+        let start = self.out.len();
+        self.out.resize(start + 4 * values.len(), 0);
+        for (dst, v) in self.out[start..].chunks_exact_mut(4).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
     }
 
     /// Appends little-endian `u64`s (the bulk counterpart of
@@ -397,6 +417,7 @@ mod tests {
         w.pairs(&[(1, 2), (3, 4)]).unwrap();
         w.len_prefix(2).unwrap();
         w.u64s(&[5, u64::MAX]);
+        w.u32s(&[6, u32::MAX]);
         let mut hw = HashWriter::new(Vec::new());
         hw.write_all(&out).unwrap();
         let (streamed, written) = hw.finish().unwrap();
@@ -409,6 +430,7 @@ mod tests {
         assert_eq!(r.pairs().unwrap(), [(1, 2), (3, 4)]);
         let n = r.count(8).unwrap();
         assert_eq!(r.u64s(n).unwrap(), [5, u64::MAX]);
+        assert_eq!(r.u32s(2).unwrap(), [6, u32::MAX]);
         r.finish().unwrap();
     }
 
@@ -421,6 +443,7 @@ mod tests {
             Err(WireError::Overrun { count: MAX_LEN, left: 1 })
         );
         assert!(Reader::new(&[0; 8]).u64s(usize::MAX).is_err());
+        assert!(Reader::new(&[0; 8]).u32s(usize::MAX).is_err());
         assert_eq!(Reader::new(&[2]).bool(), Err(WireError::BadBool(2)));
         assert_eq!(Reader::new(&[1]).finish(), Err(WireError::Trailing(1)));
         let mut out = Vec::new();
