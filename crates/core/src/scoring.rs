@@ -90,12 +90,11 @@
 //!
 //! * [`fused_phase_on`] — in-process, sequential or rayon (builds the
 //!   phase's [`LinkCache`], then runs [`score_phase_cached`]);
-//! * [`score_phase_cached`] — the same over a caller-built cache (the
-//!   adaptive blocking gate's exact arm); the merged rank-space sink is
-//!   absorbed into the caller's node-id sink;
-//! * [`score_assigned_rows`] — one row range, the distributed driver's
-//!   worker kernel; the range's rank-space sink is absorbed into the
-//!   caller's sink before the worker ships its [`SinkClaims`];
+//! * [`score_phase_cached`] — the same over a caller-built cache; the
+//!   merged rank-space sink is absorbed into the caller's node-id sink.
+//!   The adaptive blocking gate's exact arm runs it, and so does the
+//!   distributed driver's worker on the candidate rows of its row range,
+//!   before it ships the sink's [`SinkClaims`];
 //! * [`mapreduce_fused_phase_on`] — one [`snr_mapreduce::Engine`] round;
 //!   map tasks emit rows by node id, so the shuffle and reduce never see
 //!   ranks;
@@ -786,11 +785,6 @@ impl SinkClaims {
         self.scored_pairs
     }
 
-    /// Number of claimed rows carried by this payload.
-    pub fn claim_count(&self) -> usize {
-        self.claims.len()
-    }
-
     /// Serializes the claims into the fixed-width wire format.
     ///
     /// # Panics
@@ -935,43 +929,6 @@ fn chunk_candidates(candidates: &[u32], workers: usize) -> Vec<&[u32]> {
     candidates.chunks(candidates.len().div_ceil(workers.max(1)).max(1)).collect()
 }
 
-/// Scores a contiguous range of rows through a prebuilt per-phase
-/// [`LinkCache`] into `sink` — the worker-side kernel of the distributed
-/// shard driver.
-///
-/// `rows` is a range of copy-1 row ids of `g1`. Candidate filtering
-/// matches [`collect_candidates`] exactly: a row is scored iff its degree
-/// reaches `min_deg1` and it is unlinked; empty rows are skipped. Running disjoint ranges that tile `0..n1` through fresh
-/// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase_on`]
-/// bit-for-bit.
-///
-/// `arena` scores in `cache`'s rank space, so it needs at least
-/// [`LinkCache::eligible_count`] cells (an arena over `n2` always fits);
-/// `sink` is over copy-2 node ids, and the range's rank-space sink is
-/// translated into it once, at the end.
-pub fn score_assigned_rows<G1: GraphView>(
-    g1: &G1,
-    rows: std::ops::Range<u32>,
-    cache: &LinkCache,
-    links: &Linking,
-    min_deg1: usize,
-    arena: &mut ScoreArena,
-    sink: &mut SelectSink,
-) {
-    // A worker reads exactly this row range; tell mmap-backed views to
-    // prefetch it (no-op for in-memory views).
-    g1.advise_rows(rows.clone());
-    let mut ranked = SelectSink::new(cache.eligible_count(), sink.threshold);
-    for u in rows {
-        if g1.degree(NodeId(u)) < min_deg1 || links.is_linked_g1(NodeId(u)) {
-            continue;
-        }
-        arena.score_row(g1, NodeId(u), cache);
-        ranked.row(u, arena);
-    }
-    sink.absorb_ranked(ranked, cache);
-}
-
 /// One exact in-process phase: witness scoring and mutual-best selection in
 /// a single pass over `candidates` (ascending copy-1 ids, already
 /// degree-eligible and unlinked — what [`CandidateCache::eligible`] or
@@ -1078,13 +1035,13 @@ where
 /// copy-2 node id in the high half, the witness count in the low half.
 /// Ordering packed entries orders them by `v` first.
 #[inline]
-pub fn pack_entry(v: u32, count: u32) -> u64 {
+pub(crate) fn pack_entry(v: u32, count: u32) -> u64 {
     ((v as u64) << 32) | count as u64
 }
 
 /// Inverse of [`pack_entry`].
 #[inline]
-pub fn unpack_entry(packed: u64) -> (u32, u32) {
+pub(crate) fn unpack_entry(packed: u64) -> (u32, u32) {
     ((packed >> 32) as u32, packed as u32)
 }
 
@@ -1153,10 +1110,10 @@ impl PackedRow {
 ///   dense `u32` key and the row's packed `(v, count)` entries,
 ///   translated back to copy-2 node ids. A row whose every entry has
 ///   `v < 2^24` and `count < 2^8` packs an entry in 4 bytes, any other
-///   row in 8 ([`pack_entry`]). The shuffle is charged 4 bytes per row
-///   (the key) plus 8 per scored pair whatever the form, `PackedRowCodec`'s
-///   `bytes_of` charge, so the round's `shuffled_bytes` and its spill
-///   decisions do not depend on the form.
+///   row in 8 (`v` in the high half, `count` in the low). The shuffle is
+///   charged 4 bytes per row (the key) plus 8 per scored pair whatever the
+///   form, `PackedRowCodec`'s `bytes_of` charge, so the round's
+///   `shuffled_bytes` and its spill decisions do not depend on the form.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
 ///   range in ascending order. Over a spill budget the shuffle spills to
@@ -1374,6 +1331,22 @@ mod tests {
     {
         let candidates = collect_candidates(g1, links, min_deg1);
         fused_phase_on(g1, g2, links, &candidates, min_deg2, threshold, parallel)
+    }
+
+    /// The candidate rows of `rows` scored through `cache` into a fresh
+    /// sink, as the distributed driver's worker scores one task.
+    fn score_range(
+        g1: &CsrGraph,
+        cache: &LinkCache,
+        links: &Linking,
+        min_deg1: usize,
+        threshold: u32,
+        rows: std::ops::Range<u32>,
+    ) -> SelectSink {
+        let mut candidates = collect_candidates(g1, links, min_deg1);
+        candidates.retain(|u| rows.contains(u));
+        let n2 = cache.n2;
+        score_phase_cached(g1, cache, n2, &candidates, false, || SelectSink::new(n2, threshold))
     }
 
     /// One MapReduce phase over the uncached candidate list.
@@ -1760,7 +1733,7 @@ mod tests {
 
     /// One phase through every exact entry point: `fused_phase_on`
     /// sequential and on a 4-worker pool, `mapreduce_fused_phase_on` with no
-    /// spill budget and a budget of 0, and tiled `score_assigned_rows` plus
+    /// spill budget and a budget of 0, and tiled `score_range` plus
     /// `absorb_claims`. Asserts they agree and returns the result.
     fn every_exact_path(
         g1: &CsrGraph,
@@ -1781,12 +1754,10 @@ mod tests {
         }
         let (n1, n2) = (g1.node_count() as u32, g2.node_count());
         let cache = LinkCache::build(g2, links, d);
-        let mut arena = ScoreArena::new(n2);
         let mut acc = SelectSink::new(n2, t);
         for start in (0..n1).step_by(23) {
             let end = (start + 23).min(n1);
-            let mut sink = SelectSink::new(n2, t);
-            score_assigned_rows(g1, start..end, &cache, links, d, &mut arena, &mut sink);
+            let sink = score_range(g1, &cache, links, d, t, start..end);
             acc.absorb_claims(&sink.into_claims(), start..end).unwrap();
         }
         assert_eq!(acc.finish(), expected, "tiled rows d={d} t={t}");
@@ -2066,9 +2037,7 @@ mod tests {
             // sink whose claims make a wire round-trip before absorption.
             for start in (0..n1).step_by(97) {
                 let end = (start + 97).min(n1);
-                let mut arena = ScoreArena::new(n2);
-                let mut sink = SelectSink::new(n2, t);
-                score_assigned_rows(&g1, start..end, &cache, &links, d, &mut arena, &mut sink);
+                let sink = score_range(&g1, &cache, &links, d, t, start..end);
                 let decoded = SinkClaims::decode(&sink.into_claims().encode()).unwrap();
                 acc.absorb_claims(&decoded, start..end).unwrap();
             }
@@ -2080,12 +2049,9 @@ mod tests {
     fn whole_graph_assigned_rows_match_fused_phase() {
         let (g1, g2, links) = pa_workload(59, 300, 5);
         let n1 = g1.node_count() as u32;
-        let n2 = g2.node_count();
         let expected = phase(&g1, &g2, &links, 2, 2, 2, false);
         let cache = LinkCache::build(&g2, &links, 2);
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
+        let sink = score_range(&g1, &cache, &links, 2, 2, 0..n1);
         assert_eq!(sink.finish(), expected);
     }
 
@@ -2093,13 +2059,9 @@ mod tests {
     fn sink_claims_decode_rejects_corruption() {
         let (g1, g2, links) = pa_workload(61, 250, 5);
         let cache = LinkCache::build(&g2, &links, 2);
-        let n2 = g2.node_count();
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = SelectSink::new(n2, 2);
         let n1 = g1.node_count() as u32;
-        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
-        let claims = sink.into_claims();
-        assert!(claims.claim_count() > 0, "workload must produce claims");
+        let claims = score_range(&g1, &cache, &links, 2, 2, 0..n1).into_claims();
+        assert!(!claims.claims.is_empty(), "workload must produce claims");
         let bytes = claims.encode();
         assert_eq!(SinkClaims::decode(&bytes).unwrap(), claims);
 
@@ -2127,12 +2089,9 @@ mod tests {
         let (g1, g2, links) = pa_workload(67, 250, 5);
         let n2 = g2.node_count();
         let cache = LinkCache::build(&g2, &links, 2);
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = SelectSink::new(n2, 2);
         let n1 = g1.node_count() as u32;
-        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
-        let claims = sink.into_claims();
-        assert!(claims.claim_count() > 0);
+        let claims = score_range(&g1, &cache, &links, 2, 2, 0..n1).into_claims();
+        assert!(!claims.claims.is_empty());
         let rows = 0..g1.node_count() as u32;
 
         // A smaller sink rejects ids beyond its v-axis.

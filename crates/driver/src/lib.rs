@@ -8,9 +8,9 @@
 //! every phase of the schedule as one distributed round:
 //!
 //! 1. the coordinator broadcasts the phase parameters and the link delta,
-//! 2. workers score their assigned contiguous row-ranges through the
-//!    task-local `LinkCache` + `ScoreArena` fast path into a local
-//!    `SelectSink`,
+//! 2. workers score the candidate rows of their assigned contiguous
+//!    row-ranges through the phase's `LinkCache` with
+//!    `score_phase_cached`, into a local `SelectSink`,
 //! 3. serialized per-range sink claims travel back over stdout and merge
 //!    on the coordinator via `Best::merge`,
 //!

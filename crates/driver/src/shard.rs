@@ -3,15 +3,15 @@
 //!
 //! A task is a contiguous copy-1 row range of one phase. Scoring it means:
 //! map the run's two segment files, build the phase's [`LinkCache`] once,
-//! and run `score_assigned_rows` over the range into a fresh
-//! [`SelectSink`]. Both executors do exactly this through [`ShardScorer`],
-//! which is why a range scored in-process is bit-identical to the same
-//! range scored by a worker.
+//! filter the range to its candidate rows and run [`score_phase_cached`]
+//! over them into a fresh [`SelectSink`]. Both executors do exactly this
+//! through [`ShardScorer`], which is why a range scored in-process is
+//! bit-identical to the same range scored by a worker.
 
 use crate::error::DriverError;
-use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
+use snr_core::scoring::{score_phase_cached, LinkCache, SelectSink, SinkClaims};
 use snr_core::Linking;
-use snr_graph::{GraphError, GraphView};
+use snr_graph::{GraphError, GraphView, NodeId};
 use snr_store::MmapGraph;
 
 /// The phase a scorer is set up for.
@@ -22,12 +22,11 @@ struct PhaseState {
     cache: LinkCache,
 }
 
-/// Mapped graph views, a score arena, and the current phase's
-/// [`LinkCache`]: everything needed to score row ranges of one phase.
+/// Mapped graph views and the current phase's [`LinkCache`]: everything
+/// needed to score row ranges of one phase.
 pub struct ShardScorer {
     g1: MmapGraph,
     g2: MmapGraph,
-    arena: ScoreArena,
     phase: Option<PhaseState>,
 }
 
@@ -42,8 +41,7 @@ impl ShardScorer {
     pub fn open(g1: &str, g2: &str) -> Result<ShardScorer, DriverError> {
         let (g1, g2) = (MmapGraph::open(g1)?, MmapGraph::open(g2)?);
         require_undirected(g2.is_directed())?;
-        let arena = ScoreArena::new(g2.node_count());
-        Ok(ShardScorer { g1, g2, arena, phase: None })
+        Ok(ShardScorer { g1, g2, phase: None })
     }
 
     /// The phase the scorer is set up for, if any.
@@ -70,7 +68,9 @@ impl ShardScorer {
 
     /// Scores rows `first_node..first_node + node_count` of `phase` against
     /// `links` (the links the phase was set up with) and returns the sink's
-    /// claims. A task of any other phase, or rows past the end of copy 1,
+    /// claims. The rows scored are the range's candidates, exactly as
+    /// `collect_candidates` picks them: degree at least the floor, and not
+    /// linked. A task of any other phase, or rows past the end of copy 1,
     /// is a protocol error.
     pub fn score(
         &mut self,
@@ -87,17 +87,18 @@ impl ShardScorer {
         if end as usize > self.g1.node_count() {
             return Err(bad_rows());
         }
-        let mut sink = SelectSink::new(self.g2.node_count(), p.threshold);
-        let arena = &mut self.arena;
-        score_assigned_rows(
-            &self.g1,
-            first_node..end,
-            &p.cache,
-            links,
-            p.min_degree,
-            arena,
-            &mut sink,
-        );
+        // The task reads exactly this row range; have the mapped view
+        // prefetch it.
+        self.g1.advise_rows(first_node..end);
+        let rows: Vec<u32> = (first_node..end)
+            .filter(|&u| {
+                self.g1.degree(NodeId(u)) >= p.min_degree && !links.is_linked_g1(NodeId(u))
+            })
+            .collect();
+        let n2 = self.g2.node_count();
+        let sink = score_phase_cached(&self.g1, &p.cache, n2, &rows, false, || {
+            SelectSink::new(n2, p.threshold)
+        });
         Ok(sink.into_claims())
     }
 }

@@ -319,8 +319,31 @@ fn corrupted_checkpoint_is_a_clean_error_never_a_panic() {
             other => panic!("missing checkpoint must be a Checkpoint error, got {other:?}"),
         }
 
-        // And the pristine bytes still resume fine afterwards.
+        // A resealed g2.snrs whose header claims a row range (rows 2.. of
+        // n, or 0..n of n + 1) is refused with a clean error.
         std::fs::write(&cp_path, &pristine).unwrap();
+        let g2_path = scratch.join("g2.snrs");
+        let g2 = std::fs::read(&g2_path).unwrap();
+        let n = u64::from_le_bytes(g2[24..32].try_into().unwrap());
+        for [total, first, count] in [[n, 2, n - 2], [n + 1, 0, n]] {
+            let mut bad = g2.clone();
+            for (at, v) in [(8, total), (16, first), (24, count)] {
+                bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            let body = bad.len() - snr_store::segment::FOOTER_LEN;
+            let sum = snr_store::checksum64(&bad[..body]);
+            bad[body..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&g2_path, &bad).unwrap();
+            match ShardDriver::resume(&scratch, config(2, "", Duration::from_secs(60))) {
+                Err(e) => assert!(e.to_string().contains("not a whole graph"), "{e}"),
+                Ok(_) => {
+                    panic!("g2.snrs claiming rows {first}..{} of {total} resumed", first + count)
+                }
+            }
+        }
+        std::fs::write(&g2_path, &g2).unwrap();
+
+        // And the pristine bytes still resume fine afterwards.
         ShardDriver::resume(&scratch, config(2, "", Duration::from_secs(60)))
             .expect("pristine checkpoint must resume");
     });

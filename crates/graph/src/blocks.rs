@@ -31,14 +31,6 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-/// Number of bytes [`write_varint`] emits for `v`, without emitting them.
-/// Lets a streaming writer size its gap stream in a first pass.
-#[inline]
-pub fn varint_len(v: u32) -> usize {
-    // ceil(bits/7) with a 1-byte floor for v == 0.
-    ((32 - v.leading_zeros()).max(1) as usize).div_ceil(7)
-}
-
 /// Decodes one LEB128 varint from `data` at `*pos`, advancing `*pos`.
 ///
 /// # Panics
@@ -166,15 +158,6 @@ mod tests {
             assert_eq!(read_varint(&buf, &mut pos), v);
         }
         assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn varint_len_matches_encoded_size() {
-        for v in [0u32, 1, 127, 128, 300, 16_383, 16_384, 1 << 21, (1 << 28) - 1, u32::MAX] {
-            let mut buf = Vec::new();
-            write_varint(&mut buf, v);
-            assert_eq!(varint_len(v), buf.len(), "varint_len({v})");
-        }
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! [`GraphView::neighbors_iter`] decodes a list front to back: each block's
 //! first element from the skip array, the rest from its gaps.
 //!
-//! The same block layout is what the `snr-store` segment format serializes;
-//! [`CompactCsr::from_raw_parts`] / [`CompactCsr::raw_parts`] expose the
-//! arrays for that serialization, and [`validate_parts`] is the shared
-//! structural check both the in-memory loader and the mmap-backed view run
-//! before trusting a deserialized layout.
+//! The same block layout is what the `snr-store` segment format serializes:
+//! its writer compacts a graph with [`CompactCsr::from_view`] and writes the
+//! arrays [`CompactCsr::raw_parts`] borrows. There is no raw-parts
+//! constructor; a serialized layout comes back only as the mmap-backed view,
+//! which runs [`validate_parts_with`] before trusting it.
 
 pub use crate::blocks::BLOCK_SIZE;
 use crate::blocks::{write_varint, BlockNeighbors};
@@ -60,10 +60,10 @@ pub struct CompactCsr {
 
 /// Validates a delta-block layout (the invariants [`CompactCsr`]'s own
 /// constructor guarantees), including a full bounds-checked walk of the gap
-/// stream. Shared by [`CompactCsr::from_raw_parts`] and the mmap-backed
-/// segment view in `snr-store`, so a corrupted, truncated, or hand-rolled
-/// layout is rejected with an error up front and later decoding can never
-/// run out of bounds or yield unsorted neighbor lists.
+/// stream. The mmap-backed segment view in `snr-store` runs it on open, so a
+/// corrupted, truncated, or hand-rolled layout is rejected with an error up
+/// front and later decoding can never run out of bounds or yield unsorted
+/// neighbor lists.
 ///
 /// Checks: array lengths, zero-based monotone offsets, per-node block
 /// counts (`ceil(degree / BLOCK_SIZE)`), `max_degree` against the offsets,
@@ -71,45 +71,18 @@ pub struct CompactCsr {
 /// stream starts exactly where the previous one ended, stays in bounds,
 /// contains no zero gaps or `u32` overflows (lists stay strictly sorted),
 /// keeps skip first-elements increasing, keeps every decoded neighbor id
-/// below `id_bound` (the global node space — equal to `node_count` for a
-/// whole graph, larger for a row range holding global target ids; downstream
-/// consumers index degree arrays and score arenas by these ids, so an
-/// out-of-range target must fail here, not panic there), and consumes the
-/// data exactly.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_parts(
-    node_count: usize,
-    id_bound: usize,
-    max_degree: usize,
-    entry_offsets: &[u32],
-    block_starts: &[u32],
-    skip_firsts: &[u32],
-    skip_bytes: &[u32],
-    data: &[u8],
-    what: &str,
-) -> Result<(), GraphError> {
-    validate_parts_with(
-        node_count,
-        id_bound,
-        max_degree,
-        entry_offsets,
-        block_starts,
-        skip_firsts,
-        skip_bytes,
-        data,
-        what,
-        |_| {},
-    )
-}
-
-/// [`validate_parts`] with a data-stream visitor: `visit_data` is called
-/// with each contiguous, just-validated chunk of `data` (one call per node,
-/// in stream order), and on success the calls cover `data` exactly once
-/// front to back. This lets a caller that also needs a whole-file scan of
-/// the same bytes — the mmap-backed segment open feeds its checksum
-/// over them — fuse both walks into one pass instead of reading the file
-/// twice. If validation fails, the visitor may have seen only a prefix;
-/// callers must treat any error as fatal before trusting their fold.
+/// below `id_bound` (downstream consumers index degree arrays and score
+/// arenas by these ids, so an out-of-range target must fail here, not panic
+/// there), and consumes the data exactly.
+///
+/// `visit_data` is called with each contiguous, just-validated chunk of
+/// `data` (one call per node, in stream order), and on success the calls
+/// cover `data` exactly once front to back. This lets a caller that also
+/// needs a whole-file scan of the same bytes — the mmap-backed segment open
+/// feeds its checksum over them — fuse both walks into one pass instead of
+/// reading the file twice. If validation fails, the visitor may have seen
+/// only a prefix; callers must treat any error as fatal before trusting
+/// their fold.
 #[allow(clippy::too_many_arguments)]
 pub fn validate_parts_with(
     node_count: usize,
@@ -206,14 +179,20 @@ pub fn validate_parts_with(
 impl CompactCsr {
     /// Compacts any [`GraphView`] into delta-encoded form.
     ///
-    /// # Panics
-    /// Panics if the adjacency has more than `u32::MAX` entries or the
-    /// encoded gap stream exceeds `u32::MAX` bytes (one in-memory graph is
-    /// `u32`-bounded by design).
-    pub fn from_view<G: GraphView>(g: &G) -> Self {
+    /// # Errors
+    /// [`GraphError::InvalidParameter`] if the adjacency has more than
+    /// `u32::MAX` entries or the encoded gap stream exceeds `u32::MAX` bytes
+    /// (one in-memory graph is `u32`-bounded by design).
+    pub fn from_view<G: GraphView>(g: &G) -> Result<Self, GraphError> {
         let n = g.node_count();
         let entries = g.total_degree();
-        assert!(entries <= u32::MAX as usize, "adjacency entries ({entries}) overflow u32 offsets");
+        if entries > u32::MAX as usize {
+            return Err(GraphError::InvalidParameter(format!(
+                "adjacency entries ({entries}) overflow u32 offsets"
+            )));
+        }
+        let gap_overflow =
+            || GraphError::InvalidParameter("encoded gap stream overflows u32 offsets".into());
 
         let mut entry_offsets = Vec::with_capacity(n + 1);
         let mut block_starts = Vec::with_capacity(n + 1);
@@ -231,8 +210,7 @@ impl CompactCsr {
             for x in g.neighbors_iter(NodeId::from_index(v)) {
                 if count.is_multiple_of(BLOCK_SIZE) {
                     skip_firsts.push(x.0);
-                    skip_bytes
-                        .push(u32::try_from(data.len()).expect("encoded gap stream overflows u32"));
+                    skip_bytes.push(u32::try_from(data.len()).map_err(|_| gap_overflow())?);
                 } else {
                     debug_assert!(x.0 > prev, "neighbor list of node {v} is not strictly sorted");
                     write_varint(&mut data, x.0 - prev);
@@ -243,7 +221,9 @@ impl CompactCsr {
             entry_offsets.push(entry_offsets[v] + count as u32);
             block_starts.push(skip_firsts.len() as u32);
         }
-        assert!(data.len() <= u32::MAX as usize, "encoded gap stream overflows u32");
+        if data.len() > u32::MAX as usize {
+            return Err(gap_overflow());
+        }
         // Drop the construction-time reservation slack: `memory_bytes()`
         // reports lengths, so retained capacity would be invisible in the
         // bytes-per-edge metric while still being resident.
@@ -251,7 +231,7 @@ impl CompactCsr {
         skip_firsts.shrink_to_fit();
         skip_bytes.shrink_to_fit();
 
-        CompactCsr {
+        Ok(CompactCsr {
             node_count: n,
             directed: g.is_directed(),
             edge_count: g.edge_count(),
@@ -261,58 +241,12 @@ impl CompactCsr {
             skip_firsts,
             skip_bytes,
             data,
-        }
-    }
-
-    /// Reassembles a `CompactCsr` from its raw delta-block arrays (the
-    /// inverse of [`CompactCsr::raw_parts`]), validating the structural
-    /// invariants with [`validate_parts`] first.
-    ///
-    /// `id_bound` is the exclusive upper bound for target ids: `node_count`
-    /// for a whole graph, the *global* node space for a row range (local
-    /// rows, global target ids). `edge_count` is likewise stored as given: a
-    /// deserialized row range carries the global logical edge count of the
-    /// graph it was cut from, which only the serializer knows.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_raw_parts(
-        node_count: usize,
-        id_bound: usize,
-        directed: bool,
-        edge_count: usize,
-        max_degree: usize,
-        entry_offsets: Vec<u32>,
-        block_starts: Vec<u32>,
-        skip_firsts: Vec<u32>,
-        skip_bytes: Vec<u32>,
-        data: Vec<u8>,
-    ) -> Result<Self, GraphError> {
-        validate_parts(
-            node_count,
-            id_bound,
-            max_degree,
-            &entry_offsets,
-            &block_starts,
-            &skip_firsts,
-            &skip_bytes,
-            &data,
-            "compact CSR parts",
-        )?;
-        Ok(CompactCsr {
-            node_count,
-            directed,
-            edge_count,
-            max_degree,
-            entry_offsets,
-            block_starts,
-            skip_firsts,
-            skip_bytes,
-            data,
         })
     }
 
     /// Borrows the raw delta-block arrays
-    /// `(entry_offsets, block_starts, skip_firsts, skip_bytes, data)`;
-    /// exposed for the segment serializer in `snr-store`.
+    /// `(entry_offsets, block_starts, skip_firsts, skip_bytes, data)`: what
+    /// the segment writer in `snr-store` writes after the header.
     pub fn raw_parts(&self) -> RawParts<'_> {
         (&self.entry_offsets, &self.block_starts, &self.skip_firsts, &self.skip_bytes, &self.data)
     }
@@ -390,8 +324,12 @@ impl GraphView for CompactCsr {
 
 impl CsrGraph {
     /// Converts to the delta-encoded representation; see [`CompactCsr`].
+    ///
+    /// # Panics
+    /// Panics if the adjacency has more than `u32::MAX` entries or the
+    /// encoded gap stream exceeds `u32::MAX` bytes.
     pub fn compact(&self) -> CompactCsr {
-        CompactCsr::from_view(self)
+        CompactCsr::from_view(self).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -477,126 +415,71 @@ mod tests {
         assert!(compact.bytes_per_edge() < csr.bytes_per_edge());
     }
 
-    #[test]
-    fn raw_parts_roundtrip_reconstructs_the_graph() {
-        let csr = CsrGraph::from_edges(50, &[(0, 1), (1, 2), (2, 49), (3, 7), (7, 11)]);
-        let compact = csr.compact();
-        let (eo, bs, sf, sb, data) = compact.raw_parts();
-        let rebuilt = CompactCsr::from_raw_parts(
-            compact.node_count(),
-            compact.node_count(),
-            compact.is_directed(),
-            compact.edge_count(),
-            compact.max_degree(),
-            eo.to_vec(),
-            bs.to_vec(),
-            sf.to_vec(),
-            sb.to_vec(),
-            data.to_vec(),
-        )
-        .unwrap();
-        assert_eq!(rebuilt, compact);
+    /// [`validate_parts_with`] over one layout, with a no-op visitor.
+    #[allow(clippy::too_many_arguments)]
+    fn validate(
+        node_count: usize,
+        id_bound: usize,
+        max_degree: usize,
+        eo: &[u32],
+        bs: &[u32],
+        sf: &[u32],
+        sb: &[u32],
+        data: &[u8],
+    ) -> Result<(), GraphError> {
+        validate_parts_with(node_count, id_bound, max_degree, eo, bs, sf, sb, data, "parts", |_| {})
     }
 
     #[test]
-    fn from_raw_parts_rejects_inconsistent_layouts() {
+    fn validate_parts_rejects_inconsistent_layouts() {
         let csr = CsrGraph::from_edges(10, &[(0, 1), (1, 2), (2, 3)]);
         let compact = csr.compact();
         let (eo, bs, sf, sb, data) = compact.raw_parts();
-        let build = |eo: Vec<u32>, bs: Vec<u32>, sf: Vec<u32>, sb: Vec<u32>, max: usize| {
-            CompactCsr::from_raw_parts(10, 10, false, 3, max, eo, bs, sf, sb, data.to_vec())
+        let check = |eo: &[u32], bs: &[u32], sf: &[u32], sb: &[u32], max: usize| {
+            validate(10, 10, max, eo, bs, sf, sb, data)
         };
         // Baseline is accepted.
-        assert!(build(eo.to_vec(), bs.to_vec(), sf.to_vec(), sb.to_vec(), 2).is_ok());
+        assert!(check(eo, bs, sf, sb, 2).is_ok());
         // Wrong array length.
-        assert!(
-            build(eo[..eo.len() - 1].to_vec(), bs.to_vec(), sf.to_vec(), sb.to_vec(), 2).is_err()
-        );
+        assert!(check(&eo[..eo.len() - 1], bs, sf, sb, 2).is_err());
         // Inconsistent offsets (node 0's claimed degree has no blocks).
         let mut bad = eo.to_vec();
         bad[1] = *bad.last().unwrap() + 1;
-        assert!(build(bad, bs.to_vec(), sf.to_vec(), sb.to_vec(), 2).is_err());
+        assert!(check(&bad, bs, sf, sb, 2).is_err());
         // Claimed max degree off by one.
-        assert!(build(eo.to_vec(), bs.to_vec(), sf.to_vec(), sb.to_vec(), 3).is_err());
+        assert!(check(eo, bs, sf, sb, 3).is_err());
         // Missing skip entry.
-        assert!(
-            build(eo.to_vec(), bs.to_vec(), sf[..sf.len() - 1].to_vec(), sb.to_vec(), 2).is_err()
-        );
+        assert!(check(eo, bs, &sf[..sf.len() - 1], sb, 2).is_err());
     }
 
     #[test]
-    fn from_raw_parts_rejects_gap_streams_that_would_decode_out_of_bounds() {
+    fn validate_parts_rejects_gap_streams_that_would_decode_out_of_bounds() {
         // One node claiming degree 2 in one block, but an empty gap stream:
         // plausible offsets, in-bounds stream start, yet decoding the second
         // element would read past the end. Must be an error, not a panic.
-        let r = CompactCsr::from_raw_parts(
-            1,
-            10,
-            false,
-            1,
-            2,
-            vec![0, 2],
-            vec![0, 1],
-            vec![5],
-            vec![0],
-            vec![],
-        );
+        let one_list = |data: &[u8]| validate(1, 10, 2, &[0, 2], &[0, 1], &[5], &[0], data);
+        let r = one_list(&[]);
         assert!(matches!(r, Err(GraphError::InvalidBinary(_))), "{r:?}");
         // A zero gap (duplicate neighbor) is rejected too.
-        let r = CompactCsr::from_raw_parts(
-            1,
-            10,
-            false,
-            1,
-            2,
-            vec![0, 2],
-            vec![0, 1],
-            vec![5],
-            vec![0],
-            vec![0u8],
-        );
+        let r = one_list(&[0u8]);
         assert!(r.is_err(), "zero gap accepted: {r:?}");
         // Trailing bytes after the last block's gaps are rejected.
         let mut data = Vec::new();
         crate::blocks::write_varint(&mut data, 3);
         data.push(0x01);
-        let r = CompactCsr::from_raw_parts(
-            1,
-            10,
-            false,
-            1,
-            2,
-            vec![0, 2],
-            vec![0, 1],
-            vec![5],
-            vec![0],
-            data,
-        );
+        let r = one_list(&data);
         assert!(r.is_err(), "trailing bytes accepted: {r:?}");
     }
 
     #[test]
-    fn from_raw_parts_rejects_targets_outside_the_node_space() {
+    fn validate_parts_rejects_targets_outside_the_node_space() {
         // A structurally perfect layout whose single list is [5, 8] — legal
-        // for a row range with id_bound 10, out of range for a whole graph of 6
-        // nodes. Consumers index degree arrays and score arenas by these
-        // ids, so the bound must be enforced at construction.
+        // under an id bound of 10, out of range for a graph of 6 nodes.
+        // Consumers index degree arrays and score arenas by these ids, so
+        // the bound must be enforced before the layout is trusted.
         let mut data = Vec::new();
         crate::blocks::write_varint(&mut data, 3);
-        let parts = |id_bound: usize| {
-            CompactCsr::from_raw_parts(
-                1,
-                id_bound,
-                false,
-                2,
-                2,
-                vec![0, 2],
-                vec![0, 1],
-                vec![5],
-                vec![0],
-                data.clone(),
-            )
-        };
+        let parts = |id_bound: usize| validate(1, id_bound, 2, &[0, 2], &[0, 1], &[5], &[0], &data);
         assert!(parts(10).is_ok());
         let r = parts(6);
         assert!(matches!(r, Err(GraphError::InvalidBinary(_))), "{r:?}");

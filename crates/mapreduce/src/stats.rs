@@ -105,7 +105,7 @@ impl EngineStats {
     }
 
     /// Total mapper output across all rounds.
-    pub fn total_map_output_records(&self) -> usize {
+    pub(crate) fn total_map_output_records(&self) -> usize {
         self.per_round.iter().map(|r| r.map_output_records).sum()
     }
 

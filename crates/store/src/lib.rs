@@ -17,9 +17,13 @@
 //! bit-for-bit identical results on it (`tests/backend_equivalence.rs` at the
 //! workspace root pins this).
 //!
-//! Writing goes through [`write_segment`] / [`write_segment_file`]: a
-//! streaming two-pass encoder that works from any [`GraphView`] and never
-//! holds the encoded gap stream in memory.
+//! Storage has one writer and one reader. [`write_segment`] /
+//! [`write_segment_file`] compact any [`GraphView`] with
+//! [`snr_graph::CompactCsr::from_view`] and write its arrays, so the writer
+//! holds one compact copy of the graph while it writes; [`MmapGraph::open`]
+//! is the only way back in. A segment always holds a whole graph: the
+//! header's two range words are always 0 and `node_count`, and a header
+//! with any other value is refused.
 //!
 //! The file format (layout, versioning, checksum) is documented in
 //! [`segment`]. The footer checksum, [`Checksum64`], and the [`wire`] codec
@@ -43,4 +47,4 @@ pub mod wire;
 
 pub use checksum::{checksum64, Checksum64};
 pub use mmap::MmapGraph;
-pub use segment::{read_segment, write_segment, write_segment_file, SegmentMeta};
+pub use segment::{write_segment, write_segment_file, SegmentMeta};

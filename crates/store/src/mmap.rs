@@ -14,9 +14,7 @@
 //! [`CompactCsr`]: snr_graph::CompactCsr
 
 use crate::checksum::Checksum64;
-use crate::segment::{
-    invalid, parse_segment_structure, Layout, SegmentMeta, FOOTER_LEN, HEADER_LEN,
-};
+use crate::segment::{invalid, structure_of, Layout, SegmentMeta, FOOTER_LEN, HEADER_LEN};
 use memmap2::{Advice, Mmap};
 use snr_graph::blocks::BlockNeighbors;
 use snr_graph::compact::validate_parts_with;
@@ -39,10 +37,9 @@ fn u32_slice(bytes: &[u8]) -> &[u32] {
 
 /// A read-only graph served directly from a mapped segment file.
 ///
-/// Implements [`GraphView`]; a whole-graph segment behaves exactly like the
-/// `CompactCsr` it was written from. A segment holding only a range of rows
-/// is rejected on open: its targets are global ids outside the local row
-/// range.
+/// Implements [`GraphView`]; it behaves exactly like the `CompactCsr` the
+/// segment was written from. A header whose range words describe anything
+/// but a whole graph is rejected on open.
 #[derive(Debug)]
 pub struct MmapGraph {
     map: Mmap,
@@ -51,7 +48,8 @@ pub struct MmapGraph {
 }
 
 impl MmapGraph {
-    /// Maps and validates the whole-graph segment at `path`.
+    /// Maps and validates the whole-graph segment at `path`: the only way
+    /// to read a segment back.
     #[allow(unsafe_code)]
     pub fn open<P: AsRef<Path>>(path: P) -> Result<MmapGraph, GraphError> {
         let path = path.as_ref();
@@ -87,7 +85,7 @@ impl MmapGraph {
         // right after.
         const HASH_SPAN: usize = 64 * 1024;
         let _ = map.advise(Advice::Sequential);
-        let meta = parse_segment_structure(&map)?;
+        let meta = structure_of(&map)?;
         let layout = meta.layout();
         let mut hash = Checksum64::new();
         hash.update(&map[..layout.data.start]);
@@ -95,7 +93,7 @@ impl MmapGraph {
         let (mut hashed, mut walked) = (0usize, 0usize);
         validate_parts_with(
             meta.node_count,
-            meta.total_nodes,
+            meta.node_count,
             meta.max_degree,
             u32_slice(&map[layout.entry_offsets.clone()]),
             u32_slice(&map[layout.block_starts.clone()]),
@@ -203,9 +201,9 @@ impl GraphView for MmapGraph {
     /// `madvise(MADV_WILLNEED)` over exactly the byte spans that back
     /// `rows`: their slices of the two row-indexed offset arrays, the skip
     /// arrays of their delta blocks, and the blocks' gap-stream span. A
-    /// driver worker calls this (via `score_assigned_rows`) right before
-    /// scoring its assigned row-range, so the kernel faults the pages in
-    /// ahead of the scoring loop instead of one miss at a time.
+    /// driver worker's scorer calls this right before scoring its assigned
+    /// row-range, so the kernel faults the pages in ahead of the scoring
+    /// loop instead of one miss at a time.
     fn advise_rows(&self, rows: std::ops::Range<u32>) {
         let lo = (rows.start as usize).min(self.meta.node_count);
         let hi = (rows.end as usize).min(self.meta.node_count);
@@ -244,17 +242,9 @@ impl GraphView for MmapGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{write_segment, write_segment_range};
+    use crate::segment::tests::{open_bytes, reseal, with_range_words};
+    use crate::segment::write_segment;
     use snr_graph::CsrGraph;
-    use std::io::Write as _;
-    use std::path::PathBuf;
-
-    fn temp_segment(name: &str, bytes: &[u8]) -> PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("snr-store-mmap-{}-{name}", std::process::id()));
-        std::fs::File::create(&path).unwrap().write_all(bytes).unwrap();
-        path
-    }
 
     fn sample() -> CsrGraph {
         let edges: Vec<(u32, u32)> =
@@ -267,8 +257,7 @@ mod tests {
         let g = sample();
         let mut buf = Vec::new();
         write_segment(&g, &mut buf).unwrap();
-        let path = temp_segment("match", &buf);
-        let m = MmapGraph::open(&path).unwrap();
+        let m = open_bytes(&buf).unwrap();
         assert_eq!(m.node_count(), g.node_count());
         assert_eq!(m.edge_count(), g.edge_count());
         assert_eq!(m.max_degree(), GraphView::max_degree(&g));
@@ -288,28 +277,33 @@ mod tests {
             }
         }
         assert!(m.memory_bytes() <= m.file_len());
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn open_rejects_corruption_and_partial_segments() {
-        let g = sample();
+    fn open_rejects_a_corrupted_payload_byte() {
+        let mut buf = Vec::new();
+        write_segment(&sample(), &mut buf).unwrap();
+        let idx = buf.len() - 20;
+        buf[idx] ^= 0xff;
+        assert!(open_bytes(&buf).is_err());
+    }
+
+    #[test]
+    fn row_range_headers_are_refused() {
+        // Sound bytes (resealed), yet a header claiming rows 2..6 of 8, or a
+        // node space other than its own rows, must not open.
+        let g = CsrGraph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4), (6, 7)]);
         let mut buf = Vec::new();
         write_segment(&g, &mut buf).unwrap();
-        // Corrupt one payload byte.
-        let mut bad = buf.clone();
-        let idx = bad.len() - 20;
-        bad[idx] ^= 0xff;
-        let path = temp_segment("corrupt", &bad);
-        assert!(MmapGraph::open(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
-        // A segment of a row range is refused.
-        let mut partial = Vec::new();
-        write_segment_range(&g, &mut partial, 0..100).unwrap();
-        let path = temp_segment("partial", &partial);
-        let err = MmapGraph::open(&path).unwrap_err();
-        assert!(err.to_string().contains("rows 0..100 of 200, not a whole graph"), "{err}");
-        std::fs::remove_file(&path).unwrap();
+        for ([total, first, count], want) in [
+            ([8, 2, 4], "segment holds rows 2..6 of 8, not a whole graph"),
+            ([9, 0, 8], "segment holds rows 0..8 of 9, not a whole graph"),
+        ] {
+            let bad = with_range_words(&buf, total, first, count);
+            assert!(crate::wire::open_sealed(&bad).is_ok(), "{want}: footer not resealed");
+            let err = open_bytes(&bad).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 
     #[test]
@@ -323,47 +317,30 @@ mod tests {
         let mut buf = Vec::new();
         let meta = write_segment(&g, &mut buf).unwrap();
         assert!(meta.data_len > 3 * 64 * 1024, "gap stream is only {} bytes", meta.data_len);
-        let path = temp_segment("long", &buf);
-        let m = MmapGraph::open(&path).unwrap();
-        assert_eq!(m.edge_count(), g.edge_count());
-        let mut bad = buf.clone();
+        assert_eq!(open_bytes(&buf).unwrap().edge_count(), g.edge_count());
         let idx = HEADER_LEN + meta.payload_len() - 1;
-        bad[idx] ^= 0x01;
-        std::fs::write(&path, &bad).unwrap();
-        assert!(MmapGraph::open(&path).is_err(), "flip in the last gap byte was accepted");
-        std::fs::remove_file(&path).unwrap();
+        buf[idx] ^= 0x01;
+        assert!(open_bytes(&buf).is_err(), "flip in the last gap byte was accepted");
     }
 
     #[test]
     fn version_1_segments_are_clean_errors() {
-        let g = sample();
-        let mut buf = Vec::new();
-        write_segment(&g, &mut buf).unwrap();
-        let mut old = buf.clone();
+        let mut old = Vec::new();
+        write_segment(&sample(), &mut old).unwrap();
         old[4..6].copy_from_slice(&1u16.to_le_bytes());
         // Whether the footer is left alone or re-sealed, the header's
         // version check fires before the checksum is compared.
-        let body = old.len() - FOOTER_LEN;
         let mut resealed = old.clone();
-        let sum = crate::checksum64(&resealed[..body]);
-        resealed[body..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut resealed);
         for (name, bytes) in [("v1", &old), ("v1-sealed", &resealed)] {
-            let path = temp_segment(name, bytes);
-            for err in [
-                MmapGraph::open(&path).unwrap_err(),
-                crate::read_segment(bytes.as_slice()).unwrap_err(),
-            ] {
-                assert!(err.to_string().contains("unsupported segment version 1"), "{name}: {err}");
-            }
-            std::fs::remove_file(&path).unwrap();
+            let err = open_bytes(bytes).unwrap_err();
+            assert!(err.to_string().contains("unsupported segment version 1"), "{name}: {err}");
         }
     }
 
     #[test]
     fn open_rejects_missing_and_empty_files() {
         assert!(MmapGraph::open("/nonexistent/segment.snrs").is_err());
-        let path = temp_segment("empty", &[]);
-        assert!(MmapGraph::open(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
+        assert!(open_bytes(&[]).is_err());
     }
 }

@@ -1,5 +1,5 @@
 //! The on-disk segment format: one checksummed file holding the
-//! delta-block layout of [`CompactCsr`] for a contiguous range of rows.
+//! delta-block layout of one whole [`CompactCsr`].
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -9,13 +9,13 @@
 //!      4     2  format version (currently 2)
 //!      6     1  flags (bit 0: directed)
 //!      7     1  reserved (0)
-//!      8     8  total_nodes   — size of the global node-id space
-//!     16     8  first_node    — global id of this segment's row 0
+//!      8     8  total_nodes   — always node_count
+//!     16     8  first_node    — always 0
 //!     24     8  node_count    — rows stored in this segment
-//!     32     8  edge_count    — global logical edge count
-//!     40     8  max_degree    — largest degree among this segment's rows
-//!     48     8  entry_count   — adjacency entries in this segment
-//!     56     8  block_count   — delta blocks in this segment
+//!     32     8  edge_count    — logical edge count
+//!     40     8  max_degree    — largest row degree
+//!     48     8  entry_count   — adjacency entries
+//!     56     8  block_count   — delta blocks
 //!     64     8  data_len      — gap-stream bytes
 //!     72     …  entry_offsets — (node_count + 1) × u32
 //!            …  block_starts  — (node_count + 1) × u32
@@ -32,24 +32,21 @@
 //! Files of any other version, including version 1 (same layout, an older
 //! footer checksum), are rejected by the header's version check.
 //!
-//! A segment with `first_node == 0 && node_count == total_nodes` is a whole
-//! graph, the only kind the public writers produce and the readers
-//! ([`read_segment`], [`crate::MmapGraph::open`]) accept. The header keeps the two fields so
-//! the format can describe a row range whose neighbor lists carry *global*
-//! target ids; the crate's own tests write such a segment to check that
-//! it is refused.
+//! A segment always holds a whole graph. The two range words,
+//! `total_nodes` and `first_node`, are written as `node_count` and 0, and
+//! [`SegmentMeta::from_header_bytes`] refuses a header with any other value
+//! ("not a whole graph"), so no reader sees a row range whose targets lie
+//! outside its own rows.
 //!
-//! [`write_segment`] streams from any [`GraphView`] in two passes:
-//! pass 1 sizes the gap stream and materializes only the index arrays
-//! (~8 bytes/node + 8 bytes/block), pass 2 re-encodes the neighbor lists
-//! straight into the writer — the O(edges) gap stream itself is never held
-//! in memory, so a `CsrGraph` can be spilled without first building its
-//! `CompactCsr`.
+//! There is one encoder and one reader. [`write_segment`] compacts the
+//! graph with [`CompactCsr::from_view`] and writes the header, the four
+//! index arrays of [`CompactCsr::raw_parts`] and the gap stream, so it holds
+//! one compact copy of the graph while it writes. [`crate::MmapGraph::open`]
+//! maps the file back and validates it.
 
 use crate::wire::{self, Format, HashWriter, Reader, WireError, Writer};
-use snr_graph::blocks::{varint_len, write_varint, BLOCK_SIZE};
-use snr_graph::{CompactCsr, GraphError, GraphView, NodeId};
-use std::io::{Read, Write};
+use snr_graph::{CompactCsr, GraphError, GraphView};
+use std::io::Write;
 use std::ops::Range;
 
 /// Magic bytes identifying a graph segment file.
@@ -71,15 +68,11 @@ pub(crate) fn invalid(e: WireError) -> GraphError {
 /// Parsed segment header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SegmentMeta {
-    /// Size of the global node-id space the segment's targets refer to.
-    pub total_nodes: usize,
-    /// Global id of the segment's local row 0.
-    pub first_node: usize,
-    /// Number of rows stored in the segment.
+    /// Number of rows (nodes) stored in the segment.
     pub node_count: usize,
-    /// Global logical edge count of the graph the segment was cut from.
+    /// Logical edge count of the graph.
     pub edge_count: usize,
-    /// Largest degree among the segment's rows.
+    /// Largest row degree.
     pub max_degree: usize,
     /// Adjacency entries stored in the segment.
     pub entry_count: usize,
@@ -102,11 +95,6 @@ pub(crate) struct Layout {
 }
 
 impl SegmentMeta {
-    /// True when the segment holds a strict subrange of the node-id space.
-    pub(crate) fn is_partial(&self) -> bool {
-        self.first_node != 0 || self.node_count != self.total_nodes
-    }
-
     /// Total file size implied by the header.
     pub fn file_len(&self) -> usize {
         HEADER_LEN + self.payload_len() + FOOTER_LEN
@@ -150,9 +138,10 @@ impl SegmentMeta {
         FORMAT.put_header(&mut w);
         w.u8(self.directed as u8);
         w.u8(0);
+        // The range words: a whole graph is rows 0..node_count of node_count.
         for v in [
-            self.total_nodes,
-            self.first_node,
+            self.node_count,
+            0,
             self.node_count,
             self.edge_count,
             self.max_degree,
@@ -165,7 +154,9 @@ impl SegmentMeta {
         out
     }
 
-    /// Parses and sanity-checks the fixed header (not the payload).
+    /// Parses and sanity-checks the fixed header (not the payload). A
+    /// header whose range words do not describe a whole graph (see the
+    /// module docs) is refused.
     pub fn from_header_bytes(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
         let read = |r: &mut Reader<'_>| -> Result<([u8; 2], [u64; 8]), WireError> {
             FORMAT.check_header(r)?;
@@ -180,6 +171,14 @@ impl SegmentMeta {
         if flags[0] > 1 || flags[1] != 0 {
             return Err(GraphError::InvalidBinary("invalid segment flags".into()));
         }
+        let [total_nodes, first_node, node_count, ..] = words;
+        if first_node != 0 || node_count != total_nodes {
+            // Widened: a corrupted header's sum can overflow u64.
+            return Err(GraphError::InvalidBinary(format!(
+                "segment holds rows {first_node}..{} of {total_nodes}, not a whole graph",
+                first_node as u128 + node_count as u128
+            )));
+        }
         let word = |i: usize| -> Result<usize, GraphError> {
             usize::try_from(words[i]).map_err(|_| {
                 GraphError::InvalidBinary(format!(
@@ -188,9 +187,7 @@ impl SegmentMeta {
                 ))
             })
         };
-        let meta = SegmentMeta {
-            total_nodes: word(0)?,
-            first_node: word(1)?,
+        Ok(SegmentMeta {
             node_count: word(2)?,
             edge_count: word(3)?,
             max_degree: word(4)?,
@@ -198,18 +195,7 @@ impl SegmentMeta {
             block_count: word(6)?,
             data_len: word(7)?,
             directed: flags[0] == 1,
-        };
-        // Widened: corrupted headers can hold values whose sum overflows
-        // usize, and that must be an error, not an overflow panic.
-        if meta.first_node as u128 + meta.node_count as u128 > meta.total_nodes as u128 {
-            return Err(GraphError::InvalidBinary(format!(
-                "segment rows {}..{} exceed the declared {} total nodes",
-                meta.first_node,
-                meta.first_node + meta.node_count,
-                meta.total_nodes
-            )));
-        }
-        Ok(meta)
+        })
     }
 }
 
@@ -226,14 +212,36 @@ fn write_u32s<W: Write>(w: &mut W, values: &[u32]) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Writes the whole of `g` as one segment, streaming in two passes: a
-/// sizing pass that builds only the index arrays, then an encoding pass
-/// straight into `w`. Returns the header that was written.
+/// Writes the whole of `g` as one segment: compacts it with
+/// [`CompactCsr::from_view`], then writes the header, the four index arrays
+/// and the gap stream. Returns the header that was written.
+///
+/// # Errors
+/// [`GraphError::InvalidParameter`] if the adjacency or the encoded gap
+/// stream does not fit `u32` offsets; [`GraphError::Io`] if writing fails.
 pub fn write_segment<G: GraphView, W: Write>(g: &G, w: W) -> Result<SegmentMeta, GraphError> {
-    write_segment_range(g, w, 0..g.node_count() as u32)
+    let compact = CompactCsr::from_view(g)?;
+    let (entry_offsets, block_starts, skip_firsts, skip_bytes, data) = compact.raw_parts();
+    let meta = SegmentMeta {
+        node_count: compact.node_count(),
+        edge_count: compact.edge_count(),
+        max_degree: compact.max_degree(),
+        entry_count: compact.total_degree(),
+        block_count: compact.block_count(),
+        data_len: data.len(),
+        directed: compact.is_directed(),
+    };
+    let mut hw = HashWriter::new(w);
+    hw.write_all(&meta.to_header_bytes())?;
+    for array in [entry_offsets, block_starts, skip_firsts, skip_bytes] {
+        write_u32s(&mut hw, array)?;
+    }
+    hw.write_all(data)?;
+    hw.finish()?;
+    Ok(meta)
 }
 
-/// Creates (or truncates) the file at `path` and streams the whole of `g`
+/// Creates (or truncates) the file at `path` and writes the whole of `g`
 /// into it as one buffered segment, returning the written header. The
 /// file-based convenience over [`write_segment`]; reopen with
 /// [`crate::MmapGraph::open`].
@@ -245,100 +253,12 @@ pub fn write_segment_file<G: GraphView>(
     write_segment(g, std::io::BufWriter::new(file))
 }
 
-/// Writes rows `rows` of `g` as one segment, target ids left global. See
-/// [`write_segment`].
-pub(crate) fn write_segment_range<G: GraphView, W: Write>(
-    g: &G,
-    w: W,
-    rows: Range<u32>,
-) -> Result<SegmentMeta, GraphError> {
-    let n = g.node_count();
-    if rows.start > rows.end || rows.end as usize > n {
-        return Err(GraphError::InvalidParameter(format!(
-            "segment rows {rows:?} out of range for a graph with {n} nodes"
-        )));
-    }
-
-    // Pass 1: per-row entry/block offsets, skip entries, and the gap-stream
-    // size — everything except the gaps themselves.
-    let local_n = (rows.end - rows.start) as usize;
-    let mut entry_offsets = Vec::with_capacity(local_n + 1);
-    let mut block_starts = Vec::with_capacity(local_n + 1);
-    let mut skip_firsts = Vec::new();
-    let mut skip_bytes = Vec::new();
-    let mut data_len = 0usize;
-    let mut max_degree = 0usize;
-    entry_offsets.push(0u32);
-    block_starts.push(0u32);
-    for (local, v) in rows.clone().enumerate() {
-        let mut prev = 0u32;
-        let mut count = 0usize;
-        for x in g.neighbors_iter(NodeId(v)) {
-            if count.is_multiple_of(BLOCK_SIZE) {
-                skip_firsts.push(x.0);
-                skip_bytes.push(u32::try_from(data_len).map_err(|_| {
-                    GraphError::InvalidParameter("segment gap stream overflows u32 offsets".into())
-                })?);
-            } else {
-                data_len += varint_len(x.0 - prev);
-            }
-            prev = x.0;
-            count += 1;
-        }
-        max_degree = max_degree.max(count);
-        let entries = entry_offsets[local] as usize + count;
-        entry_offsets.push(u32::try_from(entries).map_err(|_| {
-            GraphError::InvalidParameter("segment adjacency overflows u32 offsets".into())
-        })?);
-        block_starts.push(skip_firsts.len() as u32);
-    }
-
-    let meta = SegmentMeta {
-        total_nodes: n,
-        first_node: rows.start as usize,
-        node_count: local_n,
-        edge_count: g.edge_count(),
-        max_degree,
-        entry_count: *entry_offsets.last().expect("non-empty") as usize,
-        block_count: skip_firsts.len(),
-        data_len,
-        directed: g.is_directed(),
-    };
-
-    // Pass 2: stream everything through the hashing writer.
-    let mut hw = HashWriter::new(w);
-    hw.write_all(&meta.to_header_bytes())?;
-    write_u32s(&mut hw, &entry_offsets)?;
-    write_u32s(&mut hw, &block_starts)?;
-    write_u32s(&mut hw, &skip_firsts)?;
-    write_u32s(&mut hw, &skip_bytes)?;
-    let mut gap_buf: Vec<u8> = Vec::with_capacity(4 * BLOCK_SIZE);
-    let mut written = 0usize;
-    for v in rows {
-        gap_buf.clear();
-        let mut prev = 0u32;
-        for (count, x) in g.neighbors_iter(NodeId(v)).enumerate() {
-            if !count.is_multiple_of(BLOCK_SIZE) {
-                write_varint(&mut gap_buf, x.0 - prev);
-            }
-            prev = x.0;
-        }
-        written += gap_buf.len();
-        hw.write_all(&gap_buf)?;
-    }
-    debug_assert_eq!(written, data_len, "sizing and encoding passes disagree");
-    hw.finish()?;
-    Ok(meta)
-}
-
 /// Validates a segment image's header and section lengths — everything
-/// *except* the checksum scan — and returns the parsed header. A segment
-/// of a row range (see the module docs) is refused here, so every reader
-/// rejects it with the same error. Callers that
-/// read the whole payload anyway (the mmap-backed open's fused
-/// validate-and-checksum pass) use this plus [`wire::verify_footer`] so the
-/// file is scanned once, not twice.
-pub(crate) fn parse_segment_structure(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
+/// *except* the payload walk and the checksum — and returns the parsed
+/// header. [`crate::MmapGraph::open`] follows it with one fused
+/// validate-and-checksum pass over the payload, so the file is scanned
+/// once, not twice.
+pub(crate) fn structure_of(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
     let meta = SegmentMeta::from_header_bytes(bytes)?;
     meta.check_file_len(bytes.len() as u64)?;
     let layout = meta.layout();
@@ -351,55 +271,15 @@ pub(crate) fn parse_segment_structure(bytes: &[u8]) -> Result<SegmentMeta, Graph
             meta.entry_count
         )));
     }
-    if meta.is_partial() {
-        return Err(GraphError::InvalidBinary(format!(
-            "segment holds rows {}..{} of {}, not a whole graph",
-            meta.first_node,
-            meta.first_node + meta.node_count,
-            meta.total_nodes
-        )));
-    }
     Ok(meta)
-}
-
-/// Validates a complete in-memory segment image (header, section lengths,
-/// checksum) and returns its parsed header.
-pub(crate) fn parse_segment(bytes: &[u8]) -> Result<SegmentMeta, GraphError> {
-    let meta = parse_segment_structure(bytes)?;
-    wire::open_sealed(bytes).map_err(invalid)?;
-    Ok(meta)
-}
-
-fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect()
-}
-
-/// Reads a segment into memory as a [`CompactCsr`] (plus its header),
-/// verifying its checksum.
-pub fn read_segment<R: Read>(mut r: R) -> Result<(SegmentMeta, CompactCsr), GraphError> {
-    let mut bytes = Vec::new();
-    r.read_to_end(&mut bytes)?;
-    let meta = parse_segment(&bytes)?;
-    let layout = meta.layout();
-    let compact = CompactCsr::from_raw_parts(
-        meta.node_count,
-        meta.total_nodes,
-        meta.directed,
-        meta.edge_count,
-        meta.max_degree,
-        decode_u32s(&bytes[layout.entry_offsets]),
-        decode_u32s(&bytes[layout.block_starts]),
-        decode_u32s(&bytes[layout.skip_firsts]),
-        decode_u32s(&bytes[layout.skip_bytes]),
-        bytes[layout.data].to_vec(),
-    )?;
-    Ok((meta, compact))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use snr_graph::CsrGraph;
+    use crate::MmapGraph;
+    use snr_graph::{CsrGraph, NodeId};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample() -> CsrGraph {
         CsrGraph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4), (6, 7)])
@@ -411,32 +291,45 @@ mod tests {
         (meta, buf)
     }
 
-    #[test]
-    fn roundtrips_through_memory() {
-        let g = sample();
-        let (meta, buf) = segment_bytes(&g);
-        assert_eq!(buf.len(), meta.file_len());
-        assert!(!meta.is_partial());
-        let (meta2, compact) = read_segment(buf.as_slice()).unwrap();
-        assert_eq!(meta, meta2);
-        assert_eq!(compact, g.compact());
+    /// Writes `bytes` to a fresh temp file and opens it with
+    /// [`MmapGraph::open`]; the file is unlinked before returning (a live
+    /// mapping outlives it).
+    pub(crate) fn open_bytes(bytes: &[u8]) -> Result<MmapGraph, GraphError> {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("snr-store-seg-{}-{n}", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let opened = MmapGraph::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        opened
+    }
+
+    /// Recomputes the footer checksum of a patched segment image.
+    pub(crate) fn reseal(buf: &mut [u8]) {
+        let body = buf.len() - FOOTER_LEN;
+        let sum = crate::checksum64(&buf[..body]);
+        buf[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// A resealed copy of `buf` with the header words `total_nodes`,
+    /// `first_node` and `node_count` replaced.
+    pub(crate) fn with_range_words(buf: &[u8], total: u64, first: u64, count: u64) -> Vec<u8> {
+        let mut out = buf.to_vec();
+        for (at, v) in [(8, total), (16, first), (24, count)] {
+            out[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        reseal(&mut out);
+        out
     }
 
     #[test]
-    fn row_range_segments_are_refused() {
+    fn roundtrips_through_a_file() {
         let g = sample();
-        let mut buf = Vec::new();
-        let meta = write_segment_range(&g, &mut buf, 2..6).unwrap();
-        assert!(meta.is_partial());
-        assert_eq!((meta.first_node, meta.node_count, meta.total_nodes), (2, 4, 8));
-        // The bytes are sound (checksum and structure), yet neither reader
-        // may hand out a graph whose targets exceed its own node count.
-        assert!(wire::open_sealed(&buf).is_ok());
-        let err = read_segment(buf.as_slice()).unwrap_err();
-        assert!(
-            err.to_string().contains("segment holds rows 2..6 of 8, not a whole graph"),
-            "{err}"
-        );
+        let (meta, buf) = segment_bytes(&g);
+        assert_eq!(buf.len(), meta.file_len());
+        let m = open_bytes(&buf).unwrap();
+        assert_eq!(*m.meta(), meta);
+        assert_eq!(CompactCsr::from_view(&m).unwrap(), g.compact());
     }
 
     #[test]
@@ -445,11 +338,7 @@ mod tests {
         for pos in 0..buf.len() {
             let mut bad = buf.clone();
             bad[pos] ^= 0x40;
-            assert!(
-                read_segment(bad.as_slice()).is_err(),
-                "flip at byte {pos} of {} was accepted",
-                buf.len()
-            );
+            assert!(open_bytes(&bad).is_err(), "flip at byte {pos} of {} was accepted", buf.len());
         }
     }
 
@@ -457,16 +346,9 @@ mod tests {
     fn truncation_and_garbage_are_rejected() {
         let (_, buf) = segment_bytes(&sample());
         for cut in [0, 3, HEADER_LEN - 1, HEADER_LEN, buf.len() - 1] {
-            assert!(read_segment(&buf[..cut]).is_err(), "cut at {cut}");
+            assert!(open_bytes(&buf[..cut]).is_err(), "cut at {cut}");
         }
-        assert!(read_segment(&b"not a segment at all"[..]).is_err());
-    }
-
-    #[test]
-    fn out_of_range_rows_are_rejected() {
-        let g = sample();
-        let mut buf = Vec::new();
-        assert!(write_segment_range(&g, &mut buf, 4..20).is_err());
+        assert!(open_bytes(b"not a segment at all").is_err());
     }
 
     #[test]
@@ -474,9 +356,9 @@ mod tests {
         let g = CsrGraph::from_edges(0, &[]);
         let (meta, buf) = segment_bytes(&g);
         assert_eq!(meta.node_count, 0);
-        let (_, compact) = read_segment(buf.as_slice()).unwrap();
-        assert_eq!(compact.node_count(), 0);
-        assert_eq!(compact.edge_count(), 0);
+        let m = open_bytes(&buf).unwrap();
+        assert_eq!(m.node_count(), 0);
+        assert_eq!(m.edge_count(), 0);
     }
 
     #[test]
@@ -487,9 +369,46 @@ mod tests {
         let g = b.build();
         let (meta, buf) = segment_bytes(&g);
         assert!(meta.directed);
-        let (_, compact) = read_segment(buf.as_slice()).unwrap();
-        assert!(compact.is_directed());
-        assert_eq!(compact.to_csr(), g);
+        let m = open_bytes(&buf).unwrap();
+        assert!(m.is_directed());
+        assert_eq!(CompactCsr::from_view(&m).unwrap().to_csr(), g);
+    }
+
+    /// A view claiming more adjacency entries than `u32` offsets address.
+    struct Oversized;
+
+    impl GraphView for Oversized {
+        fn node_count(&self) -> usize {
+            1
+        }
+        fn edge_count(&self) -> usize {
+            0
+        }
+        fn is_directed(&self) -> bool {
+            true
+        }
+        fn max_degree(&self) -> usize {
+            0
+        }
+        fn degree(&self, _: NodeId) -> usize {
+            0
+        }
+        fn total_degree(&self) -> usize {
+            u32::MAX as usize + 1
+        }
+        fn neighbors_iter(&self, _: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+            std::iter::empty()
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn adjacency_past_u32_is_a_clean_error() {
+        let err = write_segment(&Oversized, Vec::new()).unwrap_err();
+        assert!(matches!(err, GraphError::InvalidParameter(_)), "{err}");
+        assert!(err.to_string().contains("overflow u32 offsets"), "{err}");
     }
 
     /// The exact bytes of one small segment: header, the four index arrays,
@@ -500,6 +419,6 @@ mod tests {
         let (_, buf) = segment_bytes(&g);
         let hex: String = buf.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, "534e52530200000004000000000000000000000000000000040000000000000004000000000000000300000000000000080000000000000004000000000000000400000000000000000000000200000004000000070000000800000000000000010000000200000003000000040000000100000000000000000000000200000000000000010000000200000004000000010201021d83fa5b978f618d");
-        assert_eq!(read_segment(buf.as_slice()).unwrap().1, g.compact());
+        assert_eq!(CompactCsr::from_view(&open_bytes(&buf).unwrap()).unwrap(), g.compact());
     }
 }

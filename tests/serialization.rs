@@ -8,7 +8,7 @@ use social_reconcile::experiments::datasets::{facebook_like, Scale};
 use social_reconcile::graph::io::{read_edge_list, write_edge_list};
 use social_reconcile::metrics::{ExperimentRecord, MeasuredRow};
 use social_reconcile::prelude::*;
-use social_reconcile::store::{read_segment, write_segment};
+use social_reconcile::store::write_segment_file;
 
 #[test]
 fn graph_edge_list_roundtrip_through_a_file() {
@@ -36,17 +36,19 @@ fn graph_binary_roundtrip_preserves_reconciliation_results() {
     let pair = independent_deletion_symmetric(&g, 0.6, &mut rng).unwrap();
     let seeds = sample_seeds(&pair, 0.10, &mut rng).unwrap();
 
-    // Write both copies as segments, read them back, and check the matcher
-    // produces the identical link set on the round-tripped graphs.
+    // Write both copies as segment files, map them back, and check the
+    // matcher produces the identical link set on the round-tripped graphs.
+    let path = std::env::temp_dir().join(format!("snr-serialization-{}.snrs", std::process::id()));
     let roundtrip = |g: &CsrGraph| {
-        let mut bytes = Vec::new();
-        write_segment(g, &mut bytes).unwrap();
-        read_segment(bytes.as_slice()).unwrap().1.to_csr()
+        write_segment_file(g, &path).unwrap();
+        let mapped = MmapGraph::open(&path).unwrap();
+        CompactCsr::from_view(&mapped).unwrap().to_csr()
     };
     let g1 = roundtrip(&pair.g1);
     let g2 = roundtrip(&pair.g2);
     assert_eq!(g1, pair.g1);
     assert_eq!(g2, pair.g2);
+    std::fs::remove_file(&path).unwrap();
 
     let direct = UserMatching::with_defaults().run(&pair.g1, &pair.g2, &seeds);
     let roundtripped = UserMatching::with_defaults().run(&g1, &g2, &seeds);
