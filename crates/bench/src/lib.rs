@@ -1,10 +1,9 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! Shared fixtures for the `bench_witnesses` Criterion benchmark.
 //!
-//! The benchmarks regenerate the performance-oriented results of the paper
-//! (the Table 2 scaling shape) and provide microbenchmarks for the pieces
-//! the complexity analysis talks about: witness counting, one matching
-//! phase, the MapReduce engine overhead, and the generators used to build
-//! workloads. All fixtures are deterministic.
+//! The benchmark times one witness-scoring phase through every executor's
+//! entry point; CI gates its labels against `BENCH_BASELINE.json`. Whole
+//! runs are timed by `perfbench/` and the Table 2 scaling shape by the
+//! `table2_scalability` record. All fixtures are deterministic.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

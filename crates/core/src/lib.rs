@@ -31,7 +31,7 @@
 //!   every node of degree at least 1;
 //! * [`Linking`] — the growing set of identification links;
 //! * the phase kernel in [`scoring`]: one row kernel
-//!   ([`scoring::ScoreArena::score_row`]) with mutual-best selection fused
+//!   (`ScoreArena::score_row`) with mutual-best selection fused
 //!   into row finalization, and one entry point per executor — in-process
 //!   sequential or rayon, the MapReduce engine, the distributed driver's
 //!   row ranges, and LSH blocking ([`blocking`]);

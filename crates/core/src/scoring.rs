@@ -26,12 +26,12 @@
 //!   translated to node ids exactly once, at its executor's boundary (see
 //!   below); ties abstain, so the relabelling changes no selection and no
 //!   count.
-//! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
+//! * **`ScoreArena`** accumulates one row into a dense, generation-stamped
 //!   scratch: one packed `u64` cell per rank holding
 //!   `(stamp << 32) | score`, plus the `touched` list. Starting a row is
 //!   O(1) (bump the epoch), and a contribution is one read-modify-write of
 //!   one cell — one random cache line per witness, where separate stamp and
-//!   score arrays cost two. [`ScoreArena::score_row`] is the one row kernel
+//!   score arrays cost two. `ScoreArena::score_row` is the one row kernel
 //!   every executor runs, and its bump is branch-free (see below).
 //! * **[`SelectSink`]** receives each finished row and fuses mutual-best
 //!   selection into row finalization — it keeps each row's argmax and a
@@ -46,7 +46,7 @@
 //! # Threshold-filtered selection
 //!
 //! Only entries with a score of at least the threshold `T` can affect the
-//! selection, so [`SelectSink::row`] counts every touched entry into
+//! selection, so `SelectSink::row` counts every touched entry into
 //! `scored_pairs` but folds only the entries scoring `≥ T` into the row
 //! best and the per-`v` bests. This is exact:
 //!
@@ -67,7 +67,7 @@
 //! they would make are close to coin flips: about half of all bumps are a
 //! row's first touch of their cell, and most scored pairs fall below `T`.
 //!
-//! * [`ScoreArena::bump`] sets every cell to
+//! * `ScoreArena::bump` sets every cell to
 //!   `max(cell, epoch << 32) + 1`. Stamps never exceed the epoch, so the
 //!   cell is current iff it is at least `epoch << 32`: this adds one to a
 //!   current score and starts a stale cell at `(epoch << 32) | 1`. It
@@ -116,7 +116,7 @@
 //! 938× at the RMAT-16 witness pass) and the shuffled bytes from 12 per
 //! contribution to 8 per scored pair, or 4 when every entry of the row
 //! fits in 4 bytes (the charge stays 8). A task splits its rows across the
-//! engine's workers, one [`ScoreArena`] per piece, and concatenates the
+//! engine's workers, one `ScoreArena` per piece, and concatenates the
 //! pieces' records in order: a round whose rows fit in one task still uses
 //! every worker, and the records, spill decisions and run files are those
 //! of one thread. The shuffle range-partitions by `u`, so each reduce
@@ -161,7 +161,7 @@ pub(crate) const PARALLEL_CUTOFF: usize = 64;
 /// The build gives the phase's eligible copy-2 nodes dense ranks
 /// `0..eligible_count()`, ordered by `⌊log₂ degree⌋` descending, then by
 /// ascending id. Most witness bumps land on the few high-degree nodes, so
-/// their [`ScoreArena`] and [`SelectSink`] cells share the first cache
+/// their `ScoreArena` and [`SelectSink`] cells share the first cache
 /// lines instead of spreading over all of copy 2, and the eligible nodes of
 /// any power-of-two degree bound are a rank prefix. [`LinkCache::nodes`]
 /// maps a rank back to its node; a rank-space sink crosses back to node
@@ -387,7 +387,7 @@ fn prefix_sum_within(counts: &mut [u32], limit: u32) {
 /// The bump is branch-free: it sets the cell to `max(cell, epoch << 32) + 1`
 /// and writes `v` past the end of the touched list, which advances only on
 /// a first touch (see the module docs for why this is exact).
-pub struct ScoreArena {
+pub(crate) struct ScoreArena {
     /// `(stamp << 32) | score` per rank.
     cells: Vec<u64>,
     epoch: u32,
@@ -468,8 +468,9 @@ impl ScoreArena {
     }
 
     /// The current row's score for rank `v`, or `None` if `v` was not touched
-    /// this row. Only valid after at least one [`ScoreArena::begin_row`].
-    #[inline]
+    /// this row, read from the stamp alone. Only valid after at least one
+    /// [`ScoreArena::begin_row`].
+    #[cfg(test)]
     pub fn current(&self, v: u32) -> Option<u32> {
         let cell = self.cells[v as usize];
         (cell >> 32 == u64::from(self.epoch)).then_some(cell as u32)
@@ -509,7 +510,7 @@ impl ScoreArena {
 /// The `v` axis is either copy-2 node ids (a sink from [`SelectSink::new`]
 /// over `n2`, which every public entry point takes and returns) or a
 /// [`LinkCache`]'s ranks (the executors' internal sinks over the eligible
-/// count, fed from a [`ScoreArena`]); `absorb_ranked` folds the latter into
+/// count, fed from a `ScoreArena`); `absorb_ranked` folds the latter into
 /// the former.
 pub struct SelectSink {
     threshold: u32,
@@ -574,7 +575,7 @@ impl SelectSink {
     /// threshold are folded. An empty row changes nothing (it would not
     /// appear in a sparse score table either).
     #[inline]
-    pub fn row(&mut self, u: u32, arena: &ScoreArena) {
+    pub(crate) fn row(&mut self, u: u32, arena: &ScoreArena) {
         self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
     }
 
@@ -1103,7 +1104,7 @@ impl PackedRow {
 ///   task (in a real cluster the cache is the map-side join against the
 ///   broadcast link set). A task splits its rows into `engine.workers()`
 ///   contiguous pieces scored on rayon threads, each through its own
-///   [`ScoreArena`] in the cache's rank space, and concatenates their
+///   `ScoreArena` in the cache's rank space, and concatenates their
 ///   records in row order, so a round of one large task still uses every
 ///   worker and emits exactly what one thread would: one pre-aggregated
 ///   record per non-empty row, a

@@ -21,7 +21,7 @@
 //! obviously-correct oracle. Every executor of a real phase — sequential,
 //! rayon, MapReduce, the distributed driver and LSH verification — scores
 //! candidate-centric rows through the arena kernel in [`crate::scoring`]
-//! ([`crate::scoring::ScoreArena::score_row`] over a per-phase
+//! (`ScoreArena::score_row` over a per-phase
 //! [`crate::scoring::LinkCache`]) with mutual-best selection fused in, so
 //! no score table is ever materialized there; the tests assert that its
 //! scored-pair counts and selections equal

@@ -134,13 +134,10 @@ fn run() -> Result<(), DriverError> {
                 if snr_telemetry::enabled() {
                     let delta = snr_telemetry::drain_delta();
                     if !delta.is_empty() {
-                        let stats = Message::Stats {
-                            worker_id: st.worker_id,
-                            spans: delta.spans,
-                            counters: delta.counters,
-                            events: delta.events,
-                        };
-                        write_frame(&mut stdout, &stats)?;
+                        write_frame(
+                            &mut stdout,
+                            &Message::Stats { worker_id: st.worker_id, delta },
+                        )?;
                     }
                 }
             }

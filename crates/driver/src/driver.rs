@@ -61,9 +61,9 @@ use crate::error::DriverError;
 use crate::protocol::{read_frame, write_frame, Message};
 use crate::shard::{require_undirected, ShardScorer};
 use snr_core::scoring::{SelectSink, SinkClaims};
-use snr_core::{Linking, MatchingConfig, MatchingOutcome, Phase};
+use snr_core::{CandidateSource, Linking, MatchingConfig, MatchingOutcome, Phase};
 use snr_faults::{FaultRegistry, FaultSite};
-use snr_graph::{GraphView, NodeId};
+use snr_graph::{GraphError, GraphView, NodeId};
 use snr_store::segment::{SegmentMeta, HEADER_LEN};
 use snr_store::{write_segment_file, MmapGraph};
 use std::cell::{Cell, RefCell};
@@ -121,7 +121,8 @@ pub struct DriverConfig {
     /// Number of worker subprocesses (min 1).
     pub workers: usize,
     /// The matching schedule to distribute (threshold, iterations,
-    /// bucketing) — same meaning as in the sequential driver.
+    /// bucketing) — same meaning as in the sequential driver. Its
+    /// `candidates` must be [`CandidateSource::Exact`].
     pub matching: MatchingConfig,
     /// How workers open the graphs: always [`DriverStore::Mmap`]. Kept only
     /// because the whole-run benchmark's driver set-up assigns it.
@@ -209,14 +210,16 @@ impl ShardDriver {
     /// Snapshots `g1`/`g2` into scratch segment files and plans the task
     /// ranges. No worker is spawned yet; that happens in [`ShardDriver::run`].
     ///
-    /// A directed `g2` is rejected up front with
-    /// [`snr_graph::GraphError::InvalidParameter`]: the phase's
-    /// `LinkCache` build needs undirected copy-2 adjacency.
+    /// A directed `g2` or a config whose candidates are not exact is
+    /// rejected up front with [`GraphError::InvalidParameter`]: the
+    /// phase's `LinkCache` build needs undirected copy-2 adjacency, and
+    /// the workers score every eligible pair.
     pub fn new<G1, G2>(g1: &G1, g2: &G2, config: DriverConfig) -> Result<Self, DriverError>
     where
         G1: GraphView,
         G2: GraphView,
     {
+        require_exact(&config.matching)?;
         require_undirected(g2.is_directed())?;
         let faults = parse_faults(&config)?;
         let scratch = std::env::temp_dir().join(format!(
@@ -272,12 +275,15 @@ impl ShardDriver {
     ///
     /// The checkpoint pins the matching schedule; a `config` whose
     /// schedule disagrees is a [`DriverError::Checkpoint`]
-    /// (no silent partial resume). Worker count, timeouts, and the healing
-    /// knobs are free to differ — task tiling does not affect the result.
+    /// (no silent partial resume), and one whose candidates are not exact
+    /// is rejected as in [`ShardDriver::new`]. Worker count, timeouts, and
+    /// the healing knobs are free to differ — task tiling does not affect
+    /// the result.
     pub fn resume<P: AsRef<Path>>(
         dir: P,
         config: DriverConfig,
     ) -> Result<MatchingOutcome, DriverError> {
+        require_exact(&config.matching)?;
         let scratch = dir.as_ref().to_path_buf();
         let cp = Checkpoint::read_file(&scratch.join(CHECKPOINT_FILE))?;
         let driver = ShardDriver::reopen(scratch, config, &cp)?;
@@ -608,17 +614,16 @@ impl ShardDriver {
                             }
                         }
                         Message::InitOk { .. } => pool.complete_handshake(self, w, links),
-                        Message::Stats { spans, counters, events, .. } => {
+                        Message::Stats { delta, .. } => {
                             // Observe-only: fold the worker's telemetry delta
                             // into the coordinator's registry. Nothing about
                             // scheduling or merging reads it back, so the
                             // run's bits cannot depend on it.
-                            for (name, _, _, dur_us) in &spans {
+                            for (name, _, _, dur_us) in &delta.spans {
                                 if name == "task" {
                                     snr_telemetry::Histogram::TaskMicros.record(*dur_us);
                                 }
                             }
-                            let delta = snr_telemetry::StatsDelta { spans, counters, events };
                             snr_telemetry::absorb_delta(
                                 &delta,
                                 &format!("worker={w} gen={generation}"),
@@ -750,6 +755,19 @@ where
     let out = driver.run(seeds);
     driver.keep_scratch.set(false);
     out
+}
+
+/// Rejects candidates other than [`CandidateSource::Exact`]: the workers
+/// score every eligible pair, so a blocked config would silently run exact.
+fn require_exact(m: &MatchingConfig) -> Result<(), DriverError> {
+    if m.candidates != CandidateSource::Exact {
+        return Err(DriverError::Graph(GraphError::InvalidParameter(format!(
+            "the shard driver scores every eligible pair; candidates {:?} needs an \
+             in-process backend",
+            m.candidates
+        ))));
+    }
+    Ok(())
 }
 
 fn parse_faults(config: &DriverConfig) -> Result<FaultRegistry, DriverError> {
@@ -1380,5 +1398,21 @@ mod tests {
             }
             other => panic!("a directed copy 2 must be a typed error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_blocked_config_is_rejected_before_any_segment_is_written() {
+        let g = snr_graph::CsrGraph::from_edges(3, &[(0, 1), (1, 2)]);
+        let mut config = DriverConfig::new(1);
+        config.matching =
+            config.matching.with_candidates(CandidateSource::Lsh { bands: 16, rows: 2 });
+        match ShardDriver::new(&g, &g, config.clone()) {
+            Err(DriverError::Graph(GraphError::InvalidParameter(why))) => {
+                assert!(why.contains("candidates"), "{why}")
+            }
+            other => panic!("an LSH config must be a typed error, got {:?}", other.err()),
+        }
+        let err = ShardDriver::resume(std::env::temp_dir(), config).unwrap_err();
+        assert!(matches!(err, DriverError::Graph(GraphError::InvalidParameter(_))), "{err:?}");
     }
 }

@@ -39,6 +39,7 @@
 
 use crate::error::DriverError;
 use snr_store::wire::{self, Reader, WireError, Writer};
+use snr_telemetry::StatsDelta;
 use std::io::{Read, Write};
 
 /// Upper bound on one frame body. Claims frames scale with the candidate
@@ -124,13 +125,9 @@ pub enum Message {
     Stats {
         /// Reporting worker's id.
         worker_id: u32,
-        /// Finished spans as `(name, fields, start_us, dur_us)`; times are
-        /// in the worker's own telemetry epoch.
-        spans: Vec<(String, String, u64, u64)>,
-        /// Counter increments as `(name, delta)`.
-        counters: Vec<(String, u64)>,
-        /// Point events as `(name, fields, at_us)`.
-        events: Vec<(String, String, u64)>,
+        /// The drained delta; span and event times are in the worker's own
+        /// telemetry epoch.
+        delta: StatsDelta,
     },
 }
 
@@ -207,7 +204,7 @@ impl Message {
                 w.bytes(message.as_bytes())?;
             }
             Message::Shutdown => w.u8(TAG_SHUTDOWN),
-            Message::Stats { worker_id, spans, counters, events } => {
+            Message::Stats { worker_id, delta: StatsDelta { spans, counters, events } } => {
                 w.u8(TAG_STATS);
                 w.u32(*worker_id);
                 w.len_prefix(spans.len())?;
@@ -281,7 +278,7 @@ impl Message {
                 let events = (0..n)
                     .map(|_| Ok((string(r)?, string(r)?, r.u64()?)))
                     .collect::<Result<_, DriverError>>()?;
-                Message::Stats { worker_id, spans, counters, events }
+                Message::Stats { worker_id, delta: StatsDelta { spans, counters, events } }
             }
             t => return Err(DriverError::Protocol(format!("unknown frame tag {t}"))),
         };
@@ -362,9 +359,11 @@ mod tests {
             Message::TaskDone { phase: 1, first_node: 0, node_count: 500, claims: vec![1, 2, 3] },
             Message::Stats {
                 worker_id: 3,
-                spans: vec![("task".into(), "phase=1 rows=500".into(), 10, 250)],
-                counters: vec![("scored_pairs".into(), 1234), ("tasks_completed".into(), 1)],
-                events: vec![("fault_fired".into(), "action=stall".into(), 99)],
+                delta: StatsDelta {
+                    spans: vec![("task".into(), "phase=1 rows=500".into(), 10, 250)],
+                    counters: vec![("scored_pairs".into(), 1234), ("tasks_completed".into(), 1)],
+                    events: vec![("fault_fired".into(), "action=stall".into(), 99)],
+                },
             },
             Message::WorkerError { message: "segment missing".into() },
             Message::Shutdown,

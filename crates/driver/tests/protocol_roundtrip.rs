@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use snr_driver::protocol::{read_frame, write_frame, Message};
+use snr_telemetry::StatsDelta;
 
 /// Builds one message of each coordinator/worker shape from a handful of
 /// drawn integers, cycling through the variants by `pick`.
@@ -36,17 +37,19 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
         },
         6 => Message::Stats {
             worker_id: a,
-            spans: pairs
-                .iter()
-                .map(|&(x, y)| {
-                    (format!("span-{x}"), format!("phase={y}"), u64::from(x), u64::from(y))
-                })
-                .collect(),
-            counters: pairs.iter().map(|&(x, y)| (format!("c{x}"), u64::from(y))).collect(),
-            events: pairs
-                .iter()
-                .map(|&(x, y)| (format!("e{x}"), String::new(), u64::from(y)))
-                .collect(),
+            delta: StatsDelta {
+                spans: pairs
+                    .iter()
+                    .map(|&(x, y)| {
+                        (format!("span-{x}"), format!("phase={y}"), u64::from(x), u64::from(y))
+                    })
+                    .collect(),
+                counters: pairs.iter().map(|&(x, y)| (format!("c{x}"), u64::from(y))).collect(),
+                events: pairs
+                    .iter()
+                    .map(|&(x, y)| (format!("e{x}"), String::new(), u64::from(y)))
+                    .collect(),
+            },
         },
         _ => Message::WorkerError { message: format!("worker {a} lost segment {b}") },
     }

@@ -11,6 +11,9 @@
 //!    User-Matching finds (22,346 vs 46,955 in the paper).
 //! 3. **Baseline on Wikipedia** — the baseline's error rate balloons to
 //!    27.9% (vs 17.3% for User-Matching) with much lower recall.
+//!
+//! Every record row also carries the matcher time of each run it reports
+//! (`seconds_*` values), the cost side of each comparison.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +27,7 @@ use snr_sampling::independent::independent_deletion_symmetric;
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let mut record = ExperimentRecord::new("ablation_bucketing_baseline", "Section 5, ablations")
         .parameter("scale", format!("{scale:?}"))
@@ -73,6 +76,8 @@ fn main() {
             .value("bad_with", with.new_bad() as f64)
             .value("bad_without", without.new_bad() as f64)
             .value("ratio", increase)
+            .value("seconds_with", with.matcher_time.as_secs_f64())
+            .value("seconds_without", without.matcher_time.as_secs_f64())
             .paper_value("ratio", 1.5),
     );
 
@@ -125,6 +130,8 @@ fn main() {
         MeasuredRow::new("attack baseline")
             .value("um_good", um_real as f64)
             .value("baseline_good", base_real as f64)
+            .value("seconds_um", um.matcher_time.as_secs_f64())
+            .value("seconds_baseline", base.matcher_time.as_secs_f64())
             .paper_value("um_good", 46_955.0)
             .paper_value("baseline_good", 22_346.0),
     );
@@ -159,6 +166,8 @@ fn main() {
         MeasuredRow::new("wikipedia baseline")
             .value("um_error_rate", um.eval.error_rate())
             .value("baseline_error_rate", base.eval.error_rate())
+            .value("seconds_um", um.matcher_time.as_secs_f64())
+            .value("seconds_baseline", base.matcher_time.as_secs_f64())
             .paper_value("um_error_rate", 0.173)
             .paper_value("baseline_error_rate", 0.279),
     );

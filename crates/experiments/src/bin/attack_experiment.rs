@@ -18,7 +18,7 @@ use snr_sampling::independent::independent_deletion_symmetric;
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let survival = 0.75;
     let accept_prob = 0.5;

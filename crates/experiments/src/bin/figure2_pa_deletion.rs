@@ -18,7 +18,7 @@ use snr_sampling::independent::independent_deletion_symmetric;
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let n = if args.full { 1_000_000 } else { 10_000 };
     let m = 20;
     let s = 0.5;

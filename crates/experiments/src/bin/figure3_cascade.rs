@@ -17,7 +17,7 @@ use snr_sampling::cascade::cascade_realization;
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     // The paper uses p = 0.05 on the real Facebook graph (average degree
     // ~48, so the cascade's branching factor is ~2.4). The demo proxy has

@@ -60,7 +60,7 @@ fn run_dataset(
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let mut record = ExperimentRecord::new("figure4_degree_curves", "Figure 4")
         .parameter("scale", format!("{scale:?}"))

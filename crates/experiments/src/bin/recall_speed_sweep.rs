@@ -63,7 +63,7 @@ fn scored_pairs(outcome: &MatchingOutcome) -> usize {
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let exp = std::env::var("SNR_SWEEP_EXPONENT")
         .ok()
         .map(|v| v.parse().expect("SNR_SWEEP_EXPONENT must be a u32"))

@@ -1,8 +1,7 @@
 //! Runs every experiment binary in sequence (demo scale by default) and
 //! collects their JSON records into a directory.
 //!
-//! This is a convenience driver for regenerating the data behind
-//! `EXPERIMENTS.md`:
+//! This is a convenience driver for regenerating every experiment record:
 //!
 //! ```text
 //! cargo run --release -p snr-experiments --bin run_all -- --json results/

@@ -15,7 +15,7 @@ use snr_metrics::{ExperimentRecord, MeasuredRow, TextTable};
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let seed = args.seed;
 
@@ -89,7 +89,7 @@ fn main() {
     add("German Wikipedia", GraphStats::compute(&wiki.g2), n, e);
 
     println!("{table}");
-    println!("Proxies are synthetic stand-ins generated offline; see DESIGN.md §3.");
+    println!("Proxies are synthetic stand-ins generated offline; see snr_experiments::datasets.");
     args.maybe_write_json(&record);
     args.maybe_write_trace();
 }

@@ -198,7 +198,7 @@ fn run_on_store(
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     if args.blocking != snr_core::CandidateSource::Exact
         && (args.driver.is_some() || matches!(args.backend, snr_core::Backend::MapReduce { .. }))
     {

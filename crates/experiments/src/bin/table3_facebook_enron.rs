@@ -77,7 +77,7 @@ fn run_half(
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let mut record = ExperimentRecord::new("table3_facebook_enron", "Table 3")
         .parameter("scale", format!("{scale:?}"))

@@ -21,7 +21,7 @@ const PAPER: &[(u32, u64, u64)] = &[(4, 54_770, 0), (3, 55_863, 0), (2, 55_942, 
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let delete_prob = 0.25;
     let l = 0.10;

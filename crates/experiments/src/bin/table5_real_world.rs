@@ -80,7 +80,7 @@ fn run_dataset(
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let scale = Scale::from_full_flag(args.full);
     let mut record = ExperimentRecord::new("table5_real_world", "Table 5")
         .parameter("l", "0.10")

@@ -24,7 +24,7 @@ use snr_sampling::sample_seeds;
 
 fn main() {
     let args = ExperimentArgs::from_env();
-    args.init_telemetry();
+    snr_telemetry::init_from_env();
     let mut record =
         ExperimentRecord::new("theory_validation", "Section 4 (Theorems 1-4, Lemmas 11-12)")
             .parameter("seed", args.seed.to_string());

@@ -29,9 +29,10 @@
 //! * `--spill-budget <bytes>` — for MapReduce-backed runs: memory budget
 //!   for each engine round's shuffle; rounds that exceed it spill sorted
 //!   run files to disk and k-way merge them back. `0` spills everything.
-//! * `--trace-out <path>` — enable `snr-telemetry` and write the run's
-//!   JSONL trace (spans, events, counters) to `<path>` on exit. Equivalent
-//!   to setting `SNR_TRACE=<path>` in the environment.
+//!
+//! Telemetry is configured by the environment: `SNR_TRACE=<path>` enables
+//! `snr-telemetry` and [`ExperimentArgs::maybe_write_trace`] writes the
+//! run's JSONL trace there on exit.
 
 use snr_core::{Backend, CandidateSource};
 use snr_driver::DegradePolicy;
@@ -156,9 +157,6 @@ pub struct ExperimentArgs {
     /// Shuffle memory budget in bytes for MapReduce-backed runs (`None`
     /// keeps the engine fully in memory; `Some(0)` spills every round).
     pub spill_budget: Option<u64>,
-    /// Optional path to write the telemetry JSONL trace to (also enables
-    /// telemetry for the run, like `SNR_TRACE`).
-    pub trace_out: Option<PathBuf>,
 }
 
 impl Default for ExperimentArgs {
@@ -174,7 +172,6 @@ impl Default for ExperimentArgs {
             respawn_budget: None,
             degrade: None,
             spill_budget: None,
-            trace_out: None,
         }
     }
 }
@@ -220,7 +217,6 @@ impl ExperimentArgs {
                 "--spill-budget" => {
                     out.spill_budget = Some(parse_spill_budget(&value("a byte count")?)?);
                 }
-                "--trace-out" => out.trace_out = Some(PathBuf::from(value("a path")?)),
                 "--full" if inline.is_none() => out.full = true,
                 "--help" | "-h" if inline.is_none() => return Err(Self::usage().to_string()),
                 _ => return Err(format!("unknown argument {arg:?}\n{}", Self::usage())),
@@ -269,7 +265,7 @@ impl ExperimentArgs {
          [--backend sequential|rayon|mapreduce[:N]|driver[:N]] \
          [--blocking exact|lsh:<B>x<R>] \
          [--respawn-budget <N>] [--degrade fail|inprocess] \
-         [--spill-budget <bytes>] [--trace-out <path>]"
+         [--spill-budget <bytes>]"
     }
 
     /// Short label of the configured backend for table headers and records.
@@ -293,20 +289,8 @@ impl ExperimentArgs {
         }
     }
 
-    /// Applies the telemetry-related arguments: `--trace-out` sets the trace
-    /// path and enables telemetry, then the `SNR_TRACE`/`SNR_TELEMETRY`/
-    /// `SNR_LOG` environment variables are honored. Call once at binary
-    /// startup, before the run begins.
-    pub fn init_telemetry(&self) {
-        snr_telemetry::init_from_env();
-        if let Some(path) = &self.trace_out {
-            snr_telemetry::set_trace_path(path.clone());
-            snr_telemetry::enable();
-        }
-    }
-
-    /// Writes the telemetry JSONL trace if `--trace-out` (or `SNR_TRACE`)
-    /// configured a path, reporting where it went.
+    /// Writes the telemetry JSONL trace if `SNR_TRACE` configured a path,
+    /// reporting where it went.
     pub fn maybe_write_trace(&self) {
         match snr_telemetry::write_trace_if_configured() {
             Ok(Some(path)) => eprintln!("wrote trace {}", path.display()),
@@ -462,16 +446,6 @@ mod tests {
         assert!(ExperimentArgs::parse(["--spill-budget=1.5"]).is_err());
         let err = ExperimentArgs::parse(["--spill-budget=1e6"]).unwrap_err();
         assert!(err.contains("--spill-budget"), "{err}");
-    }
-
-    #[test]
-    fn parses_trace_out_in_both_spellings() {
-        assert_eq!(ExperimentArgs::default().trace_out, None);
-        let args = ExperimentArgs::parse(["--trace-out", "/tmp/trace.jsonl"]).unwrap();
-        assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/trace.jsonl")));
-        let args = ExperimentArgs::parse(["--trace-out=/tmp/t2.jsonl"]).unwrap();
-        assert_eq!(args.trace_out, Some(PathBuf::from("/tmp/t2.jsonl")));
-        assert!(ExperimentArgs::parse(["--trace-out"]).is_err());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper evaluates on 11 datasets; none of the real ones can be
 //! downloaded in this offline environment, so each is replaced by a
-//! generator-based proxy of matching scale and structure (see `DESIGN.md`
-//! §3). Every proxy comes in two sizes:
+//! generator-based proxy of matching scale and structure (each proxy's docs
+//! below say what it preserves). Every proxy comes in two sizes:
 //!
 //! * **demo** — a few thousand nodes, runs in seconds, used by default and
 //!   by the integration tests;

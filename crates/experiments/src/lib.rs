@@ -3,7 +3,7 @@
 //! The experiment harness that regenerates every table and figure of the
 //! evaluation section (§5) of Korula & Lattanzi, VLDB 2014. Each binary in
 //! `src/bin/` reproduces one table or figure; `run_all` chains them and
-//! collects the JSON records that back `EXPERIMENTS.md`.
+//! collects their JSON records (see the README's "Running the experiments").
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
@@ -25,8 +25,8 @@
 //! Real datasets used by the paper (Facebook WOSN'09, Enron, DBLP, Gowalla,
 //! Wikipedia dumps, billion-edge R-MAT instances) are not available in this
 //! offline environment; [`datasets`] builds synthetic proxies with matching
-//! scale and structure. `DESIGN.md` §3 documents each substitution and why
-//! the relevant behaviour is preserved.
+//! scale and structure; each proxy's docs say why the relevant behaviour is
+//! preserved.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,5 +38,5 @@ pub mod smoke;
 pub mod validate;
 
 pub use cli::{ExperimentArgs, StoreMode};
-pub use runner::{run_user_matching, run_user_matching_on, ExperimentRun};
+pub use runner::{run_user_matching, ExperimentRun};
 pub use validate::{check_bench_regressions, validate_record_json, BenchBaseline, BenchRecord};

@@ -8,7 +8,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::{MatchingConfig, MatchingOutcome, UserMatching};
-use snr_graph::GraphView;
 use snr_metrics::Evaluation;
 use snr_sampling::{sample_seeds, RealizationPair};
 use std::time::{Duration, Instant};
@@ -48,31 +47,10 @@ pub fn run_user_matching(
     config: MatchingConfig,
     seed: u64,
 ) -> ExperimentRun {
-    run_user_matching_on(pair, &pair.g1, &pair.g2, link_prob, config, seed)
-}
-
-/// The same skeleton with the matcher running on caller-supplied
-/// [`GraphView`]s of the two copies — e.g. `pair.g1.compact()` /
-/// `pair.g2.compact()` when the uncompressed copies would not fit. Seeds and
-/// scoring still come from `pair`'s ground truth, and the result is
-/// bit-for-bit identical to [`run_user_matching`] because the matcher is
-/// representation-agnostic.
-pub fn run_user_matching_on<G1, G2>(
-    pair: &RealizationPair,
-    g1: &G1,
-    g2: &G2,
-    link_prob: f64,
-    config: MatchingConfig,
-    seed: u64,
-) -> ExperimentRun
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_5EED);
     let seeds = sample_seeds(pair, link_prob, &mut rng).expect("valid link probability");
     let start = Instant::now();
-    let outcome = UserMatching::new(config).run(g1, g2, &seeds);
+    let outcome = UserMatching::new(config).run(&pair.g1, &pair.g2, &seeds);
     let matcher_time = start.elapsed();
     let eval = Evaluation::score(pair, &outcome.links, outcome.links.seed_count());
     ExperimentRun { eval, outcome, seed_count: seeds.len(), matcher_time }
@@ -111,16 +89,6 @@ mod tests {
         // The baseline (one pass, threshold 1) should not beat the full
         // algorithm on correct discoveries by any meaningful margin.
         assert!(base.new_good() <= um.new_good() + um.new_good() / 10);
-    }
-
-    #[test]
-    fn compact_views_reproduce_the_csr_run_exactly() {
-        let pair = small_pair(6);
-        let on_csr = run_user_matching(&pair, 0.1, MatchingConfig::default(), 6);
-        let (c1, c2) = (pair.g1.compact(), pair.g2.compact());
-        let on_compact = run_user_matching_on(&pair, &c1, &c2, 0.1, MatchingConfig::default(), 6);
-        assert_eq!(on_csr.outcome.links, on_compact.outcome.links);
-        assert_eq!(on_csr.eval, on_compact.eval);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Synthetic network generators used as the *underlying "true" social
 //! network* `G(V, E)` of the reconciliation model in Korula & Lattanzi
 //! (VLDB 2014), plus the extra generator families needed to stand in for the
-//! real-world datasets of the paper's evaluation (see `DESIGN.md` §3 for the
-//! substitution table).
+//! real-world datasets of the paper's evaluation (`snr_experiments::datasets`
+//! documents each substitution).
 //!
 //! Implemented families:
 //!

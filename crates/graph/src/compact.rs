@@ -71,7 +71,7 @@ pub struct CompactCsr {
 /// stream starts exactly where the previous one ended, stays in bounds,
 /// contains no zero gaps or `u32` overflows (lists stay strictly sorted),
 /// keeps skip first-elements increasing, keeps every decoded neighbor id
-/// below `id_bound` (downstream consumers index degree arrays and score
+/// below `node_count` (downstream consumers index degree arrays and score
 /// arenas by these ids, so an out-of-range target must fail here, not panic
 /// there), and consumes the data exactly.
 ///
@@ -86,7 +86,6 @@ pub struct CompactCsr {
 #[allow(clippy::too_many_arguments)]
 pub fn validate_parts_with(
     node_count: usize,
-    id_bound: usize,
     max_degree: usize,
     entry_offsets: &[u32],
     block_starts: &[u32],
@@ -160,8 +159,10 @@ pub fn validate_parts_with(
             }
             // Lists are strictly increasing, so the block's last element
             // bounds every id in it.
-            if in_block > 0 && cur as usize >= id_bound {
-                return fail(format!("node {v}: neighbor id {cur} outside node space {id_bound}"));
+            if in_block > 0 && cur as usize >= node_count {
+                return fail(format!(
+                    "node {v}: neighbor id {cur} outside node space {node_count}"
+                ));
             }
             prev_in_list = Some(cur);
         }
@@ -419,7 +420,6 @@ mod tests {
     #[allow(clippy::too_many_arguments)]
     fn validate(
         node_count: usize,
-        id_bound: usize,
         max_degree: usize,
         eo: &[u32],
         bs: &[u32],
@@ -427,7 +427,7 @@ mod tests {
         sb: &[u32],
         data: &[u8],
     ) -> Result<(), GraphError> {
-        validate_parts_with(node_count, id_bound, max_degree, eo, bs, sf, sb, data, "parts", |_| {})
+        validate_parts_with(node_count, max_degree, eo, bs, sf, sb, data, "parts", |_| {})
     }
 
     #[test]
@@ -436,7 +436,7 @@ mod tests {
         let compact = csr.compact();
         let (eo, bs, sf, sb, data) = compact.raw_parts();
         let check = |eo: &[u32], bs: &[u32], sf: &[u32], sb: &[u32], max: usize| {
-            validate(10, 10, max, eo, bs, sf, sb, data)
+            validate(10, max, eo, bs, sf, sb, data)
         };
         // Baseline is accepted.
         assert!(check(eo, bs, sf, sb, 2).is_ok());
@@ -454,32 +454,35 @@ mod tests {
 
     #[test]
     fn validate_parts_rejects_gap_streams_that_would_decode_out_of_bounds() {
-        // One node claiming degree 2 in one block, but an empty gap stream:
-        // plausible offsets, in-bounds stream start, yet decoding the second
-        // element would read past the end. Must be an error, not a panic.
-        let one_list = |data: &[u8]| validate(1, 10, 2, &[0, 2], &[0, 1], &[5], &[0], data);
+        // Node 0 of 2 claiming degree 2 in one block, but an empty gap
+        // stream: plausible offsets, in-bounds stream start, yet decoding the
+        // second element would read past the end. Must be an error, not a
+        // panic.
+        let one_list = |data: &[u8]| validate(2, 2, &[0, 2, 2], &[0, 1, 1], &[0], &[0], data);
         let r = one_list(&[]);
         assert!(matches!(r, Err(GraphError::InvalidBinary(_))), "{r:?}");
         // A zero gap (duplicate neighbor) is rejected too.
         let r = one_list(&[0u8]);
         assert!(r.is_err(), "zero gap accepted: {r:?}");
-        // Trailing bytes after the last block's gaps are rejected.
-        let mut data = Vec::new();
-        crate::blocks::write_varint(&mut data, 3);
-        data.push(0x01);
-        let r = one_list(&data);
+        // The list [0, 1] is accepted; trailing bytes after its gaps are not.
+        assert!(one_list(&[1]).is_ok());
+        let r = one_list(&[1, 1]);
         assert!(r.is_err(), "trailing bytes accepted: {r:?}");
     }
 
     #[test]
     fn validate_parts_rejects_targets_outside_the_node_space() {
-        // A structurally perfect layout whose single list is [5, 8] — legal
-        // under an id bound of 10, out of range for a graph of 6 nodes.
+        // A structurally perfect layout whose only list, node 0's, is
+        // [5, 8] — legal in a graph of 10 nodes, out of range in one of 6.
         // Consumers index degree arrays and score arenas by these ids, so
         // the bound must be enforced before the layout is trusted.
         let mut data = Vec::new();
         crate::blocks::write_varint(&mut data, 3);
-        let parts = |id_bound: usize| validate(1, id_bound, 2, &[0, 2], &[0, 1], &[5], &[0], &data);
+        let parts = |n: usize| {
+            let (mut eo, mut bs) = (vec![2u32; n + 1], vec![1u32; n + 1]);
+            (eo[0], bs[0]) = (0, 0);
+            validate(n, 2, &eo, &bs, &[5], &[0], &data)
+        };
         assert!(parts(10).is_ok());
         let r = parts(6);
         assert!(matches!(r, Err(GraphError::InvalidBinary(_))), "{r:?}");

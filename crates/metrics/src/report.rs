@@ -1,9 +1,9 @@
 //! Machine-readable experiment records.
 //!
 //! Every experiment binary can dump its measurements as JSON
-//! ([`ExperimentRecord`]); `EXPERIMENTS.md` is assembled from these records
-//! so the paper-vs-measured comparison is reproducible rather than
-//! hand-copied.
+//! ([`ExperimentRecord`]), so the paper-vs-measured comparison is
+//! reproducible rather than hand-copied; `run_all` collects every binary's
+//! record into one directory.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

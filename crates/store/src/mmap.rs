@@ -93,7 +93,6 @@ impl MmapGraph {
         let (mut hashed, mut walked) = (0usize, 0usize);
         validate_parts_with(
             meta.node_count,
-            meta.node_count,
             meta.max_degree,
             u32_slice(&map[layout.entry_offsets.clone()]),
             u32_slice(&map[layout.block_starts.clone()]),

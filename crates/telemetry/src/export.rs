@@ -14,7 +14,7 @@ pub fn set_trace_path(path: PathBuf) {
     *TRACE_PATH.lock().unwrap_or_else(|e| e.into_inner()) = Some(path);
 }
 
-/// The configured trace path, if any (`--trace-out` / `SNR_TRACE`).
+/// The configured trace path, if any (`SNR_TRACE` or [`set_trace_path`]).
 pub fn trace_path() -> Option<PathBuf> {
     TRACE_PATH.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }

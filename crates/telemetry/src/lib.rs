@@ -1,8 +1,8 @@
 //! Runtime observability for the reconciliation workspace.
 //!
-//! The crate provides four things, all behind a single global on/off switch
+//! The crate provides three things, all behind a single global on/off switch
 //! so that instrumented hot loops cost (almost) nothing when telemetry is
-//! disabled:
+//! disabled, plus a [`warn!`] line that prints whatever the switch says:
 //!
 //! 1. **Spans** — hierarchical RAII timing guards ([`span!`]) with
 //!    thread-safe parent/child nesting and monotonic timestamps.
@@ -10,9 +10,6 @@
 //!    [`Histogram`]s that are registered once and cheap to bump.
 //! 3. **Exporters** — a JSON-lines trace file ([`write_trace`]) and a
 //!    point-in-time snapshot of every metric ([`TelemetrySnapshot`]).
-//! 4. **Logger** — leveled `key=value` logging to stderr ([`error!`],
-//!    [`warn!`], [`info!`], [`debug!`]) controlled by `SNR_LOG`, independent
-//!    of the trace switch.
 //!
 //! Remote processes (the shard-driver workers) collect telemetry locally and
 //! ship deltas home with [`drain_delta`]; the coordinator folds them into its
@@ -24,13 +21,11 @@
 //! |-----------------|----------------------------------------------------|
 //! | `SNR_TRACE`     | enable telemetry and write a JSONL trace here      |
 //! | `SNR_TELEMETRY` | `1` enables collection without a trace file        |
-//! | `SNR_LOG`       | `error`, `warn`, `info` (default), or `debug`      |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod export;
-mod logger;
 mod metrics;
 mod schema;
 mod spans;
@@ -38,7 +33,6 @@ mod spans;
 pub use export::{
     set_trace_path, trace_path, write_trace, write_trace_if_configured, TelemetrySnapshot,
 };
-pub use logger::{log, log_level, set_log_level, Level};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use schema::{validate_jsonl, TraceSummary};
 pub use spans::{
@@ -73,8 +67,8 @@ pub fn reset() {
     metrics::reset();
 }
 
-/// Reads `SNR_TRACE`, `SNR_TELEMETRY`, and `SNR_LOG` and configures the
-/// global state accordingly. Safe to call more than once.
+/// Reads `SNR_TRACE` and `SNR_TELEMETRY` and configures the global state
+/// accordingly. Safe to call more than once.
 pub fn init_from_env() {
     if let Ok(path) = std::env::var("SNR_TRACE") {
         if !path.is_empty() {
@@ -85,7 +79,14 @@ pub fn init_from_env() {
     if std::env::var("SNR_TELEMETRY").is_ok_and(|v| v == "1") {
         enable();
     }
-    logger::init_level_from_env();
+}
+
+/// Writes `snr[warn] <message>` to stderr, telemetry on or off: the line
+/// for degraded-but-continuing conditions (worker deaths, checkpoint
+/// failures, ignored configuration). `snr_telemetry::warn!("worker {w} died")`.
+#[macro_export]
+macro_rules! warn {
+    ($($arg:tt)*) => { ::std::eprintln!("snr[warn] {}", ::std::format_args!($($arg)*)) };
 }
 
 /// A telemetry delta: everything recorded since the previous drain, in a
@@ -383,19 +384,5 @@ mod tests {
         let ev = summary.events.iter().find(|e| e.name == "weird").unwrap();
         assert_eq!(ev.fields, "path=a\"b\\c\n");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn log_level_parses_and_orders() {
-        let _l = serial();
-        assert!(Level::Error < Level::Warn);
-        assert!(Level::Warn < Level::Info);
-        assert!(Level::Info < Level::Debug);
-        assert_eq!("debug".parse::<Level>().unwrap(), Level::Debug);
-        assert!("loud".parse::<Level>().is_err());
-        let prev = log_level();
-        set_log_level(Level::Error);
-        assert_eq!(log_level(), Level::Error);
-        set_log_level(prev);
     }
 }

@@ -49,16 +49,6 @@ impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup { parent: self, name: name.into(), sample_size: default_samples() }
     }
-
-    /// Runs a single benchmark outside any group.
-    pub fn bench_function<I, F>(&mut self, id: I, f: F) -> &mut Self
-    where
-        I: Into<BenchmarkId>,
-        F: FnMut(&mut Bencher),
-    {
-        run_benchmark(self.json_dir.as_deref(), &id.into().label, default_samples(), f);
-        self
-    }
 }
 
 fn default_samples() -> usize {
@@ -83,11 +73,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
-        self
-    }
-
-    /// Records the throughput denominator (accepted, not reported).
-    pub fn throughput(&mut self, _t: Throughput) -> &mut Self {
         self
     }
 
@@ -282,11 +267,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// An id made of a function name and a parameter value.
-    pub fn new(name: impl Into<String>, parameter: impl fmt::Display) -> Self {
-        BenchmarkId { label: format!("{}/{}", name.into(), parameter) }
-    }
-
     /// An id made of a parameter value only.
     pub fn from_parameter(parameter: impl fmt::Display) -> Self {
         BenchmarkId { label: parameter.to_string() }
@@ -297,20 +277,6 @@ impl From<&str> for BenchmarkId {
     fn from(s: &str) -> Self {
         BenchmarkId { label: s.to_string() }
     }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { label: s }
-    }
-}
-
-/// Throughput denominator for a benchmark (accepted, not reported).
-pub enum Throughput {
-    /// Elements processed per iteration.
-    Elements(u64),
-    /// Bytes processed per iteration.
-    Bytes(u64),
 }
 
 /// Declares a benchmark group function, mirroring Criterion's macro.
@@ -370,7 +336,7 @@ mod tests {
         let dir = std::env::temp_dir().join("criterion-shim-test-json");
         let _ = std::fs::remove_dir_all(&dir);
         let mut c = Criterion::default().with_json_dir(Some(dir.clone()));
-        c.bench_function("json smoke/k=1", |b| b.iter(|| 1 + 1));
+        c.benchmark_group("json smoke").bench_function("k=1", |b| b.iter(|| 1 + 1));
         let record =
             std::fs::read_to_string(dir.join("json-smoke-k-1.json")).expect("record written");
         for key in
@@ -388,11 +354,8 @@ mod tests {
         let mut c = Criterion::default().with_json_dir(None);
         let mut group = c.benchmark_group("shim");
         group.sample_size(2);
-        group.throughput(Throughput::Elements(10));
         group.bench_function("plain", |b| b.iter(|| 1 + 1));
-        group.bench_function(format!("k={}", 2), |b| b.iter(|| 2 + 2));
-        group.bench_with_input(BenchmarkId::new("with_input", 5), &5u32, |b, &x| b.iter(|| x * 2));
-        group.bench_with_input(BenchmarkId::from_parameter("p"), &1u8, |b, _| b.iter(|| ()));
+        group.bench_with_input(BenchmarkId::from_parameter(5), &5u32, |b, &x| b.iter(|| x * 2));
         group.finish();
     }
 }
