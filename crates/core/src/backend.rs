@@ -17,11 +17,9 @@
 //! All three backends produce identical link sets for identical inputs (see
 //! the cross-backend equivalence tests in `tests/backend_equivalence.rs`).
 
-use serde::{Deserialize, Serialize};
-
 /// Which execution strategy [`crate::UserMatching`] uses for the
 /// witness-counting and matching phases.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
     /// Single-threaded reference implementation.
     #[default]
@@ -58,15 +56,6 @@ mod tests {
         match Backend::mapreduce_default() {
             Backend::MapReduce { workers } => assert!(workers >= 1),
             other => panic!("unexpected backend {other:?}"),
-        }
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        for b in [Backend::Sequential, Backend::Rayon, Backend::MapReduce { workers: 4 }] {
-            let json = serde_json::to_string(&b).unwrap();
-            let b2: Backend = serde_json::from_str(&json).unwrap();
-            assert_eq!(b, b2);
         }
     }
 }

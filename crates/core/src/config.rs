@@ -2,7 +2,6 @@
 
 use crate::backend::Backend;
 use crate::blocking::{DEFAULT_LSH_MASS_FLOOR, DEFAULT_SKETCH_SEED};
-use serde::{Deserialize, Serialize};
 
 /// How each phase generates the candidate `(u, v)` pairs it scores.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// bands of `rows` rows; the surviving pairs are re-scored *exactly*, so
 /// blocking trades bounded recall for a much smaller scored set without
 /// ever corrupting the scores of pairs it keeps.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CandidateSource {
     /// Every degree-eligible pair with at least one shared witness.
     #[default]
@@ -35,7 +34,7 @@ pub enum CandidateSource {
 /// The defaults correspond to the settings the paper uses most often in §5:
 /// minimum matching score `T = 2`, `k = 2` outer iterations, degree
 /// bucketing enabled, sequential execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatchingConfig {
     /// Minimum matching score `T`: a pair is only linked if it has at least
     /// this many similarity witnesses. Higher values trade recall for
@@ -246,15 +245,6 @@ mod tests {
         assert_eq!(c.backend, Backend::Rayon);
         assert_eq!(c.candidates, CandidateSource::Lsh { bands: 8, rows: 2 });
         assert_eq!(c.lsh_mass_floor, 0);
-    }
-
-    #[test]
-    fn candidate_source_serde_roundtrip() {
-        for c in [CandidateSource::Exact, CandidateSource::Lsh { bands: 16, rows: 3 }] {
-            let json = serde_json::to_string(&c).unwrap();
-            let c2: CandidateSource = serde_json::from_str(&json).unwrap();
-            assert_eq!(c, c2);
-        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The growing set of identification links.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use snr_graph::NodeId;
 
 /// A bidirectional, one-to-one set of identification links between nodes of
@@ -12,7 +11,7 @@ use snr_graph::NodeId;
 /// each node appears in at most one link — the algorithm's mutual-best rule
 /// guarantees it never tries to violate this, and [`Linking::insert`]
 /// defends against it anyway.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Linking {
     g1_to_g2: Vec<Option<NodeId>>,
     g2_to_g1: Vec<Option<NodeId>>,
@@ -279,13 +278,5 @@ mod tests {
         l.insert(NodeId(3), NodeId(0));
         l.insert(NodeId(1), NodeId(4));
         assert_eq!(l.to_vec(), vec![(NodeId(1), NodeId(4)), (NodeId(3), NodeId(0))]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let l = Linking::with_seeds(3, 3, &[(NodeId(0), NodeId(2))]);
-        let json = serde_json::to_string(&l).unwrap();
-        let l2: Linking = serde_json::from_str(&json).unwrap();
-        assert_eq!(l, l2);
     }
 }

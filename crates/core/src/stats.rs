@@ -2,12 +2,11 @@
 
 use crate::config::Phase;
 use crate::linking::Linking;
-use serde::{Deserialize, Serialize};
 use snr_graph::NodeId;
 use std::time::{Duration, Instant};
 
 /// Statistics of one phase (one degree bucket within one outer iteration).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Outer iteration index, starting at 1.
     pub iteration: u32,
@@ -21,22 +20,7 @@ pub struct PhaseStats {
     /// Total links after this phase.
     pub total_links: usize,
     /// Wall-clock duration of the phase.
-    #[serde(with = "duration_micros")]
     pub duration: Duration,
-}
-
-mod duration_micros {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_u64(d.as_micros() as u64)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let micros = <u64 as serde::Deserialize>::deserialize(d)?;
-        Ok(Duration::from_micros(micros))
-    }
 }
 
 /// Result of running a matching algorithm: the final link set plus progress
@@ -124,13 +108,5 @@ mod tests {
         };
         assert_eq!(outcome.discovered(), 2);
         assert_eq!(outcome.total_scored_pairs(), 30);
-    }
-
-    #[test]
-    fn phase_stats_serde_roundtrip() {
-        let p = phase(2, 5, 7);
-        let json = serde_json::to_string(&p).unwrap();
-        let p2: PhaseStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, p2);
     }
 }

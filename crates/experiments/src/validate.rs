@@ -13,7 +13,7 @@
 //! [`check_bench_regressions`], so a change that quietly slows the witness
 //! kernel past the tolerance fails the build instead of landing unnoticed.
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use snr_metrics::ExperimentRecord;
 use std::collections::HashMap;
 
@@ -60,7 +60,7 @@ pub fn validate_record_json(json: &str) -> Result<String, String> {
 
 /// The checked-in benchmark baseline: per-label mean iteration times a
 /// bench smoke run is compared against.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Deserialize)]
 pub struct BenchBaseline {
     /// Where the baseline numbers were recorded (machine / settings), for
     /// humans reading a failure.
@@ -162,6 +162,15 @@ mod tests {
     #[test]
     fn rejects_unparseable_input() {
         assert!(validate_record_json("{nope").is_err());
+        // Well-formed JSON of the wrong shape: a missing field, and a
+        // string where a row value must be a number.
+        let no_rows = r#"{"id": "x", "paper_reference": "Table X", "parameters": {}}"#;
+        let err = validate_record_json(no_rows).unwrap_err();
+        assert!(err.contains("missing field `rows`"), "{err}");
+        let string_value = r#"{"id": "x", "paper_reference": "Table X", "parameters": {},
+            "rows": [{"label": "r", "values": {"good": "many"}, "paper": {}}]}"#;
+        let err = validate_record_json(string_value).unwrap_err();
+        assert!(err.contains("expected float"), "{err}");
     }
 
     #[test]

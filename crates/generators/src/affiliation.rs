@@ -11,11 +11,10 @@
 //! needs to implement that correlated deletion.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use snr_graph::{CsrGraph, GraphBuilder, GraphError, NodeId};
 
 /// Parameters of the affiliation-network generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AffiliationConfig {
     /// Number of users (nodes of the folded social graph).
     pub users: usize,

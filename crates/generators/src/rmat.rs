@@ -9,11 +9,10 @@
 
 use crate::check_probability;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use snr_graph::{CsrGraph, GraphBuilder, GraphError, NodeId};
 
 /// R-MAT generator parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RmatConfig {
     /// log2 of the number of nodes; the graph has `2^scale` nodes.
     pub scale: u32,

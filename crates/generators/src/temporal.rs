@@ -10,11 +10,10 @@
 //! data.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use snr_graph::{CsrGraph, GraphBuilder, GraphError, NodeId};
 
 /// A timestamped edge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TemporalEdge {
     /// First endpoint.
     pub src: NodeId,
@@ -27,7 +26,7 @@ pub struct TemporalEdge {
 /// An undirected graph whose edges carry discrete timestamps. The same node
 /// pair may appear multiple times with different timestamps (e.g. two
 /// co-authors publishing in several years).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TemporalGraph {
     node_count: usize,
     edges: Vec<TemporalEdge>,
@@ -273,14 +272,5 @@ mod tests {
         // Both slices are substantial.
         assert!(a.edge_count() > 100);
         assert!(b.edge_count() > 100);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let tg = TemporalGraph::preferential_attachment(100, 3, 4, 0.1, &mut rng).unwrap();
-        let json = serde_json::to_string(&tg).unwrap();
-        let tg2: TemporalGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(tg, tg2);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::node::{Edge, NodeId};
 use crate::view::GraphView;
-use serde::{Deserialize, Serialize};
 
 /// An immutable graph stored in compressed sparse row (CSR) form.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// For undirected graphs each edge `{u, v}` is stored twice (once per
 /// endpoint); [`CsrGraph::edge_count`] reports the number of undirected
 /// edges, not adjacency entries.
-#[derive(Clone, Debug, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CsrGraph {
     node_count: usize,
     offsets: Vec<usize>,
@@ -316,14 +315,6 @@ mod tests {
         assert_eq!(g.total_degree(), 1);
         assert_eq!(g.degree(NodeId(0)), 0);
         assert_eq!(g.neighbors(NodeId(1)), &[NodeId(1)]);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_graph() {
-        let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: CsrGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g, g2);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! type system a hook to keep "node of copy 1", "node of copy 2" and
 //! "underlying node" from being silently mixed up at API boundaries.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense node identifier inside a single graph.
@@ -17,7 +16,7 @@ use std::fmt;
 /// ground-truth mapping between the ids of the two copies separately (see
 /// `snr-sampling`), so the matcher itself never gets to "peek" at underlying
 /// identities.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -65,7 +64,7 @@ impl From<NodeId> for u32 {
 
 /// An undirected edge between two nodes, stored with `src <= dst` when
 /// canonicalized.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Edge {
     /// First endpoint.
     pub src: NodeId,

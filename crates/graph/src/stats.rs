@@ -7,10 +7,9 @@
 
 use crate::node::NodeId;
 use crate::view::GraphView;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a graph.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStats {
     /// Number of nodes.
     pub nodes: usize,

@@ -2,10 +2,10 @@
 
 use crate::spill::{self, EngineError, MergeSource, MergeStream, RunReader, SpillCodec};
 use crate::stats::{EngineStats, RoundStats};
-use parking_lot::Mutex;
 use snr_faults::{FaultRegistry, FaultSite};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Smallest number of input records per map task when the chunk size is
@@ -121,7 +121,7 @@ impl Engine {
 
     /// A snapshot of the cumulative statistics.
     pub fn stats(&self) -> EngineStats {
-        self.stats.lock().clone()
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Runs one MapReduce round: chunked mappers, a caller-chosen
@@ -353,7 +353,7 @@ impl Engine {
         if let Some(sp) = spill {
             if sp.spilled_runs.load(Ordering::Relaxed) > 0 {
                 let (hit, seed) = {
-                    let reg = self.faults.lock();
+                    let reg = self.faults.lock().unwrap_or_else(PoisonError::into_inner);
                     (reg.fire(FaultSite::SpillCorrupt, None, Some(sp.round)).is_some(), reg.seed())
                 };
                 if hit {
@@ -449,7 +449,7 @@ impl Engine {
             reduce_tasks = c.reduce_tasks,
             spilled_runs = c.spilled_runs,
         );
-        self.stats.lock().record(RoundStats {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner).record(RoundStats {
             label: label.to_string(),
             input_records: c.input_records,
             // No combiner: every emitted pair is shuffled.
@@ -554,8 +554,10 @@ fn split_into_chunks<I>(input: Vec<I>, chunk_size: usize) -> Vec<Vec<I>> {
     chunks
 }
 
-/// Applies `f` to every task on a pool of `workers` crossbeam scoped threads,
-/// preserving task order in the result.
+/// Applies `f` to every task on a pool of `workers` scoped threads
+/// (`std::thread::scope`), preserving task order in the result. Workers take
+/// tasks from the back of the queue; map tasks reserve spill budget in the
+/// order they run, so this order shapes which tasks spill.
 fn parallel_map<T, U, F>(workers: usize, tasks: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -568,23 +570,27 @@ where
     let slots = Mutex::new(slots);
     let queue = Mutex::new(tasks.into_iter().enumerate().collect::<Vec<_>>());
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..workers.min(task_count).max(1) {
-            scope.spawn(|_| loop {
-                let next = queue.lock().pop();
+            scope.spawn(|| loop {
+                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 match next {
                     Some((idx, task)) => {
                         let result = f(task);
-                        slots.lock()[idx] = Some(result);
+                        slots.lock().unwrap_or_else(PoisonError::into_inner)[idx] = Some(result);
                     }
                     None => break,
                 }
             });
         }
-    })
-    .expect("mapreduce worker thread panicked");
+    });
 
-    slots.into_inner().into_iter().map(|slot| slot.expect("task slot not filled")).collect()
+    slots
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .into_iter()
+        .map(|slot| slot.expect("task slot not filled"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -991,7 +997,7 @@ mod tests {
                 (0..200).collect(),
                 |chunk: &[u64]| chunk.iter().map(|&x| ((x % 7) as u32, x)).collect(),
                 |&k: &u32| range_partition(k, 7, 1),
-                |_, groups: &mut Stream<'_>| seen.lock().extend(groups.map(|(k, _)| k)),
+                |_, groups: &mut Stream<'_>| seen.lock().unwrap().extend(groups.map(|(k, _)| k)),
                 &FailingDecode { bad: 3 },
             )
             .expect_err("a group that fails to decode must fail the round");
@@ -1002,7 +1008,7 @@ mod tests {
         assert!(why.contains("refusing key 3"), "{why}");
         // Task 0 fails reading key 3 while key 2 is being merged, so the
         // stream drops that half-merged group and ends.
-        assert_eq!(seen.into_inner(), vec![0, 1], "the stream ends at the failing read");
+        assert_eq!(seen.into_inner().unwrap(), vec![0, 1], "the stream ends at the failing read");
         assert!(!scratch.exists(), "scratch removed on error");
         assert_eq!(engine.stats().rounds, 0, "failed rounds are not recorded");
         // The engine stays usable.

@@ -28,7 +28,7 @@
 //! the witness rounds of `snr-core` shuffle one packed record per candidate
 //! *row* instead of one per *witness contribution*.
 //!
-//! Rounds run on a pool of OS threads (crossbeam scoped threads); the
+//! Rounds run on a pool of OS threads (`std::thread::scope`); the
 //! [`Engine`] records per-round statistics (records mapped, key groups
 //! reduced, shuffle volume in records and bytes, spill volume) so that the
 //! round-complexity *and* data-movement claims can be checked empirically —

@@ -34,7 +34,6 @@
 //! one at a time, so a flipped byte or a truncated tail surfaces as a clean
 //! [`EngineError::Spill`] — never a panic, never a silently wrong group.
 
-use parking_lot::Mutex;
 use snr_faults::{FaultRegistry, FaultSite};
 use snr_store::wire::{self, Format, HashWriter, Reader, WireError, Writer};
 use snr_store::Checksum64;
@@ -44,6 +43,7 @@ use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Magic prefix of a spill run file ("SNR Mapreduce run").
 pub const RUN_MAGIC: [u8; 4] = *b"SNRM";
@@ -154,7 +154,12 @@ pub(crate) fn write_run<K, V, SC: SpillCodec<K, V>>(
     w.write_all(&block).map_err(write_error)?;
     block.clear();
 
-    if faults.lock().fire(FaultSite::SpillIo, None, Some(round)).is_some() {
+    if faults
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .fire(FaultSite::SpillIo, None, Some(round))
+        .is_some()
+    {
         return Err(EngineError::Spill(format!(
             "injected spill_io fault writing {} (round {round})",
             path.display()

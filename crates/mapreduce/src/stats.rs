@@ -8,11 +8,10 @@
 //! ([`RoundStats::shuffled_bytes`]), so the shrinkage that pre-aggregating
 //! mappers buy is measured, not assumed.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Statistics of a single MapReduce round (one job execution).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoundStats {
     /// Human-readable job label.
     pub label: String,
@@ -41,38 +40,20 @@ pub struct RoundStats {
     /// instead of staying resident (a subset of
     /// [`RoundStats::shuffled_bytes`]; `0` when the round fit in its
     /// memory budget).
-    #[serde(default)]
     pub spilled_bytes: usize,
     /// Spill run files written by map tasks this round.
-    #[serde(default)]
     pub spilled_runs: usize,
     /// Microseconds reduce partitions with run files spent on their
     /// streamed fold, from opening the runs through the k-way merge and
     /// the reduce to its return, summed over those partitions (`0` when
     /// nothing spilled).
-    #[serde(default)]
     pub spill_merge_micros: u64,
     /// Wall-clock duration of the round.
-    #[serde(with = "duration_micros")]
     pub duration: Duration,
 }
 
-mod duration_micros {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(d: &Duration, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_u64(d.as_micros() as u64)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Duration, D::Error> {
-        let micros = <u64 as serde::Deserialize>::deserialize(d)?;
-        Ok(Duration::from_micros(micros))
-    }
-}
-
 /// Aggregate statistics across every round run on an [`crate::Engine`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineStats {
     /// Number of rounds (jobs) executed so far.
     pub rounds: usize,
@@ -177,31 +158,6 @@ mod tests {
         assert_eq!(s.total_output_records, 12);
         assert_eq!(s.per_round.len(), 2);
         assert_eq!(s.total_duration(), Duration::from_micros(300));
-    }
-
-    #[test]
-    fn round_stats_serde_roundtrip() {
-        let r = round("serde", 3, 9, 2);
-        let json = serde_json::to_string(&r).unwrap();
-        let r2: RoundStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, r2);
-    }
-
-    #[test]
-    fn round_stats_spill_fields_default_when_absent() {
-        // Pre-spill JSON (e.g. an old checkpoint) must still deserialize.
-        let mut r = round("old", 3, 9, 2);
-        r.spilled_bytes = 0;
-        r.spilled_runs = 0;
-        r.spill_merge_micros = 0;
-        let serde::value::Value::Map(mut fields) = serde::value::to_value(&r) else {
-            panic!("RoundStats must serialize as a map");
-        };
-        fields.retain(|(key, _)| {
-            !matches!(key.as_str(), "spilled_bytes" | "spilled_runs" | "spill_merge_micros")
-        });
-        let r2: RoundStats = serde::value::from_value(serde::value::Value::Map(fields)).unwrap();
-        assert_eq!(r, r2);
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! degrees, which is the paper's "degree in the intersection of the two
 //! graphs" up to sampling noise.
 
-use serde::{Deserialize, Serialize};
 use snr_core::Linking;
 use snr_sampling::RealizationPair;
 
 /// Precision / recall within one degree bucket.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DegreeBucketMetrics {
     /// Inclusive lower bound of the bucket (min copy degree).
     pub degree_lo: usize,

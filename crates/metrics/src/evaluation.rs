@@ -1,12 +1,11 @@
 //! Scoring a link set against the ground truth.
 
-use serde::{Deserialize, Serialize};
 use snr_core::Linking;
 use snr_sampling::{GroundTruth, RealizationPair};
 
 /// The outcome of comparing a set of identification links against ground
 /// truth.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Evaluation {
     /// Total number of links (seeds included).
     pub total_links: usize,
@@ -157,14 +156,6 @@ mod tests {
     fn zero_matchable_gives_zero_recall() {
         let eval = Evaluation::score_against(&truth(), 0, &links_with(&[(0, 0)]), 0);
         assert_eq!(eval.recall(), 0.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let eval = Evaluation::score_against(&truth(), 5, &links_with(&[(0, 0)]), 0);
-        let json = serde_json::to_string(&eval).unwrap();
-        let eval2: Evaluation = serde_json::from_str(&json).unwrap();
-        assert_eq!(eval, eval2);
     }
 
     proptest::proptest! {

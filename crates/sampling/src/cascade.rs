@@ -16,7 +16,7 @@ use std::collections::VecDeque;
 
 /// Runs one independent cascade on `g` starting from `seed` with adoption
 /// probability `p`; returns the adopted node set as a boolean mask.
-pub fn run_cascade<G: GraphView, R: Rng + ?Sized>(
+fn run_cascade<G: GraphView, R: Rng + ?Sized>(
     g: &G,
     seed: NodeId,
     p: f64,

@@ -1,6 +1,5 @@
 //! Ground-truth correspondence between the two copies.
 
-use serde::{Deserialize, Serialize};
 use snr_graph::NodeId;
 
 /// The true correspondence between nodes of copy 1 and nodes of copy 2.
@@ -11,7 +10,7 @@ use snr_graph::NodeId;
 ///
 /// The matcher never sees this table — it is used only to sample seed links
 /// and to score results.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroundTruth {
     g1_to_g2: Vec<Option<NodeId>>,
     g2_to_g1: Vec<Option<NodeId>>,
@@ -135,13 +134,5 @@ mod tests {
         let t = sample();
         assert_eq!(t.counterpart_in_g2(NodeId(99)), None);
         assert_eq!(t.counterpart_in_g1(NodeId(99)), None);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = sample();
-        let json = serde_json::to_string(&t).unwrap();
-        let t2: GroundTruth = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, t2);
     }
 }

@@ -13,7 +13,7 @@ use snr_graph::{CsrGraph, GraphBuilder, GraphError, NodeId};
 /// Adds `extra_fraction * edge_count` uniformly random spurious edges to a
 /// single graph (self-loops and duplicates are skipped, so the realized
 /// number can be slightly lower).
-pub fn add_noise_edges<R: Rng + ?Sized>(
+fn add_noise_edges<R: Rng + ?Sized>(
     g: &CsrGraph,
     extra_fraction: f64,
     rng: &mut R,
@@ -44,7 +44,7 @@ pub fn add_noise_edges<R: Rng + ?Sized>(
     Ok(b.build())
 }
 
-/// Applies [`add_noise_edges`] to both copies of a realization pair with the
+/// Applies `add_noise_edges` to both copies of a realization pair with the
 /// same noise fraction (independent random choices per copy).
 pub fn noisy_pair<R: Rng + ?Sized>(
     pair: &RealizationPair,

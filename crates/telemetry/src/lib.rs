@@ -35,9 +35,8 @@ pub use export::{
 };
 pub use metrics::{Counter, Gauge, Histogram};
 pub use schema::{validate_jsonl, TraceSummary};
-pub use spans::{
-    record_event, record_remote_event, record_remote_span, EventRecord, SpanGuard, SpanRecord,
-};
+pub use spans::{record_event, SpanGuard};
+use spans::{record_remote_event, record_remote_span};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

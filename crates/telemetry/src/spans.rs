@@ -10,7 +10,7 @@ use std::time::Instant;
 
 /// A finished span: a named, timed region with a parent link.
 #[derive(Clone, Debug)]
-pub struct SpanRecord {
+pub(crate) struct SpanRecord {
     /// Unique id (> 0) within this process.
     pub id: u64,
     /// Id of the enclosing span, or 0 for a root span.
@@ -29,7 +29,7 @@ pub struct SpanRecord {
 
 /// A point-in-time event.
 #[derive(Clone, Debug)]
-pub struct EventRecord {
+pub(crate) struct EventRecord {
     /// Static name, or an owned name for events absorbed from workers.
     pub name: Cow<'static, str>,
     /// Rendered `key=value` fields, space-separated; may be empty.
@@ -171,7 +171,13 @@ fn join_fields(fields: &str, extra: &str) -> String {
 /// Records a span absorbed from a remote process, tagging it with `extra`
 /// (e.g. `"worker=1 gen=0"`). Remote spans are roots with thread id 0; their
 /// `start_us` is in the remote process's own clock.
-pub fn record_remote_span(name: &str, fields: &str, extra: &str, start_us: u64, dur_us: u64) {
+pub(crate) fn record_remote_span(
+    name: &str,
+    fields: &str,
+    extra: &str,
+    start_us: u64,
+    dur_us: u64,
+) {
     if !enabled() {
         return;
     }
@@ -188,7 +194,7 @@ pub fn record_remote_span(name: &str, fields: &str, extra: &str, start_us: u64, 
 }
 
 /// Records an event absorbed from a remote process, tagging it with `extra`.
-pub fn record_remote_event(name: &str, fields: &str, extra: &str, at_us: u64) {
+pub(crate) fn record_remote_event(name: &str, fields: &str, extra: &str, at_us: u64) {
     if !enabled() {
         return;
     }

@@ -1,28 +1,23 @@
 //! Offline shim for serde's derive macros, written against the raw
 //! `proc_macro` API (the build environment has neither `syn` nor `quote`).
 //!
-//! Supported item shapes — exactly what this workspace derives:
+//! Supported item shapes — exactly what this workspace derives: structs
+//! with named fields, serialized as a JSON object with one key per field.
 //!
-//! * structs with named fields (optionally `#[serde(with = "module")]` or
-//!   `#[serde(default)]` on a field),
-//! * tuple structs (newtypes serialize as their single field; wider tuples
-//!   as arrays),
-//! * enums with unit and struct variants, in serde's externally-tagged
-//!   representation (`"Variant"` / `{"Variant": {..}}`).
-//!
-//! Generics, lifetimes, and other `#[serde(...)]` attributes are rejected
-//! with a compile-time panic rather than silently mis-serialized.
+//! Enums, tuple and unit structs, generics, lifetimes and every
+//! `#[serde(...)]` attribute are rejected with a compile-time panic rather
+//! than silently mis-serialized.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Derives `serde::Serialize` for the supported item shapes.
+/// Derives `serde::Serialize` for a named-field struct.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     generate_serialize(&item).parse().expect("generated Serialize impl parses")
 }
 
-/// Derives `serde::Deserialize` for the supported item shapes.
+/// Derives `serde::Deserialize` for a named-field struct.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
@@ -33,87 +28,58 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// `struct Name { field: Type, ... }`: the struct's name and its fields'.
 struct Item {
     name: String,
-    kind: Kind,
-}
-
-enum Kind {
-    /// `struct Name { field: Type, ... }`
-    NamedStruct(Vec<Field>),
-    /// `struct Name(Type, ...);` with the number of fields.
-    TupleStruct(usize),
-    /// `enum Name { Unit, Struct { field: Type }, ... }`
-    Enum(Vec<Variant>),
-}
-
-struct Field {
-    name: String,
-    /// Module path from `#[serde(with = "path")]`, if present.
-    with: Option<String>,
-    /// True for `#[serde(default)]`: a missing field deserializes to
-    /// `Default::default()` instead of erroring (serialization unchanged).
-    default: bool,
-}
-
-/// One recognized `#[serde(...)]` field attribute.
-enum SerdeAttr {
-    With(String),
-    Default,
-}
-
-struct Variant {
-    name: String,
-    /// `None` for unit variants; named fields for struct variants.
-    fields: Option<Vec<Field>>,
+    fields: Vec<String>,
 }
 
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut pos = 0;
 
-    while skip_attribute(&tokens, &mut pos).is_some() {}
+    skip_attributes(&tokens, &mut pos);
     skip_visibility(&tokens, &mut pos);
 
     let keyword = expect_ident(&tokens, &mut pos);
     let name = expect_ident(&tokens, &mut pos);
+    if keyword != "struct" {
+        panic!(
+            "serde shim derive supports only structs with named fields, found `{keyword} {name}`"
+        );
+    }
     if matches!(tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
         panic!("serde shim derive does not support generic type `{name}`");
     }
-
-    let kind = match keyword.as_str() {
-        "struct" => match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Kind::NamedStruct(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Kind::TupleStruct(count_tuple_fields(g.stream()))
-            }
-            other => panic!("unsupported struct body for `{name}`: {other:?}"),
-        },
-        "enum" => match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Kind::Enum(parse_variants(g.stream()))
-            }
-            other => panic!("unsupported enum body for `{name}`: {other:?}"),
-        },
-        other => panic!("serde shim derive supports structs and enums, found `{other}`"),
+    let fields = match tokens.get(pos) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
+            parse_named_fields(g.stream())
+        }
+        _ => panic!(
+            "serde shim derive supports only structs with named fields, found `struct {name}`"
+        ),
     };
 
-    Item { name, kind }
+    Item { name, fields }
 }
 
-/// If `tokens[pos]` starts an attribute, skips it and returns its tokens.
-fn skip_attribute(tokens: &[TokenTree], pos: &mut usize) -> Option<TokenStream> {
-    match (tokens.get(*pos), tokens.get(*pos + 1)) {
-        (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g)))
-            if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
-        {
-            let stream = g.stream();
-            *pos += 2;
-            Some(stream)
+/// Skips any attributes at `tokens[pos]`, rejecting `#[serde(...)]` so
+/// nothing is silently ignored.
+fn skip_attributes(tokens: &[TokenTree], pos: &mut usize) {
+    while let (Some(TokenTree::Punct(p)), Some(TokenTree::Group(g))) =
+        (tokens.get(*pos), tokens.get(*pos + 1))
+    {
+        if p.as_char() != '#' || g.delimiter() != Delimiter::Bracket {
+            return;
         }
-        _ => None,
+        if matches!(g.stream().into_iter().next(), Some(TokenTree::Ident(i)) if i.to_string() == "serde")
+        {
+            panic!(
+                "serde shim derive supports no #[serde(...)] attributes, found #[{}]",
+                g.stream()
+            );
+        }
+        *pos += 2;
     }
 }
 
@@ -137,53 +103,13 @@ fn expect_ident(tokens: &[TokenTree], pos: &mut usize) -> String {
     }
 }
 
-/// Extracts `with = "path"` or `default` from a `serde(...)` attribute
-/// body, rejecting every other serde attribute so nothing is silently
-/// ignored.
-fn parse_serde_attr(attr: TokenStream) -> Option<SerdeAttr> {
-    let tokens: Vec<TokenTree> = attr.into_iter().collect();
-    match tokens.first() {
-        Some(TokenTree::Ident(i)) if i.to_string() == "serde" => {}
-        _ => return None, // some other attribute (doc, non_exhaustive, ...)
-    }
-    let inner = match tokens.get(1) {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => g.stream(),
-        other => panic!("malformed #[serde ...] attribute: {other:?}"),
-    };
-    let inner: Vec<TokenTree> = inner.into_iter().collect();
-    match (inner.first(), inner.get(1), inner.get(2)) {
-        (Some(TokenTree::Ident(k)), None, None) if k.to_string() == "default" => {
-            Some(SerdeAttr::Default)
-        }
-        (Some(TokenTree::Ident(k)), Some(TokenTree::Punct(eq)), Some(TokenTree::Literal(lit)))
-            if k.to_string() == "with" && eq.as_char() == '=' =>
-        {
-            let raw = lit.to_string();
-            Some(SerdeAttr::With(raw.trim_matches('"').to_string()))
-        }
-        _ => panic!(
-            "serde shim derive supports only #[serde(with = \"module\")] and \
-             #[serde(default)], found #[serde({})]",
-            inner.iter().map(|t| t.to_string()).collect::<Vec<_>>().join(" ")
-        ),
-    }
-}
-
-fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
+fn parse_named_fields(stream: TokenStream) -> Vec<String> {
     let tokens: Vec<TokenTree> = stream.into_iter().collect();
     let mut pos = 0;
     let mut fields = Vec::new();
 
     while pos < tokens.len() {
-        let mut with = None;
-        let mut default = false;
-        while let Some(attr) = skip_attribute(&tokens, &mut pos) {
-            match parse_serde_attr(attr) {
-                Some(SerdeAttr::With(path)) => with = Some(path),
-                Some(SerdeAttr::Default) => default = true,
-                None => {}
-            }
-        }
+        skip_attributes(&tokens, &mut pos);
         if pos >= tokens.len() {
             break;
         }
@@ -194,7 +120,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             other => panic!("expected `:` after field `{name}`, found {other:?}"),
         }
         skip_type(&tokens, &mut pos);
-        fields.push(Field { name, with, default });
+        fields.push(name);
     }
     fields
 }
@@ -219,206 +145,32 @@ fn skip_type(tokens: &[TokenTree], pos: &mut usize) {
     }
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    if tokens.is_empty() {
-        return 0;
-    }
-    let mut count = 1;
-    let mut angle_depth = 0i32;
-    let mut saw_token_since_comma = false;
-    for t in &tokens {
-        if let TokenTree::Punct(p) = t {
-            match p.as_char() {
-                '<' => angle_depth += 1,
-                '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => {
-                    count += 1;
-                    saw_token_since_comma = false;
-                    continue;
-                }
-                _ => {}
-            }
-        }
-        saw_token_since_comma = true;
-    }
-    if !saw_token_since_comma {
-        count -= 1; // trailing comma
-    }
-    count
-}
-
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
-    let tokens: Vec<TokenTree> = stream.into_iter().collect();
-    let mut pos = 0;
-    let mut variants = Vec::new();
-
-    while pos < tokens.len() {
-        while skip_attribute(&tokens, &mut pos).is_some() {}
-        if pos >= tokens.len() {
-            break;
-        }
-        let name = expect_ident(&tokens, &mut pos);
-        let fields = match tokens.get(pos) {
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                pos += 1;
-                Some(parse_named_fields(g.stream()))
-            }
-            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                panic!("serde shim derive does not support tuple variant `{name}`")
-            }
-            _ => None,
-        };
-        if matches!(tokens.get(pos), Some(TokenTree::Punct(p)) if p.as_char() == ',') {
-            pos += 1;
-        }
-        variants.push(Variant { name, fields });
-    }
-    variants
-}
-
 // ---------------------------------------------------------------------------
 // Code generation
 // ---------------------------------------------------------------------------
 
-/// `expr` evaluates a field (accessed as `{access}`) to a `Value`.
-fn field_to_value_expr(field: &Field, access: &str) -> String {
-    match &field.with {
-        Some(path) => format!(
-            "match {path}::serialize(&{access}, ::serde::value::ValueSerializer) {{ \
-               ::std::result::Result::Ok(v) => v, \
-               ::std::result::Result::Err(e) => match e {{}}, \
-             }}"
-        ),
-        None => format!("::serde::value::to_value(&{access})"),
-    }
-}
-
-/// `expr` deserializes `Value` expression `{value}` into the field's type,
-/// early-returning a `__D::Error` on failure.
-fn field_from_value_expr(field: &Field, value: &str) -> String {
-    let convert = match &field.with {
-        Some(path) => {
-            format!("{path}::deserialize(::serde::value::ValueDeserializer::new({value}))")
-        }
-        None => format!("::serde::value::from_value({value})"),
-    };
-    format!(
-        "match {convert} {{ \
-           ::std::result::Result::Ok(v) => v, \
-           ::std::result::Result::Err(e) => \
-             return ::std::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(e)), \
-         }}"
-    )
-}
-
-/// Statements pushing each field of a named-field collection into
-/// `__fields`, reading from `{prefix}{name}`.
-fn push_named_fields(fields: &[Field], prefix: &str) -> String {
-    fields
-        .iter()
-        .map(|f| {
-            let value = field_to_value_expr(f, &format!("{prefix}{}", f.name));
-            format!("__fields.push((::std::string::String::from(\"{}\"), {value}));", f.name)
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
-/// Struct-literal body extracting each named field from `__map`. Fields
-/// marked `#[serde(default)]` fall back to `Default::default()` when the
-/// key is absent (a present-but-malformed value still errors).
-fn extract_named_fields(fields: &[Field]) -> String {
-    fields
-        .iter()
-        .map(|f| {
-            if f.default {
-                let convert = field_from_value_expr(f, "v");
-                return format!(
-                    "{}: match ::serde::value::take_field(&mut __map, \"{}\") {{ \
-                       ::std::result::Result::Ok(v) => {convert}, \
-                       ::std::result::Result::Err(_) => ::std::default::Default::default(), \
-                     }},",
-                    f.name, f.name
-                );
-            }
-            let take = format!(
-                "match ::serde::value::take_field(&mut __map, \"{}\") {{ \
-                   ::std::result::Result::Ok(v) => v, \
-                   ::std::result::Result::Err(e) => \
-                     return ::std::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(e)), \
-                 }}",
-                f.name
-            );
-            format!("{}: {},", f.name, field_from_value_expr(f, &take))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 fn generate_serialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.kind {
-        Kind::NamedStruct(fields) => {
-            let pushes = push_named_fields(fields, "self.");
+    let pushes = item
+        .fields
+        .iter()
+        .map(|f| {
             format!(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = \
-                     ::std::vec::Vec::new();\n\
-                 {pushes}\n\
-                 serializer.serialize_value(::serde::value::Value::Map(__fields))"
+                "__fields.push((::std::string::String::from(\"{f}\"), \
+                 ::serde::value::to_value(&self.{f})));"
             )
-        }
-        Kind::TupleStruct(1) => {
-            "serializer.serialize_value(::serde::value::to_value(&self.0))".to_string()
-        }
-        Kind::TupleStruct(n) => {
-            let items = (0..*n)
-                .map(|i| format!("::serde::value::to_value(&self.{i})"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("serializer.serialize_value(::serde::value::Value::Seq(::std::vec![{items}]))")
-        }
-        Kind::Enum(variants) => {
-            let arms = variants
-                .iter()
-                .map(|v| {
-                    let vname = &v.name;
-                    match &v.fields {
-                        None => format!(
-                            "{name}::{vname} => serializer.serialize_value(\
-                               ::serde::value::Value::Str(::std::string::String::from(\"{vname}\"))),"
-                        ),
-                        Some(fields) => {
-                            let bindings = fields
-                                .iter()
-                                .map(|f| f.name.clone())
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            let pushes = push_named_fields(fields, "");
-                            format!(
-                                "{name}::{vname} {{ {bindings} }} => {{\n\
-                                   let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = \
-                                       ::std::vec::Vec::new();\n\
-                                   {pushes}\n\
-                                   serializer.serialize_value(::serde::value::Value::Map(::std::vec![\
-                                       (::std::string::String::from(\"{vname}\"), \
-                                        ::serde::value::Value::Map(__fields))]))\n\
-                                 }}"
-                            )
-                        }
-                    }
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            format!("match self {{\n{arms}\n}}")
-        }
-    };
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
            fn serialize<__S: ::serde::Serializer>(&self, serializer: __S) \
                -> ::std::result::Result<__S::Ok, __S::Error> {{\n\
-             {body}\n\
+             let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::value::Value)> = \
+                 ::std::vec::Vec::new();\n\
+             {pushes}\n\
+             serializer.serialize_value(::serde::value::Value::Map(__fields))\n\
            }}\n\
          }}"
     )
@@ -426,107 +178,35 @@ fn generate_serialize(item: &Item) -> String {
 
 fn generate_deserialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match &item.kind {
-        Kind::NamedStruct(fields) => {
-            let extract = extract_named_fields(fields);
+    // Each field: take it from `__map` (a missing key is an error), then
+    // convert it; either failure returns a `__D::Error`.
+    let extract = item
+        .fields
+        .iter()
+        .map(|f| {
             format!(
-                "let mut __map = match __value {{\n\
-                   ::serde::value::Value::Map(m) => m,\n\
-                   other => return ::std::result::Result::Err(\
-                     <__D::Error as ::serde::de::Error>::custom(\
-                       ::std::format!(\"expected object for struct {name}, found {{other:?}}\"))),\n\
-                 }};\n\
-                 ::std::result::Result::Ok({name} {{\n{extract}\n}})"
+                "{f}: match ::serde::value::take_field(&mut __map, \"{f}\")\
+                   .and_then(::serde::value::from_value) {{ \
+                   ::std::result::Result::Ok(v) => v, \
+                   ::std::result::Result::Err(e) => \
+                     return ::std::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(e)), \
+                 }},"
             )
-        }
-        Kind::TupleStruct(1) => {
-            let inner = Field { name: String::new(), with: None, default: false };
-            let expr = field_from_value_expr(&inner, "__value");
-            format!("::std::result::Result::Ok({name}({expr}))")
-        }
-        Kind::TupleStruct(n) => {
-            let extracts = (0..*n)
-                .map(|_| {
-                    let inner = Field { name: String::new(), with: None, default: false };
-                    let expr =
-                        field_from_value_expr(&inner, "__items.next().expect(\"length checked\")");
-                    format!("{expr},")
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            format!(
-                "let __seq = match __value {{\n\
-                   ::serde::value::Value::Seq(s) if s.len() == {n} => s,\n\
-                   other => return ::std::result::Result::Err(\
-                     <__D::Error as ::serde::de::Error>::custom(\
-                       ::std::format!(\"expected {n}-element array for {name}, found {{other:?}}\"))),\n\
-                 }};\n\
-                 let mut __items = __seq.into_iter();\n\
-                 ::std::result::Result::Ok({name}({extracts}))"
-            )
-        }
-        Kind::Enum(variants) => {
-            let unit_arms = variants
-                .iter()
-                .filter(|v| v.fields.is_none())
-                .map(|v| {
-                    format!(
-                        "\"{vname}\" => ::std::result::Result::Ok({name}::{vname}),",
-                        vname = v.name
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            let struct_arms = variants
-                .iter()
-                .filter_map(|v| v.fields.as_ref().map(|fields| (&v.name, fields)))
-                .map(|(vname, fields)| {
-                    let extract = extract_named_fields(fields);
-                    format!(
-                        "\"{vname}\" => {{\n\
-                           let mut __map = match __inner {{\n\
-                             ::serde::value::Value::Map(m) => m,\n\
-                             other => return ::std::result::Result::Err(\
-                               <__D::Error as ::serde::de::Error>::custom(\
-                                 ::std::format!(\"expected object for variant {vname}, found {{other:?}}\"))),\n\
-                           }};\n\
-                           ::std::result::Result::Ok({name}::{vname} {{\n{extract}\n}})\n\
-                         }}"
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join("\n");
-            format!(
-                "match __value {{\n\
-                   ::serde::value::Value::Str(__s) => match __s.as_str() {{\n\
-                     {unit_arms}\n\
-                     other => ::std::result::Result::Err(\
-                       <__D::Error as ::serde::de::Error>::custom(\
-                         ::std::format!(\"unknown variant `{{other}}` for enum {name}\"))),\n\
-                   }},\n\
-                   ::serde::value::Value::Map(mut __m) if __m.len() == 1 => {{\n\
-                     let (__tag, __inner) = __m.remove(0);\n\
-                     match __tag.as_str() {{\n\
-                       {struct_arms}\n\
-                       other => ::std::result::Result::Err(\
-                         <__D::Error as ::serde::de::Error>::custom(\
-                           ::std::format!(\"unknown variant `{{other}}` for enum {name}\"))),\n\
-                     }}\n\
-                   }}\n\
-                   other => ::std::result::Result::Err(\
-                     <__D::Error as ::serde::de::Error>::custom(\
-                       ::std::format!(\"invalid representation for enum {name}: {{other:?}}\"))),\n\
-                 }}"
-            )
-        }
-    };
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
     format!(
         "#[automatically_derived]\n\
          impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
            fn deserialize<__D: ::serde::Deserializer<'de>>(deserializer: __D) \
                -> ::std::result::Result<Self, __D::Error> {{\n\
-             let __value = ::serde::Deserializer::take_value(deserializer)?;\n\
-             {body}\n\
+             let mut __map = match ::serde::Deserializer::take_value(deserializer)? {{\n\
+               ::serde::value::Value::Map(m) => m,\n\
+               other => return ::std::result::Result::Err(\
+                 <__D::Error as ::serde::de::Error>::custom(\
+                   ::std::format!(\"expected object for struct {name}, found {{other:?}}\"))),\n\
+             }};\n\
+             ::std::result::Result::Ok({name} {{\n{extract}\n}})\n\
            }}\n\
          }}"
     )

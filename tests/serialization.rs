@@ -80,19 +80,3 @@ fn dataset_proxies_are_reproducible_across_calls() {
     assert_eq!(a.graph, b.graph);
     assert_eq!(a.paper_nodes, 63_731);
 }
-
-#[test]
-fn linking_survives_json_roundtrip_with_results_intact() {
-    let mut rng = StdRng::seed_from_u64(43);
-    let g = preferential_attachment(600, 6, &mut rng).unwrap();
-    let pair = independent_deletion_symmetric(&g, 0.7, &mut rng).unwrap();
-    let seeds = sample_seeds(&pair, 0.10, &mut rng).unwrap();
-    let outcome = UserMatching::with_defaults().run(&pair.g1, &pair.g2, &seeds);
-
-    let json = serde_json::to_string(&outcome.links).unwrap();
-    let restored: Linking = serde_json::from_str(&json).unwrap();
-    assert_eq!(outcome.links, restored);
-    let eval_before = Evaluation::score(&pair, &outcome.links, outcome.links.seed_count());
-    let eval_after = Evaluation::score(&pair, &restored, restored.seed_count());
-    assert_eq!(eval_before, eval_after);
-}
