@@ -101,7 +101,8 @@ where
 /// number of distinct `(u, v)` entries its selection stage would process,
 /// the quantity the gate's floors were calibrated on.
 /// Scores every `ceil(n / 256)`-th candidate row through the cache (bumps
-/// only, no sink) and extrapolates the touched-entry count; deterministic,
+/// only, no sink) and extrapolates the rows' first-touch counts, their
+/// scored pairs; deterministic,
 /// and costs roughly `mass / 256` bumps — a fraction of a percent of the
 /// scan it predicts on the phases where the prediction matters.
 pub fn estimate_scored_pairs<G1>(g1: &G1, cache: &LinkCache, candidates: &[u32]) -> u64
@@ -112,13 +113,14 @@ where
         return 0;
     }
     let stride = candidates.len().div_ceil(SCORED_SAMPLE_ROWS).max(1);
-    let mut arena = ScoreArena::new(cache.eligible_count());
+    // Only the first-touch counts are read, so the arena lists no rank.
+    let mut arena = ScoreArena::new(cache.eligible_count(), u32::MAX);
     let mut rows = 0u64;
     let mut scored = 0u64;
     let mut i = 0usize;
     while i < candidates.len() {
         arena.score_row(g1, NodeId(candidates[i]), cache);
-        scored += arena.touched().len() as u64;
+        scored += arena.scored() as u64;
         rows += 1;
         i += stride;
     }
@@ -698,6 +700,24 @@ mod tests {
         // neighbor 2 — 1 bump.
         assert_eq!(phase_mass(&g1, &cache, &[0]), 1);
         assert_eq!(phase_mass(&g1, &cache, &[]), 0);
+    }
+
+    /// The estimate counts a sampled row's scored pairs, whatever its arena
+    /// lists: on up to 256 rows it samples every row and equals the exact
+    /// count, and on one fixed larger phase its extrapolation is pinned.
+    #[test]
+    fn estimate_scored_pairs_counts_every_scored_pair_of_its_sample() {
+        let mut rng = StdRng::seed_from_u64(0xe57);
+        let g = snr_generators::preferential_attachment(3000, 6, &mut rng).unwrap();
+        let (g1, g2, links) = seeded_pair(&g, &mut rng);
+        let d = 2;
+        let c1 = collect_candidates(&g1, &links, d);
+        assert!(c1.len() > 4 * SCORED_SAMPLE_ROWS, "{} candidate rows", c1.len());
+        let cache = LinkCache::build(&g2, &links, d);
+        let rows = &c1[..SCORED_SAMPLE_ROWS];
+        let exact = fused_phase_on(&g1, &g2, &links, rows, d, 2, false).0;
+        assert_eq!(estimate_scored_pairs(&g1, &cache, rows), exact as u64);
+        assert_eq!(estimate_scored_pairs(&g1, &cache, &c1), 23_106);
     }
 
     #[test]

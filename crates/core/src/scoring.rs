@@ -28,11 +28,13 @@
 //!   count.
 //! * **`ScoreArena`** accumulates one row into a dense, generation-stamped
 //!   scratch: one packed `u64` cell per rank holding
-//!   `(stamp << 32) | score`, plus the `touched` list. Starting a row is
-//!   O(1) (bump the epoch), and a contribution is one read-modify-write of
-//!   one cell — one random cache line per witness, where separate stamp and
-//!   score arrays cost two. `ScoreArena::score_row` is the one row kernel
-//!   every executor runs, and its bump is branch-free (see below).
+//!   `(stamp << 32) | score`, a first-touch count (the row's scored pairs)
+//!   and the list of ranks whose score reached the threshold `T`. Starting
+//!   a row is O(1) (bump the epoch), and a contribution is one
+//!   read-modify-write of one cell — one random cache line per witness,
+//!   where separate stamp and score arrays cost two.
+//!   `ScoreArena::score_row` is the one row kernel every executor runs, and
+//!   its bump is branch-free (see below).
 //! * **[`SelectSink`]** receives each finished row and fuses mutual-best
 //!   selection into row finalization — it keeps each row's argmax and a
 //!   per-`v` running best, so the full score table is never materialized.
@@ -46,9 +48,10 @@
 //! # Threshold-filtered selection
 //!
 //! Only entries with a score of at least the threshold `T` can affect the
-//! selection, so `SelectSink::row` counts every touched entry into
-//! `scored_pairs` but folds only the entries scoring `≥ T` into the row
-//! best and the per-`v` bests. This is exact:
+//! selection, so a row is reduced to what selection reads: its scored-pair
+//! count and its entries scoring `≥ T`. `SelectSink::row` adds the arena's
+//! first-touch count to `scored_pairs` and folds only the ranks the arena
+//! listed into the row best and the per-`v` bests. This is exact:
 //!
 //! * a row claims only a strictly unique best with score `≥ T`, and every
 //!   tie at such a maximum is also `≥ T`, so the row best and its
@@ -58,29 +61,39 @@
 //!   the best of a `v` that a claim points at. Bests of other `v` differ,
 //!   but nothing reads them.
 //!
-//! Rows fed to the sink as `(v, score)` entries (the MapReduce reduce
-//! and LSH verification) are filtered the same way.
+//! The arena lists a rank at the bump that lifts its score to exactly `T`.
+//! Scores grow by one per bump, so every rank that ends the row at `≥ T`
+//! is listed exactly once, and no other; its final score is read from its
+//! cell when the row is folded. The first-touch count is the number of
+//! distinct ranks touched, which is the row's scored pairs whatever `T` is.
+//! One arena thus means the same on every executor. The MapReduce map
+//! ships exactly this, a row's count and listed entries, and the reduce
+//! folds them through the same fold. LSH verification scores each proposal
+//! in full and feeds the sink every `(v, score)` entry of a row; the sink
+//! counts the non-zero ones and filters them to `≥ T` before the fold.
 //!
 //! # Branch-free bump and fold
 //!
-//! The two hot loops carry no data-dependent branch, because both tests
-//! they would make are close to coin flips: about half of all bumps are a
-//! row's first touch of their cell, and most scored pairs fall below `T`.
+//! The hot loops carry no data-dependent branch, because the tests they
+//! would make are close to coin flips: about half of all bumps are a row's
+//! first touch of their cell, and most scored pairs fall below `T`.
 //!
 //! * `ScoreArena::bump` sets every cell to
 //!   `max(cell, epoch << 32) + 1`. Stamps never exceed the epoch, so the
 //!   cell is current iff it is at least `epoch << 32`: this adds one to a
-//!   current score and starts a stale cell at `(epoch << 32) | 1`. It
-//!   writes `v` one past the end of the touched list on every bump and
-//!   advances the list's length only on a first touch, so the list holds
-//!   exactly the first touches in order.
-//! * [`SelectSink`]'s one fold writes every entry of a row into a reused
-//!   scratch buffer and advances the write position only for a score
-//!   `≥ T`; the kept prefix is exactly the entries the filter above
-//!   admits, in row order, and only it is folded into the bests.
+//!   current score and starts a stale cell at `(epoch << 32) | 1`. It adds
+//!   `old < epoch << 32`, a first touch, to the row's count. It writes `v`
+//!   one past the end of the listed ranks on every bump and advances their
+//!   length only when the new cell is exactly `(epoch << 32) | T`, so the
+//!   list holds exactly the ranks that reached `T`, in the order they did.
+//! * [`SelectSink`]'s filter for full rows (LSH verification) writes every
+//!   entry of a row into a reused scratch buffer and advances the write
+//!   position only for a score `≥ T`; the kept prefix is exactly the
+//!   entries the filter above admits, in row order, and only it is folded
+//!   into the bests.
 //!
-//! Both leave the same cells, touched lists, scored pairs and selections
-//! as a branch on the same test would, so links and every work count are
+//! Both leave the same cells, lists, scored pairs and selections as a
+//! branch on the same test would, so links and every work count are
 //! exact.
 //!
 //! # One entry point per executor
@@ -109,21 +122,27 @@
 //! engine round built from the same pieces: map tasks score contiguous
 //! chunks of candidate rows through the round's one [`LinkCache`] (each
 //! linked neighbor list is built once per round, not decoded once per
-//! contribution) and emit one already-aggregated record per candidate
-//! *row* — a dense `u32` key plus the row's packed `(v, count)` entries —
-//! instead of one `((u, v), 1)` record per *witness contribution*. That
-//! collapses the shuffled record count by orders of magnitude (measured
-//! 938× at the RMAT-16 witness pass) and the shuffled bytes from 12 per
-//! contribution to 8 per scored pair, or 4 when every entry of the row
-//! fits in 4 bytes (the charge stays 8). A task splits its rows across the
-//! engine's workers, one `ScoreArena` per piece, and concatenates the
-//! pieces' records in order: a round whose rows fit in one task still uses
-//! every worker, and the records, spill decisions and run files are those
-//! of one thread. The shuffle range-partitions by `u`, so each reduce
-//! partition owns whole rows in ascending order and folds them into a
-//! [`SelectSink`] as they stream off the engine's k-way merge of its
-//! in-memory buckets and spill runs — the MapReduce backend never
-//! materializes a global score table, nor a whole partition's rows.
+//! contribution) and emit one already-aggregated record per non-empty
+//! candidate *row* — a dense `u32` key, the row's scored-pair count and its
+//! packed `(v, count)` entries at or above `T` — instead of one
+//! `((u, v), 1)` record per *witness contribution*. That collapses the
+//! shuffled record count by orders of magnitude (measured 938× at the
+//! RMAT-16 witness pass). A row with no entry at `T` still ships its count,
+//! so the record count is one per non-empty row. An entry takes 4 bytes
+//! when every shipped entry of the row fits, else 8, and the entries below
+//! `T`, about two thirds of the scored pairs at `T = 2` on R-MAT, are not
+//! shipped at all. The shuffle is still charged 4 bytes per row plus 8 per
+//! scored pair, so the charge over-counts the bytes held (the run files
+//! hold under 5% of it in the `smoke spill` scenario). A task splits its
+//! rows across the engine's workers, one `ScoreArena` per piece, and
+//! concatenates the pieces' records in order: a round whose rows fit in
+//! one task still uses every worker, and the records, spill decisions and
+//! run files are those of one thread. The shuffle range-partitions by `u`,
+//! so each reduce partition owns whole rows in ascending order; it adds
+//! each row's count and folds its entries into a [`SelectSink`] as they
+//! stream off the engine's k-way merge of its in-memory buckets and spill
+//! runs — the MapReduce backend never materializes a global score table,
+//! nor a whole partition's rows.
 
 use crate::linking::Linking;
 use crate::matching::Best;
@@ -377,39 +396,57 @@ fn prefix_sum_within(counts: &mut [u32], limit: u32) {
 /// The arena scores in a [`LinkCache`]'s rank space: each eligible copy-2
 /// node owns the packed cell `(stamp << 32) | score` at its rank, so an
 /// arena is sized to the phase's eligible count and the high-degree nodes
-/// that take most bumps share its first cache lines. [`ScoreArena::touched`]
+/// that take most bumps share its first cache lines. [`ScoreArena::listed`]
 /// and [`ScoreArena::get`] speak ranks; [`LinkCache::nodes`] maps them back.
 /// The score is valid only where the stamp equals the current epoch. Bumping
 /// the epoch invalidates the whole row in O(1), so the arena is reused
 /// across every row of a phase without clearing, and a contribution reads
 /// and writes exactly one cell.
 ///
-/// The bump is branch-free: it sets the cell to `max(cell, epoch << 32) + 1`
-/// and writes `v` past the end of the touched list, which advances only on
-/// a first touch (see the module docs for why this is exact).
+/// A row yields what selection reads: its scored-pair count (the first
+/// touches, [`ScoreArena::scored`]) and the ranks whose score reached the
+/// phase threshold `T`, in the order they reached it. The bump is
+/// branch-free: it sets the cell to `max(cell, epoch << 32) + 1`, counts a
+/// first touch, and writes `v` past the end of the listed ranks, which
+/// advance only when the new score is exactly `T` (see the module docs for
+/// why this is exact).
 pub(crate) struct ScoreArena {
     /// `(stamp << 32) | score` per rank.
     cells: Vec<u64>,
     epoch: u32,
-    /// The current row's first-touch list is `touched[..len]`. The slots
-    /// past `len` are scratch that every bump writes into. The buffer grows
-    /// on demand to the longest row plus one cached neighbor list, not to
-    /// `n2` up front.
-    touched: Vec<u32>,
+    /// `T`, at least 1: a rank is listed when its score reaches it.
+    threshold: u32,
+    /// The current row's listed ranks are `listed[..len]`. The slots past
+    /// `len` are scratch that every bump writes into. The buffer grows on
+    /// demand to the longest row plus one cached neighbor list, not to `n2`
+    /// up front.
+    listed: Vec<u32>,
     len: usize,
+    /// The current row's first touches: its scored pairs.
+    scored: usize,
 }
 
 impl ScoreArena {
     /// An arena over `cells` ranks (at least the eligible count of every
-    /// [`LinkCache`] it scores through).
-    pub fn new(cells: usize) -> ScoreArena {
-        ScoreArena { cells: vec![0; cells], epoch: 0, touched: Vec::new(), len: 0 }
+    /// [`LinkCache`] it scores through) that lists the ranks scoring at
+    /// least `threshold`. A threshold of 0 is clamped to 1, as in
+    /// [`SelectSink::new`].
+    pub fn new(cells: usize, threshold: u32) -> ScoreArena {
+        ScoreArena {
+            cells: vec![0; cells],
+            epoch: 0,
+            threshold: threshold.max(1),
+            listed: Vec::new(),
+            len: 0,
+            scored: 0,
+        }
     }
 
     /// Starts a new row, invalidating the previous one in O(1).
     #[inline]
     pub fn begin_row(&mut self) {
         self.len = 0;
+        self.scored = 0;
         if self.epoch == u32::MAX {
             // One reset every 2^32 - 1 rows keeps the stamp test exact.
             self.cells.fill(0);
@@ -423,45 +460,57 @@ impl ScoreArena {
     /// occurrence), without a data-dependent branch.
     #[inline]
     pub fn bump(&mut self, vs: &[u32]) {
-        // Each bump appends at most one node, so one capacity check per
-        // slice covers every write below.
+        // Each bump lists at most one rank, so one capacity check per slice
+        // covers every write below.
         let need = self.len + vs.len();
-        if self.touched.len() < need {
+        if self.listed.len() < need {
             self.grow(need);
         }
         let row = u64::from(self.epoch) << 32;
+        let reached = row | u64::from(self.threshold);
         let cells = &mut self.cells[..];
-        let touched = &mut self.touched[..];
-        let mut len = self.len;
+        let listed = &mut self.listed[..];
+        let (mut len, mut scored) = (self.len, self.scored);
         for &v in vs {
             let cell = &mut cells[v as usize];
             let old = *cell;
             // Stamps never exceed the epoch (a wrap clears every cell), so
             // the cell is current iff it is at least `row`: `max` keeps a
             // current cell and restarts a stale one at `row | 0`.
-            *cell = old.max(row) + 1;
-            touched[len] = v;
-            len += usize::from(old < row);
+            let new = old.max(row) + 1;
+            *cell = new;
+            listed[len] = v;
+            len += usize::from(new == reached);
+            scored += usize::from(old < row);
         }
         self.len = len;
+        self.scored = scored;
     }
 
-    /// Grows the touched buffer to at least `need` slots, at least doubling
+    /// Grows the listed buffer to at least `need` slots, at least doubling
     /// it, so an arena grows a logarithmic number of times in its lifetime.
     #[cold]
     #[inline(never)]
     fn grow(&mut self, need: usize) {
-        self.touched.resize(need.max(2 * self.touched.len()), 0);
+        self.listed.resize(need.max(2 * self.listed.len()), 0);
     }
 
-    /// The ranks with a non-zero score in the current row, in first-touch
-    /// order.
+    /// The ranks scoring at least the threshold in the current row, in the
+    /// order their scores reached it.
     #[inline]
-    pub fn touched(&self) -> &[u32] {
-        &self.touched[..self.len]
+    pub fn listed(&self) -> &[u32] {
+        &self.listed[..self.len]
     }
 
-    /// The current row's score for rank `v`. Only meaningful for touched `v`.
+    /// The number of distinct ranks the current row touched: its scored
+    /// pairs.
+    #[inline]
+    pub fn scored(&self) -> usize {
+        self.scored
+    }
+
+    /// The current row's score for rank `v`. Only meaningful for a rank the
+    /// row touched.
     #[inline]
     pub fn get(&self, v: u32) -> u32 {
         self.cells[v as usize] as u32
@@ -479,8 +528,8 @@ impl ScoreArena {
     /// The row kernel: starts a new row and scores copy-1 node `row` of
     /// `g1` into it — one bump per cached eligible copy-2 neighbor (by rank)
     /// of every linked neighbor of `row`. Every executor scores rows through
-    /// this loop; the finished row is read via [`ScoreArena::touched`] and
-    /// [`ScoreArena::get`].
+    /// this loop; the finished row is read via [`ScoreArena::scored`],
+    /// [`ScoreArena::listed`] and [`ScoreArena::get`].
     #[inline]
     pub fn score_row<G1: GraphView>(&mut self, g1: &G1, row: NodeId, cache: &LinkCache) {
         self.begin_row();
@@ -495,17 +544,19 @@ impl ScoreArena {
 /// Consumer of finished candidate rows that fuses mutual-best selection
 /// into row finalization.
 ///
-/// Finishing a row computes its argmax (the row is complete, so the
-/// strict-uniqueness flag is exact) and folds every entry scoring at least
-/// the threshold into a dense per-`v` running best; sub-threshold entries
-/// are only counted (see the module docs for why that is exact). The full
-/// score table is never materialized. Sinks are order-independent: rows
-/// arrive in ascending `u` order within a worker, but per-worker sinks may
-/// [`SelectSink::merge`] in any order.
+/// Finishing a row adds its scored-pair count, computes its argmax (the
+/// row is complete, so the strict-uniqueness flag is exact) and folds every
+/// entry scoring at least the threshold into a dense per-`v` running best;
+/// sub-threshold entries are only counted (see the module docs for why that
+/// is exact). The full score table is never materialized. Sinks are
+/// order-independent: rows arrive in ascending `u` order within a worker,
+/// but per-worker sinks may [`SelectSink::merge`] in any order.
 ///
-/// The threshold filter is branch-free: each row is first compacted into a
-/// reused scratch buffer whose write position advances only for a score
-/// `≥ T`, and only that kept prefix is folded (see the module docs).
+/// An arena row and a shuffled `RowRecord` already list only the entries
+/// at or above the threshold, so they are folded as they come. A row given
+/// as all its `(v, score)` entries (LSH verification) is first compacted
+/// into a reused scratch buffer whose write position advances only for a
+/// score `≥ T`, and only that kept prefix is folded.
 ///
 /// The `v` axis is either copy-2 node ids (a sink from [`SelectSink::new`]
 /// over `n2`, which every public entry point takes and returns) or a
@@ -524,12 +575,37 @@ pub struct SelectSink {
     /// Total number of non-zero `(u, v)` pairs seen (the `scored_pairs`
     /// phase statistic, kept identical to `ScoreTable::len`).
     scored_pairs: usize,
-    /// Reused per-row buffer of the entries at or above the threshold.
+    /// Reused per-row buffer of the entries at or above the threshold, for
+    /// [`SelectSink::row_entries`].
     kept: Vec<(u32, u32)>,
 }
 
 /// A running best that has seen no entry yet.
 const NO_BEST: Best = Best { partner: NO_LINK, score: 0, unique: false };
+
+/// The one row fold: folds row `u`'s entries scoring at least the
+/// threshold, given in any order (the row best and per-`v` bests are
+/// order-independent), into the row best and a sink's per-`v` bests, and
+/// claims the row if its best is strictly unique. The caller counts the
+/// row's scored pairs.
+#[inline]
+fn fold(
+    claims: &mut Vec<(u32, Best)>,
+    best_v: &mut [Best],
+    u: u32,
+    entries: impl Iterator<Item = (u32, u32)>,
+) {
+    let mut best = NO_BEST;
+    for (v, score) in entries {
+        best.consider(v, score);
+        best_v[v as usize].consider(u, score);
+    }
+    // Every folded score is at least the threshold (>= 1), so a row with a
+    // folded entry leaves `best` above `NO_BEST` and its flag exact.
+    if best.unique {
+        claims.push((u, best));
+    }
+}
 
 /// Merges the running best `theirs` into `mine`; a side that has seen no
 /// entry (score 0) yields the other.
@@ -570,13 +646,17 @@ impl SelectSink {
         (self.scored_pairs, out)
     }
 
-    /// Consumes the row `arena` holds as row `u`'s scores: every touched
-    /// entry counts as a scored pair, and only the entries at or above the
-    /// threshold are folded. An empty row changes nothing (it would not
-    /// appear in a sparse score table either).
+    /// Consumes the row `arena` holds as row `u`'s scores: its first
+    /// touches count as scored pairs, and its listed entries, those at or
+    /// above the threshold, are folded. The arena must list at this sink's
+    /// threshold. An empty row changes nothing (it would not appear in a
+    /// sparse score table either).
     #[inline]
     pub(crate) fn row(&mut self, u: u32, arena: &ScoreArena) {
-        self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
+        debug_assert_eq!(arena.threshold, self.threshold, "the arena lists at another threshold");
+        self.scored_pairs += arena.scored();
+        let entries = arena.listed().iter().map(|&v| (v, arena.get(v)));
+        fold(&mut self.claims, &mut self.best_v, u, entries);
     }
 
     /// Folds another worker's sink into this one. Workers score disjoint `u`
@@ -609,14 +689,12 @@ impl SelectSink {
         }
     }
 
-    /// The one row fold: consumes one complete row given as `(v, score)`
-    /// entries. The caller must pass every non-zero entry of row `u` exactly
-    /// once, in any order (the row best and per-`v` bests are
-    /// order-independent); zero-score entries may be mixed in and are
-    /// ignored. Non-zero entries count as scored pairs; only those at or
-    /// above the threshold are folded into the row best and the per-`v`
-    /// bests, and the row is claimed if its best is strictly unique. An
-    /// empty row changes nothing.
+    /// Consumes one complete row given as `(v, score)` entries, as LSH
+    /// verification scores it. The caller must pass every non-zero entry of
+    /// row `u` exactly once, in any order; zero-score entries may be mixed
+    /// in and are ignored. Non-zero entries count as scored pairs; only
+    /// those at or above the threshold are folded. An empty row changes
+    /// nothing.
     #[inline]
     pub(crate) fn row_entries(
         &mut self,
@@ -637,29 +715,21 @@ impl SelectSink {
             scored += usize::from(score != 0);
         }
         self.scored_pairs += scored;
-        let mut best = NO_BEST;
-        for &(v, score) in &self.kept[..kept] {
-            best.consider(v, score);
-            self.best_v[v as usize].consider(u, score);
-        }
-        // Every folded score is at least the threshold (>= 1), so a row
-        // with a folded entry leaves `best` above `NO_BEST` and its flag
-        // exact.
-        if best.unique {
-            self.claims.push((u, best));
-        }
+        fold(&mut self.claims, &mut self.best_v, u, self.kept[..kept].iter().copied());
     }
 
-    /// Reduce-side entry point: consumes one complete row of packed
-    /// `(v, count)` entries in either form, as shuffled by the MapReduce
-    /// witness round.
-    pub(crate) fn row_packed(&mut self, u: u32, row: &PackedRow) {
-        match row {
+    /// Reduce-side entry point: consumes one shuffled row, adding its
+    /// scored-pair count and folding its packed entries, which are those at
+    /// or above the threshold, in either form.
+    pub(crate) fn row_record(&mut self, u: u32, record: &RowRecord) {
+        self.scored_pairs += record.scored as usize;
+        let (claims, best_v) = (&mut self.claims, &mut self.best_v);
+        match &record.entries {
             PackedRow::Narrow(entries) => {
-                self.row_entries(u, entries.iter().map(|&e| unpack_narrow(e)));
+                fold(claims, best_v, u, entries.iter().map(|&e| unpack_narrow(e)));
             }
             PackedRow::Wide(entries) => {
-                self.row_entries(u, entries.iter().map(|&e| unpack_entry(e)));
+                fold(claims, best_v, u, entries.iter().map(|&e| unpack_entry(e)));
             }
         }
     }
@@ -1001,7 +1071,7 @@ where
     let mut sink = make_sink();
     let (eligible, threshold) = (cache.eligible_count(), sink.threshold);
     let score_rows = |rows: &[u32]| {
-        let mut arena = ScoreArena::new(eligible);
+        let mut arena = ScoreArena::new(eligible, threshold);
         let mut ranked = SelectSink::new(eligible, threshold);
         for &u in rows {
             arena.score_row(g1, NodeId(u), cache);
@@ -1055,8 +1125,8 @@ fn unpack_narrow(packed: u32) -> (u32, u32) {
     (packed >> NARROW_COUNT_BITS, packed & ((1 << NARROW_COUNT_BITS) - 1))
 }
 
-/// One shuffled score row: its `(v, count)` entries by copy-2 node id, in
-/// 4 bytes each when every entry of the row fits, else in 8.
+/// The packed `(v, count)` entries of one shuffled row by copy-2 node id,
+/// in 4 bytes each when every entry of the row fits, else in 8.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum PackedRow {
     /// Entries `v << 8 | count`: every `v` is below 2^24 and every count
@@ -1095,6 +1165,16 @@ impl PackedRow {
     }
 }
 
+/// One shuffled score row: what selection reads of it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct RowRecord {
+    /// The row's scored pairs: every `v` with a non-zero count, listed or
+    /// not. At least `entries.len()`.
+    scored: u32,
+    /// The row's entries with a count of at least the phase threshold.
+    entries: PackedRow,
+}
+
 /// One phase of User-Matching as a single MapReduce round on the arena
 /// engine: whole-row mappers, packed shuffle, fused select reduce.
 ///
@@ -1107,23 +1187,26 @@ impl PackedRow {
 ///   `ScoreArena` in the cache's rank space, and concatenates their
 ///   records in row order, so a round of one large task still uses every
 ///   worker and emits exactly what one thread would: one pre-aggregated
-///   record per non-empty row, a
-///   dense `u32` key and the row's packed `(v, count)` entries,
-///   translated back to copy-2 node ids. A row whose every entry has
-///   `v < 2^24` and `count < 2^8` packs an entry in 4 bytes, any other
-///   row in 8 (`v` in the high half, `count` in the low). The shuffle is
-///   charged 4 bytes per row (the key) plus 8 per scored pair whatever the
-///   form, `PackedRowCodec`'s `bytes_of` charge, so the round's
-///   `shuffled_bytes` and its spill decisions do not depend on the form.
+///   record per non-empty row, a dense `u32` key and a `RowRecord`: the
+///   row's scored-pair count and its packed `(v, count)` entries with a
+///   count of at least `threshold`, translated back to copy-2 node ids. A
+///   row with no such entry still ships its count. A row whose every
+///   shipped entry has `v < 2^24` and `count < 2^8` packs an entry in 4
+///   bytes, any other row in 8 (`v` in the high half, `count` in the low).
+///   The shuffle is charged 4 bytes per row (the key) plus 8 per scored
+///   pair, shipped or not and whatever the form: `PackedRowCodec`'s
+///   `bytes_of` charge, so the round's `shuffled_bytes` and its spill
+///   decisions depend on neither.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
 ///   range in ascending order. Over a spill budget the shuffle spills to
 ///   checksummed run files in `PackedRowCodec`'s format, each entry in
 ///   the width it is held in.
-/// * **Reduce** — each partition folds its rows into a [`SelectSink`] as
-///   they stream off the engine's k-way merge of its buckets and spill
-///   runs ([`Groups`]); the per-partition sinks merge exactly like the rayon
-///   backend's per-worker sinks (`Best::merge` is associative and
+/// * **Reduce** — each partition adds each row's scored-pair count and
+///   folds its entries into a [`SelectSink`] as they stream off the
+///   engine's k-way merge of its buckets and spill runs ([`Groups`]); the
+///   per-partition sinks merge exactly like the rayon backend's per-worker
+///   sinks (`Best::merge` is associative and
 ///   tie-abstention-preserving), so no global score table is ever built.
 ///
 /// Returns `(scored_pairs, selected_pairs)`, bit-for-bit identical to
@@ -1169,19 +1252,19 @@ where
             // records one thread would.
             let workers = if chunk.len() < PARALLEL_CUTOFF { 1 } else { parts };
             let pieces = chunk_candidates(chunk, workers);
-            let scored: Vec<Vec<(u32, PackedRow)>> =
-                pieces.par_iter().map(|rows| packed_rows(g1, cache, rows)).collect();
+            let scored: Vec<Vec<(u32, RowRecord)>> =
+                pieces.par_iter().map(|rows| packed_rows(g1, cache, threshold, rows)).collect();
             scored.into_iter().flatten().collect()
         },
         move |&u: &u32| range_partition(u, n1, parts),
-        |_, groups: &mut Groups<'_, u32, PackedRow>| {
+        |_, groups: &mut Groups<'_, u32, RowRecord>| {
             let mut sink = SelectSink::new(n2, threshold);
             for (u, records) in groups {
-                let [row]: [PackedRow; 1] = records.try_into().expect(
+                let [row]: [RowRecord; 1] = records.try_into().expect(
                     "one record per row: each candidate row sits in exactly one map task, \
                      and packed_rows emits at most one record for it",
                 );
-                sink.row_packed(u, &row);
+                sink.row_record(u, &row);
             }
             sink
         },
@@ -1192,33 +1275,46 @@ where
 }
 
 /// Scores `rows` through `cache` on one task-local [`ScoreArena`] and
-/// returns one shuffle record per non-empty row: the row's key and its
-/// packed `(v, count)` entries by copy-2 node id, so the shuffle and reduce
-/// never see ranks.
-fn packed_rows<G1: GraphView>(g1: &G1, cache: &LinkCache, rows: &[u32]) -> Vec<(u32, PackedRow)> {
+/// returns one shuffle record per non-empty row: the row's key, its
+/// scored-pair count and its packed `(v, count)` entries at or above
+/// `threshold` by copy-2 node id, so the shuffle and reduce never see
+/// ranks.
+fn packed_rows<G1: GraphView>(
+    g1: &G1,
+    cache: &LinkCache,
+    threshold: u32,
+    rows: &[u32],
+) -> Vec<(u32, RowRecord)> {
     let nodes = cache.nodes();
-    let mut arena = ScoreArena::new(cache.eligible_count());
+    let mut arena = ScoreArena::new(cache.eligible_count(), threshold);
     let mut records = Vec::new();
     for &u in rows {
         arena.score_row(g1, NodeId(u), cache);
-        let touched = arena.touched();
-        if !touched.is_empty() {
-            let entries = touched.iter().map(|&r| (nodes[r as usize], arena.get(r)));
-            records.push((u, PackedRow::new(entries)));
+        if arena.scored() > 0 {
+            let entries = arena.listed().iter().map(|&r| (nodes[r as usize], arena.get(r)));
+            // A row's scored pairs are distinct eligible ranks, and ranks
+            // are `u32`.
+            let scored = arena.scored() as u32;
+            records.push((u, RowRecord { scored, entries: PackedRow::new(entries) }));
         }
     }
     records
 }
 
-/// Record format of the packed-row shuffle. A row is charged 4 bytes for
-/// its `u32` key plus 8 per entry, the wide size, whichever form it is
-/// held in: the charge is what the spill budget and
-/// [`snr_mapreduce::RoundStats::shuffled_bytes`] count, not what the row
-/// holds or encodes to. A spilled group is its dense `u32` key, a record
-/// count (one per row in practice), and each record as a `u32` entry
+/// Record format of the packed-row shuffle.
+///
+/// A row is charged 4 bytes for its `u32` key plus 8 per scored pair: the
+/// wide size of a record that shipped every scored pair. The charge is what
+/// the spill budget and [`snr_mapreduce::RoundStats::shuffled_bytes`]
+/// count, not what the row holds or encodes to; a record ships only its
+/// entries at or above the phase threshold, in 4 or 8 bytes each, so the
+/// charge counts scored pairs, not bytes held.
+///
+/// A spilled group is its dense `u32` key, a record count (one per row in
+/// practice), and each record as its `u32` scored-pair count, a `u32` entry
 /// count, a width byte (4 for [`PackedRow::Narrow`], 8 for
 /// [`PackedRow::Wide`]) and the entries as held, little-endian — exactly
-/// the in-memory `(u32, Vec<PackedRow>)` shape, so a round that spills to
+/// the in-memory `(u32, Vec<RowRecord>)` shape, so a round that spills to
 /// disk reduces bit-identically to one that never did.
 pub(crate) struct PackedRowCodec;
 
@@ -1228,7 +1324,7 @@ impl PackedRowCodec {
     /// tested at a small length.
     fn encode_group_capped(
         key: u32,
-        values: &[PackedRow],
+        values: &[RowRecord],
         out: &mut Vec<u8>,
         max_len: usize,
     ) -> Result<(), String> {
@@ -1236,9 +1332,10 @@ impl PackedRowCodec {
         let mut w = Writer::with_max_len(out, max_len);
         w.u32(key);
         w.len_prefix(values.len()).map_err(too_long)?;
-        for row in values {
-            w.len_prefix(row.len()).map_err(too_long)?;
-            match row {
+        for record in values {
+            w.u32(record.scored);
+            w.len_prefix(record.entries.len()).map_err(too_long)?;
+            match &record.entries {
                 PackedRow::Narrow(entries) => {
                     w.u8(4);
                     w.u32s(entries);
@@ -1253,34 +1350,42 @@ impl PackedRowCodec {
     }
 }
 
-impl SpillCodec<u32, PackedRow> for PackedRowCodec {
-    fn bytes_of(&self, _key: &u32, row: &PackedRow) -> usize {
-        4 + 8 * row.len()
+impl SpillCodec<u32, RowRecord> for PackedRowCodec {
+    fn bytes_of(&self, _key: &u32, record: &RowRecord) -> usize {
+        4 + 8 * record.scored as usize
     }
 
     fn encode_group(
         &self,
         key: &u32,
-        values: &[PackedRow],
+        values: &[RowRecord],
         out: &mut Vec<u8>,
     ) -> Result<(), String> {
         PackedRowCodec::encode_group_capped(*key, values, out, wire::MAX_LEN)
     }
 
-    fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<PackedRow>), String> {
+    fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<RowRecord>), String> {
         let wire = |e: WireError| format!("packed-row group: {e}");
         let mut r = Reader::new(bytes);
         let key = r.u32().map_err(wire)?;
-        // A record is at least its entry count and width byte.
-        let records = r.count(5).map_err(wire)?;
+        // A record is at least its scored-pair count, its entry count and
+        // its width byte.
+        let records = r.count(9).map_err(wire)?;
         let values = (0..records)
             .map(|_| {
-                let len = r.u32().map_err(wire)? as usize;
-                match r.u8().map_err(wire)? {
-                    4 => r.u32s(len).map(PackedRow::Narrow).map_err(wire),
-                    8 => r.u64s(len).map(PackedRow::Wide).map_err(wire),
-                    width => Err(format!("packed-row group: entry width {width} is not 4 or 8")),
+                let scored = r.u32().map_err(wire)?;
+                let len = r.u32().map_err(wire)?;
+                if scored < len {
+                    return Err(format!(
+                        "packed-row group: {len} entries exceed the row's {scored} scored pairs"
+                    ));
                 }
+                let entries = match r.u8().map_err(wire)? {
+                    4 => r.u32s(len as usize).map(PackedRow::Narrow).map_err(wire),
+                    8 => r.u64s(len as usize).map(PackedRow::Wide).map_err(wire),
+                    width => Err(format!("packed-row group: entry width {width} is not 4 or 8")),
+                }?;
+                Ok(RowRecord { scored, entries })
             })
             .collect::<Result<_, String>>()?;
         r.finish().map_err(wire)?;
@@ -1370,21 +1475,23 @@ mod tests {
 
     #[test]
     fn arena_rows_reset_in_constant_time() {
-        let mut arena = ScoreArena::new(4);
+        let mut arena = ScoreArena::new(4, 2);
         arena.begin_row();
-        arena.bump(&[1, 1, 3]);
-        assert_eq!(arena.touched(), &[1, 3]);
+        arena.bump(&[1, 3, 1]);
+        assert_eq!((arena.listed(), arena.scored()), (&[1][..], 2));
         assert_eq!(arena.get(1), 2);
         assert_eq!(arena.get(3), 1);
         arena.begin_row();
-        assert!(arena.touched().is_empty());
+        assert!(arena.listed().is_empty());
+        assert_eq!(arena.scored(), 0);
         arena.bump(&[1]);
         assert_eq!(arena.get(1), 1, "stale score must not leak across rows");
+        assert_eq!((arena.listed(), arena.scored()), (&[][..], 1));
     }
 
     #[test]
     fn arena_epoch_wrap_clears_stamps() {
-        let mut arena = ScoreArena::new(3);
+        let mut arena = ScoreArena::new(3, 1);
         arena.epoch = u32::MAX - 1;
         arena.begin_row(); // epoch == MAX
         arena.bump(&[0, 0, 0, 1]);
@@ -1400,15 +1507,17 @@ mod tests {
         arena.bump(&[0]);
         assert_eq!(arena.get(0), 1);
         assert_eq!(arena.current(1), None);
-        assert_eq!(arena.touched(), &[0]);
+        assert_eq!((arena.listed(), arena.scored()), (&[0][..], 1));
     }
 
     /// Random bump sequences against a `HashMap` reference, over many rows
-    /// of one arena so stale cells of earlier rows are always in play: the
-    /// same first-touch order and the same `get`/`current` values, whether
-    /// a row arrives one node per `bump` or in random-length slices. Covers
-    /// the epoch wrap at `u32::MAX` and a row touching every node, which
-    /// grows the touched buffer to `n2` from an empty start.
+    /// of one arena so stale cells of earlier rows are always in play, at
+    /// thresholds 1, 2 and 3: the listed ranks are exactly those scoring at
+    /// least `T`, in the order their scores reached it, the scored-pair
+    /// count is the number of distinct ranks touched, and `get`/`current`
+    /// agree, whether a row arrives one node per `bump` or in random-length
+    /// slices. Covers the epoch wrap at `u32::MAX` and a row touching every
+    /// node, which grows the listed buffer to `n2` from an empty start.
     #[test]
     fn arena_matches_a_hashmap_reference_on_random_rows() {
         use rand::Rng;
@@ -1416,8 +1525,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x5eed);
         for case in 0..60 {
             let n2 = rng.gen_range(1..=400usize);
-            let mut arena = ScoreArena::new(n2);
-            assert!(arena.touched.is_empty(), "the buffer is not sized to n2 up front");
+            let t = 1 + case % 3;
+            let mut arena = ScoreArena::new(n2, t);
+            assert!(arena.listed.is_empty(), "the buffer is not sized to n2 up front");
             if case % 3 == 0 {
                 // The wrap lands on the fourth row.
                 arena.epoch = u32::MAX - 3;
@@ -1438,15 +1548,17 @@ mod tests {
                     arena.bump(head);
                     rest = tail;
                 }
-                let mut order = Vec::new();
+                let mut crossings = Vec::new();
                 let mut reference: HashMap<u32, u32> = HashMap::new();
                 for &v in &bumps {
-                    *reference.entry(v).or_insert_with(|| {
-                        order.push(v);
-                        0
-                    }) += 1;
+                    let score = reference.entry(v).or_insert(0);
+                    *score += 1;
+                    if *score == t {
+                        crossings.push(v);
+                    }
                 }
-                assert_eq!(arena.touched(), &order[..], "case {case} row {row}");
+                assert_eq!(arena.listed(), &crossings[..], "case {case} row {row} t={t}");
+                assert_eq!(arena.scored(), reference.len(), "case {case} row {row} t={t}");
                 for v in 0..n2 as u32 {
                     let expected = reference.get(&v).copied();
                     assert_eq!(arena.current(v), expected, "case {case} row {row} v {v}");
@@ -1461,15 +1573,16 @@ mod tests {
     /// A phase result: `(scored_pairs, selected_pairs)`.
     type Selection = (usize, Vec<(NodeId, NodeId)>);
 
-    /// Feeds hand-written rows through an arena to four sinks, one per
-    /// entry point of the fold: `row` reads the arena, `row_entries` gets
-    /// the entries reversed and mixed with zero-score entries (as the
+    /// Feeds hand-written rows to four sinks, one per entry point of the
+    /// fold: `row` reads an arena listing at `t`, `row_entries` gets every
+    /// entry of the row, reversed and mixed with zero-score entries (as the
     /// blocked verify may pass a proposal sharing no witness), and
-    /// `row_packed` gets them packed, once narrow and once wide. Asserts
-    /// the four agree and returns their result next to the oracle
-    /// selection on the same entries.
+    /// `row_record` gets the arena's scored-pair count and listed entries
+    /// packed, once narrow and once wide. Asserts the four agree and
+    /// returns their result next to the oracle selection on the same
+    /// entries.
     fn select_rows(rows: &[(u32, &[u32])], n2: usize, t: u32) -> (Selection, Selection) {
-        let mut arena = ScoreArena::new(n2);
+        let mut arena = ScoreArena::new(n2, t);
         let [mut by_arena, mut by_entries, mut by_narrow, mut by_wide] =
             [(); 4].map(|_| SelectSink::new(n2, t));
         let mut table = crate::witness::ScoreTable::new();
@@ -1480,21 +1593,26 @@ mod tests {
                 *table.entry((u, v)).or_insert(0) += 1;
             }
             by_arena.row(u, &arena);
-            let entries: Vec<(u32, u32)> =
-                arena.touched().iter().rev().map(|&v| (v, arena.get(v))).collect();
+            let mut entries: Vec<(u32, u32)> =
+                (0..n2 as u32).filter_map(|v| Some((v, arena.current(v)?))).collect();
+            assert_eq!(entries.len(), arena.scored(), "row {u} t={t}");
+            entries.reverse();
             let unscored = (0..n2 as u32).filter(|&v| arena.current(v).is_none()).map(|v| (v, 0));
             let mixed: Vec<(u32, u32)> = entries.iter().copied().chain(unscored).collect();
             by_entries.row_entries(u, mixed.into_iter());
-            let narrow = PackedRow::new(entries.iter().copied());
+            let listed: Vec<(u32, u32)> =
+                arena.listed().iter().map(|&v| (v, arena.get(v))).collect();
+            let scored = arena.scored() as u32;
+            let narrow = PackedRow::new(listed.iter().copied());
             assert!(matches!(narrow, PackedRow::Narrow(_)), "small entries pack narrow");
-            by_narrow.row_packed(u, &narrow);
-            let wide = entries.iter().map(|&(v, score)| pack_entry(v, score)).collect();
-            by_wide.row_packed(u, &PackedRow::Wide(wide));
+            by_narrow.row_record(u, &RowRecord { scored, entries: narrow });
+            let wide = listed.iter().map(|&(v, score)| pack_entry(v, score)).collect();
+            by_wide.row_record(u, &RowRecord { scored, entries: PackedRow::Wide(wide) });
         }
         let got = by_arena.finish();
         assert_eq!(by_entries.finish(), got, "row_entries against row at t={t}");
-        assert_eq!(by_narrow.finish(), got, "narrow row_packed against row at t={t}");
-        assert_eq!(by_wide.finish(), got, "wide row_packed against row at t={t}");
+        assert_eq!(by_narrow.finish(), got, "narrow row_record against row at t={t}");
+        assert_eq!(by_wide.finish(), got, "wide row_record against row at t={t}");
         (got, (table.len(), mutual_best_pairs(&table, t)))
     }
 
@@ -1557,9 +1675,9 @@ mod tests {
     fn empty_rows_are_a_no_op() {
         let mut sink = SelectSink::new(4, 2);
         sink.row_entries(0, std::iter::empty());
-        sink.row_packed(1, &PackedRow::Narrow(Vec::new()));
-        sink.row_packed(3, &PackedRow::Wide(Vec::new()));
-        let mut arena = ScoreArena::new(4);
+        sink.row_record(1, &RowRecord { scored: 0, entries: PackedRow::Narrow(Vec::new()) });
+        sink.row_record(3, &RowRecord { scored: 0, entries: PackedRow::Wide(Vec::new()) });
+        let mut arena = ScoreArena::new(4, 2);
         arena.begin_row();
         sink.row(2, &arena);
         assert!(sink.claims.is_empty());
@@ -1905,17 +2023,21 @@ mod tests {
         for d in [1usize, 2, 4] {
             let oracle = count_brute_force(&g1, &g2, &links, d, d);
             let cache = LinkCache::build(&g2, &links, d);
-            let mut arena = ScoreArena::new(n2);
-            let mut entries = 0usize;
-            for u in collect_candidates(&g1, &links, d) {
-                arena.score_row(&g1, NodeId(u), &cache);
-                for &r in arena.touched() {
-                    let v = cache.nodes()[r as usize];
-                    assert_eq!(Some(&arena.get(r)), oracle.get(&(u, v)), "({u}, {v}) at d={d}");
+            for t in [1u32, 2, 3] {
+                let mut arena = ScoreArena::new(n2, t);
+                let (mut scored, mut listed) = (0usize, 0usize);
+                for u in collect_candidates(&g1, &links, d) {
+                    arena.score_row(&g1, NodeId(u), &cache);
+                    for &r in arena.listed() {
+                        let v = cache.nodes()[r as usize];
+                        assert_eq!(Some(&arena.get(r)), oracle.get(&(u, v)), "({u}, {v}) d={d}");
+                    }
+                    scored += arena.scored();
+                    listed += arena.listed().len();
                 }
-                entries += arena.touched().len();
+                let at_t = oracle.values().filter(|&&score| score >= t).count();
+                assert_eq!((scored, listed), (oracle.len(), at_t), "row entries at d={d} t={t}");
             }
-            assert_eq!(entries, oracle.len(), "row entries at d={d}");
         }
     }
 
@@ -2212,19 +2334,25 @@ mod tests {
         assert_eq!(hex(&bytes), "06050403020100000200000001000000020000000300000004000000050000000600000002000000070000000800000009000000010a0000000b0000000c00000000");
         assert_eq!(SinkClaims::decode(&bytes).unwrap(), claims);
 
-        let group = vec![
-            PackedRow::new([(3, 2), (9, 1)].into_iter()),
-            PackedRow::new([(1, 256)].into_iter()),
-        ];
-        assert_eq!(group[0], PackedRow::Narrow(vec![3 << 8 | 2, 9 << 8 | 1]));
-        assert_eq!(group[1], PackedRow::Wide(vec![pack_entry(1, 256)]));
+        let group = vec![record(5, &[(3, 2), (9, 1)]), record(2, &[(1, 256)]), record(3, &[])];
+        assert_eq!(group[0].entries, PackedRow::Narrow(vec![3 << 8 | 2, 9 << 8 | 1]));
+        assert_eq!(group[1].entries, PackedRow::Wide(vec![pack_entry(1, 256)]));
+        assert_eq!(group[2].entries, PackedRow::Narrow(vec![]));
         let mut out = Vec::new();
         PackedRowCodec.encode_group(&42, &group, &mut out).unwrap();
         assert_eq!(
             hex(&out),
-            "2a000000020000000200000004020300000109000001000000080001000001000000"
+            "2a0000000300000005000000020000000402030000010900000200000001000000080001000001000000030000000000000004"
         );
-        assert_eq!(PackedRowCodec.decode_group(&out).unwrap(), (42, group));
+        assert_eq!(PackedRowCodec.decode_group(&out).unwrap(), (42, group.clone()));
+        // The charge counts scored pairs, not the entries a record holds.
+        let charged: Vec<usize> = group.iter().map(|r| PackedRowCodec.bytes_of(&42, r)).collect();
+        assert_eq!(charged, [44, 20, 28]);
+    }
+
+    /// A shuffle record of `scored` scored pairs listing `entries`.
+    fn record(scored: u32, entries: &[(u32, u32)]) -> RowRecord {
+        RowRecord { scored, entries: PackedRow::new(entries.iter().copied()) }
     }
 
     /// A row's `(v, count)` entries, whichever form holds them.
@@ -2237,8 +2365,9 @@ mod tests {
 
     #[test]
     fn packed_row_lengths_over_the_cap_are_clean_errors() {
-        let entries = PackedRow::new([(1, 1), (2, 1), (3, 1)].into_iter());
-        let records = vec![PackedRow::Wide(vec![pack_entry(1, 1)]); 3];
+        let entries = record(3, &[(1, 1), (2, 1), (3, 1)]);
+        let wide = RowRecord { scored: 1, entries: PackedRow::Wide(vec![pack_entry(1, 1)]) };
+        let records = vec![wide; 3];
         for (what, group) in [("entry count", vec![entries]), ("record count", records)] {
             let err = PackedRowCodec::encode_group_capped(7, &group, &mut Vec::new(), 2)
                 .expect_err("a length over the cap must fail");
@@ -2261,19 +2390,19 @@ mod tests {
         fn packed_row_groups_mixing_both_forms_round_trip(
             key in 0u32..u32::MAX,
             rows in proptest::collection::vec(
-                proptest::collection::vec((0usize..6, 0usize..5), 1..5),
+                (proptest::collection::vec((0usize..6, 0usize..5), 0..5), 0u32..3),
                 1..5,
             ),
         ) {
             let mut group = Vec::new();
-            for row in &rows {
+            for (row, unlisted) in &rows {
                 let entries: Vec<(u32, u32)> =
                     row.iter().map(|&(i, j)| (V_EDGES[i], COUNT_EDGES[j])).collect();
                 let packed = PackedRow::new(entries.iter().copied());
                 let fits = entries.iter().all(|&(v, count)| v < 1 << 24 && count < 1 << 8);
                 proptest::prop_assert_eq!(matches!(packed, PackedRow::Narrow(_)), fits, "{:?}", entries);
                 proptest::prop_assert_eq!(unpacked(&packed), entries);
-                group.push(packed);
+                group.push(RowRecord { scored: row.len() as u32 + unlisted, entries: packed });
             }
             let mut out = Vec::new();
             PackedRowCodec.encode_group(&key, &group, &mut out).unwrap();
@@ -2283,10 +2412,8 @@ mod tests {
 
     #[test]
     fn every_byte_flip_and_truncation_of_a_packed_group_is_an_error_or_exact() {
-        let group = vec![
-            PackedRow::new([(3, 2), (9, 1)].into_iter()),
-            PackedRow::new([(1, 256), (7, 3)].into_iter()),
-        ];
+        let group =
+            vec![record(4, &[(3, 2), (9, 1)]), record(2, &[(1, 256), (7, 3)]), record(1, &[])];
         let mut pristine = Vec::new();
         PackedRowCodec.encode_group(&42, &group, &mut pristine).unwrap();
         // No checksum guards these bytes: a decode either fails or reads
@@ -2305,12 +2432,21 @@ mod tests {
         for cut in 0..pristine.len() {
             assert!(PackedRowCodec.decode_group(&pristine[..cut]).is_err(), "cut at {cut}");
         }
-        // The first record's width byte follows the key, the record count
-        // and its entry count.
+        // The first record's width byte follows the key, the record count,
+        // its scored-pair count and its entry count.
         let mut bad_width = pristine.clone();
-        bad_width[12] = 5;
+        bad_width[16] = 5;
         let err = PackedRowCodec.decode_group(&bad_width).unwrap_err();
         assert!(err.contains("entry width 5"), "{err}");
+        // A record listing more entries than it has scored pairs is refused:
+        // the second record's count, 2, sits after the first record's 9 +
+        // 8 bytes.
+        for (offset, scored) in [(8, 1u32), (8, 0), (25, 1)] {
+            let mut short = pristine.clone();
+            short[offset..offset + 4].copy_from_slice(&scored.to_le_bytes());
+            let err = PackedRowCodec.decode_group(&short).unwrap_err();
+            assert!(err.contains("entries exceed the row's"), "count {scored} at {offset}: {err}");
+        }
     }
 
     #[test]
@@ -2328,17 +2464,25 @@ mod tests {
         let rows = collect_candidates(&g, &links, 1);
         assert_eq!(rows, std::iter::once(0).chain(301..=310).collect::<Vec<u32>>());
         let table = count_brute_force(&g, &g, &links, 1, 1);
-        let records = packed_rows(&g, &cache, &rows);
-        assert_eq!(records.len(), rows.len());
-        for (u, row) in &records {
-            assert_eq!(matches!(row, PackedRow::Wide(_)), *u == 0, "row {u}: {row:?}");
-            let mut got = unpacked(row);
-            got.sort_unstable();
-            let mut expected: Vec<(u32, u32)> =
-                table.iter().filter(|((r, _), _)| r == u).map(|(&(_, v), &c)| (v, c)).collect();
-            expected.sort_unstable();
-            assert_eq!(got, expected, "row {u}");
+        // At T = 1 a record lists its whole row; at T = 6 row 301 (counts of
+        // 5) ships only its count, and at T = 301 only the hub's count.
+        for t in [1u32, 6, 301] {
+            let records = packed_rows(&g, &cache, t, &rows);
+            assert_eq!(records.len(), rows.len(), "t={t}");
+            for (u, RowRecord { scored, entries }) in &records {
+                let wide = *u == 0 && t <= 300;
+                assert_eq!(matches!(entries, PackedRow::Wide(_)), wide, "row {u}: {entries:?}");
+                let mut got = unpacked(entries);
+                got.sort_unstable();
+                let row: Vec<(u32, u32)> =
+                    table.iter().filter(|((r, _), _)| r == u).map(|(&(_, v), &c)| (v, c)).collect();
+                let mut expected: Vec<(u32, u32)> =
+                    row.iter().copied().filter(|&(_, c)| c >= t).collect();
+                expected.sort_unstable();
+                assert_eq!(got, expected, "row {u} t={t}");
+                assert_eq!(*scored as usize, row.len(), "row {u} t={t}");
+            }
+            assert_eq!(unpacked(&records[0].1.entries).contains(&(0, 300)), t <= 300);
         }
-        assert!(unpacked(&records[0].1).contains(&(0, 300)));
     }
 }

@@ -5,8 +5,9 @@
 //! bit-for-bit — the select-fused round `mapreduce_fused_phase_on` equals
 //! `count_brute_force` → `mutual_best_pairs`, scored-pair count included —
 //! while the engine's shuffle statistics confirm the round really did move
-//! one record per candidate row. Through the whole matcher, a spill fault
-//! fails exactly the rounds that spill.
+//! one record per candidate row, whatever share of its entries reaches the
+//! threshold. Through the whole matcher, a spill fault fails exactly the
+//! rounds that spill.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,7 +72,8 @@ where
 }
 
 /// Asserts the MapReduce round agrees with the brute-force oracle on one
-/// (G1, G2) representation combination.
+/// (G1, G2) representation combination, and that it shipped one record per
+/// non-empty candidate row charged `4 + 8·scored`.
 fn assert_matches_oracle<G1, G2>(
     engine: &Engine,
     g1: &G1,
@@ -89,6 +91,10 @@ fn assert_matches_oracle<G1, G2>(
     let (scored, pairs) = mr_phase(engine, g1, g2, links, min_deg, threshold);
     assert_eq!(scored, oracle.len(), "fused scored_pairs vs oracle table size ({label})");
     assert_eq!(pairs, expected_pairs, "fused MR selection ({label})");
+    let rows = oracle.keys().map(|&(u, _)| u).collect::<std::collections::HashSet<u32>>().len();
+    let round = engine.stats().per_round.last().cloned().expect("one round ran");
+    assert_eq!(round.shuffled_records, rows, "one record per non-empty row ({label})");
+    assert_eq!(round.shuffled_bytes, 4 * rows + 8 * scored, "the charge ({label})");
 }
 
 #[test]
@@ -102,7 +108,13 @@ fn mapreduce_rounds_match_oracle_across_workloads_thresholds_and_representations
             let ((m1, p1), (m2, p2)) = (mmap_view(&g1, "g1"), mmap_view(&g2, "g2"));
             let engine = Engine::new(1 + (case as usize % 4)).with_chunk_size(16);
             for min_deg in [1usize, 2, 3] {
-                for threshold in [1u32, 2] {
+                // A threshold above every score ships every row's count and
+                // no entry.
+                let top = count_brute_force(&g1, &g2, &links, min_deg, min_deg)
+                    .values()
+                    .max()
+                    .map_or(1, |&score| score + 1);
+                for threshold in [1u32, 2, 3, top] {
                     let label = format!("pa={use_pa} n={n} d={min_deg} t={threshold}");
                     assert_matches_oracle(
                         &engine,
@@ -180,7 +192,7 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
     assert_eq!(
         round.shuffled_bytes,
         4 * rows.len() + 8 * table.len(),
-        "u32 key per row + 8 packed bytes per scored pair"
+        "charged a u32 key per row + 8 bytes per scored pair"
     );
     // A per-contribution shuffle would move one 12-byte ((u, v), 1) record
     // per witness contribution; that volume is the witness-weighted table

@@ -99,9 +99,9 @@ pub trait SpillCodec<K, V> {
     /// round's records is [`crate::RoundStats::shuffled_bytes`], and each map
     /// task reserves its sum against the spill budget. It is an accounting
     /// charge, neither the size held in memory nor the encoded length: a
-    /// packed score row charges `4 + 8·entries`, which `size_of` cannot see
-    /// through a `Vec` header, though it holds and encodes an entry in 4
-    /// bytes when the entry fits.
+    /// packed score row charges `4 + 8·scored` for its scored pairs, though
+    /// it holds and encodes only its entries at or above the phase
+    /// threshold, in 4 bytes each when they fit.
     fn bytes_of(&self, key: &K, value: &V) -> usize;
     /// Appends one encoded key group to `out`, or fails with a descriptive
     /// string (a length that does not fit its prefix, say); the run writer

@@ -1,6 +1,6 @@
 //! Offline shim for the subset of `serde_json` used by this workspace:
-//! `to_string`, `to_string_pretty`, `from_str`, and the `Error` type,
-//! implemented over the `serde` shim's owned value model.
+//! `to_string_pretty`, `from_str`, and the `Error` type, implemented over
+//! the `serde` shim's owned value model.
 
 #![forbid(unsafe_code)]
 
@@ -37,17 +37,10 @@ impl serde::de::Error for Error {
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Serializes `value` to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &to_value(value), None, 0);
-    Ok(out)
-}
-
-/// Serializes `value` to an indented JSON string.
+/// Serializes `value` to a JSON string indented by two spaces per level.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &to_value(value), Some(2), 0);
+    write_value(&mut out, &to_value(value), 0);
     Ok(out)
 }
 
@@ -67,7 +60,10 @@ pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
 // Rendering
 // ---------------------------------------------------------------------------
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
+/// Spaces of indentation per nesting level.
+const INDENT: usize = 2;
+
+fn write_value(out: &mut String, value: &Value, depth: usize) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -100,10 +96,10 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                 if i > 0 {
                     out.push(',');
                 }
-                write_newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                write_newline_indent(out, depth + 1);
+                write_value(out, item, depth + 1);
             }
-            write_newline_indent(out, indent, depth);
+            write_newline_indent(out, depth);
             out.push(']');
         }
         Value::Map(entries) => {
@@ -116,26 +112,21 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                 if i > 0 {
                     out.push(',');
                 }
-                write_newline_indent(out, indent, depth + 1);
+                write_newline_indent(out, depth + 1);
                 write_string(out, key);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, item, indent, depth + 1);
+                out.push_str(": ");
+                write_value(out, item, depth + 1);
             }
-            write_newline_indent(out, indent, depth);
+            write_newline_indent(out, depth);
             out.push('}');
         }
     }
 }
 
-fn write_newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+fn write_newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..INDENT * depth {
+        out.push(' ');
     }
 }
 
@@ -399,22 +390,22 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::{from_str, to_string, to_string_pretty};
+    use super::{from_str, to_string_pretty};
     use std::collections::BTreeMap;
 
     #[test]
     fn roundtrip_scalars_and_collections() {
         let v = vec![1.5f64, 2.0, -3.0];
-        let json = to_string(&v).unwrap();
-        assert_eq!(json, "[1.5,2.0,-3.0]");
+        let json = to_string_pretty(&v).unwrap();
+        assert_eq!(json, "[\n  1.5,\n  2.0,\n  -3.0\n]");
         let back: Vec<f64> = from_str(&json).unwrap();
         assert_eq!(back, v);
 
         let mut m = BTreeMap::new();
         m.insert("pi".to_string(), 3.25f64);
         m.insert("whole".to_string(), 2.0f64);
-        let json = to_string(&m).unwrap();
-        assert_eq!(json, r#"{"pi":3.25,"whole":2.0}"#);
+        let json = to_string_pretty(&m).unwrap();
+        assert_eq!(json, "{\n  \"pi\": 3.25,\n  \"whole\": 2.0\n}");
         let back: BTreeMap<String, f64> = from_str(&json).unwrap();
         assert_eq!(back, m);
     }
@@ -422,7 +413,7 @@ mod tests {
     #[test]
     fn string_escapes_roundtrip() {
         let s = "line1\nline2\t\"quoted\" \\ slash \u{0001}".to_string();
-        let json = to_string(&s).unwrap();
+        let json = to_string_pretty(&s).unwrap();
         let back: String = from_str(&json).unwrap();
         assert_eq!(back, s);
     }
