@@ -18,10 +18,13 @@
 //!   kept as one CSR of `u32`. A list shorter than the threshold is
 //!   dropped: such a node cannot reach `T` against any partner.
 //! * Both sides' lists are sketched with the **same** `k = b·r` hash family
-//!   ([`snr_sketch::MinHasher`]), signatures are banded, and colliding
-//!   left×right pairs become proposals ([`snr_sketch::propose_pairs`]).
-//! * Proposals are re-scored **exactly** by list intersection: each
-//!   proposed row stamps `S1(u)` into a link-indexed array once, and each
+//!   ([`snr_sketch::MinHasher`]) straight into band keys, and left×right
+//!   pairs with an equal key in some band become proposals, as rows of
+//!   right ids per left node ([`snr_sketch::propose_pairs`]). Nodes with
+//!   identical keys propose the same pairs, so each such cluster is banded
+//!   once without changing a proposal.
+//! * Proposals are re-scored **exactly** by list intersection, row by
+//!   row: each row stamps `S1(u)` into a link-indexed array once, and each
 //!   proposed `v` scores the stamped entries of `S2(v)`. Copy 2 is
 //!   undirected and every proposed `v` is eligible, so this is the score
 //!   the exact arena would give the pair. The `(v, score)` entries feed a
@@ -38,17 +41,18 @@
 //! not do.
 //!
 //! Everything is deterministic: the hash family derives from the phase
-//! seed, lists are decoded sequentially, signatures and verify are
-//! bit-identical sequential or parallel, and
-//! proposals arrive sorted and deduplicated — the blocked phase returns the
-//! same links for the same inputs at any worker count.
+//! seed, lists are decoded sequentially, band keys and verify are
+//! bit-identical sequential or parallel, and proposal rows arrive sorted
+//! and deduplicated — the blocked phase returns the same links for the
+//! same inputs at any worker count.
 
 use crate::linking::Linking;
 use crate::scoring::{score_phase_cached, LinkCache, ScoreArena, SelectSink, PARALLEL_CUTOFF};
 use rayon::prelude::*;
 use snr_graph::{GraphView, NodeId};
 pub use snr_sketch::Banding;
-use snr_sketch::{propose_pairs, MinHasher, SignatureSet};
+use snr_sketch::{propose_pairs, BandKeys, MinHasher, Proposals};
+use std::ops::Range;
 
 /// Slot of a node that is not a link endpoint.
 const UNLINKED: u32 = u32::MAX;
@@ -244,7 +248,7 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    let (left, right, signatures) = {
+    let (left, right, keys) = {
         let _span = snr_telemetry::span!(
             "sketch",
             left = candidates1.len(),
@@ -266,38 +270,38 @@ where
         // dropping it is exact-safe, not a recall trade. It is also the
         // performance linchpin: with a single-item set every signature
         // component hashes that one item, so all nodes sharing one popular
-        // witness link would otherwise carry *identical* signatures,
-        // collide in every band, and flood the proposal list with pairs
-        // that can only verify below the threshold.
+        // witness link would otherwise carry *identical* band keys,
+        // collide in every band, and flood the proposals with pairs that
+        // can only verify below the threshold.
         let floor = threshold.max(1) as usize;
         let left = WitnessLists::decode(g1, candidates1, &slot1, floor);
         let right = WitnessLists::decode(g2, candidates2, &slot2, floor);
         drop((slot1, slot2));
         let hasher = MinHasher::new(banding.k(), seed);
-        let signatures = (left.sign(&hasher, parallel), right.sign(&hasher, parallel));
-        (left, right, signatures)
+        let keys = (left.keys(&hasher, banding, parallel), right.keys(&hasher, banding, parallel));
+        (left, right, keys)
     };
     let proposals = {
         let _span = snr_telemetry::span!("band");
-        propose_pairs(banding, &signatures.0, &signatures.1)
+        propose_pairs(keys.0, keys.1, parallel)
     };
-    drop(signatures);
-    snr_telemetry::Counter::LshProposals.add(proposals.pairs.len() as u64);
+    snr_telemetry::Counter::LshProposals.add(proposals.len());
     snr_telemetry::Counter::LshBandCollisions.add(proposals.raw_collisions);
-    let _span = snr_telemetry::span!("verify", proposals = proposals.pairs.len());
+    let _span = snr_telemetry::span!("verify", proposals = proposals.len());
     if snr_telemetry::enabled() {
-        let entries: usize = proposals.pairs.iter().map(|&(_, j)| right.list(j).len()).sum();
+        let entries: usize =
+            proposals.rows().flat_map(|(_, js)| js).map(|&j| right.list(j).len()).sum();
         snr_telemetry::Counter::LshVerifyEntries.add(entries as u64);
     }
-    let verify = |pairs: &[(u32, u32)]| {
-        verify_rows(&left, &right, pairs, links.len(), SelectSink::new(g2.node_count(), threshold))
+    let verify = |rows: Range<usize>| {
+        let sink = SelectSink::new(g2.node_count(), threshold);
+        verify_rows(&left, &right, &proposals, rows, links.len(), sink)
     };
-    let pairs = &proposals.pairs[..];
-    if !parallel || pairs.len() < PARALLEL_CUTOFF {
-        verify(pairs).finish()
+    if !parallel || proposals.len() < PARALLEL_CUTOFF as u64 {
+        verify(0..proposals.rows().len()).finish()
     } else {
-        let chunks = chunk_pairs_by_row(pairs, rayon::current_num_threads().max(1));
-        let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| verify(chunk)).collect();
+        let pieces = split_rows(&proposals, rayon::current_num_threads().max(1));
+        let sinks: Vec<SelectSink> = pieces.par_iter().map(|rows| verify(rows.clone())).collect();
         sinks
             .into_iter()
             .reduce(SelectSink::merge)
@@ -307,7 +311,7 @@ where
 }
 
 /// One side of a blocked phase: the witness-link list of every node whose
-/// list reached the threshold, as one CSR. Proposals and signatures refer
+/// list reached the threshold, as one CSR. Proposals and band keys refer
 /// to a node by its position `i` here; `ids` is ascending, so position
 /// order is id order.
 struct WitnessLists {
@@ -322,33 +326,29 @@ struct WitnessLists {
 impl WitnessLists {
     /// Decodes each of `nodes`' rows once, mapping every neighbour through
     /// `slot` (link index or [`UNLINKED`]) and keeping the nodes whose
-    /// list holds at least `floor` links. Each neighbour is written at the
-    /// list's end and only a linked one advances it, so the decode has no
-    /// branch on the link test. The decode is sequential on every backend:
-    /// on the R-MAT-16 blocked phase a parallel decode measured within the
+    /// list holds at least `floor` links. Each neighbour is written into a
+    /// row scratch at the list's end and only a linked one advances it, so
+    /// the decode has no branch on the link test; a kept list is then
+    /// appended. The decode is sequential on every backend: on the
+    /// R-MAT-16 blocked phase a parallel decode measured within the
     /// run-to-run spread of this one.
     fn decode<G: GraphView>(g: &G, nodes: &[u32], slot: &[u32], floor: usize) -> WitnessLists {
         let mut out = WitnessLists { ids: Vec::new(), starts: vec![0], items: Vec::new() };
-        let mut len = 0usize;
+        let mut row = Vec::new();
         for &x in nodes {
-            let start = len;
-            let end = start + g.degree(NodeId(x));
-            if out.items.len() < end {
-                out.items.resize(end, 0);
-            }
+            row.resize(row.len().max(g.degree(NodeId(x))), 0);
+            let mut len = 0;
             for w in g.neighbors_iter(NodeId(x)) {
                 let k = slot[w.index()];
-                out.items[len] = k;
+                row[len] = k;
                 len += usize::from(k != UNLINKED);
             }
-            if len - start >= floor {
+            if len >= floor {
+                out.items.extend_from_slice(&row[..len]);
                 out.ids.push(x);
-                out.starts.push(len);
-            } else {
-                len = start;
+                out.starts.push(out.items.len());
             }
         }
-        out.items.truncate(len);
         out
     }
 
@@ -358,40 +358,36 @@ impl WitnessLists {
         &self.items[self.starts[i as usize]..self.starts[i as usize + 1]]
     }
 
-    /// The MinHash signature of every list, keyed by position.
-    fn sign(&self, hasher: &MinHasher, parallel: bool) -> SignatureSet {
+    /// The band keys of every list, keyed by position.
+    fn keys(&self, hasher: &MinHasher, banding: &Banding, parallel: bool) -> BandKeys {
         let positions: Vec<u32> = (0..self.ids.len() as u32).collect();
         let items_of =
             |i: u32, out: &mut Vec<u64>| out.extend(self.list(i).iter().map(|&k| u64::from(k)));
-        if parallel {
-            SignatureSet::build_parallel(hasher, &positions, items_of)
-        } else {
-            SignatureSet::build(hasher, &positions, items_of)
-        }
+        BandKeys::build(hasher, banding, &positions, items_of, parallel)
     }
 }
 
-/// Verifies the proposals `pairs` (positions into `left` × `right`, sorted
-/// by `(i, j)`) into `sink`: each row stamps its list into a link-indexed
-/// array once, and each proposed `j` scores the stamped entries of its
-/// list. A row's stamp is its position plus one, unique within a call, so
-/// the array is never cleared. `link_count` bounds every list entry.
+/// Verifies the proposal rows `rows` (positions into `left` × `right`)
+/// into `sink`: each row stamps its list into a link-indexed array once,
+/// and each proposed `j` scores the stamped entries of its list. A row's
+/// stamp is its position plus one, unique within a call, so the array is
+/// never cleared. `link_count` bounds every list entry.
 fn verify_rows(
     left: &WitnessLists,
     right: &WitnessLists,
-    pairs: &[(u32, u32)],
+    proposals: &Proposals,
+    rows: Range<usize>,
     link_count: usize,
     mut sink: SelectSink,
 ) -> SelectSink {
     let mut stamp_of = vec![0u32; link_count];
-    for row in pairs.chunk_by(|a, b| a.0 == b.0) {
-        let i = row[0].0;
+    for (i, js) in rows.map(|r| proposals.row(r)) {
         let stamp = i + 1;
         for &k in left.list(i) {
             stamp_of[k as usize] = stamp;
         }
         let stamp_of = &stamp_of;
-        let entries = row.iter().map(|&(_, j)| {
+        let entries = js.iter().map(|&j| {
             let score = right.list(j).iter().map(|&k| u32::from(stamp_of[k as usize] == stamp));
             (right.ids[j as usize], score.sum())
         });
@@ -400,22 +396,24 @@ fn verify_rows(
     sink
 }
 
-/// Splits a `(u, v)`-sorted pair list into at most `workers` contiguous
-/// chunks without splitting a `u` row across chunks (each row's best must
+/// Splits the proposal rows into at most `workers` contiguous pieces of
+/// about equal proposal count, never splitting a row (each row's best must
 /// be computed by exactly one worker, like the exact path's row chunking).
-fn chunk_pairs_by_row(pairs: &[(u32, u32)], workers: usize) -> Vec<&[(u32, u32)]> {
-    let target = pairs.len().div_ceil(workers.max(1)).max(1);
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    while start < pairs.len() {
-        let mut end = (start + target).min(pairs.len());
-        while end < pairs.len() && pairs[end].0 == pairs[end - 1].0 {
-            end += 1;
+fn split_rows(proposals: &Proposals, workers: usize) -> Vec<Range<usize>> {
+    let target = proposals.len().div_ceil(workers.max(1) as u64).max(1);
+    let mut pieces = Vec::new();
+    let (mut start, mut sum) = (0, 0u64);
+    for (r, (_, js)) in proposals.rows().enumerate() {
+        sum += js.len() as u64;
+        if sum >= target {
+            pieces.push(start..r + 1);
+            (start, sum) = (r + 1, 0);
         }
-        chunks.push(&pairs[start..end]);
-        start = end;
     }
-    chunks
+    if start < proposals.rows().len() {
+        pieces.push(start..proposals.rows().len());
+    }
+    pieces
 }
 
 #[cfg(test)]
@@ -430,10 +428,10 @@ mod tests {
     use std::collections::{HashMap, HashSet};
 
     /// The blocked phase written out literally: witness-link sets as
-    /// `HashSet`s, signed with the phase's hasher (a set smaller than the
-    /// threshold gets no signature), banded by `propose_pairs`, every
+    /// `HashSet`s, keyed with the phase's hasher (a set smaller than the
+    /// threshold gets no keys), banded by `propose_pairs`, every
     /// proposal scored by set intersection, and the non-zero scores
-    /// selected by `mutual_best_pairs`.
+    /// selected by `mutual_best_pairs`. Also returns the proposal count.
     #[allow(clippy::too_many_arguments)]
     fn reference_blocked_phase(
         g1: &CsrGraph,
@@ -444,7 +442,7 @@ mod tests {
         threshold: u32,
         banding: &Banding,
         seed: u64,
-    ) -> (usize, Vec<(NodeId, NodeId)>) {
+    ) -> ((usize, Vec<(NodeId, NodeId)>), u64) {
         let link1: HashMap<NodeId, u32> =
             links.pairs().enumerate().map(|(k, (w1, _))| (w1, k as u32)).collect();
         let link2: HashMap<NodeId, u32> =
@@ -458,21 +456,22 @@ mod tests {
         let (s1, s2) = (sets(g1, c1, &link1), sets(g2, c2, &link2));
         let hasher = MinHasher::new(banding.k(), seed);
         let sign = |nodes: &[u32], sets: &HashMap<u32, HashSet<u32>>| {
-            SignatureSet::build(&hasher, nodes, |x, out| {
+            let items = |x: u32, out: &mut Vec<u64>| {
                 if sets[&x].len() >= threshold as usize {
                     out.extend(sets[&x].iter().map(|&k| u64::from(k)));
                 }
-            })
+            };
+            BandKeys::build(&hasher, banding, nodes, items, false)
         };
-        let proposals = propose_pairs(banding, &sign(c1, &s1), &sign(c2, &s2));
+        let proposals = propose_pairs(sign(c1, &s1), sign(c2, &s2), false);
         let mut table = ScoreTable::new();
-        for (u, v) in proposals.pairs {
+        for (u, v) in proposals.pairs() {
             let score = s1[&u].intersection(&s2[&v]).count() as u32;
             if score > 0 {
                 table.insert((u, v), score);
             }
         }
-        (table.len(), mutual_best_pairs(&table, threshold))
+        ((table.len(), mutual_best_pairs(&table, threshold)), proposals.len())
     }
 
     /// Hubs `0..6` linked to themselves in both copies; nodes `6..60` see
@@ -588,7 +587,7 @@ mod tests {
                 let c2 = eligible2(g2, links, d);
                 for banding in [Banding::new(16, 2), Banding::new(4, 4)] {
                     let seed = DEFAULT_SKETCH_SEED ^ d as u64;
-                    let expected =
+                    let (expected, _) =
                         reference_blocked_phase(g1, g2, links, &c1, &c2, t, &banding, seed);
                     scored_total += expected.0;
                     links_total += expected.1.len();
@@ -635,7 +634,7 @@ mod tests {
             "the gate keeps this phase exact: mass {mass}, ~{scored} scored pairs"
         );
         let banding = Banding::new(16, 2);
-        let expected =
+        let (expected, _) =
             reference_blocked_phase(&g1, &g2, &links, &c1, &c2, t, &banding, DEFAULT_SKETCH_SEED);
         assert!(expected.0 > 1_000 && !expected.1.is_empty(), "{expected:?}");
         for parallel in [false, true] {
@@ -658,19 +657,49 @@ mod tests {
         }
     }
 
+    /// One blocked phase at floor 0 on a fixed PA-3000 input, pinned to
+    /// the values recorded while banding still stored full signatures: a
+    /// change to the proposals, which the literal reference cannot see
+    /// (it calls `propose_pairs` itself), fails here.
     #[test]
-    fn row_chunking_never_splits_a_row() {
-        let pairs: Vec<(u32, u32)> =
-            (0..10u32).flat_map(|u| (0..3u32).map(move |v| (u, v))).collect();
+    fn blocked_phase_at_floor_0_is_pinned() {
+        let mut rng = StdRng::seed_from_u64(0xe57);
+        let g = snr_generators::preferential_attachment(3000, 6, &mut rng).unwrap();
+        let (g1, g2, links) = seeded_pair(&g, &mut rng);
+        let (d, t, banding, seed) = (2usize, 2u32, Banding::new(16, 2), DEFAULT_SKETCH_SEED);
+        let (c1, c2) = (collect_candidates(&g1, &links, d), eligible2(&g2, &links, d));
+        let (expected, proposals) =
+            reference_blocked_phase(&g1, &g2, &links, &c1, &c2, t, &banding, seed);
+        assert_eq!((proposals, expected.0, expected.1.len()), (3_442, 3_442, 234));
+        for parallel in [false, true] {
+            let blocked = blocked_on_both_views(
+                &g1, &g2, &links, &c1, &c2, d, t, &banding, seed, 0, parallel,
+            );
+            assert_eq!(blocked, expected, "parallel {parallel}");
+        }
+    }
+
+    #[test]
+    fn row_split_covers_every_row_once_in_balanced_pieces() {
+        // Left id `l` holds {l % 4}; right ids 0, 1 and 2 hold {0}, {1} and
+        // {2}, ids 3..10 hold {3}: rows have 1, 1, 1 or 7 proposals.
+        let (banding, ids) = (Banding::new(2, 1), (0..10).collect::<Vec<u32>>());
+        let hasher = MinHasher::new(banding.k(), 1);
+        let keys = |set: fn(u32) -> u64| {
+            BandKeys::build(&hasher, &banding, &ids, |id, out| out.push(set(id)), false)
+        };
+        let proposals =
+            propose_pairs(keys(|l| u64::from(l % 4)), keys(|r| u64::from(r.min(3))), false);
+        let count = |p: &Range<usize>| p.clone().map(|r| proposals.row(r).1.len()).sum::<usize>();
         for workers in 1..=8 {
-            let chunks = chunk_pairs_by_row(&pairs, workers);
-            let total: usize = chunks.iter().map(|c| c.len()).sum();
-            assert_eq!(total, pairs.len());
-            for w in chunks.windows(2) {
-                let last_u = w[0].last().expect("chunks are non-empty").0;
-                let first_u = w[1].first().expect("chunks are non-empty").0;
-                assert!(last_u < first_u, "row {last_u} split across chunks");
-            }
+            let pieces = split_rows(&proposals, workers);
+            let target = 22usize.div_ceil(workers);
+            let full = pieces.iter().rev().skip(1).map(count);
+            assert!(
+                pieces.len() <= workers
+                    && full.into_iter().all(|c| (target..target + 7).contains(&c))
+            );
+            assert!(pieces.into_iter().flatten().eq(0..10), "{workers} workers");
         }
     }
 

@@ -305,10 +305,6 @@ fn spill(args: &ExperimentArgs) {
     assert_eq!(round.shuffled_records, mem_round.shuffled_records, "shuffle counters must agree");
     assert_eq!(round.shuffled_bytes, mem_round.shuffled_bytes, "shuffle counters must agree");
     assert!(!scratch.exists(), "scratch dir must be removed after the round");
-    println!(
-        "spilled round: {secs:.3}s, {} runs / {} B spilled of {} B shuffled, merge {} us",
-        round.spilled_runs, round.spilled_bytes, round.shuffled_bytes, round.spill_merge_micros
-    );
 
     // 2. The trace carries the spill telemetry, schema-valid.
     let text = std::fs::read_to_string(&trace_path).expect("trace unreadable");
@@ -347,11 +343,17 @@ fn spill(args: &ExperimentArgs) {
     assert!(merge_spans > 0, "no spill_merge span in the trace");
     let _ = std::fs::remove_file(&trace_path);
     println!(
-        "trace: schema-valid, {} spill events, {merge_spans} spill_merge spans, \
-         {file_bytes} B of run files for {} B spilled_bytes charged ({:.1}%)",
-        spill_events.len(),
+        "spilled round: {secs:.3}s, {} runs holding {file_bytes} B of run files ({:.1}% of \
+         the {} B spill charge; shuffle charge {} B), merge {} us",
+        round.spilled_runs,
+        100.0 * file_share,
         round.spilled_bytes,
-        100.0 * file_share
+        round.shuffled_bytes,
+        round.spill_merge_micros
+    );
+    println!(
+        "trace: schema-valid, {} spill events, {merge_spans} spill_merge spans",
+        spill_events.len()
     );
 
     // 3. Injected spill I/O fault: clean error, clean scratch.

@@ -318,7 +318,7 @@ fn main() {
             .value("nodes", nodes as f64)
             .value("edges", edges as f64)
             .value("seconds", secs)
-            .value("relative", relative)
+            .value("seconds_relative", relative)
             .value("csr_bytes_per_edge", csr_bpe)
             .value("store_bytes_per_edge", store_bpe)
             .value("memory_bytes", store_bytes as f64)
@@ -329,7 +329,7 @@ fn main() {
                 outcome.phases.iter().map(|p| p.scored_pairs).sum::<usize>() as f64,
             );
         if let Some(&r) = paper_relative.get(i) {
-            row = row.paper_value("relative", r);
+            row = row.paper_value("seconds_relative", r);
         }
         // Budgeted MapReduce runs record their out-of-core footprint:
         // totals plus per-round spilled bytes, one value per engine round.

@@ -91,11 +91,13 @@ impl EngineStats {
     }
 
     /// One-line human-readable account of the engine's work so far, e.g.
-    /// `4 rounds: 1203 in, 88411 map-out, 9120 shuffled (109.4 KB), 511 out, 18.3ms`.
+    /// `4 rounds: 1203 in, 88411 map-out, 9120 shuffled (charge 109.4 KB), 511 out, 18.3ms`.
+    /// The byte figure is the shuffle charge (see [`RoundStats::shuffled_bytes`]),
+    /// not the bytes moved.
     pub fn stats_summary(&self) -> String {
         let plural = if self.rounds == 1 { "round" } else { "rounds" };
         format!(
-            "{} {plural}: {} in, {} map-out, {} shuffled ({}), {} out, {:.1?}",
+            "{} {plural}: {} in, {} map-out, {} shuffled (charge {}), {} out, {:.1?}",
             self.rounds,
             self.total_input_records,
             self.total_map_output_records(),
@@ -167,7 +169,7 @@ mod tests {
         let line = s.stats_summary();
         assert!(line.starts_with("1 round:"), "{line}");
         assert!(line.contains("30 shuffled"), "{line}");
-        assert!(line.contains("360 B"), "{line}");
+        assert!(line.contains("(charge 360 B)"), "{line}");
         s.record(round("b", 20, 100_000, 7));
         let line = s.stats_summary();
         assert!(line.starts_with("2 rounds:"), "{line}");

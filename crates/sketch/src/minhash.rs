@@ -19,11 +19,12 @@
 //! running minima stay in registers instead of being loaded and stored
 //! once per item.
 
+use crate::lsh::Banding;
 use rand::hash::{mix64, SplitMix64};
 use rand::RngCore;
 use rayon::prelude::*;
 
-/// Item count per worker chunk when building signatures in parallel.
+/// Minimum ids per worker chunk when building band keys in parallel.
 const PARALLEL_CHUNK_MIN: usize = 256;
 
 /// Signature slots folded together: their running minima and seeds stay
@@ -86,100 +87,103 @@ impl MinHasher {
     }
 }
 
-/// Estimates the Jaccard similarity of the two sets behind `a` and `b`:
-/// the fraction of agreeing signature components. Both signatures must come
-/// from the same [`MinHasher`] and have equal length.
-pub fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "signatures must have equal length");
-    assert!(!a.is_empty(), "cannot estimate Jaccard from empty signatures");
-    let agree = a.iter().zip(b).filter(|(x, y)| x == y).count();
-    agree as f64 / a.len() as f64
-}
-
-/// A column-packed collection of signatures: `ids[i]`'s signature is the
-/// `i`-th stride-`k` slice of `sigs`. Nodes whose item set was empty are
-/// not stored (they cannot collide with anything).
+/// The band keys of a collection of item sets: `ids[i]`'s `b` keys are the
+/// `i`-th stride-`b` slice of `keys` (node-major). A node's `k` MinHash
+/// minima live only in a `k`-slot scratch and are folded at once into its
+/// keys, so no signature is stored. Nodes whose item set was empty are not
+/// stored (they cannot collide with anything).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SignatureSet {
-    k: usize,
+pub struct BandKeys {
+    banding: Banding,
     ids: Vec<u32>,
-    sigs: Vec<u64>,
+    keys: Vec<u64>,
 }
 
-impl SignatureSet {
-    /// Builds signatures for every id in `ids` whose item set is non-empty.
+impl BandKeys {
+    /// Builds the band keys of every id in `ids` whose item set is
+    /// non-empty; `hasher` must have `banding.k()` hash functions.
     /// `items_of` yields the item set of one id into the scratch buffer it
-    /// is handed (cleared between calls).
-    pub fn build<F>(hasher: &MinHasher, ids: &[u32], items_of: F) -> SignatureSet
-    where
-        F: Fn(u32, &mut Vec<u64>),
-    {
-        let mut out = SignatureSet { k: hasher.k(), ids: Vec::new(), sigs: Vec::new() };
-        let mut items = Vec::new();
-        let mut sig = vec![0u64; hasher.k()];
-        for &id in ids {
-            items.clear();
-            items_of(id, &mut items);
-            if hasher.sign(&mut items, &mut sig) {
-                out.ids.push(id);
-                out.sigs.extend_from_slice(&sig);
-            }
-        }
-        out
-    }
-
-    /// Parallel sibling of [`SignatureSet::build`], bit-identical to it:
-    /// the id list is split into contiguous chunks, each worker sketches
-    /// its chunk, and chunk results are spliced back in input order (the
-    /// hash family is fixed, so per-id signatures do not depend on which
-    /// worker computed them).
-    pub fn build_parallel<F>(hasher: &MinHasher, ids: &[u32], items_of: F) -> SignatureSet
+    /// is handed (cleared between calls). With `parallel`, workers key
+    /// contiguous chunks of `ids`, spliced back in input order: the hash
+    /// family is fixed, so the result is bit-identical to a sequential
+    /// build.
+    pub fn build<F>(
+        hasher: &MinHasher,
+        banding: &Banding,
+        ids: &[u32],
+        items_of: F,
+        parallel: bool,
+    ) -> BandKeys
     where
         F: Fn(u32, &mut Vec<u64>) + Sync,
     {
-        if ids.len() < PARALLEL_CHUNK_MIN {
-            return SignatureSet::build(hasher, ids, items_of);
-        }
-        let chunk_size =
-            ids.len().div_ceil(rayon::current_num_threads().max(1)).max(PARALLEL_CHUNK_MIN);
-        let chunks: Vec<&[u32]> = ids.chunks(chunk_size).collect();
-        let parts: Vec<SignatureSet> =
-            chunks.par_iter().map(|chunk| SignatureSet::build(hasher, chunk, &items_of)).collect();
-        let mut out = SignatureSet {
-            k: hasher.k(),
-            ids: Vec::with_capacity(parts.iter().map(|p| p.ids.len()).sum()),
-            sigs: Vec::with_capacity(parts.iter().map(|p| p.sigs.len()).sum()),
+        assert_eq!(hasher.k(), banding.k(), "the hasher must have b*r hash functions");
+        let key_chunk = |ids: &[u32]| {
+            let mut out = BandKeys {
+                banding: *banding,
+                ids: Vec::with_capacity(ids.len()),
+                keys: Vec::with_capacity(ids.len() * banding.bands()),
+            };
+            // Band `i`'s key folds its `r` minima through `mix64`, from a
+            // per-band seed.
+            let seeds: Vec<u64> =
+                (0..banding.bands()).map(|band| mix64(0x00B1_0C55 ^ band as u64)).collect();
+            let fold = |(rows, &seed): (&[u64], &u64)| rows.iter().fold(seed, |a, &x| mix64(a ^ x));
+            let (mut items, mut sig) = (Vec::new(), vec![0u64; hasher.k()]);
+            for &id in ids {
+                items.clear();
+                items_of(id, &mut items);
+                if hasher.sign(&mut items, &mut sig) {
+                    out.ids.push(id);
+                    out.keys.extend(sig.chunks_exact(banding.rows()).zip(&seeds).map(fold));
+                }
+            }
+            out
         };
+        let workers = if parallel { rayon::current_num_threads().max(1) } else { 1 };
+        let chunks: Vec<&[u32]> =
+            ids.chunks(ids.len().div_ceil(workers).max(PARALLEL_CHUNK_MIN)).collect();
+        let parts: Vec<BandKeys> = chunks.par_iter().map(|chunk| key_chunk(chunk)).collect();
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().unwrap_or_else(|| key_chunk(&[]));
+        out.ids.reserve_exact(ids.len() - out.len());
+        out.keys.reserve_exact((ids.len() - out.len()) * banding.bands());
         for part in parts {
             out.ids.extend(part.ids);
-            out.sigs.extend(part.sigs);
+            out.keys.extend(part.keys);
         }
         out
     }
 
-    /// Signature length.
-    pub fn k(&self) -> usize {
-        self.k
+    /// The banding scheme the keys were folded with.
+    pub fn banding(&self) -> &Banding {
+        &self.banding
     }
 
-    /// Number of stored (non-empty) signatures.
+    /// Number of stored (non-empty) nodes.
     pub fn len(&self) -> usize {
         self.ids.len()
     }
 
-    /// True if no signatures are stored.
+    /// True if no nodes are stored.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
     }
 
-    /// The ids with stored signatures, in input order.
+    /// The ids with stored keys, in input order.
     pub fn ids(&self) -> &[u32] {
         &self.ids
     }
 
-    /// The `i`-th stored signature.
-    pub fn signature_at(&self, i: usize) -> &[u64] {
-        &self.sigs[i * self.k..(i + 1) * self.k]
+    /// The stored ids, releasing the keys.
+    pub(crate) fn into_ids(self) -> Vec<u32> {
+        self.ids
+    }
+
+    /// The `b` band keys of the `i`-th stored node.
+    pub fn keys_at(&self, i: usize) -> &[u64] {
+        let b = self.banding.bands();
+        &self.keys[i * b..(i + 1) * b]
     }
 }
 
@@ -188,46 +192,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_items_produce_no_signature() {
-        let hasher = MinHasher::new(8, 1);
+    fn empty_items_produce_no_keys() {
+        let banding = Banding::new(4, 2);
+        let hasher = MinHasher::new(banding.k(), 1);
         assert_eq!(hasher.signature(std::iter::empty()), None);
-        let set = SignatureSet::build(&hasher, &[0, 1, 2], |id, items| {
-            if id == 1 {
-                items.push(99);
-            }
-        });
+        let items = |id: u32, out: &mut Vec<u64>| out.extend((id == 1).then_some(99));
+        let set = BandKeys::build(&hasher, &banding, &[0, 1, 2], items, false);
         assert_eq!(set.ids(), &[1]);
         assert_eq!(set.len(), 1);
     }
 
     #[test]
-    fn identical_sets_have_identical_signatures() {
-        let hasher = MinHasher::new(16, 7);
-        let a = hasher.signature([3u64, 1, 4, 15]).unwrap();
-        let b = hasher.signature([15u64, 4, 3, 1]).unwrap();
-        assert_eq!(a, b, "signatures are order-independent");
-        assert_eq!(estimate_jaccard(&a, &b), 1.0);
-    }
-
-    #[test]
-    fn disjoint_sets_mostly_disagree() {
-        let hasher = MinHasher::new(64, 11);
-        let a = hasher.signature((0..50).map(|i| i * 2)).unwrap();
-        let b = hasher.signature((0..50).map(|i| i * 2 + 1)).unwrap();
-        assert!(estimate_jaccard(&a, &b) < 0.2, "disjoint sets should rarely agree");
-    }
-
-    #[test]
     fn parallel_build_matches_sequential() {
-        let hasher = MinHasher::new(12, 3);
+        let banding = Banding::new(4, 3);
+        let hasher = MinHasher::new(banding.k(), 3);
         let ids: Vec<u32> = (0..2_000).collect();
         let items = |id: u32, out: &mut Vec<u64>| {
             for j in 0..(id % 17) {
                 out.push(u64::from(id / 13 + j));
             }
         };
-        let seq = SignatureSet::build(&hasher, &ids, items);
-        let par = SignatureSet::build_parallel(&hasher, &ids, items);
+        let seq = BandKeys::build(&hasher, &banding, &ids, items, false);
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let par = pool.install(|| BandKeys::build(&hasher, &banding, &ids, items, true));
         assert_eq!(seq, par);
     }
 

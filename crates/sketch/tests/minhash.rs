@@ -1,10 +1,17 @@
 //! Property tests for the sketch crate: MinHash must estimate Jaccard
 //! similarity within statistical tolerance, banding must match a
-//! brute-force reference and be deterministic across runs and build
-//! strategies, and degenerate inputs (empty or singleton item sets) must
-//! be handled, never panicked on.
+//! brute-force band comparison of full signatures and be deterministic
+//! across runs and build strategies, and degenerate inputs (empty or
+//! singleton item sets) must be handled, never panicked on.
 
-use snr_sketch::{estimate_jaccard, propose_pairs, Banding, MinHasher, Proposals, SignatureSet};
+use snr_sketch::{propose_pairs, BandKeys, Banding, MinHasher};
+
+/// Estimates the Jaccard similarity of the two sets behind `a` and `b`:
+/// the fraction of agreeing signature components.
+fn estimate_jaccard(a: &[u64], b: &[u64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "signatures must have equal length");
+    a.iter().zip(b).filter(|(x, y)| x == y).count() as f64 / a.len() as f64
+}
 
 /// Two sets with `shared` common items, `a_only` / `b_only` private items,
 /// and true Jaccard `shared / (shared + a_only + b_only)`. Item values are
@@ -42,30 +49,34 @@ proptest::proptest! {
     fn banding_is_deterministic_across_runs_and_build_strategies(
         bands in 1usize..12,
         rows in 1usize..5,
-        n in 1usize..400,
+        n in 1usize..2_000,
         seed in 0u64..10_000,
     ) {
         let banding = Banding::new(bands, rows);
         let hasher = MinHasher::new(banding.k(), seed);
         let ids: Vec<u32> = (0..n as u32).collect();
-        // Overlapping item sets so some proposals actually fire.
+        // Overlapping item sets so some proposals actually fire; every
+        // 13th set is empty, so parallel pieces splice.
         let items = |id: u32, out: &mut Vec<u64>| {
             for i in 0..(id % 13) {
                 out.push(u64::from(id / 7 + i));
             }
         };
-        let left_seq = SignatureSet::build(&hasher, &ids, items);
-        let left_par = SignatureSet::build_parallel(&hasher, &ids, items);
-        assert_eq!(left_seq, left_par, "parallel signature build must be bit-identical");
-        let right = SignatureSet::build(&hasher, &ids, |id, out| items(id.wrapping_add(3), out));
-        let first = propose_pairs(&banding, &left_seq, &right);
-        let second = propose_pairs(&banding, &left_par, &right);
-        assert_eq!(first, second, "proposals must be identical across runs");
+        let left_seq = BandKeys::build(&hasher, &banding, &ids, items, false);
+        let left_par = four_workers(|| BandKeys::build(&hasher, &banding, &ids, items, true));
+        assert_eq!(left_seq, left_par, "parallel key build must be bit-identical");
+        let right_items = |id: u32, out: &mut Vec<u64>| items(id.wrapping_add(3), out);
+        let right = BandKeys::build(&hasher, &banding, &ids, right_items, false);
+        let first = propose_pairs(left_seq, right.clone(), false);
+        let second = four_workers(|| propose_pairs(left_par, right, true));
+        assert_eq!(first, second, "proposals must be identical across runs and worker counts");
         // Sorted, deduplicated output is part of the contract.
-        let mut sorted = first.pairs.clone();
+        let pairs: Vec<(u32, u32)> = first.pairs().collect();
+        let mut sorted = pairs.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(first.pairs, sorted);
+        assert_eq!(pairs, sorted);
+        assert_eq!(first.len(), pairs.len() as u64);
     }
 
     #[test]
@@ -83,21 +94,43 @@ proptest::proptest! {
             }
         };
         assert_eq!(hasher.signature(std::iter::empty()), None, "empty set has no signature");
-        let left = SignatureSet::build(&hasher, &[0, 1], items);
-        let right = SignatureSet::build_parallel(&hasher, &[2, 3], items);
+        let left = BandKeys::build(&hasher, &banding, &[0, 1], items, false);
+        let right = BandKeys::build(&hasher, &banding, &[2, 3], items, true);
         assert_eq!(left.len(), 1, "empty item sets are skipped, not sketched");
         assert_eq!(right.len(), 1);
-        let proposals = propose_pairs(&banding, &left, &right);
+        let proposals = propose_pairs(left.clone(), right, false);
         // The two singletons {0} and {1} are disjoint; they may only meet
         // through a band-key hash collision, which k=bands*rows independent
         // mix64 rounds make effectively impossible.
-        assert!(proposals.pairs.is_empty(), "disjoint singletons proposed: {:?}", proposals.pairs);
+        assert!(proposals.is_empty(), "disjoint singletons proposed: {proposals:?}");
         // Identical singletons always collide in every band.
-        let twin = SignatureSet::build(&hasher, &[1], items);
-        let hit = propose_pairs(&banding, &left, &twin);
-        assert_eq!(hit.pairs, vec![(1, 1)]);
+        let twin = BandKeys::build(&hasher, &banding, &[1], items, false);
+        let hit = propose_pairs(left, twin, true);
+        assert_eq!(hit.pairs().collect::<Vec<_>>(), vec![(1, 1)]);
         assert_eq!(hit.raw_collisions, bands as u64);
     }
+}
+
+/// Runs `op` in a four-worker pool, so parallel builds split on any host.
+fn four_workers<R: Send>(op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new().num_threads(4).build().unwrap().install(op)
+}
+
+#[test]
+fn identical_sets_have_identical_signatures() {
+    let hasher = MinHasher::new(16, 7);
+    let a = hasher.signature([3u64, 1, 4, 15]).unwrap();
+    let b = hasher.signature([15u64, 4, 3, 1]).unwrap();
+    assert_eq!(a, b, "signatures are order-independent");
+    assert_eq!(estimate_jaccard(&a, &b), 1.0);
+}
+
+#[test]
+fn disjoint_sets_mostly_disagree() {
+    let hasher = MinHasher::new(64, 11);
+    let a = hasher.signature((0..50).map(|i| i * 2)).unwrap();
+    let b = hasher.signature((0..50).map(|i| i * 2 + 1)).unwrap();
+    assert!(estimate_jaccard(&a, &b) < 0.2, "disjoint sets should rarely agree");
 }
 
 /// Fixed-size smoke version of the Jaccard property, reproducible without
@@ -114,28 +147,66 @@ fn jaccard_estimate_tracks_known_overlaps() {
     }
 }
 
-/// The literal definition of banding: a left×right pair is proposed iff
-/// its two signatures are equal on every row of some band, and
-/// `raw_collisions` counts each (pair, agreeing band) once.
-fn reference_proposals(banding: &Banding, left: &SignatureSet, right: &SignatureSet) -> Proposals {
+/// One side of a banding input: its ids and their item sets.
+type Side = (Vec<u32>, fn(u32, &mut Vec<u64>));
+
+/// The literal definition of banding, on full signatures: a left×right
+/// pair is proposed iff `MinHasher::signature` of the two item sets are
+/// equal on every row of some band, and the raw collision count counts
+/// each (pair, agreeing band) once. It shares no code with the band-key
+/// path. Returns `(pairs, raw_collisions)`.
+fn reference_proposals(
+    banding: &Banding,
+    hasher: &MinHasher,
+    left: &Side,
+    right: &Side,
+) -> (Vec<(u32, u32)>, u64) {
+    let signatures = |(ids, items_of): &Side| -> Vec<(u32, Vec<u64>)> {
+        ids.iter()
+            .filter_map(|&id| {
+                let mut items = Vec::new();
+                items_of(id, &mut items);
+                hasher.signature(items).map(|sig| (id, sig))
+            })
+            .collect()
+    };
     let rows = banding.rows();
-    let mut out = Proposals::default();
-    for (i, &lid) in left.ids().iter().enumerate() {
-        for (j, &rid) in right.ids().iter().enumerate() {
-            let (a, b) = (left.signature_at(i), right.signature_at(j));
+    let (mut pairs, mut raw) = (Vec::new(), 0u64);
+    for (lid, a) in signatures(left) {
+        for (rid, b) in signatures(right) {
             let agreeing = (0..banding.bands())
                 .filter(|band| {
                     a[band * rows..(band + 1) * rows] == b[band * rows..(band + 1) * rows]
                 })
                 .count() as u64;
-            out.raw_collisions += agreeing;
+            raw += agreeing;
             if agreeing > 0 {
-                out.pairs.push((lid, rid));
+                pairs.push((lid, rid));
             }
         }
     }
-    out.pairs.sort_unstable();
-    out
+    pairs.sort_unstable();
+    (pairs, raw)
+}
+
+/// `propose_pairs` on band keys against [`reference_proposals`], both
+/// ways round. Returns the reference.
+fn check_against_reference(
+    banding: &Banding,
+    hasher: &MinHasher,
+    left: &Side,
+    right: &Side,
+) -> (Vec<(u32, u32)>, u64) {
+    let keys = |(ids, items_of): &Side| BandKeys::build(hasher, banding, ids, items_of, false);
+    for (l, r, parallel) in [(left, right, false), (right, left, true)] {
+        let proposals = propose_pairs(keys(l), keys(r), parallel);
+        let reference = reference_proposals(banding, hasher, l, r);
+        let label = format!("{banding:?}");
+        assert_eq!(proposals.pairs().collect::<Vec<_>>(), reference.0, "{label}");
+        assert_eq!(proposals.len(), reference.0.len() as u64, "{label}");
+        assert_eq!(proposals.raw_collisions, reference.1, "{label}");
+    }
+    reference_proposals(banding, hasher, left, right)
 }
 
 proptest::proptest! {
@@ -156,44 +227,44 @@ proptest::proptest! {
         if reversed == 1 {
             ids.reverse();
         }
-        let (left, right) = match shape {
+        let (left, right): (Side, Side) = match shape {
             // Few distinct overlapping sets: many identical signatures,
             // so both sides have multi-member clusters.
-            0 => {
-                let items = |id: u32, out: &mut Vec<u64>| {
-                    out.extend((0..3).map(|j| u64::from(id % 5 + j)));
-                };
-                let right_items = |id: u32, out: &mut Vec<u64>| items(id / 2, out);
-                (
-                    SignatureSet::build(&hasher, &ids, items),
-                    SignatureSet::build(&hasher, &ids, right_items),
-                )
-            }
+            0 => (
+                (ids.clone(), |id, out| out.extend((0..3).map(|j| u64::from(id % 5 + j)))),
+                (ids, |id, out| out.extend((0..3).map(|j| u64::from(id / 2 % 5 + j)))),
+            ),
             // Sliding windows: every signature distinct, neighbours close.
-            1 => {
-                let items = |id: u32, out: &mut Vec<u64>| {
-                    out.extend((0..4).map(|j| u64::from(id + j)));
-                };
-                let right_items = |id: u32, out: &mut Vec<u64>| items(id + 2, out);
-                (
-                    SignatureSet::build(&hasher, &ids, items),
-                    SignatureSet::build(&hasher, &ids, right_items),
-                )
-            }
+            1 => (
+                (ids.clone(), |id, out| out.extend((0..4).map(|j| u64::from(id + j)))),
+                (ids, |id, out| out.extend((0..4).map(|j| u64::from(id + 2 + j)))),
+            ),
             // One side has no signatures at all.
-            _ => {
-                let items = |id: u32, out: &mut Vec<u64>| out.push(u64::from(id));
-                (
-                    SignatureSet::build(&hasher, &ids, items),
-                    SignatureSet::build(&hasher, &ids, |_, _| {}),
-                )
-            }
+            _ => ((ids.clone(), |id, out| out.push(u64::from(id))), (ids, |_, _| {})),
         };
-        for (l, r) in [(&left, &right), (&right, &left)] {
-            let proposals = propose_pairs(&banding, l, r);
-            let reference = reference_proposals(&banding, l, r);
-            assert_eq!(proposals.pairs, reference.pairs, "b={bands} r={rows} shape={shape}");
-            assert_eq!(proposals.raw_collisions, reference.raw_collisions);
-        }
+        check_against_reference(&banding, &hasher, &left, &right);
     }
+}
+
+/// Sets sharing a large core with a few private items: proposed pairs
+/// agree on some bands but not all, so the raw count sees partial
+/// agreement. The left side's private
+/// items repeat every 3 ids and the right side's every 4, so both sides
+/// also have multi-member clusters.
+#[test]
+fn partial_band_agreement_matches_the_reference() {
+    let banding = Banding::new(8, 2);
+    let hasher = MinHasher::new(banding.k(), 0x5eed);
+    let ids: Vec<u32> = (0..40).collect();
+    let left: Side = (ids.clone(), |id, out| {
+        out.extend(0..12u64);
+        out.extend((0..3).map(|j| 100 + u64::from(id % 3) * 3 + j));
+    });
+    let right: Side = (ids, |id, out| {
+        out.extend(0..12u64);
+        out.extend((0..3).map(|j| 100 + u64::from(id % 4) * 2 + j));
+    });
+    let (pairs, raw) = check_against_reference(&banding, &hasher, &left, &right);
+    let all = banding.bands() as u64 * pairs.len() as u64;
+    assert!(!pairs.is_empty() && raw < all, "{} pairs, {raw} raw collisions", pairs.len());
 }
