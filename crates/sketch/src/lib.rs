@@ -22,8 +22,9 @@
 //! machinery blocks any Jaccard-flavored similarity join.
 //!
 //! Everything is deterministic: the `k = b·r` hash functions derive from
-//! one base seed via SplitMix64, each parallel sketch worker writes its
-//! own slice of one key array in input order, and proposal generation
+//! one base seed via SplitMix64, the key array is allocated once and each
+//! parallel sketch worker keys its own contiguous piece of it in place
+//! (the pieces are then closed up in input order), and proposal generation
 //! merges every band's collisions into sorted, deduplicated rows — results
 //! are bit-identical across runs and worker counts.
 

@@ -325,15 +325,11 @@ pub fn propose_pairs(left: BandKeys, right: BandKeys, parallel: bool) -> Proposa
     }
     starts.pop();
     rights.truncate(len);
-    // Left ids ascending (a linear pass when they already are), each with
-    // its cluster's row; empty rows are left out.
-    let mut order: Vec<u32> = (0..left_ids.len() as u32).collect();
-    order.sort_by_key(|&i| left_ids[i as usize]);
-    let lefts: Vec<(u32, u32)> = order
-        .into_iter()
-        .map(|i| (left_ids[i as usize], lc.of[i as usize]))
-        .filter(|&(_, c)| starts[c as usize] < starts[c as usize + 1])
-        .collect();
+    // Left ids with their cluster's row, empty rows left out, in ascending
+    // id (a linear pass when they already are).
+    let mut lefts: Vec<(u32, u32)> = left_ids.into_iter().zip(lc.of).collect();
+    lefts.retain(|&(_, c)| starts[c as usize] < starts[c as usize + 1]);
+    lefts.sort_unstable();
     Proposals { lefts, starts, rights, raw_collisions }
 }
 
@@ -341,6 +337,40 @@ pub fn propose_pairs(left: BandKeys, right: BandKeys, parallel: bool) -> Proposa
 mod tests {
     use super::*;
     use crate::minhash::MinHasher;
+
+    fn keys(banding: &Banding, seed: u64, id: u32, items: &[u64]) -> BandKeys {
+        let hasher = MinHasher::new(banding.k(), seed);
+        BandKeys::build(&hasher, banding, &[id], |_, out| out.extend(items), false)
+    }
+
+    #[test]
+    fn identical_sets_always_collide() {
+        let banding = Banding::new(4, 2);
+        let items: Vec<u64> = (0..20).collect();
+        let proposals =
+            propose_pairs(keys(&banding, 5, 1, &items), keys(&banding, 5, 9, &items), false);
+        assert_eq!(proposals.pairs().collect::<Vec<_>>(), vec![(1, 9)]);
+        // Identical sets agree on every band.
+        assert_eq!(proposals.raw_collisions, 4);
+    }
+
+    #[test]
+    fn unrelated_sets_rarely_collide() {
+        let banding = Banding::new(8, 4);
+        let (left, right): (Vec<u64>, Vec<u64>) = ((0..40).collect(), (1_000..1_040).collect());
+        let proposals =
+            propose_pairs(keys(&banding, 6, 0, &left), keys(&banding, 6, 0, &right), false);
+        assert!(proposals.is_empty());
+    }
+
+    #[test]
+    fn empty_sides_propose_nothing() {
+        let banding = Banding::new(2, 2);
+        let (empty, full) = (|| keys(&banding, 8, 0, &[]), || keys(&banding, 8, 3, &[1, 2, 3]));
+        assert!(empty().is_empty());
+        assert_eq!(propose_pairs(empty(), full(), false), Proposals::default());
+        assert_eq!(propose_pairs(full(), empty(), false), Proposals::default());
+    }
 
     #[test]
     fn proposal_is_bipartite_sorted_and_deduplicated() {

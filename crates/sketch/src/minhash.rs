@@ -23,6 +23,7 @@ use crate::lsh::Banding;
 use rand::hash::{mix64, SplitMix64};
 use rand::RngCore;
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Minimum ids per worker chunk when building band keys in parallel.
 const PARALLEL_CHUNK_MIN: usize = 256;
@@ -103,10 +104,11 @@ impl BandKeys {
     /// Builds the band keys of every id in `ids` whose item set is
     /// non-empty; `hasher` must have `banding.k()` hash functions.
     /// `items_of` yields the item set of one id into the scratch buffer it
-    /// is handed (cleared between calls). With `parallel`, workers key
-    /// contiguous chunks of `ids`, spliced back in input order: the hash
-    /// family is fixed, so the result is bit-identical to a sequential
-    /// build.
+    /// is handed (cleared between calls). The id and key arrays are
+    /// allocated once, for every id; with `parallel`, each worker keys a
+    /// contiguous piece of them in place, and the pieces are closed up in
+    /// input order. The hash family is fixed, so the result is
+    /// bit-identical to a sequential build.
     pub fn build<F>(
         hasher: &MinHasher,
         banding: &Banding,
@@ -118,40 +120,47 @@ impl BandKeys {
         F: Fn(u32, &mut Vec<u64>) + Sync,
     {
         assert_eq!(hasher.k(), banding.k(), "the hasher must have b*r hash functions");
-        let key_chunk = |ids: &[u32]| {
-            let mut out = BandKeys {
-                banding: *banding,
-                ids: Vec::with_capacity(ids.len()),
-                keys: Vec::with_capacity(ids.len() * banding.bands()),
-            };
-            // Band `i`'s key folds its `r` minima through `mix64`, from a
-            // per-band seed.
-            let seeds: Vec<u64> =
-                (0..banding.bands()).map(|band| mix64(0x00B1_0C55 ^ band as u64)).collect();
-            let fold = |(rows, &seed): (&[u64], &u64)| rows.iter().fold(seed, |a, &x| mix64(a ^ x));
-            let (mut items, mut sig) = (Vec::new(), vec![0u64; hasher.k()]);
-            for &id in ids {
+        let b = banding.bands();
+        // Band `i`'s key folds its `r` minima through `mix64`, from a
+        // per-band seed.
+        let seeds: Vec<u64> = (0..b).map(|band| mix64(0x00B1_0C55 ^ band as u64)).collect();
+        let fold = |(rows, &seed): (&[u64], &u64)| rows.iter().fold(seed, |a, &x| mix64(a ^ x));
+        // Keys one piece in place: its kept ids and their keys move to the
+        // piece's front. Returns the kept count.
+        let key_piece = |(ids, keys): &mut (&mut [u32], &mut [u64])| {
+            let (mut items, mut sig, mut kept) = (Vec::new(), vec![0u64; hasher.k()], 0);
+            for i in 0..ids.len() {
                 items.clear();
-                items_of(id, &mut items);
+                items_of(ids[i], &mut items);
                 if hasher.sign(&mut items, &mut sig) {
-                    out.ids.push(id);
-                    out.keys.extend(sig.chunks_exact(banding.rows()).zip(&seeds).map(fold));
+                    ids[kept] = ids[i];
+                    let bands = sig.chunks_exact(banding.rows()).zip(&seeds).map(fold);
+                    keys[kept * b..(kept + 1) * b].iter_mut().zip(bands).for_each(|(k, v)| *k = v);
+                    kept += 1;
                 }
             }
-            out
+            kept
         };
         let workers = if parallel { rayon::current_num_threads().max(1) } else { 1 };
-        let chunks: Vec<&[u32]> =
-            ids.chunks(ids.len().div_ceil(workers).max(PARALLEL_CHUNK_MIN)).collect();
-        let parts: Vec<BandKeys> = chunks.par_iter().map(|chunk| key_chunk(chunk)).collect();
-        let mut parts = parts.into_iter();
-        let mut out = parts.next().unwrap_or_else(|| key_chunk(&[]));
-        out.ids.reserve_exact(ids.len() - out.len());
-        out.keys.reserve_exact((ids.len() - out.len()) * banding.bands());
-        for part in parts {
-            out.ids.extend(part.ids);
-            out.keys.extend(part.keys);
+        let piece = ids.len().div_ceil(workers).max(PARALLEL_CHUNK_MIN);
+        let mut out =
+            BandKeys { banding: *banding, ids: ids.to_vec(), keys: vec![0; ids.len() * b] };
+        // Each worker keys its own piece of the one id and key array; the
+        // lock only lends the piece out and is never contended.
+        let pieces: Vec<Mutex<_>> =
+            out.ids.chunks_mut(piece).zip(out.keys.chunks_mut(piece * b)).map(Mutex::new).collect();
+        let kept: Vec<usize> =
+            pieces.par_iter().map(|p| key_piece(&mut p.lock().unwrap())).collect();
+        drop(pieces);
+        // Close the gaps the skipped (empty) nodes left, in input order.
+        let mut len = 0;
+        for (p, n) in kept.into_iter().enumerate() {
+            out.ids.copy_within(p * piece..p * piece + n, len);
+            out.keys.copy_within(p * piece * b..(p * piece + n) * b, len * b);
+            len += n;
         }
+        out.ids.truncate(len);
+        out.keys.truncate(len * b);
         out
     }
 
