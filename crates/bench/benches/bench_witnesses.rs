@@ -185,9 +185,8 @@ fn bench_rmat16(c: &mut Criterion) {
         .with_degree_bucketing(false)
         .with_min_bucket(1);
     driver_config.fault = None;
-    // The healing layers stay out of this label: no per-phase checkpoint
-    // write, no respawn budget — the same pure round the baseline recorded.
-    driver_config.checkpoints = false;
+    // No respawn budget here. Like every driver run, the round writes one
+    // checkpoint after its phase.
     driver_config.respawn_budget = 0;
     let driver =
         ShardDriver::new(g1, g2, driver_config.clone()).expect("snapshot graphs for driver bench");
@@ -195,11 +194,9 @@ fn bench_rmat16(c: &mut Criterion) {
         b.iter(|| black_box(driver.run(&seeds).expect("distributed round")))
     });
     drop(driver);
-    // The same round with the self-healing machinery at its defaults —
-    // respawn budget armed and a checkpoint persisted after the phase. The
-    // delta against driver/fused is the price a healthy run pays for
-    // recoverability (dominated by the checkpoint encode + fsync).
-    driver_config.checkpoints = true;
+    // The same round with the respawn budget armed at its default. A
+    // healthy run spends none of it, so the delta against driver/fused is
+    // the price of keeping it armed.
     driver_config.respawn_budget = 2;
     let driver = ShardDriver::new(g1, g2, driver_config).expect("snapshot graphs for driver bench");
     group.bench_function("driver/respawn_overhead", |b| {

@@ -1,6 +1,5 @@
 //! The growing set of identification links.
 
-use rayon::prelude::*;
 use snr_graph::NodeId;
 
 /// A bidirectional, one-to-one set of identification links between nodes of
@@ -99,54 +98,11 @@ impl Linking {
     }
 
     /// Inserts a whole phase's selected pairs, returning how many links were
-    /// added.
-    ///
-    /// On multi-core hosts, large batches pre-validate in parallel: the
-    /// bounds/occupancy reads against the two endpoint arrays (random-access
-    /// misses on big graphs) are distributed across rayon workers. The
-    /// sequential commit trusts the parallel verdict for bounds but repeats
-    /// the occupancy probe, which it must: an earlier pair in the same batch
-    /// may have claimed an endpoint (the one-to-one invariant makes
-    /// acceptance order-dependent for non-matching inputs; the mutual-best
-    /// rule itself always emits a matching, so algorithm batches never hit
-    /// that probe's reject path). With a single worker thread the pre-check
-    /// could only duplicate work, so it is skipped.
+    /// added: exactly repeated [`Linking::insert`] calls.
     pub fn insert_batch(&mut self, pairs: &[(NodeId, NodeId)]) -> usize {
-        /// Batch size below which the pre-check pass costs more than it
-        /// saves.
-        const PARALLEL_CUTOFF: usize = 4_096;
-        if pairs.len() >= PARALLEL_CUTOFF && rayon::current_num_threads() > 1 {
-            self.insert_batch_prevalidated(pairs)
-        } else {
-            let mut added = 0usize;
-            for &(u1, u2) in pairs {
-                if self.insert(u1, u2) {
-                    added += 1;
-                }
-            }
-            added
-        }
-    }
-
-    /// The parallel-pre-check arm of [`Linking::insert_batch`]; behaves
-    /// exactly like repeated [`Linking::insert`] calls.
-    fn insert_batch_prevalidated(&mut self, pairs: &[(NodeId, NodeId)]) -> usize {
-        let this: &Linking = self;
-        let admissible: Vec<bool> = pairs
-            .par_iter()
-            .map(|&(u1, u2)| {
-                u1.index() < this.g1_to_g2.len()
-                    && u2.index() < this.g2_to_g1.len()
-                    && !this.is_linked_g1(u1)
-                    && !this.is_linked_g2(u2)
-            })
-            .collect();
         let mut added = 0usize;
-        for (&(u1, u2), ok) in pairs.iter().zip(admissible) {
-            if ok && self.g1_to_g2[u1.index()].is_none() && self.g2_to_g1[u2.index()].is_none() {
-                self.g1_to_g2[u1.index()] = Some(u2);
-                self.g2_to_g1[u2.index()] = Some(u1);
-                self.len += 1;
+        for &(u1, u2) in pairs {
+            if self.insert(u1, u2) {
                 added += 1;
             }
         }
@@ -233,10 +189,8 @@ mod tests {
 
     #[test]
     fn insert_batch_matches_sequential_inserts() {
-        // With in-batch conflicts and out-of-range pairs sprinkled in, both
-        // the dispatching entry point and the parallel-pre-check arm (called
-        // directly, since a 1-CPU host would otherwise never take it) must
-        // behave exactly like repeated insert() calls.
+        // With in-batch conflicts and out-of-range pairs sprinkled in, the
+        // batch must behave exactly like repeated insert() calls.
         let n = 10_000u32;
         let pairs: Vec<(NodeId, NodeId)> = (0..n + 10)
             .map(|i| (NodeId(i % n), NodeId((i * 7 + 3) % n)))
@@ -252,9 +206,6 @@ mod tests {
         let mut batched = Linking::new(n as usize, n as usize);
         assert_eq!(batched.insert_batch(&pairs), expected);
         assert_eq!(batched, sequential);
-        let mut prevalidated = Linking::new(n as usize, n as usize);
-        assert_eq!(prevalidated.insert_batch_prevalidated(&pairs), expected);
-        assert_eq!(prevalidated, sequential);
     }
 
     #[test]

@@ -49,12 +49,10 @@
 //!    last complete phase, bit-identical to an uninterrupted run.
 //! 3. **Degradation** — when the pool (live + scheduled respawns) is
 //!    empty, the coordinator finishes the remaining row-ranges in-process
-//!    ([`DegradePolicy::InProcess`], the default) instead of failing;
-//!    [`DegradePolicy::Fail`] keeps the old abort behavior.
+//!    through the same [`ShardScorer`] the workers run.
 //!
-//! The failure modes that remain — the pool collapsing under
-//! `DegradePolicy::Fail`, or one row-range burning through the retry
-//! budget — surface as [`DriverError`], never a hang.
+//! What healing cannot absorb — one row-range burning through the retry
+//! budget — surfaces as [`DriverError::TaskAbandoned`], never a hang.
 
 use crate::checkpoint::{Checkpoint, CHECKPOINT_FILE};
 use crate::error::DriverError;
@@ -83,20 +81,6 @@ use std::time::{Duration, Instant};
 pub enum DriverStore {
     /// Workers memory-map one whole-graph segment per copy.
     Mmap,
-}
-
-/// What the coordinator does when every worker is lost (none live and no
-/// respawn scheduled).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradePolicy {
-    /// Abort the run with [`DriverError::AllWorkersDead`] (the pre-healing
-    /// behavior).
-    Fail,
-    /// Finish the remaining row-ranges in-process through the same
-    /// [`ShardScorer`] the workers run: slower, but bit-identical and always
-    /// completes.
-    #[default]
-    InProcess,
 }
 
 /// Counters of one [`ShardDriver::run`] / [`ShardDriver::resume`] call,
@@ -142,16 +126,11 @@ pub struct DriverConfig {
     /// How many worker relaunches one run may spend (a respawn consumes
     /// budget when it is scheduled, whether or not the exec succeeds).
     pub respawn_budget: u32,
-    /// What to do when every worker is lost.
-    pub degrade: DegradePolicy,
-    /// Whether to persist a checkpoint after every phase (default true).
-    pub checkpoints: bool,
 }
 
 impl DriverConfig {
     /// A config with `workers` subprocesses and defaults for the rest:
-    /// mapped segments, 60 s round deadline, two respawns, in-process
-    /// degradation on total loss, per-phase checkpoints, fault spec taken
+    /// mapped segments, 60 s round deadline, two respawns, fault spec taken
     /// from the `SNR_FAULT` environment variable.
     pub fn new(workers: usize) -> Self {
         DriverConfig {
@@ -162,8 +141,6 @@ impl DriverConfig {
             fault: std::env::var(snr_faults::ENV_FAULT).ok().filter(|s| !s.is_empty()),
             worker_bin: None,
             respawn_budget: 2,
-            degrade: DegradePolicy::InProcess,
-            checkpoints: true,
         }
     }
 }
@@ -277,7 +254,7 @@ impl ShardDriver {
     /// schedule disagrees is a [`DriverError::Checkpoint`]
     /// (no silent partial resume), and one whose candidates are not exact
     /// is rejected as in [`ShardDriver::new`]. Worker count, timeouts, and
-    /// the healing knobs are free to differ — task tiling does not affect
+    /// the respawn budget are free to differ — task tiling does not affect
     /// the result.
     pub fn resume<P: AsRef<Path>>(
         dir: P,
@@ -430,9 +407,7 @@ impl ShardDriver {
                 self.run_phase(&mut pool, phase, &delta, &outcome.links, &mut scorer)?;
             outcome.close_phase(phase, scored_pairs, &new_pairs, phase_start);
             delta = new_pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-            if self.config.checkpoints {
-                self.write_checkpoint(seeds, &outcome, phase.number);
-            }
+            self.write_checkpoint(seeds, &outcome, phase.number);
             if self.faults.fire(FaultSite::Halt, None, Some(phase.number)).is_some() {
                 pool.shutdown();
                 return Err(DriverError::Interrupted { phase: phase.number });
@@ -524,14 +499,11 @@ impl ShardDriver {
         while done.contains(&false) {
             pool.launch_due_respawns(self);
             snr_telemetry::Gauge::WorkersAlive.set(pool.potential_workers() as u64);
-            // An empty pool can never finish the remaining tasks: the
-            // degrade policy decides between scoring them here and failing.
+            // An empty pool can never finish the remaining tasks: score
+            // them here.
             if pool.potential_workers() == 0 {
-                if matches!(self.config.degrade, DegradePolicy::InProcess) {
-                    self.finish_in_process(phase, min_degree, links, scorer, &mut sink, &done)?;
-                    break;
-                }
-                return Err(pool.all_dead(phase, self.config.respawn_budget));
+                self.finish_in_process(phase, min_degree, links, scorer, &mut sink, &done)?;
+                break;
             }
             // Hand pending tasks to idle workers.
             while let Some(&task) = pending.front() {
@@ -673,8 +645,11 @@ impl ShardDriver {
                         );
                     }
                 }
+                // The pool holds `events_tx`, so this cannot fire; were it
+                // to, no worker could report again: finish as an empty pool.
                 Err(RecvTimeoutError::Disconnected) => {
-                    return Err(pool.all_dead(phase, self.config.respawn_budget));
+                    self.finish_in_process(phase, min_degree, links, scorer, &mut sink, &done)?;
+                    break;
                 }
             }
         }
@@ -928,9 +903,6 @@ impl WorkerPool {
                 pool.schedule_respawn(driver, w);
             }
         }
-        if pool.potential_workers() == 0 && matches!(driver.config.degrade, DegradePolicy::Fail) {
-            return Err(pool.all_dead(0, driver.config.respawn_budget));
-        }
         Ok(pool)
     }
 
@@ -1077,17 +1049,6 @@ impl WorkerPool {
             self.slots[w as usize].state = SlotState::Ready;
         } else {
             self.note_death(driver, w, &format!("worker {w} snapshot pipe write failed"));
-        }
-    }
-
-    /// The error for a pool that lost every worker (and every respawn)
-    /// during `phase`.
-    fn all_dead(&self, phase: u32, respawn_budget: u32) -> DriverError {
-        DriverError::AllWorkersDead {
-            phase,
-            respawns_used: self.respawns_used,
-            respawn_budget,
-            last_fault: self.last_fault.clone(),
         }
     }
 

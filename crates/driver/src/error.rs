@@ -6,11 +6,11 @@ use snr_store::wire::WireError;
 /// Everything that can go wrong while coordinating worker subprocesses.
 ///
 /// The driver's contract is *clean failure*: a dead worker whose row-range
-/// can be re-assigned (or whose slot can be respawned) is not an error, but
-/// losing every worker past the respawn budget under
-/// [`crate::DegradePolicy::Fail`], exhausting the retry budget for one
-/// row-range, a corrupt checkpoint, or a malformed frame surfaces as a
-/// `DriverError` — never a hang and never a panic.
+/// can be re-assigned (or whose slot can be respawned, or whose range the
+/// coordinator scores itself once the pool is empty) is not an error, but
+/// exhausting the retry budget for one row-range, a corrupt checkpoint, or a
+/// malformed frame surfaces as a `DriverError` — never a hang and never a
+/// panic.
 #[derive(Debug)]
 pub enum DriverError {
     /// An I/O failure talking to a worker or the scratch segments.
@@ -19,19 +19,6 @@ pub enum DriverError {
     Graph(GraphError),
     /// A malformed or unexpected protocol frame.
     Protocol(String),
-    /// Every worker died and the respawn budget could not refill the pool
-    /// (only reachable under [`crate::DegradePolicy::Fail`]; the default
-    /// policy finishes in-process instead).
-    AllWorkersDead {
-        /// The 1-based phase that was running when the pool collapsed.
-        phase: u32,
-        /// Respawn attempts consumed before giving up.
-        respawns_used: u32,
-        /// The configured respawn budget.
-        respawn_budget: u32,
-        /// The most recent worker failure observed, if any.
-        last_fault: Option<String>,
-    },
     /// One row-range failed or timed out more times than the retry budget
     /// allows (e.g. a task that kills every worker assigned to it).
     TaskAbandoned {
@@ -67,14 +54,6 @@ impl std::fmt::Display for DriverError {
             DriverError::Io(e) => write!(f, "driver I/O error: {e}"),
             DriverError::Graph(e) => write!(f, "driver graph error: {e}"),
             DriverError::Protocol(msg) => write!(f, "driver protocol error: {msg}"),
-            DriverError::AllWorkersDead { phase, respawns_used, respawn_budget, last_fault } => {
-                write!(
-                    f,
-                    "all workers dead during phase {phase} \
-                     ({respawns_used}/{respawn_budget} respawns used{})",
-                    last_fault_suffix(last_fault)
-                )
-            }
             DriverError::TaskAbandoned {
                 first_node,
                 node_count,
@@ -138,28 +117,6 @@ impl From<WireError> for DriverError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_workers_dead_reports_budget_state_and_last_fault() {
-        let e = DriverError::AllWorkersDead {
-            phase: 3,
-            respawns_used: 2,
-            respawn_budget: 2,
-            last_fault: Some("worker 1 exited with status 17".into()),
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("phase 3"), "{msg}");
-        assert!(msg.contains("2/2 respawns used"), "{msg}");
-        assert!(msg.contains("last fault: worker 1 exited with status 17"), "{msg}");
-
-        let quiet = DriverError::AllWorkersDead {
-            phase: 1,
-            respawns_used: 0,
-            respawn_budget: 0,
-            last_fault: None,
-        };
-        assert!(!quiet.to_string().contains("last fault"), "{quiet}");
-    }
 
     #[test]
     fn task_abandoned_names_workers_range_and_last_fault() {

@@ -27,10 +27,9 @@
 //! backoff (within [`DriverConfig::respawn_budget`]); every phase boundary
 //! persists a checksummed checkpoint ([`checkpoint`]) that
 //! [`ShardDriver::resume`] restarts from; and a pool with no live or
-//! respawning worker left falls back to scoring the remaining ranges
-//! in-process ([`DegradePolicy::InProcess`]). All recovery paths produce
-//! bit-identical results. Unrecoverable failures surface as
-//! [`DriverError`], never a hang.
+//! respawning worker left always finishes the remaining ranges in-process.
+//! All recovery paths produce bit-identical results. Unrecoverable failures
+//! surface as [`DriverError`], never a hang.
 //!
 //! Fault injection for tests rides on the `SNR_FAULT` environment variable
 //! (or `DriverConfig::fault`), a comma-separated spec of named sites such
@@ -46,8 +45,6 @@ pub mod error;
 pub mod protocol;
 pub mod shard;
 
-pub use driver::{
-    run_distributed, DegradePolicy, DriverConfig, DriverStore, RunStats, ShardDriver,
-};
+pub use driver::{run_distributed, DriverConfig, DriverStore, RunStats, ShardDriver};
 pub use error::DriverError;
 pub use shard::ShardScorer;

@@ -1,8 +1,8 @@
 //! Fault-injection harness: the driver must survive worker death and
 //! stragglers by re-assigning row-ranges — converging to the **same**
 //! links as a healthy run — and must turn unrecoverable failures into a
-//! clean [`DriverError`] instead of a hang. PR 8 adds the healing layers:
-//! respawned workers, checkpoint/resume, and in-process degradation all
+//! clean [`DriverError`] instead of a hang. The healing layers —
+//! respawned workers, checkpoint/resume, and in-process degradation — all
 //! have to reproduce the healthy run bit for bit, and a corrupted
 //! checkpoint has to be a clean error, never a panic and never a silent
 //! partial resume. Every run here sits under a test-side watchdog so a
@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use snr_core::{MatchingConfig, MatchingOutcome, UserMatching};
-use snr_driver::{run_distributed, DegradePolicy, DriverConfig, DriverError, ShardDriver};
+use snr_driver::{run_distributed, DriverConfig, DriverError, RunStats, ShardDriver};
 use snr_generators::preferential_attachment;
 use snr_graph::NodeId;
 use snr_sampling::independent::independent_deletion_symmetric;
@@ -45,6 +45,18 @@ fn phase_counters(outcome: &MatchingOutcome) -> Vec<(u32, u32, usize, usize, usi
         .iter()
         .map(|p| (p.iteration, p.bucket, p.scored_pairs, p.new_links, p.total_links))
         .collect()
+}
+
+/// Runs `config` on a held driver, returning the outcome together with the
+/// run's recovery counters.
+fn run_with_stats(
+    pair: &RealizationPair,
+    seeds: &[(NodeId, NodeId)],
+    config: DriverConfig,
+) -> Result<(MatchingOutcome, RunStats), DriverError> {
+    let driver = ShardDriver::new(&pair.g1, &pair.g2, config)?;
+    let outcome = driver.run(seeds)?;
+    Ok((outcome, driver.last_run_stats()))
 }
 
 /// Runs `f` on a helper thread and panics if it has not returned within
@@ -123,25 +135,6 @@ fn late_round_death_converges_too() {
 }
 
 #[test]
-fn losing_every_worker_is_a_clean_error_under_fail_policy() {
-    let (pair, seeds) = workload(73);
-    let err = with_watchdog(move || {
-        let mut config = config(1, "kill:w0@round1", Duration::from_secs(60));
-        config.respawn_budget = 0;
-        config.degrade = DegradePolicy::Fail;
-        run_distributed(&pair.g1, &pair.g2, &seeds, config)
-    })
-    .expect_err("the only worker died with no respawn budget and no degradation");
-    match err {
-        DriverError::AllWorkersDead { phase, respawns_used, respawn_budget, .. } => {
-            assert_eq!(phase, 1);
-            assert_eq!((respawns_used, respawn_budget), (0, 0));
-        }
-        other => panic!("expected AllWorkersDead, got {other}"),
-    }
-}
-
-#[test]
 fn stalled_worker_is_speculated_around() {
     let (pair, seeds) = workload(74);
     let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
@@ -166,20 +159,18 @@ fn respawn_resurrects_a_single_worker_pool() {
     let (pair, seeds) = workload(75);
     let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
         .run(&pair.g1, &pair.g2, &seeds);
-    // One worker, killed on its first task, Fail policy: only the respawn
-    // machinery can finish this run. The replacement syncs mid-phase via
-    // the handshake's full-snapshot Phase frame and must reproduce the
-    // healthy links.
+    // One worker, killed on its first task: the respawn alone must finish
+    // this run, with no range scored in-process. The replacement syncs
+    // mid-phase via the handshake's full-snapshot Phase frame and must
+    // reproduce the healthy links.
     let (outcome, stats) = with_watchdog(move || {
         let mut config = config(1, "kill:w0@round1", Duration::from_secs(60));
         config.respawn_budget = 2;
-        config.degrade = DegradePolicy::Fail;
-        let driver = ShardDriver::new(&pair.g1, &pair.g2, config)?;
-        let outcome = driver.run(&seeds)?;
-        Ok::<_, DriverError>((outcome, driver.last_run_stats()))
+        run_with_stats(&pair, &seeds, config)
     })
     .expect("a respawn budget of 2 revives a single-worker pool");
     assert!(stats.respawns >= 1, "the kill must have consumed respawn budget: {stats:?}");
+    assert_eq!(stats.degraded_tasks, 0, "degradation finished the run, not the respawn");
     assert_eq!(outcome.links, reference.links, "respawned run diverged from the healthy one");
 }
 
@@ -219,18 +210,27 @@ fn total_worker_loss_degrades_in_process_bit_identically() {
     let (pair, seeds) = workload(77);
     let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
         .run(&pair.g1, &pair.g2, &seeds);
-    // Both workers die in round 1 with no respawn budget: the default
-    // InProcess policy scores the remaining row-ranges on the coordinator.
-    let (outcome, stats) = with_watchdog(move || {
-        let mut config = config(2, "kill:w0@round1,kill:w1@round1", Duration::from_secs(60));
-        config.respawn_budget = 0;
-        let driver = ShardDriver::new(&pair.g1, &pair.g2, config)?;
-        let outcome = driver.run(&seeds)?;
-        Ok::<_, DriverError>((outcome, driver.last_run_stats()))
-    })
-    .expect("in-process degradation must complete a total-loss run");
-    assert!(stats.degraded_tasks > 0, "degradation path never engaged: {stats:?}");
-    assert_eq!(outcome.links, reference.links, "degraded run diverged from the healthy one");
+    // Both workers die with no respawn budget, either in round 1 or in
+    // round 3, after workers built the links of two phases: the
+    // coordinator scores the remaining row-ranges itself, opening its
+    // scorer lazily over whatever links the run holds by then.
+    for round in [1, 3] {
+        let (pair, seeds) = (pair.clone(), seeds.clone());
+        let (outcome, stats) = with_watchdog(move || {
+            let fault = format!("kill:w0@round{round},kill:w1@round{round}");
+            let mut config = config(2, &fault, Duration::from_secs(60));
+            config.respawn_budget = 0;
+            run_with_stats(&pair, &seeds, config)
+        })
+        .expect("in-process degradation must complete a total-loss run");
+        assert!(stats.degraded_tasks > 0, "round {round}: degradation never engaged: {stats:?}");
+        assert_eq!(outcome.links, reference.links, "round {round}: degraded run diverged");
+        assert_eq!(
+            phase_counters(&outcome),
+            phase_counters(&reference),
+            "round {round}: degraded per-phase counters diverged"
+        );
+    }
 }
 
 #[test]
@@ -241,13 +241,13 @@ fn worker_error_frame_requeues_its_task() {
     // Worker 0 reports a fatal WorkerError mid-round instead of scoring:
     // its in-flight row-range must be re-queued onto worker 1, not abort
     // the run (no respawns, no degradation — the survivor alone must do).
-    let outcome = with_watchdog(move || {
+    let (outcome, stats) = with_watchdog(move || {
         let mut config = config(2, "error_frame:w0@round1", Duration::from_secs(60));
         config.respawn_budget = 0;
-        config.degrade = DegradePolicy::Fail;
-        run_distributed(&pair.g1, &pair.g2, &seeds, config)
+        run_with_stats(&pair, &seeds, config)
     })
     .expect("a WorkerError from one of two workers is survivable");
+    assert_eq!(stats.degraded_tasks, 0, "degradation finished the run, not the requeue");
     assert_eq!(outcome.links, reference.links, "error-frame run diverged from the healthy one");
 }
 
@@ -261,13 +261,13 @@ fn corrupt_and_truncated_claim_frames_are_survivable() {
         // the sink (absorb validates first), the sender killed, and the
         // range rescored cleanly by the survivor.
         let fault = fault.to_string();
-        let outcome = with_watchdog(move || {
+        let (outcome, stats) = with_watchdog(move || {
             let mut config = config(2, &fault, Duration::from_secs(60));
             config.respawn_budget = 0;
-            config.degrade = DegradePolicy::Fail;
-            run_distributed(&pair.g1, &pair.g2, &seeds, config)
+            run_with_stats(&pair, &seeds, config)
         })
         .expect("a damaged claims frame from one of two workers is survivable");
+        assert_eq!(stats.degraded_tasks, 0, "degradation finished the run, not the requeue");
         assert_eq!(outcome.links, reference.links, "damaged-frame run diverged");
     }
 }
@@ -402,22 +402,20 @@ fn every_worker_is_reaped_no_zombies_left() {
     assert!(!pids.is_empty());
     assert_no_zombies(&pids);
 
-    // Mid-phase failure: a stalled single worker against a short deadline
-    // with no respawns and no degradation aborts the phase — and the
-    // stalled child must still have been killed and reaped on the way out.
+    // Mid-phase loss: a stalled single worker against a short deadline with
+    // no respawns is killed in phase 1, the coordinator finishes the run
+    // in-process — and the stalled child must still have been reaped.
     let (pair, seeds) = workload(81);
-    let pids = with_watchdog(move || {
+    let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
+        .run(&pair.g1, &pair.g2, &seeds);
+    let (outcome, pids) = with_watchdog(move || {
         let mut config = config(1, "stall:w0:30000", Duration::from_millis(300));
         config.respawn_budget = 0;
-        config.degrade = DegradePolicy::Fail;
         let driver = ShardDriver::new(&pair.g1, &pair.g2, config).unwrap();
-        match driver.run(&seeds) {
-            Err(DriverError::AllWorkersDead { .. }) => {}
-            other => panic!("expected AllWorkersDead mid-phase, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(driver.scratch_dir());
-        driver.worker_pids()
+        let outcome = driver.run(&seeds).expect("the coordinator finishes a stalled pool");
+        (outcome, driver.worker_pids())
     });
+    assert_eq!(outcome.links, reference.links, "stalled-pool run diverged from the healthy one");
     assert!(!pids.is_empty());
     assert_no_zombies(&pids);
 }

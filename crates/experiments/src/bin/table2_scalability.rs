@@ -87,7 +87,6 @@ fn segment_dir() -> PathBuf {
 /// in-process paths); bytes are the scratch segments shipped to the
 /// workers.
 fn run_on_driver(
-    args: &ExperimentArgs,
     workers: usize,
     g1: CsrGraph,
     g2: CsrGraph,
@@ -96,12 +95,6 @@ fn run_on_driver(
 ) -> (MatchingOutcome, f64, f64, usize) {
     let mut driver_config = DriverConfig::new(workers);
     driver_config.matching = config;
-    if let Some(budget) = args.respawn_budget {
-        driver_config.respawn_budget = budget;
-    }
-    if let Some(policy) = args.degrade {
-        driver_config.degrade = policy;
-    }
     // Full-scale sweeps can hold a worker on one range for a while; the
     // deadline only needs to catch wedged processes, not pace healthy ones.
     driver_config.task_timeout = std::time::Duration::from_secs(600);
@@ -281,7 +274,7 @@ fn main() {
             .with_candidates(args.blocking);
         let (outcome, secs, store_bpe, store_bytes, round_stats) = match args.driver {
             Some(workers) => {
-                let (o, s, b, m) = run_on_driver(&args, workers, g1, g2, &seeds, config);
+                let (o, s, b, m) = run_on_driver(workers, g1, g2, &seeds, config);
                 (o, s, b, m, None)
             }
             None => run_on_store(args.store, g1, g2, &seeds, config, exp, args.spill_budget),

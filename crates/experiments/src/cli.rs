@@ -17,15 +17,12 @@
 //!   `mapreduce[:workers]` (worker count defaults to the CPU count), or
 //!   `driver[:workers]` — the multi-process shard driver from `snr-driver`,
 //!   whose workers each map one segment per copy (worker count defaults
-//!   to 2).
+//!   to 2). Driver runs heal with the driver's own defaults: respawn, a
+//!   checkpoint per phase, and an in-process finish if every worker dies.
 //! * `--blocking <mode>` — candidate generation for the binaries that honor
 //!   it (`table2_scalability`): `exact` (default, every degree-eligible
 //!   pair) or `lsh:<bands>x<rows>` — MinHash/LSH candidate blocking from
 //!   `snr-sketch`.
-//! * `--respawn-budget <N>` — for driver-backed runs: how many worker
-//!   relaunches one run may spend (defaults to the driver's own default).
-//! * `--degrade <fail|inprocess>` — for driver-backed runs: what the
-//!   coordinator does when the worker pool collapses.
 //! * `--spill-budget <bytes>` — for MapReduce-backed runs: memory budget
 //!   for each engine round's shuffle; rounds that exceed it spill sorted
 //!   run files to disk and k-way merge them back. `0` spills everything.
@@ -35,7 +32,6 @@
 //! run's JSONL trace there on exit.
 
 use snr_core::{Backend, CandidateSource};
-use snr_driver::DegradePolicy;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -56,11 +52,6 @@ fn parse_backend(s: &str) -> Result<Backend, String> {
     }
 }
 
-/// Parses a `--respawn-budget` value: any u32.
-fn parse_respawn_budget(s: &str) -> Result<u32, String> {
-    s.parse().map_err(|_| format!("invalid --respawn-budget value {s:?} (expected a u32)"))
-}
-
 /// Parses a `--spill-budget` value: a byte count (plain `u64`).
 fn parse_spill_budget(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| {
@@ -69,15 +60,6 @@ fn parse_spill_budget(s: &str) -> Result<u64, String> {
              (expected a plain byte count like 268435456; no suffixes)"
         )
     })
-}
-
-/// Parses a `--degrade` value: `fail` or `inprocess`.
-fn parse_degrade(s: &str) -> Result<DegradePolicy, String> {
-    match s {
-        "fail" => Ok(DegradePolicy::Fail),
-        "inprocess" => Ok(DegradePolicy::InProcess),
-        _ => Err(format!("invalid --degrade value {s:?} (expected fail or inprocess)")),
-    }
 }
 
 /// Parses a `--blocking` value: `exact` or `lsh:<bands>x<rows>`.
@@ -148,12 +130,6 @@ pub struct ExperimentArgs {
     pub driver: Option<usize>,
     /// Candidate generation for the binaries that honor it.
     pub blocking: CandidateSource,
-    /// Respawn budget override for driver-backed runs (`None` keeps the
-    /// driver default).
-    pub respawn_budget: Option<u32>,
-    /// Degradation policy override for driver-backed runs (`None` keeps
-    /// the driver default).
-    pub degrade: Option<DegradePolicy>,
     /// Shuffle memory budget in bytes for MapReduce-backed runs (`None`
     /// keeps the engine fully in memory; `Some(0)` spills every round).
     pub spill_budget: Option<u64>,
@@ -169,8 +145,6 @@ impl Default for ExperimentArgs {
             backend: Backend::Sequential,
             driver: None,
             blocking: CandidateSource::Exact,
-            respawn_budget: None,
-            degrade: None,
             spill_budget: None,
         }
     }
@@ -210,10 +184,6 @@ impl ExperimentArgs {
                 "--store" => out.store = value("a value")?.parse()?,
                 "--backend" => out.set_backend(&value("a value")?)?,
                 "--blocking" => out.blocking = parse_blocking(&value("a value")?)?,
-                "--respawn-budget" => {
-                    out.respawn_budget = Some(parse_respawn_budget(&value("a value")?)?);
-                }
-                "--degrade" => out.degrade = Some(parse_degrade(&value("a value")?)?),
                 "--spill-budget" => {
                     out.spill_budget = Some(parse_spill_budget(&value("a byte count")?)?);
                 }
@@ -264,7 +234,6 @@ impl ExperimentArgs {
          [--store compact|mmap] \
          [--backend sequential|rayon|mapreduce[:N]|driver[:N]] \
          [--blocking exact|lsh:<B>x<R>] \
-         [--respawn-budget <N>] [--degrade fail|inprocess] \
          [--spill-budget <bytes>]"
     }
 
@@ -356,6 +325,9 @@ mod tests {
         assert!(ExperimentArgs::parse(["--backend", "quantum"]).is_err());
         assert!(ExperimentArgs::parse(["--backend=mapreduce:0"]).is_err());
         assert!(ExperimentArgs::parse(["--backend=mapreduce:x"]).is_err());
+        // The driver's recovery is not configurable from the command line.
+        assert!(ExperimentArgs::parse(["--degrade", "fail"]).is_err());
+        assert!(ExperimentArgs::parse(["--respawn-budget", "3"]).is_err());
     }
 
     #[test]
@@ -414,22 +386,6 @@ mod tests {
         assert!(ExperimentArgs::parse(["--blocking=lsh:16x0"]).is_err());
         assert!(ExperimentArgs::parse(["--blocking=lsh:16"]).is_err());
         assert!(ExperimentArgs::parse(["--blocking=lsh:ax2"]).is_err());
-    }
-
-    #[test]
-    fn parses_resilience_flags_in_both_spellings() {
-        let args = ExperimentArgs::parse(["--respawn-budget", "3", "--degrade", "fail"]).unwrap();
-        assert_eq!(args.respawn_budget, Some(3));
-        assert_eq!(args.degrade, Some(DegradePolicy::Fail));
-        let args = ExperimentArgs::parse(["--respawn-budget=0", "--degrade=inprocess"]).unwrap();
-        assert_eq!(args.respawn_budget, Some(0));
-        assert_eq!(args.degrade, Some(DegradePolicy::InProcess));
-        assert_eq!(ExperimentArgs::default().respawn_budget, None);
-        assert_eq!(ExperimentArgs::default().degrade, None);
-        assert!(ExperimentArgs::parse(["--respawn-budget"]).is_err());
-        assert!(ExperimentArgs::parse(["--respawn-budget", "-1"]).is_err());
-        assert!(ExperimentArgs::parse(["--degrade"]).is_err());
-        assert!(ExperimentArgs::parse(["--degrade", "shrug"]).is_err());
     }
 
     #[test]
