@@ -185,21 +185,10 @@ fn bench_rmat16(c: &mut Criterion) {
         .with_degree_bucketing(false)
         .with_min_bucket(1);
     driver_config.fault = None;
-    // No respawn budget here. Like every driver run, the round writes one
-    // checkpoint after its phase.
-    driver_config.respawn_budget = 0;
-    let driver =
-        ShardDriver::new(g1, g2, driver_config.clone()).expect("snapshot graphs for driver bench");
-    group.bench_function("driver/fused", |b| {
-        b.iter(|| black_box(driver.run(&seeds).expect("distributed round")))
-    });
-    drop(driver);
-    // The same round with the respawn budget armed at its default. A
-    // healthy run spends none of it, so the delta against driver/fused is
-    // the price of keeping it armed.
-    driver_config.respawn_budget = 2;
+    // The default respawn budget, which a healthy run never spends. Like
+    // every driver run, the round writes one checkpoint after its phase.
     let driver = ShardDriver::new(g1, g2, driver_config).expect("snapshot graphs for driver bench");
-    group.bench_function("driver/respawn_overhead", |b| {
+    group.bench_function("driver/fused", |b| {
         b.iter(|| black_box(driver.run(&seeds).expect("distributed round")))
     });
     drop(driver);

@@ -580,7 +580,7 @@ mod tests {
         let (dup, hubs) = duplicate_lists();
         cases.push(("duplicates", dup.clone(), dup, hubs));
 
-        let (mut scored_total, mut links_total) = (0, 0);
+        let (mut scored_total, mut linked_total) = (0, 0);
         for (name, g1, g2, links) in &cases {
             for (d, t) in [(1usize, 1u32), (1, 2), (2, 3), (4, 2)] {
                 let c1 = collect_candidates(g1, links, d);
@@ -590,7 +590,7 @@ mod tests {
                     let (expected, _) =
                         reference_blocked_phase(g1, g2, links, &c1, &c2, t, &banding, seed);
                     scored_total += expected.0;
-                    links_total += expected.1.len();
+                    linked_total += expected.1.len();
                     for parallel in [false, true] {
                         let label = format!("{name} d={d} t={t} {banding:?} parallel={parallel}");
                         let blocked = |floor| {
@@ -607,8 +607,8 @@ mod tests {
             }
         }
         assert!(
-            scored_total > 10_000 && links_total > 500,
-            "{scored_total} scored, {links_total} links"
+            scored_total > 10_000 && linked_total > 500,
+            "{scored_total} scored, {linked_total} links"
         );
     }
 

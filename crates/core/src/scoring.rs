@@ -360,20 +360,14 @@ impl LinkCache {
     }
 
     /// The phase's cache as the in-process executors build it, inside a
-    /// `link_cache` telemetry span, adding the build time to
-    /// [`snr_telemetry::Counter::CacheBuildMicros`].
+    /// `link_cache` telemetry span that times the build.
     pub(crate) fn build_traced<G2: GraphView>(
         g2: &G2,
         links: &Linking,
         min_deg2: usize,
     ) -> LinkCache {
         let _span = snr_telemetry::span!("link_cache", links = links.len());
-        let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = LinkCache::build(g2, links, min_deg2);
-        if let Some(t) = t {
-            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
-        }
-        cache
+        LinkCache::build(g2, links, min_deg2)
     }
 }
 

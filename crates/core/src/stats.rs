@@ -42,10 +42,10 @@ impl MatchingOutcome {
     }
 
     /// Closes `phase`, which began at `started` and selected `selected`:
-    /// inserts the pairs into the links, records the link and phase-time
-    /// telemetry, and appends the phase's [`PhaseStats`]. The caller accounts
-    /// for `scored_pairs` in telemetry itself (the driver's workers report
-    /// their own).
+    /// inserts the pairs into the links, counts the new links in telemetry,
+    /// and appends the phase's [`PhaseStats`]. The caller accounts for
+    /// `scored_pairs` in telemetry itself (the driver's workers report their
+    /// own).
     pub fn close_phase(
         &mut self,
         phase: &Phase,
@@ -56,8 +56,6 @@ impl MatchingOutcome {
         let new_links = self.links.insert_batch(selected);
         let duration = started.elapsed();
         snr_telemetry::Counter::LinksInserted.add(new_links as u64);
-        snr_telemetry::Gauge::LinksTotal.set(self.links.len() as u64);
-        snr_telemetry::Histogram::PhaseMicros.record(duration.as_micros() as u64);
         self.phases.push(PhaseStats {
             iteration: phase.iteration,
             bucket: phase.bucket,

@@ -498,7 +498,6 @@ impl ShardDriver {
 
         while done.contains(&false) {
             pool.launch_due_respawns(self);
-            snr_telemetry::Gauge::WorkersAlive.set(pool.potential_workers() as u64);
             // An empty pool can never finish the remaining tasks: score
             // them here.
             if pool.potential_workers() == 0 {
@@ -591,11 +590,6 @@ impl ShardDriver {
                             // into the coordinator's registry. Nothing about
                             // scheduling or merging reads it back, so the
                             // run's bits cannot depend on it.
-                            for (name, _, _, dur_us) in &delta.spans {
-                                if name == "task" {
-                                    snr_telemetry::Histogram::TaskMicros.record(*dur_us);
-                                }
-                            }
                             snr_telemetry::absorb_delta(
                                 &delta,
                                 &format!("worker={w} gen={generation}"),

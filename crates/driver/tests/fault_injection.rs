@@ -175,6 +175,35 @@ fn respawn_resurrects_a_single_worker_pool() {
 }
 
 #[test]
+fn failed_respawn_is_retried_within_the_budget_or_degrades() {
+    let (pair, seeds) = workload(80);
+    let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
+        .run(&pair.g1, &pair.g2, &seeds);
+    // The lone worker dies on its first task and the first exec of its
+    // replacement fails. A budget of 2 reschedules the exec and the second
+    // launch finishes the run; a budget of 1 leaves the pool empty, so the
+    // coordinator scores the rest itself. Both must give the healthy links.
+    for (budget, respawns, degrades) in [(2, 2, false), (1, 1, true)] {
+        let (pair, seeds) = (pair.clone(), seeds.clone());
+        let (outcome, stats) = with_watchdog(move || {
+            let fault = "kill:w0@round1,respawn_fail:w0@phase1";
+            let mut config = config(1, fault, Duration::from_secs(60));
+            config.respawn_budget = budget;
+            run_with_stats(&pair, &seeds, config)
+        })
+        .expect("a failed respawn is survivable");
+        assert_eq!(stats.respawns, respawns, "budget {budget}: {stats:?}");
+        assert_eq!(stats.degraded_tasks > 0, degrades, "budget {budget}: {stats:?}");
+        assert_eq!(outcome.links, reference.links, "budget {budget}: links diverged");
+        assert_eq!(
+            phase_counters(&outcome),
+            phase_counters(&reference),
+            "budget {budget}: per-phase counters diverged"
+        );
+    }
+}
+
+#[test]
 fn halted_run_resumes_from_checkpoint_bit_identically() {
     let (pair, seeds) = workload(76);
     let (healthy, resumed) = with_watchdog(move || {

@@ -623,7 +623,7 @@ fn telemetry(args: &ExperimentArgs) {
 
 const BANDS: usize = 16;
 const ROWS: usize = 2;
-const RECALL_FLOOR: f64 = 0.95;
+const GOOD_LINK_RATIO_FLOOR: f64 = 0.95;
 
 fn scored_pairs(outcome: &MatchingOutcome) -> usize {
     outcome.phases.iter().map(|p| p.scored_pairs).sum()
@@ -633,9 +633,11 @@ fn scored_pairs(outcome: &MatchingOutcome) -> usize {
 /// (T = 2, k = 1), three ways: the exact sequential matcher, a *pure*
 /// blocked run (`lsh:16x2`, mass floor 0 — every phase through the
 /// sketch), and an adaptive blocked run at the default mass floor. The
-/// pure run must hold at least 95% of the exact run's good links while
-/// scoring at least 2x fewer pairs, with a bad-link rate within 5% of its
-/// emitted links; the adaptive run must reproduce the exact run bit for
+/// pure run's good-link count must be at least 95% of the exact run's (a
+/// ratio of counts, not a recall: the share of the exact run's new links
+/// the pure run made too is printed next to it, unbounded) while scoring at
+/// least 2x fewer pairs, with a bad-link rate within 5% of its emitted
+/// links; the adaptive run must reproduce the exact run bit for
 /// bit, because every phase at this scale sits below
 /// `DEFAULT_LSH_MASS_FLOOR`.
 fn blocking(args: &ExperimentArgs) {
@@ -662,7 +664,7 @@ fn blocking(args: &ExperimentArgs) {
     );
 
     // Pure blocking: mass floor 0 pushes every phase through the sketch, so
-    // the recall/reduction numbers measure the banding itself.
+    // the good-link ratio and the reduction measure the banding itself.
     let pure_cfg = base
         .clone()
         .with_candidates(CandidateSource::Lsh { bands: BANDS, rows: ROWS })
@@ -689,18 +691,26 @@ fn blocking(args: &ExperimentArgs) {
     );
     let pure_eval = evaluate(&pure);
     let pure_scored = scored_pairs(&pure);
-    let recall = pure_eval.new_good as f64 / (exact_eval.new_good as f64).max(1.0);
+    let good_ratio = pure_eval.new_good as f64 / (exact_eval.new_good as f64).max(1.0);
+    // Both runs start from the same seeds, so every shared pair past them
+    // is a new link the two runs agree on.
+    let shared = exact.links.pairs().filter(|&(u1, u2)| pure.links.linked_in_g2(u1) == Some(u2));
+    let shared_new = shared.count() - exact.links.seed_count();
+    let shared_share = shared_new as f64 / exact.discovered().max(1) as f64;
     let reduction = exact_scored as f64 / pure_scored.max(1) as f64;
     println!(
         "lsh:{BANDS}x{ROWS}: {pure_secs:.3}s, {pure_scored} scored pairs ({reduction:.1}x fewer), \
-         {} good / {} bad new links (recall {recall:.3}), {collisions} band collisions for \
-         {proposals} proposals, {verify_entries} list entries verified",
-        pure_eval.new_good, pure_eval.new_bad
+         {} good / {} bad new links (good-link ratio {good_ratio:.3}), {shared_new} of the \
+         exact run's {} new links also made ({shared_share:.3}), {collisions} band collisions \
+         for {proposals} proposals, {verify_entries} list entries verified",
+        pure_eval.new_good,
+        pure_eval.new_bad,
+        exact.discovered()
     );
     assert!(
-        recall >= RECALL_FLOOR,
-        "pure lsh:{BANDS}x{ROWS} recovered {} of {} good links (recall {recall:.3}, \
-         floor {RECALL_FLOOR})",
+        good_ratio >= GOOD_LINK_RATIO_FLOOR,
+        "pure lsh:{BANDS}x{ROWS} found {} good links against exact's {} (good-link ratio \
+         {good_ratio:.3}, floor {GOOD_LINK_RATIO_FLOOR})",
         pure_eval.new_good,
         exact_eval.new_good
     );
@@ -732,7 +742,8 @@ fn blocking(args: &ExperimentArgs) {
     );
 
     println!(
-        "OK: recall {recall:.3} (>= {RECALL_FLOOR} required), {reduction:.1}x fewer scored \
-         pairs (>= 2x required), adaptive gate fell back to exact bit-identically"
+        "OK: good-link ratio {good_ratio:.3} (>= {GOOD_LINK_RATIO_FLOOR} required), \
+         {reduction:.1}x fewer scored pairs (>= 2x required), adaptive gate fell back to \
+         exact bit-identically"
     );
 }

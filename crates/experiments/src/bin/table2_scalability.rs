@@ -344,20 +344,15 @@ fn main() {
         record.push_row(row);
     }
 
-    // With telemetry on, the run's counters and gauges ride along in the
-    // JSON record as one extra row, so a single artifact carries both the
+    // With telemetry on, the run's non-zero counters ride along in the JSON
+    // record as one extra row, so a single artifact carries both the
     // experiment numbers and the runtime's own accounting.
     if snr_telemetry::enabled() {
-        let snapshot = snr_telemetry::TelemetrySnapshot::capture();
         let mut row = MeasuredRow::new("telemetry");
-        for (name, value) in &snapshot.counters {
-            if *value > 0 {
-                row = row.value(*name, *value as f64);
-            }
-        }
-        for (name, value) in &snapshot.gauges {
-            if *value > 0 {
-                row = row.value(*name, *value as f64);
+        for &counter in snr_telemetry::Counter::ALL {
+            let value = counter.get();
+            if value > 0 {
+                row = row.value(counter.name(), value as f64);
             }
         }
         record.push_row(row);

@@ -440,7 +440,6 @@ impl Engine {
         snr_telemetry::Counter::ShuffleBytes.add(c.shuffled_bytes as u64);
         snr_telemetry::Counter::SpilledBytes.add(c.spilled_bytes as u64);
         snr_telemetry::Counter::SpilledRuns.add(c.spilled_runs as u64);
-        snr_telemetry::Histogram::RoundMicros.record(duration.as_micros() as u64);
         snr_telemetry::event!(
             "engine_round",
             label = label,

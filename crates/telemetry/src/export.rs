@@ -1,6 +1,6 @@
-//! Exporters: JSON-lines trace files and point-in-time metric snapshots.
+//! The exporter: a JSON-lines trace file of spans, events and counter totals.
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::Counter;
 use crate::spans;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
@@ -15,7 +15,7 @@ pub fn set_trace_path(path: PathBuf) {
 }
 
 /// The configured trace path, if any (`SNR_TRACE` or [`set_trace_path`]).
-pub fn trace_path() -> Option<PathBuf> {
+fn trace_path() -> Option<PathBuf> {
     TRACE_PATH.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
@@ -44,7 +44,7 @@ fn push_str_field(line: &mut String, key: &str, value: &str) {
 
 /// Renders the full trace — meta line, every finished span, every event, and
 /// the final counter totals — as JSON lines (one flat object per line).
-pub fn render_jsonl() -> String {
+fn render_jsonl() -> String {
     let mut out = String::new();
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -99,39 +99,5 @@ pub fn write_trace_if_configured() -> io::Result<Option<PathBuf>> {
     match trace_path() {
         Some(path) => write_trace(&path).map(|()| Some(path)),
         None => Ok(None),
-    }
-}
-
-/// A point-in-time copy of every metric.
-#[derive(Clone, Debug)]
-pub struct TelemetrySnapshot {
-    /// Counter totals as `(name, value)`, in registration order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Gauge values as `(name, value)`.
-    pub gauges: Vec<(&'static str, u64)>,
-    /// Histograms as `(name, buckets)` where each bucket is
-    /// `(upper_bound, count)` and `upper_bound` is exclusive.
-    pub histograms: Vec<(&'static str, Vec<(u64, u64)>)>,
-}
-
-impl TelemetrySnapshot {
-    /// Captures the current totals.
-    pub fn capture() -> TelemetrySnapshot {
-        let counters = Counter::ALL.iter().map(|&c| (c.name(), c.get())).collect();
-        let gauges = Gauge::ALL.iter().map(|&g| (g.name(), g.get())).collect();
-        let histograms = Histogram::ALL
-            .iter()
-            .map(|&h| {
-                let buckets = h
-                    .buckets()
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(_, count)| count > 0)
-                    .map(|(b, count)| (1u64 << b, count))
-                    .collect();
-                (h.name(), buckets)
-            })
-            .collect();
-        TelemetrySnapshot { counters, gauges, histograms }
     }
 }

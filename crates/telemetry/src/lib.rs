@@ -5,11 +5,13 @@
 //! disabled, plus a [`warn!`] line that prints whatever the switch says:
 //!
 //! 1. **Spans** — hierarchical RAII timing guards ([`span!`]) with
-//!    thread-safe parent/child nesting and monotonic timestamps.
-//! 2. **Metrics** — typed [`Counter`]s, [`Gauge`]s, and log₂-bucket
-//!    [`Histogram`]s that are registered once and cheap to bump.
-//! 3. **Exporters** — a JSON-lines trace file ([`write_trace`]) and a
-//!    point-in-time snapshot of every metric ([`TelemetrySnapshot`]).
+//!    thread-safe parent/child nesting and monotonic timestamps. A span's
+//!    duration is the one record of how long a step took.
+//! 2. **Counters** — typed, saturating [`Counter`] totals that are
+//!    registered once and cheap to bump.
+//! 3. **The trace** — a JSON-lines file ([`write_trace`]) holding every
+//!    span, every point [`event!`] and the non-zero counter totals, which
+//!    [`validate_jsonl`] parses back.
 //!
 //! Remote processes (the shard-driver workers) collect telemetry locally and
 //! ship deltas home with [`drain_delta`]; the coordinator folds them into its
@@ -30,10 +32,8 @@ mod metrics;
 mod schema;
 mod spans;
 
-pub use export::{
-    set_trace_path, trace_path, write_trace, write_trace_if_configured, TelemetrySnapshot,
-};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use export::{set_trace_path, write_trace, write_trace_if_configured};
+pub use metrics::Counter;
 pub use schema::{validate_jsonl, TraceSummary};
 pub use spans::{record_event, SpanGuard};
 use spans::{record_remote_event, record_remote_span};
@@ -59,7 +59,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Clears every recorded span, event, counter, gauge, and histogram.
+/// Clears every recorded span, event, and counter.
 /// Intended for tests and for long-lived processes that export periodically.
 pub fn reset() {
     spans::reset();
@@ -308,23 +308,6 @@ mod tests {
         assert_eq!(d.events.len(), 1);
         assert_eq!(d.events[0].0, "checkpoint");
         assert_eq!(d.events[0].1, "phase=2 bytes=4096");
-    }
-
-    #[test]
-    fn histograms_bucket_by_log2() {
-        let _l = serial();
-        enable();
-        Histogram::TaskMicros.record(1);
-        Histogram::TaskMicros.record(1000);
-        Histogram::TaskMicros.record(1_000_000);
-        let snap = TelemetrySnapshot::capture();
-        let total: u64 = snap
-            .histograms
-            .iter()
-            .find(|(name, _)| *name == "task_micros")
-            .map(|(_, buckets)| buckets.iter().map(|&(_, c)| c).sum())
-            .unwrap();
-        assert_eq!(total, 3);
     }
 
     #[test]

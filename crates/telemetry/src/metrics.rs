@@ -1,8 +1,9 @@
-//! Typed counters, gauges, and log₂-bucket histograms.
+//! Typed counters: the run totals a trace's `counter` lines export.
 //!
-//! Each metric is a fixed enum variant backed by a static atomic, so hot
+//! Each counter is a fixed enum variant backed by a static atomic, so hot
 //! loops pay one `Relaxed` load (the enabled check) plus one atomic update —
-//! and nothing at all when telemetry is disabled.
+//! and nothing at all when telemetry is disabled. Durations are not counted
+//! here: a span's `dur_us` carries them.
 
 use crate::enabled;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +71,6 @@ metric_enum! {
         LshGateSketch => "lsh_gate_sketch",
         /// Phases where the adaptive gate fell back to the exact scan.
         LshGateExact => "lsh_gate_exact",
-        /// Microseconds spent building candidate/link caches.
-        CacheBuildMicros => "cache_build_micros",
         /// Bytes written to driver checkpoints.
         CheckpointBytes => "checkpoint_bytes",
         /// Checkpoints successfully written by the driver.
@@ -91,43 +90,12 @@ metric_enum! {
     }
 }
 
-metric_enum! {
-    /// Last-write-wins gauges.
-    pub enum Gauge {
-        /// Live worker processes in the driver pool.
-        WorkersAlive => "workers_alive",
-        /// Total links in the linking after the most recent phase.
-        LinksTotal => "links_total",
-    }
-}
-
-metric_enum! {
-    /// Log₂-bucket histograms: a value `v` lands in bucket
-    /// `ceil(log2(v + 1))`, so bucket `b` covers `[2^(b-1), 2^b)`.
-    pub enum Histogram {
-        /// Per-task wall time on driver workers, microseconds.
-        TaskMicros => "task_micros",
-        /// Per-phase wall time in the matcher, microseconds.
-        PhaseMicros => "phase_micros",
-        /// Per-round wall time in the MapReduce engine, microseconds.
-        RoundMicros => "round_micros",
-    }
-}
-
 const COUNTERS: usize = Counter::ALL.len();
-const GAUGES: usize = Gauge::ALL.len();
-const HISTOGRAMS: usize = Histogram::ALL.len();
-/// Buckets 0..=47 cover durations up to ~2^47 µs (≈ 4.5 years).
-pub(crate) const HIST_BUCKETS: usize = 48;
 
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_ROW: [AtomicU64; HIST_BUCKETS] = [ZERO; HIST_BUCKETS];
 
 static COUNTER_CELLS: [AtomicU64; COUNTERS] = [ZERO; COUNTERS];
-static GAUGE_CELLS: [AtomicU64; GAUGES] = [ZERO; GAUGES];
-static HIST_CELLS: [[AtomicU64; HIST_BUCKETS]; HISTOGRAMS] = [ZERO_ROW; HISTOGRAMS];
 // Counter values at the previous drain, for delta shipping.
 static DRAINED: Mutex<[u64; COUNTERS]> = Mutex::new([0; COUNTERS]);
 
@@ -150,39 +118,6 @@ impl Counter {
     }
 }
 
-impl Gauge {
-    /// Sets the gauge. A no-op while telemetry is disabled.
-    #[inline]
-    pub fn set(self, value: u64) {
-        if !enabled() {
-            return;
-        }
-        GAUGE_CELLS[self.index()].store(value, Ordering::Relaxed);
-    }
-
-    /// The most recently set value.
-    pub fn get(self) -> u64 {
-        GAUGE_CELLS[self.index()].load(Ordering::Relaxed)
-    }
-}
-
-impl Histogram {
-    /// Records one observation. A no-op while telemetry is disabled.
-    #[inline]
-    pub fn record(self, value: u64) {
-        if !enabled() {
-            return;
-        }
-        let bucket = (u64::BITS - value.leading_zeros()).min(HIST_BUCKETS as u32 - 1);
-        HIST_CELLS[self.index()][bucket as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-bucket observation counts, index = `ceil(log2(v + 1))`.
-    pub fn buckets(self) -> Vec<u64> {
-        HIST_CELLS[self.index()].iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-}
-
 /// Counter increments since the previous drain, skipping zero deltas.
 pub(crate) fn drain_counters() -> Vec<(String, u64)> {
     let mut last = DRAINED.lock().unwrap_or_else(|e| e.into_inner());
@@ -201,14 +136,6 @@ pub(crate) fn drain_counters() -> Vec<(String, u64)> {
 pub(crate) fn reset() {
     for cell in &COUNTER_CELLS {
         cell.store(0, Ordering::Relaxed);
-    }
-    for cell in &GAUGE_CELLS {
-        cell.store(0, Ordering::Relaxed);
-    }
-    for hist in &HIST_CELLS {
-        for cell in hist {
-            cell.store(0, Ordering::Relaxed);
-        }
     }
     *DRAINED.lock().unwrap_or_else(|e| e.into_inner()) = [0; COUNTERS];
 }

@@ -40,8 +40,6 @@ fn disabled_telemetry_adds_zero_allocations() {
         let _inner = snr_telemetry::span!("score");
         snr_telemetry::Counter::ScoredPairs.add(i);
         snr_telemetry::Counter::LinksInserted.add(1);
-        snr_telemetry::Gauge::LinksTotal.set(i);
-        snr_telemetry::Histogram::PhaseMicros.record(i);
         snr_telemetry::event!("lsh_gate", verdict = "sketch", mass = i);
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
